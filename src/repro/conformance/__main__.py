@@ -44,7 +44,6 @@ from .fixtures import (
     register_broken_layout_fixture,
     register_broken_trial_fixture,
     stale_cache_incremental_engine,
-    stale_eviction_service_engine,
 )
 from .fuzzer import CHECK_NAMES, run_case, sample_cases
 from .shrink import shrink_case
@@ -265,30 +264,8 @@ def _run_implicit_self_test(args: argparse.Namespace) -> int:
                 f"implicit-identity on {case.graph_family} "
                 f"n={case.graph_params.get('n')}"
             )
-            return _run_service_self_test(args)
-    print("self-test FAIL: wrong-port implicit family was never caught")
-    return 1
-
-
-def _run_service_self_test(args: argparse.Namespace) -> int:
-    """Prove the service axis catches a resurrected evicted table."""
-    contracts = [
-        c for c in collect_contracts() if c.kind in ("view", "edge")
-    ]
-    for contract, case in sample_cases(contracts, 40, args.seed):
-        result = run_case(
-            contract, case,
-            checks={"service-identity"},
-            service_factory=stale_eviction_service_engine,
-        )
-        if "service-identity" in result.failed_checks():
-            print(
-                "self-test ok: stale-eviction service engine caught by "
-                f"service-identity on {contract.algorithm} "
-                f"({case.graph_family} n={case.graph_params.get('n')})"
-            )
             return _run_trial_self_test(args)
-    print("self-test FAIL: stale-eviction service engine was never caught")
+    print("self-test FAIL: wrong-port implicit family was never caught")
     return 1
 
 

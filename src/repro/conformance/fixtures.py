@@ -60,17 +60,6 @@ applied delta, leaving that node's memoized class stale.  The fuzzer's
 ``tests/differential.py``) must flag the divergence against a fresh
 direct run on the mutated graph — proving an engine that skips
 invalidating even a single ball cannot survive the pipeline.
-
-:func:`stale_eviction_service_engine` is the service-engine analogue:
-a :class:`~repro.core.service.ServiceEngine` subclass with a zero byte
-budget whose eviction keeps a ghost reference to the dying class table
-and whose table lookup *resurrects* the ghost for the next unseen
-algorithm key.  Because :class:`~repro.local_model.cache.ViewCache`
-keys are view signatures with no algorithm identity in them, the
-resurrected table serves one algorithm's cached outputs to another
-whenever their signatures collide — exactly the collision the fuzzer's
-``service-identity`` check manufactures with its same-radius probe
-algorithm, so the check must flag the cold service run.
 """
 
 from __future__ import annotations
@@ -98,7 +87,6 @@ __all__ = [
     "register_broken_implicit_fixture",
     "register_broken_trial_fixture",
     "stale_cache_incremental_engine",
-    "stale_eviction_service_engine",
 ]
 
 #: Registry name of the broken fixture algorithm.
@@ -269,58 +257,6 @@ def stale_cache_incremental_engine():
 
         _STALE_CACHE_CLASS = _StaleCacheIncrementalEngine
     return _STALE_CACHE_CLASS()
-
-
-_STALE_EVICTION_CLASS = None
-
-
-def stale_eviction_service_engine():
-    """A fresh service engine that resurrects evicted class tables.
-
-    The subclass plants the minimal realistic eviction bug: a zero
-    byte budget makes every request's table evict immediately, but
-    :meth:`~repro.core.service.ServiceEngine._evict` keeps a ghost
-    reference to the least-recently-used table it is about to drop,
-    and :meth:`~repro.core.service.ServiceEngine._table_for` hands the
-    ghost back — stale signature-keyed entries and all — the next time
-    a *new* algorithm key asks for a fresh table.  Warm lookups for
-    keys already live are untouched, so only the probe-then-serve
-    sequence of the ``service-identity`` check exposes the pollution.
-
-    Built lazily like the other fixtures; pass this function itself as
-    the ``service_factory`` of :func:`repro.conformance.fuzzer.
-    run_case` to route the check through the broken engine.
-    """
-    global _STALE_EVICTION_CLASS
-    if _STALE_EVICTION_CLASS is None:
-        from ..core.service import ServiceEngine
-
-        class _StaleEvictionServiceEngine(ServiceEngine):
-            """FIXTURE: eviction ghost resurrected for new table keys."""
-
-            def __init__(self):
-                super().__init__(max_bytes=0)
-                self._ghost = None
-
-            def _evict(self):
-                if self._tables:
-                    # Keep the dying LRU table alive past its eviction.
-                    self._ghost = next(iter(self._tables.values()))
-                return super()._evict()
-
-            def _table_for(self, algorithm):
-                table, warm, unkeyable = super()._table_for(algorithm)
-                if warm or unkeyable or self._ghost is None:
-                    return table, warm, unkeyable
-                ghost, self._ghost = self._ghost, None
-                for key, value in self._tables.items():
-                    if value is table:
-                        self._tables[key] = ghost
-                        break
-                return ghost, warm, unkeyable
-
-        _STALE_EVICTION_CLASS = _StaleEvictionServiceEngine
-    return _STALE_EVICTION_CLASS()
 
 
 _BROKEN_IMPLICIT_CLASS = None

@@ -47,19 +47,6 @@ seed, and explicit labelings.  :func:`run_case` runs it through
     self-test proves the deliberately wrong-port family
     (:data:`repro.conformance.fixtures.BROKEN_IMPLICIT_FAMILY`) is
     caught.
-``service-identity`` (view/edge kinds)
-    A fresh :class:`~repro.core.service.ServiceEngine` must reproduce
-    the base report bit for bit — cold (first request) *and* warm
-    (repeat request served from the cross-request class table) — even
-    after a *probe* request for a different algorithm has populated
-    the engine's caches first, and the served report must survive the
-    :mod:`repro.serve.protocol` wire codec round-trip unchanged.  The
-    probe is the teeth: view signatures deliberately omit the
-    algorithm identity (one table per algorithm), so any table
-    management bug that leaks one algorithm's entries to another — the
-    self-test's stale-eviction fixture resurrects an evicted table
-    under a new key — serves the probe's outputs to the case and is
-    caught here.
 ``delta-identity`` (when the contract's ``deltas`` count is nonzero)
     A chain of seed-derived random :class:`~repro.graphs.delta.
     GraphDelta` mutations is applied through an
@@ -111,7 +98,7 @@ BACKENDS = ("direct", "cached", "sharded")
 CHECK_NAMES = (
     "halts", "verifier", "backend-identity", "layout-identity",
     "determinism", "port-permutation", "label-order", "delta-identity",
-    "implicit-identity", "service-identity",
+    "implicit-identity",
 )
 
 #: Backends the ``layout-identity`` check runs each declared layout on:
@@ -435,88 +422,6 @@ def _run_implicit_twin(
     return failures
 
 
-def _probe_algorithm(contract: Contract, request: SimRequest) -> Optional[Any]:
-    """A different algorithm at the *same* signature radius as the case.
-
-    The probe's view signatures collide exactly with the case's (same
-    graph, labels, radius), which is what gives the ``service-identity``
-    check teeth against cross-algorithm table pollution.  Returns
-    ``None`` when no compatible probe exists for the case's labelings.
-    """
-    if contract.kind == "view":
-        radius = request.algorithm.radius
-        name = (
-            "ball-signature"
-            if contract.algorithm != "ball-signature"
-            else "degree-profile"
-        )
-        return ALGORITHMS.create(name, radius=radius)
-    if contract.kind == "edge":
-        rounds = request.algorithm.rounds
-        if contract.algorithm != "edge-parity":
-            return ALGORITHMS.create("edge-parity", rounds=rounds)
-        if request.randomness is not None:
-            return ALGORITHMS.create("edge-profile", rounds=rounds)
-        return None
-    return None
-
-
-def _run_service_check(
-    contract: Contract,
-    case: CaseSpec,
-    graph: Graph,
-    ids: Optional[List[int]],
-    randomness: Optional[List[int]],
-    base: Any,
-    service_factory: Optional[Any],
-) -> List[CheckFailure]:
-    """The ``service-identity`` check body (see the module docstring).
-
-    ``service_factory`` swaps in a different engine class — the
-    self-test passes the deliberately-broken stale-eviction fixture
-    (:func:`~repro.conformance.fixtures.stale_eviction_service_engine`)
-    to prove the probe-then-serve sequence catches a resurrected table.
-    """
-    import json
-
-    from ..core.service import ServiceEngine
-    from ..serve.protocol import decode_report, encode_report
-
-    failures: List[CheckFailure] = []
-    engine = (service_factory or ServiceEngine)()
-    try:
-        request = _build_request(contract, case, graph, ids, randomness)
-        probe = _probe_algorithm(contract, request)
-        if probe is not None:
-            engine.run(replace(request, algorithm=probe))
-        cold = engine.run(request)
-        if cold.identity() != base.identity():
-            failures.append(CheckFailure(
-                "service-identity",
-                "cold service run diverges from the base report",
-            ))
-            return failures
-        warm = engine.run(
-            _build_request(contract, case, graph, ids, randomness)
-        )
-        if warm.identity() != base.identity():
-            failures.append(CheckFailure(
-                "service-identity",
-                "warm service run diverges from the base report",
-            ))
-            return failures
-        wired = decode_report(json.loads(json.dumps(encode_report(warm))))
-        if wired.identity() != warm.identity():
-            failures.append(CheckFailure(
-                "service-identity",
-                "report identity does not survive the wire codec "
-                "round-trip",
-            ))
-    finally:
-        engine.close()
-    return failures
-
-
 def _run_delta_chain(
     contract: Contract,
     case: CaseSpec,
@@ -602,15 +507,13 @@ def run_case(
     backends: Sequence[str] = BACKENDS,
     checks: Optional[Set[str]] = None,
     incremental_factory: Optional[Any] = None,
-    service_factory: Optional[Any] = None,
 ) -> CaseResult:
     """Run one case; return every check failure (empty = conformant).
 
     ``checks`` restricts which checks run (the shrinker re-tests only
     the originally-failing ones); ``None`` runs them all.
-    ``incremental_factory`` / ``service_factory`` override the engine
-    class the ``delta-identity`` / ``service-identity`` checks use
-    (self-tests inject broken fixtures).
+    ``incremental_factory`` overrides the engine class the
+    ``delta-identity`` check uses (self-tests inject broken fixtures).
     """
     failures: List[CheckFailure] = []
 
@@ -693,11 +596,6 @@ def run_case(
         ):
             failures.extend(_run_implicit_twin(
                 contract, case, graph, ids, randomness, base,
-            ))
-        if enabled("service-identity") and contract.kind in ("view", "edge"):
-            failures.extend(_run_service_check(
-                contract, case, graph, ids, randomness, base,
-                service_factory,
             ))
         if enabled("delta-identity") and contract.deltas > 0:
             failures.extend(_run_delta_chain(

@@ -33,7 +33,6 @@ from .direct import DirectEngine
 from .cached import CachedEngine
 from .sharded import ShardedEngine
 from .incremental import IncrementalEngine
-from .service import ServiceEngine
 from .registry import (
     ALGORITHMS,
     GRAPH_FAMILIES,
@@ -61,7 +60,6 @@ __all__ = [
     "CachedEngine",
     "ShardedEngine",
     "IncrementalEngine",
-    "ServiceEngine",
     "derive_seed",
     "resolve_engine",
     "simulate",

@@ -1,14 +1,10 @@
 """The cached backend: one evaluation per canonical view class.
 
-Wraps PR 2's canonical-view memoization
-(:mod:`repro.local_model.cache`) behind the engine seam: ``view`` and
-``edge`` requests key every ball by its canonical signature
-(:func:`~repro.local_model.views.view_signature` /
-:func:`~repro.local_model.views.edge_view_signature`), evaluate the
-algorithm once per distinct class, and broadcast the output — exactly
-the semantics of ``run_view_algorithm_cached`` /
-``run_edge_view_algorithm_cached``, which are now adapters over this
-class.
+The direct backend plus a memo table
+(:class:`~repro.local_model.cache.ViewCache`): ``view`` and ``edge``
+requests partition their entities by canonical signature
+(:func:`~repro.core.entities.partition`), evaluate the algorithm once
+per class not already in the table, and broadcast the output.
 
 ``local`` requests pass through to the direct loop (a synchronous
 message-passing round has no view classes to collapse), and ``finite``
@@ -23,20 +19,14 @@ signature being a perfect canonical key; see
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Optional
 
-from ..graphs.graph import Edge, edge_key
-from ..instrumentation.tracer import Tracer, effective_tracer
-from ..local_model.batch_views import expander_for, resolve_layout
+from ..instrumentation.tracer import Tracer
 from ..local_model.cache import KeyedCache, ViewCache
-from ..local_model.views import (
-    edge_view_signature,
-    gather_edge_view,
-    gather_view,
-    view_signature,
-)
+from ..local_model.kernels import broadcast_table
 from .direct import DirectEngine
 from .engine import SimReport, SimRequest
+from .entities import Entities, labeling_of, layout_info, partition
 
 __all__ = ["CachedEngine"]
 
@@ -58,10 +48,9 @@ class CachedEngine(DirectEngine):
     -----
     On ``layout="auto"`` requests over frozen graphs, keys come from
     the batched CSR expander (one vectorized pass instead of n
-    per-entity signature walks); the lookup pattern — one cache lookup
-    per entity, one miss per distinct class — is unchanged, so hit
-    rates and class counts match the reference ``"dict"`` layout
-    exactly.  The two layouts use disjoint (both perfect) key spaces,
+    per-entity signature walks); the stats — one lookup per entity, one
+    miss per distinct class — are unchanged, so hit rates and class
+    counts match the reference ``"dict"`` layout exactly.  The two layouts use disjoint (both perfect) key spaces,
     so a cache shared across layouts stays correct but re-evaluates
     each class once per key space — keep one layout per cache when the
     cross-run reuse matters.
@@ -73,154 +62,46 @@ class CachedEngine(DirectEngine):
     def __init__(self, cache: Optional[ViewCache] = None):
         self.cache = cache if cache is not None else ViewCache()
 
-    def _run_view(
-        self, request: SimRequest, tracer: Optional[Tracer]
+    def _evaluate(
+        self,
+        ents: Entities,
+        request: SimRequest,
+        layout: str,
+        tracer: Optional[Tracer],
     ) -> SimReport:
-        graph, algorithm, cache = request.graph, request.algorithm, self.cache
-        tracer = effective_tracer(tracer)
-        radius = algorithm.radius
-        layout = resolve_layout(request.layout, graph, self.prefer_csr)
-        if layout == "kernel":
-            # The class table is its own memo — nothing to cache.
-            return self._run_view_kernel(request, tracer)
-        if tracer is not None:
-            tracer.on_run_start("view", algorithm.name, graph.n)
-        before = cache.stats.copy() if tracer is not None else None
-        outputs: List[Any] = []
-        append = outputs.append
-        get, store, output = cache.get, cache.store, algorithm.output
-        ids, inputs = request.ids, request.inputs
-        randomness, orientation = request.randomness, request.orientation
-        if layout == "dict":
-            if tracer is not None:
-                tracer.on_layout(
-                    self.name, layout,
-                    {"requested": request.layout, "entities": graph.n},
-                )
-            node_keys = (
-                (v, view_signature(
-                    graph, v, radius,
-                    ids=ids, inputs=inputs, randomness=randomness,
-                    orientation=orientation,
-                ))
-                for v in graph.nodes()
-            )
-        else:
-            part = expander_for(graph, layout).node_classes(
-                radius, ids=ids, inputs=inputs, randomness=randomness,
-                orientation=orientation,
-            )
-            if tracer is not None:
-                tracer.on_layout(
-                    self.name, layout,
-                    {
-                        "requested": request.layout,
-                        "entities": graph.n,
-                        "path": part.path,
-                        "classes": part.class_count,
-                    },
-                )
-            class_keys = part.keys
-            node_keys = (
-                (v, class_keys[c]) for v, c in enumerate(part.labels)
-            )
-        for v, key in node_keys:
-            out = get(key)
-            if out is _MISS:
-                view = gather_view(
-                    graph, v, radius,
-                    ids=ids, inputs=inputs, randomness=randomness,
-                    orientation=orientation,
-                )
-                if tracer is not None:
-                    tracer.on_view(v, view.radius, view.node_count, len(view.edges))
-                out = store(key, output(view))
-            append(out)
-        if tracer is not None:
-            tracer.on_cache("view", cache.stats.delta(before).to_dict())
-            tracer.on_run_end(radius)
-        return SimReport(
-            kind="view",
-            outputs=outputs,
-            halt_rounds=[radius] * graph.n,
-            rounds=radius,
-            backend=self.name,
-            info={"distinct_classes": len(cache)},
-        )
+        """The direct strategy plus a memo table: one lookup per class.
 
-    def _run_edge(
-        self, request: SimRequest, tracer: Optional[Tracer]
-    ) -> SimReport:
+        Misses are evaluated at their first-occurrence entity, exactly
+        where the per-entity scan would; every later member of a class
+        is a hit, counted in bulk, so the per-run stats stay per entity.
+        """
         graph, algorithm, cache = request.graph, request.algorithm, self.cache
-        tracer = effective_tracer(tracer)
-        radius = algorithm.view_radius()
-        layout = resolve_layout(request.layout, graph, self.prefer_csr)
-        if layout == "kernel":
-            return self._run_edge_kernel(request, tracer)
+        entities, radius = ents.entities(graph), ents.radius(algorithm)
+        labeling, evaluate = labeling_of(request), ents.evaluator(algorithm)
+        part = partition(ents, graph, entities, radius, layout, labeling)
         if tracer is not None:
-            tracer.on_run_start("edge", algorithm.name, graph.m)
+            tracer.on_layout(
+                self.name, layout, layout_info(request, ents.count(graph), part)
+            )
         before = cache.stats.copy() if tracer is not None else None
-        outputs: Dict[Edge, Any] = {}
-        get, store, output_fn = cache.get, cache.store, algorithm.output_fn
-        ids, inputs = request.ids, request.inputs
-        randomness, orientation = request.randomness, request.orientation
-        edges = list(graph.edges())
-        if layout == "dict":
-            if tracer is not None:
-                tracer.on_layout(
-                    self.name, layout,
-                    {"requested": request.layout, "entities": graph.m},
-                )
-            edge_keys = (
-                (edge, edge_view_signature(
-                    graph, edge, radius,
-                    ids=ids, inputs=inputs, randomness=randomness,
-                    orientation=orientation,
-                ))
-                for edge in edges
-            )
-        else:
-            part = expander_for(graph, layout).edge_classes(
-                edges, radius,
-                ids=ids, inputs=inputs, randomness=randomness,
-                orientation=orientation,
-            )
-            if tracer is not None:
-                tracer.on_layout(
-                    self.name, layout,
-                    {
-                        "requested": request.layout,
-                        "entities": graph.m,
-                        "path": part.path,
-                        "classes": part.class_count,
-                    },
-                )
-            class_keys = part.keys
-            edge_keys = (
-                (edges[i], class_keys[c])
-                for i, c in enumerate(part.labels)
-            )
-        for (u, v), key in edge_keys:
-            out = get(key)
+        table = []
+        for key, rep in zip(part.keys, part.reps):
+            out = cache.get(key)
             if out is _MISS:
-                view = gather_edge_view(
-                    graph, (u, v), radius,
-                    ids=ids, inputs=inputs, randomness=randomness,
-                    orientation=orientation,
-                )
+                center = entities[rep]
+                view = ents.gather(graph, center, radius, **labeling)
                 if tracer is not None:
                     tracer.on_view(
-                        (u, v), view.radius, view.node_count, len(view.edges)
+                        center, view.radius, view.node_count, len(view.edges)
                     )
-                out = store(key, output_fn(view))
-            outputs[edge_key(u, v)] = out
+                out = cache.store(key, evaluate(view))
+            table.append(out)
+        cache.count_hits(len(part.labels) - len(part.reps))
         if tracer is not None:
-            tracer.on_cache("edge", cache.stats.delta(before).to_dict())
-            tracer.on_run_end(algorithm.rounds)
-        return SimReport(
-            kind="edge",
-            outputs=outputs,
-            rounds=algorithm.rounds,
-            backend=self.name,
-            info={"distinct_classes": len(cache)},
+            tracer.on_cache(request.kind, cache.stats.delta(before).to_dict())
+        return ents.report(
+            algorithm, entities,
+            broadcast_table(table, part.labels),
+            self.name,
+            {"distinct_classes": len(cache)},
         )

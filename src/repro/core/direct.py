@@ -15,18 +15,12 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, List, Optional
 
-from ..graphs.graph import Edge, edge_key
 from ..instrumentation.tracer import Tracer, effective_tracer
 from ..local_model import kernels as _kernels
-from ..local_model.batch_views import (
-    expander_for,
-    gather_edge_view_csr,
-    gather_view_csr,
-    resolve_layout,
-)
+from ..local_model.batch_views import expander_for, resolve_layout
 from ..local_model.context import NodeContext
-from ..local_model.views import gather_edge_view, gather_view
 from .engine import Engine, SimReport, SimRequest
+from .entities import ENTITIES, Entities, labeling_of, layout_info
 
 __all__ = ["DirectEngine"]
 
@@ -53,11 +47,9 @@ class DirectEngine(Engine):
         tracer = effective_tracer(tracer)
         if request.kind == "local":
             return self._run_local(request, tracer)
-        if request.kind == "view":
-            return self._run_view(request, tracer)
-        if request.kind == "edge":
-            return self._run_edge(request, tracer)
-        return self._run_finite(request, tracer)
+        if request.kind == "finite":
+            return self._run_finite(request, tracer)
+        return self._run_entities(ENTITIES[request.kind], request, tracer)
 
     # -- "local": the synchronous message-passing round -----------------
     def _wants_local_kernel(self, request: SimRequest) -> bool:
@@ -222,211 +214,95 @@ class DirectEngine(Engine):
             info=info,
         )
 
-    # -- "view"/"edge" on layout="kernel": class table + broadcast ------
-    def _run_view_kernel(
-        self, request: SimRequest, tracer: Optional[Tracer]
+    # -- "view"/"edge": one evaluation per entity's radius-t ball -------
+    def _run_entities(
+        self, ents: Entities, request: SimRequest, tracer: Optional[Tracer]
+    ) -> SimReport:
+        """Resolve the layout, then evaluate the kind's entities.
+
+        ``layout="kernel"`` is shared by all backends (it has nothing to
+        cache or shard: the class table *is* the memo); every other
+        layout runs the backend's :meth:`_evaluate` strategy.
+        """
+        graph, algorithm = request.graph, request.algorithm
+        layout = resolve_layout(request.layout, graph, self.prefer_csr)
+        if tracer is not None:
+            tracer.on_run_start(request.kind, algorithm.name, ents.count(graph))
+        if layout == "kernel":
+            report = self._run_kernel(ents, request, tracer)
+        else:
+            report = self._evaluate(ents, request, layout, tracer)
+        if tracer is not None:
+            tracer.on_run_end(ents.rounds(algorithm))
+        return report
+
+    def _run_kernel(
+        self, ents: Entities, request: SimRequest, tracer: Optional[Tracer]
     ) -> SimReport:
         """One partition, one vectorized class table, one broadcast.
 
-        Shared by all backends (the kernel layout has nothing to cache
-        or shard: the class table *is* the memo).  When the algorithm
-        has no registered kernel — or its kernel declines — each class
-        representative is evaluated the reference way instead, so the
-        layout is available for every view algorithm.
+        When the algorithm has no registered kernel — or its kernel
+        declines — each class representative is evaluated the reference
+        way instead, so the layout is available for every algorithm.
         """
         graph, algorithm = request.graph, request.algorithm
-        radius = algorithm.radius
-        part = expander_for(graph, "kernel").node_classes(
-            radius,
-            ids=request.ids,
-            inputs=request.inputs,
-            randomness=request.randomness,
-            orientation=request.orientation,
-        )
+        entities, radius = ents.entities(graph), ents.radius(algorithm)
+        count, labeling = ents.count(graph), labeling_of(request)
+        part = ents.classes(expander_for(graph, "kernel"), entities, radius, labeling)
         if tracer is not None:
-            tracer.on_run_start("view", algorithm.name, graph.n)
             tracer.on_layout(
-                self.name, "kernel",
-                {"requested": request.layout, "entities": graph.n,
-                 "path": part.path, "classes": part.class_count},
+                self.name, "kernel", layout_info(request, count, part)
             )
         try:
             table = _kernels.run_view_kernel(algorithm, part)
             kinfo = {"path": "vectorized", "reason": None}
         except _kernels.KernelUnsupported as exc:
-            table = []
+            evaluate, table = ents.evaluator(algorithm), []
             for rep in part.reps:
-                view = gather_view(
-                    graph, rep, radius,
-                    ids=request.ids,
-                    inputs=request.inputs,
-                    randomness=request.randomness,
-                    orientation=request.orientation,
-                )
+                center = entities[rep]
+                view = ents.gather(graph, center, radius, **labeling)
                 if tracer is not None:
                     tracer.on_view(
-                        rep, view.radius, view.node_count, len(view.edges)
+                        center, view.radius, view.node_count, len(view.edges)
                     )
-                table.append(algorithm.output(view))
+                table.append(evaluate(view))
             kinfo = {"path": "fallback", "reason": str(exc)}
-        kinfo["entities"] = graph.n
+        kinfo["entities"] = count
         kinfo["classes"] = part.class_count
         if tracer is not None:
-            tracer.on_kernel("view", algorithm.name, kinfo)
-            tracer.on_run_end(radius)
-        return SimReport(
-            kind="view",
-            outputs=_kernels.broadcast_table(table, part.labels),
-            halt_rounds=[radius] * graph.n,
-            rounds=radius,
-            backend=self.name,
-            info={"distinct_classes": part.class_count,
-                  "kernel": kinfo["path"]},
+            tracer.on_kernel(request.kind, algorithm.name, kinfo)
+        return ents.report(
+            algorithm, entities,
+            _kernels.broadcast_table(table, part.labels),
+            self.name,
+            {"distinct_classes": part.class_count, "kernel": kinfo["path"]},
         )
 
-    def _run_edge_kernel(
-        self, request: SimRequest, tracer: Optional[Tracer]
+    def _evaluate(
+        self,
+        ents: Entities,
+        request: SimRequest,
+        layout: str,
+        tracer: Optional[Tracer],
     ) -> SimReport:
-        """Edge-kind twin of :meth:`_run_view_kernel`."""
+        """The reference strategy: gather and evaluate every entity."""
         graph, algorithm = request.graph, request.algorithm
-        radius = algorithm.view_radius()
-        edges = list(graph.edges())
-        part = expander_for(graph, "kernel").edge_classes(
-            edges, radius,
-            ids=request.ids,
-            inputs=request.inputs,
-            randomness=request.randomness,
-            orientation=request.orientation,
-        )
-        if tracer is not None:
-            tracer.on_run_start("edge", algorithm.name, graph.m)
-            tracer.on_layout(
-                self.name, "kernel",
-                {"requested": request.layout, "entities": graph.m,
-                 "path": part.path, "classes": part.class_count},
-            )
-        try:
-            table = _kernels.run_view_kernel(algorithm, part)
-            kinfo = {"path": "vectorized", "reason": None}
-        except _kernels.KernelUnsupported as exc:
-            table = []
-            for rep in part.reps:
-                view = gather_edge_view(
-                    graph, edges[rep], radius,
-                    ids=request.ids,
-                    inputs=request.inputs,
-                    randomness=request.randomness,
-                    orientation=request.orientation,
-                )
-                if tracer is not None:
-                    tracer.on_view(
-                        edges[rep], view.radius, view.node_count,
-                        len(view.edges),
-                    )
-                table.append(algorithm.output_fn(view))
-            kinfo = {"path": "fallback", "reason": str(exc)}
-        kinfo["entities"] = graph.m
-        kinfo["classes"] = part.class_count
-        values = _kernels.broadcast_table(table, part.labels)
-        outputs: Dict[Edge, Any] = {
-            edge_key(u, v): value for (u, v), value in zip(edges, values)
-        }
-        if tracer is not None:
-            tracer.on_kernel("edge", algorithm.name, kinfo)
-            tracer.on_run_end(algorithm.rounds)
-        return SimReport(
-            kind="edge",
-            outputs=outputs,
-            rounds=algorithm.rounds,
-            backend=self.name,
-            info={"distinct_classes": part.class_count,
-                  "kernel": kinfo["path"]},
-        )
-
-    # -- "view": every node's radius-T ball, evaluated ------------------
-    def _run_view(
-        self, request: SimRequest, tracer: Optional[Tracer]
-    ) -> SimReport:
-        graph, algorithm = request.graph, request.algorithm
-        layout = resolve_layout(request.layout, graph, self.prefer_csr)
-        if layout == "kernel":
-            return self._run_view_kernel(request, tracer)
+        entities, radius = ents.entities(graph), ents.radius(algorithm)
+        labeling, evaluate = labeling_of(request), ents.evaluator(algorithm)
         # Implicit handles duck-type the dict Graph API (closed-form
         # rows); the CSR gather would force a guarded full synthesis.
-        gather = gather_view if layout in ("dict", "implicit") else gather_view_csr
+        gather = ents.gather if layout in ("dict", "implicit") else ents.gather_csr
         if tracer is not None:
-            tracer.on_run_start("view", algorithm.name, graph.n)
             tracer.on_layout(
-                self.name, layout,
-                {"requested": request.layout, "entities": graph.n},
+                self.name, layout, layout_info(request, ents.count(graph))
             )
         outputs = []
-        for v in graph.nodes():
-            view = gather(
-                graph,
-                v,
-                algorithm.radius,
-                ids=request.ids,
-                inputs=request.inputs,
-                randomness=request.randomness,
-                orientation=request.orientation,
-            )
+        for entity in entities:
+            view = gather(graph, entity, radius, **labeling)
             if tracer is not None:
-                tracer.on_view(v, view.radius, view.node_count, len(view.edges))
-            outputs.append(algorithm.output(view))
-        t = algorithm.radius
-        if tracer is not None:
-            tracer.on_run_end(t)
-        return SimReport(
-            kind="view",
-            outputs=outputs,
-            halt_rounds=[t] * graph.n,
-            rounds=t,
-            backend=self.name,
-        )
-
-    # -- "edge": Section 5's edge-centric model -------------------------
-    def _run_edge(
-        self, request: SimRequest, tracer: Optional[Tracer]
-    ) -> SimReport:
-        graph, algorithm = request.graph, request.algorithm
-        layout = resolve_layout(request.layout, graph, self.prefer_csr)
-        if layout == "kernel":
-            return self._run_edge_kernel(request, tracer)
-        gather_edge = (
-            gather_edge_view
-            if layout in ("dict", "implicit")
-            else gather_edge_view_csr
-        )
-        if tracer is not None:
-            tracer.on_run_start("edge", algorithm.name, graph.m)
-            tracer.on_layout(
-                self.name, layout,
-                {"requested": request.layout, "entities": graph.m},
-            )
-        outputs: Dict[Edge, Any] = {}
-        radius = algorithm.view_radius()
-        for u, v in graph.edges():
-            view = gather_edge(
-                graph,
-                (u, v),
-                radius,
-                ids=request.ids,
-                inputs=request.inputs,
-                randomness=request.randomness,
-                orientation=request.orientation,
-            )
-            if tracer is not None:
-                tracer.on_view((u, v), view.radius, view.node_count, len(view.edges))
-            outputs[edge_key(u, v)] = algorithm.output_fn(view)
-        if tracer is not None:
-            tracer.on_run_end(algorithm.rounds)
-        return SimReport(
-            kind="edge",
-            outputs=outputs,
-            rounds=algorithm.rounds,
-            backend=self.name,
-        )
+                tracer.on_view(entity, view.radius, view.node_count, len(view.edges))
+            outputs.append(evaluate(view))
+        return ents.report(algorithm, entities, outputs, self.name, {})
 
     # -- "finite": oriented-tree algorithms on finite graphs ------------
     def _wants_finite_kernel(self, request: SimRequest) -> bool:

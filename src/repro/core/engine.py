@@ -273,7 +273,7 @@ class Engine:
 
 
 #: Engine names accepted by :func:`resolve_engine` / :func:`simulate`.
-ENGINE_NAMES = ("direct", "cached", "sharded", "incremental", "service")
+ENGINE_NAMES = ("direct", "cached", "sharded", "incremental")
 
 
 #: Default instances for the *stateless-by-name* backends.  ``direct``
@@ -289,18 +289,16 @@ def resolve_engine(engine: Union[None, str, Engine]) -> Engine:
     """Normalize an engine argument to an :class:`Engine` instance.
 
     ``None`` means the direct backend; strings name a backend
-    (``"direct"`` / ``"cached"`` / ``"sharded"`` / ``"incremental"`` /
-    ``"service"``) constructed with defaults; instances pass through.
-    Imported lazily so the facade costs nothing for callers that never
-    shard.  By-name ``direct`` and ``sharded`` resolve to shared
-    default instances (the sharded default keeps its process pool warm
-    across calls); ``cached``, ``incremental``, and ``service``
-    construct a fresh engine per call because their memo/state is only
-    valid for one algorithm, one evolving run, or one long-lived
-    deployment — hold an
-    :class:`~repro.core.incremental.IncrementalEngine` or
-    :class:`~repro.core.service.ServiceEngine` instance yourself to
-    use the ``apply`` API or keep the cross-request cache warm.
+    (``"direct"`` / ``"cached"`` / ``"sharded"`` / ``"incremental"``)
+    constructed with defaults; instances pass through.  Imported lazily
+    so the facade costs nothing for callers that never shard.  By-name
+    ``direct`` and ``sharded`` resolve to shared default instances (the
+    sharded default keeps its process pool warm across calls);
+    ``cached`` and ``incremental`` construct a fresh engine per call
+    because their memo/state is only valid for one algorithm or one
+    evolving run — hold an
+    :class:`~repro.core.incremental.IncrementalEngine` instance
+    yourself to use the ``apply`` API.
     """
     if engine is None:
         engine = "direct"
@@ -314,10 +312,6 @@ def resolve_engine(engine: Union[None, str, Engine]) -> Engine:
         from .incremental import IncrementalEngine
 
         return IncrementalEngine()
-    if engine == "service":
-        from .service import ServiceEngine
-
-        return ServiceEngine()
     if engine in _DEFAULT_ENGINES:
         return _DEFAULT_ENGINES[engine]
     if engine == "direct":

@@ -1,0 +1,238 @@
+"""Entity adapters: the node and edge view models as one computation.
+
+A ``view`` run and an ``edge`` run are the same computation — evaluate
+a function of a radius-t ball once per computing entity — applied over
+a different set of entities (Lemmas 7/8 of the paper move between the
+two).  Each backend therefore writes its strategy once, against an
+:class:`Entities` adapter, and :data:`ENTITIES` picks the adapter from
+the request kind:
+
+=================  ============================  ==============================
+                   :data:`NODES` (``"view"``)    :data:`EDGES` (``"edge"``)
+=================  ============================  ==============================
+entities, count    ``graph.nodes()``, ``n``      ``list(graph.edges())``, ``m``
+radius             ``algorithm.radius``          ``algorithm.view_radius()``
+evaluation         ``algorithm.output``          ``algorithm.output_fn``
+signature/gather   ``view_signature`` ...        ``edge_view_signature`` ...
+expander call      ``node_classes``              ``edge_classes``
+report             per-node list, halt rounds    ``edge_key`` dict,
+                   ``[radius] * n``              ``rounds=algorithm.rounds``
+=================  ============================  ==============================
+
+:func:`partition` is the first-occurrence class partition the
+memoizing backends share: the reference signature scan on the
+``"dict"`` layout, the batched expander on every other one.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Callable, Dict, List, Optional, Sequence
+
+from ..graphs.graph import edge_key
+from ..local_model.batch_views import (
+    ClassPartition,
+    expander_for,
+    gather_edge_view_csr,
+    gather_view_csr,
+)
+from ..local_model.views import (
+    edge_view_signature,
+    gather_edge_view,
+    gather_view,
+    view_signature,
+)
+from .engine import SimReport, SimRequest
+
+__all__ = [
+    "Entities",
+    "NODES",
+    "EDGES",
+    "ENTITIES",
+    "labeling_of",
+    "layout_info",
+    "partition",
+]
+
+
+class Entities:
+    """How one request kind enumerates, views, and reports its entities.
+
+    ``signature``, ``gather`` and ``gather_csr`` are the kind's
+    canonical-key function and its two ball gatherers (adjacency lists
+    and compiled CSR arrays); all three take
+    ``(graph, entity, radius, **labeling)``.
+    """
+
+    def __init__(
+        self,
+        signature: Callable[..., Any],
+        gather: Callable[..., Any],
+        gather_csr: Callable[..., Any],
+    ):
+        self.signature = signature
+        self.gather = gather
+        self.gather_csr = gather_csr
+
+    def entities(self, graph: Any) -> Sequence[Any]:
+        """The run's entities, in report order."""
+        raise NotImplementedError
+
+    def count(self, graph: Any) -> int:
+        """How many entities the run has."""
+        raise NotImplementedError
+
+    def radius(self, algorithm: Any) -> int:
+        """The radius of the ball each entity sees."""
+        raise NotImplementedError
+
+    def evaluator(self, algorithm: Any) -> Callable[[Any], Any]:
+        """The function from one gathered view to its output."""
+        raise NotImplementedError
+
+    def rounds(self, algorithm: Any) -> int:
+        """The run's round count (the ``on_run_end`` argument)."""
+        raise NotImplementedError
+
+    def classes(
+        self,
+        expander: Any,
+        entities: Sequence[Any],
+        radius: int,
+        labeling: Dict[str, Any],
+    ) -> ClassPartition:
+        """The batched expander's partition of ``entities``."""
+        raise NotImplementedError
+
+    def report(
+        self,
+        algorithm: Any,
+        entities: Sequence[Any],
+        outputs: List[Any],
+        backend: str,
+        info: Dict[str, Any],
+    ) -> SimReport:
+        """The :class:`SimReport` for per-entity ``outputs``."""
+        raise NotImplementedError
+
+
+class _Nodes(Entities):
+    def entities(self, graph: Any) -> Sequence[int]:
+        return graph.nodes()
+
+    def count(self, graph: Any) -> int:
+        return graph.n
+
+    def radius(self, algorithm: Any) -> int:
+        return algorithm.radius
+
+    def evaluator(self, algorithm: Any) -> Callable[[Any], Any]:
+        return algorithm.output
+
+    def rounds(self, algorithm: Any) -> int:
+        return algorithm.radius
+
+    def classes(self, expander, entities, radius, labeling):
+        return expander.node_classes(radius, **labeling)
+
+    def report(self, algorithm, entities, outputs, backend, info):
+        radius = algorithm.radius
+        return SimReport(
+            kind="view",
+            outputs=outputs,
+            halt_rounds=[radius] * len(outputs),
+            rounds=radius,
+            backend=backend,
+            info=info,
+        )
+
+
+class _Edges(Entities):
+    def entities(self, graph: Any) -> Sequence[Any]:
+        return list(graph.edges())
+
+    def count(self, graph: Any) -> int:
+        return graph.m
+
+    def radius(self, algorithm: Any) -> int:
+        return algorithm.view_radius()
+
+    def evaluator(self, algorithm: Any) -> Callable[[Any], Any]:
+        return algorithm.output_fn
+
+    def rounds(self, algorithm: Any) -> int:
+        return algorithm.rounds
+
+    def classes(self, expander, entities, radius, labeling):
+        return expander.edge_classes(entities, radius, **labeling)
+
+    def report(self, algorithm, entities, outputs, backend, info):
+        return SimReport(
+            kind="edge",
+            outputs={
+                edge_key(u, v): out for (u, v), out in zip(entities, outputs)
+            },
+            rounds=algorithm.rounds,
+            backend=backend,
+            info=info,
+        )
+
+
+#: Every node computes from its radius-T ball (``view`` requests).
+NODES: Entities = _Nodes(view_signature, gather_view, gather_view_csr)
+#: Every edge computes from ``B_t(e)`` (``edge`` requests, Section 5).
+EDGES: Entities = _Edges(edge_view_signature, gather_edge_view, gather_edge_view_csr)
+#: Request kind -> adapter.
+ENTITIES: Dict[str, Entities] = {"view": NODES, "edge": EDGES}
+
+
+def labeling_of(request: SimRequest) -> Dict[str, Any]:
+    """The request's per-node labelings, as gather/signature keywords."""
+    return {
+        "ids": request.ids,
+        "inputs": request.inputs,
+        "randomness": request.randomness,
+        "orientation": request.orientation,
+    }
+
+
+def partition(
+    ents: Entities,
+    graph: Any,
+    entities: Sequence[Any],
+    radius: int,
+    layout: str,
+    labeling: Dict[str, Any],
+) -> ClassPartition:
+    """``entities`` split into view classes, first occurrence first.
+
+    On ``"dict"`` every entity is keyed by its reference signature (the
+    returned partition's ``path`` is ``None``); every other layout asks
+    its batched expander, whose representatives are the same
+    first-occurrence entities.
+    """
+    if layout != "dict":
+        return ents.classes(expander_for(graph, layout), entities, radius, labeling)
+    signature = ents.signature
+    classes: Dict[Any, int] = {}
+    members: List[int] = []
+    reps: List[int] = []
+    for i, entity in enumerate(entities):
+        key = signature(graph, entity, radius, **labeling)
+        c = classes.get(key)
+        if c is None:
+            c = classes[key] = len(reps)
+            reps.append(i)
+        members.append(c)
+    return ClassPartition(list(classes), members, reps, None)
+
+
+def layout_info(
+    request: SimRequest, count: int, part: Optional[ClassPartition] = None
+) -> Dict[str, Any]:
+    """The ``on_layout`` payload; an expander-built ``part`` adds its
+    ``path`` and ``classes``."""
+    info: Dict[str, Any] = {"requested": request.layout, "entities": count}
+    if part is not None and part.path is not None:
+        info["path"] = part.path
+        info["classes"] = part.class_count
+    return info

@@ -49,6 +49,7 @@ from ..local_model.batch_views import expander_for
 from ..local_model.views import gather_edge_view, gather_view
 from .direct import DirectEngine
 from .engine import Engine, SimReport, SimRequest
+from .entities import ENTITIES, layout_info
 
 __all__ = ["IncrementalEngine"]
 
@@ -127,10 +128,7 @@ class IncrementalEngine(Engine):
             state.outputs = report.outputs
             self._state = state
             return report
-        if request.kind == "view":
-            report, state = self._prime_view(request, tracer)
-        else:
-            report, state = self._prime_edge(request, tracer)
+        report, state = self._prime(request, tracer)
         self._state = state
         return report
 
@@ -138,100 +136,42 @@ class IncrementalEngine(Engine):
         """A direct-backend report re-badged as this engine's (identity-preserving)."""
         return replace(report, backend=self.name, info=dict(report.info))
 
-    def _prime_view(
+    def _prime(
         self, request: SimRequest, tracer: Optional[Tracer]
     ) -> Tuple[SimReport, _State]:
         graph, algorithm = request.graph, request.algorithm
-        state = _State("view", request, graph)
-        state.radius = radius = algorithm.radius
+        ents = ENTITIES[request.kind]
+        state = _State(request.kind, request, graph)
+        state.radius = radius = ents.radius(algorithm)
+        count, entities = ents.count(graph), ents.entities(graph)
+        labeling = {
+            "ids": state.ids, "inputs": state.inputs,
+            "randomness": state.randomness,
+        }
         if tracer is not None:
-            tracer.on_run_start("view", algorithm.name, graph.n)
-        part = expander_for(graph, "csr").node_classes(
-            radius, ids=state.ids, inputs=state.inputs, randomness=state.randomness
-        )
+            tracer.on_run_start(request.kind, algorithm.name, count)
+        part = ents.classes(expander_for(graph, "csr"), entities, radius, labeling)
         if tracer is not None:
-            tracer.on_layout(
-                self.name, "csr",
-                {
-                    "requested": request.layout,
-                    "entities": graph.n,
-                    "path": part.path,
-                    "classes": part.class_count,
-                },
-            )
-        memo = state.memo
-        for c, key in enumerate(part.keys):
-            view = gather_view(
-                graph, part.reps[c], radius,
-                ids=state.ids, inputs=state.inputs, randomness=state.randomness,
-            )
+            tracer.on_layout(self.name, "csr", layout_info(request, count, part))
+        memo, evaluate = state.memo, ents.evaluator(algorithm)
+        for key, rep in zip(part.keys, part.reps):
+            center = entities[rep]
+            view = ents.gather(graph, center, radius, **labeling)
             if tracer is not None:
-                tracer.on_view(
-                    part.reps[c], view.radius, view.node_count, len(view.edges)
-                )
-            memo[key] = algorithm.output(view)
-        keys = part.keys
-        state.node_keys = [keys[c] for c in part.labels]
-        state.outputs = [memo[k] for k in state.node_keys]
+                tracer.on_view(center, view.radius, view.node_count, len(view.edges))
+            memo[key] = evaluate(view)
+        keys = [part.keys[c] for c in part.labels]
+        if request.kind == "view":
+            state.node_keys = keys
+        else:
+            state.edge_keys = dict(zip(entities, keys))
         if tracer is not None:
-            tracer.on_run_end(radius)
-        report = SimReport(
-            kind="view",
-            outputs=state.outputs,
-            halt_rounds=[radius] * graph.n,
-            rounds=radius,
-            backend=self.name,
-            info={"distinct_classes": len(memo)},
+            tracer.on_run_end(ents.rounds(algorithm))
+        report = ents.report(
+            algorithm, entities, [memo[k] for k in keys], self.name,
+            {"distinct_classes": len(memo)},
         )
-        return report, state
-
-    def _prime_edge(
-        self, request: SimRequest, tracer: Optional[Tracer]
-    ) -> Tuple[SimReport, _State]:
-        graph, algorithm = request.graph, request.algorithm
-        state = _State("edge", request, graph)
-        state.radius = radius = algorithm.view_radius()
-        if tracer is not None:
-            tracer.on_run_start("edge", algorithm.name, graph.m)
-        edges = list(graph.edges())
-        part = expander_for(graph, "csr").edge_classes(
-            edges, radius,
-            ids=state.ids, inputs=state.inputs, randomness=state.randomness,
-        )
-        if tracer is not None:
-            tracer.on_layout(
-                self.name, "csr",
-                {
-                    "requested": request.layout,
-                    "entities": graph.m,
-                    "path": part.path,
-                    "classes": part.class_count,
-                },
-            )
-        memo = state.memo
-        for c, key in enumerate(part.keys):
-            view = gather_edge_view(
-                graph, edges[part.reps[c]], radius,
-                ids=state.ids, inputs=state.inputs, randomness=state.randomness,
-            )
-            if tracer is not None:
-                tracer.on_view(
-                    edges[part.reps[c]], view.radius, view.node_count,
-                    len(view.edges),
-                )
-            memo[key] = algorithm.output_fn(view)
-        keys = part.keys
-        state.edge_keys = {e: keys[part.labels[i]] for i, e in enumerate(edges)}
-        state.outputs = {e: memo[k] for e, k in state.edge_keys.items()}
-        if tracer is not None:
-            tracer.on_run_end(algorithm.rounds)
-        report = SimReport(
-            kind="edge",
-            outputs=state.outputs,
-            rounds=algorithm.rounds,
-            backend=self.name,
-            info={"distinct_classes": len(memo)},
-        )
+        state.outputs = report.outputs
         return report, state
 
     # ------------------------------------------------------------------

@@ -49,20 +49,18 @@ import multiprocessing
 import pickle
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..graphs.graph import Edge, edge_key
 from ..instrumentation.tracer import Tracer, effective_tracer
-from ..local_model.batch_views import expander_for, resolve_layout
 from ..local_model.cache import CacheStats
-from ..local_model.views import (
-    edge_view_signature,
-    gather_edge_view,
-    gather_view,
-    view_signature,
-)
+from ..local_model.kernels import broadcast_table
 from .direct import DirectEngine
 from .engine import SimReport, SimRequest, derive_seed, resolve_engine
+from .entities import ENTITIES, Entities, labeling_of, layout_info, partition
 
 __all__ = ["ShardedEngine"]
+
+
+#: Backends :meth:`ShardedEngine.run_many` may run inside its workers.
+_INNER_ENGINES = ("direct", "cached")
 
 
 def _default_shards() -> int:
@@ -104,54 +102,43 @@ def _can_fork() -> bool:
 
 # -- module-level workers (Pool requires importable callables) ----------
 
-def _eval_view_chunk(payload: Tuple[Any, ...]) -> List[Any]:
-    graph, algorithm, ids, inputs, randomness, orientation, reps = payload
-    radius = algorithm.radius
+def _eval_chunk(payload: Tuple[Any, ...]) -> List[Any]:
+    """Evaluate one shard of class representatives.
+
+    The payload names the request kind (not its adapter) so it pickles.
+    """
+    kind, graph, algorithm, ids, inputs, randomness, orientation, reps = payload
+    ents = ENTITIES[kind]
+    radius, evaluate = ents.radius(algorithm), ents.evaluator(algorithm)
     return [
-        algorithm.output(
-            gather_view(
-                graph, v, radius,
+        evaluate(
+            ents.gather(
+                graph, entity, radius,
                 ids=ids, inputs=inputs, randomness=randomness,
                 orientation=orientation,
             )
         )
-        for v in reps
+        for entity in reps
     ]
 
 
-def _eval_edge_chunk(payload: Tuple[Any, ...]) -> List[Any]:
-    graph, algorithm, ids, inputs, randomness, orientation, reps = payload
-    radius = algorithm.view_radius()
-    return [
-        algorithm.output_fn(
-            gather_edge_view(
-                graph, edge, radius,
-                ids=ids, inputs=inputs, randomness=randomness,
-                orientation=orientation,
-            )
-        )
-        for edge in reps
-    ]
+def _run_request_chunk(payload: Tuple[str, Sequence[SimRequest], bool]) -> List[Any]:
+    """One chunk of independent requests through a fresh ``inner`` engine.
 
-
-def _run_request_chunk(payload: Tuple[str, Sequence[SimRequest]]) -> List[SimReport]:
-    inner, requests = payload
+    One engine per chunk, so a chunk's requests share a memo table.
+    When ``traced``, each request runs under a fresh worker-side
+    :class:`~repro.instrumentation.metrics.MetricsTracer` and comes
+    back as a ``(report, metrics_dict)`` pair — the parent relays the
+    dict through :meth:`~repro.instrumentation.tracer.Tracer.on_subrun`
+    so cache/layout/kernel activity inside workers is never lost.
+    The serial fallback runs this same function in-process.
+    """
+    inner, requests, traced = payload
     engine = resolve_engine(inner)
-    return [engine.run(request) for request in requests]
-
-
-def _run_request_chunk_metrics(
-    payload: Tuple[str, Sequence[SimRequest]],
-) -> List[Tuple[SimReport, Dict[str, Any]]]:
-    """Like :func:`_run_request_chunk`, but each request runs under a
-    fresh worker-side :class:`~repro.instrumentation.metrics.MetricsTracer`
-    whose folded counters ride back with the report — the parent relays
-    them through :meth:`~repro.instrumentation.tracer.Tracer.on_subrun`
-    so cache/layout/kernel activity inside workers is never lost."""
+    if not traced:
+        return [engine.run(request) for request in requests]
     from ..instrumentation.metrics import MetricsTracer
 
-    inner, requests = payload
-    engine = resolve_engine(inner)
     results = []
     for request in requests:
         metrics = MetricsTracer()
@@ -199,6 +186,10 @@ class ShardedEngine(DirectEngine):
             raise ValueError("shards must be >= 1")
         if timeout is not None and timeout <= 0:
             raise ValueError("timeout must be positive (or None)")
+        if inner not in _INNER_ENGINES:
+            raise ValueError(
+                f"inner must be 'direct' or 'cached', got {inner!r}"
+            )
         self.shards = shards or _default_shards()
         self.base_seed = base_seed
         self.inner = inner
@@ -264,7 +255,6 @@ class ShardedEngine(DirectEngine):
         self,
         request: SimRequest,
         reps: Sequence[Any],
-        worker: Callable[[Tuple[Any, ...]], List[Any]],
         tracer: Optional[Tracer],
     ) -> Tuple[List[Any], bool, Optional[str]]:
         """Evaluate one representative per class, pooled when possible.
@@ -288,13 +278,13 @@ class ShardedEngine(DirectEngine):
             request.randomness,
             request.orientation,
         )
-        payloads = [shared + (chunk,) for chunk in chunks]
+        payloads = [(request.kind,) + shared + (chunk,) for chunk in chunks]
         pooled, degraded = False, None
         if len(chunks) > 1:
             degraded = self._degradation_reason(shared)
         if len(chunks) > 1 and degraded is None:
             try:
-                chunk_outputs = self._pool_map(worker, payloads)
+                chunk_outputs = self._pool_map(_eval_chunk, payloads)
                 pooled = True
             except Exception as exc:
                 # A worker died, raised, or the pool timed out: the pool
@@ -304,7 +294,7 @@ class ShardedEngine(DirectEngine):
                 self.close()
                 degraded = f"pool-error: {type(exc).__name__}: {exc}"
         if not pooled:
-            chunk_outputs = [worker(payload) for payload in payloads]
+            chunk_outputs = [_eval_chunk(payload) for payload in payloads]
         if degraded is not None and tracer is not None:
             tracer.on_degraded(self.name, degraded)
         return (
@@ -322,160 +312,42 @@ class ShardedEngine(DirectEngine):
             distinct_classes=distinct,
         ).to_dict()
 
-    # -- "view": shard the distinct node-ball classes -------------------
-    def _run_view(
-        self, request: SimRequest, tracer: Optional[Tracer]
+    # -- "view"/"edge": shard the distinct ball classes ----------------
+    def _evaluate(
+        self,
+        ents: Entities,
+        request: SimRequest,
+        layout: str,
+        tracer: Optional[Tracer],
     ) -> SimReport:
         graph, algorithm = request.graph, request.algorithm
-        tracer = effective_tracer(tracer)
-        radius = algorithm.radius
-        layout = resolve_layout(request.layout, graph, self.prefer_csr)
-        if layout == "kernel":
-            # One vectorized class table: nothing left worth sharding.
-            return self._run_view_kernel(request, tracer)
-        if tracer is not None:
-            tracer.on_run_start("view", algorithm.name, graph.n)
-        if layout == "dict":
-            labels: List[int] = []
-            classes: Dict[Any, int] = {}
-            reps: List[int] = []
-            for v in graph.nodes():
-                key = view_signature(
-                    graph, v, radius,
-                    ids=request.ids, inputs=request.inputs,
-                    randomness=request.randomness,
-                    orientation=request.orientation,
-                )
-                c = classes.get(key)
-                if c is None:
-                    c = classes[key] = len(reps)
-                    reps.append(v)
-                labels.append(c)
-            layout_info = {"requested": request.layout, "entities": graph.n,
-                           "classes": len(reps)}
-        else:
-            part = expander_for(graph, layout).node_classes(
-                radius, ids=request.ids, inputs=request.inputs,
-                randomness=request.randomness,
-                orientation=request.orientation,
-            )
-            # First-occurrence representatives match the dict scan's, so
-            # shard payloads — and therefore outputs — are bit-identical.
-            labels, reps = part.labels, part.reps
-            layout_info = {"requested": request.layout, "entities": graph.n,
-                           "path": part.path, "classes": part.class_count}
-        if tracer is not None:
-            tracer.on_layout(self.name, layout, layout_info)
-        class_outputs, pooled, degraded = self._evaluate_shards(
-            request, reps, _eval_view_chunk, tracer
+        entities, count = ents.entities(graph), ents.count(graph)
+        part = partition(
+            ents, graph, entities, ents.radius(algorithm), layout,
+            labeling_of(request),
         )
-        outputs = [class_outputs[c] for c in labels]
         if tracer is not None:
-            tracer.on_cache("view", self._dedup_stats(graph.n, len(reps)))
-            tracer.on_run_end(radius)
-        info: Dict[str, Any] = {"distinct_classes": len(reps), "pooled": pooled}
+            info = layout_info(request, count, part)
+            info["classes"] = part.class_count
+            tracer.on_layout(self.name, layout, info)
+        # First-occurrence representatives match the dict scan's, so
+        # shard payloads — and therefore outputs — are layout-independent.
+        reps = [entities[i] for i in part.reps]
+        class_outputs, pooled, degraded = self._evaluate_shards(
+            request, reps, tracer
+        )
+        if tracer is not None:
+            tracer.on_cache(request.kind, self._dedup_stats(count, len(reps)))
+        info = {"distinct_classes": len(reps), "pooled": pooled}
         if degraded is not None:
             info["degraded"] = degraded
-        return SimReport(
-            kind="view",
-            outputs=outputs,
-            halt_rounds=[radius] * graph.n,
-            rounds=radius,
-            backend=self.name,
-            info=info,
-        )
-
-    # -- "edge": shard the distinct edge-ball classes -------------------
-    def _run_edge(
-        self, request: SimRequest, tracer: Optional[Tracer]
-    ) -> SimReport:
-        graph, algorithm = request.graph, request.algorithm
-        tracer = effective_tracer(tracer)
-        radius = algorithm.view_radius()
-        layout = resolve_layout(request.layout, graph, self.prefer_csr)
-        if layout == "kernel":
-            return self._run_edge_kernel(request, tracer)
-        if tracer is not None:
-            tracer.on_run_start("edge", algorithm.name, graph.m)
-        edges = list(graph.edges())
-        if layout == "dict":
-            labels: List[int] = []
-            classes: Dict[Any, int] = {}
-            reps: List[Tuple[int, int]] = []
-            for u, v in edges:
-                key = edge_view_signature(
-                    graph, (u, v), radius,
-                    ids=request.ids, inputs=request.inputs,
-                    randomness=request.randomness,
-                    orientation=request.orientation,
-                )
-                c = classes.get(key)
-                if c is None:
-                    c = classes[key] = len(reps)
-                    reps.append((u, v))
-                labels.append(c)
-            layout_info = {"requested": request.layout, "entities": graph.m,
-                           "classes": len(reps)}
-        else:
-            part = expander_for(graph, layout).edge_classes(
-                edges, radius,
-                ids=request.ids, inputs=request.inputs,
-                randomness=request.randomness,
-                orientation=request.orientation,
-            )
-            labels = part.labels
-            reps = [edges[i] for i in part.reps]
-            layout_info = {"requested": request.layout, "entities": graph.m,
-                           "path": part.path, "classes": part.class_count}
-        if tracer is not None:
-            tracer.on_layout(self.name, layout, layout_info)
-        class_outputs, pooled, degraded = self._evaluate_shards(
-            request, reps, _eval_edge_chunk, tracer
-        )
-        outputs: Dict[Edge, Any] = {
-            edge_key(u, v): class_outputs[c]
-            for (u, v), c in zip(edges, labels)
-        }
-        if tracer is not None:
-            tracer.on_cache("edge", self._dedup_stats(len(edges), len(reps)))
-            tracer.on_run_end(algorithm.rounds)
-        info: Dict[str, Any] = {"distinct_classes": len(reps), "pooled": pooled}
-        if degraded is not None:
-            info["degraded"] = degraded
-        return SimReport(
-            kind="edge",
-            outputs=outputs,
-            rounds=algorithm.rounds,
-            backend=self.name,
-            info=info,
+        return ents.report(
+            algorithm, entities,
+            broadcast_table(class_outputs, part.labels),
+            self.name, info,
         )
 
     # -- batches: shard whole independent requests ----------------------
-    def _run_chunk_serial(
-        self, chunk: Sequence[SimRequest], traced: bool
-    ) -> List[Any]:
-        """One chunk through a fresh ``inner`` engine, in-process.
-
-        Mirrors the worker functions exactly — one engine per chunk
-        (so a chunk's requests share a memo table just as they would
-        inside a worker process) and, when ``traced``, one fresh
-        :class:`~repro.instrumentation.metrics.MetricsTracer` per
-        request whose folded dict rides back with the report.  Returns
-        ``(report, metrics_dict)`` pairs when traced, bare reports
-        otherwise — the same shapes the pooled path produces.
-        """
-        engine = resolve_engine(self.inner)
-        if not traced:
-            return [engine.run(request) for request in chunk]
-        from ..instrumentation.metrics import MetricsTracer
-
-        results = []
-        for request in chunk:
-            metrics = MetricsTracer()
-            report = engine.run(request, tracer=metrics)
-            results.append((report, metrics.metrics.to_dict()))
-        return results
-
     def run_many(
         self,
         requests: Sequence[SimRequest],
@@ -535,11 +407,10 @@ class ShardedEngine(DirectEngine):
         pooled_idx = [i for i in range(len(chunks)) if multi and reasons[i] is None]
         results: Dict[int, List[Any]] = {}
         if pooled_idx:
-            worker = _run_request_chunk_metrics if traced else _run_request_chunk
-            payloads = [(self.inner, chunks[i]) for i in pooled_idx]
+            payloads = [(self.inner, chunks[i], traced) for i in pooled_idx]
             try:
                 for i, chunk_result in zip(
-                    pooled_idx, self._pool_map(worker, payloads)
+                    pooled_idx, self._pool_map(_run_request_chunk, payloads)
                 ):
                     results[i] = chunk_result
             except Exception as exc:
@@ -553,7 +424,7 @@ class ShardedEngine(DirectEngine):
                     reasons[i] = reason
         for i, chunk in enumerate(chunks):
             if i not in results:
-                results[i] = self._run_chunk_serial(chunk, traced)
+                results[i] = _run_request_chunk((self.inner, chunk, traced))
         # Single assembly pass, after all evaluation: relay metrics,
         # mark degraded chunks, preserve input order.
         reports: List[SimReport] = []

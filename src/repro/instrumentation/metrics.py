@@ -72,13 +72,7 @@ class RunMetrics:
     :meth:`~repro.instrumentation.tracer.Tracer.on_delta` event per
     applied :class:`~repro.graphs.delta.GraphDelta`: dirty-footprint
     size, classes evaluated fresh vs served from the memo, and entities
-    whose class actually changed.  The service engine populates the
-    ``service_*`` counters, one
-    :meth:`~repro.instrumentation.tracer.Tracer.on_service` event per
-    served request: whether the request's algorithm and graph found
-    warm cross-request entries, how many whole tables the LRU sweep
-    evicted, and — ``service_bytes``, a snapshot rather than a sum —
-    the current estimated footprint of all live class tables.
+    whose class actually changed.
     """
 
     engine: str = ""
@@ -114,13 +108,6 @@ class RunMetrics:
     delta_classes_invalidated: int = 0
     delta_cache_survivors: int = 0
     delta_changed_nodes: int = 0
-    service_requests: int = 0
-    service_table_hits: int = 0
-    service_table_misses: int = 0
-    service_graph_hits: int = 0
-    service_graph_misses: int = 0
-    service_evictions: int = 0
-    service_bytes: int = 0
     subruns: int = 0
     shards: int = 0
     degradations: int = 0
@@ -171,13 +158,6 @@ class RunMetrics:
             "delta_classes_invalidated": self.delta_classes_invalidated,
             "delta_cache_survivors": self.delta_cache_survivors,
             "delta_changed_nodes": self.delta_changed_nodes,
-            "service_requests": self.service_requests,
-            "service_table_hits": self.service_table_hits,
-            "service_table_misses": self.service_table_misses,
-            "service_graph_hits": self.service_graph_hits,
-            "service_graph_misses": self.service_graph_misses,
-            "service_evictions": self.service_evictions,
-            "service_bytes": self.service_bytes,
             "subruns": self.subruns,
             "shards": self.shards,
             "degradations": self.degradations,
@@ -320,17 +300,6 @@ class MetricsTracer(Tracer):
         self.metrics.cache_bytes += stats.get("bytes", 0)
         self.metrics.cache_distinct_classes += stats.get("distinct_classes", 0)
 
-    def on_service(self, engine: str, info: Dict[str, Any]) -> None:
-        m = self.metrics
-        m.service_requests += info.get("requests", 0)
-        m.service_table_hits += info.get("table_hits", 0)
-        m.service_table_misses += info.get("table_misses", 0)
-        m.service_graph_hits += info.get("graph_hits", 0)
-        m.service_graph_misses += info.get("graph_misses", 0)
-        m.service_evictions += info.get("evictions", 0)
-        # A snapshot of the live footprint, not an additive counter.
-        m.service_bytes = info.get("bytes", m.service_bytes)
-
     def on_delta(self, engine: str, info: Dict[str, Any]) -> None:
         self.metrics.delta_applies += 1
         self.metrics.delta_footprint += info.get("footprint", 0)
@@ -358,8 +327,6 @@ class MetricsTracer(Tracer):
         "kernel_entities", "kernel_classes",
         "delta_applies", "delta_footprint", "delta_classes_invalidated",
         "delta_cache_survivors", "delta_changed_nodes",
-        "service_requests", "service_table_hits", "service_table_misses",
-        "service_graph_hits", "service_graph_misses", "service_evictions",
         "degradations",
     )
 

@@ -37,9 +37,6 @@ on_layout           view engines, once per run, with the resolved
 on_kernel           kernel-layout runs, once per run, saying whether the
                     vectorized kernel or the exact Python fallback ran
 on_cache            cached engines, once per run, with lookup stats
-on_service          service engine, once per served request, with
-                    cross-request cache counters (evictions ride the
-                    event that triggered them)
 on_delta            incremental engine, once per applied GraphDelta,
                     with footprint / invalidation / survivor counts
 on_shard            sharded engine, once per dispatched shard
@@ -149,24 +146,6 @@ class Tracer:
         (``lookups``, ``hits``, ``misses``, ``bytes``,
         ``distinct_classes``, ``hit_rate``), covering this run only
         even when the underlying cache is shared across runs.
-        """
-
-    def on_service(self, engine: str, info: Dict[str, Any]) -> None:
-        """The service engine reports cross-request cache activity.
-
-        Fired by :class:`~repro.core.service.ServiceEngine` once per
-        served request, after the run completes.  ``info`` carries
-        ``event`` (``"request"`` or ``"evict"``), ``requests`` (1 for a
-        request event), ``table_hits`` / ``table_misses`` (whether the
-        request's algorithm found a warm cross-request class table),
-        ``graph_hits`` / ``graph_misses`` (whether its graph found a
-        warm frozen/CSR layout), ``evictions`` (whole tables dropped by
-        the LRU sweep during this event), ``bytes`` (current estimated
-        footprint of all live tables, a snapshot — not additive), and,
-        when the algorithm could not be given a stable cross-request
-        key, ``unkeyable`` (the run was served correctly from a fresh
-        private table).  Serving from the service cache never changes
-        results — responses stay bit-identical to a cold direct run.
         """
 
     def on_delta(self, engine: str, info: Dict[str, Any]) -> None:
@@ -282,10 +261,6 @@ class MultiTracer(Tracer):
     def on_cache(self, engine: str, stats: Dict[str, Any]) -> None:
         for t in self.tracers:
             t.on_cache(engine, stats)
-
-    def on_service(self, engine: str, info: Dict[str, Any]) -> None:
-        for t in self.tracers:
-            t.on_service(engine, info)
 
     def on_delta(self, engine: str, info: Dict[str, Any]) -> None:
         for t in self.tracers:

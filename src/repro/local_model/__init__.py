@@ -20,8 +20,6 @@ from .cache import (
     KeyedCache,
     ViewCache,
     ball_assignment_key,
-    run_view_algorithm_cached,
-    run_edge_view_algorithm_cached,
 )
 from .order_invariant import (
     order_projected_view,
@@ -47,8 +45,6 @@ __all__ = [
     "KeyedCache",
     "ViewCache",
     "ball_assignment_key",
-    "run_view_algorithm_cached",
-    "run_edge_view_algorithm_cached",
     "EdgeViewAlgorithm",
     "EdgeExecutionResult",
     "run_edge_view_algorithm",

@@ -45,19 +45,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
-from ..graphs.graph import Graph
-from ..graphs.orientation import Orientation
 from ..instrumentation.sizes import SizeEstimator, estimate_size
-from ..instrumentation.tracer import Tracer
-from .algorithm import ViewAlgorithm
 
 __all__ = [
     "CacheStats",
     "KeyedCache",
     "ViewCache",
     "ball_assignment_key",
-    "run_view_algorithm_cached",
-    "run_edge_view_algorithm_cached",
 ]
 
 
@@ -157,6 +151,16 @@ class KeyedCache:
         stats.bytes += (self._size(key) + self._size(value) + 7) // 8
         return value
 
+    def count_hits(self, count: int) -> None:
+        """Count ``count`` lookups already known to hit.
+
+        The memoizing engines look up each view class once; its other
+        members would all hit, and are counted here so the stats stay
+        per entity.
+        """
+        self.stats.lookups += count
+        self.stats.hits += count
+
     def get_or_compute(self, key: Any, compute: Callable[[], Any]) -> Any:
         """The memoized value for ``key``, computing and storing on miss."""
         value = self.get(key)
@@ -197,80 +201,3 @@ def ball_assignment_key(
     :func:`~repro.local_model.views.view_signature`.
     """
     return tuple(values[i] for i in table)
-
-
-def run_view_algorithm_cached(
-    graph: Graph,
-    algorithm: ViewAlgorithm,
-    ids: Optional[Sequence[int]] = None,
-    inputs: Optional[Sequence[Any]] = None,
-    randomness: Optional[Sequence[Any]] = None,
-    orientation: Optional[Orientation] = None,
-    tracer: Optional[Tracer] = None,
-    cache: Optional[ViewCache] = None,
-) -> "ExecutionResult":  # noqa: F821 - imported lazily to avoid a cycle
-    """Run a view algorithm, evaluating each distinct view class once.
-
-    Produces the exact same result as
-    :func:`~repro.local_model.network.run_view_algorithm`; pass a
-    ``cache`` to reuse classes across runs (same algorithm only).  An
-    optional ``tracer`` sees one
-    :meth:`~repro.instrumentation.Tracer.on_view` per *materialized*
-    ball — i.e. one per distinct class, which is the point — plus one
-    :meth:`~repro.instrumentation.Tracer.on_cache` with the run's
-    lookup statistics before ``on_run_end``.
-
-    The memo loop itself lives in
-    :class:`~repro.core.cached.CachedEngine`; this entry point is a
-    signature-stable adapter over it.
-    """
-    from ..core.cached import CachedEngine
-    from ..core.engine import SimRequest
-
-    report = CachedEngine(cache=cache).run(
-        SimRequest(
-            kind="view",
-            graph=graph,
-            algorithm=algorithm,
-            ids=ids,
-            inputs=inputs,
-            randomness=randomness,
-            orientation=orientation,
-        ),
-        tracer=tracer,
-    )
-    return report.to_execution_result()
-
-
-def run_edge_view_algorithm_cached(
-    graph: Graph,
-    algorithm: "EdgeViewAlgorithm",  # noqa: F821 - imported lazily below
-    ids: Optional[Sequence[int]] = None,
-    inputs: Optional[Sequence[Any]] = None,
-    randomness: Optional[Sequence[Any]] = None,
-    orientation: Optional[Orientation] = None,
-    tracer: Optional[Tracer] = None,
-    cache: Optional[ViewCache] = None,
-) -> "EdgeExecutionResult":  # noqa: F821
-    """Edge-model analogue of :func:`run_view_algorithm_cached`.
-
-    Evaluates ``algorithm.output_fn`` once per distinct edge-ball class
-    and matches :func:`~repro.local_model.edge_model.run_edge_view_algorithm`
-    bit for bit.  Adapter over :class:`~repro.core.cached.CachedEngine`.
-    """
-    from ..core.cached import CachedEngine
-    from ..core.engine import SimRequest
-
-    report = CachedEngine(cache=cache).run(
-        SimRequest(
-            kind="edge",
-            graph=graph,
-            algorithm=algorithm,
-            ids=ids,
-            inputs=inputs,
-            randomness=randomness,
-            orientation=orientation,
-        ),
-        tracer=tracer,
-    )
-    return report.to_edge_result()

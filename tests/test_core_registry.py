@@ -173,7 +173,7 @@ class TestBuiltins:
 class TestEngineSeam:
     def test_engine_names_cover_all_backends(self):
         assert ENGINE_NAMES == (
-            "direct", "cached", "sharded", "incremental", "service",
+            "direct", "cached", "sharded", "incremental",
         )
 
     def test_resolve_engine(self):
@@ -184,9 +184,8 @@ class TestEngineSeam:
         assert isinstance(resolve_engine("cached"), CachedEngine)
         assert isinstance(resolve_engine("sharded"), ShardedEngine)
         assert isinstance(resolve_engine("incremental"), IncrementalEngine)
-        from repro.core import ServiceEngine
-
-        assert isinstance(resolve_engine("service"), ServiceEngine)
+        with pytest.raises(ValueError, match="unknown engine 'service'"):
+            resolve_engine("service")
         engine = DirectEngine()
         assert resolve_engine(engine) is engine
         with pytest.raises(ValueError):

@@ -1,0 +1,245 @@
+"""Golden pins for the per-backend tracer event streams.
+
+:meth:`~repro.core.SimReport.identity` deliberately excludes
+diagnostics, so the differential grid cannot notice a backend that
+still computes the right outputs but reports a different story: views
+materialized around other centres or in another order, layout or
+kernel payloads that moved, cache lookups counted per class instead of
+per entity, shard seeds derived from another label.  Every recorded
+trace artifact depends on that story.
+
+This table is the tripwire: one run per (backend × layout × case)
+cell, recorded with a :class:`~repro.instrumentation.TraceRecorder`
+(which reads no clock, so its events are deterministic), hashed as the
+sha256 of the canonical JSON of the whole stream.  If a digest moves,
+the event stream of that cell changed; either restore it or record the
+change consciously (``python -m tests.test_golden_events`` prints the
+current table).
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+from typing import Any, Dict, Tuple
+
+import pytest
+
+from repro.algorithms.view_rules import make_view_rule
+from repro.core import (
+    CachedEngine,
+    DirectEngine,
+    IncrementalEngine,
+    ShardedEngine,
+    SimRequest,
+)
+from repro.graphs import toroidal_grid
+from repro.graphs.identifiers import random_permutation_ids
+from repro.instrumentation import TraceRecorder
+from repro.local_model import EdgeViewAlgorithm
+
+BACKENDS = ("direct", "cached", "sharded", "incremental-prime")
+LAYOUTS = ("dict", "csr", "kernel")
+CASES = ("view-ids", "edge-ids", "view-anon", "edge-anon")
+
+
+class _FullRecorder(TraceRecorder):
+    """A recorder that also keeps the kernel and degradation events."""
+
+    def on_kernel(self, engine: str, algorithm: str, info: Dict[str, Any]) -> None:
+        self._emit("kernel", engine=engine, algorithm=algorithm, **info)
+
+    def on_degraded(self, engine: str, reason: str) -> None:
+        self._emit("degraded", engine=engine, reason=reason)
+
+
+def _edge_output(view: Any) -> Tuple[int, int, int]:
+    """Ball size, edge count, and the smallest random value in sight.
+
+    Module-level (not a lambda) so the sharded pool can pickle it.
+    """
+    return (view.node_count, len(view.edges), min(view.randomness))
+
+
+def _request(case: str, layout: str) -> SimRequest:
+    graph = toroidal_grid(5, 6)
+    rng = random.Random(f"golden-events:{case}")
+    kind, labeling = case.split("-")
+    if labeling == "ids":
+        ids = random_permutation_ids(graph, rng)
+        randomness = [rng.getrandbits(12) for _ in graph.nodes()]
+    else:
+        # Sparse random bits: most balls collide, so the memo tables hit.
+        ids = None
+        randomness = [int(rng.random() < 0.1) for _ in graph.nodes()]
+    if kind == "view":
+        rule = "local-max" if labeling == "ids" else "ball-signature"
+        algorithm = make_view_rule(rule, radius=1)
+    else:
+        algorithm = EdgeViewAlgorithm(2, _edge_output, name="edge-golden")
+    return SimRequest(
+        kind=kind,
+        graph=graph,
+        algorithm=algorithm,
+        ids=ids,
+        randomness=randomness,
+        layout=layout,
+        label=f"golden:{case}",
+    )
+
+
+def _engine(backend: str):
+    if backend == "direct":
+        return DirectEngine()
+    if backend == "cached":
+        return CachedEngine()
+    if backend == "sharded":
+        return ShardedEngine(shards=2)
+    return IncrementalEngine()
+
+
+def record_stream(backend: str, layout: str, case: str) -> str:
+    """The canonical JSON of one cell's event stream."""
+    engine = _engine(backend)
+    recorder = _FullRecorder()
+    try:
+        engine.run(_request(case, layout), tracer=recorder)
+    finally:
+        if isinstance(engine, ShardedEngine):
+            engine.close()
+    return json.dumps(
+        [e.to_dict() for e in recorder.events],
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+
+
+def stream_digest(backend: str, layout: str, case: str) -> str:
+    text = record_stream(backend, layout, case)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# (backend, layout, case) -> sha256 of the canonical event stream.
+GOLDEN_EVENTS = {
+    ('direct', 'dict', 'view-ids'):
+        '013e601ebcfe84fb4390cd05ba7ac6007c137b604140c32ce6767aa214911802',
+    ('direct', 'dict', 'edge-ids'):
+        '2a7fa32b6312177af9c5c192d30b40bf9c88427ea806470ee472f78133aafbb4',
+    ('direct', 'dict', 'view-anon'):
+        '0684e54640ff8b61501fee3d0109ffe6bba8cf9d9dbb274b18fe99f3328abe23',
+    ('direct', 'dict', 'edge-anon'):
+        '2a7fa32b6312177af9c5c192d30b40bf9c88427ea806470ee472f78133aafbb4',
+    ('direct', 'csr', 'view-ids'):
+        'e75b357100588594d5ff6d4b3b4205e91d21ddde47d2edca406a90b52968f271',
+    ('direct', 'csr', 'edge-ids'):
+        'afd023e1f55bd8886b18ae1d4c99cebccee3d88f4066e4e7c6ecaf7fde1e62ff',
+    ('direct', 'csr', 'view-anon'):
+        '1cf0c38d6e08b19d26e671a2e563dee6fba2eced8a8cb8426a0c8ade7d341570',
+    ('direct', 'csr', 'edge-anon'):
+        'afd023e1f55bd8886b18ae1d4c99cebccee3d88f4066e4e7c6ecaf7fde1e62ff',
+    ('direct', 'kernel', 'view-ids'):
+        '3b9107889df5c66ff35cf5bf0200b2e8931e666a26f1a5eb2fbe338a034106f4',
+    ('direct', 'kernel', 'edge-ids'):
+        '090dc5d8ebd86eef98cc77c3cc18bfb5e2d350deb83524f523dc2046edf15b3c',
+    ('direct', 'kernel', 'view-anon'):
+        '5d9b2de44f7a5567f55586f166a911283ef775c4c6de8d0d0fc0e4e36aaa5d25',
+    ('direct', 'kernel', 'edge-anon'):
+        '8fb5ae062e5f9101a44c8c89f157dfcc6e14395f0c3e48e66e9837020ccee9f4',
+    ('cached', 'dict', 'view-ids'):
+        '78015e48d162911637ce2bc34251141868949f3758c7e82e23d9d273b2bb26dc',
+    ('cached', 'dict', 'edge-ids'):
+        '16a991ffe5e39133104e61317414775f9164fde34a7b7d98cb992ea9d4b54a6f',
+    ('cached', 'dict', 'view-anon'):
+        '8285e246c265e9e1cbfc8f29607413266afb2e87997f3b627993ab92b74e2746',
+    ('cached', 'dict', 'edge-anon'):
+        '9fa3634001afe9cde02f9b7a57e033e93ba92948362b6193ed1dbea1d7246719',
+    ('cached', 'csr', 'view-ids'):
+        '6cfce485164e0e5a26cfe434cf8d7d91020adfc37aac1021719cc15dfc69f654',
+    ('cached', 'csr', 'edge-ids'):
+        '07a0e8f19c0a8439407f14fe1749fcba87ad7cbbcd214c69b5a0958c8e19f0dc',
+    ('cached', 'csr', 'view-anon'):
+        'ad361a58bd041280144a87bda3196d665fdc1a5385384eb4bc10a4912e59824c',
+    ('cached', 'csr', 'edge-anon'):
+        '539d571d04a6e479d163c3954c09d5322326654e4a8091eb227aeace6497b88e',
+    ('cached', 'kernel', 'view-ids'):
+        'ff2c4c4f9a5c7821a3e1432935dfa3ac4bd868b27c17acacefe0e41ff212c73c',
+    ('cached', 'kernel', 'edge-ids'):
+        '8145558e0f38d7ce9d7e57a39befc0a277ff645a13870c360d6a175497115bfe',
+    ('cached', 'kernel', 'view-anon'):
+        'eb9dc662b4544a5a989871689b65e5261581a6bafb97c7ef1a41ac0e2b902d97',
+    ('cached', 'kernel', 'edge-anon'):
+        'a893c2cb6145d6279a249ef7ae55e0388fc55215f7ef237a34202a655bcaa6be',
+    ('sharded', 'dict', 'view-ids'):
+        '6625bfc3638d8e53aa8447af6cfcbe441d8c5712bbe7bb5c37a1e55ff2a5bc2c',
+    ('sharded', 'dict', 'edge-ids'):
+        '332fb875be09a877ff7fdd70506cf2222e43ecb15e1248d1bcbc3bb617b6e077',
+    ('sharded', 'dict', 'view-anon'):
+        '4af32e4ca6c4a24d28baa1698d5741eeef7ecd8b2b065da86473196f2033198b',
+    ('sharded', 'dict', 'edge-anon'):
+        '2ffcde89bc0d8a4124ee4f9d7e3c4825ff8657db4c0c395aa6b03544665bbbe5',
+    ('sharded', 'csr', 'view-ids'):
+        '213bf2b4b224c9bf92e88ff390da9caa5e711535949b1ad7213c2b78a84748cf',
+    ('sharded', 'csr', 'edge-ids'):
+        '069fbbb0ee7fbec371bd80d16eb5107d2aa68a5ff76a15ca1768a85ae25c0d0c',
+    ('sharded', 'csr', 'view-anon'):
+        '9a6d4abc5f3560c52dd9d57461203f76503a50b448dc157ea29e59e27781a574',
+    ('sharded', 'csr', 'edge-anon'):
+        'ff646ec5590a0bb56629b470ef9d7c642ca0bdaffa628c14eea159239684bcce',
+    ('sharded', 'kernel', 'view-ids'):
+        '3e7dd5ab7f168ebfc74aa12076f47e4e98d0fe516de5bbc1690f08a00b6d41fc',
+    ('sharded', 'kernel', 'edge-ids'):
+        '89bb7d382c7cdaa2d8e4e2dd4b54f3974b40f857b34b2ce6d35989edf5c67b1c',
+    ('sharded', 'kernel', 'view-anon'):
+        '0315be8f067031426089e0d909be2e2ded512c4ef2aee2f5ff5d30593194b0c8',
+    ('sharded', 'kernel', 'edge-anon'):
+        'e4e0b91879266a65037595456a707d33fc53f0b1ef2e2f51e53a845f62c70503',
+    ('incremental-prime', 'dict', 'view-ids'):
+        '9f9a2ad492b34647caae7e2354e5481492531b287fdbddbf6439a67a869d8e92',
+    ('incremental-prime', 'dict', 'edge-ids'):
+        '8b4011d87b4cec50c686b9be05b50b663aa70a75415659e2619ee6974b284789',
+    ('incremental-prime', 'dict', 'view-anon'):
+        '083b810cd48c2e9f3e6570107768e88b46b38fd4b7a28d53d396d457bfd27ec0',
+    ('incremental-prime', 'dict', 'edge-anon'):
+        'b3869aca995fb778bf57a5548f51598bb72e3ffe1962bb4d0d14aa99ca0b54ef',
+    ('incremental-prime', 'csr', 'view-ids'):
+        '25578b109360f20fd0f3abe6e97b7dcb2bc714dee8f289e309639fed85852afd',
+    ('incremental-prime', 'csr', 'edge-ids'):
+        '22a8f46e2c04e5f9ccd4205ce84444d9a3b07c6ac624efa01149f49a0a83e702',
+    ('incremental-prime', 'csr', 'view-anon'):
+        'ed6da5a04f5149df37efa2da989495ec732a56b9313f3a4b0248bce4b4ce8818',
+    ('incremental-prime', 'csr', 'edge-anon'):
+        '83c22f6ef643d50099a9c10c229df13fb45cf683544559a4412fb9b70be083e2',
+    ('incremental-prime', 'kernel', 'view-ids'):
+        'a93db274535490302e10ad740789afb0afb412557c036dc430f9277cb045720c',
+    ('incremental-prime', 'kernel', 'edge-ids'):
+        'e8e6166d937a4f20386d162b86532ba56eda60161f61b206b5405e63d442e766',
+    ('incremental-prime', 'kernel', 'view-anon'):
+        '0f7d60a0a96b508eb7aaa92f2125eca72279b90026712d20c904a11396805498',
+    ('incremental-prime', 'kernel', 'edge-anon'):
+        '7230db778a7f8a4565e6a063112617f99f10577b27d1c7a263e93f04a3b5adad',
+}
+
+
+@pytest.mark.parametrize(
+    "backend,layout,case",
+    sorted(GOLDEN_EVENTS),
+    ids=lambda p: str(p),
+)
+def test_event_stream_matches_golden_digest(backend, layout, case):
+    assert stream_digest(backend, layout, case) == GOLDEN_EVENTS[
+        (backend, layout, case)
+    ], record_stream(backend, layout, case)
+
+
+def test_golden_table_covers_the_full_grid():
+    assert set(GOLDEN_EVENTS) == {
+        (b, l, c) for b in BACKENDS for l in LAYOUTS for c in CASES
+    }
+
+
+if __name__ == "__main__":  # pragma: no cover - table regeneration aid
+    for b in BACKENDS:
+        for l in LAYOUTS:
+            for c in CASES:
+                print(f"    ({b!r}, {l!r}, {c!r}):\n        {stream_digest(b, l, c)!r},")

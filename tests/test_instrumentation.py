@@ -198,18 +198,30 @@ class TestSizeEstimation:
 
 class TestJsonRoundTrips:
     def test_from_dict_ignores_unknown_keys(self):
-        # An artifact written by a newer version (extra counters) must
-        # load on this one rather than raise TypeError.
+        # An artifact written by a newer version (extra counters), or by
+        # an older one that still carried the retired service_* counters,
+        # must load on this one rather than raise TypeError.
         graph = cycle(12)
         tracer = MetricsTracer()
         run_local(graph, Broadcast(2), tracer=tracer)
-        data = tracer.metrics.to_dict()
-        data["counter_from_the_future"] = 42
-        data["per_round"] = [
-            {**r, "novel_round_field": 1} for r in data["per_round"]
+        newer = tracer.metrics.to_dict()
+        newer["counter_from_the_future"] = 42
+        newer["per_round"] = [
+            {**r, "novel_round_field": 1} for r in newer["per_round"]
         ]
-        restored = RunMetrics.from_dict(data)
-        assert restored == tracer.metrics
+        older = {
+            **tracer.metrics.to_dict(),
+            "service_requests": 3,
+            "service_table_hits": 2,
+            "service_table_misses": 1,
+            "service_graph_hits": 2,
+            "service_graph_misses": 1,
+            "service_evictions": 0,
+            "service_bytes": 4096,
+        }
+        for data in (newer, older):
+            restored = RunMetrics.from_dict(data)
+            assert restored == tracer.metrics
 
     def test_cache_and_shard_counters_round_trip(self):
         from repro.algorithms.view_rules import BallSignatureColoring

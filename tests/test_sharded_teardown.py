@@ -89,6 +89,11 @@ def test_constructor_rejects_bad_arguments():
         ShardedEngine(timeout=0)
     with pytest.raises(ValueError, match="timeout"):
         ShardedEngine(timeout=-1.5)
+    # An unknown inner backend fails here, not later inside every worker.
+    with pytest.raises(ValueError, match="inner must be 'direct' or 'cached'"):
+        ShardedEngine(shards=2, inner="bogus")
+    with pytest.raises(ValueError, match="inner"):
+        ShardedEngine(inner="sharded")
     # None timeout and unspecified shards are the documented defaults.
     engine = ShardedEngine()
     assert engine.timeout is None

@@ -23,7 +23,7 @@ suite turns that claim into properties:
   and the full speedup pipeline produce identical estimates and rng
   streams under ``layout="kernel"``;
 * **observability** — finite kernel runs populate the ``kernel_*``
-  metrics counters through the service and sharded engines.
+  metrics counters through the sharded engine.
 
 The golden draw-order pins live in ``tests/test_seed_stability.py``.
 """
@@ -40,7 +40,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core import SimRequest
 from repro.core.cached import CachedEngine
 from repro.core.direct import DirectEngine
-from repro.core.service import ServiceEngine
 from repro.core.sharded import ShardedEngine
 from repro.graphs.generators import toroidal_grid
 from repro.graphs.orientation import orient_torus
@@ -279,7 +278,7 @@ def test_pipeline_kernel_layout_reproduces_reference_stages():
 
 
 # ----------------------------------------------------------------------
-# Observability: kernel_* metrics through the warm engines
+# Observability: kernel_* metrics through the sharded engine
 # ----------------------------------------------------------------------
 
 def _finite_request(seed=11):
@@ -289,26 +288,6 @@ def _finite_request(seed=11):
     values = [rng.randrange(alg.values) for _ in graph.nodes()]
     return SimRequest(kind="finite", graph=graph, algorithm=alg,
                       orientation=orientation, values=values)
-
-
-def test_service_engine_counts_finite_kernel_runs():
-    # One MetricsTracer per request: on_run_start resets the counters.
-    cold_tracer, warm_tracer = MetricsTracer(), MetricsTracer()
-    request = _finite_request()
-    reference = DirectEngine().run(request)
-    engine = ServiceEngine()
-    try:
-        cold = engine.run(request, tracer=cold_tracer)
-        warm = engine.run(request, tracer=warm_tracer)
-    finally:
-        engine.close()
-    assert cold.identity() == reference.identity()
-    assert warm.identity() == reference.identity()
-    for tracer in (cold_tracer, warm_tracer):
-        assert tracer.metrics.kernel_runs == 1
-        assert tracer.metrics.kernel_vectorized == 1
-        assert tracer.metrics.kernel_fallbacks == 0
-        assert tracer.metrics.kernel_entities == request.graph.n
 
 
 def test_sharded_engine_counts_finite_kernel_runs():

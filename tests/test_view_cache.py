@@ -22,13 +22,13 @@ from repro.graphs import (
     symmetric_cycle,
     toroidal_grid,
 )
+from repro.core import CachedEngine, SimRequest, simulate
 from repro.instrumentation import MetricsTracer, RunMetrics, TraceRecorder
 from repro.local_model import (
     CacheStats,
     KeyedCache,
     ViewCache,
     ball_assignment_key,
-    run_view_algorithm_cached,
 )
 from repro.local_model.network import run_view_algorithm
 from repro.speedup import (
@@ -117,9 +117,10 @@ def test_cache_reuse_across_runs_hits_everything():
     graph = cycle(32)
     rule = BallSignatureColoring(radius=2, palette=4)
     cache = ViewCache()
-    first = run_view_algorithm_cached(graph, rule, cache=cache)
+    request = SimRequest(kind="view", graph=graph, algorithm=rule)
+    first = simulate(request, engine=CachedEngine(cache=cache))
     after_first = cache.stats.copy()
-    second = run_view_algorithm_cached(graph, rule, cache=cache)
+    second = simulate(request, engine=CachedEngine(cache=cache))
     assert second.outputs == first.outputs
     delta = cache.stats.delta(after_first)
     assert delta.misses == 0 and delta.hits == graph.n  # warm cache: all hits
@@ -141,7 +142,11 @@ def test_cached_engine_materializes_one_view_per_class():
     rule = BallSignatureColoring(radius=2, palette=4)
     recorder = TraceRecorder()
     cache = ViewCache()
-    run_view_algorithm_cached(graph, rule, tracer=recorder, cache=cache)
+    simulate(
+        SimRequest(kind="view", graph=graph, algorithm=rule),
+        engine=CachedEngine(cache=cache),
+        tracer=recorder,
+    )
     # on_view fires only for misses — one per distinct class.
     assert len(recorder.of_kind("view")) == cache.stats.distinct_classes == 1
     (event,) = recorder.of_kind("cache")
@@ -157,7 +162,11 @@ def test_metrics_tracer_reports_hit_rate():
     graph = symmetric_cycle(40)
     rule = BallSignatureColoring(radius=2, palette=4)
     tracer = MetricsTracer()
-    run_view_algorithm_cached(graph, rule, tracer=tracer)
+    simulate(
+        SimRequest(kind="view", graph=graph, algorithm=rule),
+        engine=CachedEngine(),
+        tracer=tracer,
+    )
     m = tracer.metrics
     assert m.cache_lookups == 40
     assert m.cache_misses == m.cache_distinct_classes == 1
@@ -168,7 +177,13 @@ def test_metrics_tracer_reports_hit_rate():
 def test_run_metrics_round_trip_preserves_cache_counters():
     graph = cycle(24)
     tracer = MetricsTracer()
-    run_view_algorithm_cached(graph, BallSignatureColoring(radius=1), tracer=tracer)
+    simulate(
+        SimRequest(
+            kind="view", graph=graph, algorithm=BallSignatureColoring(radius=1)
+        ),
+        engine=CachedEngine(),
+        tracer=tracer,
+    )
     loaded = RunMetrics.from_dict(tracer.metrics.to_dict())
     assert loaded.cache_lookups == tracer.metrics.cache_lookups
     assert loaded.cache_hits == tracer.metrics.cache_hits

@@ -27,7 +27,6 @@ from typing import List, Tuple
 _DEFAULT_FILES = (
     "README.md",
     os.path.join("docs", "KERNELS.md"),
-    os.path.join("docs", "SERVICE.md"),
 )
 
 _OPEN_FENCE = re.compile(r"^(```|~~~)\s*python\s*$")
