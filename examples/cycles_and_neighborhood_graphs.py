@@ -11,9 +11,9 @@ from Linial's neighborhood-graph technique.  Both are executable here:
    coloring* and executed on random cycles;
 3. the sharp threshold: N_1(6) is 3-colorable, N_1(7) is not — so one
    round of communication 3-colors cycles with identifiers from {1..6}
-   and provably cannot from {1..7}.  (The 15-second exhaustive proof
-   lives in ``benchmarks/test_bench_linial.py``; pass --threshold to
-   run it here.)
+   and provably cannot from {1..7}.  (The exhaustive proof takes
+   under a second and runs in ``tests/test_linial.py``; pass
+   --threshold to run it here.)
 
 Run:  python examples/cycles_and_neighborhood_graphs.py [--threshold]
 """

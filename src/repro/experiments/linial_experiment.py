@@ -84,8 +84,9 @@ def run_linial_experiment(
 ) -> LinialResult:
     """Build the table, find the 1-round threshold, validate the bridge.
 
-    ``check_threshold`` runs the (exact, ~15 s) unsatisfiability proof
-    that ``N_1(7)`` has no proper 3-coloring.
+    ``check_threshold`` runs the exact unsatisfiability proof that
+    ``N_1(7)`` has no proper 3-coloring (about 5e4 search nodes, under
+    a second).
     """
     result = LinialResult()
 

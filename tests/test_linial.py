@@ -1,11 +1,15 @@
 """Tests for Linial's neighborhood-graph machinery."""
 
+import hashlib
+import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.experiments import run_linial_experiment
-from repro.graphs import cycle
+from repro.graphs import Graph, cycle
 from repro.lcl import ProperColoring
 from repro.lowerbounds import (
     CycleAlgorithm,
@@ -17,6 +21,7 @@ from repro.lowerbounds import (
     neighborhood_graph,
     window_of,
 )
+from repro.lowerbounds.linial import _dsatur
 
 
 class TestNeighborhoodGraph:
@@ -78,7 +83,7 @@ class TestColorability:
         assert chromatic_number(cycle(7)) == 3
 
     def test_chi_n0_equals_m(self):
-        for m in (3, 4, 5, 6):
+        for m in (3, 4, 5, 6, 7):
             g, _ = neighborhood_graph(m, 0)
             assert chromatic_number(g) == m
 
@@ -96,10 +101,75 @@ class TestColorability:
         assert ProperColoring(3).is_feasible(g, coloring)
 
     def test_empty_graph(self):
-        from repro.graphs import Graph
-
         assert chromatic_number(Graph(0)) == 0
         assert is_c_colorable(Graph(0), 1) == []
+
+    def test_n1_7_not_3_colorable(self):
+        # The one-round threshold: no 1-round algorithm 3-colors directed
+        # cycles with identifiers from {1..7}, but 4 colors suffice.
+        g, _ = neighborhood_graph(7, 1)
+        assert is_c_colorable(g, 3) is None
+        coloring = is_c_colorable(g, 4)
+        assert ProperColoring(4).is_feasible(g, coloring)
+
+
+class TestSearchOrder:
+    """The DSATUR branching order is explicit, so its work is pinned.
+
+    A drift in the pick rule, the tie-break or the symmetry breaking
+    changes these figures on every Python version alike.
+    """
+
+    def test_n1_7_proof_node_count(self):
+        g, _ = neighborhood_graph(7, 1)
+        assert _dsatur(g, 3) == (None, 51868)
+
+    def test_n1_6_coloring_digest(self):
+        g, _ = neighborhood_graph(6, 1)
+        coloring = is_c_colorable(g, 3)
+        assert hashlib.sha256(bytes(coloring)).hexdigest() == (
+            "8927f952ee5d45f6dec7cfdf5efeddb01c7984e080e4d54d477b52e172ea04b8"
+        )
+
+    def test_first_vertex_takes_color_zero(self):
+        # Symmetry breaking: the first pick (most neighbors, then the
+        # smallest index) is fixed to color 0, and no color is skipped.
+        for m, t, c in ((4, 0, 4), (4, 1, 2), (6, 1, 4)):
+            g, _ = neighborhood_graph(m, t)
+            coloring = is_c_colorable(g, c)
+            first = min(g.nodes(), key=lambda v: (-g.degree(v), v))
+            assert coloring[first] == 0
+            assert set(coloring) == set(range(max(coloring) + 1))
+
+
+def _brute_force_colorable(graph, c):
+    """Exhaustive oracle: does any assignment in ``[c]^n`` color properly?"""
+    edges = list(graph.edges())
+    return any(
+        all(colors[u] != colors[v] for u, v in edges)
+        for colors in itertools.product(range(c), repeat=graph.n)
+    )
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(0, 8))
+    pairs = list(itertools.combinations(range(n), 2))
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph(n)
+    for (u, v), keep in zip(pairs, present):
+        if keep:
+            g.add_edge(u, v)
+    return g
+
+
+class TestSearchAgainstBruteForce:
+    @given(small_graphs(), st.integers(1, 4))
+    def test_feasibility_matches_oracle(self, g, c):
+        coloring = is_c_colorable(g, c)
+        assert (coloring is not None) == _brute_force_colorable(g, c)
+        if coloring is not None:
+            assert ProperColoring(c).is_feasible(g, coloring)
 
 
 class TestAlgorithmBridge:
