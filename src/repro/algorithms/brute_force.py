@@ -68,8 +68,9 @@ def find_feasible_labeling(
     """
     n = graph.n
     if node_order is None:
-        if n and graph.is_connected():
-            node_order = sorted(graph.nodes(), key=lambda v: graph.bfs_distances(0)[v])
+        dist = graph.bfs_distances(0) if n else {}
+        if len(dist) == n:  # connected
+            node_order = sorted(graph.nodes(), key=dist.__getitem__)
         else:
             node_order = list(graph.nodes())
     labeling: List[Any] = [None] * n

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..graphs.graph import Graph, Edge, edge_key
 from ..graphs.orientation import Orientation
@@ -54,7 +54,13 @@ class NodeLCL(abc.ABC):
     """A node-labeled LCL problem.
 
     Subclasses implement :meth:`check_node`, which inspects the constant
-    radius ``self.radius`` around one node.  ``verify`` sweeps all nodes.
+    radius ``self.radius`` around one node; it stays the single-node
+    contract (one call, one node, one verdict).  ``verify`` sweeps all
+    nodes through the per-sweep hook :meth:`_checker`, which it calls
+    once per sweep and which by default binds ``check_node``.  Work that
+    depends on the whole labeling rather than on one ball (projecting a
+    mixed labeling, say) is hoisted into an override of the hook, so a
+    full check stays O(n * Delta^r).
     """
 
     #: Problem name used in reports.
@@ -73,6 +79,19 @@ class NodeLCL(abc.ABC):
     ) -> Optional[Violation]:
         """Return a violation at ``v``, or ``None`` if ``v`` is satisfied."""
 
+    def _checker(
+        self,
+        graph: Graph,
+        labeling: NodeLabeling,
+        orientation: Optional[Orientation] = None,
+    ) -> Callable[[int], Optional[Violation]]:
+        """Per-sweep hook: a node -> violation check for one labeling.
+
+        The returned callable must agree with :meth:`check_node` on every
+        node of ``graph``.
+        """
+        return lambda v: self.check_node(graph, labeling, v, orientation)
+
     def verify(
         self,
         graph: Graph,
@@ -86,9 +105,10 @@ class NodeLCL(abc.ABC):
                 f"labeling has {len(labeling)} entries for a graph with {graph.n} nodes"
             )
         sweep = graph.nodes() if nodes is None else nodes
+        check = self._checker(graph, labeling, orientation)
         violations = []
         for v in sweep:
-            bad = self.check_node(graph, labeling, v, orientation)
+            bad = check(v)
             if bad is not None:
                 violations.append(bad)
         return violations

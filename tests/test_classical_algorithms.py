@@ -220,3 +220,20 @@ class TestBruteForce:
         labeling = find_feasible_labeling(g, MaximalIndependentSet(), [True, False])
         assert labeling is not None
         assert MaximalIndependentSet().is_feasible(g, labeling)
+
+    def test_default_node_order_runs_one_full_bfs(self, monkeypatch):
+        # The default BFS order needs the distances from node 0 once; the
+        # search's own pruning only runs radius-bounded BFS (cutoff set).
+        g = path(40)
+        full_bfs = []
+        original = Graph.bfs_distances
+
+        def counting(self, source, cutoff=None):
+            if cutoff is None:
+                full_bfs.append(source)
+            return original(self, source, cutoff)
+
+        monkeypatch.setattr(Graph, "bfs_distances", counting)
+        labeling = find_feasible_labeling(g, ProperColoring(2), [0, 1])
+        assert labeling == [i % 2 for i in range(40)]
+        assert full_bfs == [0]

@@ -3,15 +3,23 @@
 A verifier that always passes (or blames the wrong node) makes every
 downstream correctness claim vacuous — the conformance fuzzer, the
 experiment runner's verdicts, and the paper-facing tables all trust
-``verify``.  For each LCL in ``repro/lcl/catalog.py`` this table feeds
-one known-good labeling (must verify clean) and minimally-corrupted
-variants (must produce violations at *exactly* the expected nodes).
+``verify``.  For each LCL in ``repro/lcl/catalog.py``, and for the
+pointer problem P* and the homogeneous LCLs behind Theorems 4/5, this
+table feeds one known-good labeling (must verify clean) and
+minimally-corrupted variants (must produce violations at *exactly* the
+expected nodes, for the expected reason where one is pinned).
 """
 
 import pytest
 
 import repro.lcl.catalog as catalog
-from repro.graphs.generators import complete_graph, path, star, toroidal_grid
+from repro.graphs.generators import (
+    balanced_regular_tree,
+    complete_graph,
+    path,
+    star,
+    toroidal_grid,
+)
 from repro.graphs.graph import edge_key
 from repro.graphs.orientation import orient_torus
 from repro.lcl.catalog import (
@@ -23,6 +31,8 @@ from repro.lcl.catalog import (
     WeakColoring,
     WeakEdgeColoring,
 )
+from repro.lcl.homogeneous import AlwaysAccept, HomogeneousLabel, HomogeneousLCL
+from repro.lcl.pointer import PStar, PStarLabel
 
 
 def _torus_setup():
@@ -62,7 +72,8 @@ def _corrupt_edge(labeling, u, v, value):
 
 
 # Each row: (case id, problem, graph, orientation, good labeling,
-#            corrupted labeling, nodes the violations must name).
+#            corrupted labeling, nodes the violations must name — or a
+#            dict from those nodes to a substring of their reason).
 def _node_cases():
     p3, p5, s3 = path(3), path(5), star(3)
     return [
@@ -190,7 +201,110 @@ def _edge_cases():
     ]
 
 
-ALL_CASES = _node_cases() + _edge_cases()
+def _pstar_tree_good():
+    """A P* solution on the depth-2 balanced 3-regular tree (Delta = 3).
+
+    Root 0 has children 1, 2, 3; node 1 has leaves 4, 5, node 2 has
+    6, 7 and node 3 has 8, 9.  Every pointer chain runs root -> child ->
+    leaf and ends at a leaf advertising its degree, d = 1.
+    """
+    labels = [PStarLabel(1, None) for _ in range(10)]
+    labels[0] = PStarLabel(1, 1)
+    for child, leaf in ((1, 4), (2, 6), (3, 8)):
+        labels[child] = PStarLabel(1, leaf)
+    return labels
+
+
+def _pstar_cases():
+    tree, good = balanced_regular_tree(3, 2), _pstar_tree_good()
+    return [
+        (
+            "pstar/cond1-empty-pointer",
+            PStar(3), tree, None, good,
+            _corrupt_node(good, 2, PStarLabel(1, None)),
+            {2: "empty pointer (cond. 1)"},
+        ),
+        (
+            "pstar/cond1-non-neighbor-pointer",
+            PStar(3), tree, None, good,
+            _corrupt_node(good, 0, PStarLabel(1, 4)),
+            {0: "pointer 4 is not a neighbor (cond. 1)"},
+        ),
+        (
+            "pstar/cond2-low-degree-pointer",
+            PStar(3), tree, None, good,
+            _corrupt_node(good, 5, PStarLabel(1, 1)),
+            {5: "low-degree node with nonempty pointer (cond. 2)"},
+        ),
+        (
+            "pstar/cond2-wrong-advertised-degree",
+            PStar(3), tree, None, good,
+            _corrupt_node(good, 7, PStarLabel(2, None)),
+            {7: "advertises d=2 != deg=1 (cond. 2)"},
+        ),
+        (
+            "pstar/cond3-chain-label-mismatch",
+            PStar(3), tree, None, good,
+            _corrupt_node(good, 0, PStarLabel(2, 1)),
+            {0: "d(v)=2, d(1)=1 (cond. 3)"},
+        ),
+        (
+            "pstar/cond4-backtrack",
+            PStar(3), tree, None, good,
+            _corrupt_node(good, 1, PStarLabel(1, 0)),
+            {0: "p(1) = 0 (cond. 4)", 1: "p(0) = 1 (cond. 4)"},
+        ),
+        (
+            "pstar/cond5-wrong-chain-end",
+            PStar(3), tree, None, good,
+            _corrupt_node(good, 1, PStarLabel(1, None)),
+            {0: "chain ends at 1 with deg=3 != d=1 (cond. 5)", 1: "(cond. 1)"},
+        ),
+        (
+            "pstar/unlabeled-node",
+            PStar(3), tree, None, good,
+            _corrupt_node(good, 9, None),
+            {9: "node has no P* label"},
+        ),
+    ]
+
+
+def _homogeneous_cases():
+    s4 = star(4)
+    leaf = HomogeneousLabel.solve_pstar(PStarLabel(1, None))
+    # Center 0 is weakly colored through leaf 1 alone; leaves 2-4 opted out.
+    weak_good = [HomogeneousLabel.solve_p(0), HomogeneousLabel.solve_p(1)] + [leaf] * 3
+    # Every node plays P*: the center points at leaf 1.
+    star_good = [HomogeneousLabel.solve_pstar(PStarLabel(1, 1))] + [leaf] * 4
+    return [
+        (
+            "homogeneous/p-branch-leans-on-pstar",
+            HomogeneousLCL(WeakColoring(2), 4), s4, None, weak_good,
+            _corrupt_node(weak_good, 1, leaf),
+            {0: "P branch: "},
+        ),
+        (
+            "homogeneous/pstar-chain-mismatch",
+            HomogeneousLCL(AlwaysAccept(), 4), s4, None, star_good,
+            _corrupt_node(star_good, 0, HomogeneousLabel.solve_pstar(PStarLabel(2, 1))),
+            {0: "P* branch: pointer chain label mismatch"},
+        ),
+        (
+            "homogeneous/pstar-points-into-p",
+            HomogeneousLCL(AlwaysAccept(), 4), s4, None, star_good,
+            _corrupt_node(star_good, 1, HomogeneousLabel.solve_p("x")),
+            {0: "P* branch: pointer target 1 has no P* label"},
+        ),
+        (
+            "homogeneous/unlabeled-node",
+            HomogeneousLCL(AlwaysAccept(), 4), s4, None, star_good,
+            _corrupt_node(star_good, 2, None),
+            {2: "neither a P nor a P* label"},
+        ),
+    ]
+
+
+ALL_CASES = _node_cases() + _edge_cases() + _pstar_cases() + _homogeneous_cases()
 
 
 @pytest.mark.parametrize(
@@ -203,15 +317,18 @@ def test_verifier_pinpoints_planted_violation(
 ):
     assert problem.verify(graph, good, orientation) == []
     violations = problem.verify(graph, corrupted, orientation)
-    assert sorted(v.where for v in violations) == expected
+    assert sorted(v.where for v in violations) == sorted(expected)
     assert all(v.reason for v in violations)
+    if isinstance(expected, dict):
+        for v in violations:
+            assert expected[v.where] in v.reason
 
 
 def test_every_catalog_problem_is_mutation_tested():
-    # Kills silent gaps: adding a problem to the catalog without a
-    # mutation row here must fail loudly.
+    # Kills silent gaps: adding a problem to the catalog, or dropping
+    # the rows of the verifiers behind Theorems 4/5, must fail loudly.
     tested = {type(case[1]).__name__ for case in ALL_CASES}
-    assert tested == set(catalog.__all__)
+    assert tested == set(catalog.__all__) | {"PStar", "HomogeneousLCL"}
 
 
 def test_node_verify_rejects_wrong_length_labeling():
