@@ -33,13 +33,6 @@ Declaration vocabulary (registry metadata keys):
     view kinds and to ``("kernel",)`` for ``finite`` (the batched
     distinct-assignment kernel versus the reference per-node loop);
     fixtures may name a registered broken layout instead.
-``deltas=k``
-    How many seed-derived random :class:`~repro.graphs.delta.
-    GraphDelta` mutations the fuzzer's ``delta-identity`` check chains
-    per case (default 2; 0 opts the contract out).  Each step compares
-    the incremental engine's ``apply`` against fresh runs on every
-    backend on the mutated graph — outputs, signatures-derived
-    identity, and error messages must match exactly.
 """
 
 from __future__ import annotations
@@ -86,9 +79,6 @@ class Contract:
     #: Layouts the ``layout-identity`` check runs ``view``/``edge``
     #: kinds under; empty for kinds without a layout axis.
     layouts: Tuple[str, ...] = ()
-    #: Random GraphDelta mutations the ``delta-identity`` check chains
-    #: per case (0 opts out).
-    deltas: int = 2
 
     def verifier(self, graph: Any) -> Optional[Any]:
         """The LCL verifier instance judging outputs on ``graph``.
@@ -116,7 +106,6 @@ class Contract:
             else None,
             "invariances": list(self.invariances),
             "layouts": list(self.layouts),
-            "deltas": self.deltas,
         }
 
 
@@ -176,11 +165,6 @@ def _contract_from_entry(entry: Any) -> Optional[Contract]:
             f"algorithm {entry.name!r} declares unregistered layouts "
             f"{bad} (known: {known_layouts()})"
         )
-    deltas = int(metadata.get("deltas", 2))
-    if deltas < 0:
-        raise ValueError(
-            f"algorithm {entry.name!r} declares deltas={deltas}; must be >= 0"
-        )
     return Contract(
         algorithm=entry.name,
         kind=kind,
@@ -191,7 +175,6 @@ def _contract_from_entry(entry: Any) -> Optional[Contract]:
         fuzz_params=dict(metadata.get("fuzz_params", {})),
         invariances=invariances,
         layouts=layouts,
-        deltas=deltas,
     )
 
 

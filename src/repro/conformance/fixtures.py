@@ -51,15 +51,6 @@ the finite layout axis ``("kernel",)``, so the fuzzer's
 ``layout-identity`` check must flag the divergence between the batched
 kernel and the reference per-node loop — proving a kernel that
 miscounts even one trial cannot survive the pipeline.
-
-:func:`stale_cache_incremental_engine` is the incremental-engine
-analogue: an :class:`~repro.core.incremental.IncrementalEngine`
-subclass whose dirty-ball tracker "forgets" one touched node per
-applied delta, leaving that node's memoized class stale.  The fuzzer's
-``delta-identity`` check (and the delta-differential harness in
-``tests/differential.py``) must flag the divergence against a fresh
-direct run on the mutated graph — proving an engine that skips
-invalidating even a single ball cannot survive the pipeline.
 """
 
 from __future__ import annotations
@@ -86,7 +77,6 @@ __all__ = [
     "register_broken_kernel_fixture",
     "register_broken_implicit_fixture",
     "register_broken_trial_fixture",
-    "stale_cache_incremental_engine",
 ]
 
 #: Registry name of the broken fixture algorithm.
@@ -218,47 +208,6 @@ def _make_broken_kernel(radius: int = 1):
     return _inverted_kernel_rule_class()(radius=radius)
 
 
-_STALE_CACHE_CLASS = None
-
-
-def stale_cache_incremental_engine():
-    """A fresh incremental engine that skips invalidating one ball.
-
-    The subclass overrides exactly the seam
-    :meth:`~repro.core.incremental.IncrementalEngine._dirty_nodes`
-    documents for this purpose: after the honest radius-t footprint is
-    computed, the highest-numbered *touched* node is dropped from the
-    dirty set.  A touched node's class always changes under an edge op
-    (its degree is part of even the radius-0 view) and under a label op
-    (the label sits in its own packed stream), so the drop reliably
-    leaves a stale memoized output behind — the minimal realistic
-    invalidation bug.
-
-    Built lazily like the other fixtures so importing this module never
-    pulls the core engine in; pass this function itself as the
-    ``incremental_factory`` of :func:`repro.conformance.fuzzer.
-    run_case` to route the ``delta-identity`` check through the broken
-    engine.
-    """
-    global _STALE_CACHE_CLASS
-    if _STALE_CACHE_CLASS is None:
-        from ..core.incremental import IncrementalEngine
-
-        class _StaleCacheIncrementalEngine(IncrementalEngine):
-            """FIXTURE: honest footprint minus one touched node."""
-
-            def _dirty_nodes(self, delta, radius):
-                dirty = super()._dirty_nodes(delta, radius)
-                touched = delta.touched_nodes()
-                if not touched:
-                    return dirty
-                drop = max(touched)
-                return [v for v in dirty if v != drop]
-
-        _STALE_CACHE_CLASS = _StaleCacheIncrementalEngine
-    return _STALE_CACHE_CLASS()
-
-
 _BROKEN_IMPLICIT_CLASS = None
 
 
@@ -388,7 +337,6 @@ def register_broken_trial_fixture() -> None:
         domains=({"graph": "torus", "rows": (3, 5), "cols": (3, 5)},),
         fuzz_params={"k": 2, "bits": (1, 2)},
         layouts=("kernel",),
-        deltas=0,
         fixture=True,
         description="FIXTURE: registered finite kernel flips one trial",
     )

@@ -47,17 +47,6 @@ seed, and explicit labelings.  :func:`run_case` runs it through
     self-test proves the deliberately wrong-port family
     (:data:`repro.conformance.fixtures.BROKEN_IMPLICIT_FAMILY`) is
     caught.
-``delta-identity`` (when the contract's ``deltas`` count is nonzero)
-    A chain of seed-derived random :class:`~repro.graphs.delta.
-    GraphDelta` mutations is applied through an
-    :class:`~repro.core.incremental.IncrementalEngine`; after every
-    step the incremental report must be bit-identical to fresh runs on
-    every backend against the mutated graph and labels — and when
-    either side raises, both must raise the *same* error (type and
-    message).  Step ``k``'s delta is drawn from
-    ``Random(derive_seed(case.seed, f"delta-{k}"))``, so mutation
-    streams replay from the case spec alone (golden-pinned in
-    ``tests/test_seed_stability.py``).
 
 Any exception inside a case is reported as a ``crash`` failure, never
 propagated: a fuzzer that dies on the first broken case cannot shrink
@@ -97,8 +86,7 @@ BACKENDS = ("direct", "cached", "sharded")
 #: selectable check).
 CHECK_NAMES = (
     "halts", "verifier", "backend-identity", "layout-identity",
-    "determinism", "port-permutation", "label-order", "delta-identity",
-    "implicit-identity",
+    "determinism", "port-permutation", "label-order", "implicit-identity",
 )
 
 #: Backends the ``layout-identity`` check runs each declared layout on:
@@ -422,98 +410,16 @@ def _run_implicit_twin(
     return failures
 
 
-def _run_delta_chain(
-    contract: Contract,
-    case: CaseSpec,
-    graph: Graph,
-    ids: Optional[List[int]],
-    randomness: Optional[List[int]],
-    backends: Sequence[str],
-    incremental_factory: Optional[Any],
-) -> List[CheckFailure]:
-    """The ``delta-identity`` check: k seed-derived mutations, all compared.
-
-    ``incremental_factory`` swaps in a different engine class — the
-    self-test passes the deliberately-broken
-    :class:`~repro.conformance.fixtures.StaleCacheIncrementalEngine`
-    here to prove this check catches a skipped invalidation.
-    """
-    from ..core.incremental import IncrementalEngine
-    from ..graphs.delta import random_delta
-
-    failures: List[CheckFailure] = []
-    engine = (incremental_factory or IncrementalEngine)()
-    request = _build_request(contract, case, graph, ids, randomness)
-    primed = engine.run(request)
-    fresh = simulate(request, engine="direct")
-    if primed.identity() != fresh.identity():
-        failures.append(CheckFailure(
-            "delta-identity", "primed incremental run diverges before any delta"
-        ))
-        return failures
-    cur_graph, cur_ids, cur_rand = graph, ids, randomness
-    for step in range(contract.deltas):
-        rng = random.Random(derive_seed(case.seed, f"delta-{step}"))
-        delta = random_delta(cur_graph, rng, ids=cur_ids, randomness=cur_rand)
-        if delta is None:
-            break
-        inc_error: Optional[str] = None
-        inc_report = None
-        try:
-            inc_report = engine.apply(delta)
-        except Exception as exc:
-            inc_error = f"{type(exc).__name__}: {exc}"
-        cur_graph = delta.apply_to(cur_graph)
-        cur_ids, _, cur_rand = delta.apply_to_labels(cur_ids, None, cur_rand)
-        mutated = _build_request(contract, case, cur_graph, cur_ids, cur_rand)
-        ref_error: Optional[str] = None
-        ref_report = None
-        try:
-            ref_report = simulate(mutated, engine="direct")
-        except Exception as exc:
-            ref_error = f"{type(exc).__name__}: {exc}"
-        if inc_error is not None or ref_error is not None:
-            if inc_error != ref_error:
-                failures.append(CheckFailure(
-                    "delta-identity",
-                    f"step {step}: error mismatch (incremental: {inc_error!r}, "
-                    f"direct: {ref_error!r})",
-                ))
-            break  # both raised identically: the chain cannot continue
-        assert inc_report is not None and ref_report is not None
-        if inc_report.identity() != ref_report.identity():
-            failures.append(CheckFailure(
-                "delta-identity",
-                f"step {step}: incremental apply diverges from a fresh "
-                f"direct run on the mutated graph",
-            ))
-            break
-        for backend in backends:
-            if backend == "direct":
-                continue
-            report = simulate(mutated, engine=backend)
-            if report.identity() != ref_report.identity():
-                failures.append(CheckFailure(
-                    "delta-identity",
-                    f"step {step}: backend {backend!r} diverges on the "
-                    f"mutated graph",
-                ))
-    return failures
-
-
 def run_case(
     contract: Contract,
     case: CaseSpec,
     backends: Sequence[str] = BACKENDS,
     checks: Optional[Set[str]] = None,
-    incremental_factory: Optional[Any] = None,
 ) -> CaseResult:
     """Run one case; return every check failure (empty = conformant).
 
     ``checks`` restricts which checks run (the shrinker re-tests only
     the originally-failing ones); ``None`` runs them all.
-    ``incremental_factory`` overrides the engine class the
-    ``delta-identity`` check uses (self-tests inject broken fixtures).
     """
     failures: List[CheckFailure] = []
 
@@ -596,11 +502,6 @@ def run_case(
         ):
             failures.extend(_run_implicit_twin(
                 contract, case, graph, ids, randomness, base,
-            ))
-        if enabled("delta-identity") and contract.deltas > 0:
-            failures.extend(_run_delta_chain(
-                contract, case, graph, ids, randomness, backends,
-                incremental_factory,
             ))
     except Exception as exc:  # a crash is a finding, not a fuzzer abort
         failures.append(CheckFailure(

@@ -4,11 +4,9 @@ Two seams that the rest of the repository plugs into:
 
 * :func:`simulate` / :func:`simulate_many` run a :class:`SimRequest` on
   an interchangeable backend — :class:`DirectEngine` (reference
-  semantics), :class:`CachedEngine` (canonical-view memoization),
-  :class:`ShardedEngine` (view-class dedup + process fan-out), or
-  :class:`IncrementalEngine` (prime once, then ``apply(GraphDelta)``
-  re-evaluates only the mutation's radius-t footprint) — and return a
-  :class:`SimReport`.  All backends are bit-identical on
+  semantics), :class:`CachedEngine` (canonical-view memoization), or
+  :class:`ShardedEngine` (view-class dedup + process fan-out) — and
+  return a :class:`SimReport`.  All backends are bit-identical on
   :meth:`SimReport.identity`; choice is a pure performance knob.
 * :class:`Registry` tables (:data:`GRAPH_FAMILIES`, :data:`ALGORITHMS`,
   :data:`PROBLEMS`, :data:`REPORTS`) map names to factories with
@@ -32,7 +30,6 @@ from .engine import (
 from .direct import DirectEngine
 from .cached import CachedEngine
 from .sharded import ShardedEngine
-from .incremental import IncrementalEngine
 from .registry import (
     ALGORITHMS,
     GRAPH_FAMILIES,
@@ -59,7 +56,6 @@ __all__ = [
     "DirectEngine",
     "CachedEngine",
     "ShardedEngine",
-    "IncrementalEngine",
     "derive_seed",
     "resolve_engine",
     "simulate",

@@ -10,26 +10,19 @@ the oriented finite runner
 :class:`SimReport`.  An :class:`Engine` maps requests to reports; the
 backends differ only in *how*:
 
-================================================  =========================
-:class:`~repro.core.direct.DirectEngine`          evaluate every entity
-:class:`~repro.core.cached.CachedEngine`          evaluate once per
-                                                  canonical view class
-                                                  (memo table)
-:class:`~repro.core.sharded.ShardedEngine`        dedupe view classes, fan
-                                                  the class evaluations
-                                                  over a process pool
-:class:`~repro.core.incremental.IncrementalEngine` stateful: prime once,
-                                                  then ``apply(delta)``
-                                                  re-evaluates only the
-                                                  delta's radius-t
-                                                  footprint
-================================================  =========================
+==========================================  ===============================
+:class:`~repro.core.direct.DirectEngine`    evaluate every entity
+:class:`~repro.core.cached.CachedEngine`    evaluate once per canonical
+                                            view class (memo table)
+:class:`~repro.core.sharded.ShardedEngine`  dedupe view classes, fan the
+                                            class evaluations over a
+                                            process pool
+==========================================  ===============================
 
 The exactness contract is absolute: for the same request, all backends
 produce reports with equal :meth:`SimReport.identity` — bit for bit,
 proven over the full differential grid
-(``tests/test_differential.py``, ``tests/test_engine_backends.py``,
-and the delta-differential harness for the incremental backend).
+(``tests/test_differential.py``, ``tests/test_engine_backends.py``).
 Backend choice is a pure performance knob.
 
 :func:`simulate` is the facade the rest of the system calls; the legacy
@@ -182,13 +175,6 @@ class SimReport:
     comparable core — what the differential suite asserts equal across
     backends; ``backend`` and ``info`` are diagnostics and may
     legitimately differ.
-
-    ``changed_nodes`` is populated only by the incremental backend's
-    ``apply`` path: the sorted nodes whose view class changed under the
-    delta that produced this report.  Like ``backend`` / ``info`` it is
-    diagnostic — deliberately outside :meth:`identity`, since a fresh
-    from-scratch run of the same mutated graph has no delta to compare
-    against (it reports ``None``).
     """
 
     kind: str
@@ -198,7 +184,6 @@ class SimReport:
     failing_nodes: Optional[List[int]] = None
     backend: str = ""
     info: Dict[str, Any] = field(default_factory=dict)
-    changed_nodes: Optional[List[int]] = None
 
     def identity(self) -> Tuple[Any, ...]:
         """The bit-comparable result: everything except diagnostics."""
@@ -273,7 +258,7 @@ class Engine:
 
 
 #: Engine names accepted by :func:`resolve_engine` / :func:`simulate`.
-ENGINE_NAMES = ("direct", "cached", "sharded", "incremental")
+ENGINE_NAMES = ("direct", "cached", "sharded")
 
 
 #: Default instances for the *stateless-by-name* backends.  ``direct``
@@ -289,16 +274,13 @@ def resolve_engine(engine: Union[None, str, Engine]) -> Engine:
     """Normalize an engine argument to an :class:`Engine` instance.
 
     ``None`` means the direct backend; strings name a backend
-    (``"direct"`` / ``"cached"`` / ``"sharded"`` / ``"incremental"``)
-    constructed with defaults; instances pass through.  Imported lazily
-    so the facade costs nothing for callers that never shard.  By-name
-    ``direct`` and ``sharded`` resolve to shared default instances (the
-    sharded default keeps its process pool warm across calls);
-    ``cached`` and ``incremental`` construct a fresh engine per call
-    because their memo/state is only valid for one algorithm or one
-    evolving run — hold an
-    :class:`~repro.core.incremental.IncrementalEngine` instance
-    yourself to use the ``apply`` API.
+    (``"direct"`` / ``"cached"`` / ``"sharded"``) constructed with
+    defaults; instances pass through.  Imported lazily so the facade
+    costs nothing for callers that never shard.  By-name ``direct`` and
+    ``sharded`` resolve to shared default instances (the sharded default
+    keeps its process pool warm across calls); ``cached`` constructs a
+    fresh engine per call because its memo is only valid for one
+    algorithm.
     """
     if engine is None:
         engine = "direct"
@@ -308,10 +290,6 @@ def resolve_engine(engine: Union[None, str, Engine]) -> Engine:
         from .cached import CachedEngine
 
         return CachedEngine()
-    if engine == "incremental":
-        from .incremental import IncrementalEngine
-
-        return IncrementalEngine()
     if engine in _DEFAULT_ENGINES:
         return _DEFAULT_ENGINES[engine]
     if engine == "direct":

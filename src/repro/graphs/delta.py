@@ -1,11 +1,11 @@
 """Validated mutation batches (:class:`GraphDelta`) for frozen graphs.
 
-The incremental workload mutates a *frozen* :class:`~repro.graphs.graph.
-Graph` without ever touching the original object: a :class:`GraphDelta`
-is an ordered batch of edge insertions / deletions / label updates that
-is validated up front (by replaying it against the base's edge set) and
-applied functionally — :meth:`GraphDelta.apply_to` returns a *new*
-frozen graph, leaving the base and its cached CSR arrays untouched.
+A :class:`GraphDelta` mutates a *frozen* :class:`~repro.graphs.graph.
+Graph` without ever touching the original object: it is an ordered
+batch of edge insertions / deletions / label updates that is validated
+up front (by replaying it against the base's edge set) and applied
+functionally — :meth:`GraphDelta.apply_to` returns a *new* frozen
+graph, leaving the base and its cached CSR arrays untouched.
 
 Port bookkeeping follows :meth:`Graph.add_edge
 <repro.graphs.graph.Graph.add_edge>` exactly: an inserted edge occupies
@@ -13,7 +13,7 @@ the next free (highest) port at both endpoints, and a deleted edge
 shifts every later port of its endpoints down by one (``list.remove``
 semantics).  Because ops are *ordered*, inserting an edge and then
 deleting it restores both adjacency rows bit-for-bit — the round-trip
-property the incremental test suite pins.
+property ``tests/test_graph_delta.py`` pins.
 
 The other half of the module is the *dirty-ball tracker*:
 :meth:`GraphDelta.footprint` computes the set of nodes whose radius-t
@@ -25,9 +25,8 @@ port structure, and every structural or label difference between the
 old and new graph is confined to the touched nodes' rows, so any node
 whose view changes has a touched node inside its old or its new ball.
 
-See ``docs/INCREMENTAL.md`` for the delta model and the authoring
-contract, and :class:`repro.core.incremental.IncrementalEngine` for the
-engine that consumes deltas.
+No engine consumes deltas: the mutated graph is an ordinary frozen
+graph, and any backend runs on it from scratch.
 """
 
 from __future__ import annotations
@@ -186,7 +185,7 @@ class GraphDelta:
 
         The result is frozen, shares the base's untouched adjacency
         rows, and — when the base has a compiled CSR layout — carries a
-        patched (or recompiled) CSR so downstream engines never pay a
+        patched (or recompiled) CSR so a run on the result never pays a
         from-scratch compile for a small delta.  The result is cached:
         repeated calls return the same object, which lets sequential
         delta chains share graph identity.
@@ -336,7 +335,7 @@ def random_delta(
     1-node graph with no labelings).
 
     Determinism contract: the sequence of ``rng`` calls per op kind is
-    part of the replayable fuzzing surface and is golden-pinned by
+    part of the replayable surface and is golden-pinned by
     ``tests/test_seed_stability.py`` — NEVER reorder or add draws here
     without regenerating those pins deliberately.
     """

@@ -67,12 +67,7 @@ class RunMetrics:
     :meth:`~repro.instrumentation.tracer.Tracer.on_degraded`); its
     batch runs fold each worker-side request's counters back in through
     :meth:`~repro.instrumentation.tracer.Tracer.on_subrun`,
-    incrementing ``subruns`` once per folded request.  The incremental
-    engine populates the ``delta_*`` counters, one
-    :meth:`~repro.instrumentation.tracer.Tracer.on_delta` event per
-    applied :class:`~repro.graphs.delta.GraphDelta`: dirty-footprint
-    size, classes evaluated fresh vs served from the memo, and entities
-    whose class actually changed.
+    incrementing ``subruns`` once per folded request.
     """
 
     engine: str = ""
@@ -103,11 +98,6 @@ class RunMetrics:
     kernel_fallbacks: int = 0
     kernel_entities: int = 0
     kernel_classes: int = 0
-    delta_applies: int = 0
-    delta_footprint: int = 0
-    delta_classes_invalidated: int = 0
-    delta_cache_survivors: int = 0
-    delta_changed_nodes: int = 0
     subruns: int = 0
     shards: int = 0
     degradations: int = 0
@@ -153,11 +143,6 @@ class RunMetrics:
             "kernel_fallbacks": self.kernel_fallbacks,
             "kernel_entities": self.kernel_entities,
             "kernel_classes": self.kernel_classes,
-            "delta_applies": self.delta_applies,
-            "delta_footprint": self.delta_footprint,
-            "delta_classes_invalidated": self.delta_classes_invalidated,
-            "delta_cache_survivors": self.delta_cache_survivors,
-            "delta_changed_nodes": self.delta_changed_nodes,
             "subruns": self.subruns,
             "shards": self.shards,
             "degradations": self.degradations,
@@ -300,13 +285,6 @@ class MetricsTracer(Tracer):
         self.metrics.cache_bytes += stats.get("bytes", 0)
         self.metrics.cache_distinct_classes += stats.get("distinct_classes", 0)
 
-    def on_delta(self, engine: str, info: Dict[str, Any]) -> None:
-        self.metrics.delta_applies += 1
-        self.metrics.delta_footprint += info.get("footprint", 0)
-        self.metrics.delta_classes_invalidated += info.get("classes_invalidated", 0)
-        self.metrics.delta_cache_survivors += info.get("cache_survivors", 0)
-        self.metrics.delta_changed_nodes += info.get("changed_nodes", 0)
-
     def on_shard(self, index: int, items: int, seed: int) -> None:
         self.metrics.shards += 1
 
@@ -325,8 +303,6 @@ class MetricsTracer(Tracer):
         "layout_fallbacks", "layout_entities", "layout_classes",
         "kernel_runs", "kernel_vectorized", "kernel_fallbacks",
         "kernel_entities", "kernel_classes",
-        "delta_applies", "delta_footprint", "delta_classes_invalidated",
-        "delta_cache_survivors", "delta_changed_nodes",
         "degradations",
     )
 

@@ -37,8 +37,6 @@ on_layout           view engines, once per run, with the resolved
 on_kernel           kernel-layout runs, once per run, saying whether the
                     vectorized kernel or the exact Python fallback ran
 on_cache            cached engines, once per run, with lookup stats
-on_delta            incremental engine, once per applied GraphDelta,
-                    with footprint / invalidation / survivor counts
 on_shard            sharded engine, once per dispatched shard
 on_subrun           sharded batch runs, once per worker-side request,
                     with that subrun's folded metrics dict
@@ -148,21 +146,6 @@ class Tracer:
         even when the underlying cache is shared across runs.
         """
 
-    def on_delta(self, engine: str, info: Dict[str, Any]) -> None:
-        """The incremental engine applied one :class:`GraphDelta`.
-
-        Fired once per applied delta by
-        :meth:`~repro.core.incremental.IncrementalEngine.apply`.
-        ``info`` carries ``ops`` (batch size), ``footprint`` (dirty
-        nodes re-partitioned), ``classes_invalidated`` (classes
-        evaluated fresh), ``cache_survivors`` (dirty classes served
-        from the memo), ``changed_nodes`` (entities whose class
-        actually changed), and ``csr_mode`` (``"patch"`` /
-        ``"recompile"`` / ``"lazy"`` — how the mutated graph's CSR
-        layout was produced).  Deltas never change results relative to
-        a fresh run on the mutated graph — only how much work it took.
-        """
-
     def on_shard(self, index: int, items: int, seed: int) -> None:
         """The sharded engine dispatched one shard of work.
 
@@ -261,10 +244,6 @@ class MultiTracer(Tracer):
     def on_cache(self, engine: str, stats: Dict[str, Any]) -> None:
         for t in self.tracers:
             t.on_cache(engine, stats)
-
-    def on_delta(self, engine: str, info: Dict[str, Any]) -> None:
-        for t in self.tracers:
-            t.on_delta(engine, info)
 
     def on_shard(self, index: int, items: int, seed: int) -> None:
         for t in self.tracers:

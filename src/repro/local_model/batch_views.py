@@ -237,7 +237,7 @@ class BatchBallExpander:
         ``sources`` sequence).  Subset keys live in the same key space
         as full-run keys — the packed stream of a ball does not depend
         on which other balls share the pass — which is what lets the
-        incremental engine reuse a full run's memo for its dirty subset.
+        implicit window expander match this one key for key.
         """
         return self.node_classes_many(
             (radius,), ids, inputs, randomness, orientation, sources=sources
@@ -261,8 +261,7 @@ class BatchBallExpander:
         exactly ``rank < |B_r(v)|``).
 
         ``sources`` restricts the partition to a node subset (see
-        :meth:`node_classes`); cost is then proportional to the subset's
-        ball volume, not n — the incremental engine's dirty-only pass.
+        :meth:`node_classes`); the BFS then starts from the subset only.
         """
         n = self.csr.n
         cols, ok = self._label_columns(n, ids, inputs, randomness)
@@ -396,9 +395,9 @@ class BatchBallExpander:
 
     def _local_matrix(self, n: int, rows: int) -> np.ndarray:
         # Sized to the actual source count, not the block ceiling: a
-        # subset pass (the incremental engine's dirty footprint) must
-        # not pay a block x n allocation for a handful of sources.
-        # Grow-on-demand keeps one buffer serving mixed call sizes.
+        # subset pass must not pay a block x n allocation for a handful
+        # of sources.  Grow-on-demand keeps one buffer serving mixed
+        # call sizes.
         if self._local is None or self._local.shape[0] < rows:
             self._local = np.full((rows, n), -1, dtype=np.int32)
         return self._local

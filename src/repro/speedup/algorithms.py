@@ -280,7 +280,6 @@ ALGORITHMS.add(
     domains=({"graph": "torus", "rows": (3, 6), "cols": (3, 6)},),
     fuzz_params={"k": 2, "bits": (1, 2)},
     invariances=("determinism", "backend-identity"),
-    deltas=0,
     description="1-round local-maximum attempt on oriented tori",
 )
 ALGORITHMS.add(
@@ -290,6 +289,5 @@ ALGORITHMS.add(
     domains=({"graph": "torus", "rows": (3, 6), "cols": (3, 6)},),
     fuzz_params={"k": 2, "bits": (1, 2)},
     invariances=("determinism", "backend-identity"),
-    deltas=0,
     description="1-round smaller-count attempt on oriented tori",
 )

@@ -24,16 +24,7 @@ both claims into an executable oracle:
   comparison with the graph-layout axis: every (backend × layout)
   combination — the reference ``"dict"`` path and the batched
   ``"csr"`` expander — must reproduce the direct/dict report bit for
-  bit (:func:`assert_layout_reports_identical`);
-* :func:`run_delta_case` / :func:`run_edge_delta_case` add the
-  *mutation* axis: an :class:`~repro.core.IncrementalEngine` is primed
-  on the case, a seed-derived chain of random
-  :class:`~repro.graphs.GraphDelta` batches is applied, and after every
-  step the incremental report must match a fresh
-  :class:`~repro.core.DirectEngine` run on the mutated graph bit for
-  bit (:func:`assert_delta_case_identical`) — including the final class
-  partition against from-scratch
-  :func:`~repro.local_model.view_signature` grouping.
+  bit (:func:`assert_layout_reports_identical`).
 
 ``tests/test_differential.py`` parametrizes over the full grid;
 ``tests/test_engine_backends.py`` adds the three-backend comparison;
@@ -53,9 +44,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.algorithms.view_rules import make_view_rule
-from repro.core import IncrementalEngine, SimRequest, derive_seed, simulate
-from repro.graphs.delta import random_delta
-from repro.local_model.views import view_signature
+from repro.core import SimRequest, simulate
 from repro.graphs import (
     balanced_regular_tree,
     caterpillar,
@@ -86,11 +75,6 @@ __all__ = [
     "assert_identical",
     "assert_reports_identical",
     "assert_layout_reports_identical",
-    "DELTA_BASE_SEED",
-    "delta_rng",
-    "run_delta_case",
-    "run_edge_delta_case",
-    "assert_delta_case_identical",
     "run_grid",
 ]
 
@@ -340,135 +324,6 @@ def run_edge_case_layouts(
         for backend in BACKENDS
         for layout in LAYOUTS
     }
-
-
-# ----------------------------------------------------------------------
-# Delta-differential harness (IncrementalEngine vs fresh recompute)
-# ----------------------------------------------------------------------
-
-#: Base seed every delta chain derives from.  The derived per-step
-#: seeds are golden-pinned in ``tests/test_seed_stability.py``.
-DELTA_BASE_SEED = 0
-
-
-def delta_rng(case_id: str, step: int) -> random.Random:
-    """The per-step delta RNG: ``derive_seed(0, f"{case_id}:delta-{k}")``.
-
-    sha256-derived like every other seed in the repository, so the
-    mutation sequence is identical across processes, job counts, and
-    Python hash seeds.
-    """
-    return random.Random(derive_seed(DELTA_BASE_SEED, f"{case_id}:delta-{step}"))
-
-
-def run_delta_case(
-    case: Case, steps: int = 3, engine_factory: Any = None
-) -> Dict[str, Any]:
-    """Prime an incremental engine on ``case`` and chain random deltas.
-
-    Per step, a seed-derived :func:`~repro.graphs.random_delta` batch is
-    applied through :meth:`~repro.core.IncrementalEngine.apply` and the
-    same mutated inputs are re-run from scratch on the direct backend.
-    Returns a dict with the ``engine``, the per-step ``pairs`` of
-    ``(incremental_report, fresh_report)`` (index 0 is the primed run),
-    and the final ``graph`` / ``ids`` / ``randomness``.
-
-    ``engine_factory`` swaps in a different engine constructor — the
-    negative tests route the deliberately-broken stale-cache fixture
-    through the exact same harness.
-    """
-    request = build_request(case)
-    engine = (engine_factory or IncrementalEngine)()
-    pairs = [(engine.run(request), simulate(request, engine="direct"))]
-    graph, ids, randomness = request.graph, request.ids, request.randomness
-    for step in range(steps):
-        rng = delta_rng(case.case_id, step)
-        delta = random_delta(graph, rng, ids=ids, randomness=randomness)
-        if delta is None:
-            break
-        incremental = engine.apply(delta)
-        graph = delta.apply()
-        ids, _, randomness = delta.apply_to_labels(ids, None, randomness)
-        mutated = replace(request, graph=graph, ids=ids, randomness=randomness)
-        pairs.append((incremental, simulate(mutated, engine="direct")))
-    return {
-        "engine": engine,
-        "pairs": pairs,
-        "graph": graph,
-        "ids": ids,
-        "randomness": randomness,
-    }
-
-
-def assert_delta_case_identical(
-    case: Case, steps: int = 3, engine_factory: Any = None
-) -> None:
-    """Every delta step bit-identical to a fresh direct recompute.
-
-    Checks per step: the two reports' ``identity()`` projections (the
-    full outputs / rounds / halt-rounds tuple) coincide.  After the
-    final step the engine's memoized class partition
-    (:meth:`~repro.core.IncrementalEngine.current_node_keys`) must
-    induce exactly the same node grouping as from-scratch
-    :func:`~repro.local_model.view_signature` keys on the mutated
-    graph — a stale or over-merged memo cannot hide behind
-    coincidentally equal outputs.
-    """
-    run = run_delta_case(case, steps=steps, engine_factory=engine_factory)
-    for step, (incremental, fresh) in enumerate(run["pairs"]):
-        assert incremental.identity() == fresh.identity(), (
-            f"{case.case_id}: incremental step {step} diverges from a "
-            f"fresh direct run on the mutated graph"
-        )
-    keys = run["engine"].current_node_keys()
-    graph, ids, randomness = run["graph"], run["ids"], run["randomness"]
-    signatures = [
-        view_signature(graph, v, case.radius, ids=ids, randomness=randomness)
-        for v in graph.nodes()
-    ]
-    by_key: Dict[Any, List[int]] = {}
-    by_signature: Dict[Any, List[int]] = {}
-    for v in graph.nodes():
-        by_key.setdefault(keys[v], []).append(v)
-        by_signature.setdefault(signatures[v], []).append(v)
-    key_partition = sorted(map(tuple, by_key.values()))
-    signature_partition = sorted(map(tuple, by_signature.values()))
-    assert key_partition == signature_partition, (
-        f"{case.case_id}: after {len(run['pairs']) - 1} deltas the "
-        f"memoized class partition diverges from from-scratch signatures"
-    )
-
-
-def run_edge_delta_case(
-    graph_name: str, rounds: int, steps: int = 3
-) -> List[Tuple[Any, Any]]:
-    """The edge-kind analogue of :func:`run_delta_case`.
-
-    Returns the per-step ``(incremental_report, fresh_report)`` pairs
-    (index 0 is the primed run); callers assert the ``identity()``
-    projections coincide pairwise.
-    """
-    graph, alg, randomness = _edge_case_inputs(graph_name, rounds)
-    request = SimRequest(
-        kind="edge",
-        graph=graph,
-        algorithm=alg,
-        randomness=randomness,
-        label=f"edge-delta-t{rounds}-{graph_name}",
-    )
-    engine = IncrementalEngine()
-    pairs = [(engine.run(request), simulate(request, engine="direct"))]
-    for step in range(steps):
-        rng = delta_rng(f"edge-t{rounds}-{graph_name}", step)
-        delta = random_delta(graph, rng, randomness=randomness)
-        if delta is None:
-            break
-        incremental = engine.apply(delta)
-        graph = delta.apply()
-        _, _, randomness = delta.apply_to_labels(None, None, randomness)
-        mutated = replace(request, graph=graph, randomness=randomness)
-        pairs.append((incremental, simulate(mutated, engine="direct")))
-    return pairs
 
 
 # ----------------------------------------------------------------------

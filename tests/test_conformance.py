@@ -106,6 +106,13 @@ class TestContracts:
             "port-permutation", "label-order",
         }
 
+    def test_contract_snapshot_keys(self):
+        # The artifact snapshot names exactly the axes the fuzzer runs.
+        assert set(contract_for("ball-signature").to_dict()) == {
+            "algorithm", "kind", "needs_ids", "needs_randomness",
+            "solves", "invariances", "layouts",
+        }
+
     def test_auto_verifier_kwarg_resolves_against_graph(self):
         contract = contract_for("greedy-sequential-coloring")
         verifier = contract.verifier(path(4))  # max degree 2
@@ -300,6 +307,24 @@ class TestArtifacts:
         replayed = replay_artifact(artifact)
         assert "verifier" in replayed.failed_checks()
 
+    def test_artifact_from_the_delta_era_still_replays(self, tmp_path):
+        # Artifacts written while the delta-identity axis existed carry
+        # a ``deltas`` key in their contract snapshot; replay reads only
+        # the case spec, so they keep reproducing their finding.
+        register_broken_fixture()
+        contract = contract_for(BROKEN_MIS)
+        artifact = write_repro_artifact(
+            str(tmp_path), contract, _broken_case(4),
+            [CheckFailure("verifier", "planted")],
+        )
+        with open(artifact, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        payload["contract"]["deltas"] = 2
+        with open(artifact, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        replayed = replay_artifact(artifact)
+        assert "verifier" in replayed.failed_checks()
+
     def test_unknown_schema_is_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"schema": "something-else/9"}))
@@ -323,13 +348,21 @@ class TestCli:
         assert conformance_main(["--cases", "10", "--seed", "0"]) == 0
         assert "10/10 cases passed" in capsys.readouterr().out
 
+    def test_retired_delta_check_is_an_unknown_name(self):
+        with pytest.raises(
+            SystemExit, match="unknown check name\\(s\\): delta-identity"
+        ):
+            conformance_main(["--cases", "1", "--checks", "delta-identity"])
+
     def test_self_test_catches_shrinks_and_replays(self, tmp_path, capsys):
         code = conformance_main([
             "--cases", "0", "--self-test", "--report", str(tmp_path),
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "self-test ok" in out
+        # One stage per planted fixture: MIS claim, CSR layout, view
+        # kernel, implicit family, finite trial kernel.
+        assert out.count("self-test ok") == 5
         summary = json.loads(
             (tmp_path / "conformance-summary.json").read_text()
         )

@@ -172,20 +172,21 @@ class TestBuiltins:
 
 class TestEngineSeam:
     def test_engine_names_cover_all_backends(self):
-        assert ENGINE_NAMES == (
-            "direct", "cached", "sharded", "incremental",
-        )
+        assert ENGINE_NAMES == ("direct", "cached", "sharded")
 
     def test_resolve_engine(self):
-        from repro.core import IncrementalEngine
-
         assert isinstance(resolve_engine(None), DirectEngine)
         assert isinstance(resolve_engine("direct"), DirectEngine)
         assert isinstance(resolve_engine("cached"), CachedEngine)
         assert isinstance(resolve_engine("sharded"), ShardedEngine)
-        assert isinstance(resolve_engine("incremental"), IncrementalEngine)
-        with pytest.raises(ValueError, match="unknown engine 'service'"):
-            resolve_engine("service")
+        # Retired backends are unknown names, not silent aliases.
+        for retired in ("service", "incremental"):
+            with pytest.raises(
+                ValueError,
+                match=rf"unknown engine '{retired}' \(have \('direct', "
+                r"'cached', 'sharded'\)\)",
+            ):
+                resolve_engine(retired)
         engine = DirectEngine()
         assert resolve_engine(engine) is engine
         with pytest.raises(ValueError):

@@ -12,13 +12,6 @@ Two families of invariants:
   routing a view engine through the cache, must not perturb outputs or
   halt rounds.  Covered for every message-passing algorithm of the
   quick experiment grid and every view rule.
-
-* **Incremental vs from-scratch** (the delta-differential contract):
-  priming an :class:`~repro.core.IncrementalEngine` on a grid case and
-  chaining seed-derived random :class:`~repro.graphs.GraphDelta`
-  batches must stay bit-identical to fresh direct recomputes on every
-  mutated graph, for node views and edge views alike — over 400
-  randomized delta steps across the radius-1/2 grid.
 """
 
 from __future__ import annotations
@@ -40,13 +33,11 @@ from repro.local_model import ViewCache
 from repro.local_model.network import run_local, run_view_algorithm
 
 from .differential import (
-    assert_delta_case_identical,
     assert_identical,
     edge_cases,
     grid,
     run_case,
     run_edge_case,
-    run_edge_delta_case,
 )
 
 
@@ -164,34 +155,6 @@ def test_view_rules_agree_traced_untraced_cached(
     assert 0.0 <= tracer.metrics.cache_hit_rate <= 1.0
     if labeling == "anonymous":
         assert tracer.metrics.cache_hit_rate > 0.0
-
-
-# ----------------------------------------------------------------------
-# Incremental vs from-scratch: the delta-differential grid
-# ----------------------------------------------------------------------
-
-#: Radii 1 and 2 cover every interesting footprint shape (radius 0 has
-#: no propagation; radius 3 adds wall-clock, not coverage) — 128 cases
-#: x 3 delta steps each.
-_DELTA_GRID = [c for c in grid() if c.radius in (1, 2)]
-
-
-@pytest.mark.parametrize("case", _DELTA_GRID, ids=lambda c: c.case_id)
-def test_incremental_delta_chain_is_bit_identical(case):
-    assert_delta_case_identical(case, steps=3)
-
-
-@pytest.mark.parametrize(
-    "graph_name,rounds", edge_cases(), ids=lambda p: str(p)
-)
-def test_incremental_edge_delta_chain_is_bit_identical(graph_name, rounds):
-    pairs = run_edge_delta_case(graph_name, rounds, steps=3)
-    assert len(pairs) >= 2  # primed + at least one applied delta
-    for step, (incremental, fresh) in enumerate(pairs):
-        assert incremental.identity() == fresh.identity(), (
-            f"edge-t{rounds}-{graph_name}: incremental step {step} "
-            f"diverges from a fresh direct run"
-        )
 
 
 def test_standalone_harness_reports_zero_failures():

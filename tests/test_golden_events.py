@@ -27,19 +27,13 @@ from typing import Any, Dict, Tuple
 import pytest
 
 from repro.algorithms.view_rules import make_view_rule
-from repro.core import (
-    CachedEngine,
-    DirectEngine,
-    IncrementalEngine,
-    ShardedEngine,
-    SimRequest,
-)
+from repro.core import CachedEngine, DirectEngine, ShardedEngine, SimRequest
 from repro.graphs import toroidal_grid
 from repro.graphs.identifiers import random_permutation_ids
 from repro.instrumentation import TraceRecorder
 from repro.local_model import EdgeViewAlgorithm
 
-BACKENDS = ("direct", "cached", "sharded", "incremental-prime")
+BACKENDS = ("direct", "cached", "sharded")
 LAYOUTS = ("dict", "csr", "kernel")
 CASES = ("view-ids", "edge-ids", "view-anon", "edge-anon")
 
@@ -94,9 +88,7 @@ def _engine(backend: str):
         return DirectEngine()
     if backend == "cached":
         return CachedEngine()
-    if backend == "sharded":
-        return ShardedEngine(shards=2)
-    return IncrementalEngine()
+    return ShardedEngine(shards=2)
 
 
 def record_stream(backend: str, layout: str, case: str) -> str:
@@ -194,30 +186,6 @@ GOLDEN_EVENTS = {
         '0315be8f067031426089e0d909be2e2ded512c4ef2aee2f5ff5d30593194b0c8',
     ('sharded', 'kernel', 'edge-anon'):
         'e4e0b91879266a65037595456a707d33fc53f0b1ef2e2f51e53a845f62c70503',
-    ('incremental-prime', 'dict', 'view-ids'):
-        '9f9a2ad492b34647caae7e2354e5481492531b287fdbddbf6439a67a869d8e92',
-    ('incremental-prime', 'dict', 'edge-ids'):
-        '8b4011d87b4cec50c686b9be05b50b663aa70a75415659e2619ee6974b284789',
-    ('incremental-prime', 'dict', 'view-anon'):
-        '083b810cd48c2e9f3e6570107768e88b46b38fd4b7a28d53d396d457bfd27ec0',
-    ('incremental-prime', 'dict', 'edge-anon'):
-        'b3869aca995fb778bf57a5548f51598bb72e3ffe1962bb4d0d14aa99ca0b54ef',
-    ('incremental-prime', 'csr', 'view-ids'):
-        '25578b109360f20fd0f3abe6e97b7dcb2bc714dee8f289e309639fed85852afd',
-    ('incremental-prime', 'csr', 'edge-ids'):
-        '22a8f46e2c04e5f9ccd4205ce84444d9a3b07c6ac624efa01149f49a0a83e702',
-    ('incremental-prime', 'csr', 'view-anon'):
-        'ed6da5a04f5149df37efa2da989495ec732a56b9313f3a4b0248bce4b4ce8818',
-    ('incremental-prime', 'csr', 'edge-anon'):
-        '83c22f6ef643d50099a9c10c229df13fb45cf683544559a4412fb9b70be083e2',
-    ('incremental-prime', 'kernel', 'view-ids'):
-        'a93db274535490302e10ad740789afb0afb412557c036dc430f9277cb045720c',
-    ('incremental-prime', 'kernel', 'edge-ids'):
-        'e8e6166d937a4f20386d162b86532ba56eda60161f61b206b5405e63d442e766',
-    ('incremental-prime', 'kernel', 'view-anon'):
-        '0f7d60a0a96b508eb7aaa92f2125eca72279b90026712d20c904a11396805498',
-    ('incremental-prime', 'kernel', 'edge-anon'):
-        '7230db778a7f8a4565e6a063112617f99f10577b27d1c7a263e93f04a3b5adad',
 }
 
 

@@ -1,22 +1,17 @@
-"""Property-based proof obligations for the incremental data layer.
+"""Property-based proof obligations for the delta footprint.
 
-Hypothesis drives the three claims ``docs/INCREMENTAL.md`` rests on:
+Hypothesis drives the claim :meth:`GraphDelta.footprint
+<repro.graphs.delta.GraphDelta.footprint>` rests on:
 
 * **Footprint soundness** — any node whose canonical radius-t view
   signature differs between the base and the mutated graph lies inside
-  :meth:`GraphDelta.footprint(t) <repro.graphs.delta.GraphDelta.
-  footprint>` (the dirty-ball tracker never under-approximates, which
-  is what makes memo splicing exact);
-* **Delta composition** — ``apply([d1, d2])`` is indistinguishable
-  from ``apply(d1); apply(d2)``: same report identity, same changed
-  nodes, same memoized class partition;
-* **Insert-then-delete round trips** — adding an edge and removing it
-  again (in one batch or across two applies) restores the adjacency
-  rows, the outputs, and the class partition bit-for-bit (the ordered
-  port-bookkeeping contract).
+  ``footprint(t)`` (the dirty-ball tracker never under-approximates, so
+  only the footprint's views need recomputing after a delta);
+* **Touched endpoints change** — an edge op's endpoints always change
+  their radius-0 view, since degree is part of it.
 
 Graphs are seed-derived Erdős–Rényi-ish corpora plus the repo's tree
-and regular generators, so shrinking stays meaningful.
+generator, so shrinking stays meaningful.
 """
 
 from __future__ import annotations
@@ -26,9 +21,7 @@ import random
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.view_rules import make_view_rule
-from repro.core import IncrementalEngine, SimRequest
-from repro.graphs import Graph, GraphDelta, random_delta, random_tree
+from repro.graphs import Graph, random_delta, random_tree
 from repro.local_model import view_signature
 
 DEFAULT_SETTINGS = settings(
@@ -47,19 +40,6 @@ def _random_graph(rng: random.Random, n: int) -> Graph:
                 g.add_edge(u, v)
     return g.freeze()
 
-
-def _view_request(graph: Graph, radius: int, randomness=None) -> SimRequest:
-    return SimRequest(
-        kind="view",
-        graph=graph,
-        algorithm=make_view_rule("ball-signature", radius=radius),
-        randomness=randomness,
-    )
-
-
-# ----------------------------------------------------------------------
-# Footprint soundness
-# ----------------------------------------------------------------------
 
 @DEFAULT_SETTINGS
 @given(
@@ -100,91 +80,3 @@ def test_touched_endpoints_always_change_class(seed, n):
     mutated = delta.apply()
     for v in delta.touched_nodes():
         assert view_signature(graph, v, 0) != view_signature(mutated, v, 0)
-
-
-# ----------------------------------------------------------------------
-# Delta composition
-# ----------------------------------------------------------------------
-
-@DEFAULT_SETTINGS
-@given(
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-    n=st.integers(min_value=3, max_value=12),
-    radius=st.integers(min_value=0, max_value=2),
-)
-def test_batched_apply_equals_sequential_applies(seed, n, radius):
-    rng = random.Random(seed)
-    graph = _random_graph(rng, n)
-    randomness = [rng.getrandbits(8) for _ in graph.nodes()]
-    d1 = random_delta(graph, rng, randomness=randomness, max_ops=2)
-    assume(d1 is not None)
-    _, _, rand1 = d1.apply_to_labels(None, None, randomness)
-    d2 = random_delta(d1.apply(), rng, randomness=rand1, max_ops=2)
-    assume(d2 is not None)
-
-    batched = IncrementalEngine()
-    batched.run(_view_request(graph, radius, randomness))
-    batch_report = batched.apply([d1, d2])
-
-    stepped = IncrementalEngine()
-    stepped.run(_view_request(graph, radius, randomness))
-    stepped.apply(d1)
-    step_report = stepped.apply(d2)
-
-    assert batch_report.identity() == step_report.identity()
-    assert batch_report.changed_nodes == step_report.changed_nodes
-    assert batched.current_node_keys() == stepped.current_node_keys()
-
-
-# ----------------------------------------------------------------------
-# Insert-then-delete round trips
-# ----------------------------------------------------------------------
-
-def _sample_non_edge(graph: Graph, rng: random.Random):
-    non_edges = [
-        (u, v)
-        for u in graph.nodes()
-        for v in range(u + 1, graph.n)
-        if not graph.has_edge(u, v)
-    ]
-    if not non_edges:
-        return None
-    return non_edges[rng.randrange(len(non_edges))]
-
-
-@DEFAULT_SETTINGS
-@given(
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-    n=st.integers(min_value=2, max_value=12),
-    radius=st.integers(min_value=0, max_value=2),
-    one_batch=st.booleans(),
-)
-def test_insert_then_delete_restores_the_partition(seed, n, radius, one_batch):
-    rng = random.Random(seed)
-    graph = _random_graph(rng, n)
-    pair = _sample_non_edge(graph, rng)
-    assume(pair is not None)
-    u, v = pair
-    randomness = [rng.getrandbits(8) for _ in graph.nodes()]
-
-    engine = IncrementalEngine()
-    primed = engine.run(_view_request(graph, radius, randomness))
-    primed_keys = engine.current_node_keys()
-
-    if one_batch:
-        final = engine.apply(
-            GraphDelta(graph, [("add", u, v), ("remove", u, v)])
-        )
-        assert final.changed_nodes == []
-    else:
-        engine.apply(GraphDelta(graph, [("add", u, v)]))
-        final = engine.apply(
-            GraphDelta(engine.current_graph, [("remove", u, v)])
-        )
-
-    # Outputs, class partition, and adjacency rows all restored exactly.
-    assert final.outputs == primed.outputs
-    assert engine.current_node_keys() == primed_keys
-    assert [list(r) for r in engine.current_graph.adjacency_rows()] == [
-        list(r) for r in graph.adjacency_rows()
-    ]

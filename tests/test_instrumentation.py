@@ -199,8 +199,9 @@ class TestSizeEstimation:
 class TestJsonRoundTrips:
     def test_from_dict_ignores_unknown_keys(self):
         # An artifact written by a newer version (extra counters), or by
-        # an older one that still carried the retired service_* counters,
-        # must load on this one rather than raise TypeError.
+        # an older one that still carried the retired service_* or
+        # delta_* counters, must load on this one rather than raise
+        # TypeError.
         graph = cycle(12)
         tracer = MetricsTracer()
         run_local(graph, Broadcast(2), tracer=tracer)
@@ -218,6 +219,11 @@ class TestJsonRoundTrips:
             "service_graph_misses": 1,
             "service_evictions": 0,
             "service_bytes": 4096,
+            "delta_applies": 2,
+            "delta_footprint": 17,
+            "delta_classes_invalidated": 3,
+            "delta_cache_survivors": 5,
+            "delta_changed_nodes": 4,
         }
         for data in (newer, older):
             restored = RunMetrics.from_dict(data)

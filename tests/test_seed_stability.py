@@ -36,11 +36,11 @@ GOLDEN = {
     (7, "bench-csr:view:shard-2"): 5431547783688781935,
 }
 
-# Delta-chain seeds: the conformance fuzzer draws its per-step mutation
-# RNG from derive_seed(case.seed, f"delta-{step}") and the differential
-# harness from derive_seed(0, f"{case_id}:delta-{step}").  These pins
-# freeze the replayable mutation surface: a recorded delta repro
-# artifact must keep meaning the same edge flips forever.
+# Delta-chain seeds: a seeded delta chain draws its per-step mutation
+# RNG from derive_seed(base, f"delta-{step}") (or, per case,
+# f"{case_id}:delta-{step}") and feeds it to random_delta.  These pins
+# freeze the replayable mutation surface: a recorded chain must keep
+# meaning the same edge flips forever.
 GOLDEN_DELTA = {
     (0, "delta-0"): 12337490131408107686,
     (0, "delta-1"): 7959757194295194756,
@@ -85,10 +85,10 @@ def test_delta_seeds_match_golden_table():
 
 def test_random_delta_draw_order_is_pinned():
     # random_delta's per-op-kind draw sequence is part of the replayable
-    # fuzzing surface (see its docstring).  This pins the exact op
-    # stream one seeded RNG produces on cycle(8): reordering the draws,
-    # adding one, or changing the feasibility-kind order would silently
-    # re-randomize every recorded delta repro artifact.
+    # surface (see its docstring).  This pins the exact op stream one
+    # seeded RNG produces on cycle(8): reordering the draws, adding one,
+    # or changing the feasibility-kind order would silently re-randomize
+    # every recorded delta chain.
     import random
 
     from repro.graphs import cycle, random_delta
