@@ -7,13 +7,7 @@ both endpoints — to the edge's output label.  No honest constant-round
 rule in this module *solves* one of those LCLs (that impossibility is
 the paper's point), so none declares ``solves=``; the rules exist to
 give the conformance fuzzer and the differential harness registered
-``kind="edge"`` entries that exercise
-:class:`~repro.core.sharded.ShardedEngine`'s edge path, including its
-pickling across pool workers.
-
-Both rules are module-level-callable (no lambdas, no closures) exactly
-so the sharded backend can ship them to pool workers — the same
-constraint ``tests/differential.py`` documents.
+``kind="edge"`` entries that exercise every backend's edge path.
 """
 
 from __future__ import annotations

@@ -11,9 +11,6 @@ on family F" — and this package checks all of them mechanically:
 * :mod:`~repro.conformance.shrink` delta-debugs failures to minimal
   counterexamples;
 * :mod:`~repro.conformance.artifact` writes/replays JSON repro files;
-* :mod:`~repro.conformance.faults` injects worker crashes, poisoned
-  payloads, and corrupted seeds into the sharded engine and asserts
-  the documented degradation paths;
 * ``python -m repro.conformance`` drives it all (see
   ``docs/CONFORMANCE.md``).
 """
@@ -30,7 +27,6 @@ from .contracts import (
     collect_contracts,
     contract_for,
 )
-from .faults import FaultOutcome, run_fault_suite
 from .fixtures import (
     BROKEN_CSR,
     BROKEN_CSR_LAYOUT,
@@ -63,7 +59,6 @@ __all__ = [
     "CaseSpec",
     "CheckFailure",
     "Contract",
-    "FaultOutcome",
     "ShrinkResult",
     "collect_contracts",
     "contract_for",
@@ -75,7 +70,6 @@ __all__ = [
     "register_broken_layout_fixture",
     "replay_artifact",
     "run_case",
-    "run_fault_suite",
     "sample_cases",
     "shrink_case",
     "write_repro_artifact",

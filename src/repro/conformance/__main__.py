@@ -10,10 +10,10 @@ Shrink failures and write replayable artifacts::
 
     python -m repro.conformance --cases 200 --shrink --report artifacts
 
-Fault-inject the sharded engine and self-test the pipeline end to end
-(broken fixture caught -> shrunk -> artifact -> replayed)::
+Self-test the pipeline end to end (broken fixture caught -> shrunk ->
+artifact -> replayed)::
 
-    python -m repro.conformance --faults --self-test
+    python -m repro.conformance --self-test
 
 Smoke just the finite kind (trial-kernel layout identity)::
 
@@ -56,13 +56,12 @@ def _parser() -> argparse.ArgumentParser:
         description="Fuzz registered algorithm contracts on every backend.",
     )
     parser.add_argument("--cases", type=int, default=200,
-                        help="number of fuzz cases (default 200)")
+                        help="number of fuzz cases, 0 to skip fuzzing "
+                             "(default 200)")
     parser.add_argument("--seed", type=int, default=0,
                         help="base seed; cases derive from it (default 0)")
     parser.add_argument("--shrink", action="store_true",
                         help="delta-debug failing cases to minimal repros")
-    parser.add_argument("--faults", action="store_true",
-                        help="run the sharded-engine fault-injection suite")
     parser.add_argument("--self-test", action="store_true",
                         help="verify the pipeline catches a broken fixture")
     parser.add_argument("--report", metavar="DIR", default=None,
@@ -144,20 +143,6 @@ def _run_fuzz(args: argparse.Namespace) -> int:
         f"passed across {len(contracts)} contracts{scope}"
     )
     return 1 if failures else 0
-
-
-def _run_faults() -> int:
-    from .faults import run_fault_suite
-
-    outcomes = run_fault_suite()
-    bad = 0
-    for outcome in outcomes:
-        status = "ok  " if outcome.ok else "FAIL"
-        print(f"fault {status} {outcome.fault}: {outcome.detail}")
-        bad += 0 if outcome.ok else 1
-    print(f"faults: {len(outcomes) - bad}/{len(outcomes)} degradation "
-          f"paths held")
-    return 1 if bad else 0
 
 
 def _run_self_test(args: argparse.Namespace) -> int:
@@ -264,12 +249,13 @@ def _run_trial_self_test(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    if args.cases < 0:
+        parser.error(f"--cases must be >= 0, got {args.cases}")
     if args.list:
         return _list_contracts()
     codes = [_run_fuzz(args)] if args.cases > 0 else []
-    if args.faults:
-        codes.append(_run_faults())
     if args.self_test:
         codes.append(_run_self_test(args))
     if args.report:

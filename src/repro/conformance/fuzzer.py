@@ -79,7 +79,7 @@ __all__ = [
 ]
 
 #: Backends every case runs on (the engine seam's full set).
-BACKENDS = ("direct", "cached", "sharded")
+BACKENDS = ("direct", "cached")
 
 #: Every check :func:`run_case` can run; the CLI's ``--checks`` flag
 #: validates against this set (``crash`` is a failure kind, not a
@@ -92,9 +92,7 @@ CHECK_NAMES = (
 #: Backends the ``layout-identity`` check runs each declared layout on:
 #: the direct backend gathers views over the layout's arrays, the
 #: cached backend keys its memo table off the layout's class partition
-#: — together they cover both ways a layout can diverge.  (The sharded
-#: backend shares the cached backend's partition path and is already
-#: exercised with ``layout="auto"`` by ``backend-identity``.)
+#: — together they cover both ways a layout can diverge.
 LAYOUT_BACKENDS = ("direct", "cached")
 
 

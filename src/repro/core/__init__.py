@@ -2,11 +2,10 @@
 
 Two seams that the rest of the repository plugs into:
 
-* :func:`simulate` / :func:`simulate_many` run a :class:`SimRequest` on
-  an interchangeable backend — :class:`DirectEngine` (reference
-  semantics), :class:`CachedEngine` (canonical-view memoization), or
-  :class:`ShardedEngine` (view-class dedup + process fan-out) — and
-  return a :class:`SimReport`.  All backends are bit-identical on
+* :func:`simulate` runs a :class:`SimRequest` on an interchangeable
+  backend — :class:`DirectEngine` (reference semantics) or
+  :class:`CachedEngine` (canonical-view memoization) — and returns a
+  :class:`SimReport`.  Both backends are bit-identical on
   :meth:`SimReport.identity`; choice is a pure performance knob.
 * :class:`Registry` tables (:data:`GRAPH_FAMILIES`, :data:`ALGORITHMS`,
   :data:`PROBLEMS`, :data:`REPORTS`) map names to factories with
@@ -25,11 +24,9 @@ from .engine import (
     derive_seed,
     resolve_engine,
     simulate,
-    simulate_many,
 )
 from .direct import DirectEngine
 from .cached import CachedEngine
-from .sharded import ShardedEngine
 from .registry import (
     ALGORITHMS,
     GRAPH_FAMILIES,
@@ -55,11 +52,9 @@ __all__ = [
     "Engine",
     "DirectEngine",
     "CachedEngine",
-    "ShardedEngine",
     "derive_seed",
     "resolve_engine",
     "simulate",
-    "simulate_many",
     # registry seam
     "Registry",
     "RegistryEntry",

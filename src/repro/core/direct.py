@@ -39,7 +39,7 @@ class DirectEngine(Engine):
 
     #: Whether ``layout="auto"`` resolves to the batched CSR layout on
     #: frozen graphs.  The direct backend keeps the reference path; the
-    #: memoizing backends override this (class detection is their cost).
+    #: cached backend overrides this (class detection is its cost).
     prefer_csr = False
 
     def run(self, request: SimRequest, tracer: Optional[Tracer] = None) -> SimReport:
@@ -220,8 +220,8 @@ class DirectEngine(Engine):
     ) -> SimReport:
         """Resolve the layout, then evaluate the kind's entities.
 
-        ``layout="kernel"`` is shared by all backends (it has nothing to
-        cache or shard: the class table *is* the memo); every other
+        ``layout="kernel"`` is shared by both backends (it has nothing
+        to cache: the class table *is* the memo); every other
         layout runs the backend's :meth:`_evaluate` strategy.
         """
         graph, algorithm = request.graph, request.algorithm

@@ -10,16 +10,13 @@ the oriented finite runner
 :class:`SimReport`.  An :class:`Engine` maps requests to reports; the
 backends differ only in *how*:
 
-==========================================  ===============================
-:class:`~repro.core.direct.DirectEngine`    evaluate every entity
-:class:`~repro.core.cached.CachedEngine`    evaluate once per canonical
-                                            view class (memo table)
-:class:`~repro.core.sharded.ShardedEngine`  dedupe view classes, fan the
-                                            class evaluations over a
-                                            process pool
-==========================================  ===============================
+========================================  ===============================
+:class:`~repro.core.direct.DirectEngine`  evaluate every entity
+:class:`~repro.core.cached.CachedEngine`  evaluate once per canonical
+                                          view class (memo table)
+========================================  ===============================
 
-The exactness contract is absolute: for the same request, all backends
+The exactness contract is absolute: for the same request, both backends
 produce reports with equal :meth:`SimReport.identity` — bit for bit,
 proven over the full differential grid
 (``tests/test_differential.py``, ``tests/test_engine_backends.py``).
@@ -48,7 +45,6 @@ __all__ = [
     "derive_seed",
     "resolve_engine",
     "simulate",
-    "simulate_many",
 ]
 
 #: The four execution models the seam covers.
@@ -60,9 +56,10 @@ def derive_seed(base_seed: int, label: str) -> int:
 
     The one seed-derivation scheme in the system:
     ``sha256(f"{base_seed}:{label}")``, shared by the experiment
-    runner's cells (its ``derive_cell_seed`` delegates here) and the
-    sharded engine's per-shard seeds.  Stable across processes, job
-    counts, and plan composition.
+    runner's cells (its ``derive_cell_seed`` delegates here),
+    :meth:`SimRequest.resolved_rng`, and the speedup pipeline's Monte
+    Carlo defaults.  Stable across processes, job counts, and plan
+    composition.
     """
     digest = hashlib.sha256(f"{base_seed}:{label}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
@@ -91,8 +88,7 @@ class SimRequest:
     ``seed`` is the backend-independent alternative to ``rng``: when set
     (and ``rng`` is not), every backend constructs
     ``random.Random(derive_seed(seed, label))``, so results cannot
-    depend on which backend ran.  ``label`` also names the request in
-    shard-seed derivation and progress events.
+    depend on which backend ran.
 
     ``layout`` selects the execution layout.  For ``view`` / ``edge``
     kinds: ``"dict"`` is the reference per-entity path over the
@@ -113,16 +109,15 @@ class SimRequest:
     loop when it declines); other explicit layouts are ignored.
     ``"auto"`` (the default) lets each backend pick — implicit handles
     route to the synthesized ``"implicit"`` path on every backend, the
-    memoizing
-    backends use ``"csr"`` for view/edge kinds whenever the graph is
-    frozen and escalate ``local`` runs to the round kernel when one is
-    registered; the direct backend stays on the reference path.  Layout
+    cached backend uses ``"csr"`` for view/edge kinds whenever the graph
+    is frozen and escalates ``local`` runs to the round kernel when one
+    is registered; the direct backend stays on the reference path.  Layout
     choice is a pure performance knob: all layouts produce bit-identical
     reports (``tests/test_csr_parity.py``, ``tests/test_kernels.py``,
     and the conformance ``layout-identity`` check prove it).  For the
     ``finite`` kind, ``"kernel"`` evaluates the run through the
     distinct-assignment kernel of :mod:`repro.speedup.trial_kernel`
-    (``"auto"`` escalates on the memoizing backends when a kernel is
+    (``"auto"`` escalates on the cached backend when a kernel is
     registered, exactly as for ``local``); other explicit layouts are
     ignored.
     """
@@ -236,10 +231,8 @@ class SimReport:
 class Engine:
     """The backend interface: map :class:`SimRequest` -> :class:`SimReport`.
 
-    Subclasses implement :meth:`run`; :meth:`run_many` has a serial
-    default that backends with real fan-out (the sharded engine)
-    override.  Engines are stateless unless documented otherwise
-    (the cached engine owns a memo table).
+    Subclasses implement :meth:`run`.  Engines are stateless unless
+    documented otherwise (the cached engine owns a memo table).
     """
 
     name = "engine"
@@ -248,58 +241,32 @@ class Engine:
         """Execute one request."""
         raise NotImplementedError
 
-    def run_many(
-        self,
-        requests: Sequence[SimRequest],
-        tracer: Optional[Tracer] = None,
-    ) -> List[SimReport]:
-        """Execute independent requests; order of results matches input."""
-        return [self.run(request, tracer=tracer) for request in requests]
-
 
 #: Engine names accepted by :func:`resolve_engine` / :func:`simulate`.
-ENGINE_NAMES = ("direct", "cached", "sharded")
-
-
-#: Default instances for the *stateless-by-name* backends.  ``direct``
-#: holds no state at all; ``sharded`` holds only its worker pool, which
-#: is exactly what memoizing amortizes (spawning processes per run
-#: would eat the dedup win).  ``cached`` is deliberately NOT memoized:
-#: its ``ViewCache`` must never be shared across algorithms, so every
-#: by-name resolution gets a fresh one.
-_DEFAULT_ENGINES: Dict[str, "Engine"] = {}
+ENGINE_NAMES = ("direct", "cached")
 
 
 def resolve_engine(engine: Union[None, str, Engine]) -> Engine:
     """Normalize an engine argument to an :class:`Engine` instance.
 
     ``None`` means the direct backend; strings name a backend
-    (``"direct"`` / ``"cached"`` / ``"sharded"``) constructed with
-    defaults; instances pass through.  Imported lazily so the facade
-    costs nothing for callers that never shard.  By-name ``direct`` and
-    ``sharded`` resolve to shared default instances (the sharded default
-    keeps its process pool warm across calls); ``cached`` constructs a
-    fresh engine per call because its memo is only valid for one
-    algorithm.
+    (``"direct"`` / ``"cached"``) constructed with defaults; instances
+    pass through.  Every by-name resolution builds a fresh engine: the
+    cached engine's memo is only valid for one algorithm.  Imported
+    lazily, so the facade costs nothing until a run needs a backend.
     """
     if engine is None:
         engine = "direct"
     if isinstance(engine, Engine):
         return engine
+    if engine == "direct":
+        from .direct import DirectEngine
+
+        return DirectEngine()
     if engine == "cached":
         from .cached import CachedEngine
 
         return CachedEngine()
-    if engine in _DEFAULT_ENGINES:
-        return _DEFAULT_ENGINES[engine]
-    if engine == "direct":
-        from .direct import DirectEngine
-
-        return _DEFAULT_ENGINES.setdefault("direct", DirectEngine())
-    if engine == "sharded":
-        from .sharded import ShardedEngine
-
-        return _DEFAULT_ENGINES.setdefault("sharded", ShardedEngine())
     raise ValueError(f"unknown engine {engine!r} (have {ENGINE_NAMES})")
 
 
@@ -315,16 +282,3 @@ def simulate(
     as uninstrumented ones, on every backend.
     """
     return resolve_engine(engine).run(request, tracer=tracer)
-
-
-def simulate_many(
-    requests: Sequence[SimRequest],
-    engine: Union[None, str, Engine] = None,
-    tracer: Optional[Tracer] = None,
-) -> List[SimReport]:
-    """Run independent requests on the chosen backend, preserving order.
-
-    The sharded backend fans the batch over its process pool (one shard
-    per request group); direct and cached run serially.
-    """
-    return resolve_engine(engine).run_many(requests, tracer=tracer)

@@ -19,9 +19,9 @@ report             per-node list, halt rounds    ``edge_key`` dict,
                    ``[radius] * n``              ``rounds=algorithm.rounds``
 =================  ============================  ==============================
 
-:func:`partition` is the first-occurrence class partition the
-memoizing backends share: the reference signature scan on the
-``"dict"`` layout, the batched expander on every other one.
+:func:`partition` is the first-occurrence class partition the cached
+backend evaluates: the reference signature scan on the ``"dict"``
+layout, the batched expander on every other one.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ Usage::
     python -m repro.experiments --jobs 4            # parallel cells
     python -m repro.experiments --jobs 4 --artifacts out/   # + JSON artifacts
     python -m repro.experiments --view-cache --quick  # cached-vs-direct cells
-    python -m repro.experiments --engine sharded --quick  # backend differential
+    python -m repro.experiments --engine cached --quick  # backend differential
     python -m repro.experiments --list              # registered components
     python -m repro.experiments classification --implicit --n 1000000
     python -m repro.experiments logstar_sweep --implicit --n 1000000 \
@@ -116,12 +116,12 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--engine",
-        choices=("direct", "cached", "sharded"),
+        choices=("direct", "cached"),
         default=None,
         metavar="NAME",
         help="run view-rule cells through the named repro.core backend and "
         "make each cell a backend-vs-direct differential check (implies "
-        "the cell runner; direct/cached/sharded)",
+        "the cell runner; direct/cached)",
     )
     parser.add_argument(
         "--list",

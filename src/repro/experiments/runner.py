@@ -29,10 +29,10 @@ Three cell kinds exist:
     cell runs twice — directly and through the canonical-view
     memoization cache (:mod:`repro.local_model.cache`) — and its
     verdict is the bit-identical differential check; the artifact
-    carries the cache hit rate.  With an ``engine`` parameter
-    (``"cached"`` / ``"sharded"``) the cell instead runs through the
-    named :mod:`repro.core` backend and checks it against the direct
-    backend the same way.
+    carries the cache hit rate.  With an ``engine`` parameter (a
+    backend name other than ``"direct"``) the cell instead runs through
+    the named :mod:`repro.core` backend and checks it against the
+    direct backend the same way.
 
 ``report``
     Wrap one of the classic experiment runners (Table 1, the log\\*
@@ -103,8 +103,7 @@ def derive_cell_seed(base_seed: int, cell_id: str) -> int:
     Stable across processes, job counts, and plan composition: it
     depends only on the base seed and the cell's identity.  Delegates to
     :func:`repro.core.engine.derive_seed`, the one seed-derivation
-    scheme in the system (the sharded engine derives per-shard seeds the
-    same way).
+    scheme in the system.
     """
     return derive_seed(base_seed, cell_id)
 
@@ -227,8 +226,8 @@ def _run_view_algorithm_cell(params: Dict[str, Any], seed: int) -> Dict[str, Any
     and once through the canonical-view cache — and its verdict is the
     *differential check*: the two results must agree bit for bit.  The
     reported metrics come from the cached run, so the artifact carries
-    the cache hit rate.  An ``engine`` parameter (``"cached"`` /
-    ``"sharded"``) generalizes this: the cell runs the named
+    the cache hit rate.  An ``engine`` parameter (a backend name other
+    than ``"direct"``) generalizes this: the cell runs the named
     :mod:`repro.core` backend against the direct backend and its verdict
     is :meth:`~repro.core.engine.SimReport.identity` equality.  Without
     either, the verdict is the basic execution contract (every node

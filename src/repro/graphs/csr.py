@@ -197,61 +197,6 @@ class CSRGraph:
             pos += len(r)
         return cls(indptr, indices, cls._reverse_ports(n, indptr, indices))
 
-    def patched(
-        self, rows: Sequence[Sequence[int]], touched: Sequence[int]
-    ) -> Tuple["CSRGraph", str]:
-        """Splice updated adjacency rows into a *new* layout.
-
-        ``rows`` are the post-mutation port-ordered adjacency rows
-        (same node count) and ``touched`` the nodes whose rows differ
-        from this layout's.  Untouched rows are copied arc-block-wise
-        with vectorized gathers; only the touched rows pass through
-        Python.  The reverse-port table is rebuilt in full — it is one
-        vectorized argsort pass and depends on global arc ranks, so
-        patching it piecemeal would cost more than recomputing it.
-
-        Returns ``(layout, mode)`` where ``mode`` is ``"patch"`` for
-        the splice path or ``"recompile"`` when the delta is too large
-        for patching to win (more than ``n / 4`` touched rows) and the
-        layout is rebuilt from scratch instead.  ``self`` is never
-        mutated; with no touched rows it is returned as-is (the arrays
-        are immutable by contract, so sharing them is sound).
-        """
-        n = self.n
-        if len(rows) != n:
-            raise ValueError(
-                f"patched() keeps the node set fixed: expected {n} rows, got {len(rows)}"
-            )
-        touched = sorted(set(touched))
-        if not touched:
-            return self, "patch"
-        if len(touched) * 4 > n:
-            return self._from_rows(rows), "recompile"
-        degrees = self.degrees.copy()
-        for v in touched:
-            degrees[v] = len(rows[v])
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-        indices = np.empty(int(indptr[-1]), dtype=np.int64)
-        mask = np.ones(n, dtype=bool)
-        mask[touched] = False
-        keep_lens = self.degrees[mask]
-        total = int(keep_lens.sum())
-        if total:
-            within = np.arange(total, dtype=np.int64) - np.repeat(
-                np.cumsum(keep_lens) - keep_lens, keep_lens
-            )
-            indices[np.repeat(indptr[:-1][mask], keep_lens) + within] = self.indices[
-                np.repeat(self.indptr[:-1][mask], keep_lens) + within
-            ]
-        for v in touched:
-            row = rows[v]
-            indices[indptr[v] : indptr[v] + len(row)] = row
-        return (
-            CSRGraph(indptr, indices, self._reverse_ports(n, indptr, indices)),
-            "patch",
-        )
-
     @staticmethod
     def _reverse_ports(
         n: int, indptr: np.ndarray, indices: np.ndarray
@@ -329,8 +274,8 @@ class CSRGraph:
     # ------------------------------------------------------------------
     # Pickling: ship only the arrays.  The arc table and the batched
     # expander (with its reusable block buffers) rebuild lazily on the
-    # other side — shipping them would bloat every sharded-engine
-    # payload for data the workers may never touch.
+    # other side — pickling them would bloat every payload with
+    # derived data the receiver may never touch.
     # ------------------------------------------------------------------
     def __getstate__(self):
         return (self.indptr, self.indices, self.rev_ports)

@@ -444,8 +444,8 @@ class Graph:
     # ------------------------------------------------------------------
     def __getstate__(self):
         # The cached CSR layout is derived data; rebuilding it lazily on
-        # the receiving side is cheaper than shipping numpy arrays in
-        # every sharded-engine payload.
+        # the receiving side is cheaper than pickling numpy arrays with
+        # every graph.
         return (self._n, self._adj, self._frozen, self._edge_set)
 
     def __setstate__(self, state):

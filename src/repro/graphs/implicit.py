@@ -98,8 +98,8 @@ class ImplicitGraph:
     ``adjacency_rows`` / ``bfs_distances`` — so the reference view
     gatherers and signatures run on the handle unchanged.  The handle is
     always frozen (there is nothing to mutate) and pickles as its
-    constructor arguments, so the sharded engine can ship it to workers
-    for pennies.
+    constructor arguments, so it crosses a process boundary for
+    pennies.
     """
 
     #: Class marker the layout resolver and the engines key off.

@@ -61,13 +61,7 @@ class RunMetrics:
     fraction served from the cache.  Kernel-layout runs populate the
     ``kernel_*`` counters (``kernel_vectorized`` + ``kernel_fallbacks``
     == ``kernel_runs``; see
-    :meth:`~repro.instrumentation.tracer.Tracer.on_kernel`).  The
-    sharded engine populates ``shards`` and, when it falls back to an
-    in-process path, ``degradations`` / ``degraded_reasons`` (see
-    :meth:`~repro.instrumentation.tracer.Tracer.on_degraded`); its
-    batch runs fold each worker-side request's counters back in through
-    :meth:`~repro.instrumentation.tracer.Tracer.on_subrun`,
-    incrementing ``subruns`` once per folded request.
+    :meth:`~repro.instrumentation.tracer.Tracer.on_kernel`).
     """
 
     engine: str = ""
@@ -98,10 +92,6 @@ class RunMetrics:
     kernel_fallbacks: int = 0
     kernel_entities: int = 0
     kernel_classes: int = 0
-    subruns: int = 0
-    shards: int = 0
-    degradations: int = 0
-    degraded_reasons: List[str] = field(default_factory=list)
     wall_seconds: float = 0.0
     halt_histogram: Dict[int, int] = field(default_factory=dict)
     per_round: List[RoundMetrics] = field(default_factory=list)
@@ -143,10 +133,6 @@ class RunMetrics:
             "kernel_fallbacks": self.kernel_fallbacks,
             "kernel_entities": self.kernel_entities,
             "kernel_classes": self.kernel_classes,
-            "subruns": self.subruns,
-            "shards": self.shards,
-            "degradations": self.degradations,
-            "degraded_reasons": list(self.degraded_reasons),
             "wall_seconds": self.wall_seconds,
             # JSON objects have string keys; keep them sorted for diffs.
             "halt_histogram": {
@@ -162,9 +148,12 @@ class RunMetrics:
         Forward- and backward-compatible by construction: counters the
         artifact lacks fall back to the dataclass defaults (pre-cache
         artifacts load with zero ``cache_*`` counters), and keys this
-        version does not know — an artifact written by a *newer* version
-        — are ignored rather than rejected.  Derived values such as
-        ``cache_hit_rate`` are recomputed, never read back.
+        version does not know — an artifact written by a *newer* version,
+        or by an older one carrying a retired counter (``service_*``,
+        ``delta_*``, ``subruns``, ``shards``, ``degradations``,
+        ``degraded_reasons``) — are ignored rather than rejected.
+        Derived values such as ``cache_hit_rate`` are recomputed, never
+        read back.
         """
         known = {f.name for f in fields(cls)}
         kwargs: Dict[str, Any] = {
@@ -284,34 +273,6 @@ class MetricsTracer(Tracer):
         self.metrics.cache_misses += stats.get("misses", 0)
         self.metrics.cache_bytes += stats.get("bytes", 0)
         self.metrics.cache_distinct_classes += stats.get("distinct_classes", 0)
-
-    def on_shard(self, index: int, items: int, seed: int) -> None:
-        self.metrics.shards += 1
-
-    def on_degraded(self, engine: str, reason: str) -> None:
-        self.metrics.degradations += 1
-        self.metrics.degraded_reasons.append(reason)
-
-    #: Counters :meth:`on_subrun` folds additively from worker metrics.
-    _SUBRUN_COUNTERS = (
-        "messages_sent", "messages_delivered", "bits_sent",
-        "views_gathered", "view_nodes", "view_edges",
-        "trials", "trial_successes",
-        "cache_lookups", "cache_hits", "cache_misses", "cache_bytes",
-        "cache_distinct_classes",
-        "layout_dict_runs", "layout_csr_runs", "layout_kernel_runs",
-        "layout_fallbacks", "layout_entities", "layout_classes",
-        "kernel_runs", "kernel_vectorized", "kernel_fallbacks",
-        "kernel_entities", "kernel_classes",
-        "degradations",
-    )
-
-    def on_subrun(self, metrics: Dict[str, Any]) -> None:
-        m = self.metrics
-        m.subruns += 1
-        for name in self._SUBRUN_COUNTERS:
-            setattr(m, name, getattr(m, name) + metrics.get(name, 0))
-        m.degraded_reasons.extend(metrics.get("degraded_reasons", ()))
 
     def on_trial(self, index: int, succeeded: bool, failing_nodes: int) -> None:
         self.metrics.trials += 1

@@ -110,9 +110,6 @@ class TraceRecorder(Tracer):
     def on_cache(self, engine: str, stats: Dict[str, Any]) -> None:
         self._emit("cache", engine=engine, **stats)
 
-    def on_shard(self, index: int, items: int, seed: int) -> None:
-        self._emit("shard", index=index, items=items, seed=seed)
-
     def on_trial(self, index: int, succeeded: bool, failing_nodes: int) -> None:
         self._emit(
             "trial", index=index, succeeded=succeeded, failing_nodes=failing_nodes

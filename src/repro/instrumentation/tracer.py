@@ -37,9 +37,6 @@ on_layout           view engines, once per run, with the resolved
 on_kernel           kernel-layout runs, once per run, saying whether the
                     vectorized kernel or the exact Python fallback ran
 on_cache            cached engines, once per run, with lookup stats
-on_shard            sharded engine, once per dispatched shard
-on_subrun           sharded batch runs, once per worker-side request,
-                    with that subrun's folded metrics dict
 on_trial            finite runner, once per Monte Carlo trial
 on_stage            speedup pipeline, once per ladder stage
 on_run_end          every engine, once, after the result is assembled
@@ -146,40 +143,6 @@ class Tracer:
         even when the underlying cache is shared across runs.
         """
 
-    def on_shard(self, index: int, items: int, seed: int) -> None:
-        """The sharded engine dispatched one shard of work.
-
-        ``items`` counts the view-equivalence classes (or requests, for
-        batch runs) in the shard; ``seed`` is the shard's sha256-derived
-        seed (:func:`~repro.core.engine.derive_seed`'s scheme).
-        """
-
-    def on_degraded(self, engine: str, reason: str) -> None:
-        """A backend fell back to a slower-but-correct execution path.
-
-        Fired by the sharded engine whenever the process pool cannot be
-        used (or stops responding) and the run continues in-process:
-        ``reason`` is a short machine-checkable string
-        (``"unpicklable"``, ``"no-fork"``, ``"pool-error: ..."``).
-        Degradation never changes results — only how they were computed
-        — and the matching :class:`~repro.core.SimReport` carries the
-        same reason under ``info["degraded"]``.
-        """
-
-    def on_subrun(self, metrics: Dict[str, Any]) -> None:
-        """A fanned-out subrun finished; ``metrics`` is its folded summary.
-
-        Fired by the sharded engine's :meth:`~repro.core.engine.Engine.
-        run_many` once per request when a tracer is attached: each
-        worker-side run is observed by its own
-        :class:`~repro.instrumentation.metrics.MetricsTracer`, and the
-        resulting :meth:`~repro.instrumentation.metrics.RunMetrics.
-        to_dict` payload is relayed to the parent through this hook —
-        so cache/layout/kernel counters from worker processes are never
-        lost.  :class:`MetricsTracer` folds the additive counters into
-        the parent's :class:`~repro.instrumentation.metrics.RunMetrics`.
-        """
-
     def on_trial(self, index: int, succeeded: bool, failing_nodes: int) -> None:
         """One Monte Carlo trial of the finite runner finished."""
 
@@ -244,18 +207,6 @@ class MultiTracer(Tracer):
     def on_cache(self, engine: str, stats: Dict[str, Any]) -> None:
         for t in self.tracers:
             t.on_cache(engine, stats)
-
-    def on_shard(self, index: int, items: int, seed: int) -> None:
-        for t in self.tracers:
-            t.on_shard(index, items, seed)
-
-    def on_subrun(self, metrics: Dict[str, Any]) -> None:
-        for t in self.tracers:
-            t.on_subrun(metrics)
-
-    def on_degraded(self, engine: str, reason: str) -> None:
-        for t in self.tracers:
-            t.on_degraded(engine, reason)
 
     def on_trial(self, index: int, succeeded: bool, failing_nodes: int) -> None:
         for t in self.tracers:

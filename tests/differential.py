@@ -3,9 +3,7 @@
 The cache (:mod:`repro.local_model.cache`) claims that keying on the
 canonical view signature and broadcasting one computed output per
 distinct view class is indistinguishable from running the algorithm at
-every node; the sharded engine (:mod:`repro.core.sharded`) makes the
-same claim for its dedup-and-pool evaluation plan.  This module turns
-both claims into an executable oracle:
+every node.  This module turns that claim into an executable oracle:
 
 * :func:`grid` enumerates a (algorithm × graph family × radius ×
   labeling) case grid — id-driven, anonymous, and randomness-driven
@@ -17,9 +15,9 @@ both claims into an executable oracle:
   :class:`~repro.local_model.ExecutionResult`s agree **bit for bit** —
   outputs, halt rounds, and round count;
 * :func:`run_case_backends` / :func:`run_edge_case_backends` run the
-  same case once per :mod:`repro.core` backend (direct, cached,
-  sharded) and return the :class:`~repro.core.SimReport`s, whose
-  ``identity()`` projections must coincide;
+  same case once per :mod:`repro.core` backend (direct, cached) and
+  return the :class:`~repro.core.SimReport`s, whose ``identity()``
+  projections must coincide;
 * :func:`run_case_layouts` / :func:`run_edge_case_layouts` extend that
   comparison with the graph-layout axis: every (backend × layout)
   combination — the reference ``"dict"`` path and the batched
@@ -27,7 +25,7 @@ both claims into an executable oracle:
   bit (:func:`assert_layout_reports_identical`).
 
 ``tests/test_differential.py`` parametrizes over the full grid;
-``tests/test_engine_backends.py`` adds the three-backend comparison;
+``tests/test_engine_backends.py`` adds the backend comparison;
 ``python -m tests.differential`` (with ``src`` on the path) runs both
 standalone and prints a per-case table, which is handy when a cache or
 backend change needs forensic rather than pass/fail output.
@@ -80,7 +78,7 @@ __all__ = [
 
 #: Every interchangeable :mod:`repro.core` backend, in comparison order
 #: (``direct`` first: it is the reference semantics).
-BACKENDS = ("direct", "cached", "sharded")
+BACKENDS = ("direct", "cached")
 
 #: name -> zero-argument graph builder.  Sizes are chosen so the whole
 #: grid stays in CI-friendly territory while still covering high-girth,
@@ -183,7 +181,7 @@ def assert_identical(direct: Any, cached: Any, case: Case) -> None:
 
 
 # ----------------------------------------------------------------------
-# Three-backend comparison (direct vs cached vs sharded SimReports)
+# Backend comparison (direct vs cached SimReports)
 # ----------------------------------------------------------------------
 
 def build_request(case: Case) -> SimRequest:
@@ -264,11 +262,7 @@ def edge_cases() -> List[Tuple[str, int]]:
 
 
 def _edge_profile_output(view: Any) -> Tuple[int, int, int]:
-    """Edge output: ball size, edge count, minimum randomness.
-
-    A module-level function (not a lambda) so the algorithm pickles and
-    the sharded backend can ship it to pool workers.
-    """
+    """Edge output: ball size, edge count, minimum randomness."""
     return (view.node_count, len(view.edges), min(view.randomness))
 
 

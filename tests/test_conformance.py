@@ -1,10 +1,9 @@
 """Tests for the conformance subsystem (contracts, fuzzer, shrinker, CLI).
 
-The fault-injection suite has its own module
-(``test_conformance_faults.py``); this one covers the contract layer,
-case sampling/materialization, the check battery on known-good
-algorithms, shrinking of the planted broken fixture, repro artifacts,
-and the ``python -m repro.conformance`` entry point.
+Covers the contract layer, case sampling/materialization, the check
+battery on known-good algorithms, shrinking of the planted broken
+fixture, repro artifacts, and the ``python -m repro.conformance`` entry
+point.
 """
 
 import json
@@ -209,7 +208,7 @@ class TestRunCase:
             assert result.ok, (contract.algorithm, result.failures)
 
     def test_runs_all_backends(self):
-        assert BACKENDS == ("direct", "cached", "sharded")
+        assert BACKENDS == ("direct", "cached")
 
     def test_broken_fixture_fails_the_verifier(self):
         register_broken_fixture()
@@ -347,6 +346,15 @@ class TestCli:
     def test_small_fuzz_run_passes(self, capsys):
         assert conformance_main(["--cases", "10", "--seed", "0"]) == 0
         assert "10/10 cases passed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["--cases", "-5"],
+        ["--faults"],  # the retired fault-injection suite
+    ], ids=["negative-cases", "retired-faults"])
+    def test_usage_errors_exit_2(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            conformance_main(argv)
+        assert exc.value.code == 2
 
     def test_retired_delta_check_is_an_unknown_name(self):
         with pytest.raises(

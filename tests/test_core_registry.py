@@ -27,7 +27,6 @@ from repro.core import (
     DirectEngine,
     Registry,
     RegistryError,
-    ShardedEngine,
     SimRequest,
     build_graph,
     derive_seed,
@@ -172,19 +171,18 @@ class TestBuiltins:
 
 class TestEngineSeam:
     def test_engine_names_cover_all_backends(self):
-        assert ENGINE_NAMES == ("direct", "cached", "sharded")
+        assert ENGINE_NAMES == ("direct", "cached")
 
     def test_resolve_engine(self):
         assert isinstance(resolve_engine(None), DirectEngine)
         assert isinstance(resolve_engine("direct"), DirectEngine)
         assert isinstance(resolve_engine("cached"), CachedEngine)
-        assert isinstance(resolve_engine("sharded"), ShardedEngine)
         # Retired backends are unknown names, not silent aliases.
-        for retired in ("service", "incremental"):
+        for retired in ("service", "incremental", "sharded"):
             with pytest.raises(
                 ValueError,
                 match=rf"unknown engine '{retired}' \(have \('direct', "
-                r"'cached', 'sharded'\)\)",
+                r"'cached'\)\)",
             ):
                 resolve_engine(retired)
         engine = DirectEngine()
@@ -217,10 +215,6 @@ class TestEngineSeam:
                             seed=5, label="x")
         expected = random.Random(derive_seed(5, "x"))
         assert seeded.resolved_rng().random() == expected.random()
-
-    def test_sharded_engine_rejects_bad_shard_count(self):
-        with pytest.raises(ValueError):
-            ShardedEngine(shards=0)
 
     def test_simulate_reports_backend_name(self):
         from repro.algorithms.view_rules import make_view_rule

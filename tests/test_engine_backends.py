@@ -1,4 +1,4 @@
-"""Backend equivalence: direct, cached, and sharded are interchangeable.
+"""Backend equivalence: direct and cached are interchangeable.
 
 The engine seam's contract is that backend choice is a pure performance
 knob — for every simulation kind, every backend produces a
@@ -7,16 +7,11 @@ halt rounds, failing nodes) is bit-identical to the direct reference.
 This suite pins that contract:
 
 * the **node-model** grid of :mod:`tests.differential` (algorithm ×
-  graph family × radius × labeling), three backends per case;
+  graph family × radius × labeling), both backends per case;
 * the **edge-model** cases (``B_t(e)`` views over cycles, trees, tori,
-  and random regular graphs), three backends per case;
+  and random regular graphs), both backends per case;
 * **local** (message-passing) and **finite** (oriented-ball) kinds,
-  which the cached and sharded backends must pass through untouched;
-* the sharded backend's **degradation path**: unpicklable algorithms
-  fall back to in-process evaluation (``info["pooled"] is False``) with
-  identical results;
-* ``run_many`` batching, which shards whole requests instead of view
-  classes.
+  which the cached backend must pass through untouched.
 """
 
 from __future__ import annotations
@@ -26,17 +21,15 @@ import random
 import pytest
 
 from repro.algorithms.message_passing import LubyMIS
-from repro.core import ShardedEngine, SimRequest, simulate
+from repro.core import SimRequest, simulate
 from repro.graphs import toroidal_grid, orient_torus
 from repro.graphs.identifiers import random_permutation_ids
-from repro.local_model import ViewAlgorithm
 from repro.speedup import local_maximum_coloring
 
 from .differential import (
     BACKENDS,
     GRAPH_FAMILIES,
     assert_reports_identical,
-    build_request,
     edge_cases,
     grid,
     run_case_backends,
@@ -45,18 +38,16 @@ from .differential import (
 
 
 # ----------------------------------------------------------------------
-# Node model: the full differential grid, three backends per case
+# Node model: the full differential grid, both backends per case
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("case", grid(), ids=lambda c: c.case_id)
 def test_backends_bit_identical_on_node_grid(case):
     reports = run_case_backends(case)
     assert_reports_identical(reports, case.case_id)
-    # The non-direct backends really deduplicated: their class counts
-    # agree with each other and never exceed the node count.
+    # The cached backend really deduplicated: its class count never
+    # exceeds the node count.
     cached_classes = reports["cached"].info["distinct_classes"]
-    sharded_classes = reports["sharded"].info["distinct_classes"]
-    assert cached_classes == sharded_classes
     assert 1 <= cached_classes <= len(reports["direct"].outputs)
 
 
@@ -70,10 +61,9 @@ def test_backends_bit_identical_on_node_grid(case):
 def test_backends_bit_identical_on_edge_model(graph_name, rounds):
     reports = run_edge_case_backends(graph_name, rounds)
     assert_reports_identical(reports, f"edge-t{rounds}-{graph_name}")
-    for backend in ("cached", "sharded"):
-        assert reports[backend].info["distinct_classes"] <= len(
-            reports["direct"].outputs
-        )
+    assert reports["cached"].info["distinct_classes"] <= len(
+        reports["direct"].outputs
+    )
 
 
 # ----------------------------------------------------------------------
@@ -110,68 +100,3 @@ def test_backends_bit_identical_on_finite_kind():
     }
     assert_reports_identical(reports, "finite-torus")
     assert reports["direct"].failing_nodes is not None
-
-
-# ----------------------------------------------------------------------
-# Sharded specifics: degradation and batching
-# ----------------------------------------------------------------------
-
-class _LambdaRule(ViewAlgorithm):
-    """A view rule holding a lambda: deliberately unpicklable."""
-
-    def __init__(self):
-        self.radius = 1
-        self.name = "lambda-rule"
-        self._fn = lambda view: view.node_count  # noqa: E731
-
-    def output(self, view):
-        return self._fn(view)
-
-
-def test_sharded_degrades_to_in_process_for_unpicklable_algorithms():
-    graph = GRAPH_FAMILIES["torus5x6"]()
-    request = SimRequest(kind="view", graph=graph, algorithm=_LambdaRule(),
-                         label="unpicklable")
-    direct = simulate(request, engine="direct")
-    sharded = simulate(request, engine="sharded")
-    assert sharded.info["pooled"] is False
-    assert sharded.identity() == direct.identity()
-
-
-def test_sharded_degrades_to_in_process_inside_daemonic_workers(monkeypatch):
-    # The experiment runner's --jobs workers are daemonic and cannot
-    # spawn children; the engine must fall back, not crash.
-    from repro.core import sharded as sharded_mod
-
-    monkeypatch.setattr(sharded_mod, "_can_fork", lambda: False)
-    case = next(c for c in grid() if c.graph == "torus5x6" and c.radius == 2)
-    request = build_request(case)
-    direct = simulate(request, engine="direct")
-    degraded = simulate(request, engine="sharded")
-    assert degraded.info["pooled"] is False
-    assert degraded.identity() == direct.identity()
-
-
-def test_sharded_pools_picklable_algorithms():
-    case = next(c for c in grid() if c.graph == "torus5x6" and c.radius == 2)
-    reports = run_case_backends(case)
-    assert reports["sharded"].info["pooled"] is True
-
-
-def test_run_many_matches_per_request_runs():
-    cases = [c for c in grid() if c.graph == "cycle24"][:4]
-    requests = [build_request(c) for c in cases]
-    engine = ShardedEngine()
-    batched = engine.run_many(requests)
-    singles = [simulate(build_request(c)) for c in cases]
-    assert len(batched) == len(singles)
-    for got, want in zip(batched, singles):
-        assert got.identity() == want.identity()
-
-
-def test_sharded_shard_seeds_are_deterministic():
-    engine = ShardedEngine(shards=3)
-    request = build_request(grid()[0])
-    seeds = engine._shard_seeds(request, 3)
-    assert seeds == engine._shard_seeds(request, 3)
-    assert len(set(seeds)) == 3

@@ -208,7 +208,7 @@ class TestListCLI:
         for registry in (ALGORITHMS, GRAPH_FAMILIES, PROBLEMS, REPORTS):
             for name in registry.names():
                 assert name in out
-        for backend in ("direct", "cached", "sharded"):
+        for backend in ("direct", "cached"):
             assert backend in out
 
     def test_list_does_not_run_any_experiment(self, capsys):

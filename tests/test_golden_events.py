@@ -5,8 +5,7 @@ diagnostics, so the differential grid cannot notice a backend that
 still computes the right outputs but reports a different story: views
 materialized around other centres or in another order, layout or
 kernel payloads that moved, cache lookups counted per class instead of
-per entity, shard seeds derived from another label.  Every recorded
-trace artifact depends on that story.
+per entity.  Every recorded trace artifact depends on that story.
 
 This table is the tripwire: one run per (backend × layout × case)
 cell, recorded with a :class:`~repro.instrumentation.TraceRecorder`
@@ -27,32 +26,26 @@ from typing import Any, Dict, Tuple
 import pytest
 
 from repro.algorithms.view_rules import make_view_rule
-from repro.core import CachedEngine, DirectEngine, ShardedEngine, SimRequest
+from repro.core import CachedEngine, DirectEngine, SimRequest
 from repro.graphs import toroidal_grid
 from repro.graphs.identifiers import random_permutation_ids
 from repro.instrumentation import TraceRecorder
 from repro.local_model import EdgeViewAlgorithm
 
-BACKENDS = ("direct", "cached", "sharded")
+BACKENDS = ("direct", "cached")
 LAYOUTS = ("dict", "csr", "kernel")
 CASES = ("view-ids", "edge-ids", "view-anon", "edge-anon")
 
 
 class _FullRecorder(TraceRecorder):
-    """A recorder that also keeps the kernel and degradation events."""
+    """A recorder that also keeps the kernel events."""
 
     def on_kernel(self, engine: str, algorithm: str, info: Dict[str, Any]) -> None:
         self._emit("kernel", engine=engine, algorithm=algorithm, **info)
 
-    def on_degraded(self, engine: str, reason: str) -> None:
-        self._emit("degraded", engine=engine, reason=reason)
-
 
 def _edge_output(view: Any) -> Tuple[int, int, int]:
-    """Ball size, edge count, and the smallest random value in sight.
-
-    Module-level (not a lambda) so the sharded pool can pickle it.
-    """
+    """Ball size, edge count, and the smallest random value in sight."""
     return (view.node_count, len(view.edges), min(view.randomness))
 
 
@@ -83,23 +76,13 @@ def _request(case: str, layout: str) -> SimRequest:
     )
 
 
-def _engine(backend: str):
-    if backend == "direct":
-        return DirectEngine()
-    if backend == "cached":
-        return CachedEngine()
-    return ShardedEngine(shards=2)
+_ENGINES = {"direct": DirectEngine, "cached": CachedEngine}
 
 
 def record_stream(backend: str, layout: str, case: str) -> str:
     """The canonical JSON of one cell's event stream."""
-    engine = _engine(backend)
     recorder = _FullRecorder()
-    try:
-        engine.run(_request(case, layout), tracer=recorder)
-    finally:
-        if isinstance(engine, ShardedEngine):
-            engine.close()
+    _ENGINES[backend]().run(_request(case, layout), tracer=recorder)
     return json.dumps(
         [e.to_dict() for e in recorder.events],
         sort_keys=True,
@@ -162,30 +145,6 @@ GOLDEN_EVENTS = {
         'eb9dc662b4544a5a989871689b65e5261581a6bafb97c7ef1a41ac0e2b902d97',
     ('cached', 'kernel', 'edge-anon'):
         'a893c2cb6145d6279a249ef7ae55e0388fc55215f7ef237a34202a655bcaa6be',
-    ('sharded', 'dict', 'view-ids'):
-        '6625bfc3638d8e53aa8447af6cfcbe441d8c5712bbe7bb5c37a1e55ff2a5bc2c',
-    ('sharded', 'dict', 'edge-ids'):
-        '332fb875be09a877ff7fdd70506cf2222e43ecb15e1248d1bcbc3bb617b6e077',
-    ('sharded', 'dict', 'view-anon'):
-        '4af32e4ca6c4a24d28baa1698d5741eeef7ecd8b2b065da86473196f2033198b',
-    ('sharded', 'dict', 'edge-anon'):
-        '2ffcde89bc0d8a4124ee4f9d7e3c4825ff8657db4c0c395aa6b03544665bbbe5',
-    ('sharded', 'csr', 'view-ids'):
-        '213bf2b4b224c9bf92e88ff390da9caa5e711535949b1ad7213c2b78a84748cf',
-    ('sharded', 'csr', 'edge-ids'):
-        '069fbbb0ee7fbec371bd80d16eb5107d2aa68a5ff76a15ca1768a85ae25c0d0c',
-    ('sharded', 'csr', 'view-anon'):
-        '9a6d4abc5f3560c52dd9d57461203f76503a50b448dc157ea29e59e27781a574',
-    ('sharded', 'csr', 'edge-anon'):
-        'ff646ec5590a0bb56629b470ef9d7c642ca0bdaffa628c14eea159239684bcce',
-    ('sharded', 'kernel', 'view-ids'):
-        '3e7dd5ab7f168ebfc74aa12076f47e4e98d0fe516de5bbc1690f08a00b6d41fc',
-    ('sharded', 'kernel', 'edge-ids'):
-        '89bb7d382c7cdaa2d8e4e2dd4b54f3974b40f857b34b2ce6d35989edf5c67b1c',
-    ('sharded', 'kernel', 'view-anon'):
-        '0315be8f067031426089e0d909be2e2ded512c4ef2aee2f5ff5d30593194b0c8',
-    ('sharded', 'kernel', 'edge-anon'):
-        'e4e0b91879266a65037595456a707d33fc53f0b1ef2e2f51e53a845f62c70503',
 }
 
 

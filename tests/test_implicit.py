@@ -418,30 +418,6 @@ def test_local_rng_streams_identical(handle):
         assert got.halt_rounds == want.halt_rounds
 
 
-def test_sharded_backend_accepts_implicit_handles():
-    handle = ImplicitCycle(12)
-    twin = handle.materialized()
-    from repro.algorithms.view_rules import make_view_rule
-
-    got = simulate(
-        SimRequest(
-            kind="view", graph=handle,
-            algorithm=make_view_rule("ball-signature", radius=1),
-            label="implicit-sharded",
-        ),
-        engine="sharded",
-    )
-    want = simulate(
-        SimRequest(
-            kind="view", graph=twin,
-            algorithm=make_view_rule("ball-signature", radius=1),
-            label="implicit-sharded",
-        ),
-        engine="sharded",
-    )
-    assert got.outputs == want.outputs
-
-
 # ----------------------------------------------------------------------
 # Guards: materialization never sneaks past the limit
 # ----------------------------------------------------------------------

@@ -199,9 +199,9 @@ class TestSizeEstimation:
 class TestJsonRoundTrips:
     def test_from_dict_ignores_unknown_keys(self):
         # An artifact written by a newer version (extra counters), or by
-        # an older one that still carried the retired service_* or
-        # delta_* counters, must load on this one rather than raise
-        # TypeError.
+        # an older one that still carried the retired service_*, delta_*
+        # or process-pool counters, must load on this one rather than
+        # raise TypeError.
         graph = cycle(12)
         tracer = MetricsTracer()
         run_local(graph, Broadcast(2), tracer=tracer)
@@ -224,12 +224,16 @@ class TestJsonRoundTrips:
             "delta_classes_invalidated": 3,
             "delta_cache_survivors": 5,
             "delta_changed_nodes": 4,
+            "subruns": 3,
+            "shards": 2,
+            "degradations": 1,
+            "degraded_reasons": ["unpicklable"],
         }
         for data in (newer, older):
             restored = RunMetrics.from_dict(data)
             assert restored == tracer.metrics
 
-    def test_cache_and_shard_counters_round_trip(self):
+    def test_cache_counters_round_trip(self):
         from repro.algorithms.view_rules import BallSignatureColoring
         from repro.core import SimRequest, simulate
 
@@ -237,7 +241,7 @@ class TestJsonRoundTrips:
         tracer = MetricsTracer(per_round=False)
         request = SimRequest(kind="view", graph=graph,
                              algorithm=BallSignatureColoring(radius=1))
-        simulate(request, engine="sharded", tracer=tracer)
+        simulate(request, engine="cached", tracer=tracer)
         data = json.loads(json.dumps(tracer.metrics.to_dict()))
         restored = RunMetrics.from_dict(data)
         assert restored.cache_lookups == tracer.metrics.cache_lookups == graph.n
@@ -247,7 +251,6 @@ class TestJsonRoundTrips:
             tracer.metrics.cache_distinct_classes
         )
         assert restored.cache_hit_rate == tracer.metrics.cache_hit_rate
-        assert restored.shards == tracer.metrics.shards > 0
 
     def test_metrics_round_trip(self):
         graph = balanced_regular_tree(3, 3)
@@ -409,9 +412,11 @@ class TestCliContract:
     def test_usage_error_exit_code_2(self):
         from repro.experiments.__main__ import main
 
-        with pytest.raises(SystemExit) as exc:
-            main(["--jobs", "not-a-number"])
-        assert exc.value.code == 2
+        # A malformed value, and the retired process-pool backend.
+        for argv in (["--jobs", "not-a-number"], ["--engine", "sharded"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
     def test_jobs_zero_rejected(self):
         from repro.experiments.__main__ import main

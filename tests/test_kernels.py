@@ -24,8 +24,7 @@ speed.  This suite turns that claim into properties:
   with no kernel (including non-integer outputs through
   :func:`~repro.local_model.kernels.broadcast_table`'s list path);
 * **observability** — ``on_kernel`` events populate the ``kernel_*``
-  metrics counters, and the sharded batch path folds worker-side
-  counters into the parent via ``on_subrun`` (pooled *and* degraded);
+  metrics counters;
 * **multi-radius reuse** — ``node_classes_many`` partitions feed
   per-radius kernels with no stale label state between radii;
 * the conformance ``broken-kernel-views`` fixture really does diverge
@@ -54,7 +53,6 @@ from repro.algorithms.view_rules import LocalMaximumRule, make_view_rule
 from repro.core import SimRequest, simulate
 from repro.core.cached import CachedEngine
 from repro.core.direct import DirectEngine
-from repro.core.sharded import ShardedEngine
 from repro.graphs import Graph, balanced_regular_tree, cycle, path
 from repro.graphs.identifiers import random_permutation_ids
 from repro.instrumentation.metrics import MetricsTracer
@@ -306,7 +304,7 @@ def test_unfrozen_graph_falls_back_identically():
 
 
 def test_direct_auto_never_escalates():
-    """Auto-escalation is the memoizing backends' move; direct stays put."""
+    """Auto-escalation is the cached backend's move; direct stays put."""
     request = SimRequest(
         kind="local",
         graph=cycle(8),
@@ -336,7 +334,7 @@ def test_view_kernel_matches_dict_layout(rule_name, labeling, radius):
         }[labeling]
         request = SimRequest(kind="view", graph=graph, algorithm=rule, **labels)
         reference = simulate(replace(request, layout="dict"))
-        for backend in ("direct", "cached", "sharded"):
+        for backend in ("direct", "cached"):
             report = simulate(replace(request, layout="kernel"), engine=backend)
             assert report.identity() == reference.identity(), (
                 f"{rule_name}-r{radius} diverges on {backend}/kernel"
@@ -473,68 +471,6 @@ def test_kernel_fallback_metrics_counters():
     assert m.kernel_runs == 1
     assert m.kernel_fallbacks == 1
     assert m.kernel_vectorized == 0
-
-
-# ----------------------------------------------------------------------
-# Sharded batches fold worker-side metrics into the parent (the
-# regression: workers used to run untraced, so the parent read zeros)
-# ----------------------------------------------------------------------
-
-def _batch_requests(n_requests=3):
-    graph = cycle(16)
-    return [
-        SimRequest(
-            kind="view",
-            graph=graph,
-            algorithm=make_view_rule("local-max", radius=1),
-            ids=list(range(16)),
-            label=f"batch-{i}",
-        )
-        for i in range(n_requests)
-    ]
-
-
-def test_sharded_run_many_folds_worker_metrics():
-    engine = ShardedEngine(shards=2, inner="cached")
-    try:
-        tracer = MetricsTracer()
-        reports = engine.run_many(_batch_requests(3), tracer=tracer)
-    finally:
-        engine.close()
-    assert len(reports) == 3
-    m = tracer.metrics
-    assert m.subruns == 3
-    # Cache activity happened inside workers; folding makes it visible.
-    assert m.cache_lookups == 3 * 16
-    assert m.cache_hits > 0
-
-
-def test_sharded_run_many_degraded_path_folds_metrics():
-    """Unpicklable payloads force the in-process path; same contract."""
-    graph = cycle(10)
-    randomness = [3] * 10
-    requests = [
-        SimRequest(
-            kind="edge",
-            graph=graph,
-            # A lambda cannot cross a process boundary: degrade.
-            algorithm=EdgeViewAlgorithm(1, lambda view: view.node_count),
-            randomness=randomness,
-            label=f"deg-{i}",
-        )
-        for i in range(3)
-    ]
-    engine = ShardedEngine(shards=2, inner="cached")
-    try:
-        tracer = MetricsTracer()
-        reports = engine.run_many(requests, tracer=tracer)
-    finally:
-        engine.close()
-    assert all("degraded" in r.info for r in reports)
-    m = tracer.metrics
-    assert m.subruns == 3
-    assert m.degradations >= 1
-    assert m.cache_lookups == 3 * 10
 
 
 # ----------------------------------------------------------------------

@@ -27,31 +27,12 @@ GOLDEN = {
     (123456789, "conformance:luby-mis"): 13010097619980731149,
     (-7, "negative-base"): 11198832648702197070,
     (2**63, "big-base"): 15165842683223383362,
-    # Sharded-engine shard seeds (f"{label}:{kind}:shard-{i}") for the
-    # batched-view fan-out: the CSR layout changes *how* classes are
-    # detected, never which seed a shard evaluates under.
+    # Multi-part labels (f"{label}:{kind}:shard-{i}"): colons and
+    # embedded indices must hash exactly like any other label.
     (0, "csr-parity:view:shard-0"): 8877914581975635878,
     (0, "csr-parity:view:shard-1"): 18312293899060393529,
     (0, "csr-parity:edge:shard-0"): 6504253960809091843,
     (7, "bench-csr:view:shard-2"): 5431547783688781935,
-}
-
-# Delta-chain seeds: a seeded delta chain draws its per-step mutation
-# RNG from derive_seed(base, f"delta-{step}") (or, per case,
-# f"{case_id}:delta-{step}") and feeds it to random_delta.  These pins
-# freeze the replayable mutation surface: a recorded chain must keep
-# meaning the same edge flips forever.
-GOLDEN_DELTA = {
-    (0, "delta-0"): 12337490131408107686,
-    (0, "delta-1"): 7959757194295194756,
-    (0, "delta-7"): 17945920780345780611,
-    (1, "delta-0"): 13375119850343404296,
-    (42, "delta-3"): 7956202219129321057,
-    (0, "ball-signature-r2-cycle24-anonymous:delta-0"): 15027493840121054896,
-    (0, "ball-signature-r2-cycle24-anonymous:delta-1"): 8218961485147617807,
-    (0, "local-max-r1-tree3d3-ids:delta-0"): 16424448999603291166,
-    (0, "edge-t2-torus5x6:delta-0"): 2334578590427418611,
-    (123456789, "delta-0"): 2211226511165810134,
 }
 
 
@@ -76,38 +57,6 @@ def test_cell_seed_delegates_to_derive_seed():
 def test_distinct_labels_distinct_seeds():
     seeds = {derive_seed(0, f"case-{i}") for i in range(256)}
     assert len(seeds) == 256
-
-
-def test_delta_seeds_match_golden_table():
-    for (base, label), expected in GOLDEN_DELTA.items():
-        assert derive_seed(base, label) == expected, (base, label)
-
-
-def test_random_delta_draw_order_is_pinned():
-    # random_delta's per-op-kind draw sequence is part of the replayable
-    # surface (see its docstring).  This pins the exact op stream one
-    # seeded RNG produces on cycle(8): reordering the draws, adding one,
-    # or changing the feasibility-kind order would silently re-randomize
-    # every recorded delta chain.
-    import random
-
-    from repro.graphs import cycle, random_delta
-
-    graph = cycle(8)
-    rng = random.Random(derive_seed(0, "delta-0"))
-    randomness = [7] * 8
-    drawn = []
-    for _ in range(4):
-        delta = random_delta(graph, rng, randomness=randomness, max_ops=2)
-        drawn.append(delta.ops)
-        graph = delta.apply()
-        _, _, randomness = delta.apply_to_labels(None, None, randomness)
-    assert drawn == [
-        (("add", 5, 7), ("add", 1, 4)),
-        (("add", 4, 6),),
-        (("add", 0, 6),),
-        (("set_randomness", 7, 1247899262), ("add", 3, 7)),
-    ]
 
 
 # Batched-trial pins: the speedup trial kernel promises that
@@ -173,29 +122,3 @@ def test_batched_trial_draws_and_outcomes_match_golden_table():
             tracer=rec, layout="kernel",
         )
         assert tuple(rec.failing) == failing, (name, seed)
-
-
-def test_shard_seeds_are_layout_independent():
-    # The sharded engine derives shard seeds from (seed, label, kind,
-    # shard index) only — switching the class-detection layout between
-    # "dict" and "csr" must not move any shard onto a different seed,
-    # or every recorded sharded artifact would silently re-randomize.
-    from repro.algorithms.view_rules import make_view_rule
-    from repro.core.engine import SimRequest
-    from repro.core.sharded import ShardedEngine
-
-    from repro.graphs import cycle
-
-    engine = ShardedEngine(shards=2)
-    rule = make_view_rule("ball-signature", radius=1)
-    seeds = {}
-    for layout in ("dict", "csr"):
-        request = SimRequest(
-            kind="view", graph=cycle(8), algorithm=rule,
-            seed=0, layout=layout, label="csr-parity",
-        )
-        seeds[layout] = engine._shard_seeds(request, 2)
-    assert seeds["dict"] == seeds["csr"] == [
-        GOLDEN[(0, "csr-parity:view:shard-0")],
-        GOLDEN[(0, "csr-parity:view:shard-1")],
-    ]

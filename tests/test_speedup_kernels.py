@@ -16,14 +16,14 @@ suite turns that claim into properties:
 * **decline exactness** — assignments too wide to encode in an int64
   key fall back to the scalar loop bit-identically;
 * **engine parity** — ``finite`` requests through the explicit
-  ``layout="kernel"`` path and the memoizing backends' auto-escalation
+  ``layout="kernel"`` path and the cached backend's auto-escalation
   reproduce the direct reference report (outputs, failing nodes, and
   ``info`` markers);
 * **failure parity** — ``node_local_failure`` / ``edge_local_failure``
   and the full speedup pipeline produce identical estimates and rng
   streams under ``layout="kernel"``;
 * **observability** — finite kernel runs populate the ``kernel_*``
-  metrics counters through the sharded engine.
+  metrics counters through the cached engine.
 
 The golden draw-order pins live in ``tests/test_seed_stability.py``.
 """
@@ -40,7 +40,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core import SimRequest
 from repro.core.cached import CachedEngine
 from repro.core.direct import DirectEngine
-from repro.core.sharded import ShardedEngine
 from repro.graphs.generators import toroidal_grid
 from repro.graphs.orientation import orient_torus
 from repro.instrumentation.metrics import MetricsTracer
@@ -195,10 +194,8 @@ def test_finite_kernel_backend_parity(alg, shape, seed):
     reference = DirectEngine().run(request)
     kernel = DirectEngine().run(replace(request, layout="kernel"))
     cached = CachedEngine().run(request)
-    sharded = ShardedEngine().run(request)
     assert kernel.identity() == reference.identity()
     assert cached.identity() == reference.identity()
-    assert sharded.identity() == reference.identity()
     assert "kernel" not in reference.info  # direct default: clean info
     assert kernel.info["kernel"] == "vectorized"
     assert cached.info["kernel"] == "vectorized"  # auto-escalation
@@ -278,7 +275,7 @@ def test_pipeline_kernel_layout_reproduces_reference_stages():
 
 
 # ----------------------------------------------------------------------
-# Observability: kernel_* metrics through the sharded engine
+# Observability: kernel_* metrics through the cached engine
 # ----------------------------------------------------------------------
 
 def _finite_request(seed=11):
@@ -290,11 +287,11 @@ def _finite_request(seed=11):
                       orientation=orientation, values=values)
 
 
-def test_sharded_engine_counts_finite_kernel_runs():
+def test_cached_engine_counts_finite_kernel_runs():
     tracer = MetricsTracer()
     request = _finite_request()
     reference = DirectEngine().run(request)
-    report = ShardedEngine().run(request, tracer=tracer)
+    report = CachedEngine().run(request, tracer=tracer)
     assert report.identity() == reference.identity()
     assert tracer.metrics.kernel_runs == 1
     assert tracer.metrics.kernel_vectorized == 1
