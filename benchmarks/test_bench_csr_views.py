@@ -1,12 +1,12 @@
 """Benchmark regression guard for the batched CSR view core.
 
-Measures what the CSR layout actually replaces: *class detection* — the
-per-entity ``view_signature`` / ``edge_view_signature`` scan that the
-memoizing backends spend their time in — against the batched
+Measures what the batched expander actually replaces: *class
+detection* — the per-entity ``view_signature`` / ``edge_view_signature``
+scan — against the batched
 :class:`~repro.local_model.batch_views.BatchBallExpander` partition
-over the compiled :class:`~repro.graphs.csr.CSRGraph` arrays, on the
-same Δ ∈ {4, 6} balanced regular trees the view-cache benchmark pins
-(n=4373 and n=4687, radius 2).  Asserts
+over the compiled :class:`~repro.graphs.csr.CSRGraph` arrays (the
+partition the ``"kernel"`` layout evaluates), on Δ ∈ {4, 6} balanced
+regular trees (n=4373 and n=4687, radius 2).  Asserts
 
 * the headline claim: **>= 2.5x speedup** on both node-class cells —
   the numbers ``docs/PERFORMANCE.md`` quotes;
@@ -15,16 +15,9 @@ same Δ ∈ {4, 6} balanced regular trees the view-cache benchmark pins
   ``benchmarks/BENCH_csr_views.json``) — a ratio of two timings on the
   same machine, so machine-independent;
 * exactness, every repeat: the batched partition is bit-identical to
-  the reference-signature partition (same labels, same class count),
-  and the end-to-end cached-engine cell produces identical reports on
-  both layouts;
+  the reference-signature partition (same labels, same class count);
 * determinism: class counts match the baseline *exactly* — they depend
   only on the graph, never on the machine.
-
-The ``*-cached-run-*`` cell tracks the end-to-end engine win
-(trajectory-guarded only: it includes per-miss gathers and cache
-lookups common to both layouts, so its ratio is structurally smaller
-than the class-detection cells').
 
 Run with ``BENCH_UPDATE=1`` to append the current measurements as a new
 trajectory entry (and commit the json); plain runs never write.
@@ -39,9 +32,6 @@ from typing import Any, Dict
 
 import pytest
 
-from repro.algorithms.view_rules import make_view_rule
-from repro.core.cached import CachedEngine
-from repro.core.engine import SimRequest
 from repro.graphs import balanced_regular_tree
 from repro.local_model.batch_views import BatchBallExpander
 from repro.local_model.views import edge_view_signature, view_signature
@@ -49,9 +39,8 @@ from repro.local_model.views import edge_view_signature, view_signature
 BENCH_PATH = os.path.join(os.path.dirname(__file__), "BENCH_csr_views.json")
 
 #: The measured grid.  Keep keys stable: they index the json trajectory.
-#: ``measure`` selects what the cell times: a node / edge class
-#: partition (reference scan vs batched expander) or an end-to-end
-#: cached-engine run (dict vs csr layout).
+#: ``measure`` selects what the cell times: a node or an edge class
+#: partition (reference scan vs batched expander).
 CONFIGS = {
     "tree-d4-node-classes-r2": {
         "delta": 4, "depth": 7, "radius": 2, "measure": "node-classes",
@@ -61,9 +50,6 @@ CONFIGS = {
     },
     "tree-d4-edge-classes-r2": {
         "delta": 4, "depth": 7, "radius": 2, "measure": "edge-classes",
-    },
-    "tree-d4-cached-run-r2": {
-        "delta": 4, "depth": 7, "radius": 2, "measure": "cached-run",
     },
 }
 
@@ -91,8 +77,8 @@ def _assert_partition_exact(part, signatures) -> int:
 
 
 def _measure_node_classes(graph, radius: int) -> Dict[str, Any]:
-    # One expander for all repeats, exactly like the engines (they
-    # cache it on the graph's CSRGraph via ``expander_for``).
+    # One expander for all repeats, exactly like the engine (it caches
+    # it on the graph's CSRGraph via ``expander_for``).
     expander = BatchBallExpander(graph)
     ref_times, csr_times = [], []
     for _ in range(_REPEATS):
@@ -125,29 +111,9 @@ def _measure_edge_classes(graph, radius: int) -> Dict[str, Any]:
     return _cell(graph, ref_times, csr_times, classes)
 
 
-def _measure_cached_run(graph, radius: int) -> Dict[str, Any]:
-    rule = make_view_rule("ball-signature", radius=radius)
-    ref_times, csr_times = [], []
-    for _ in range(_REPEATS):
-        reports = {}
-        for layout, times in (("dict", ref_times), ("csr", csr_times)):
-            request = SimRequest(
-                kind="view", graph=graph, algorithm=rule, layout=layout,
-                label="bench-csr",
-            )
-            engine = CachedEngine()  # fresh memo table per timing
-            start = time.perf_counter()
-            reports[layout] = engine.run(request)
-            times.append(time.perf_counter() - start)
-        assert reports["csr"].identity() == reports["dict"].identity()
-        classes = reports["csr"].info["distinct_classes"]
-    return _cell(graph, ref_times, csr_times, classes)
-
-
 _MEASURES = {
     "node-classes": _measure_node_classes,
     "edge-classes": _measure_edge_classes,
-    "cached-run": _measure_cached_run,
 }
 
 

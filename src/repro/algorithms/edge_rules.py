@@ -7,7 +7,7 @@ both endpoints — to the edge's output label.  No honest constant-round
 rule in this module *solves* one of those LCLs (that impossibility is
 the paper's point), so none declares ``solves=``; the rules exist to
 give the conformance fuzzer and the differential harness registered
-``kind="edge"`` entries that exercise every backend's edge path.
+``kind="edge"`` entries that exercise every layout's edge path.
 """
 
 from __future__ import annotations
@@ -47,8 +47,7 @@ def edge_parity_output(view: Any) -> int:
                     ),
                     # NOT label-order invariant: outputs embed the raw
                     # minimum randomness value, not just comparisons.
-                    invariances=("determinism", "backend-identity",
-                                 "port-permutation"))
+                    invariances=("determinism", "port-permutation"))
 def edge_profile(rounds: int = 1) -> EdgeViewAlgorithm:
     """A ``rounds``-round edge rule summarizing the edge's ball."""
     return EdgeViewAlgorithm(
@@ -66,8 +65,8 @@ def edge_profile(rounds: int = 1) -> EdgeViewAlgorithm:
                         {"graph": "torus", "rows": (3, 5), "cols": (3, 5)},
                         {"graph": "hypercube", "dim": (1, 4)},
                     ),
-                    invariances=("determinism", "backend-identity",
-                                 "port-permutation", "label-order"))
+                    invariances=("determinism", "port-permutation",
+                                 "label-order"))
 def edge_parity(rounds: int = 1) -> EdgeViewAlgorithm:
     """An anonymous ``rounds``-round edge rule (pure topology)."""
     return EdgeViewAlgorithm(

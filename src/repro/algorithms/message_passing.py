@@ -109,8 +109,8 @@ class ColeVishkinMP(LocalAlgorithm):
                         {"graph": "torus", "rows": (3, 5), "cols": (3, 5)},
                         {"graph": "hypercube", "dim": (1, 4)},
                     ),
-                    invariances=("determinism", "backend-identity",
-                                 "port-permutation", "label-order"))
+                    invariances=("determinism", "port-permutation",
+                                 "label-order"))
 class LubyMIS(LocalAlgorithm):
     """Luby's randomized maximal independent set.
 
@@ -181,8 +181,8 @@ class LubyMIS(LocalAlgorithm):
                         {"graph": "torus", "rows": (3, 5), "cols": (3, 5)},
                         {"graph": "hypercube", "dim": (1, 4)},
                     ),
-                    invariances=("determinism", "backend-identity",
-                                 "port-permutation", "label-order"))
+                    invariances=("determinism", "port-permutation",
+                                 "label-order"))
 class GreedySequentialColoring(LocalAlgorithm):
     """Greedy (Delta+1)-coloring by identifier priority.
 
@@ -240,8 +240,7 @@ class GreedySequentialColoring(LocalAlgorithm):
                         {"graph": "torus", "rows": (3, 5), "cols": (3, 5)},
                         {"graph": "hypercube", "dim": (1, 4)},
                     ),
-                    invariances=("determinism", "backend-identity",
-                                 "port-permutation"))
+                    invariances=("determinism", "port-permutation"))
 class RandomizedWeakColoring(LocalAlgorithm):
     """Anonymous randomized weak 2-coloring by retry.
 
@@ -318,8 +317,8 @@ class RandomizedWeakColoring(LocalAlgorithm):
                          "cols": (4, 6, 2)},
                         {"graph": "hypercube", "dim": (1, 4)},
                     ),
-                    invariances=("determinism", "backend-identity",
-                                 "port-permutation", "label-order"))
+                    invariances=("determinism", "port-permutation",
+                                 "label-order"))
 class FloodLeaderParity(LocalAlgorithm):
     """Proper 2-coloring: flood the minimum identifier with distances.
 

@@ -6,7 +6,7 @@ on family F" — and this package checks all of them mechanically:
 
 * :mod:`~repro.conformance.contracts` reads the declarations;
 * :mod:`~repro.conformance.fuzzer` samples randomized cases and checks
-  halting, the LCL verifier, cross-backend bit-identity, determinism,
+  halting, the LCL verifier, cross-layout bit-identity, determinism,
   and declared metamorphic invariances;
 * :mod:`~repro.conformance.shrink` delta-debugs failures to minimal
   counterexamples;
@@ -27,16 +27,8 @@ from .contracts import (
     collect_contracts,
     contract_for,
 )
-from .fixtures import (
-    BROKEN_CSR,
-    BROKEN_CSR_LAYOUT,
-    BROKEN_MIS,
-    register_broken_fixture,
-    register_broken_layout_fixture,
-)
+from .fixtures import BROKEN_MIS, register_broken_fixture
 from .fuzzer import (
-    BACKENDS,
-    LAYOUT_BACKENDS,
     CaseResult,
     CaseSpec,
     CheckFailure,
@@ -48,11 +40,7 @@ from .fuzzer import (
 from .shrink import ShrinkResult, minimal_repro, shrink_case
 
 __all__ = [
-    "BACKENDS",
-    "BROKEN_CSR",
-    "BROKEN_CSR_LAYOUT",
     "BROKEN_MIS",
-    "LAYOUT_BACKENDS",
     "KNOWN_INVARIANCES",
     "REPRO_SCHEMA",
     "CaseResult",
@@ -67,7 +55,6 @@ __all__ = [
     "materialize_case",
     "minimal_repro",
     "register_broken_fixture",
-    "register_broken_layout_fixture",
     "replay_artifact",
     "run_case",
     "sample_cases",

@@ -33,7 +33,6 @@ from typing import List, Optional
 from .artifact import replay_artifact, write_repro_artifact
 from .contracts import collect_contracts, contract_for
 from .fixtures import (
-    BROKEN_CSR,
     BROKEN_IMPLICIT,
     BROKEN_KERNEL,
     BROKEN_MIS,
@@ -41,7 +40,6 @@ from .fixtures import (
     register_broken_fixture,
     register_broken_implicit_fixture,
     register_broken_kernel_fixture,
-    register_broken_layout_fixture,
     register_broken_trial_fixture,
 )
 from .fuzzer import CHECK_NAMES, run_case, sample_cases
@@ -53,7 +51,7 @@ __all__ = ["main"]
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.conformance",
-        description="Fuzz registered algorithm contracts on every backend.",
+        description="Fuzz registered algorithm contracts on every layout.",
     )
     parser.add_argument("--cases", type=int, default=200,
                         help="number of fuzz cases, 0 to skip fuzzing "
@@ -178,23 +176,7 @@ def _run_self_test(args: argparse.Namespace) -> int:
         f"self-test ok: fixture caught, shrunk to {shrunk.nodes} nodes, "
         f"replayed from {path}"
     )
-    return _run_layout_self_test(args)
-
-
-def _run_layout_self_test(args: argparse.Namespace) -> int:
-    """Prove the layout axis catches a class-merging CSR expander."""
-    register_broken_layout_fixture()
-    contract = contract_for(BROKEN_CSR)
-    for _, case in sample_cases([contract], 20, args.seed):
-        result = run_case(contract, case)
-        if "layout-identity" in result.failed_checks():
-            print(
-                "self-test ok: broken CSR layout caught by layout-identity "
-                f"on {case.graph_family} n={case.graph_params.get('n')}"
-            )
-            return _run_kernel_self_test(args)
-    print("self-test FAIL: broken CSR layout was never caught")
-    return 1
+    return _run_kernel_self_test(args)
 
 
 def _run_kernel_self_test(args: argparse.Namespace) -> int:

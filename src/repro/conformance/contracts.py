@@ -6,8 +6,8 @@ Every entry in :data:`repro.core.registry.ALGORITHMS` that declares
 a solution *is* a locally verifiable labeling), plus the metamorphic
 invariances the implementation promises.  The conformance fuzzer
 samples randomized cases from those declarations and checks every
-claim on every backend; this module only reads and normalizes the
-metadata.
+claim on every declared layout; this module only reads and normalizes
+the metadata.
 
 Declaration vocabulary (registry metadata keys):
 
@@ -31,8 +31,7 @@ Declaration vocabulary (registry metadata keys):
     :func:`repro.local_model.batch_views.known_layouts`).  Defaults to
     every production layout — ``("dict", "csr", "kernel")`` — for the
     view kinds and to ``("kernel",)`` for ``finite`` (the batched
-    distinct-assignment kernel versus the reference per-node loop);
-    fixtures may name a registered broken layout instead.
+    distinct-assignment kernel versus the reference per-node loop).
 """
 
 from __future__ import annotations
@@ -53,12 +52,11 @@ __all__ = [
     "resolve_auto",
 ]
 
-#: Metamorphic checks an entry may promise.  ``determinism`` and
-#: ``backend-identity`` are checked for every contract regardless;
-#: ``port-permutation`` and ``label-order`` only when declared.
+#: Metamorphic checks an entry may promise.  ``determinism`` is
+#: checked for every contract regardless; ``port-permutation`` and
+#: ``label-order`` only when declared.
 KNOWN_INVARIANCES = (
     "determinism",
-    "backend-identity",
     "port-permutation",
     "label-order",
 )
@@ -75,7 +73,7 @@ class Contract:
     solves: Optional[Tuple[str, Mapping[str, Any]]]
     domains: Tuple[Mapping[str, Any], ...]
     fuzz_params: Mapping[str, Any] = field(default_factory=dict)
-    invariances: Tuple[str, ...] = ("determinism", "backend-identity")
+    invariances: Tuple[str, ...] = ("determinism",)
     #: Layouts the ``layout-identity`` check runs ``view``/``edge``
     #: kinds under; empty for kinds without a layout axis.
     layouts: Tuple[str, ...] = ()
@@ -144,8 +142,7 @@ def _contract_from_entry(entry: Any) -> Optional[Contract]:
     kind = metadata.get("kind")
     needs = metadata.get("needs", "")
     solves = metadata.get("solves", metadata.get("verifier"))
-    invariances = tuple(metadata.get("invariances",
-                                     ("determinism", "backend-identity")))
+    invariances = tuple(metadata.get("invariances", ("determinism",)))
     unknown = [i for i in invariances if i not in KNOWN_INVARIANCES]
     if unknown:
         raise ValueError(

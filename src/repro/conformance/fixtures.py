@@ -13,15 +13,7 @@ only the last node is marked, so interior nodes violate domination.
 The minimal counterexample is a 3-node path, well under the 8-node
 shrink target.
 
-:data:`BROKEN_CSR` is the layout analogue: a *correct* algorithm
-declared with :data:`BROKEN_CSR_LAYOUT`, a registered expander layout
-whose class keys are truncated packed streams — so distinct balls
-collide, the cached backend broadcasts one class's output to another,
-and the fuzzer's ``layout-identity`` check must flag the divergence.
-This is the acceptance test for the batched-CSR fuzzing axis: a layout
-that silently merges view classes cannot survive the pipeline.
-
-:data:`BROKEN_KERNEL` is the vectorized-kernel analogue (see
+:data:`BROKEN_KERNEL` is the layout analogue (see
 ``docs/KERNELS.md``): a subclass of the honest rule whose *registered
 view kernel* inverts every class output, declared with
 ``layouts=("dict", "kernel")`` — so the ``layout-identity`` check must
@@ -58,22 +50,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.registry import ALGORITHMS
-from ..local_model.batch_views import (
-    BatchBallExpander,
-    known_layouts,
-    register_layout,
-)
 
 __all__ = [
     "BROKEN_MIS",
-    "BROKEN_CSR",
-    "BROKEN_CSR_LAYOUT",
     "BROKEN_KERNEL",
     "BROKEN_IMPLICIT",
     "BROKEN_IMPLICIT_FAMILY",
     "BROKEN_TRIAL",
     "register_broken_fixture",
-    "register_broken_layout_fixture",
     "register_broken_kernel_fixture",
     "register_broken_implicit_fixture",
     "register_broken_trial_fixture",
@@ -81,12 +65,6 @@ __all__ = [
 
 #: Registry name of the broken fixture algorithm.
 BROKEN_MIS = "broken-mis-claim"
-
-#: Registry name of the broken-layout fixture algorithm.
-BROKEN_CSR = "broken-csr-views"
-
-#: Layout-registry name of the class-merging expander.
-BROKEN_CSR_LAYOUT = "broken-csr"
 
 #: Registry name of the broken-view-kernel fixture algorithm.
 BROKEN_KERNEL = "broken-kernel-views"
@@ -126,53 +104,9 @@ def register_broken_fixture() -> None:
             {"graph": "path", "n": (6, 16)},
             {"graph": "cycle", "n": (6, 16)},
         ),
-        invariances=("determinism", "backend-identity",
-                     "port-permutation", "label-order"),
+        invariances=("determinism", "port-permutation", "label-order"),
         fixture=True,
         description="FIXTURE: falsely claims local-max solves MIS",
-    )
-
-
-class _ClassMergingExpander(BatchBallExpander):
-    """A CSR expander whose keys drop the tail of the packed stream.
-
-    Truncation destroys the self-delimiting property that makes stream
-    bytes a perfect key: balls differing only past the midpoint (ids,
-    deep port rows) land in one class.  Everything else — BFS, packing,
-    representatives — is the honest implementation, so the *only*
-    observable symptom is class merging, exactly what the
-    ``layout-identity`` check exists to catch.
-    """
-
-    def _class_key(self, tag, radius, flags, stream):
-        return (tag, radius, flags, stream[: max(1, len(stream) // 2)])
-
-
-def register_broken_layout_fixture() -> None:
-    """Register :data:`BROKEN_CSR` + its merging layout (idempotent).
-
-    The algorithm itself is correct (:class:`LocalMaximumRule` with no
-    ``solves`` claim); only its declared ``layouts`` routes the cached
-    backend through :class:`_ClassMergingExpander`.  Flagged
-    ``fixture`` like :data:`BROKEN_MIS`, so production fuzz runs never
-    see it.
-    """
-    if BROKEN_CSR_LAYOUT not in known_layouts():
-        register_layout(BROKEN_CSR_LAYOUT, _ClassMergingExpander)
-    if BROKEN_CSR in ALGORITHMS:
-        return
-    ALGORITHMS.add(
-        BROKEN_CSR,
-        _make_broken_mis,
-        kind="view",
-        needs="ids",
-        domains=(
-            {"graph": "path", "n": (6, 16)},
-            {"graph": "cycle", "n": (6, 16)},
-        ),
-        layouts=("dict", "csr", BROKEN_CSR_LAYOUT),
-        fixture=True,
-        description="FIXTURE: layout whose class keys merge distinct balls",
     )
 
 

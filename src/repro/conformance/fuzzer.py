@@ -3,26 +3,22 @@
 A *case* is one fully-described execution: an algorithm, a graph (by
 family + parameters, or — after shrinking — by explicit adjacency), a
 seed, and explicit labelings.  :func:`run_case` runs it through
-:func:`~repro.core.engine.simulate` on every backend and checks:
+:func:`~repro.core.engine.simulate` and checks:
 
 ``halts``
     Every node committed an output (view kinds halt by construction).
 ``verifier``
     The declared LCL verifier accepts the output labeling — the paper's
     "solution = locally verifiable labeling" made executable.
-``backend-identity``
-    All backends produce equal :meth:`~repro.core.SimReport.identity`.
 ``layout-identity``
     Every graph layout the contract declares (``layouts=``, default
     ``("dict", "csr", "kernel")`` for view/edge kinds and
     ``("kernel",)`` for the finite kind) reproduces the base report
-    bit for bit — on the direct backend, which gathers each ball over
-    the layout's arrays, *and* on the cached backend, which keys its
-    memo table off the layout's class partition.  This is how the
-    fuzzer exercises the batched CSR expander and the finite
-    distinct-assignment kernel, and how the self-test proves a
-    deliberately-broken layout
-    (:data:`repro.conformance.fixtures.BROKEN_CSR_LAYOUT`) and a
+    bit for bit (:meth:`~repro.core.SimReport.identity`).  This is how
+    the fuzzer exercises the CSR gathers, the vectorized class-table
+    kernels and the finite distinct-assignment kernel, and how the
+    self-test proves a deliberately wrong view kernel
+    (:data:`repro.conformance.fixtures.BROKEN_KERNEL`) and a
     trial-flipping finite kernel
     (:data:`repro.conformance.fixtures.BROKEN_TRIAL`) are caught.
 ``determinism``
@@ -38,8 +34,8 @@ seed, and explicit labelings.  :func:`run_case` runs it through
 ``implicit-identity`` (when the case's graph family registers an
     ``implicit_builder``)
     The family's symbolic :class:`~repro.graphs.implicit.ImplicitGraph`
-    twin must reproduce the materialized run bit for bit: identical
-    SimReports through the layout backends, *and* identical ball-class
+    twin must reproduce the materialized run bit for bit: an identical
+    SimReport, *and* identical ball-class
     partitions (keys, labels, representatives) between the implicit
     window expander and the materialized CSR expander — the partition
     comparison catches closed-form drift (e.g. a wrong port numbering)
@@ -66,9 +62,7 @@ from ..graphs.identifiers import random_permutation_ids
 from .contracts import Contract, sample_range
 
 __all__ = [
-    "BACKENDS",
     "CHECK_NAMES",
-    "LAYOUT_BACKENDS",
     "CaseSpec",
     "CheckFailure",
     "CaseResult",
@@ -78,22 +72,13 @@ __all__ = [
     "run_case",
 ]
 
-#: Backends every case runs on (the engine seam's full set).
-BACKENDS = ("direct", "cached")
-
 #: Every check :func:`run_case` can run; the CLI's ``--checks`` flag
 #: validates against this set (``crash`` is a failure kind, not a
 #: selectable check).
 CHECK_NAMES = (
-    "halts", "verifier", "backend-identity", "layout-identity",
-    "determinism", "port-permutation", "label-order", "implicit-identity",
+    "halts", "verifier", "layout-identity", "determinism",
+    "port-permutation", "label-order", "implicit-identity",
 )
-
-#: Backends the ``layout-identity`` check runs each declared layout on:
-#: the direct backend gathers views over the layout's arrays, the
-#: cached backend keys its memo table off the layout's class partition
-#: — together they cover both ways a layout can diverge.
-LAYOUT_BACKENDS = ("direct", "cached")
 
 
 @dataclass
@@ -296,12 +281,6 @@ def _build_request(
     )
 
 
-def _identity_mismatch(kind: str, a: Any, b: Any) -> Optional[str]:
-    if a.identity() == b.identity():
-        return None
-    return f"{kind}: outputs/rounds diverge ({a.backend} vs {b.backend})"
-
-
 def _monotone(value: int) -> int:
     """A strictly increasing integer map (order kept, values changed)."""
     return 3 * value + 17
@@ -320,7 +299,7 @@ def _run_port_permuted(
         rng.shuffle(row)
     permuted = Graph.from_adjacency(rows).freeze()
     request = _build_request(contract, case, permuted, ids, randomness)
-    return simulate(request, engine="direct")
+    return simulate(request)
 
 
 def _run_label_mapped(
@@ -337,7 +316,7 @@ def _run_label_mapped(
     if mapped_ids is None and mapped_rand is None:
         return None  # nothing to remap: the invariance is vacuous
     request = _build_request(contract, case, graph, mapped_ids, mapped_rand)
-    return simulate(request, engine="direct")
+    return simulate(request)
 
 
 def _run_implicit_twin(
@@ -351,8 +330,8 @@ def _run_implicit_twin(
     """The ``implicit-identity`` check body (see the module docstring).
 
     Builds the family's symbolic twin from the registered
-    ``implicit_builder`` and demands (a) bit-identical SimReports
-    through every layout backend and (b) bit-identical ball-class
+    ``implicit_builder`` and demands (a) a bit-identical SimReport
+    and (b) bit-identical ball-class
     partitions against the materialized CSR expander.  (b) is the
     teeth: an implicit family with a subtly wrong closed form (ports
     swapped, rows reordered) can still satisfy (a) whenever the
@@ -365,14 +344,11 @@ def _run_implicit_twin(
     twin = builder(**case.graph_params)
     failures: List[CheckFailure] = []
     request = _build_request(contract, case, twin, ids, randomness)
-    for backend in LAYOUT_BACKENDS:
-        report = simulate(request, engine=backend)
-        if report.identity() != base.identity():
-            failures.append(CheckFailure(
-                "implicit-identity",
-                f"implicit twin on {backend} diverges from the "
-                f"materialized report",
-            ))
+    if simulate(request).identity() != base.identity():
+        failures.append(CheckFailure(
+            "implicit-identity",
+            "implicit twin diverges from the materialized report",
+        ))
     radius = (
         request.algorithm.radius
         if contract.kind == "view"
@@ -411,7 +387,6 @@ def _run_implicit_twin(
 def run_case(
     contract: Contract,
     case: CaseSpec,
-    backends: Sequence[str] = BACKENDS,
     checks: Optional[Set[str]] = None,
 ) -> CaseResult:
     """Run one case; return every check failure (empty = conformant).
@@ -427,8 +402,7 @@ def run_case(
     try:
         graph, ids, randomness = materialize_case(contract, case)
         request = _build_request(contract, case, graph, ids, randomness)
-        reports = {b: simulate(request, engine=b) for b in backends}
-        base = reports[backends[0]]
+        base = simulate(request)
 
         if enabled("halts") and not base.all_halted():
             stuck = [
@@ -445,29 +419,19 @@ def run_case(
                 failures.append(CheckFailure(
                     "verifier", f"{verifier.name}: {summary}"
                 ))
-        if enabled("backend-identity"):
-            for backend in backends[1:]:
-                message = _identity_mismatch(
-                    "backend-identity", base, reports[backend]
-                )
-                if message:
-                    failures.append(CheckFailure("backend-identity", message))
-        if enabled("layout-identity") and contract.layouts:
+        if enabled("layout-identity"):
             for layout in contract.layouts:
-                routed = replace(request, layout=layout)
-                for backend in LAYOUT_BACKENDS:
-                    report = simulate(routed, engine=backend)
-                    if report.identity() != base.identity():
-                        failures.append(CheckFailure(
-                            "layout-identity",
-                            f"layout {layout!r} on {backend} diverges "
-                            f"from the base report",
-                        ))
+                report = simulate(replace(request, layout=layout))
+                if report.identity() != base.identity():
+                    failures.append(CheckFailure(
+                        "layout-identity",
+                        f"layout {layout!r} diverges from the base report",
+                    ))
         if enabled("determinism"):
-            again = simulate(request, engine=backends[0])
+            again = simulate(request)
             if again.identity() != base.identity():
                 failures.append(CheckFailure(
-                    "determinism", "same request, same backend, new outputs"
+                    "determinism", "same request, new outputs"
                 ))
         if (
             enabled("port-permutation")

@@ -21,10 +21,10 @@ far is always returned, minimal or not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
 from .contracts import Contract
-from .fuzzer import BACKENDS, CaseSpec, CheckFailure, explicit_case, run_case
+from .fuzzer import CaseSpec, CheckFailure, explicit_case, run_case
 
 __all__ = ["ShrinkResult", "shrink_case", "minimal_repro"]
 
@@ -105,13 +105,8 @@ def shrink_case(
     """Reduce ``case`` while at least one ``target_checks`` still fails.
 
     ``target_checks`` should be the failing case's
-    :meth:`~repro.conformance.fuzzer.CaseResult.failed_checks`.  Checks
-    that only need one backend shrink against ``direct`` alone;
-    ``backend-identity`` (and ``determinism``) keep their full backend
-    set so the predicate tests what originally broke.
+    :meth:`~repro.conformance.fuzzer.CaseResult.failed_checks`.
     """
-    needs_all_backends = bool(target_checks & {"backend-identity"})
-    backends: Sequence[str] = BACKENDS if needs_all_backends else ("direct",)
     spent = [0]
     last_failures: List[List[CheckFailure]] = [[]]
 
@@ -119,9 +114,7 @@ def shrink_case(
         if spent[0] >= max_evaluations:
             return False
         spent[0] += 1
-        result = run_case(
-            contract, candidate, backends=backends, checks=set(target_checks)
-        )
+        result = run_case(contract, candidate, checks=set(target_checks))
         hits = [f for f in result.failures if f.check in target_checks]
         if hits:
             last_failures[0] = result.failures

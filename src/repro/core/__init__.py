@@ -1,32 +1,27 @@
-"""The unified simulation core: one Engine seam, one component Registry.
+"""The unified simulation core: one engine seam, one component Registry.
 
 Two seams that the rest of the repository plugs into:
 
-* :func:`simulate` runs a :class:`SimRequest` on an interchangeable
-  backend — :class:`DirectEngine` (reference semantics) or
-  :class:`CachedEngine` (canonical-view memoization) — and returns a
-  :class:`SimReport`.  Both backends are bit-identical on
-  :meth:`SimReport.identity`; choice is a pure performance knob.
+* :func:`simulate` runs a :class:`SimRequest` on :class:`DirectEngine`
+  and returns a :class:`SimReport`.  The request's ``layout`` picks how
+  balls are gathered; every layout is bit-identical on
+  :meth:`SimReport.identity`.
 * :class:`Registry` tables (:data:`GRAPH_FAMILIES`, :data:`ALGORITHMS`,
   :data:`PROBLEMS`, :data:`REPORTS`) map names to factories with
   declarative metadata, replacing per-layer string dispatch.
 
 See ``docs/ARCHITECTURE.md`` for the layer diagram and
-``docs/ENGINE.md`` for the backend matrix.
+``docs/ENGINE.md`` for the layout matrix.
 """
 
 from .engine import (
-    ENGINE_NAMES,
     KINDS,
-    Engine,
     SimReport,
     SimRequest,
     derive_seed,
-    resolve_engine,
     simulate,
 )
 from .direct import DirectEngine
-from .cached import CachedEngine
 from .registry import (
     ALGORITHMS,
     GRAPH_FAMILIES,
@@ -46,14 +41,10 @@ from .registry import (
 __all__ = [
     # engine seam
     "KINDS",
-    "ENGINE_NAMES",
     "SimRequest",
     "SimReport",
-    "Engine",
     "DirectEngine",
-    "CachedEngine",
     "derive_seed",
-    "resolve_engine",
     "simulate",
     # registry seam
     "Registry",

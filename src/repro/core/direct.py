@@ -1,13 +1,15 @@
-"""The direct backend: evaluate every computing entity, no shortcuts.
+"""The engine: evaluate every computing entity, no shortcuts.
 
-This is the reference implementation of all four request kinds — the
-semantics every other backend must reproduce bit for bit.  The loops
+This is the one implementation of all four request kinds.  The loops
 here are the former bodies of the legacy entry points
 (``run_local``, ``run_view_algorithm``, ``run_edge_view_algorithm``,
 ``run_node_algorithm_on_oriented_graph``), moved behind the
-:class:`~repro.core.engine.Engine` seam; the legacy functions are now
-thin adapters over :func:`~repro.core.engine.simulate` and keep their
-exact signatures, faithfulness guarantees, and tracer event streams.
+:class:`~repro.core.engine.SimRequest` seam; the legacy functions are
+now thin adapters over :class:`DirectEngine` and keep their exact
+signatures, faithfulness guarantees, and tracer event streams.  The
+request's ``layout`` knob selects how balls are gathered (adjacency
+lists, CSR arrays, a vectorized kernel); every layout reproduces the
+``"dict"`` reference bit for bit.
 """
 
 from __future__ import annotations
@@ -19,32 +21,47 @@ from ..instrumentation.tracer import Tracer, effective_tracer
 from ..local_model import kernels as _kernels
 from ..local_model.batch_views import expander_for, resolve_layout
 from ..local_model.context import NodeContext
-from .engine import Engine, SimReport, SimRequest
+from .engine import SimReport, SimRequest
 from .entities import ENTITIES, Entities, labeling_of, layout_info
 
 __all__ = ["DirectEngine"]
 
 
-class DirectEngine(Engine):
-    """Current semantics: one evaluation per node / edge / entity.
+#: The per-node labelings each kind reads (``finite`` validates its
+#: own ``values``).
+_LABELINGS = {
+    "local": ("ids", "inputs"),
+    "view": ("ids", "inputs", "randomness"),
+    "edge": ("ids", "inputs", "randomness"),
+}
+
+
+def _check_labelings(request: SimRequest) -> None:
+    """Every per-node labeling the kind reads has one entry per node."""
+    n = request.graph.n
+    for name in _LABELINGS.get(request.kind, ()):
+        labels = getattr(request, name)
+        if labels is not None and len(labels) != n:
+            raise ValueError(f"{name} must have one entry per node")
+
+
+class DirectEngine:
+    """One evaluation per node / edge / entity.
 
     ``view`` / ``edge`` requests honor the request's ``layout`` knob:
-    ``"auto"`` resolves to the reference ``"dict"`` path here (the
-    direct backend *is* the reference), while an explicit ``"csr"`` (or
-    any registered expander layout) gathers each ball over the compiled
-    CSR arrays — bit-identical views, proven by the parity suite.
+    ``"auto"`` resolves to the reference ``"dict"`` path (or
+    ``"implicit"`` on implicit handles), while an explicit ``"csr"``
+    gathers each ball over the compiled CSR arrays and ``"kernel"``
+    evaluates one vectorized class table — bit-identical reports,
+    proven by the parity suites.
     """
 
     name = "direct"
 
-    #: Whether ``layout="auto"`` resolves to the batched CSR layout on
-    #: frozen graphs.  The direct backend keeps the reference path; the
-    #: cached backend overrides this (class detection is its cost).
-    prefer_csr = False
-
     def run(self, request: SimRequest, tracer: Optional[Tracer] = None) -> SimReport:
         """Execute ``request`` and return its :class:`SimReport`."""
         tracer = effective_tracer(tracer)
+        _check_labelings(request)
         if request.kind == "local":
             return self._run_local(request, tracer)
         if request.kind == "finite":
@@ -52,26 +69,6 @@ class DirectEngine(Engine):
         return self._run_entities(ENTITIES[request.kind], request, tracer)
 
     # -- "local": the synchronous message-passing round -----------------
-    def _wants_local_kernel(self, request: SimRequest) -> bool:
-        """Whether this ``local`` request should try the round kernel.
-
-        Explicit ``layout="kernel"`` always tries (and falls back
-        exactly when unsupported); ``"auto"`` escalates only on the
-        ``prefer_csr`` backends, only on frozen non-empty graphs, and
-        only when the algorithm registers a kernel — so the direct
-        backend stays the reference loop by default.
-        """
-        if request.layout == "kernel":
-            return True
-        return (
-            request.layout == "auto"
-            and self.prefer_csr
-            and getattr(request.graph, "is_frozen", False)
-            and getattr(request.graph, "can_materialize", True)
-            and request.graph.n > 0
-            and _kernels.local_kernel_for(request.algorithm) is not None
-        )
-
     def _run_local_kernel(
         self, request: SimRequest, tracer: Optional[Tracer]
     ) -> SimReport:
@@ -102,7 +99,8 @@ class DirectEngine(Engine):
         self, request: SimRequest, tracer: Optional[Tracer]
     ) -> SimReport:
         kernel_reason: Optional[str] = None
-        if self._wants_local_kernel(request):
+        if request.layout == "kernel":
+            # Falls back to the loop below exactly when the kernel declines.
             try:
                 return self._run_local_kernel(request, tracer)
             except _kernels.KernelUnsupported as exc:
@@ -110,10 +108,6 @@ class DirectEngine(Engine):
         graph, algorithm = request.graph, request.algorithm
         ids, inputs = request.ids, request.inputs
         n = graph.n
-        if ids is not None and len(ids) != n:
-            raise ValueError("ids must have one entry per node")
-        if inputs is not None and len(inputs) != n:
-            raise ValueError("inputs must have one entry per node")
         max_rounds = request.max_rounds
         if max_rounds is None:
             max_rounds = 4 * n + 16
@@ -220,12 +214,12 @@ class DirectEngine(Engine):
     ) -> SimReport:
         """Resolve the layout, then evaluate the kind's entities.
 
-        ``layout="kernel"`` is shared by both backends (it has nothing
-        to cache: the class table *is* the memo); every other
-        layout runs the backend's :meth:`_evaluate` strategy.
+        ``layout="kernel"`` evaluates one class table
+        (:meth:`_run_kernel`); every other layout gathers and evaluates
+        each entity (:meth:`_evaluate`).
         """
         graph, algorithm = request.graph, request.algorithm
-        layout = resolve_layout(request.layout, graph, self.prefer_csr)
+        layout = resolve_layout(request.layout, graph)
         if tracer is not None:
             tracer.on_run_start(request.kind, algorithm.name, ents.count(graph))
         if layout == "kernel":
@@ -285,7 +279,7 @@ class DirectEngine(Engine):
         layout: str,
         tracer: Optional[Tracer],
     ) -> SimReport:
-        """The reference strategy: gather and evaluate every entity."""
+        """Gather and evaluate every entity over ``layout``'s arrays."""
         graph, algorithm = request.graph, request.algorithm
         entities, radius = ents.entities(graph), ents.radius(algorithm)
         labeling, evaluate = labeling_of(request), ents.evaluator(algorithm)
@@ -305,25 +299,6 @@ class DirectEngine(Engine):
         return ents.report(algorithm, entities, outputs, self.name, {})
 
     # -- "finite": oriented-tree algorithms on finite graphs ------------
-    def _wants_finite_kernel(self, request: SimRequest) -> bool:
-        """Whether this ``finite`` request should try the batched kernel.
-
-        Same policy as :meth:`_wants_local_kernel`: explicit
-        ``layout="kernel"`` always tries, ``"auto"`` escalates only on
-        the ``prefer_csr`` backends when a kernel is registered — the
-        direct backend stays the reference per-node loop by default.
-        (No frozen-graph requirement: the finite reduction builds its
-        arc arrays from the neighbor lists.)
-        """
-        if request.layout == "kernel":
-            return True
-        return (
-            request.layout == "auto"
-            and self.prefer_csr
-            and request.graph.n > 0
-            and _kernels.finite_kernel_for(request.algorithm) is not None
-        )
-
     def _run_finite_kernel(
         self, request: SimRequest, tables, tracer: Optional[Tracer]
     ) -> SimReport:
@@ -381,7 +356,7 @@ class DirectEngine(Engine):
             tables = resolve_ball_tables(alg, graph, request.orientation)
 
         kernel_reason: Optional[str] = None
-        if self._wants_finite_kernel(request):
+        if request.layout == "kernel":
             try:
                 return self._run_finite_kernel(request, tables, tracer)
             except _kernels.KernelUnsupported as exc:

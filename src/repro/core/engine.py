@@ -1,4 +1,4 @@
-"""The Engine seam: one request/report pair, interchangeable backends.
+"""The engine seam: one request/report pair, one engine.
 
 Every execution model in the repository — message passing
 (:func:`~repro.local_model.network.run_local`), node views
@@ -7,25 +7,16 @@ Every execution model in the repository — message passing
 the oriented finite runner
 (:func:`~repro.speedup.finite_runner.run_node_algorithm_on_oriented_graph`)
 — is one *kind* of :class:`SimRequest`, and every outcome is one
-:class:`SimReport`.  An :class:`Engine` maps requests to reports; the
-backends differ only in *how*:
-
-========================================  ===============================
-:class:`~repro.core.direct.DirectEngine`  evaluate every entity
-:class:`~repro.core.cached.CachedEngine`  evaluate once per canonical
-                                          view class (memo table)
-========================================  ===============================
-
-The exactness contract is absolute: for the same request, both backends
-produce reports with equal :meth:`SimReport.identity` — bit for bit,
-proven over the full differential grid
-(``tests/test_differential.py``, ``tests/test_engine_backends.py``).
-Backend choice is a pure performance knob.
+:class:`SimReport`.  :class:`~repro.core.direct.DirectEngine` maps
+requests to reports; the request's ``layout`` knob picks *how* it
+gathers (adjacency lists, compiled CSR arrays, a vectorized kernel),
+and every layout reproduces the reference ``"dict"`` report bit for
+bit (``tests/test_engine_backends.py``, ``tests/test_csr_parity.py``).
 
 :func:`simulate` is the facade the rest of the system calls; the legacy
-entry points are thin adapters over it (their signatures and semantics
-are unchanged).  One :class:`~repro.instrumentation.Tracer` threads
-through every backend the same way.
+entry points are thin adapters over the engine (their signatures and
+semantics are unchanged).  One :class:`~repro.instrumentation.Tracer`
+threads through every kind the same way.
 """
 
 from __future__ import annotations
@@ -33,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..instrumentation.tracer import Tracer
 
@@ -41,9 +32,7 @@ __all__ = [
     "KINDS",
     "SimRequest",
     "SimReport",
-    "Engine",
     "derive_seed",
-    "resolve_engine",
     "simulate",
 ]
 
@@ -85,10 +74,10 @@ class SimRequest:
       ``values`` (per-node random words), honors ``tables``
       (precomputed ball tables) and ``orientation``.
 
-    ``seed`` is the backend-independent alternative to ``rng``: when set
-    (and ``rng`` is not), every backend constructs
+    ``seed`` is the reproducible alternative to ``rng``: when set (and
+    ``rng`` is not), the engine constructs
     ``random.Random(derive_seed(seed, label))``, so results cannot
-    depend on which backend ran.
+    depend on which layout ran.
 
     ``layout`` selects the execution layout.  For ``view`` / ``edge``
     kinds: ``"dict"`` is the reference per-entity path over the
@@ -107,19 +96,19 @@ class SimRequest:
     ``"local"`` kind, ``"kernel"`` runs the
     algorithm's registered round kernel (falling back to the reference
     loop when it declines); other explicit layouts are ignored.
-    ``"auto"`` (the default) lets each backend pick — implicit handles
-    route to the synthesized ``"implicit"`` path on every backend, the
-    cached backend uses ``"csr"`` for view/edge kinds whenever the graph
-    is frozen and escalates ``local`` runs to the round kernel when one
-    is registered; the direct backend stays on the reference path.  Layout
-    choice is a pure performance knob: all layouts produce bit-identical
-    reports (``tests/test_csr_parity.py``, ``tests/test_kernels.py``,
-    and the conformance ``layout-identity`` check prove it).  For the
+    ``"auto"`` (the default) routes implicit handles to the synthesized
+    ``"implicit"`` path and everything else to the reference path; it
+    never escalates to a kernel.  Layout choice is a pure performance
+    knob: all layouts produce bit-identical reports
+    (``tests/test_engine_backends.py``, ``tests/test_kernels.py``, and
+    the conformance ``layout-identity`` check prove it).  For the
     ``finite`` kind, ``"kernel"`` evaluates the run through the
-    distinct-assignment kernel of :mod:`repro.speedup.trial_kernel`
-    (``"auto"`` escalates on the cached backend when a kernel is
-    registered, exactly as for ``local``); other explicit layouts are
-    ignored.
+    distinct-assignment kernel of :mod:`repro.speedup.trial_kernel`;
+    other explicit layouts are ignored.
+
+    ``ids``, ``inputs`` and ``randomness`` need one entry per node
+    wherever the kind reads them; the engine raises ``ValueError``
+    otherwise.
     """
 
     kind: str
@@ -147,7 +136,7 @@ class SimRequest:
             raise ValueError(f"unknown request kind {self.kind!r} (have {KINDS})")
 
     def resolved_rng(self) -> random.Random:
-        """The run's master RNG, identical across backends.
+        """The run's master RNG, identical across layouts.
 
         Priority: an explicit ``rng``; else ``seed`` through
         :func:`derive_seed`; else the legacy default ``Random(0)``.
@@ -161,15 +150,15 @@ class SimRequest:
 
 @dataclass
 class SimReport:
-    """One simulation's outcome, backend-independent where it counts.
+    """One simulation's outcome, layout-independent where it counts.
 
     ``outputs`` is a per-node list for ``local`` / ``view`` / ``finite``
     requests and an ``{edge: label}`` dict for ``edge`` requests.
     ``halt_rounds`` and ``failing_nodes`` are populated by the kinds
     that define them (``None`` elsewhere).  :meth:`identity` is the
-    comparable core — what the differential suite asserts equal across
-    backends; ``backend`` and ``info`` are diagnostics and may
-    legitimately differ.
+    comparable core — what the differential suites assert equal across
+    layouts; ``backend`` (the engine's name) and ``info`` are
+    diagnostics and may legitimately differ.
     """
 
     kind: str
@@ -228,57 +217,14 @@ class SimReport:
         )
 
 
-class Engine:
-    """The backend interface: map :class:`SimRequest` -> :class:`SimReport`.
-
-    Subclasses implement :meth:`run`.  Engines are stateless unless
-    documented otherwise (the cached engine owns a memo table).
-    """
-
-    name = "engine"
-
-    def run(self, request: SimRequest, tracer: Optional[Tracer] = None) -> SimReport:
-        """Execute one request."""
-        raise NotImplementedError
-
-
-#: Engine names accepted by :func:`resolve_engine` / :func:`simulate`.
-ENGINE_NAMES = ("direct", "cached")
-
-
-def resolve_engine(engine: Union[None, str, Engine]) -> Engine:
-    """Normalize an engine argument to an :class:`Engine` instance.
-
-    ``None`` means the direct backend; strings name a backend
-    (``"direct"`` / ``"cached"``) constructed with defaults; instances
-    pass through.  Every by-name resolution builds a fresh engine: the
-    cached engine's memo is only valid for one algorithm.  Imported
-    lazily, so the facade costs nothing until a run needs a backend.
-    """
-    if engine is None:
-        engine = "direct"
-    if isinstance(engine, Engine):
-        return engine
-    if engine == "direct":
-        from .direct import DirectEngine
-
-        return DirectEngine()
-    if engine == "cached":
-        from .cached import CachedEngine
-
-        return CachedEngine()
-    raise ValueError(f"unknown engine {engine!r} (have {ENGINE_NAMES})")
-
-
-def simulate(
-    request: SimRequest,
-    engine: Union[None, str, Engine] = None,
-    tracer: Optional[Tracer] = None,
-) -> SimReport:
-    """Run one request on the chosen backend (default: direct).
+def simulate(request: SimRequest, tracer: Optional[Tracer] = None) -> SimReport:
+    """Run one request on :class:`~repro.core.direct.DirectEngine`.
 
     The one entry point every call site shares.  ``tracer`` threads
     through unchanged — instrumented runs produce the exact same report
-    as uninstrumented ones, on every backend.
+    as uninstrumented ones.  The engine is imported at call time
+    because :mod:`repro.core.direct` imports this module.
     """
-    return resolve_engine(engine).run(request, tracer=tracer)
+    from .direct import DirectEngine
+
+    return DirectEngine().run(request, tracer=tracer)

@@ -3,9 +3,9 @@
 A ``view`` run and an ``edge`` run are the same computation — evaluate
 a function of a radius-t ball once per computing entity — applied over
 a different set of entities (Lemmas 7/8 of the paper move between the
-two).  Each backend therefore writes its strategy once, against an
-:class:`Entities` adapter, and :data:`ENTITIES` picks the adapter from
-the request kind:
+two).  The engine therefore writes each layout's strategy once, against
+an :class:`Entities` adapter, and :data:`ENTITIES` picks the adapter
+from the request kind:
 
 =================  ============================  ==============================
                    :data:`NODES` (``"view"``)    :data:`EDGES` (``"edge"``)
@@ -13,15 +13,11 @@ the request kind:
 entities, count    ``graph.nodes()``, ``n``      ``list(graph.edges())``, ``m``
 radius             ``algorithm.radius``          ``algorithm.view_radius()``
 evaluation         ``algorithm.output``          ``algorithm.output_fn``
-signature/gather   ``view_signature`` ...        ``edge_view_signature`` ...
+gather             ``gather_view`` ...           ``gather_edge_view`` ...
 expander call      ``node_classes``              ``edge_classes``
 report             per-node list, halt rounds    ``edge_key`` dict,
                    ``[radius] * n``              ``rounds=algorithm.rounds``
 =================  ============================  ==============================
-
-:func:`partition` is the first-occurrence class partition the cached
-backend evaluates: the reference signature scan on the ``"dict"``
-layout, the batched expander on every other one.
 """
 
 from __future__ import annotations
@@ -31,16 +27,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from ..graphs.graph import edge_key
 from ..local_model.batch_views import (
     ClassPartition,
-    expander_for,
     gather_edge_view_csr,
     gather_view_csr,
 )
-from ..local_model.views import (
-    edge_view_signature,
-    gather_edge_view,
-    gather_view,
-    view_signature,
-)
+from ..local_model.views import gather_edge_view, gather_view
 from .engine import SimReport, SimRequest
 
 __all__ = [
@@ -50,26 +40,22 @@ __all__ = [
     "ENTITIES",
     "labeling_of",
     "layout_info",
-    "partition",
 ]
 
 
 class Entities:
     """How one request kind enumerates, views, and reports its entities.
 
-    ``signature``, ``gather`` and ``gather_csr`` are the kind's
-    canonical-key function and its two ball gatherers (adjacency lists
-    and compiled CSR arrays); all three take
+    ``gather`` and ``gather_csr`` are the kind's two ball gatherers
+    (adjacency lists and compiled CSR arrays); both take
     ``(graph, entity, radius, **labeling)``.
     """
 
     def __init__(
         self,
-        signature: Callable[..., Any],
         gather: Callable[..., Any],
         gather_csr: Callable[..., Any],
     ):
-        self.signature = signature
         self.gather = gather
         self.gather_csr = gather_csr
 
@@ -178,15 +164,15 @@ class _Edges(Entities):
 
 
 #: Every node computes from its radius-T ball (``view`` requests).
-NODES: Entities = _Nodes(view_signature, gather_view, gather_view_csr)
+NODES: Entities = _Nodes(gather_view, gather_view_csr)
 #: Every edge computes from ``B_t(e)`` (``edge`` requests, Section 5).
-EDGES: Entities = _Edges(edge_view_signature, gather_edge_view, gather_edge_view_csr)
+EDGES: Entities = _Edges(gather_edge_view, gather_edge_view_csr)
 #: Request kind -> adapter.
 ENTITIES: Dict[str, Entities] = {"view": NODES, "edge": EDGES}
 
 
 def labeling_of(request: SimRequest) -> Dict[str, Any]:
-    """The request's per-node labelings, as gather/signature keywords."""
+    """The request's per-node labelings, as gather keywords."""
     return {
         "ids": request.ids,
         "inputs": request.inputs,
@@ -195,44 +181,13 @@ def labeling_of(request: SimRequest) -> Dict[str, Any]:
     }
 
 
-def partition(
-    ents: Entities,
-    graph: Any,
-    entities: Sequence[Any],
-    radius: int,
-    layout: str,
-    labeling: Dict[str, Any],
-) -> ClassPartition:
-    """``entities`` split into view classes, first occurrence first.
-
-    On ``"dict"`` every entity is keyed by its reference signature (the
-    returned partition's ``path`` is ``None``); every other layout asks
-    its batched expander, whose representatives are the same
-    first-occurrence entities.
-    """
-    if layout != "dict":
-        return ents.classes(expander_for(graph, layout), entities, radius, labeling)
-    signature = ents.signature
-    classes: Dict[Any, int] = {}
-    members: List[int] = []
-    reps: List[int] = []
-    for i, entity in enumerate(entities):
-        key = signature(graph, entity, radius, **labeling)
-        c = classes.get(key)
-        if c is None:
-            c = classes[key] = len(reps)
-            reps.append(i)
-        members.append(c)
-    return ClassPartition(list(classes), members, reps, None)
-
-
 def layout_info(
     request: SimRequest, count: int, part: Optional[ClassPartition] = None
 ) -> Dict[str, Any]:
-    """The ``on_layout`` payload; an expander-built ``part`` adds its
+    """The ``on_layout`` payload; a kernel run's ``part`` adds its
     ``path`` and ``classes``."""
     info: Dict[str, Any] = {"requested": request.layout, "entities": count}
-    if part is not None and part.path is not None:
+    if part is not None:
         info["path"] = part.path
         info["classes"] = part.class_count
     return info

@@ -6,8 +6,6 @@ Usage::
     python -m repro.experiments --quick             # smaller sweeps
     python -m repro.experiments --jobs 4            # parallel cells
     python -m repro.experiments --jobs 4 --artifacts out/   # + JSON artifacts
-    python -m repro.experiments --view-cache --quick  # cached-vs-direct cells
-    python -m repro.experiments --engine cached --quick  # backend differential
     python -m repro.experiments --list              # registered components
     python -m repro.experiments classification --implicit --n 1000000
     python -m repro.experiments logstar_sweep --implicit --n 1000000 \
@@ -108,27 +106,11 @@ def main(argv=None) -> int:
         help="base seed for deterministic per-cell seed derivation (cell runner)",
     )
     parser.add_argument(
-        "--view-cache",
-        action="store_true",
-        help="run view-rule cells through the canonical-view cache and make "
-        "each cell a cached-vs-direct differential check (implies the cell "
-        "runner; cache hit rates land in the artifacts)",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=("direct", "cached"),
-        default=None,
-        metavar="NAME",
-        help="run view-rule cells through the named repro.core backend and "
-        "make each cell a backend-vs-direct differential check (implies "
-        "the cell runner; direct/cached)",
-    )
-    parser.add_argument(
         "--list",
         action="store_true",
         dest="list_components",
         help="list every registered algorithm, graph family, LCL problem, "
-        "report spec, and engine backend, then exit",
+        "and report spec, then exit",
     )
     args = parser.parse_args(argv)
 
@@ -150,12 +132,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 2
-    if (
-        args.jobs is not None
-        or args.artifacts is not None
-        or args.view_cache
-        or args.engine is not None
-    ):
+    if args.jobs is not None or args.artifacts is not None:
         return _run_parallel(args)
     return _run_serial_report(args)
 
@@ -208,7 +185,6 @@ def _list_components() -> int:
     """Print the registries — the honest answer to "what can this run?"."""
     from ..core import (
         ALGORITHMS,
-        ENGINE_NAMES,
         GRAPH_FAMILIES,
         PROBLEMS,
         REPORTS,
@@ -251,7 +227,6 @@ def _list_components() -> int:
         "report specs",
         ((e.name, e.description) for e in REPORTS.entries()),
     )
-    section("engine backends", ((name, "") for name in ENGINE_NAMES))
     return 0
 
 
@@ -263,12 +238,7 @@ def _run_parallel(args) -> int:
         return 2
     jobs = args.jobs or 1
     artifacts = args.artifacts or "artifacts"
-    cells = default_plan(
-        quick=args.quick,
-        base_seed=args.seed,
-        view_cache=args.view_cache,
-        engine=args.engine,
-    )
+    cells = default_plan(quick=args.quick, base_seed=args.seed)
     print(f"running {len(cells)} cells on {jobs} process(es) -> {artifacts}/")
 
     def progress(result) -> None:

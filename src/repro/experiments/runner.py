@@ -15,7 +15,7 @@ JSON artifact per cell, so that
   :class:`~repro.instrumentation.MetricsTracer`) report message counts,
   bandwidth, and halt histograms alongside the verdicts.
 
-Three cell kinds exist:
+Two cell kinds exist:
 
 ``local-algorithm``
     Run one message-passing :class:`~repro.local_model.LocalAlgorithm`
@@ -23,25 +23,14 @@ Three cell kinds exist:
     with the matching LCL verifier, and attach the full
     :class:`~repro.instrumentation.RunMetrics` report.
 
-``view-algorithm``
-    Run one view rule (:mod:`repro.algorithms.view_rules`) on one
-    generated graph under one labeling.  With ``view_cache`` set the
-    cell runs twice — directly and through the canonical-view
-    memoization cache (:mod:`repro.local_model.cache`) — and its
-    verdict is the bit-identical differential check; the artifact
-    carries the cache hit rate.  With an ``engine`` parameter (a
-    backend name other than ``"direct"``) the cell instead runs through
-    the named :mod:`repro.core` backend and checks it against the
-    direct backend the same way.
-
 ``report``
     Wrap one of the classic experiment runners (Table 1, the log\\*
     sweep, Claims 10-12, ...) and record its verdict — the parallel
     equivalent of one section of the legacy report.
 
 Component names resolve through :mod:`repro.core.registry`: graph
-families via :data:`~repro.core.registry.GRAPH_FAMILIES`, algorithms and
-view rules via :data:`~repro.core.registry.ALGORITHMS` (whose
+families via :data:`~repro.core.registry.GRAPH_FAMILIES`, algorithms
+via :data:`~repro.core.registry.ALGORITHMS` (whose
 ``verifier`` metadata names the matching LCL problem in
 :data:`~repro.core.registry.PROBLEMS`), and the classic report specs via
 :data:`~repro.core.registry.REPORTS` — registered below, next to
@@ -216,79 +205,6 @@ def _run_local_algorithm_cell(params: Dict[str, Any], seed: int) -> Dict[str, An
 
 
 # ---------------------------------------------------------------------------
-# Cell kind: view-algorithm
-# ---------------------------------------------------------------------------
-
-def _run_view_algorithm_cell(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
-    """One view rule on one graph under one labeling.
-
-    With ``view_cache`` on, the cell runs the rule twice — once directly
-    and once through the canonical-view cache — and its verdict is the
-    *differential check*: the two results must agree bit for bit.  The
-    reported metrics come from the cached run, so the artifact carries
-    the cache hit rate.  An ``engine`` parameter (a backend name other
-    than ``"direct"``) generalizes this: the cell runs the named
-    :mod:`repro.core` backend against the direct backend and its verdict
-    is :meth:`~repro.core.engine.SimReport.identity` equality.  Without
-    either, the verdict is the basic execution contract (every node
-    halts at the rule's radius).
-    """
-    from ..core import CachedEngine, SimRequest, simulate
-    from ..local_model.cache import ViewCache
-
-    ensure_builtins()
-    graph = _build_graph(params)
-    entry = ALGORITHMS.get(params["rule"])
-    if entry.metadata.get("kind") != "view":
-        raise ValueError(f"algorithm {params['rule']!r} is not a view rule")
-    rule = entry.create(radius=params.get("radius", 2))
-    labeling = params.get("labeling", "anonymous")
-    rng = random.Random(seed)
-    ids = randomness = None
-    if labeling == "ids":
-        ids = random_permutation_ids(graph, rng)
-    elif labeling == "random":
-        randomness = [rng.getrandbits(16) for _ in graph.nodes()]
-    elif labeling != "anonymous":
-        raise ValueError(f"unknown labeling {labeling!r}")
-
-    request = SimRequest(
-        kind="view", graph=graph, algorithm=rule, ids=ids, randomness=randomness
-    )
-    direct = simulate(request)
-    detail: Dict[str, Any] = {
-        "n": graph.n,
-        "m": graph.m,
-        "rule": rule.name,
-        "labeling": labeling,
-        "rounds": direct.rounds,
-        "distinct_outputs": len(set(direct.outputs)),
-    }
-
-    engine = params.get("engine")
-    if engine not in (None, "direct"):
-        tracer = MetricsTracer(per_round=False)
-        other = simulate(request, engine=engine, tracer=tracer)
-        identical = other.identity() == direct.identity()
-        detail["engine"] = engine
-        detail["differential_identical"] = identical
-        detail["engine_info"] = dict(other.info)
-        return {"verdict": identical, "metrics": tracer.report(), "detail": detail}
-
-    if not params.get("view_cache", False):
-        verdict = all(r == rule.radius for r in direct.halt_rounds)
-        return {"verdict": verdict, "metrics": None, "detail": detail}
-
-    cache = ViewCache()
-    tracer = MetricsTracer(per_round=False)
-    cached = simulate(request, engine=CachedEngine(cache=cache), tracer=tracer)
-    identical = cached.identity() == direct.identity()
-    detail["differential_identical"] = identical
-    detail["cache"] = cache.stats.to_dict()
-    return {"verdict": identical, "metrics": tracer.report(), "detail": detail}
-
-
-# ---------------------------------------------------------------------------
 # Cell kind: report
 # ---------------------------------------------------------------------------
 
@@ -403,7 +319,6 @@ def _run_report_cell(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
 
 _CELL_KINDS: Dict[str, Callable[[Dict[str, Any], int], Dict[str, Any]]] = {
     "local-algorithm": _run_local_algorithm_cell,
-    "view-algorithm": _run_view_algorithm_cell,
     "report": _run_report_cell,
 }
 
@@ -563,21 +478,12 @@ def run_cells(
 # The default plan
 # ---------------------------------------------------------------------------
 
-def default_plan(
-    quick: bool = False,
-    base_seed: int = 0,
-    view_cache: bool = False,
-    engine: Optional[str] = None,
-) -> List[ExperimentCell]:
+def default_plan(quick: bool = False, base_seed: int = 0) -> List[ExperimentCell]:
     """The standard cell decomposition of ``python -m repro.experiments``.
 
     Instrumented algorithm cells form a (graph × size × seed ×
-    algorithm) grid; view-rule cells cover the view engines (with
-    ``view_cache=True`` each doubles as a cached-vs-direct differential
-    check, and with ``engine`` set each runs the named
-    :mod:`repro.core` backend against the direct one); report cells
-    carry the classic per-claim verdicts with the same parameter
-    choices as the legacy serial report.
+    algorithm) grid; report cells carry the classic per-claim verdicts
+    with the same parameter choices as the legacy serial report.
     """
     cells: List[ExperimentCell] = []
 
@@ -615,36 +521,6 @@ def default_plan(
                     f"local-{algorithm}",
                     "local-algorithm",
                     {"algorithm": algorithm, "seed_index": seed_index, **graph_params},
-                )
-
-    # -- view-rule grid (differential when view_cache is on) -------------
-    view_graphs = [
-        ("cycle64", {"graph": "cycle", "n": 64}),
-        ("tree3d4", {"graph": "tree", "delta": 3, "depth": 4}),
-        ("torus8x8", {"graph": "torus", "rows": 8, "cols": 8}),
-    ]
-    view_rules = [
-        ("local-max", 1, "ids"),
-        ("random-priority", 1, "random"),
-        ("ball-signature", 2, "anonymous"),
-        ("degree-profile", 2, "anonymous"),
-    ]
-    for rule, radius, labeling in view_rules:
-        for graph_name, graph_params in view_graphs:
-            for seed_index in (0,) if quick else seeds:
-                add(
-                    f"view-{rule}-{graph_name}-s{seed_index}",
-                    f"view-{rule}",
-                    "view-algorithm",
-                    {
-                        "rule": rule,
-                        "radius": radius,
-                        "labeling": labeling,
-                        "seed_index": seed_index,
-                        "view_cache": view_cache,
-                        **({"engine": engine} if engine else {}),
-                        **graph_params,
-                    },
                 )
 
     # -- classic report cells (legacy __main__ parameters) ---------------

@@ -55,10 +55,9 @@ class RunMetrics:
     communication).  View engines populate ``views_gathered`` /
     ``view_nodes`` / ``view_edges`` instead of the message counters;
     the finite runner populates ``trials`` / ``trial_successes``.
-    Memoizing engines (the cached view engines, the finite runner's
-    ball tables) populate the ``cache_*`` counters — one lookup per
-    computing entity, each a hit or a miss; ``cache_hit_rate`` is the
-    fraction served from the cache.  Kernel-layout runs populate the
+    Finite runs populate the ``cache_*`` counters from the algorithm's
+    ball-assignment memo — one lookup per node, each a hit or a miss;
+    ``cache_hit_rate`` is the fraction served from the memo.  Kernel-layout runs populate the
     ``kernel_*`` counters (``kernel_vectorized`` + ``kernel_fallbacks``
     == ``kernel_runs``; see
     :meth:`~repro.instrumentation.tracer.Tracer.on_kernel`).

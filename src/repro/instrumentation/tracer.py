@@ -36,7 +36,7 @@ on_layout           view engines, once per run, with the resolved
                     class counts
 on_kernel           kernel-layout runs, once per run, saying whether the
                     vectorized kernel or the exact Python fallback ran
-on_cache            cached engines, once per run, with lookup stats
+on_cache            finite runs, once per run, with memo lookup stats
 on_trial            finite runner, once per Monte Carlo trial
 on_stage            speedup pipeline, once per ladder stage
 on_run_end          every engine, once, after the result is assembled
@@ -108,20 +108,21 @@ class Tracer:
     def on_layout(self, engine: str, layout: str, info: Dict[str, Any]) -> None:
         """A view engine reports which graph layout served the run.
 
-        Fired once per ``view`` / ``edge`` run by every backend.
-        ``layout`` is the resolved layout name (``"dict"`` for the
-        reference per-entity path, ``"csr"`` for the batched expander,
-        or a registered fixture layout); ``info`` carries ``requested``
-        (the request's knob, e.g. ``"auto"``), ``entities``, and — on
-        expander-backed layouts — ``path`` (``"numpy"`` or the exact
-        ``"python"`` fallback) and ``classes`` (the partition size).
+        Fired once per ``view`` / ``edge`` run.  ``layout`` is the
+        resolved layout name (``"dict"`` for the reference per-entity
+        path, ``"csr"`` for gathers over the compiled arrays,
+        ``"kernel"`` for the class-table path, ``"implicit"`` for
+        implicit handles); ``info`` carries ``requested`` (the request's
+        knob, e.g. ``"auto"``), ``entities``, and — on the kernel
+        layout — ``path`` (``"numpy"`` or the exact ``"python"``
+        fallback) and ``classes`` (the partition size).
         """
 
     def on_kernel(self, engine: str, algorithm: str, info: Dict[str, Any]) -> None:
         """A kernel-layout run reports which execution path served it.
 
         Fired once per run that resolved to ``layout="kernel"`` (see
-        ``docs/KERNELS.md``), by every backend.  ``info`` carries
+        ``docs/KERNELS.md``).  ``info`` carries
         ``path`` — ``"vectorized"`` when a registered NumPy kernel ran,
         ``"fallback"`` when the exact per-entity Python path did —
         plus ``reason`` (why the fallback ran: ``"no-kernel"``,
@@ -133,10 +134,10 @@ class Tracer:
         """
 
     def on_cache(self, engine: str, stats: Dict[str, Any]) -> None:
-        """A memoizing engine reports its per-run cache statistics.
+        """A finite run reports its algorithm's per-run memo statistics.
 
-        Fired once, just before :meth:`on_run_end`, by the cached view
-        engines and the finite runner.  ``stats`` is the JSON-ready
+        Fired once, just before :meth:`on_run_end`, by every ``finite``
+        run (reference loop or kernel).  ``stats`` is the JSON-ready
         form of :class:`~repro.local_model.cache.CacheStats`
         (``lookups``, ``hits``, ``misses``, ``bytes``,
         ``distinct_classes``, ``hit_rate``), covering this run only

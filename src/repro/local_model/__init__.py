@@ -18,7 +18,6 @@ from .edge_model import (
 from .cache import (
     CacheStats,
     KeyedCache,
-    ViewCache,
     ball_assignment_key,
 )
 from .order_invariant import (
@@ -43,7 +42,6 @@ __all__ = [
     "edge_view_signature",
     "CacheStats",
     "KeyedCache",
-    "ViewCache",
     "ball_assignment_key",
     "EdgeViewAlgorithm",
     "EdgeExecutionResult",

@@ -1,10 +1,10 @@
 """Batched ball expansion over the compiled CSR layout.
 
-The memoizing engines spend almost all their time computing canonical
-ball keys: :func:`~repro.local_model.views.view_signature` walks every
-radius-r ball node by node in Python.  This module computes the *same
-partition into view-equivalence classes* for **all** n balls in one
-vectorized pass over :class:`~repro.graphs.csr.CSRGraph` arrays:
+Class detection by canonical ball keys is slow in Python:
+:func:`~repro.local_model.views.view_signature` walks every radius-r
+ball node by node.  This module computes the *same partition into
+view-equivalence classes* for **all** n balls in one vectorized pass
+over :class:`~repro.graphs.csr.CSRGraph` arrays:
 
 1.  A block-batched, layer-synchronous multi-source BFS discovers every
     ball member in canonical (port-order) exploration order, for a
@@ -29,16 +29,16 @@ Inputs the vectorized path cannot represent exactly — an
 (``path == "python"``), so the expander never guesses: every partition
 it returns is exact by construction.
 
-The engines reach this module through the *layout* knob on
+The engine reaches this module through the *layout* knob on
 :class:`~repro.core.engine.SimRequest` (``"auto"`` / ``"dict"`` /
-``"csr"``); :func:`register_layout` lets tests plug in deliberately
-broken expanders so the conformance fuzzer can prove it catches layout
-divergence (see :mod:`repro.conformance.fixtures`).
+``"csr"`` / ``"kernel"`` / ``"implicit"``): the ``"kernel"`` layout
+evaluates one class table over these partitions, and ``"csr"`` gathers
+each ball over the same arrays (:func:`gather_view_csr`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,7 +55,6 @@ __all__ = [
     "ClassCounts",
     "BatchBallExpander",
     "ImplicitBallExpander",
-    "register_layout",
     "known_layouts",
     "expander_for",
     "resolve_layout",
@@ -78,8 +77,7 @@ class ClassPartition:
         tuples; on the fallback path they are the reference signature
         tuples.  Either way the key is perfect: equal keys iff equal
         reference signatures (within one path — the two key spaces are
-        disjoint by construction, so mixing them in one cache is safe,
-        merely un-shared).
+        disjoint by construction).
     labels:
         ``labels[i]`` is the class index of entity ``i`` (node ``i`` for
         node partitions, the ``i``-th edge for edge partitions).
@@ -133,7 +131,7 @@ class ClassCounts:
     keys:
         One hashable canonical key per class, in first-occurrence order
         — the same key space as the vectorized :class:`ClassPartition`
-        keys, so memoized results are shareable.
+        keys.
     reps:
         ``reps[c]`` is the smallest node of class ``c`` (the identical
         representative the materialized scan would pick).
@@ -203,8 +201,7 @@ class BatchBallExpander:
 
     One expander per graph; the engines cache it on the graph's
     :class:`~repro.graphs.csr.CSRGraph` so its block buffers are reused
-    across runs.  Subclass and override :meth:`_class_key` to build a
-    *broken* layout for fuzzer self-tests.
+    across runs.
     """
 
     #: Target bytes for the (block, n) local-index matrix.  Measured on
@@ -332,12 +329,6 @@ class BatchBallExpander:
             ):
                 return np.dtype(np.int64)
         return np.dtype(np.int32)
-
-    # -- key derivation (override point for broken-layout fixtures) -----
-    def _class_key(
-        self, tag: str, radius: int, flags: Tuple[bool, ...], stream: bytes
-    ) -> Any:
-        return (tag, radius, flags, stream)
 
     # -- reference fallback ---------------------------------------------
     def _fallback(
@@ -578,7 +569,7 @@ class BatchBallExpander:
         # global first-occurrence class numbering of the reference scan.
         for rank in np.argsort(first, kind="stable"):
             i = int(first[rank])
-            key = self._class_key(
+            key = (
                 tag, radius, key_flags,
                 mat[i, : int(stream_len[i])].tobytes(),
             )
@@ -598,11 +589,9 @@ class _WindowExpander(BatchBallExpander):
     call, so the reusable local matrix cannot be shared), it reuses the
     entire vectorized core of :class:`BatchBallExpander` unchanged —
     which is what makes the window path byte-identical by construction.
-    Two deliberate deviations: the packed-stream dtype can be *forced*
+    One deliberate deviation: the packed-stream dtype can be *forced*
     to the full-column width (see
-    :meth:`BatchBallExpander._stream_dtype`), and class keys delegate
-    to the owning :class:`ImplicitBallExpander` so subclassed key
-    schemes (conformance fixtures) survive the window indirection.
+    :meth:`BatchBallExpander._stream_dtype`).
     """
 
     def __init__(
@@ -616,7 +605,6 @@ class _WindowExpander(BatchBallExpander):
         n = max(1, csr.n)
         self.block = max(64, min(4096, self._BLOCK_BYTES // (4 * n)))
         self._local: Optional[np.ndarray] = None
-        self._owner = owner
         self._forced_dtype = stream_dtype
 
     def _stream_dtype(self, cols: List[np.ndarray]) -> np.dtype:
@@ -624,12 +612,6 @@ class _WindowExpander(BatchBallExpander):
         if self._forced_dtype is not None:
             return self._forced_dtype
         return super()._stream_dtype(cols)
-
-    def _class_key(
-        self, tag: str, radius: int, flags: Tuple[bool, ...], stream: bytes
-    ) -> Any:
-        """Delegate to the owning implicit expander's key scheme."""
-        return self._owner._class_key(tag, radius, flags, stream)
 
 
 class ImplicitBallExpander(BatchBallExpander):
@@ -833,7 +815,7 @@ class ImplicitBallExpander(BatchBallExpander):
 
 
 # ----------------------------------------------------------------------
-# Layout registry + resolution (the engines' entry points)
+# Layout resolution (the engine's entry points)
 # ----------------------------------------------------------------------
 
 #: The built-in layouts every view/edge request can name.  ``"dict"``
@@ -842,88 +824,49 @@ class ImplicitBallExpander(BatchBallExpander):
 #: (see :mod:`repro.local_model.kernels` and ``docs/KERNELS.md``).
 LAYOUTS = ("dict", "csr", "kernel")
 
-_LAYOUT_FACTORIES: Dict[str, Callable[[Graph], BatchBallExpander]] = {
-    "csr": BatchBallExpander,
-    "kernel": BatchBallExpander,
-    "implicit": ImplicitBallExpander,
-}
-
-
-def register_layout(
-    name: str,
-    factory: Callable[[Graph], BatchBallExpander],
-    replace: bool = False,
-) -> None:
-    """Register an expander-backed layout under ``name``.
-
-    Exists for the conformance fixtures: a deliberately broken expander
-    registered here becomes fuzzable through the ``layouts=`` contract
-    axis, proving the fuzzer detects layout divergence.
-    """
-    if name == "dict":
-        raise ValueError('"dict" is the reference layout; cannot replace it')
-    if name in _LAYOUT_FACTORIES and not replace:
-        raise ValueError(f"layout {name!r} is already registered")
-    _LAYOUT_FACTORIES[name] = factory
-
 
 def known_layouts() -> Tuple[str, ...]:
     """Every resolvable layout name (reference first)."""
-    return ("dict",) + tuple(sorted(_LAYOUT_FACTORIES))
+    return ("dict", "csr", "implicit", "kernel")
 
 
 def expander_for(graph: Graph, layout: str = "csr") -> BatchBallExpander:
     """The expander instance serving ``layout`` on ``graph``.
 
-    The built-in ``"csr"`` / ``"kernel"`` layouts share one expander
-    cached on the graph's compiled layout (its block buffers are
-    reusable, and the kernel layout consumes the very same partitions);
-    ``"implicit"`` serves :class:`~repro.graphs.implicit.ImplicitGraph`
-    handles through a window-synthesizing expander cached on the handle;
-    fixture layouts construct fresh instances.
+    The ``"csr"`` / ``"kernel"`` layouts share one expander cached on
+    the graph's compiled layout (its block buffers are reusable, and the
+    kernel layout consumes the very same partitions); ``"implicit"``
+    serves :class:`~repro.graphs.implicit.ImplicitGraph` handles through
+    a window-synthesizing expander cached on the handle.
     """
-    factory = _LAYOUT_FACTORIES.get(layout)
-    if factory is None:
-        raise ValueError(
-            f"unknown layout {layout!r} (have {known_layouts()})"
-        )
     if layout == "implicit":
         if not getattr(graph, "is_implicit", False):
             raise ValueError(
                 'layout "implicit" requires an ImplicitGraph handle; '
                 f"got {type(graph).__name__} (use \"csr\" or \"dict\")"
             )
-        if factory is ImplicitBallExpander:
-            if graph._expander is None:
-                graph._expander = ImplicitBallExpander(graph)
-            return graph._expander
-        return factory(graph)
+        if graph._expander is None:
+            graph._expander = ImplicitBallExpander(graph)
+        return graph._expander
     if layout in ("csr", "kernel"):
         csr = graph.csr()
         if csr._expander is None:
             csr._expander = BatchBallExpander(graph)
         return csr._expander
-    return factory(graph)
+    raise ValueError(f"unknown layout {layout!r} (have {known_layouts()})")
 
 
-def resolve_layout(layout: str, graph: Any, prefer_csr: bool) -> str:
+def resolve_layout(layout: str, graph: Any) -> str:
     """Resolve a request's layout knob to a concrete layout name.
 
     ``"auto"`` routes :class:`~repro.graphs.implicit.ImplicitGraph`
-    handles to the synthesized ``"implicit"`` path, and otherwise picks
-    ``"csr"`` when the engine prefers it *and* the graph is frozen and
-    non-empty (the CSR layout only exists for frozen graphs); anything
-    explicit is validated and passed through.
+    handles to the synthesized ``"implicit"`` path and everything else
+    to the reference ``"dict"`` path; anything explicit is validated and
+    passed through.
     """
     if layout == "auto":
         if getattr(graph, "is_implicit", False):
             return "implicit" if getattr(graph, "n", 0) > 0 else "dict"
-        if (
-            prefer_csr
-            and getattr(graph, "is_frozen", False)
-            and getattr(graph, "n", 0) > 0
-        ):
-            return "csr"
         return "dict"
     if layout == "implicit" and not getattr(graph, "is_implicit", False):
         raise ValueError(
@@ -931,7 +874,7 @@ def resolve_layout(layout: str, graph: Any, prefer_csr: bool) -> str:
             "(see docs/IMPLICIT.md); materialized graphs use "
             '"dict"/"csr"/"kernel"'
         )
-    if layout != "dict" and layout not in _LAYOUT_FACTORIES:
+    if layout not in known_layouts():
         raise ValueError(
             f"unknown layout {layout!r} (have {known_layouts()})"
         )
@@ -939,7 +882,7 @@ def resolve_layout(layout: str, graph: Any, prefer_csr: bool) -> str:
 
 
 # ----------------------------------------------------------------------
-# CSR-backed view materialization (DirectEngine's explicit-csr path)
+# CSR-backed view materialization (the engine's explicit-csr path)
 # ----------------------------------------------------------------------
 
 def gather_view_csr(

@@ -1,43 +1,17 @@
-"""Canonical-view memoization: compute each view class once.
+"""Memoization by canonical key: compute each distinct input once.
 
-On the graph families the paper cares about (Δ-regular trees, tori,
-cycles) almost all radius-t balls are pairwise isomorphic: a balanced
-4-regular tree with thousands of nodes has only a handful of distinct
-radius-2 view classes.  The direct engines
-(:func:`~repro.local_model.network.run_view_algorithm`,
-:func:`~repro.local_model.edge_model.run_edge_view_algorithm`)
-re-materialize and re-evaluate the same canonical view at every node;
-the cached engines here key each node's ball by its canonical
-signature (:func:`~repro.local_model.views.view_signature`), evaluate
-the algorithm **once per distinct class**, and broadcast the output to
-every node sharing the class.
+A T-round LOCAL algorithm is a map from radius-T neighborhoods to
+outputs; the speedup simulation argues over exactly that map.  Its
+executable form memoizes each algorithm on a canonical encoding of
+"everything the computing entity can see":
+:class:`~repro.speedup.algorithms.NodeAlgorithm` keys its evaluations
+by :func:`ball_assignment_key` (the per-ball random words) through one
+:class:`KeyedCache`, so each distinct assignment is evaluated once no
+matter how many nodes, trials, or runs present it.
 
-This is faithful to the theory, not just an optimization: Lemmas 7/8
-of the paper (and the speedup simulation as a whole) argue over
-isomorphism classes of balls, and a "T-round algorithm is a mapping
-from radius-T neighborhoods to outputs" — the cache *is* that mapping,
-materialized lazily.
-
-Exactness contract
-------------------
-A cached run must produce the exact same
-:class:`~repro.local_model.network.ExecutionResult` as a direct run —
-bit for bit.  This hinges on the signature being a *perfect* canonical
-key (equal signature iff equal :meth:`~repro.local_model.views.View.key`),
-which is proven two ways: the property suite
-(``tests/test_view_cache_properties.py``) checks signature equality
-against an independent ball-isomorphism decision procedure, and the
-differential harness (``tests/differential.py``) asserts bit-identical
-results over a grid of (algorithm × graph family × radius × labeling).
-
-Because the signature encodes *everything* a node can see — structure,
-ports, orientation labels, identifiers, inputs, randomness — a cache
-is safe to reuse across runs and graphs.  The one thing **not** in the
-key is the algorithm itself: never share one :class:`ViewCache`
-between different algorithms.
-
-See ``docs/PERFORMANCE.md`` for the design discussion and measured
-speedups (``benchmarks/BENCH_view_cache.json``).
+:class:`CacheStats` counts every lookup as a hit or a miss; finite runs
+report the per-run delta through the tracer's ``on_cache`` hook (the
+``cache_*`` fields of :class:`~repro.instrumentation.RunMetrics`).
 """
 
 from __future__ import annotations
@@ -50,7 +24,6 @@ from ..instrumentation.sizes import SizeEstimator, estimate_size
 __all__ = [
     "CacheStats",
     "KeyedCache",
-    "ViewCache",
     "ball_assignment_key",
 ]
 
@@ -61,8 +34,8 @@ class CacheStats:
 
     ``bytes`` approximates the retained size of stored keys and values
     (estimated with :func:`~repro.instrumentation.sizes.estimate_size`);
-    ``distinct_classes`` is the number of stored entries — for the view
-    cache, the number of distinct view-equivalence classes seen.
+    ``distinct_classes`` is the number of stored entries — the number
+    of distinct keys (ball assignments, view classes) seen.
     """
 
     lookups: int = 0
@@ -114,9 +87,8 @@ _MISS = object()
 class KeyedCache:
     """A stats-bearing memo table over hashable keys.
 
-    The generic substrate shared by the view cache and the speedup
-    engine's ball-assignment memoization
-    (:class:`~repro.speedup.algorithms.NodeAlgorithm`): both map a
+    The substrate of the speedup engine's ball-assignment memoization
+    (:class:`~repro.speedup.algorithms.NodeAlgorithm`): it maps a
     canonical encoding of "everything the computing entity can see" to
     an output, computed once per distinct encoding.
     """
@@ -151,16 +123,6 @@ class KeyedCache:
         stats.bytes += (self._size(key) + self._size(value) + 7) // 8
         return value
 
-    def count_hits(self, count: int) -> None:
-        """Count ``count`` lookups already known to hit.
-
-        The memoizing engines look up each view class once; its other
-        members would all hit, and are counted here so the stats stay
-        per entity.
-        """
-        self.stats.lookups += count
-        self.stats.hits += count
-
     def get_or_compute(self, key: Any, compute: Callable[[], Any]) -> Any:
         """The memoized value for ``key``, computing and storing on miss."""
         value = self.get(key)
@@ -173,18 +135,6 @@ class KeyedCache:
         self._store.clear()
         self.stats.distinct_classes = 0
         self.stats.bytes = 0
-
-
-class ViewCache(KeyedCache):
-    """A per-algorithm memo table from canonical view signatures to outputs.
-
-    Keys are :func:`~repro.local_model.views.view_signature` /
-    :func:`~repro.local_model.views.edge_view_signature` tuples, which
-    encode the complete visible ball (structure, ports, orientation,
-    identifiers, inputs, randomness) — so one cache may be reused
-    across runs and even across graphs.  The algorithm identity is
-    *not* part of the key: use one cache per algorithm.
-    """
 
 
 def ball_assignment_key(

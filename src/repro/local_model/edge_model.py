@@ -77,31 +77,18 @@ def run_edge_view_algorithm(
     randomness: Optional[Sequence[Any]] = None,
     orientation: Optional[Orientation] = None,
     tracer: Optional[Tracer] = None,
-    view_cache: Optional[Any] = None,
 ) -> EdgeExecutionResult:
     """Evaluate an edge algorithm on every edge of ``graph``.
 
     An optional ``tracer`` observes one
     :meth:`~repro.instrumentation.Tracer.on_view` event per edge ball
     (``center`` is the edge's ``(u, v)`` node pair).
-
-    ``view_cache`` switches to the canonical-view memoization engine
-    (:class:`~repro.core.cached.CachedEngine`) — a
-    :class:`~repro.local_model.cache.ViewCache` to keep the memo
-    table, or ``True`` for a fresh per-run cache; results are identical.
     """
     # Lazy: the core package imports sibling local_model modules.
-    from ..core.cached import CachedEngine
     from ..core.direct import DirectEngine
     from ..core.engine import SimRequest
 
-    if view_cache is not None and view_cache is not False:
-        engine = CachedEngine(
-            cache=None if view_cache is True else view_cache
-        )
-    else:
-        engine = DirectEngine()
-    report = engine.run(
+    report = DirectEngine().run(
         SimRequest(
             kind="edge",
             graph=graph,

@@ -30,10 +30,9 @@ the packed-row format, and a worked example live in ``docs/KERNELS.md``;
 the parity suites (``tests/test_kernels.py``) and the conformance
 ``layouts=`` axis prove the bit-identity.
 
-Engines reach kernels through ``SimRequest.layout="kernel"`` (all
-backends) or auto-escalation of ``local`` requests on frozen graphs by
-the ``prefer_csr`` backends; see
-:func:`repro.local_model.batch_views.resolve_layout`.
+The engine reaches kernels only through an explicit
+``SimRequest.layout="kernel"``; ``"auto"`` never escalates (see
+:func:`repro.local_model.batch_views.resolve_layout`).
 """
 
 from __future__ import annotations
@@ -518,8 +517,10 @@ def run_local_kernel(
     Returns ``(outputs, halt_rounds, rounds)`` exactly as the direct
     engine's reference loop would produce them; raises
     :class:`KernelUnsupported` (before consuming any randomness) when
-    no kernel applies, and the same ``ValueError`` / ``RuntimeError``
-    the reference loop raises for invalid labelings or runaway rounds.
+    no kernel applies, and the same ``RuntimeError`` the reference loop
+    raises for runaway rounds.  Labeling lengths are the caller's to
+    validate (:class:`~repro.core.direct.DirectEngine` checks them once
+    for every path).
     """
     factory = local_kernel_for(algorithm)
     if factory is None:
@@ -530,11 +531,6 @@ def run_local_kernel(
         # exist for frozen graphs; unfrozen requests take the fallback.
         raise KernelUnsupported("unsupported: graph not frozen")
     n = graph.n
-    # Same validation, same messages, same order as the direct loop.
-    if request.ids is not None and len(request.ids) != n:
-        raise ValueError("ids must have one entry per node")
-    if request.inputs is not None and len(request.inputs) != n:
-        raise ValueError("inputs must have one entry per node")
     kernel = factory(algorithm)
     reason = kernel.supports(request)
     if reason is not None:

@@ -13,10 +13,9 @@ Faithfulness guarantees:
 * per-node randomness is private and derived from independent streams;
 * deterministic runs poison the RNG so accidental randomness raises.
 
-Both functions are adapters over the unified engine seam
-(:func:`repro.core.simulate`): the loops themselves live in
-:class:`repro.core.direct.DirectEngine`, and these entry points keep
-their historical signatures and result types on top of it.
+Both functions are adapters over the engine seam: the loops themselves
+live in :class:`repro.core.direct.DirectEngine`, and these entry points
+keep their historical signatures and result types on top of it.
 """
 
 from __future__ import annotations
@@ -139,7 +138,6 @@ def run_view_algorithm(
     randomness: Optional[Sequence[Any]] = None,
     orientation: Optional[Orientation] = None,
     tracer: Optional[Tracer] = None,
-    view_cache: Optional[Any] = None,
 ) -> ExecutionResult:
     """Run a view-style T-round algorithm (Section 2.1's functional form).
 
@@ -147,24 +145,11 @@ def run_view_algorithm(
     is ``T = algorithm.radius`` by definition.  An optional ``tracer``
     observes one :meth:`~repro.instrumentation.Tracer.on_view` event per
     materialized ball (the view engine's bandwidth analogue).
-
-    ``view_cache`` switches to the canonical-view memoization engine
-    (:class:`~repro.core.cached.CachedEngine`), which evaluates each
-    distinct view class once and produces the exact same result: pass a
-    :class:`~repro.local_model.cache.ViewCache` to keep (and inspect)
-    the memo table, or ``True`` for a fresh per-run cache.
     """
-    from ..core.cached import CachedEngine
     from ..core.direct import DirectEngine
     from ..core.engine import SimRequest
 
-    if view_cache is not None and view_cache is not False:
-        engine = CachedEngine(
-            cache=None if view_cache is True else view_cache
-        )
-    else:
-        engine = DirectEngine()
-    report = engine.run(
+    report = DirectEngine().run(
         SimRequest(
             kind="view",
             graph=graph,

@@ -245,12 +245,11 @@ def _signature(
     numbers, the degrees (row length), and the distances (BFS from the
     seeds is a function of the rows), so two balls have equal signatures
     iff their :meth:`View.key` encodings are equal — the property the
-    view cache relies on, proven by the differential harness and the
-    property suite (``tests/test_view_cache_properties.py``).
+    memoized differential run and the batched expander rely on, proven
+    by the property suite (``tests/test_view_signature_properties.py``).
 
-    This is the hot path of the cached engines: it avoids the
-    per-neighbor tuple allocations, edge sorting, and adjacency
-    construction that :func:`gather_view` pays for.
+    It avoids the per-neighbor tuple allocations, edge sorting, and
+    adjacency construction that :func:`gather_view` pays for.
     """
     adj = graph.adjacency_rows()
     order: List[int] = []
@@ -311,8 +310,9 @@ def view_signature(
 
     Two nodes get equal signatures iff their :func:`gather_view` views
     have equal :meth:`View.key` — i.e. iff they are indistinguishable
-    in the model.  Cheaper to compute than the view itself; this is the
-    cache key of :mod:`repro.local_model.cache`.
+    in the model.  Cheaper to compute than the view itself; the
+    reference partition the batched expander
+    (:mod:`repro.local_model.batch_views`) must reproduce.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")

@@ -1,34 +1,33 @@
-"""Differential harness: every engine backend must be *exact*.
+"""Differential harness: every way of running a view algorithm is *exact*.
 
-The cache (:mod:`repro.local_model.cache`) claims that keying on the
-canonical view signature and broadcasting one computed output per
-distinct view class is indistinguishable from running the algorithm at
-every node.  This module turns that claim into an executable oracle:
+A T-round algorithm is a map from radius-T balls to outputs, so
+evaluating it once per canonical view class and broadcasting the
+output must be indistinguishable from running it at every node.  This
+module turns that claim — and the engine's layout claims — into
+executable oracles:
 
 * :func:`grid` enumerates a (algorithm × graph family × radius ×
   labeling) case grid — id-driven, anonymous, and randomness-driven
   rules over cycles, paths, trees, tori, stars, caterpillars, cliques,
   and random regular graphs, at radii 0 through 3;
-* :func:`run_case` executes one case twice, directly and through a
-  fresh :class:`~repro.local_model.ViewCache`;
+* :func:`run_case` executes one case twice: through the engine, and as
+  a memo table built here (:func:`run_memoized` — one
+  :class:`~repro.local_model.KeyedCache` lookup per node, keyed by
+  :func:`~repro.local_model.views.view_signature`, one gather per key);
 * :func:`assert_identical` demands the two
   :class:`~repro.local_model.ExecutionResult`s agree **bit for bit** —
   outputs, halt rounds, and round count;
-* :func:`run_case_backends` / :func:`run_edge_case_backends` run the
-  same case once per :mod:`repro.core` backend (direct, cached) and
-  return the :class:`~repro.core.SimReport`s, whose ``identity()``
-  projections must coincide;
-* :func:`run_case_layouts` / :func:`run_edge_case_layouts` extend that
-  comparison with the graph-layout axis: every (backend × layout)
-  combination — the reference ``"dict"`` path and the batched
-  ``"csr"`` expander — must reproduce the direct/dict report bit for
-  bit (:func:`assert_layout_reports_identical`).
+* :func:`run_case_layouts` / :func:`run_edge_case_layouts` run the same
+  case once per engine layout (the reference ``"dict"`` path, the
+  ``"csr"`` gathers, the ``"kernel"`` class table) and return the
+  :class:`~repro.core.SimReport`s, which must reproduce the ``"dict"``
+  report bit for bit (:func:`assert_layout_reports_identical`).
 
-``tests/test_differential.py`` parametrizes over the full grid;
-``tests/test_engine_backends.py`` adds the backend comparison;
-``python -m tests.differential`` (with ``src`` on the path) runs both
-standalone and prints a per-case table, which is handy when a cache or
-backend change needs forensic rather than pass/fail output.
+``tests/test_differential.py`` parametrizes the memo comparison over
+the full grid; ``tests/test_engine_backends.py`` adds the layout
+comparison; ``python -m tests.differential`` (with ``src`` on the path)
+runs both standalone and prints a per-case table, which is handy when
+a layout change needs forensic rather than pass/fail output.
 
 Every case derives its labelings from ``sha256(case_id)``, so the grid
 is deterministic across processes, job counts, and Python hash seeds.
@@ -53,32 +52,38 @@ from repro.graphs import (
     star,
     toroidal_grid,
 )
+from repro.graphs.graph import edge_key
 from repro.graphs.identifiers import random_permutation_ids
-from repro.local_model import EdgeViewAlgorithm, ViewCache
+from repro.local_model import EdgeViewAlgorithm, KeyedCache
 from repro.local_model.batch_views import LAYOUTS
-from repro.local_model.edge_model import run_edge_view_algorithm
-from repro.local_model.network import run_view_algorithm
+from repro.local_model.edge_model import (
+    EdgeExecutionResult,
+    run_edge_view_algorithm,
+)
+from repro.local_model.network import ExecutionResult, run_view_algorithm
+from repro.local_model.views import (
+    edge_view_signature,
+    gather_edge_view,
+    gather_view,
+    view_signature,
+)
 
 __all__ = [
     "Case",
-    "BACKENDS",
     "LAYOUTS",
     "GRAPH_FAMILIES",
     "grid",
+    "run_memoized",
+    "run_edge_memoized",
     "run_case",
-    "run_case_backends",
+    "run_layouts",
     "run_case_layouts",
-    "run_edge_case_backends",
+    "run_edge_case",
     "run_edge_case_layouts",
     "assert_identical",
-    "assert_reports_identical",
     "assert_layout_reports_identical",
     "run_grid",
 ]
-
-#: Every interchangeable :mod:`repro.core` backend, in comparison order
-#: (``direct`` first: it is the reference semantics).
-BACKENDS = ("direct", "cached")
 
 #: name -> zero-argument graph builder.  Sizes are chosen so the whole
 #: grid stays in CI-friendly territory while still covering high-girth,
@@ -149,39 +154,76 @@ def _labelings(
     return None, None
 
 
-def run_case(case: Case) -> Tuple[Any, Any, Dict[str, Any]]:
-    """Run one case directly and through a fresh cache.
+def run_memoized(
+    graph, rule, ids=None, randomness=None
+) -> Tuple[ExecutionResult, KeyedCache]:
+    """A view run as a memo table: one evaluation per view class.
 
-    Returns ``(direct, cached, cache_stats_dict)``.
+    Each node is looked up by its canonical signature; a miss gathers
+    that node's ball and evaluates the rule, a hit reuses the stored
+    output.  Returns the result and the cache (its stats count one
+    lookup per node).
+    """
+    cache = KeyedCache()
+    radius, labels = rule.radius, {"ids": ids, "randomness": randomness}
+    outputs = [
+        cache.get_or_compute(
+            view_signature(graph, v, radius, **labels),
+            lambda v=v: rule.output(gather_view(graph, v, radius, **labels)),
+        )
+        for v in graph.nodes()
+    ]
+    return ExecutionResult(outputs, [radius] * len(outputs), radius), cache
+
+
+def run_edge_memoized(
+    graph, algorithm, randomness=None
+) -> Tuple[EdgeExecutionResult, KeyedCache]:
+    """:func:`run_memoized` for an edge algorithm, keyed per edge ball."""
+    cache = KeyedCache()
+    radius = algorithm.view_radius()
+    outputs = {
+        edge_key(u, v): cache.get_or_compute(
+            edge_view_signature(graph, (u, v), radius, randomness=randomness),
+            lambda e=(u, v): algorithm.output_fn(
+                gather_edge_view(graph, e, radius, randomness=randomness)
+            ),
+        )
+        for u, v in graph.edges()
+    }
+    return EdgeExecutionResult(outputs, algorithm.rounds), cache
+
+
+def run_case(case: Case) -> Tuple[Any, Any, Dict[str, Any]]:
+    """Run one case through the engine and as a memo table.
+
+    Returns ``(direct, memoized, cache_stats_dict)``.
     """
     graph = GRAPH_FAMILIES[case.graph]()
     rule = make_view_rule(case.rule, radius=case.radius)
     ids, randomness = _labelings(case, graph)
     direct = run_view_algorithm(graph, rule, ids=ids, randomness=randomness)
-    cache = ViewCache()
-    cached = run_view_algorithm(
-        graph, rule, ids=ids, randomness=randomness, view_cache=cache
-    )
-    return direct, cached, cache.stats.to_dict()
+    memoized, cache = run_memoized(graph, rule, ids=ids, randomness=randomness)
+    return direct, memoized, cache.stats.to_dict()
 
 
-def assert_identical(direct: Any, cached: Any, case: Case) -> None:
+def assert_identical(direct: Any, memoized: Any, case: Case) -> None:
     """Bit-identical or AssertionError naming the first divergence."""
-    assert cached.outputs == direct.outputs, (
+    assert memoized.outputs == direct.outputs, (
         f"{case.case_id}: outputs diverge at nodes "
-        f"{[v for v, (a, b) in enumerate(zip(direct.outputs, cached.outputs)) if a != b][:5]}"
+        f"{[v for v, (a, b) in enumerate(zip(direct.outputs, memoized.outputs)) if a != b][:5]}"
     )
-    assert cached.halt_rounds == direct.halt_rounds, (
+    assert memoized.halt_rounds == direct.halt_rounds, (
         f"{case.case_id}: halt rounds diverge"
     )
-    assert cached.rounds == direct.rounds, (
+    assert memoized.rounds == direct.rounds, (
         f"{case.case_id}: round counts diverge "
-        f"({direct.rounds} direct vs {cached.rounds} cached)"
+        f"({direct.rounds} direct vs {memoized.rounds} memoized)"
     )
 
 
 # ----------------------------------------------------------------------
-# Backend comparison (direct vs cached SimReports)
+# Layout comparison (dict vs csr vs kernel SimReports)
 # ----------------------------------------------------------------------
 
 def build_request(case: Case) -> SimRequest:
@@ -199,52 +241,32 @@ def build_request(case: Case) -> SimRequest:
     )
 
 
-def run_case_backends(case: Case) -> Dict[str, Any]:
-    """Run one case through every backend; backend name -> SimReport."""
+def run_layouts(request: SimRequest) -> Dict[str, Any]:
+    """``request`` once per layout; layout name -> SimReport."""
     return {
-        backend: simulate(build_request(case), engine=backend)
-        for backend in BACKENDS
+        layout: simulate(replace(request, layout=layout)) for layout in LAYOUTS
     }
 
 
-def assert_reports_identical(reports: Dict[str, Any], label: str) -> None:
-    """All reports share the direct report's ``identity()`` projection."""
-    reference = reports["direct"].identity()
-    for backend, report in reports.items():
-        assert report.backend == backend, (
-            f"{label}: report from {backend!r} claims backend {report.backend!r}"
-        )
-        assert report.identity() == reference, (
-            f"{label}: backend {backend!r} diverges from direct"
-        )
+def run_case_layouts(case: Case) -> Dict[str, Any]:
+    """One case over every layout; layout name -> SimReport.
 
-
-def run_case_layouts(case: Case) -> Dict[Tuple[str, str], Any]:
-    """One case over the full (backend × layout) grid.
-
-    Returns ``(backend, layout) -> SimReport``.  Every grid graph is
-    frozen by its generator, so the ``"csr"`` layout is legal on all of
-    them.
+    Every grid graph is frozen by its generator, so the ``"csr"`` and
+    ``"kernel"`` layouts are legal on all of them.
     """
-    request = build_request(case)
-    return {
-        (backend, layout): simulate(
-            replace(request, layout=layout), engine=backend
-        )
-        for backend in BACKENDS
-        for layout in LAYOUTS
-    }
+    return run_layouts(build_request(case))
 
 
 def assert_layout_reports_identical(
-    reports: Dict[Tuple[str, str], Any], label: str
+    reports: Dict[str, Any], label: str
 ) -> None:
-    """Every (backend, layout) report matches direct/dict bit for bit."""
-    reference = reports[("direct", "dict")].identity()
-    for (backend, layout), report in reports.items():
+    """Every other layout's report matches ``"dict"`` bit for bit."""
+    reference = reports["dict"].identity()
+    for layout, report in reports.items():
+        if layout == "dict":
+            continue
         assert report.identity() == reference, (
-            f"{label}: backend {backend!r} with layout {layout!r} "
-            f"diverges from direct/dict"
+            f"{label}: layout {layout!r} diverges from dict"
         )
 
 
@@ -277,47 +299,23 @@ def _edge_case_inputs(graph_name: str, rounds: int):
 
 
 def run_edge_case(graph_name: str, rounds: int) -> Tuple[Any, Any]:
-    """One edge-view algorithm, cached vs direct, on one graph."""
+    """One edge-view algorithm, engine vs memo table, on one graph."""
     graph, alg, randomness = _edge_case_inputs(graph_name, rounds)
     direct = run_edge_view_algorithm(graph, alg, randomness=randomness)
-    cached = run_edge_view_algorithm(
-        graph, alg, randomness=randomness, view_cache=True
-    )
-    return direct, cached
+    memoized, _ = run_edge_memoized(graph, alg, randomness=randomness)
+    return direct, memoized
 
 
-def run_edge_case_backends(graph_name: str, rounds: int) -> Dict[str, Any]:
-    """One edge case through every backend; backend name -> SimReport."""
+def run_edge_case_layouts(graph_name: str, rounds: int) -> Dict[str, Any]:
+    """One edge case over every layout; layout name -> SimReport."""
     graph, alg, randomness = _edge_case_inputs(graph_name, rounds)
-    request = SimRequest(
+    return run_layouts(SimRequest(
         kind="edge",
         graph=graph,
         algorithm=alg,
         randomness=randomness,
         label=f"edge-t{rounds}-{graph_name}",
-    )
-    return {backend: simulate(request, engine=backend) for backend in BACKENDS}
-
-
-def run_edge_case_layouts(
-    graph_name: str, rounds: int
-) -> Dict[Tuple[str, str], Any]:
-    """One edge case over the full (backend × layout) grid."""
-    graph, alg, randomness = _edge_case_inputs(graph_name, rounds)
-    request = SimRequest(
-        kind="edge",
-        graph=graph,
-        algorithm=alg,
-        randomness=randomness,
-        label=f"edge-t{rounds}-{graph_name}",
-    )
-    return {
-        (backend, layout): simulate(
-            replace(request, layout=layout), engine=backend
-        )
-        for backend in BACKENDS
-        for layout in LAYOUTS
-    }
+    ))
 
 
 # ----------------------------------------------------------------------
@@ -328,9 +326,12 @@ def run_grid(verbose: bool = True) -> int:
     """Run every case; return the number of failures."""
     failures = 0
     for case in grid():
-        direct, cached, stats = run_case(case)
+        direct, memoized, stats = run_case(case)
         try:
-            assert_identical(direct, cached, case)
+            assert_identical(direct, memoized, case)
+            assert_layout_reports_identical(
+                run_case_layouts(case), case.case_id
+            )
             status = "ok"
         except AssertionError as exc:
             failures += 1
@@ -341,8 +342,11 @@ def run_grid(verbose: bool = True) -> int:
                 f"hit={stats['hit_rate']:.2f}  {status}"
             )
     for graph_name, rounds in edge_cases():
-        direct, cached = run_edge_case(graph_name, rounds)
-        ok = cached.outputs == direct.outputs and cached.rounds == direct.rounds
+        direct, memoized = run_edge_case(graph_name, rounds)
+        ok = (
+            memoized.outputs == direct.outputs
+            and memoized.rounds == direct.rounds
+        )
         failures += 0 if ok else 1
         if verbose:
             print(
@@ -350,16 +354,16 @@ def run_grid(verbose: bool = True) -> int:
                 f"{'ok' if ok else 'FAIL'}"
             )
         try:
-            assert_reports_identical(
-                run_edge_case_backends(graph_name, rounds),
+            assert_layout_reports_identical(
+                run_edge_case_layouts(graph_name, rounds),
                 f"edge-t{rounds}-{graph_name}",
             )
-            backend_status = "backends ok"
+            layout_status = "layouts ok"
         except AssertionError as exc:
             failures += 1
-            backend_status = f"backends FAIL ({exc})"
+            layout_status = f"layouts FAIL ({exc})"
         if verbose:
-            print(f"  edge-t{rounds}-{graph_name:<32s} {backend_status}")
+            print(f"  edge-t{rounds}-{graph_name:<32s} {layout_status}")
     return failures
 
 

@@ -12,7 +12,6 @@ import random
 import pytest
 
 from repro.conformance import (
-    BACKENDS,
     BROKEN_MIS,
     CaseSpec,
     collect_contracts,
@@ -101,8 +100,7 @@ class TestContracts:
         assert contract.solves == ("mis", {})
         assert contract.domains
         assert set(contract.invariances) <= {
-            "determinism", "backend-identity",
-            "port-permutation", "label-order",
+            "determinism", "port-permutation", "label-order",
         }
 
     def test_contract_snapshot_keys(self):
@@ -207,9 +205,6 @@ class TestRunCase:
             result = run_case(contract, case)
             assert result.ok, (contract.algorithm, result.failures)
 
-    def test_runs_all_backends(self):
-        assert BACKENDS == ("direct", "cached")
-
     def test_broken_fixture_fails_the_verifier(self):
         register_broken_fixture()
         result = run_case(contract_for(BROKEN_MIS), _broken_case())
@@ -307,22 +302,26 @@ class TestArtifacts:
         assert "verifier" in replayed.failed_checks()
 
     def test_artifact_from_the_delta_era_still_replays(self, tmp_path):
-        # Artifacts written while the delta-identity axis existed carry
-        # a ``deltas`` key in their contract snapshot; replay reads only
-        # the case spec, so they keep reproducing their finding.
+        # Artifacts written while the delta-identity axis or the cached
+        # backend existed carry a ``deltas`` key or a
+        # ``backend-identity`` invariance (and failed check) in their
+        # snapshot; replay reads only the case spec and re-runs the live
+        # contract's checks, so they keep reproducing their finding.
         register_broken_fixture()
         contract = contract_for(BROKEN_MIS)
         artifact = write_repro_artifact(
             str(tmp_path), contract, _broken_case(4),
-            [CheckFailure("verifier", "planted")],
+            [CheckFailure("verifier", "planted"),
+             CheckFailure("backend-identity", "direct vs cached")],
         )
         with open(artifact, encoding="utf-8") as fh:
             payload = json.load(fh)
         payload["contract"]["deltas"] = 2
+        payload["contract"]["invariances"].insert(1, "backend-identity")
         with open(artifact, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
         replayed = replay_artifact(artifact)
-        assert "verifier" in replayed.failed_checks()
+        assert replayed.failed_checks() == {"verifier"}
 
     def test_unknown_schema_is_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -357,10 +356,11 @@ class TestCli:
         assert exc.value.code == 2
 
     def test_retired_delta_check_is_an_unknown_name(self):
-        with pytest.raises(
-            SystemExit, match="unknown check name\\(s\\): delta-identity"
-        ):
-            conformance_main(["--cases", "1", "--checks", "delta-identity"])
+        for retired in ("delta-identity", "backend-identity"):
+            with pytest.raises(
+                SystemExit, match=f"unknown check name\\(s\\): {retired}"
+            ):
+                conformance_main(["--cases", "1", "--checks", retired])
 
     def test_self_test_catches_shrinks_and_replays(self, tmp_path, capsys):
         code = conformance_main([
@@ -368,9 +368,10 @@ class TestCli:
         ])
         assert code == 0
         out = capsys.readouterr().out
-        # One stage per planted fixture: MIS claim, CSR layout, view
-        # kernel, implicit family, finite trial kernel.
-        assert out.count("self-test ok") == 5
+        # One stage per planted fixture: MIS claim, view kernel,
+        # implicit family, finite trial kernel.
+        assert out.count("self-test ok") == 4
+        assert "CSR layout" not in out
         summary = json.loads(
             (tmp_path / "conformance-summary.json").read_text()
         )

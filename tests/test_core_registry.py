@@ -6,8 +6,8 @@ Two surfaces:
   duplicate handling, error messages, builtin population, and graph
   construction from experiment params;
 * the :func:`~repro.core.simulate` facade plumbing — request
-  validation, seed derivation, backend resolution, and the legacy
-  entry-point signatures the refactor promised to keep intact.
+  validation, seed derivation, the one-engine signature, and the
+  legacy entry-point signatures the refactor promised to keep intact.
 """
 
 from __future__ import annotations
@@ -19,11 +19,9 @@ import pytest
 
 from repro.core import (
     ALGORITHMS,
-    ENGINE_NAMES,
     GRAPH_FAMILIES,
     PROBLEMS,
     REPORTS,
-    CachedEngine,
     DirectEngine,
     Registry,
     RegistryError,
@@ -31,7 +29,6 @@ from repro.core import (
     build_graph,
     derive_seed,
     ensure_builtins,
-    resolve_engine,
     simulate,
 )
 from repro.graphs import cycle
@@ -170,25 +167,21 @@ class TestBuiltins:
 # ----------------------------------------------------------------------
 
 class TestEngineSeam:
-    def test_engine_names_cover_all_backends(self):
-        assert ENGINE_NAMES == ("direct", "cached")
-
     def test_resolve_engine(self):
-        assert isinstance(resolve_engine(None), DirectEngine)
-        assert isinstance(resolve_engine("direct"), DirectEngine)
-        assert isinstance(resolve_engine("cached"), CachedEngine)
-        # Retired backends are unknown names, not silent aliases.
-        for retired in ("service", "incremental", "sharded"):
-            with pytest.raises(
-                ValueError,
-                match=rf"unknown engine '{retired}' \(have \('direct', "
-                r"'cached'\)\)",
-            ):
-                resolve_engine(retired)
-        engine = DirectEngine()
-        assert resolve_engine(engine) is engine
-        with pytest.raises(ValueError):
-            resolve_engine("turbo")
+        # One engine: simulate takes no backend choice at all, and the
+        # retired resolver and names are gone from the package.
+        assert list(inspect.signature(simulate).parameters) == [
+            "request", "tracer",
+        ]
+        request = SimRequest(kind="view", graph=cycle(4), algorithm=None)
+        for retired in ("cached", "direct", "sharded", DirectEngine()):
+            with pytest.raises(TypeError, match="engine"):
+                simulate(request, engine=retired)
+        import repro.core
+
+        for name in ("resolve_engine", "ENGINE_NAMES", "Engine",
+                     "CachedEngine"):
+            assert not hasattr(repro.core, name), name
 
     def test_derive_seed_is_stable_and_label_sensitive(self):
         assert derive_seed(0, "a") == derive_seed(0, "a")
@@ -221,8 +214,7 @@ class TestEngineSeam:
 
         request = SimRequest(kind="view", graph=cycle(8),
                              algorithm=make_view_rule("ball-signature", radius=1))
-        for name in ENGINE_NAMES:
-            assert simulate(request, engine=name).backend == name
+        assert simulate(request).backend == DirectEngine.name == "direct"
 
 
 class TestLegacySignatures:
@@ -241,16 +233,14 @@ class TestLegacySignatures:
 
         params = list(inspect.signature(run_view_algorithm).parameters)
         assert params == ["graph", "algorithm", "ids", "inputs",
-                          "randomness", "orientation", "tracer",
-                          "view_cache"]
+                          "randomness", "orientation", "tracer"]
 
     def test_run_edge_view_algorithm_signature(self):
         from repro.local_model.edge_model import run_edge_view_algorithm
 
         params = list(inspect.signature(run_edge_view_algorithm).parameters)
         assert params == ["graph", "algorithm", "ids", "inputs",
-                          "randomness", "orientation", "tracer",
-                          "view_cache"]
+                          "randomness", "orientation", "tracer"]
 
     def test_finite_runner_signature(self):
         from repro.speedup.finite_runner import (

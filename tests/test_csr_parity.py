@@ -12,9 +12,9 @@ each with an adversarially drawn port numbering, and asserts:
   :func:`~repro.local_model.views.view_signature` /
   :func:`~repro.local_model.views.edge_view_signature` — same classes,
   same labels, same first-occurrence representatives;
-* every (backend × layout) combination of the engine seam reproduces
-  the direct/dict report bit for bit, on generated graphs and on the
-  deterministic differential grid (``tests/differential.py``).
+* every layout of the engine seam reproduces the ``"dict"`` report bit
+  for bit, on generated graphs and on the deterministic differential
+  grid (``tests/differential.py``).
 
 The suite deliberately pins no ``max_examples``: the CI hypothesis
 profile (``tests/conftest.py``) raises the case count, so one CI run
@@ -34,15 +34,15 @@ from hypothesis import given, strategies as st
 
 from repro.graphs import CSRGraph, Graph
 from repro.graphs.identifiers import random_permutation_ids
-from repro.local_model.batch_views import BatchBallExpander, LAYOUTS
+from repro.local_model.batch_views import BatchBallExpander
 from repro.local_model.views import edge_view_signature, view_signature
 
 from .differential import (
-    BACKENDS,
     Case,
     assert_layout_reports_identical,
     run_case_layouts,
     run_edge_case_layouts,
+    run_layouts,
 )
 
 # ----------------------------------------------------------------------
@@ -236,15 +236,14 @@ def test_multi_radius_partitions_match_single_radius(graph, labeling):
 
 
 # ----------------------------------------------------------------------
-# Engine seam: every backend × layout reproduces direct/dict
+# Engine seam: every layout reproduces dict
 # ----------------------------------------------------------------------
 
 
 @given(graph=graphs, radius=st.integers(min_value=0, max_value=2))
 def test_backend_layout_grid_on_generated_graphs(graph, radius):
     from repro.algorithms.view_rules import make_view_rule
-    from repro.core import SimRequest, simulate
-    from dataclasses import replace
+    from repro.core import SimRequest
 
     rule = make_view_rule("ball-signature", radius=radius)
     ids, _ = _labels(graph, "ids")
@@ -252,18 +251,13 @@ def test_backend_layout_grid_on_generated_graphs(graph, radius):
         kind="view", graph=graph, algorithm=rule, ids=ids,
         label="csr-parity",
     )
-    reports = {
-        (backend, layout): simulate(
-            replace(request, layout=layout), engine=backend
-        )
-        for backend in BACKENDS
-        for layout in LAYOUTS
-    }
-    assert_layout_reports_identical(reports, f"generated-n{graph.n}-r{radius}")
+    assert_layout_reports_identical(
+        run_layouts(request), f"generated-n{graph.n}-r{radius}"
+    )
 
 
 #: Deterministic spot checks over the differential grid — one case per
-#: (graph family, labeling) flavor, full backend × layout fan-out.
+#: (graph family, labeling) flavor, full layout fan-out.
 _GRID_CASES = [
     Case("ball-signature", "cycle24", 2, "anonymous"),
     Case("ball-signature", "tree3d3", 3, "anonymous"),

@@ -1,15 +1,16 @@
-"""Differential tests: caching and tracing never change results.
+"""Differential tests: memoization and tracing never change results.
 
 Two families of invariants:
 
-* **Cached vs direct** (the view-cache exactness contract): every case
-  of :mod:`tests.differential`'s grid — algorithm × graph family ×
-  radius × labeling — must produce bit-identical execution results
-  through the canonical-view cache and without it.
+* **Memoized vs direct** (a T-round algorithm is a map from balls to
+  outputs): every case of :mod:`tests.differential`'s grid — algorithm
+  × graph family × radius × labeling — must produce bit-identical
+  execution results through the engine and through a memo table keyed
+  by the canonical view signature, evaluated once per view class.
 
-* **Traced vs untraced vs cached** (observer passivity): attaching a
-  :class:`~repro.instrumentation.MetricsTracer` to any engine, or
-  routing a view engine through the cache, must not perturb outputs or
+* **Traced vs untraced vs memoized** (observer passivity): attaching a
+  :class:`~repro.instrumentation.MetricsTracer` to any engine run, or
+  evaluating a view rule once per class, must not perturb outputs or
   halt rounds.  Covered for every message-passing algorithm of the
   quick experiment grid and every view rule.
 """
@@ -29,7 +30,6 @@ from repro.algorithms.view_rules import make_view_rule
 from repro.graphs import balanced_regular_tree, cycle
 from repro.graphs.identifiers import random_permutation_ids
 from repro.instrumentation import MetricsTracer
-from repro.local_model import ViewCache
 from repro.local_model.network import run_local, run_view_algorithm
 
 from .differential import (
@@ -38,18 +38,19 @@ from .differential import (
     grid,
     run_case,
     run_edge_case,
+    run_memoized,
 )
 
 
 # ----------------------------------------------------------------------
-# Cached vs direct: the full grid, one test per case
+# Memoized vs direct: the full grid, one test per case
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("case", grid(), ids=lambda c: c.case_id)
 def test_cached_run_is_bit_identical(case):
-    direct, cached, stats = run_case(case)
-    assert_identical(direct, cached, case)
-    # The cache did real work: one lookup per node, no lookup lost.
+    direct, memoized, stats = run_case(case)
+    assert_identical(direct, memoized, case)
+    # The memo table did real work: one lookup per node, none lost.
     assert stats["lookups"] == len(direct.outputs)
     assert stats["hits"] + stats["misses"] == stats["lookups"]
     assert stats["distinct_classes"] == stats["misses"]
@@ -59,13 +60,13 @@ def test_cached_run_is_bit_identical(case):
     "graph_name,rounds", edge_cases(), ids=lambda p: str(p)
 )
 def test_cached_edge_run_is_bit_identical(graph_name, rounds):
-    direct, cached = run_edge_case(graph_name, rounds)
-    assert cached.outputs == direct.outputs
-    assert cached.rounds == direct.rounds
+    direct, memoized = run_edge_case(graph_name, rounds)
+    assert memoized.outputs == direct.outputs
+    assert memoized.rounds == direct.rounds
 
 
 # ----------------------------------------------------------------------
-# Traced vs untraced vs cached: observers are passive
+# Traced vs untraced vs memoized: observers are passive
 # ----------------------------------------------------------------------
 
 _QUICK_GRAPHS = [
@@ -133,28 +134,25 @@ def test_view_rules_agree_traced_untraced_cached(
     rule = make_view_rule(rule_name, radius=radius)
 
     untraced = run_view_algorithm(graph, rule, ids=ids, randomness=randomness)
-    traced = run_view_algorithm(
-        graph, rule, ids=ids, randomness=randomness, tracer=MetricsTracer()
-    )
     tracer = MetricsTracer()
-    cache = ViewCache()
-    cached = run_view_algorithm(
-        graph, rule, ids=ids, randomness=randomness,
-        tracer=tracer, view_cache=cache,
+    traced = run_view_algorithm(
+        graph, rule, ids=ids, randomness=randomness, tracer=tracer
     )
+    memoized, cache = run_memoized(graph, rule, ids=ids, randomness=randomness)
 
-    for other in (traced, cached):
+    for other in (traced, memoized):
         assert other.outputs == untraced.outputs
         assert other.halt_rounds == untraced.halt_rounds
         assert other.rounds == untraced.rounds
-    # The traced cached run reported its cache to the tracer.
-    assert tracer.metrics.cache_lookups == graph.n
-    assert tracer.metrics.cache_hits == cache.stats.hits
+    # The traced run gathered every ball; the memo table one per class.
+    assert tracer.metrics.views_gathered == graph.n
+    assert cache.stats.lookups == graph.n
+    assert cache.stats.misses == len(cache) <= graph.n
     # Unique labels can make every view class distinct (hit rate 0);
     # anonymous symmetric graphs must actually share classes.
-    assert 0.0 <= tracer.metrics.cache_hit_rate <= 1.0
+    assert 0.0 <= cache.stats.hit_rate <= 1.0
     if labeling == "anonymous":
-        assert tracer.metrics.cache_hit_rate > 0.0
+        assert cache.stats.hit_rate > 0.0
 
 
 def test_standalone_harness_reports_zero_failures():

@@ -1,13 +1,13 @@
-"""Golden pins for the per-backend tracer event streams.
+"""Golden pins for the per-layout tracer event streams.
 
 :meth:`~repro.core.SimReport.identity` deliberately excludes
-diagnostics, so the differential grid cannot notice a backend that
+diagnostics, so the differential grid cannot notice a layout that
 still computes the right outputs but reports a different story: views
 materialized around other centres or in another order, layout or
-kernel payloads that moved, cache lookups counted per class instead of
-per entity.  Every recorded trace artifact depends on that story.
+kernel payloads that moved.  Every recorded trace artifact depends on
+that story.
 
-This table is the tripwire: one run per (backend × layout × case)
+This table is the tripwire: one run per (engine × layout × case)
 cell, recorded with a :class:`~repro.instrumentation.TraceRecorder`
 (which reads no clock, so its events are deterministic), hashed as the
 sha256 of the canonical JSON of the whole stream.  If a digest moves,
@@ -26,13 +26,12 @@ from typing import Any, Dict, Tuple
 import pytest
 
 from repro.algorithms.view_rules import make_view_rule
-from repro.core import CachedEngine, DirectEngine, SimRequest
+from repro.core import DirectEngine, SimRequest
 from repro.graphs import toroidal_grid
 from repro.graphs.identifiers import random_permutation_ids
 from repro.instrumentation import TraceRecorder
 from repro.local_model import EdgeViewAlgorithm
 
-BACKENDS = ("direct", "cached")
 LAYOUTS = ("dict", "csr", "kernel")
 CASES = ("view-ids", "edge-ids", "view-anon", "edge-anon")
 
@@ -57,7 +56,7 @@ def _request(case: str, layout: str) -> SimRequest:
         ids = random_permutation_ids(graph, rng)
         randomness = [rng.getrandbits(12) for _ in graph.nodes()]
     else:
-        # Sparse random bits: most balls collide, so the memo tables hit.
+        # Sparse random bits: most balls collide into few classes.
         ids = None
         randomness = [int(rng.random() < 0.1) for _ in graph.nodes()]
     if kind == "view":
@@ -76,13 +75,10 @@ def _request(case: str, layout: str) -> SimRequest:
     )
 
 
-_ENGINES = {"direct": DirectEngine, "cached": CachedEngine}
-
-
-def record_stream(backend: str, layout: str, case: str) -> str:
+def record_stream(layout: str, case: str) -> str:
     """The canonical JSON of one cell's event stream."""
     recorder = _FullRecorder()
-    _ENGINES[backend]().run(_request(case, layout), tracer=recorder)
+    DirectEngine().run(_request(case, layout), tracer=recorder)
     return json.dumps(
         [e.to_dict() for e in recorder.events],
         sort_keys=True,
@@ -90,12 +86,12 @@ def record_stream(backend: str, layout: str, case: str) -> str:
     )
 
 
-def stream_digest(backend: str, layout: str, case: str) -> str:
-    text = record_stream(backend, layout, case)
+def stream_digest(layout: str, case: str) -> str:
+    text = record_stream(layout, case)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-# (backend, layout, case) -> sha256 of the canonical event stream.
+# (engine, layout, case) -> sha256 of the canonical event stream.
 GOLDEN_EVENTS = {
     ('direct', 'dict', 'view-ids'):
         '013e601ebcfe84fb4390cd05ba7ac6007c137b604140c32ce6767aa214911802',
@@ -121,52 +117,28 @@ GOLDEN_EVENTS = {
         '5d9b2de44f7a5567f55586f166a911283ef775c4c6de8d0d0fc0e4e36aaa5d25',
     ('direct', 'kernel', 'edge-anon'):
         '8fb5ae062e5f9101a44c8c89f157dfcc6e14395f0c3e48e66e9837020ccee9f4',
-    ('cached', 'dict', 'view-ids'):
-        '78015e48d162911637ce2bc34251141868949f3758c7e82e23d9d273b2bb26dc',
-    ('cached', 'dict', 'edge-ids'):
-        '16a991ffe5e39133104e61317414775f9164fde34a7b7d98cb992ea9d4b54a6f',
-    ('cached', 'dict', 'view-anon'):
-        '8285e246c265e9e1cbfc8f29607413266afb2e87997f3b627993ab92b74e2746',
-    ('cached', 'dict', 'edge-anon'):
-        '9fa3634001afe9cde02f9b7a57e033e93ba92948362b6193ed1dbea1d7246719',
-    ('cached', 'csr', 'view-ids'):
-        '6cfce485164e0e5a26cfe434cf8d7d91020adfc37aac1021719cc15dfc69f654',
-    ('cached', 'csr', 'edge-ids'):
-        '07a0e8f19c0a8439407f14fe1749fcba87ad7cbbcd214c69b5a0958c8e19f0dc',
-    ('cached', 'csr', 'view-anon'):
-        'ad361a58bd041280144a87bda3196d665fdc1a5385384eb4bc10a4912e59824c',
-    ('cached', 'csr', 'edge-anon'):
-        '539d571d04a6e479d163c3954c09d5322326654e4a8091eb227aeace6497b88e',
-    ('cached', 'kernel', 'view-ids'):
-        'ff2c4c4f9a5c7821a3e1432935dfa3ac4bd868b27c17acacefe0e41ff212c73c',
-    ('cached', 'kernel', 'edge-ids'):
-        '8145558e0f38d7ce9d7e57a39befc0a277ff645a13870c360d6a175497115bfe',
-    ('cached', 'kernel', 'view-anon'):
-        'eb9dc662b4544a5a989871689b65e5261581a6bafb97c7ef1a41ac0e2b902d97',
-    ('cached', 'kernel', 'edge-anon'):
-        'a893c2cb6145d6279a249ef7ae55e0388fc55215f7ef237a34202a655bcaa6be',
 }
 
 
 @pytest.mark.parametrize(
-    "backend,layout,case",
+    "engine,layout,case",
     sorted(GOLDEN_EVENTS),
     ids=lambda p: str(p),
 )
-def test_event_stream_matches_golden_digest(backend, layout, case):
-    assert stream_digest(backend, layout, case) == GOLDEN_EVENTS[
-        (backend, layout, case)
-    ], record_stream(backend, layout, case)
+def test_event_stream_matches_golden_digest(engine, layout, case):
+    assert engine == DirectEngine.name  # the name every event carries
+    assert stream_digest(layout, case) == GOLDEN_EVENTS[
+        (engine, layout, case)
+    ], record_stream(layout, case)
 
 
 def test_golden_table_covers_the_full_grid():
     assert set(GOLDEN_EVENTS) == {
-        (b, l, c) for b in BACKENDS for l in LAYOUTS for c in CASES
+        ("direct", l, c) for l in LAYOUTS for c in CASES
     }
 
 
 if __name__ == "__main__":  # pragma: no cover - table regeneration aid
-    for b in BACKENDS:
-        for l in LAYOUTS:
-            for c in CASES:
-                print(f"    ({b!r}, {l!r}, {c!r}):\n        {stream_digest(b, l, c)!r},")
+    for l in LAYOUTS:
+        for c in CASES:
+            print(f"    ('direct', {l!r}, {c!r}):\n        {stream_digest(l, c)!r},")

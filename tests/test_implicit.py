@@ -12,7 +12,7 @@ tree) at sizes where the materialized twin also exists, and asserts:
   the materialized twin;
 * the closed-form class counter's multiplicities equal the bincount of
   the full partition's labels, with the same keys and representatives;
-* every backend reproduces the materialized SimReport bit for bit from
+* every layout reproduces the materialized SimReport bit for bit from
   the implicit handle, including RNG streams on the ``local`` kind.
 
 Golden pins at the bottom freeze the packed-row byte digests and the
@@ -356,8 +356,7 @@ _ENGINE_HANDLES = [ImplicitCycle(13), ImplicitTorus(3, 5), ImplicitTree(3, 2)]
 @pytest.mark.parametrize(
     "handle", _ENGINE_HANDLES, ids=lambda h: repr(h).lower()
 )
-@pytest.mark.parametrize("backend", ["direct", "cached"])
-def test_view_reports_identical_across_layout_grid(handle, backend):
+def test_view_reports_identical_across_layout_grid(handle):
     from repro.algorithms.view_rules import make_view_rule
 
     twin = handle.materialized()
@@ -380,7 +379,7 @@ def test_view_reports_identical_across_layout_grid(handle, backend):
             layout=layout,
             label="implicit-parity",
         )
-        reports[(graph is handle, layout)] = simulate(request, engine=backend)
+        reports[(graph is handle, layout)] = simulate(request)
     baseline = reports[(False, "dict")]
     for key, report in reports.items():
         assert report.outputs == baseline.outputs, key
@@ -398,20 +397,18 @@ def test_local_rng_streams_identical(handle):
     ensure_builtins()
     twin = handle.materialized()
     algorithm = ALGORITHMS.get("randomized-weak-coloring")
-    for backend in ("direct", "cached"):
+    for layout in ("auto", "kernel"):
         got = simulate(
             SimRequest(
                 kind="local", graph=handle, algorithm=algorithm.create(),
-                seed=424242, label="implicit-rng",
-            ),
-            engine=backend,
+                seed=424242, label="implicit-rng", layout=layout,
+            )
         )
         want = simulate(
             SimRequest(
                 kind="local", graph=twin, algorithm=algorithm.create(),
-                seed=424242, label="implicit-rng",
-            ),
-            engine=backend,
+                seed=424242, label="implicit-rng", layout=layout,
+            )
         )
         assert got.outputs == want.outputs
         assert got.rounds == want.rounds
@@ -449,11 +446,11 @@ def test_layout_registry_guards():
     assert "implicit" in known_layouts()
     materialized = cycle(8)
     handle = ImplicitCycle(8)
-    assert resolve_layout("auto", handle, True) == "implicit"
-    assert resolve_layout("auto", handle, False) == "implicit"
-    assert resolve_layout("implicit", handle, True) == "implicit"
+    assert resolve_layout("auto", handle) == "implicit"
+    assert resolve_layout("auto", materialized) == "dict"
+    assert resolve_layout("implicit", handle) == "implicit"
     with pytest.raises(ValueError, match="implicit"):
-        resolve_layout("implicit", materialized, True)
+        resolve_layout("implicit", materialized)
     with pytest.raises(ValueError, match="ImplicitGraph"):
         expander_for(materialized, "implicit")
     assert expander_for(handle, "implicit") is expander_for(handle, "implicit")

@@ -234,14 +234,20 @@ class TestJsonRoundTrips:
             assert restored == tracer.metrics
 
     def test_cache_counters_round_trip(self):
-        from repro.algorithms.view_rules import BallSignatureColoring
         from repro.core import SimRequest, simulate
+        from repro.graphs import orient_torus, toroidal_grid
+        from repro.speedup import local_maximum_coloring
 
-        graph = balanced_regular_tree(3, 3)
+        # Finite runs report their algorithm's memo lookups (on_cache).
+        graph = toroidal_grid(5, 5)
+        alg = local_maximum_coloring(2)
+        rng = random.Random(5)
+        values = [rng.randrange(alg.values) for _ in graph.nodes()]
         tracer = MetricsTracer(per_round=False)
-        request = SimRequest(kind="view", graph=graph,
-                             algorithm=BallSignatureColoring(radius=1))
-        simulate(request, engine="cached", tracer=tracer)
+        request = SimRequest(kind="finite", graph=graph, algorithm=alg,
+                             orientation=orient_torus(graph, 5, 5),
+                             values=values)
+        simulate(request, tracer=tracer)
         data = json.loads(json.dumps(tracer.metrics.to_dict()))
         restored = RunMetrics.from_dict(data)
         assert restored.cache_lookups == tracer.metrics.cache_lookups == graph.n
@@ -399,11 +405,9 @@ class TestCellRunner:
     def test_default_plan_covers_grid_and_reports(self):
         cells = default_plan(quick=True)
         kinds = {c.kind for c in cells}
-        assert kinds == {"local-algorithm", "view-algorithm", "report"}
+        assert kinds == {"local-algorithm", "report"}
         reports = {c.params["report"] for c in cells if c.kind == "report"}
         assert "table1" in reports and "logstar-sweep" in reports
-        rules = {c.params["rule"] for c in cells if c.kind == "view-algorithm"}
-        assert "ball-signature" in rules and "local-max" in rules
         ids = [c.cell_id for c in cells]
         assert len(set(ids)) == len(ids)
 
@@ -412,8 +416,10 @@ class TestCliContract:
     def test_usage_error_exit_code_2(self):
         from repro.experiments.__main__ import main
 
-        # A malformed value, and the retired process-pool backend.
-        for argv in (["--jobs", "not-a-number"], ["--engine", "sharded"]):
+        # A malformed value, and the retired backend and cache flags.
+        for argv in (["--jobs", "not-a-number"], ["--engine", "sharded"],
+                     ["--engine", "cached", "--quick"],
+                     ["--view-cache", "--quick"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2

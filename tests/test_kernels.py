@@ -7,9 +7,8 @@ speed.  This suite turns that claim into properties:
 
 * **local-kernel parity** — Cole-Vishkin, flood-leader-parity, and
   randomized weak coloring run bit-identically through the reference
-  loop (``DirectEngine`` on ``layout="auto"``), the explicit
-  ``layout="kernel"`` path, and the cached backend's auto-escalation,
-  on hypothesis-generated frozen graphs;
+  loop (``DirectEngine`` on ``layout="auto"``) and the explicit
+  ``layout="kernel"`` path, on hypothesis-generated frozen graphs;
 * **error parity** — the kernel raises the *same* exception type and
   message as the reference loop (improper CV colors, runaway round
   budgets, malformed ``ids`` / ``inputs``);
@@ -19,8 +18,8 @@ speed.  This suite turns that claim into properties:
 * **fallback exactness** — algorithms without a kernel, unfrozen
   graphs, and ``supports()`` declines all fall back to the reference
   loop and say so in ``SimReport.info``;
-* **view-kernel parity** — class-table kernels match the dict layout
-  across backends, and the per-representative fallback handles rules
+* **view-kernel parity** — class-table kernels match the dict layout,
+  and the per-representative fallback handles rules
   with no kernel (including non-integer outputs through
   :func:`~repro.local_model.kernels.broadcast_table`'s list path);
 * **observability** — ``on_kernel`` events populate the ``kernel_*``
@@ -51,7 +50,6 @@ from repro.algorithms.message_passing import (
 )
 from repro.algorithms.view_rules import LocalMaximumRule, make_view_rule
 from repro.core import SimRequest, simulate
-from repro.core.cached import CachedEngine
 from repro.core.direct import DirectEngine
 from repro.graphs import Graph, balanced_regular_tree, cycle, path
 from repro.graphs.identifiers import random_permutation_ids
@@ -92,11 +90,10 @@ def _color_bits(graph):
 
 
 def _paths(request):
-    """(reference, explicit-kernel, cached-auto) reports for one request."""
+    """(reference, explicit-kernel) reports for one request."""
     return (
         DirectEngine().run(request),
         DirectEngine().run(replace(request, layout="kernel")),
-        CachedEngine().run(request),
     )
 
 
@@ -114,11 +111,9 @@ def test_cole_vishkin_kernel_parity(graph):
         inputs=_cv_inputs(graph),
         deterministic=True,
     )
-    reference, kernel, auto = _paths(request)
+    reference, kernel = _paths(request)
     assert kernel.identity() == reference.identity()
-    assert auto.identity() == reference.identity()
     assert kernel.info["kernel"] == "vectorized"
-    assert auto.info["kernel"] == "vectorized"  # cached auto-escalates
 
 
 @given(graph=graphs, seed=st.integers(0, 2**32 - 1))
@@ -131,9 +126,8 @@ def test_flood_kernel_parity(graph, seed):
         ids=random_permutation_ids(graph, random.Random(seed)),
         seed=seed,
     )
-    reference, kernel, auto = _paths(request)
+    reference, kernel = _paths(request)
     assert kernel.identity() == reference.identity()
-    assert auto.identity() == reference.identity()
     assert kernel.info["kernel"] == "vectorized"
 
 
@@ -148,9 +142,8 @@ def test_weak_coloring_kernel_parity(graph, seed):
         seed=seed,
         label=f"weak-{seed}",
     )
-    reference, kernel, auto = _paths(request)
+    reference, kernel = _paths(request)
     assert kernel.identity() == reference.identity()
-    assert auto.identity() == reference.identity()
     assert kernel.info["kernel"] == "vectorized"
 
 
@@ -160,7 +153,7 @@ def test_weak_coloring_kernel_handles_isolated_nodes():
     request = SimRequest(
         kind="local", graph=graph, algorithm=RandomizedWeakColoring(), seed=11
     )
-    reference, kernel, _ = _paths(request)
+    reference, kernel = _paths(request)
     assert kernel.identity() == reference.identity()
     assert reference.halt_rounds[3] == 0 and reference.halt_rounds[4] == 0
 
@@ -223,6 +216,27 @@ def test_label_length_error_parity(field):
     reference_msg, kernel_msg = _both_raise(request, ValueError)
     assert kernel_msg == reference_msg
     assert f"{field} must have one entry per node" in reference_msg
+
+
+@pytest.mark.parametrize("field", ["ids", "inputs", "randomness"])
+@pytest.mark.parametrize("layout", ["dict", "csr", "kernel"])
+@pytest.mark.parametrize("kind", ["view", "edge"])
+def test_view_label_length_errors(kind, layout, field):
+    """A labeling of the wrong length is a named error on every layout."""
+    graph = cycle(10)
+    algorithm = (
+        make_view_rule("local-max", radius=1) if kind == "view"
+        else EdgeViewAlgorithm(1, _edge_ball_size, name="edge-ball-size")
+    )
+    for labels in ([5, 6, 7], list(range(11))):
+        request = SimRequest(
+            kind=kind, graph=graph, algorithm=algorithm, layout=layout,
+            **{field: labels},
+        )
+        with pytest.raises(
+            ValueError, match=f"^{field} must have one entry per node$"
+        ):
+            simulate(request)
 
 
 # ----------------------------------------------------------------------
@@ -304,7 +318,7 @@ def test_unfrozen_graph_falls_back_identically():
 
 
 def test_direct_auto_never_escalates():
-    """Auto-escalation is the cached backend's move; direct stays put."""
+    """``layout="auto"`` is the reference loop, even with a kernel."""
     request = SimRequest(
         kind="local",
         graph=cycle(8),
@@ -334,12 +348,11 @@ def test_view_kernel_matches_dict_layout(rule_name, labeling, radius):
         }[labeling]
         request = SimRequest(kind="view", graph=graph, algorithm=rule, **labels)
         reference = simulate(replace(request, layout="dict"))
-        for backend in ("direct", "cached"):
-            report = simulate(replace(request, layout="kernel"), engine=backend)
-            assert report.identity() == reference.identity(), (
-                f"{rule_name}-r{radius} diverges on {backend}/kernel"
-            )
-            assert report.info["kernel"] == "vectorized"
+        report = simulate(replace(request, layout="kernel"))
+        assert report.identity() == reference.identity(), (
+            f"{rule_name}-r{radius} diverges on the kernel layout"
+        )
+        assert report.info["kernel"] == "vectorized"
 
 
 def test_view_kernel_fallback_handles_non_integer_outputs():
@@ -361,9 +374,8 @@ def test_edge_kernel_layout_matches_dict_layout():
         kind="edge", graph=graph, algorithm=algorithm, randomness=randomness
     )
     reference = simulate(replace(request, layout="dict"))
-    for backend in ("direct", "cached"):
-        report = simulate(replace(request, layout="kernel"), engine=backend)
-        assert report.identity() == reference.identity()
+    report = simulate(replace(request, layout="kernel"))
+    assert report.identity() == reference.identity()
 
 
 def _edge_ball_size(view):
@@ -427,7 +439,6 @@ def test_view_kernel_metrics_counters():
             ids=list(range(12)),
             layout="kernel",
         ),
-        engine="cached",
         tracer=tracer,
     )
     m = tracer.metrics
@@ -441,12 +452,13 @@ def test_view_kernel_metrics_counters():
 
 def test_local_kernel_metrics_counters():
     tracer = MetricsTracer()
-    CachedEngine().run(
+    DirectEngine().run(
         SimRequest(
             kind="local",
             graph=cycle(10),
             algorithm=RandomizedWeakColoring(),
             seed=4,
+            layout="kernel",
         ),
         tracer=tracer,
     )

@@ -124,12 +124,13 @@ class TestLubyMIS:
         # O(log n) w.h.p.; allow a generous constant.
         assert result.rounds <= 40
 
-    @pytest.mark.parametrize("backend", ["direct", "cached"])
-    def test_halts_with_mis_on_irregular_frozen_graphs(self, backend):
+    @pytest.mark.parametrize(
+        "layout", ["auto", "kernel"], ids=["direct", "kernel"]
+    )
+    def test_halts_with_mis_on_irregular_frozen_graphs(self, layout):
         # Degree-irregular instances (the kernel's neighborhood-maximum
         # reduction must handle ragged rows, halted neighbors, and
-        # leaves that win vacuously), frozen so the cached backend
-        # auto-escalates to the round kernel.
+        # leaves that win vacuously), frozen so the round kernel runs.
         from repro.core import SimRequest, simulate
 
         irregular = [
@@ -143,9 +144,8 @@ class TestLubyMIS:
             report = simulate(
                 SimRequest(
                     kind="local", graph=graph, algorithm=LubyMIS(),
-                    seed=seed,
-                ),
-                engine=backend,
+                    seed=seed, layout=layout,
+                )
             )
             assert report.all_halted()
             assert MaximalIndependentSet().is_feasible(
@@ -164,10 +164,8 @@ class TestLubyMIS:
             request = SimRequest(
                 kind="local", graph=graph, algorithm=LubyMIS(), seed=seed
             )
-            reference = simulate(request, engine="direct")
-            kernel = simulate(
-                replace(request, layout="kernel"), engine="direct"
-            )
+            reference = simulate(request)
+            kernel = simulate(replace(request, layout="kernel"))
             assert kernel.identity() == reference.identity()
             assert kernel.info["kernel"] == "vectorized"
             assert "kernel" not in reference.info

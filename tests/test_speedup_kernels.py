@@ -16,14 +16,13 @@ suite turns that claim into properties:
 * **decline exactness** — assignments too wide to encode in an int64
   key fall back to the scalar loop bit-identically;
 * **engine parity** — ``finite`` requests through the explicit
-  ``layout="kernel"`` path and the cached backend's auto-escalation
-  reproduce the direct reference report (outputs, failing nodes, and
-  ``info`` markers);
+  ``layout="kernel"`` path reproduce the reference report (outputs,
+  failing nodes, and ``info`` markers);
 * **failure parity** — ``node_local_failure`` / ``edge_local_failure``
   and the full speedup pipeline produce identical estimates and rng
   streams under ``layout="kernel"``;
 * **observability** — finite kernel runs populate the ``kernel_*``
-  metrics counters through the cached engine.
+  metrics counters.
 
 The golden draw-order pins live in ``tests/test_seed_stability.py``.
 """
@@ -38,7 +37,6 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core import SimRequest
-from repro.core.cached import CachedEngine
 from repro.core.direct import DirectEngine
 from repro.graphs.generators import toroidal_grid
 from repro.graphs.orientation import orient_torus
@@ -178,7 +176,7 @@ def test_encode_reason_boundaries():
 
 
 # ----------------------------------------------------------------------
-# Engine parity: the "finite" request kind through every backend
+# Engine parity: the "finite" request kind through both paths
 # ----------------------------------------------------------------------
 
 @given(alg=algorithms, shape=tori, seed=st.integers(0, 2**32 - 1))
@@ -193,12 +191,9 @@ def test_finite_kernel_backend_parity(alg, shape, seed):
     )
     reference = DirectEngine().run(request)
     kernel = DirectEngine().run(replace(request, layout="kernel"))
-    cached = CachedEngine().run(request)
     assert kernel.identity() == reference.identity()
-    assert cached.identity() == reference.identity()
-    assert "kernel" not in reference.info  # direct default: clean info
+    assert "kernel" not in reference.info  # "auto" default: clean info
     assert kernel.info["kernel"] == "vectorized"
-    assert cached.info["kernel"] == "vectorized"  # auto-escalation
 
 
 def test_finite_kernel_output_length_mismatch_is_an_error():
@@ -275,7 +270,7 @@ def test_pipeline_kernel_layout_reproduces_reference_stages():
 
 
 # ----------------------------------------------------------------------
-# Observability: kernel_* metrics through the cached engine
+# Observability: kernel_* metrics of finite kernel runs
 # ----------------------------------------------------------------------
 
 def _finite_request(seed=11):
@@ -287,11 +282,11 @@ def _finite_request(seed=11):
                       orientation=orientation, values=values)
 
 
-def test_cached_engine_counts_finite_kernel_runs():
+def test_engine_counts_finite_kernel_runs():
     tracer = MetricsTracer()
     request = _finite_request()
     reference = DirectEngine().run(request)
-    report = CachedEngine().run(request, tracer=tracer)
+    report = DirectEngine().run(replace(request, layout="kernel"), tracer=tracer)
     assert report.identity() == reference.identity()
     assert tracer.metrics.kernel_runs == 1
     assert tracer.metrics.kernel_vectorized == 1

@@ -1,11 +1,11 @@
-"""Unit and regression tests for the canonical-view cache layer.
+"""Unit and regression tests for the memoization layer.
 
 Covers the cache substrate (:class:`KeyedCache` / :class:`CacheStats`),
-the ``on_cache`` tracer hook end to end (MetricsTracer aggregation,
-TraceRecorder events, artifact round-trips), cache reuse across runs,
-and the speedup engine's shared keying function — including the
-regression guard for the finite runner's injectivity refusal on tori at
-radius >= 2.
+the ``on_cache`` tracer hook end to end on finite runs (MetricsTracer
+aggregation, TraceRecorder events, artifact round-trips), memo reuse
+across runs, and the speedup engine's shared keying function —
+including the regression guard for the finite runner's injectivity
+refusal on tori at radius >= 2.
 """
 
 from __future__ import annotations
@@ -14,22 +14,10 @@ import random
 
 import pytest
 
-from repro.algorithms.view_rules import BallSignatureColoring, DegreeProfileRule
-from repro.graphs import (
-    balanced_regular_tree,
-    cycle,
-    orient_torus,
-    symmetric_cycle,
-    toroidal_grid,
-)
-from repro.core import CachedEngine, SimRequest, simulate
+from repro.algorithms.view_rules import DegreeProfileRule
+from repro.graphs import cycle, orient_torus, toroidal_grid
 from repro.instrumentation import MetricsTracer, RunMetrics, TraceRecorder
-from repro.local_model import (
-    CacheStats,
-    KeyedCache,
-    ViewCache,
-    ball_assignment_key,
-)
+from repro.local_model import CacheStats, KeyedCache, ball_assignment_key
 from repro.local_model.network import run_view_algorithm
 from repro.speedup import (
     local_maximum_coloring,
@@ -110,82 +98,46 @@ def test_clear_drops_entries_but_keeps_cumulative_lookups():
 
 
 # ----------------------------------------------------------------------
-# Cached view engine
+# on_cache end to end: finite runs report their memo lookups
 # ----------------------------------------------------------------------
 
-def test_cache_reuse_across_runs_hits_everything():
-    graph = cycle(32)
-    rule = BallSignatureColoring(radius=2, palette=4)
-    cache = ViewCache()
-    request = SimRequest(kind="view", graph=graph, algorithm=rule)
-    first = simulate(request, engine=CachedEngine(cache=cache))
-    after_first = cache.stats.copy()
-    second = simulate(request, engine=CachedEngine(cache=cache))
-    assert second.outputs == first.outputs
-    delta = cache.stats.delta(after_first)
-    assert delta.misses == 0 and delta.hits == graph.n  # warm cache: all hits
-    assert delta.distinct_classes == 0
-
-
-def test_view_cache_true_flag_delegates():
-    graph = balanced_regular_tree(3, 3)
-    rule = DegreeProfileRule(radius=1)
-    direct = run_view_algorithm(graph, rule)
-    cached = run_view_algorithm(graph, rule, view_cache=True)
-    assert cached.outputs == direct.outputs
-    assert cached.halt_rounds == direct.halt_rounds
-
-
-def test_cached_engine_materializes_one_view_per_class():
-    # symmetric_cycle: rotation-invariant ports, so exactly one view class.
-    graph = symmetric_cycle(40)
-    rule = BallSignatureColoring(radius=2, palette=4)
-    recorder = TraceRecorder()
-    cache = ViewCache()
-    simulate(
-        SimRequest(kind="view", graph=graph, algorithm=rule),
-        engine=CachedEngine(cache=cache),
-        tracer=recorder,
+def _finite_run(tracer, alg=None, seed=3):
+    graph = toroidal_grid(6, 6)
+    orientation = orient_torus(graph, 6, 6)
+    alg = alg if alg is not None else local_maximum_coloring(2)
+    rng = random.Random(seed)
+    values = [rng.randrange(alg.values) for _ in graph.nodes()]
+    run_node_algorithm_on_oriented_graph(
+        alg, graph, orientation, values, tracer=tracer
     )
-    # on_view fires only for misses — one per distinct class.
-    assert len(recorder.of_kind("view")) == cache.stats.distinct_classes == 1
-    (event,) = recorder.of_kind("cache")
-    assert event.data["engine"] == "view"
-    assert event.data["lookups"] == graph.n
-    assert event.data["hits"] == graph.n - 1
-    # Hook ordering: cache stats land before run_end.
-    kinds = [e.kind for e in recorder.events]
-    assert kinds.index("cache") < kinds.index("run_end")
+    return graph, alg
 
 
 def test_metrics_tracer_reports_hit_rate():
-    graph = symmetric_cycle(40)
-    rule = BallSignatureColoring(radius=2, palette=4)
+    alg = local_maximum_coloring(2)
+    alg.cache.clear()
+    before = alg.cache.stats.copy()
     tracer = MetricsTracer()
-    simulate(
-        SimRequest(kind="view", graph=graph, algorithm=rule),
-        engine=CachedEngine(),
-        tracer=tracer,
-    )
+    graph, _ = _finite_run(tracer, alg)
+    run = alg.cache.stats.delta(before)
     m = tracer.metrics
-    assert m.cache_lookups == 40
-    assert m.cache_misses == m.cache_distinct_classes == 1
-    assert m.cache_hit_rate == pytest.approx(39 / 40)
-    assert m.views_gathered == 1  # only the materialized ball
+    assert m.cache_lookups == graph.n == run.lookups
+    assert m.cache_misses == m.cache_distinct_classes == run.misses
+    assert 0 < m.cache_misses < graph.n  # the torus shares assignments
+    assert m.cache_hit_rate == pytest.approx(run.hits / graph.n)
+    # Hook ordering: cache stats land once, before run_end.
+    recorder = TraceRecorder()
+    _finite_run(recorder, alg)
+    kinds = [e.kind for e in recorder.events]
+    assert kinds.count("cache") == 1
+    assert kinds.index("cache") < kinds.index("run_end")
 
 
 def test_run_metrics_round_trip_preserves_cache_counters():
-    graph = cycle(24)
     tracer = MetricsTracer()
-    simulate(
-        SimRequest(
-            kind="view", graph=graph, algorithm=BallSignatureColoring(radius=1)
-        ),
-        engine=CachedEngine(),
-        tracer=tracer,
-    )
+    _finite_run(tracer)
     loaded = RunMetrics.from_dict(tracer.metrics.to_dict())
-    assert loaded.cache_lookups == tracer.metrics.cache_lookups
+    assert loaded.cache_lookups == tracer.metrics.cache_lookups > 0
     assert loaded.cache_hits == tracer.metrics.cache_hits
     assert loaded.cache_hit_rate == tracer.metrics.cache_hit_rate
 

@@ -1,8 +1,10 @@
 """Property-based proof obligations for the canonical view signature.
 
-The view cache is exact only if :func:`view_signature` is a *perfect*
-canonical key: two nodes share a signature **iff** their radius-t balls
-are genuinely indistinguishable in the LOCAL model.  Hypothesis drives
+Memoizing a view algorithm per class (the differential harness's memo
+run) and the batched expander's partitions are exact only if
+:func:`view_signature` is a *perfect* canonical key: two nodes share a
+signature **iff** their radius-t balls are genuinely indistinguishable
+in the LOCAL model.  Hypothesis drives
 three independent checks over random graph corpora:
 
 * the signature partition coincides with the :meth:`View.key` partition
