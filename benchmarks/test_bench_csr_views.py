@@ -4,9 +4,9 @@ Measures what the batched expander actually replaces: *class
 detection* — the per-entity ``view_signature`` / ``edge_view_signature``
 scan — against the batched
 :class:`~repro.local_model.batch_views.BatchBallExpander` partition
-over the compiled :class:`~repro.graphs.csr.CSRGraph` arrays (the
-partition the ``"kernel"`` layout evaluates), on Δ ∈ {4, 6} balanced
-regular trees (n=4373 and n=4687, radius 2).  Asserts
+over the compiled :class:`~repro.graphs.csr.CSRGraph` arrays, on
+Δ ∈ {4, 6} balanced regular trees (n=4373 and n=4687, radius 2).
+Asserts
 
 * the headline claim: **>= 2.5x speedup** on both node-class cells —
   the numbers ``docs/PERFORMANCE.md`` quotes;
@@ -77,8 +77,8 @@ def _assert_partition_exact(part, signatures) -> int:
 
 
 def _measure_node_classes(graph, radius: int) -> Dict[str, Any]:
-    # One expander for all repeats, exactly like the engine (it caches
-    # it on the graph's CSRGraph via ``expander_for``).
+    # One expander for all repeats, exactly like ``expander_for``
+    # (which caches it on the graph's CSRGraph).
     expander = BatchBallExpander(graph)
     ref_times, csr_times = [], []
     for _ in range(_REPEATS):

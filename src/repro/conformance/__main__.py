@@ -15,7 +15,7 @@ artifact -> replayed)::
 
     python -m repro.conformance --self-test
 
-Smoke just the finite kind (trial-kernel layout identity)::
+Smoke just the finite kind (determinism)::
 
     python -m repro.conformance --cases 100 --seed 2 --kind finite
 
@@ -34,13 +34,9 @@ from .artifact import replay_artifact, write_repro_artifact
 from .contracts import collect_contracts, contract_for
 from .fixtures import (
     BROKEN_IMPLICIT,
-    BROKEN_KERNEL,
     BROKEN_MIS,
-    BROKEN_TRIAL,
     register_broken_fixture,
     register_broken_implicit_fixture,
-    register_broken_kernel_fixture,
-    register_broken_trial_fixture,
 )
 from .fuzzer import CHECK_NAMES, run_case, sample_cases
 from .shrink import shrink_case
@@ -176,23 +172,7 @@ def _run_self_test(args: argparse.Namespace) -> int:
         f"self-test ok: fixture caught, shrunk to {shrunk.nodes} nodes, "
         f"replayed from {path}"
     )
-    return _run_kernel_self_test(args)
-
-
-def _run_kernel_self_test(args: argparse.Namespace) -> int:
-    """Prove the layout axis catches a wrong registered view kernel."""
-    register_broken_kernel_fixture()
-    contract = contract_for(BROKEN_KERNEL)
-    for _, case in sample_cases([contract], 20, args.seed):
-        result = run_case(contract, case)
-        if "layout-identity" in result.failed_checks():
-            print(
-                "self-test ok: broken view kernel caught by layout-identity "
-                f"on {case.graph_family} n={case.graph_params.get('n')}"
-            )
-            return _run_implicit_self_test(args)
-    print("self-test FAIL: broken view kernel was never caught")
-    return 1
+    return _run_implicit_self_test(args)
 
 
 def _run_implicit_self_test(args: argparse.Namespace) -> int:
@@ -207,26 +187,8 @@ def _run_implicit_self_test(args: argparse.Namespace) -> int:
                 f"implicit-identity on {case.graph_family} "
                 f"n={case.graph_params.get('n')}"
             )
-            return _run_trial_self_test(args)
-    print("self-test FAIL: wrong-port implicit family was never caught")
-    return 1
-
-
-def _run_trial_self_test(args: argparse.Namespace) -> int:
-    """Prove the finite layout axis catches a trial-flipping kernel."""
-    register_broken_trial_fixture()
-    contract = contract_for(BROKEN_TRIAL)
-    for _, case in sample_cases([contract], 20, args.seed):
-        result = run_case(contract, case)
-        if "layout-identity" in result.failed_checks():
-            print(
-                "self-test ok: trial-flipping finite kernel caught by "
-                f"layout-identity on {case.graph_family} "
-                f"rows={case.graph_params.get('rows')} "
-                f"cols={case.graph_params.get('cols')}"
-            )
             return 0
-    print("self-test FAIL: trial-flipping finite kernel was never caught")
+    print("self-test FAIL: wrong-port implicit family was never caught")
     return 1
 
 

@@ -27,11 +27,10 @@ Declaration vocabulary (registry metadata keys):
     Checks from :data:`KNOWN_INVARIANCES` this entry promises.
 ``layouts=(...)``
     Graph layouts the fuzzer's ``layout-identity`` check runs the
-    ``view`` / ``edge`` / ``finite`` kinds under (names from
+    ``view`` / ``edge`` kinds under (names from
     :func:`repro.local_model.batch_views.known_layouts`).  Defaults to
-    every production layout — ``("dict", "csr", "kernel")`` — for the
-    view kinds and to ``("kernel",)`` for ``finite`` (the batched
-    distinct-assignment kernel versus the reference per-node loop).
+    every production layout — ``("dict", "csr")``; the ``local`` and
+    ``finite`` kinds have one evaluation path and no layout axis.
 """
 
 from __future__ import annotations
@@ -149,12 +148,7 @@ def _contract_from_entry(entry: Any) -> Optional[Contract]:
             f"algorithm {entry.name!r} declares unknown invariances "
             f"{unknown} (known: {KNOWN_INVARIANCES})"
         )
-    if kind in ("view", "edge"):
-        default_layouts: Tuple[str, ...] = LAYOUTS
-    elif kind == "finite":
-        default_layouts = ("kernel",)
-    else:
-        default_layouts = ()
+    default_layouts = LAYOUTS if kind in ("view", "edge") else ()
     layouts = tuple(metadata.get("layouts", default_layouts))
     bad = [name for name in layouts if name not in known_layouts()]
     if bad:

@@ -12,15 +12,10 @@ seed, and explicit labelings.  :func:`run_case` runs it through
     "solution = locally verifiable labeling" made executable.
 ``layout-identity``
     Every graph layout the contract declares (``layouts=``, default
-    ``("dict", "csr", "kernel")`` for view/edge kinds and
-    ``("kernel",)`` for the finite kind) reproduces the base report
-    bit for bit (:meth:`~repro.core.SimReport.identity`).  This is how
-    the fuzzer exercises the CSR gathers, the vectorized class-table
-    kernels and the finite distinct-assignment kernel, and how the
-    self-test proves a deliberately wrong view kernel
-    (:data:`repro.conformance.fixtures.BROKEN_KERNEL`) and a
-    trial-flipping finite kernel
-    (:data:`repro.conformance.fixtures.BROKEN_TRIAL`) are caught.
+    ``("dict", "csr")`` for view/edge kinds; the local and finite
+    kinds have none) reproduces the base report bit for bit
+    (:meth:`~repro.core.SimReport.identity`).  This is how the fuzzer
+    exercises the CSR gathers.
 ``determinism``
     Re-running the same request bit-reproduces the report.
 ``port-permutation`` (when the contract declares it)

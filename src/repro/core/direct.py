@@ -6,10 +6,11 @@ here are the former bodies of the legacy entry points
 ``run_node_algorithm_on_oriented_graph``), moved behind the
 :class:`~repro.core.engine.SimRequest` seam; the legacy functions are
 now thin adapters over :class:`DirectEngine` and keep their exact
-signatures, faithfulness guarantees, and tracer event streams.  The
-request's ``layout`` knob selects how balls are gathered (adjacency
-lists, CSR arrays, a vectorized kernel); every layout reproduces the
-``"dict"`` reference bit for bit.
+signatures, faithfulness guarantees, and tracer event streams.  Each
+kind has one evaluation path; for ``view`` / ``edge`` requests the
+``layout`` knob only selects how balls are gathered (adjacency lists
+or CSR arrays), and every layout reproduces the ``"dict"`` reference
+bit for bit.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ import random
 from typing import Any, Dict, List, Optional
 
 from ..instrumentation.tracer import Tracer, effective_tracer
-from ..local_model import kernels as _kernels
-from ..local_model.batch_views import expander_for, resolve_layout
+from ..local_model.batch_views import resolve_layout
 from ..local_model.context import NodeContext
 from .engine import SimReport, SimRequest
 from .entities import ENTITIES, Entities, labeling_of, layout_info
@@ -51,9 +51,8 @@ class DirectEngine:
     ``view`` / ``edge`` requests honor the request's ``layout`` knob:
     ``"auto"`` resolves to the reference ``"dict"`` path (or
     ``"implicit"`` on implicit handles), while an explicit ``"csr"``
-    gathers each ball over the compiled CSR arrays and ``"kernel"``
-    evaluates one vectorized class table — bit-identical reports,
-    proven by the parity suites.
+    gathers each ball over the compiled CSR arrays — bit-identical
+    reports, proven by the parity suites.
     """
 
     name = "direct"
@@ -69,42 +68,9 @@ class DirectEngine:
         return self._run_entities(ENTITIES[request.kind], request, tracer)
 
     # -- "local": the synchronous message-passing round -----------------
-    def _run_local_kernel(
-        self, request: SimRequest, tracer: Optional[Tracer]
-    ) -> SimReport:
-        """The vectorized round-kernel path (raises KernelUnsupported
-        back to :meth:`_run_local` when the kernel declines)."""
-        algorithm, n = request.algorithm, request.graph.n
-        outputs, halt_rounds, rounds = _kernels.run_local_kernel(
-            algorithm, request
-        )
-        if tracer is not None:
-            tracer.on_run_start("local", algorithm.name, n)
-            tracer.on_kernel(
-                "local", algorithm.name,
-                {"path": "vectorized", "reason": None,
-                 "entities": n, "rounds": rounds},
-            )
-            tracer.on_run_end(rounds)
-        return SimReport(
-            kind="local",
-            outputs=outputs,
-            halt_rounds=halt_rounds,
-            rounds=rounds,
-            backend=self.name,
-            info={"kernel": "vectorized"},
-        )
-
     def _run_local(
         self, request: SimRequest, tracer: Optional[Tracer]
     ) -> SimReport:
-        kernel_reason: Optional[str] = None
-        if request.layout == "kernel":
-            # Falls back to the loop below exactly when the kernel declines.
-            try:
-                return self._run_local_kernel(request, tracer)
-            except _kernels.KernelUnsupported as exc:
-                kernel_reason = str(exc)
         graph, algorithm = request.graph, request.algorithm
         ids, inputs = request.ids, request.inputs
         n = graph.n
@@ -138,12 +104,6 @@ class DirectEngine:
 
         if tracer is not None:
             tracer.on_run_start("local", algorithm.name, n)
-            if kernel_reason is not None:
-                tracer.on_kernel(
-                    "local", algorithm.name,
-                    {"path": "fallback", "reason": kernel_reason,
-                     "entities": n},
-                )
 
         halt_rounds: List[Optional[int]] = [None] * n
         for v in graph.nodes():
@@ -196,146 +156,41 @@ class DirectEngine:
         total = max((r for r in halt_rounds if r is not None), default=0)
         if tracer is not None:
             tracer.on_run_end(total)
-        info: Dict[str, Any] = {}
-        if kernel_reason is not None:
-            info = {"kernel": "fallback", "kernel_reason": kernel_reason}
         return SimReport(
             kind="local",
             outputs=[contexts[v].output for v in graph.nodes()],
             halt_rounds=halt_rounds,
             rounds=total,
             backend=self.name,
-            info=info,
         )
 
     # -- "view"/"edge": one evaluation per entity's radius-t ball -------
     def _run_entities(
         self, ents: Entities, request: SimRequest, tracer: Optional[Tracer]
     ) -> SimReport:
-        """Resolve the layout, then evaluate the kind's entities.
-
-        ``layout="kernel"`` evaluates one class table
-        (:meth:`_run_kernel`); every other layout gathers and evaluates
-        each entity (:meth:`_evaluate`).
-        """
+        """Gather and evaluate every entity over the resolved layout."""
         graph, algorithm = request.graph, request.algorithm
         layout = resolve_layout(request.layout, graph)
-        if tracer is not None:
-            tracer.on_run_start(request.kind, algorithm.name, ents.count(graph))
-        if layout == "kernel":
-            report = self._run_kernel(ents, request, tracer)
-        else:
-            report = self._evaluate(ents, request, layout, tracer)
-        if tracer is not None:
-            tracer.on_run_end(ents.rounds(algorithm))
-        return report
-
-    def _run_kernel(
-        self, ents: Entities, request: SimRequest, tracer: Optional[Tracer]
-    ) -> SimReport:
-        """One partition, one vectorized class table, one broadcast.
-
-        When the algorithm has no registered kernel — or its kernel
-        declines — each class representative is evaluated the reference
-        way instead, so the layout is available for every algorithm.
-        """
-        graph, algorithm = request.graph, request.algorithm
-        entities, radius = ents.entities(graph), ents.radius(algorithm)
-        count, labeling = ents.count(graph), labeling_of(request)
-        part = ents.classes(expander_for(graph, "kernel"), entities, radius, labeling)
-        if tracer is not None:
-            tracer.on_layout(
-                self.name, "kernel", layout_info(request, count, part)
-            )
-        try:
-            table = _kernels.run_view_kernel(algorithm, part)
-            kinfo = {"path": "vectorized", "reason": None}
-        except _kernels.KernelUnsupported as exc:
-            evaluate, table = ents.evaluator(algorithm), []
-            for rep in part.reps:
-                center = entities[rep]
-                view = ents.gather(graph, center, radius, **labeling)
-                if tracer is not None:
-                    tracer.on_view(
-                        center, view.radius, view.node_count, len(view.edges)
-                    )
-                table.append(evaluate(view))
-            kinfo = {"path": "fallback", "reason": str(exc)}
-        kinfo["entities"] = count
-        kinfo["classes"] = part.class_count
-        if tracer is not None:
-            tracer.on_kernel(request.kind, algorithm.name, kinfo)
-        return ents.report(
-            algorithm, entities,
-            _kernels.broadcast_table(table, part.labels),
-            self.name,
-            {"distinct_classes": part.class_count, "kernel": kinfo["path"]},
-        )
-
-    def _evaluate(
-        self,
-        ents: Entities,
-        request: SimRequest,
-        layout: str,
-        tracer: Optional[Tracer],
-    ) -> SimReport:
-        """Gather and evaluate every entity over ``layout``'s arrays."""
-        graph, algorithm = request.graph, request.algorithm
         entities, radius = ents.entities(graph), ents.radius(algorithm)
         labeling, evaluate = labeling_of(request), ents.evaluator(algorithm)
         # Implicit handles duck-type the dict Graph API (closed-form
         # rows); the CSR gather would force a guarded full synthesis.
         gather = ents.gather if layout in ("dict", "implicit") else ents.gather_csr
         if tracer is not None:
-            tracer.on_layout(
-                self.name, layout, layout_info(request, ents.count(graph))
-            )
+            count = ents.count(graph)
+            tracer.on_run_start(request.kind, algorithm.name, count)
+            tracer.on_layout(self.name, layout, layout_info(request, count))
         outputs = []
         for entity in entities:
             view = gather(graph, entity, radius, **labeling)
             if tracer is not None:
                 tracer.on_view(entity, view.radius, view.node_count, len(view.edges))
             outputs.append(evaluate(view))
-        return ents.report(algorithm, entities, outputs, self.name, {})
+        if tracer is not None:
+            tracer.on_run_end(ents.rounds(algorithm))
+        return ents.report(algorithm, entities, outputs, self.name)
 
     # -- "finite": oriented-tree algorithms on finite graphs ------------
-    def _run_finite_kernel(
-        self, request: SimRequest, tables, tracer: Optional[Tracer]
-    ) -> SimReport:
-        """The distinct-assignment kernel path (raises KernelUnsupported
-        back to :meth:`_run_finite` when the kernel declines)."""
-        graph, alg = request.graph, request.algorithm
-        fn = _kernels.finite_kernel_for(alg)
-        if fn is None:
-            raise _kernels.KernelUnsupported("no-kernel")
-        before = alg.cache.stats.copy() if tracer is not None else None
-        outputs, failing = fn(alg, graph, request.values, tables)
-        outputs, failing = list(outputs), list(failing)
-        if len(outputs) != graph.n:
-            raise RuntimeError(
-                f"finite kernel for {type(alg).__name__} returned "
-                f"{len(outputs)} outputs for {graph.n} nodes"
-            )
-        if tracer is not None:
-            tracer.on_run_start("finite", alg.name, graph.n)
-            ball_size = len(alg.ball.words)
-            for v in graph.nodes():
-                tracer.on_view(v, alg.t, ball_size, max(0, ball_size - 1))
-            tracer.on_kernel(
-                "finite", alg.name,
-                {"path": "vectorized", "reason": None, "entities": graph.n},
-            )
-            tracer.on_cache("finite", alg.cache.stats.delta(before).to_dict())
-            tracer.on_run_end(alg.t)
-        return SimReport(
-            kind="finite",
-            outputs=outputs,
-            rounds=alg.t,
-            failing_nodes=failing,
-            backend=self.name,
-            info={"kernel": "vectorized"},
-        )
-
     def _run_finite(
         self, request: SimRequest, tracer: Optional[Tracer]
     ) -> SimReport:
@@ -353,23 +208,14 @@ class DirectEngine:
         if any(not 0 <= x < alg.values for x in values):
             raise ValueError(f"values must lie in [0, {alg.values})")
         if tables is None:
+            if request.orientation is None:
+                raise ValueError(
+                    "finite requests need an orientation (or precomputed tables)"
+                )
             tables = resolve_ball_tables(alg, graph, request.orientation)
-
-        kernel_reason: Optional[str] = None
-        if request.layout == "kernel":
-            try:
-                return self._run_finite_kernel(request, tables, tracer)
-            except _kernels.KernelUnsupported as exc:
-                kernel_reason = str(exc)
 
         if tracer is not None:
             tracer.on_run_start("finite", alg.name, graph.n)
-            if kernel_reason is not None:
-                tracer.on_kernel(
-                    "finite", alg.name,
-                    {"path": "fallback", "reason": kernel_reason,
-                     "entities": graph.n},
-                )
             ball_size = len(alg.ball.words)
             for v in graph.nodes():
                 tracer.on_view(v, alg.t, ball_size, max(0, ball_size - 1))
@@ -389,14 +235,10 @@ class DirectEngine:
             # only the lookups this run contributed.
             tracer.on_cache("finite", alg.cache.stats.delta(before).to_dict())
             tracer.on_run_end(alg.t)
-        info: Dict[str, Any] = {}
-        if kernel_reason is not None:
-            info = {"kernel": "fallback", "kernel_reason": kernel_reason}
         return SimReport(
             kind="finite",
             outputs=outputs,
             rounds=alg.t,
             failing_nodes=failing,
             backend=self.name,
-            info=info,
         )

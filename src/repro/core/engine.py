@@ -8,10 +8,11 @@ the oriented finite runner
 (:func:`~repro.speedup.finite_runner.run_node_algorithm_on_oriented_graph`)
 — is one *kind* of :class:`SimRequest`, and every outcome is one
 :class:`SimReport`.  :class:`~repro.core.direct.DirectEngine` maps
-requests to reports; the request's ``layout`` knob picks *how* it
-gathers (adjacency lists, compiled CSR arrays, a vectorized kernel),
-and every layout reproduces the reference ``"dict"`` report bit for
-bit (``tests/test_engine_backends.py``, ``tests/test_csr_parity.py``).
+requests to reports with one evaluation path per kind; for ``view`` /
+``edge`` requests the ``layout`` knob picks *how* it gathers (adjacency
+lists or compiled CSR arrays), and every layout reproduces the
+reference ``"dict"`` report bit for bit
+(``tests/test_engine_backends.py``, ``tests/test_csr_parity.py``).
 
 :func:`simulate` is the facade the rest of the system calls; the legacy
 entry points are thin adapters over the engine (their signatures and
@@ -23,8 +24,8 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, List, Optional, Sequence, Tuple
 
 from ..instrumentation.tracer import Tracer
 
@@ -71,40 +72,29 @@ class SimRequest:
       :class:`~repro.local_model.edge_model.EdgeViewAlgorithm`.
     * ``"finite"`` — ``algorithm`` is a
       :class:`~repro.speedup.algorithms.NodeAlgorithm`; requires
-      ``values`` (per-node random words), honors ``tables``
-      (precomputed ball tables) and ``orientation``.
+      ``values`` (per-node random words) and ``orientation`` unless
+      ``tables`` (precomputed ball tables) are given.
 
     ``seed`` is the reproducible alternative to ``rng``: when set (and
     ``rng`` is not), the engine constructs
-    ``random.Random(derive_seed(seed, label))``, so results cannot
-    depend on which layout ran.
+    ``random.Random(derive_seed(seed, label))``, so a seeded run is
+    reproducible from ``(seed, label)`` alone.
 
-    ``layout`` selects the execution layout.  For ``view`` / ``edge``
-    kinds: ``"dict"`` is the reference per-entity path over the
-    adjacency lists, ``"csr"`` routes class detection through the
-    batched ball expander over the compiled
+    ``layout`` selects how ``view`` / ``edge`` requests gather balls:
+    ``"dict"`` is the reference per-entity path over the adjacency
+    lists, and ``"csr"`` gathers each ball over the compiled
     :class:`~repro.graphs.csr.CSRGraph` arrays
-    (:mod:`repro.local_model.batch_views`), and ``"kernel"`` adds the
-    vectorized class-table apply on top of the same partitions
-    (:mod:`repro.local_model.kernels`, contract in ``docs/KERNELS.md``)
-    with an exact per-representative fallback for algorithms without a
-    registered kernel.  ``"implicit"`` serves
+    (:mod:`repro.local_model.batch_views`).  ``"implicit"`` serves
     :class:`~repro.graphs.implicit.ImplicitGraph` family handles by
     synthesizing CSR ball windows on demand (``docs/IMPLICIT.md``) — it
-    is only valid on implicit handles, just as ``"csr"``/``"kernel"``
-    require materialized graphs small enough to compile.  For the
-    ``"local"`` kind, ``"kernel"`` runs the
-    algorithm's registered round kernel (falling back to the reference
-    loop when it declines); other explicit layouts are ignored.
-    ``"auto"`` (the default) routes implicit handles to the synthesized
-    ``"implicit"`` path and everything else to the reference path; it
-    never escalates to a kernel.  Layout choice is a pure performance
-    knob: all layouts produce bit-identical reports
-    (``tests/test_engine_backends.py``, ``tests/test_kernels.py``, and
-    the conformance ``layout-identity`` check prove it).  For the
-    ``finite`` kind, ``"kernel"`` evaluates the run through the
-    distinct-assignment kernel of :mod:`repro.speedup.trial_kernel`;
-    other explicit layouts are ignored.
+    is only valid on implicit handles, just as ``"csr"`` requires a
+    materialized graph small enough to compile.  ``"auto"`` (the
+    default) routes implicit handles to ``"implicit"`` and everything
+    else to ``"dict"``.  Layout choice is a pure performance knob: all
+    layouts produce bit-identical reports
+    (``tests/test_engine_backends.py`` and the conformance
+    ``layout-identity`` check prove it).  The ``local`` and ``finite``
+    kinds have one evaluation path each and accept only ``"auto"``.
 
     ``ids``, ``inputs`` and ``randomness`` need one entry per node
     wherever the kind reads them; the engine raises ``ValueError``
@@ -134,9 +124,14 @@ class SimRequest:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown request kind {self.kind!r} (have {KINDS})")
+        if self.kind in ("local", "finite") and self.layout != "auto":
+            raise ValueError(
+                f"{self.kind!r} requests have one evaluation path; "
+                f'layout must be "auto", got {self.layout!r}'
+            )
 
     def resolved_rng(self) -> random.Random:
-        """The run's master RNG, identical across layouts.
+        """The run's master RNG.
 
         Priority: an explicit ``rng``; else ``seed`` through
         :func:`derive_seed`; else the legacy default ``Random(0)``.
@@ -157,8 +152,7 @@ class SimReport:
     ``halt_rounds`` and ``failing_nodes`` are populated by the kinds
     that define them (``None`` elsewhere).  :meth:`identity` is the
     comparable core — what the differential suites assert equal across
-    layouts; ``backend`` (the engine's name) and ``info`` are
-    diagnostics and may legitimately differ.
+    layouts; ``backend`` (the engine's name) is a diagnostic.
     """
 
     kind: str
@@ -167,7 +161,6 @@ class SimReport:
     halt_rounds: Optional[List[Optional[int]]] = None
     failing_nodes: Optional[List[int]] = None
     backend: str = ""
-    info: Dict[str, Any] = field(default_factory=dict)
 
     def identity(self) -> Tuple[Any, ...]:
         """The bit-comparable result: everything except diagnostics."""

@@ -3,9 +3,9 @@
 A ``view`` run and an ``edge`` run are the same computation — evaluate
 a function of a radius-t ball once per computing entity — applied over
 a different set of entities (Lemmas 7/8 of the paper move between the
-two).  The engine therefore writes each layout's strategy once, against
-an :class:`Entities` adapter, and :data:`ENTITIES` picks the adapter
-from the request kind:
+two).  The engine therefore writes the run once, against an
+:class:`Entities` adapter, and :data:`ENTITIES` picks the adapter from
+the request kind:
 
 =================  ============================  ==============================
                    :data:`NODES` (``"view"``)    :data:`EDGES` (``"edge"``)
@@ -14,7 +14,6 @@ entities, count    ``graph.nodes()``, ``n``      ``list(graph.edges())``, ``m``
 radius             ``algorithm.radius``          ``algorithm.view_radius()``
 evaluation         ``algorithm.output``          ``algorithm.output_fn``
 gather             ``gather_view`` ...           ``gather_edge_view`` ...
-expander call      ``node_classes``              ``edge_classes``
 report             per-node list, halt rounds    ``edge_key`` dict,
                    ``[radius] * n``              ``rounds=algorithm.rounds``
 =================  ============================  ==============================
@@ -22,14 +21,10 @@ report             per-node list, halt rounds    ``edge_key`` dict,
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Sequence
 
 from ..graphs.graph import edge_key
-from ..local_model.batch_views import (
-    ClassPartition,
-    gather_edge_view_csr,
-    gather_view_csr,
-)
+from ..local_model.batch_views import gather_edge_view_csr, gather_view_csr
 from ..local_model.views import gather_edge_view, gather_view
 from .engine import SimReport, SimRequest
 
@@ -79,23 +74,12 @@ class Entities:
         """The run's round count (the ``on_run_end`` argument)."""
         raise NotImplementedError
 
-    def classes(
-        self,
-        expander: Any,
-        entities: Sequence[Any],
-        radius: int,
-        labeling: Dict[str, Any],
-    ) -> ClassPartition:
-        """The batched expander's partition of ``entities``."""
-        raise NotImplementedError
-
     def report(
         self,
         algorithm: Any,
         entities: Sequence[Any],
         outputs: List[Any],
         backend: str,
-        info: Dict[str, Any],
     ) -> SimReport:
         """The :class:`SimReport` for per-entity ``outputs``."""
         raise NotImplementedError
@@ -117,10 +101,7 @@ class _Nodes(Entities):
     def rounds(self, algorithm: Any) -> int:
         return algorithm.radius
 
-    def classes(self, expander, entities, radius, labeling):
-        return expander.node_classes(radius, **labeling)
-
-    def report(self, algorithm, entities, outputs, backend, info):
+    def report(self, algorithm, entities, outputs, backend):
         radius = algorithm.radius
         return SimReport(
             kind="view",
@@ -128,7 +109,6 @@ class _Nodes(Entities):
             halt_rounds=[radius] * len(outputs),
             rounds=radius,
             backend=backend,
-            info=info,
         )
 
 
@@ -148,10 +128,7 @@ class _Edges(Entities):
     def rounds(self, algorithm: Any) -> int:
         return algorithm.rounds
 
-    def classes(self, expander, entities, radius, labeling):
-        return expander.edge_classes(entities, radius, **labeling)
-
-    def report(self, algorithm, entities, outputs, backend, info):
+    def report(self, algorithm, entities, outputs, backend):
         return SimReport(
             kind="edge",
             outputs={
@@ -159,7 +136,6 @@ class _Edges(Entities):
             },
             rounds=algorithm.rounds,
             backend=backend,
-            info=info,
         )
 
 
@@ -181,13 +157,6 @@ def labeling_of(request: SimRequest) -> Dict[str, Any]:
     }
 
 
-def layout_info(
-    request: SimRequest, count: int, part: Optional[ClassPartition] = None
-) -> Dict[str, Any]:
-    """The ``on_layout`` payload; a kernel run's ``part`` adds its
-    ``path`` and ``classes``."""
-    info: Dict[str, Any] = {"requested": request.layout, "entities": count}
-    if part is not None:
-        info["path"] = part.path
-        info["classes"] = part.class_count
-    return info
+def layout_info(request: SimRequest, count: int) -> Dict[str, Any]:
+    """The ``on_layout`` payload: the requested layout and entity count."""
+    return {"requested": request.layout, "entities": count}

@@ -228,7 +228,6 @@ _BUILTIN_MODULES = (
     "repro.algorithms.message_passing",
     "repro.algorithms.view_rules",
     "repro.algorithms.edge_rules",
-    "repro.algorithms.kernels",
     "repro.speedup.algorithms",
     "repro.experiments.runner",
 )

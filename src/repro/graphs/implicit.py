@@ -346,7 +346,7 @@ class ImplicitGraph:
         """Synthesize (and cache) the full CSR layout — guarded.
 
         The arrays are byte-identical to ``materialized().csr()``'s
-        (proven by the parity suite), so every CSR/kernel consumer works
+        (proven by the parity suite), so every CSR consumer works
         on the handle unchanged at overlap n.
         """
         if self._csr is None:

@@ -57,10 +57,7 @@ class RunMetrics:
     the finite runner populates ``trials`` / ``trial_successes``.
     Finite runs populate the ``cache_*`` counters from the algorithm's
     ball-assignment memo — one lookup per node, each a hit or a miss;
-    ``cache_hit_rate`` is the fraction served from the memo.  Kernel-layout runs populate the
-    ``kernel_*`` counters (``kernel_vectorized`` + ``kernel_fallbacks``
-    == ``kernel_runs``; see
-    :meth:`~repro.instrumentation.tracer.Tracer.on_kernel`).
+    ``cache_hit_rate`` is the fraction served from the memo.
     """
 
     engine: str = ""
@@ -82,15 +79,7 @@ class RunMetrics:
     cache_distinct_classes: int = 0
     layout_dict_runs: int = 0
     layout_csr_runs: int = 0
-    layout_kernel_runs: int = 0
-    layout_fallbacks: int = 0
     layout_entities: int = 0
-    layout_classes: int = 0
-    kernel_runs: int = 0
-    kernel_vectorized: int = 0
-    kernel_fallbacks: int = 0
-    kernel_entities: int = 0
-    kernel_classes: int = 0
     wall_seconds: float = 0.0
     halt_histogram: Dict[int, int] = field(default_factory=dict)
     per_round: List[RoundMetrics] = field(default_factory=list)
@@ -123,15 +112,7 @@ class RunMetrics:
             "cache_hit_rate": self.cache_hit_rate,
             "layout_dict_runs": self.layout_dict_runs,
             "layout_csr_runs": self.layout_csr_runs,
-            "layout_kernel_runs": self.layout_kernel_runs,
-            "layout_fallbacks": self.layout_fallbacks,
             "layout_entities": self.layout_entities,
-            "layout_classes": self.layout_classes,
-            "kernel_runs": self.kernel_runs,
-            "kernel_vectorized": self.kernel_vectorized,
-            "kernel_fallbacks": self.kernel_fallbacks,
-            "kernel_entities": self.kernel_entities,
-            "kernel_classes": self.kernel_classes,
             "wall_seconds": self.wall_seconds,
             # JSON objects have string keys; keep them sorted for diffs.
             "halt_histogram": {
@@ -150,7 +131,10 @@ class RunMetrics:
         version does not know — an artifact written by a *newer* version,
         or by an older one carrying a retired counter (``service_*``,
         ``delta_*``, ``subruns``, ``shards``, ``degradations``,
-        ``degraded_reasons``) — are ignored rather than rejected.
+        ``degraded_reasons``, ``layout_kernel_runs``,
+        ``layout_fallbacks``, ``layout_classes``, ``kernel_runs``,
+        ``kernel_vectorized``, ``kernel_fallbacks``, ``kernel_entities``,
+        ``kernel_classes``) — are ignored rather than rejected.
         Derived values such as ``cache_hit_rate`` are recomputed, never
         read back.
         """
@@ -248,23 +232,9 @@ class MetricsTracer(Tracer):
     def on_layout(self, engine: str, layout: str, info: Dict[str, Any]) -> None:
         if layout == "dict":
             self.metrics.layout_dict_runs += 1
-        elif layout == "kernel":
-            self.metrics.layout_kernel_runs += 1
         else:
             self.metrics.layout_csr_runs += 1
-        if info.get("path") == "python":
-            self.metrics.layout_fallbacks += 1
         self.metrics.layout_entities += info.get("entities", 0)
-        self.metrics.layout_classes += info.get("classes", 0)
-
-    def on_kernel(self, engine: str, algorithm: str, info: Dict[str, Any]) -> None:
-        self.metrics.kernel_runs += 1
-        if info.get("path") == "vectorized":
-            self.metrics.kernel_vectorized += 1
-        else:
-            self.metrics.kernel_fallbacks += 1
-        self.metrics.kernel_entities += info.get("entities", 0)
-        self.metrics.kernel_classes += info.get("classes", 0)
 
     def on_cache(self, engine: str, stats: Dict[str, Any]) -> None:
         self.metrics.cache_lookups += stats.get("lookups", 0)

@@ -32,10 +32,8 @@ on_halt             message-passing engine, when a node commits + stops
 on_round_end        message-passing engine, after deliveries + receives
 on_view             view engines, once per materialized ball
 on_layout           view engines, once per run, with the resolved
-                    graph layout (dict vs batched CSR vs kernel) and
-                    class counts
-on_kernel           kernel-layout runs, once per run, saying whether the
-                    vectorized kernel or the exact Python fallback ran
+                    graph layout (dict vs CSR vs implicit) and the
+                    entity count
 on_cache            finite runs, once per run, with memo lookup stats
 on_trial            finite runner, once per Monte Carlo trial
 on_stage            speedup pipeline, once per ladder stage
@@ -111,33 +109,16 @@ class Tracer:
         Fired once per ``view`` / ``edge`` run.  ``layout`` is the
         resolved layout name (``"dict"`` for the reference per-entity
         path, ``"csr"`` for gathers over the compiled arrays,
-        ``"kernel"`` for the class-table path, ``"implicit"`` for
-        implicit handles); ``info`` carries ``requested`` (the request's
-        knob, e.g. ``"auto"``), ``entities``, and — on the kernel
-        layout — ``path`` (``"numpy"`` or the exact ``"python"``
-        fallback) and ``classes`` (the partition size).
-        """
-
-    def on_kernel(self, engine: str, algorithm: str, info: Dict[str, Any]) -> None:
-        """A kernel-layout run reports which execution path served it.
-
-        Fired once per run that resolved to ``layout="kernel"`` (see
-        ``docs/KERNELS.md``).  ``info`` carries
-        ``path`` — ``"vectorized"`` when a registered NumPy kernel ran,
-        ``"fallback"`` when the exact per-entity Python path did —
-        plus ``reason`` (why the fallback ran: ``"no-kernel"``,
-        ``"unsupported: ..."``, ``"python-partition"``; ``None`` on the
-        vectorized path), ``entities``, and, for view/edge kinds,
-        ``classes`` (the partition size) or, for the local kind,
-        ``rounds``.  Kernel choice never changes results — only how
-        they were computed.
+        ``"implicit"`` for implicit handles); ``info`` carries
+        ``requested`` (the request's knob, e.g. ``"auto"``) and
+        ``entities``.
         """
 
     def on_cache(self, engine: str, stats: Dict[str, Any]) -> None:
         """A finite run reports its algorithm's per-run memo statistics.
 
         Fired once, just before :meth:`on_run_end`, by every ``finite``
-        run (reference loop or kernel).  ``stats`` is the JSON-ready
+        run.  ``stats`` is the JSON-ready
         form of :class:`~repro.local_model.cache.CacheStats`
         (``lookups``, ``hits``, ``misses``, ``bytes``,
         ``distinct_classes``, ``hit_rate``), covering this run only
@@ -200,10 +181,6 @@ class MultiTracer(Tracer):
     def on_layout(self, engine: str, layout: str, info: Dict[str, Any]) -> None:
         for t in self.tracers:
             t.on_layout(engine, layout, info)
-
-    def on_kernel(self, engine: str, algorithm: str, info: Dict[str, Any]) -> None:
-        for t in self.tracers:
-            t.on_kernel(engine, algorithm, info)
 
     def on_cache(self, engine: str, stats: Dict[str, Any]) -> None:
         for t in self.tracers:

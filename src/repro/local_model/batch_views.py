@@ -31,9 +31,10 @@ it returns is exact by construction.
 
 The engine reaches this module through the *layout* knob on
 :class:`~repro.core.engine.SimRequest` (``"auto"`` / ``"dict"`` /
-``"csr"`` / ``"kernel"`` / ``"implicit"``): the ``"kernel"`` layout
-evaluates one class table over these partitions, and ``"csr"`` gathers
-each ball over the same arrays (:func:`gather_view_csr`).
+``"csr"`` / ``"implicit"``): ``"csr"`` gathers each ball over the same
+arrays (:func:`gather_view_csr`).  The partitions themselves serve the
+implicit families' class counts and the conformance
+``implicit-identity`` check.
 """
 
 from __future__ import annotations
@@ -818,26 +819,24 @@ class ImplicitBallExpander(BatchBallExpander):
 # Layout resolution (the engine's entry points)
 # ----------------------------------------------------------------------
 
-#: The built-in layouts every view/edge request can name.  ``"dict"``
-#: is the reference per-entity path, ``"csr"`` the batched expander,
-#: and ``"kernel"`` the expander plus a vectorized class-table apply
-#: (see :mod:`repro.local_model.kernels` and ``docs/KERNELS.md``).
-LAYOUTS = ("dict", "csr", "kernel")
+#: The built-in layouts every view/edge request on a materialized graph
+#: can name.  ``"dict"`` is the reference per-entity path and ``"csr"``
+#: gathers over the compiled arrays.
+LAYOUTS = ("dict", "csr")
 
 
 def known_layouts() -> Tuple[str, ...]:
     """Every resolvable layout name (reference first)."""
-    return ("dict", "csr", "implicit", "kernel")
+    return ("dict", "csr", "implicit")
 
 
 def expander_for(graph: Graph, layout: str = "csr") -> BatchBallExpander:
     """The expander instance serving ``layout`` on ``graph``.
 
-    The ``"csr"`` / ``"kernel"`` layouts share one expander cached on
-    the graph's compiled layout (its block buffers are reusable, and the
-    kernel layout consumes the very same partitions); ``"implicit"``
-    serves :class:`~repro.graphs.implicit.ImplicitGraph` handles through
-    a window-synthesizing expander cached on the handle.
+    The ``"csr"`` layout's expander is cached on the graph's compiled
+    layout (its block buffers are reusable); ``"implicit"`` serves
+    :class:`~repro.graphs.implicit.ImplicitGraph` handles through a
+    window-synthesizing expander cached on the handle.
     """
     if layout == "implicit":
         if not getattr(graph, "is_implicit", False):
@@ -848,7 +847,7 @@ def expander_for(graph: Graph, layout: str = "csr") -> BatchBallExpander:
         if graph._expander is None:
             graph._expander = ImplicitBallExpander(graph)
         return graph._expander
-    if layout in ("csr", "kernel"):
+    if layout == "csr":
         csr = graph.csr()
         if csr._expander is None:
             csr._expander = BatchBallExpander(graph)
@@ -872,7 +871,7 @@ def resolve_layout(layout: str, graph: Any) -> str:
         raise ValueError(
             'layout "implicit" requires an implicit graph family handle '
             "(see docs/IMPLICIT.md); materialized graphs use "
-            '"dict"/"csr"/"kernel"'
+            '"dict"/"csr"'
         )
     if layout not in known_layouts():
         raise ValueError(

@@ -270,9 +270,7 @@ def parity_coloring(k: int, bits: int = 1) -> NodeAlgorithm:
 # rebuilt from rows/cols).  ``k`` is pinned to 2 — a 2-dimensional
 # torus has exactly two oriented dimensions.  No ``solves`` claim: a
 # weak-coloring *attempt* legitimately fails on bad randomness, so the
-# contracts promise identity, not correctness; the default ``finite``
-# layout axis ``("kernel",)`` turns every fuzz case into a
-# batched-kernel-versus-reference cross-proof.
+# contracts promise determinism, not correctness.
 ALGORITHMS.add(
     "finite-local-maximum",
     local_maximum_coloring,

@@ -32,8 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..core.engine import derive_seed
 from ..local_model.cache import ball_assignment_key
 from .algorithms import EdgeAlgorithm, NodeAlgorithm
@@ -110,17 +108,12 @@ def node_local_failure(
     exact_cost_limit: int = 1 << 22,
     samples: int = 100_000,
     rng: Optional[random.Random] = None,
-    layout: str = "auto",
 ) -> FailureEstimate:
     """Probability that all 2k neighbors of a node share its color.
 
     ``method`` is ``"exact"``, ``"monte_carlo"``, or ``"auto"`` (exact
     when the conditioning enumeration stays below ``exact_cost_limit``
-    evaluator calls).  ``layout="kernel"`` batches the Monte Carlo
-    branch through :mod:`repro.speedup.trial_kernel` — the same hit
-    count and the same final ``rng`` state as the sample loop (proven
-    by ``tests/test_speedup_kernels.py``), declining back to the loop
-    before any draw when the key encoding cannot be vectorized.
+    evaluator calls).
     """
     inner = alg.ball  # B_t(v)
     outer = OrientedBall(alg.k, alg.t + 1)
@@ -170,12 +163,6 @@ def node_local_failure(
         return FailureEstimate(probability=fail, exact=True)
 
     rng = rng or _default_rng(f"node-failure:{alg.name}")
-    if layout == "kernel":
-        batched = _node_mc_batched(
-            alg, outer, center_map, neighbor_maps, directions, samples, rng
-        )
-        if batched is not None:
-            return batched
     hits = 0
     for _ in range(samples):
         assignment = tuple(rng.randrange(values) for _ in range(outer.size))
@@ -186,40 +173,6 @@ def node_local_failure(
             for d in directions
         ):
             hits += 1
-    return FailureEstimate(probability=hits / samples, exact=False, samples=samples)
-
-
-def _node_mc_batched(
-    alg, outer, center_map, neighbor_maps, directions, samples, rng
-) -> Optional[FailureEstimate]:
-    """Batched node Monte Carlo; ``None`` declines to the sample loop.
-
-    The scalar loop draws each sample's whole outer-ball assignment
-    before evaluating it, so drawing all ``samples * outer.size``
-    values as one stream-faithful block is draw-for-draw identical;
-    the agreement predicate then reduces over per-projection output
-    codes.  Declines (before touching ``rng``) when any projection's
-    key encoding would overflow int64.
-    """
-    from . import trial_kernel as tk
-
-    maps = [center_map] + [neighbor_maps[d] for d in directions]
-    if any(tk.encode_reason(alg.values, len(m)) is not None for m in maps):
-        return None
-    matrix = tk.draw_randrange_block(
-        rng, alg.values, samples * outer.size
-    ).reshape(samples, outer.size)
-    coder = tk.OutputCoder()
-    center = tk.map_color_codes(
-        alg.evaluate, matrix, center_map, alg.values, coder
-    )
-    agree = np.ones(samples, dtype=bool)
-    for d in directions:
-        codes = tk.map_color_codes(
-            alg.evaluate, matrix, neighbor_maps[d], alg.values, coder
-        )
-        agree &= codes == center
-    hits = int(agree.sum())
     return FailureEstimate(probability=hits / samples, exact=False, samples=samples)
 
 
@@ -248,14 +201,11 @@ def edge_local_failure(
     exact_cost_limit: int = 1 << 22,
     samples: int = 100_000,
     rng: Optional[random.Random] = None,
-    layout: str = "auto",
 ) -> FailureEstimate:
     """Probability that every dimension is monochromatic at a node.
 
     The weak-edge-coloring failure event of Section 5 (and its
-    k-dimensional generalization from Section 7).  ``layout="kernel"``
-    batches the Monte Carlo branch exactly as in
-    :func:`node_local_failure`.
+    k-dimensional generalization from Section 7).
     """
     if method not in ("exact", "monte_carlo", "auto"):
         raise ValueError(f"unknown method {method!r}")
@@ -310,10 +260,6 @@ def edge_local_failure(
         return FailureEstimate(probability=fail, exact=True)
 
     rng = rng or _default_rng(f"edge-failure:{alg.name}")
-    if layout == "kernel":
-        batched = _edge_mc_batched(alg, outer, layouts, samples, rng)
-        if batched is not None:
-            return batched
     hits = 0
     for _ in range(samples):
         assignment = tuple(rng.randrange(values) for _ in range(outer.size))
@@ -330,33 +276,4 @@ def edge_local_failure(
                 break
         if failed:
             hits += 1
-    return FailureEstimate(probability=hits / samples, exact=False, samples=samples)
-
-
-def _edge_mc_batched(alg, outer, layouts, samples, rng) -> Optional[FailureEstimate]:
-    """Batched edge Monte Carlo; ``None`` declines to the sample loop."""
-    from . import trial_kernel as tk
-
-    if any(
-        tk.encode_reason(alg.values, len(emap)) is not None
-        for _, emap in layouts.values()
-    ):
-        return None
-    matrix = tk.draw_randrange_block(
-        rng, alg.values, samples * outer.size
-    ).reshape(samples, outer.size)
-    failed = np.ones(samples, dtype=bool)
-    for dim in range(alg.k):
-        coder = tk.OutputCoder()
-        codes = []
-        for sign in (1, -1):
-            dim_, emap = layouts[(dim, sign)]
-            codes.append(
-                tk.map_color_codes(
-                    lambda a, _dim=dim_: alg.evaluate(_dim, a),
-                    matrix, emap, alg.values, coder,
-                )
-            )
-        failed &= codes[0] == codes[1]
-    hits = int(failed.sum())
     return FailureEstimate(probability=hits / samples, exact=False, samples=samples)

@@ -21,8 +21,6 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from ..graphs.graph import Graph
 from ..graphs.orientation import Orientation
 from ..instrumentation.tracer import Tracer, effective_tracer
@@ -148,47 +146,6 @@ def run_node_algorithm_on_oriented_graph(
     return report.to_finite_result()
 
 
-def _estimate_batched(
-    alg: NodeAlgorithm,
-    graph: Graph,
-    trials: int,
-    rng: random.Random,
-    tables: List[List[int]],
-    tracer: Optional[Tracer],
-) -> Optional[float]:
-    """The ``layout="kernel"`` trial batch; ``None`` declines to the loop.
-
-    Draws all ``trials * n`` random values as one stream-faithful block
-    (:func:`~repro.speedup.trial_kernel.draw_randrange_block` — same
-    values, same final ``rng`` state as the scalar loop), evaluates
-    every trial through the distinct-assignment kernel, and replays the
-    scalar loop's ``on_trial`` sequence from the per-trial failing
-    counts.  Declines *before* touching ``rng``, so a declined batch
-    leaves the scalar fallback bit-identical to a run that never tried.
-    """
-    from . import trial_kernel as tk
-
-    n = graph.n
-    if n > 0 and tk.encode_reason(alg.values, len(alg.ball.words)) is not None:
-        return None
-    if tracer is not None:
-        tracer.on_run_start("finite", alg.name, n, trials=trials)
-    if n == 0:
-        counts = np.zeros(trials, dtype=np.int64)
-    else:
-        matrix = tk.draw_randrange_block(
-            rng, alg.values, trials * n
-        ).reshape(trials, n)
-        codes, _, _ = tk.assignment_codes(alg, matrix, tables)
-        counts = tk.fail_counts(codes, *tk.arc_arrays(graph))
-    successes = int((counts == 0).sum())
-    if tracer is not None:
-        for i, failing in enumerate(counts.tolist()):
-            tracer.on_trial(i, failing == 0, failing)
-        tracer.on_run_end(alg.t)
-    return successes / trials
-
-
 def estimate_global_success(
     alg: NodeAlgorithm,
     graph: Graph,
@@ -196,32 +153,17 @@ def estimate_global_success(
     trials: int,
     rng: Optional[random.Random] = None,
     tracer: Optional[Tracer] = None,
-    layout: str = "auto",
 ) -> float:
     """Monte Carlo estimate of Pr[the whole graph is weakly colored].
 
     An optional ``tracer`` observes one
     :meth:`~repro.instrumentation.Tracer.on_trial` per trial.
-
-    ``layout="kernel"`` runs all trials through the batched
-    distinct-assignment kernel (:mod:`repro.speedup.trial_kernel`):
-    the same success count, the same per-trial outcomes, the same
-    ``on_trial`` sequence, and the same final ``rng`` state as the
-    scalar loop — proven by ``tests/test_speedup_kernels.py`` — at a
-    fraction of the cost.  Unsupported algorithms decline back to the
-    scalar loop before any randomness is drawn.  (The batch does not
-    replay the *nested* per-trial run events a globally installed
-    tracer would see from the scalar loop's inner engine runs.)
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = rng or random.Random(0)
     tables = resolve_ball_tables(alg, graph, orientation)
     tracer = effective_tracer(tracer)
-    if layout == "kernel":
-        estimate = _estimate_batched(alg, graph, trials, rng, tables, tracer)
-        if estimate is not None:
-            return estimate
     if tracer is not None:
         tracer.on_run_start("finite", alg.name, graph.n, trials=trials)
     successes = 0

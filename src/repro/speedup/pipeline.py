@@ -80,7 +80,6 @@ def run_speedup_pipeline(
     threshold_override: Optional[Fraction] = None,
     tracer: Optional[Tracer] = None,
     base_seed: int = 0,
-    layout: str = "auto",
 ) -> SpeedupPipelineResult:
     """Iterate first/second speedup until the node radius hits zero.
 
@@ -106,11 +105,6 @@ def run_speedup_pipeline(
         and algorithm name, so stage estimates are independent and the
         whole ladder is reproducible from one integer.  Ignored when
         every stage evaluates exactly.
-    layout:
-        ``"kernel"`` batches every Monte Carlo stage through
-        :mod:`repro.speedup.trial_kernel` — identical estimates and rng
-        streams, declined per stage when not vectorizable; ``"auto"``
-        keeps the reference sample loops.
     """
     tracer = effective_tracer(tracer)
     if tracer is not None:
@@ -135,7 +129,7 @@ def run_speedup_pipeline(
     result = SpeedupPipelineResult()
     node = start
     p = node_local_failure(node, method=method, samples=samples,
-                           rng=stage_rng(0, node.name), layout=layout)
+                           rng=stage_rng(0, node.name))
     result.stages.append(
         PipelineStage(
             kind="node",
@@ -156,8 +150,7 @@ def run_speedup_pipeline(
         f1 = threshold_override or paper_threshold_first(p_val, c, delta)
         edge = first_speedup(node, f1)
         p_edge = edge_local_failure(edge, method=method, samples=samples,
-                                    rng=stage_rng(len(result.stages), edge.name),
-                                    layout=layout)
+                                    rng=stage_rng(len(result.stages), edge.name))
         result.stages.append(
             PipelineStage(
                 kind="edge",
@@ -176,8 +169,7 @@ def run_speedup_pipeline(
         f2 = threshold_override or paper_threshold_second(p_edge_val, c_edge, delta)
         node = second_speedup(edge, f2)
         p = node_local_failure(node, method=method, samples=samples,
-                               rng=stage_rng(len(result.stages), node.name),
-                               layout=layout)
+                               rng=stage_rng(len(result.stages), node.name))
         result.stages.append(
             PipelineStage(
                 kind="node",

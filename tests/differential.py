@@ -18,10 +18,10 @@ executable oracles:
   :class:`~repro.local_model.ExecutionResult`s agree **bit for bit** —
   outputs, halt rounds, and round count;
 * :func:`run_case_layouts` / :func:`run_edge_case_layouts` run the same
-  case once per engine layout (the reference ``"dict"`` path, the
-  ``"csr"`` gathers, the ``"kernel"`` class table) and return the
-  :class:`~repro.core.SimReport`s, which must reproduce the ``"dict"``
-  report bit for bit (:func:`assert_layout_reports_identical`).
+  case once per engine layout (the reference ``"dict"`` path and the
+  ``"csr"`` gathers) and return the :class:`~repro.core.SimReport`s,
+  which must reproduce the ``"dict"`` report bit for bit
+  (:func:`assert_layout_reports_identical`).
 
 ``tests/test_differential.py`` parametrizes the memo comparison over
 the full grid; ``tests/test_engine_backends.py`` adds the layout
@@ -223,7 +223,7 @@ def assert_identical(direct: Any, memoized: Any, case: Case) -> None:
 
 
 # ----------------------------------------------------------------------
-# Layout comparison (dict vs csr vs kernel SimReports)
+# Layout comparison (dict vs csr SimReports)
 # ----------------------------------------------------------------------
 
 def build_request(case: Case) -> SimRequest:
@@ -251,8 +251,8 @@ def run_layouts(request: SimRequest) -> Dict[str, Any]:
 def run_case_layouts(case: Case) -> Dict[str, Any]:
     """One case over every layout; layout name -> SimReport.
 
-    Every grid graph is frozen by its generator, so the ``"csr"`` and
-    ``"kernel"`` layouts are legal on all of them.
+    Every grid graph is frozen by its generator, so the ``"csr"``
+    layout is legal on all of them.
     """
     return run_layouts(build_request(case))
 

@@ -302,11 +302,12 @@ class TestArtifacts:
         assert "verifier" in replayed.failed_checks()
 
     def test_artifact_from_the_delta_era_still_replays(self, tmp_path):
-        # Artifacts written while the delta-identity axis or the cached
-        # backend existed carry a ``deltas`` key or a
-        # ``backend-identity`` invariance (and failed check) in their
-        # snapshot; replay reads only the case spec and re-runs the live
-        # contract's checks, so they keep reproducing their finding.
+        # Artifacts written while the delta-identity axis, the cached
+        # backend or the kernel layout existed carry a ``deltas`` key, a
+        # ``backend-identity`` invariance (and failed check) or a
+        # ``"kernel"`` layout in their snapshot; replay reads only the
+        # case spec and re-runs the live contract's checks, so they keep
+        # reproducing their finding.
         register_broken_fixture()
         contract = contract_for(BROKEN_MIS)
         artifact = write_repro_artifact(
@@ -318,6 +319,7 @@ class TestArtifacts:
             payload = json.load(fh)
         payload["contract"]["deltas"] = 2
         payload["contract"]["invariances"].insert(1, "backend-identity")
+        payload["contract"]["layouts"] = ["dict", "csr", "kernel"]
         with open(artifact, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
         replayed = replay_artifact(artifact)
@@ -368,9 +370,8 @@ class TestCli:
         ])
         assert code == 0
         out = capsys.readouterr().out
-        # One stage per planted fixture: MIS claim, view kernel,
-        # implicit family, finite trial kernel.
-        assert out.count("self-test ok") == 4
+        # One stage per planted fixture: MIS claim, implicit family.
+        assert out.count("self-test ok") == 2
         assert "CSR layout" not in out
         summary = json.loads(
             (tmp_path / "conformance-summary.json").read_text()

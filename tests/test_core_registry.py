@@ -198,6 +198,77 @@ class TestEngineSeam:
         with pytest.raises(ValueError):
             SimRequest(kind="quantum", graph=cycle(4), algorithm=None)
 
+    def test_request_rejects_layout_on_local_and_finite(self):
+        # The local and finite kinds have one evaluation path: a layout
+        # other than "auto" is a named error, not a knob quietly ignored.
+        for kind in ("local", "finite"):
+            for layout in ("bogus", "kernel", "dict"):
+                with pytest.raises(ValueError, match=f"^'{kind}' requests"):
+                    SimRequest(kind=kind, graph=cycle(4), algorithm=None,
+                               layout=layout)
+            assert SimRequest(kind=kind, graph=cycle(4),
+                              algorithm=None).layout == "auto"
+
+    def test_retired_kernel_layout_is_gone(self):
+        # "kernel" on a view or edge request fails like any unknown
+        # layout; the speedup entry points take no layout, reports carry
+        # no info dict, the tracer has no kernel hook, and the kernel
+        # modules are gone.
+        import importlib.util
+
+        from repro.algorithms.view_rules import make_view_rule
+        from repro.instrumentation import Tracer
+        from repro.local_model import EdgeViewAlgorithm
+        from repro.speedup import (
+            edge_local_failure,
+            estimate_global_success,
+            node_local_failure,
+            run_speedup_pipeline,
+        )
+
+        for kind, algorithm in (
+            ("view", make_view_rule("ball-signature", radius=1)),
+            ("edge", EdgeViewAlgorithm(1, len, name="edge-len")),
+        ):
+            request = SimRequest(kind=kind, graph=cycle(6),
+                                 algorithm=algorithm, layout="kernel")
+            with pytest.raises(ValueError, match="^unknown layout 'kernel'"):
+                simulate(request)
+        for fn in (node_local_failure, edge_local_failure,
+                   estimate_global_success, run_speedup_pipeline):
+            assert "layout" not in inspect.signature(fn).parameters, fn
+        report = simulate(SimRequest(
+            kind="view", graph=cycle(6),
+            algorithm=make_view_rule("ball-signature", radius=1),
+        ))
+        assert not hasattr(report, "info")
+        hooks = [name for name in vars(Tracer) if name.startswith("on_")]
+        assert len(hooks) == 11 and "on_kernel" not in hooks
+        for module in ("repro.local_model.kernels", "repro.algorithms.kernels",
+                       "repro.speedup.trial_kernel"):
+            assert importlib.util.find_spec(module) is None, module
+
+    def test_finite_request_needs_orientation_or_tables(self):
+        from dataclasses import replace
+
+        from repro.graphs import orient_torus, toroidal_grid
+        from repro.speedup import local_maximum_coloring
+        from repro.speedup.finite_runner import resolve_ball_tables
+
+        graph = toroidal_grid(3, 4)
+        orientation = orient_torus(graph, 3, 4)
+        alg = local_maximum_coloring(2, 1)
+        request = SimRequest(kind="finite", graph=graph, algorithm=alg,
+                             values=[v % alg.values for v in graph.nodes()])
+        with pytest.raises(ValueError,
+                           match="^finite requests need an orientation"):
+            simulate(request)
+        oriented = simulate(replace(request, orientation=orientation))
+        tabled = simulate(replace(
+            request, tables=resolve_ball_tables(alg, graph, orientation)
+        ))
+        assert tabled.identity() == oriented.identity()
+
     def test_resolved_rng_precedence(self):
         graph = cycle(4)
         explicit = random.Random(3)

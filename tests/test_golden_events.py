@@ -3,8 +3,8 @@
 :meth:`~repro.core.SimReport.identity` deliberately excludes
 diagnostics, so the differential grid cannot notice a layout that
 still computes the right outputs but reports a different story: views
-materialized around other centres or in another order, layout or
-kernel payloads that moved.  Every recorded trace artifact depends on
+materialized around other centres or in another order, layout
+payloads that moved.  Every recorded trace artifact depends on
 that story.
 
 This table is the tripwire: one run per (engine × layout × case)
@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from typing import Any, Dict, Tuple
+from typing import Any, Tuple
 
 import pytest
 
@@ -32,15 +32,8 @@ from repro.graphs.identifiers import random_permutation_ids
 from repro.instrumentation import TraceRecorder
 from repro.local_model import EdgeViewAlgorithm
 
-LAYOUTS = ("dict", "csr", "kernel")
+LAYOUTS = ("dict", "csr")
 CASES = ("view-ids", "edge-ids", "view-anon", "edge-anon")
-
-
-class _FullRecorder(TraceRecorder):
-    """A recorder that also keeps the kernel events."""
-
-    def on_kernel(self, engine: str, algorithm: str, info: Dict[str, Any]) -> None:
-        self._emit("kernel", engine=engine, algorithm=algorithm, **info)
 
 
 def _edge_output(view: Any) -> Tuple[int, int, int]:
@@ -77,7 +70,7 @@ def _request(case: str, layout: str) -> SimRequest:
 
 def record_stream(layout: str, case: str) -> str:
     """The canonical JSON of one cell's event stream."""
-    recorder = _FullRecorder()
+    recorder = TraceRecorder()
     DirectEngine().run(_request(case, layout), tracer=recorder)
     return json.dumps(
         [e.to_dict() for e in recorder.events],
@@ -109,14 +102,6 @@ GOLDEN_EVENTS = {
         '1cf0c38d6e08b19d26e671a2e563dee6fba2eced8a8cb8426a0c8ade7d341570',
     ('direct', 'csr', 'edge-anon'):
         'afd023e1f55bd8886b18ae1d4c99cebccee3d88f4066e4e7c6ecaf7fde1e62ff',
-    ('direct', 'kernel', 'view-ids'):
-        '3b9107889df5c66ff35cf5bf0200b2e8931e666a26f1a5eb2fbe338a034106f4',
-    ('direct', 'kernel', 'edge-ids'):
-        '090dc5d8ebd86eef98cc77c3cc18bfb5e2d350deb83524f523dc2046edf15b3c',
-    ('direct', 'kernel', 'view-anon'):
-        '5d9b2de44f7a5567f55586f166a911283ef775c4c6de8d0d0fc0e4e36aaa5d25',
-    ('direct', 'kernel', 'edge-anon'):
-        '8fb5ae062e5f9101a44c8c89f157dfcc6e14395f0c3e48e66e9837020ccee9f4',
 }
 
 

@@ -369,7 +369,6 @@ def test_view_reports_identical_across_layout_grid(handle):
         (twin, "auto"),
         (twin, "dict"),
         (twin, "csr"),
-        (twin, "kernel"),
     ):
         request = SimRequest(
             kind="view",
@@ -397,22 +396,21 @@ def test_local_rng_streams_identical(handle):
     ensure_builtins()
     twin = handle.materialized()
     algorithm = ALGORITHMS.get("randomized-weak-coloring")
-    for layout in ("auto", "kernel"):
-        got = simulate(
-            SimRequest(
-                kind="local", graph=handle, algorithm=algorithm.create(),
-                seed=424242, label="implicit-rng", layout=layout,
-            )
+    got = simulate(
+        SimRequest(
+            kind="local", graph=handle, algorithm=algorithm.create(),
+            seed=424242, label="implicit-rng",
         )
-        want = simulate(
-            SimRequest(
-                kind="local", graph=twin, algorithm=algorithm.create(),
-                seed=424242, label="implicit-rng", layout=layout,
-            )
+    )
+    want = simulate(
+        SimRequest(
+            kind="local", graph=twin, algorithm=algorithm.create(),
+            seed=424242, label="implicit-rng",
         )
-        assert got.outputs == want.outputs
-        assert got.rounds == want.rounds
-        assert got.halt_rounds == want.halt_rounds
+    )
+    assert got.outputs == want.outputs
+    assert got.rounds == want.rounds
+    assert got.halt_rounds == want.halt_rounds
 
 
 # ----------------------------------------------------------------------

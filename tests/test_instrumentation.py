@@ -199,9 +199,9 @@ class TestSizeEstimation:
 class TestJsonRoundTrips:
     def test_from_dict_ignores_unknown_keys(self):
         # An artifact written by a newer version (extra counters), or by
-        # an older one that still carried the retired service_*, delta_*
-        # or process-pool counters, must load on this one rather than
-        # raise TypeError.
+        # an older one that still carried the retired service_*, delta_*,
+        # process-pool or kernel-layout counters, must load on this one
+        # rather than raise TypeError.
         graph = cycle(12)
         tracer = MetricsTracer()
         run_local(graph, Broadcast(2), tracer=tracer)
@@ -228,6 +228,14 @@ class TestJsonRoundTrips:
             "shards": 2,
             "degradations": 1,
             "degraded_reasons": ["unpicklable"],
+            "layout_kernel_runs": 1,
+            "layout_fallbacks": 0,
+            "layout_classes": 4,
+            "kernel_runs": 1,
+            "kernel_vectorized": 1,
+            "kernel_fallbacks": 0,
+            "kernel_entities": 12,
+            "kernel_classes": 4,
         }
         for data in (newer, older):
             restored = RunMetrics.from_dict(data)

@@ -50,6 +50,22 @@ class TestColeVishkinMP:
         result = run_local(g, alg, inputs=inputs, deterministic=True)
         return g, result
 
+    def test_improper_coloring_raises_through_engine(self):
+        # Every node colored 5: the input coloring is improper along
+        # every successor pointer, and the engine surfaces the named
+        # error rather than a half-reduced coloring.
+        from repro.core import SimRequest, simulate
+
+        request = SimRequest(
+            kind="local",
+            graph=cycle(4),
+            algorithm=ColeVishkinMP(color_bits=3),
+            inputs=[(0, 5)] * 4,
+            deterministic=True,
+        )
+        with pytest.raises(ValueError, match="distinct colors"):
+            simulate(request)
+
     def test_directed_cycle(self):
         n = 12
         successor = [(v + 1) % n for v in range(n)]
@@ -124,13 +140,10 @@ class TestLubyMIS:
         # O(log n) w.h.p.; allow a generous constant.
         assert result.rounds <= 40
 
-    @pytest.mark.parametrize(
-        "layout", ["auto", "kernel"], ids=["direct", "kernel"]
-    )
+    @pytest.mark.parametrize("layout", ["auto"], ids=["direct"])
     def test_halts_with_mis_on_irregular_frozen_graphs(self, layout):
-        # Degree-irregular instances (the kernel's neighborhood-maximum
-        # reduction must handle ragged rows, halted neighbors, and
-        # leaves that win vacuously), frozen so the round kernel runs.
+        # Degree-irregular instances: ragged rows, halted neighbors,
+        # and leaves that win vacuously.
         from repro.core import SimRequest, simulate
 
         irregular = [
@@ -151,24 +164,6 @@ class TestLubyMIS:
             assert MaximalIndependentSet().is_feasible(
                 graph, report.outputs
             )
-
-    def test_kernel_matches_reference_bit_for_bit(self):
-        # The registered Luby round kernel must reproduce the reference
-        # loop's outputs AND halt rounds on an irregular frozen graph.
-        from dataclasses import replace
-
-        from repro.core import SimRequest, simulate
-
-        graph = caterpillar(6, 3).freeze()
-        for seed in range(4):
-            request = SimRequest(
-                kind="local", graph=graph, algorithm=LubyMIS(), seed=seed
-            )
-            reference = simulate(request)
-            kernel = simulate(replace(request, layout="kernel"))
-            assert kernel.identity() == reference.identity()
-            assert kernel.info["kernel"] == "vectorized"
-            assert "kernel" not in reference.info
 
 
 class TestGreedySequentialColoring:
