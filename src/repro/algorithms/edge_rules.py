@@ -7,7 +7,7 @@ both endpoints — to the edge's output label.  No honest constant-round
 rule in this module *solves* one of those LCLs (that impossibility is
 the paper's point), so none declares ``solves=``; the rules exist to
 give the conformance fuzzer and the differential harness registered
-``kind="edge"`` entries that exercise every layout's edge path.
+``kind="edge"`` entries that exercise the engine's edge path.
 """
 
 from __future__ import annotations

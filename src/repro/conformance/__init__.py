@@ -6,8 +6,8 @@ on family F" — and this package checks all of them mechanically:
 
 * :mod:`~repro.conformance.contracts` reads the declarations;
 * :mod:`~repro.conformance.fuzzer` samples randomized cases and checks
-  halting, the LCL verifier, cross-layout bit-identity, determinism,
-  and declared metamorphic invariances;
+  halting, the LCL verifier, determinism, and declared metamorphic
+  invariances;
 * :mod:`~repro.conformance.shrink` delta-debugs failures to minimal
   counterexamples;
 * :mod:`~repro.conformance.artifact` writes/replays JSON repro files;

@@ -6,8 +6,7 @@ Every entry in :data:`repro.core.registry.ALGORITHMS` that declares
 a solution *is* a locally verifiable labeling), plus the metamorphic
 invariances the implementation promises.  The conformance fuzzer
 samples randomized cases from those declarations and checks every
-claim on every declared layout; this module only reads and normalizes
-the metadata.
+claim; this module only reads and normalizes the metadata.
 
 Declaration vocabulary (registry metadata keys):
 
@@ -25,12 +24,6 @@ Declaration vocabulary (registry metadata keys):
     Algorithm-constructor parameters to sample, same range syntax.
 ``invariances=(...)``
     Checks from :data:`KNOWN_INVARIANCES` this entry promises.
-``layouts=(...)``
-    Graph layouts the fuzzer's ``layout-identity`` check runs the
-    ``view`` / ``edge`` kinds under (names from
-    :func:`repro.local_model.batch_views.known_layouts`).  Defaults to
-    every production layout — ``("dict", "csr")``; the ``local`` and
-    ``finite`` kinds have one evaluation path and no layout axis.
 """
 
 from __future__ import annotations
@@ -40,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..core.registry import ALGORITHMS, PROBLEMS, ensure_builtins
-from ..local_model.batch_views import LAYOUTS, known_layouts
 
 __all__ = [
     "KNOWN_INVARIANCES",
@@ -73,15 +65,12 @@ class Contract:
     domains: Tuple[Mapping[str, Any], ...]
     fuzz_params: Mapping[str, Any] = field(default_factory=dict)
     invariances: Tuple[str, ...] = ("determinism",)
-    #: Layouts the ``layout-identity`` check runs ``view``/``edge``
-    #: kinds under; empty for kinds without a layout axis.
-    layouts: Tuple[str, ...] = ()
 
     def verifier(self, graph: Any) -> Optional[Any]:
         """The LCL verifier instance judging outputs on ``graph``.
 
         ``None`` when the contract declares no ``solves`` (the fuzzer
-        then checks only halting, identity, and invariances — which is
+        then checks only halting, determinism, and invariances — which is
         all an edge rule *can* promise; no constant-round edge rule
         solves the paper's edge LCLs).
         """
@@ -102,7 +91,6 @@ class Contract:
             if self.solves
             else None,
             "invariances": list(self.invariances),
-            "layouts": list(self.layouts),
         }
 
 
@@ -148,14 +136,6 @@ def _contract_from_entry(entry: Any) -> Optional[Contract]:
             f"algorithm {entry.name!r} declares unknown invariances "
             f"{unknown} (known: {KNOWN_INVARIANCES})"
         )
-    default_layouts = LAYOUTS if kind in ("view", "edge") else ()
-    layouts = tuple(metadata.get("layouts", default_layouts))
-    bad = [name for name in layouts if name not in known_layouts()]
-    if bad:
-        raise ValueError(
-            f"algorithm {entry.name!r} declares unregistered layouts "
-            f"{bad} (known: {known_layouts()})"
-        )
     return Contract(
         algorithm=entry.name,
         kind=kind,
@@ -165,7 +145,6 @@ def _contract_from_entry(entry: Any) -> Optional[Contract]:
         domains=domains,
         fuzz_params=dict(metadata.get("fuzz_params", {})),
         invariances=invariances,
-        layouts=layouts,
     )
 
 

@@ -10,14 +10,9 @@ seed, and explicit labelings.  :func:`run_case` runs it through
 ``verifier``
     The declared LCL verifier accepts the output labeling — the paper's
     "solution = locally verifiable labeling" made executable.
-``layout-identity``
-    Every graph layout the contract declares (``layouts=``, default
-    ``("dict", "csr")`` for view/edge kinds; the local and finite
-    kinds have none) reproduces the base report bit for bit
-    (:meth:`~repro.core.SimReport.identity`).  This is how the fuzzer
-    exercises the CSR gathers.
 ``determinism``
-    Re-running the same request bit-reproduces the report.
+    Re-running the same request bit-reproduces the report
+    (:meth:`~repro.core.SimReport.identity`).
 ``port-permutation`` (when the contract declares it)
     Outputs are unchanged when every node's ports are shuffled — the
     LOCAL model's port numbering is adversarial, so an algorithm that
@@ -26,18 +21,6 @@ seed, and explicit labelings.  :func:`run_case` runs it through
     Outputs are unchanged under a strictly monotone remapping of
     identifiers and randomness — the Naor–Stockmeyer order-invariance
     property for algorithms that only *compare* labels.
-``implicit-identity`` (when the case's graph family registers an
-    ``implicit_builder``)
-    The family's symbolic :class:`~repro.graphs.implicit.ImplicitGraph`
-    twin must reproduce the materialized run bit for bit: an identical
-    SimReport, *and* identical ball-class
-    partitions (keys, labels, representatives) between the implicit
-    window expander and the materialized CSR expander — the partition
-    comparison catches closed-form drift (e.g. a wrong port numbering)
-    that a port-insensitive algorithm's outputs would mask.  The
-    self-test proves the deliberately wrong-port family
-    (:data:`repro.conformance.fixtures.BROKEN_IMPLICIT_FAMILY`) is
-    caught.
 
 Any exception inside a case is reported as a ``crash`` failure, never
 propagated: a fuzzer that dies on the first broken case cannot shrink
@@ -47,7 +30,7 @@ it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.engine import SimRequest, derive_seed, simulate
@@ -71,8 +54,7 @@ __all__ = [
 #: validates against this set (``crash`` is a failure kind, not a
 #: selectable check).
 CHECK_NAMES = (
-    "halts", "verifier", "layout-identity", "determinism",
-    "port-permutation", "label-order", "implicit-identity",
+    "halts", "verifier", "determinism", "port-permutation", "label-order",
 )
 
 
@@ -314,71 +296,6 @@ def _run_label_mapped(
     return simulate(request)
 
 
-def _run_implicit_twin(
-    contract: Contract,
-    case: CaseSpec,
-    graph: Graph,
-    ids: Optional[List[int]],
-    randomness: Optional[List[int]],
-    base: Any,
-) -> List[CheckFailure]:
-    """The ``implicit-identity`` check body (see the module docstring).
-
-    Builds the family's symbolic twin from the registered
-    ``implicit_builder`` and demands (a) a bit-identical SimReport
-    and (b) bit-identical ball-class
-    partitions against the materialized CSR expander.  (b) is the
-    teeth: an implicit family with a subtly wrong closed form (ports
-    swapped, rows reordered) can still satisfy (a) whenever the
-    algorithm ignores ports, but its packed streams cannot match.
-    """
-    from ..local_model.batch_views import expander_for
-
-    entry = GRAPH_FAMILIES.get(case.graph_family)
-    builder = entry.metadata["implicit_builder"]
-    twin = builder(**case.graph_params)
-    failures: List[CheckFailure] = []
-    request = _build_request(contract, case, twin, ids, randomness)
-    if simulate(request).identity() != base.identity():
-        failures.append(CheckFailure(
-            "implicit-identity",
-            "implicit twin diverges from the materialized report",
-        ))
-    radius = (
-        request.algorithm.radius
-        if contract.kind == "view"
-        else request.algorithm.view_radius()
-    )
-    implicit_expander = expander_for(twin, "implicit")
-    csr_expander = expander_for(graph, "csr")
-    if contract.kind == "view":
-        got = implicit_expander.node_classes(
-            radius, ids=ids, randomness=randomness
-        )
-        want = csr_expander.node_classes(
-            radius, ids=ids, randomness=randomness
-        )
-    else:
-        edges = list(graph.edges())
-        got = implicit_expander.edge_classes(
-            edges, radius, ids=ids, randomness=randomness
-        )
-        want = csr_expander.edge_classes(
-            edges, radius, ids=ids, randomness=randomness
-        )
-    if (
-        got.keys != want.keys
-        or list(got.labels) != list(want.labels)
-        or list(got.reps) != list(want.reps)
-    ):
-        failures.append(CheckFailure(
-            "implicit-identity",
-            "implicit ball-class partition diverges from the "
-            "materialized CSR partition (closed-form drift)",
-        ))
-    return failures
-
-
 def run_case(
     contract: Contract,
     case: CaseSpec,
@@ -414,14 +331,6 @@ def run_case(
                 failures.append(CheckFailure(
                     "verifier", f"{verifier.name}: {summary}"
                 ))
-        if enabled("layout-identity"):
-            for layout in contract.layouts:
-                report = simulate(replace(request, layout=layout))
-                if report.identity() != base.identity():
-                    failures.append(CheckFailure(
-                        "layout-identity",
-                        f"layout {layout!r} diverges from the base report",
-                    ))
         if enabled("determinism"):
             again = simulate(request)
             if again.identity() != base.identity():
@@ -447,19 +356,6 @@ def run_case(
                     "label-order",
                     "outputs changed under a monotone label remapping",
                 ))
-        if (
-            enabled("implicit-identity")
-            and case.adjacency is None
-            and contract.kind in ("view", "edge")
-            and case.graph_family in GRAPH_FAMILIES
-            and GRAPH_FAMILIES.get(case.graph_family).metadata.get(
-                "implicit_builder"
-            )
-            is not None
-        ):
-            failures.extend(_run_implicit_twin(
-                contract, case, graph, ids, randomness, base,
-            ))
     except Exception as exc:  # a crash is a finding, not a fuzzer abort
         failures.append(CheckFailure(
             "crash", f"{type(exc).__name__}: {exc}"

@@ -3,15 +3,13 @@
 Two seams that the rest of the repository plugs into:
 
 * :func:`simulate` runs a :class:`SimRequest` on :class:`DirectEngine`
-  and returns a :class:`SimReport`.  The request's ``layout`` picks how
-  balls are gathered; every layout is bit-identical on
-  :meth:`SimReport.identity`.
+  and returns a :class:`SimReport`.
 * :class:`Registry` tables (:data:`GRAPH_FAMILIES`, :data:`ALGORITHMS`,
   :data:`PROBLEMS`, :data:`REPORTS`) map names to factories with
   declarative metadata, replacing per-layer string dispatch.
 
 See ``docs/ARCHITECTURE.md`` for the layer diagram and
-``docs/ENGINE.md`` for the layout matrix.
+``docs/ENGINE.md`` for the request kinds.
 """
 
 from .engine import (

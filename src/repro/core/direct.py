@@ -7,10 +7,9 @@ here are the former bodies of the legacy entry points
 :class:`~repro.core.engine.SimRequest` seam; the legacy functions are
 now thin adapters over :class:`DirectEngine` and keep their exact
 signatures, faithfulness guarantees, and tracer event streams.  Each
-kind has one evaluation path; for ``view`` / ``edge`` requests the
-``layout`` knob only selects how balls are gathered (adjacency lists
-or CSR arrays), and every layout reproduces the ``"dict"`` reference
-bit for bit.
+kind has one evaluation path; ``view`` / ``edge`` requests gather every
+ball over the adjacency lists (:func:`~repro.local_model.views.gather_view`
+and :func:`~repro.local_model.views.gather_edge_view`).
 """
 
 from __future__ import annotations
@@ -18,11 +17,11 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, List, Optional
 
+from ..graphs.graph import edge_key
 from ..instrumentation.tracer import Tracer, effective_tracer
-from ..local_model.batch_views import resolve_layout
 from ..local_model.context import NodeContext
+from ..local_model.views import gather_edge_view, gather_view
 from .engine import SimReport, SimRequest
-from .entities import ENTITIES, Entities, labeling_of, layout_info
 
 __all__ = ["DirectEngine"]
 
@@ -46,14 +45,7 @@ def _check_labelings(request: SimRequest) -> None:
 
 
 class DirectEngine:
-    """One evaluation per node / edge / entity.
-
-    ``view`` / ``edge`` requests honor the request's ``layout`` knob:
-    ``"auto"`` resolves to the reference ``"dict"`` path (or
-    ``"implicit"`` on implicit handles), while an explicit ``"csr"``
-    gathers each ball over the compiled CSR arrays — bit-identical
-    reports, proven by the parity suites.
-    """
+    """One evaluation per node / edge / entity."""
 
     name = "direct"
 
@@ -65,7 +57,7 @@ class DirectEngine:
             return self._run_local(request, tracer)
         if request.kind == "finite":
             return self._run_finite(request, tracer)
-        return self._run_entities(ENTITIES[request.kind], request, tracer)
+        return self._run_entities(request, tracer)
 
     # -- "local": the synchronous message-passing round -----------------
     def _run_local(
@@ -166,29 +158,59 @@ class DirectEngine:
 
     # -- "view"/"edge": one evaluation per entity's radius-t ball -------
     def _run_entities(
-        self, ents: Entities, request: SimRequest, tracer: Optional[Tracer]
+        self, request: SimRequest, tracer: Optional[Tracer]
     ) -> SimReport:
-        """Gather and evaluate every entity over the resolved layout."""
-        graph, algorithm = request.graph, request.algorithm
-        layout = resolve_layout(request.layout, graph)
-        entities, radius = ents.entities(graph), ents.radius(algorithm)
-        labeling, evaluate = labeling_of(request), ents.evaluator(algorithm)
-        # Implicit handles duck-type the dict Graph API (closed-form
-        # rows); the CSR gather would force a guarded full synthesis.
-        gather = ents.gather if layout in ("dict", "implicit") else ents.gather_csr
+        """Gather and evaluate every node's or every edge's ball.
+
+        A ``view`` run and an ``edge`` run are the same computation —
+        evaluate a function of a radius-t ball once per computing
+        entity — over a different set of entities (Lemmas 7/8 of the
+        paper move between the two).  Nodes see ``B_T(v)``, evaluated
+        by ``algorithm.output`` and reported as a per-node list; edges
+        see ``B_t(e)``, evaluated by ``algorithm.output_fn`` and
+        reported as an ``edge_key`` dict.
+        """
+        graph, algorithm, kind = request.graph, request.algorithm, request.kind
+        if kind == "view":
+            entities, gather = graph.nodes(), gather_view
+            radius = rounds = algorithm.radius
+            evaluate = algorithm.output
+        else:
+            entities, gather = list(graph.edges()), gather_edge_view
+            radius, rounds = algorithm.view_radius(), algorithm.rounds
+            evaluate = algorithm.output_fn
         if tracer is not None:
-            count = ents.count(graph)
-            tracer.on_run_start(request.kind, algorithm.name, count)
-            tracer.on_layout(self.name, layout, layout_info(request, count))
+            tracer.on_run_start(kind, algorithm.name, len(entities))
         outputs = []
         for entity in entities:
-            view = gather(graph, entity, radius, **labeling)
+            view = gather(
+                graph,
+                entity,
+                radius,
+                ids=request.ids,
+                inputs=request.inputs,
+                randomness=request.randomness,
+                orientation=request.orientation,
+            )
             if tracer is not None:
                 tracer.on_view(entity, view.radius, view.node_count, len(view.edges))
             outputs.append(evaluate(view))
         if tracer is not None:
-            tracer.on_run_end(ents.rounds(algorithm))
-        return ents.report(algorithm, entities, outputs, self.name)
+            tracer.on_run_end(rounds)
+        if kind == "view":
+            return SimReport(
+                kind="view",
+                outputs=outputs,
+                halt_rounds=[rounds] * len(outputs),
+                rounds=rounds,
+                backend=self.name,
+            )
+        return SimReport(
+            kind="edge",
+            outputs={edge_key(u, v): out for (u, v), out in zip(entities, outputs)},
+            rounds=rounds,
+            backend=self.name,
+        )
 
     # -- "finite": oriented-tree algorithms on finite graphs ------------
     def _run_finite(

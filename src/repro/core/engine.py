@@ -8,11 +8,7 @@ the oriented finite runner
 (:func:`~repro.speedup.finite_runner.run_node_algorithm_on_oriented_graph`)
 — is one *kind* of :class:`SimRequest`, and every outcome is one
 :class:`SimReport`.  :class:`~repro.core.direct.DirectEngine` maps
-requests to reports with one evaluation path per kind; for ``view`` /
-``edge`` requests the ``layout`` knob picks *how* it gathers (adjacency
-lists or compiled CSR arrays), and every layout reproduces the
-reference ``"dict"`` report bit for bit
-(``tests/test_engine_backends.py``, ``tests/test_csr_parity.py``).
+requests to reports with one evaluation path per kind.
 
 :func:`simulate` is the facade the rest of the system calls; the legacy
 entry points are thin adapters over the engine (their signatures and
@@ -80,22 +76,6 @@ class SimRequest:
     ``random.Random(derive_seed(seed, label))``, so a seeded run is
     reproducible from ``(seed, label)`` alone.
 
-    ``layout`` selects how ``view`` / ``edge`` requests gather balls:
-    ``"dict"`` is the reference per-entity path over the adjacency
-    lists, and ``"csr"`` gathers each ball over the compiled
-    :class:`~repro.graphs.csr.CSRGraph` arrays
-    (:mod:`repro.local_model.batch_views`).  ``"implicit"`` serves
-    :class:`~repro.graphs.implicit.ImplicitGraph` family handles by
-    synthesizing CSR ball windows on demand (``docs/IMPLICIT.md``) — it
-    is only valid on implicit handles, just as ``"csr"`` requires a
-    materialized graph small enough to compile.  ``"auto"`` (the
-    default) routes implicit handles to ``"implicit"`` and everything
-    else to ``"dict"``.  Layout choice is a pure performance knob: all
-    layouts produce bit-identical reports
-    (``tests/test_engine_backends.py`` and the conformance
-    ``layout-identity`` check prove it).  The ``local`` and ``finite``
-    kinds have one evaluation path each and accept only ``"auto"``.
-
     ``ids``, ``inputs`` and ``randomness`` need one entry per node
     wherever the kind reads them; the engine raises ``ValueError``
     otherwise.
@@ -116,19 +96,12 @@ class SimRequest:
     # -- "finite" kind --------------------------------------------------
     values: Optional[Sequence[int]] = None
     tables: Optional[List[List[int]]] = None
-    # -- "view" / "edge" kinds ------------------------------------------
-    layout: str = "auto"
     # -- bookkeeping ----------------------------------------------------
     label: str = ""
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown request kind {self.kind!r} (have {KINDS})")
-        if self.kind in ("local", "finite") and self.layout != "auto":
-            raise ValueError(
-                f"{self.kind!r} requests have one evaluation path; "
-                f'layout must be "auto", got {self.layout!r}'
-            )
 
     def resolved_rng(self) -> random.Random:
         """The run's master RNG.
@@ -145,14 +118,14 @@ class SimRequest:
 
 @dataclass
 class SimReport:
-    """One simulation's outcome, layout-independent where it counts.
+    """One simulation's outcome.
 
     ``outputs`` is a per-node list for ``local`` / ``view`` / ``finite``
     requests and an ``{edge: label}`` dict for ``edge`` requests.
     ``halt_rounds`` and ``failing_nodes`` are populated by the kinds
     that define them (``None`` elsewhere).  :meth:`identity` is the
-    comparable core — what the differential suites assert equal across
-    layouts; ``backend`` (the engine's name) is a diagnostic.
+    comparable core — what the differential suites compare;
+    ``backend`` (the engine's name) is a diagnostic.
     """
 
     kind: str

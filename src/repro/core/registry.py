@@ -191,12 +191,6 @@ class Registry:
 
 #: Graph generators.  ``params`` metadata names the keys the factory
 #: consumes from a cell's parameter dict (see :func:`build_graph`).
-#: Families with a closed form additionally declare ``implicit=True``
-#: and an ``implicit_builder=`` hook (an
-#: :class:`~repro.graphs.implicit.ImplicitGraph` subclass or factory
-#: taking the same ``params``) so ``build_graph(..., implicit=True)``
-#: can hand back a symbolic handle instead of materializing — see
-#: ``docs/IMPLICIT.md``.
 GRAPH_FAMILIES = Registry("graph family")
 
 #: Algorithms: ``kind="local"`` (message passing), ``kind="view"``
@@ -250,12 +244,6 @@ def build_graph(params: Mapping[str, Any]) -> Any:
     ``params["graph"]`` names the family; the entry's ``params``
     metadata says which other keys the factory consumes, so the dict may
     freely carry unrelated cell parameters (algorithm, seed index, ...).
-
-    ``params["implicit"]`` (truthy) requests the family's symbolic
-    :class:`~repro.graphs.implicit.ImplicitGraph` handle via its
-    registered ``implicit_builder`` hook instead of materializing.
-    Families without a closed form (e.g. ``random-regular``) raise a
-    :class:`RegistryError` naming the materialized fallback.
     """
     ensure_builtins()
     entry = GRAPH_FAMILIES.get(params["graph"])
@@ -265,15 +253,4 @@ def build_graph(params: Mapping[str, Any]) -> Any:
         raise RegistryError(
             f"graph family {entry.name!r} needs parameter(s) {missing}"
         )
-    kwargs = {key: params[key] for key in wanted}
-    if params.get("implicit"):
-        builder = entry.metadata.get("implicit_builder")
-        if not entry.metadata.get("implicit") or builder is None:
-            raise RegistryError(
-                f"graph family {entry.name!r} has no closed form "
-                f"(no implicit_builder registered); drop implicit=True "
-                f"to use the materialized factory "
-                f"{entry.factory.__name__!r} instead"
-            )
-        return builder(**kwargs)
-    return entry.create(**kwargs)
+    return entry.create(**{key: params[key] for key in wanted})

@@ -7,9 +7,6 @@ from .logstar_sweep import (
     LogStarSweepResult,
     run_logstar_sweep,
     DEFAULT_ID_BITS,
-    ImplicitLogStarPoint,
-    ImplicitLogStarResult,
-    run_logstar_sweep_implicit,
 )
 from .speedup_figures import (
     SpeedupFigureRow,
@@ -27,9 +24,6 @@ from .classification import (
     ClassRow,
     ClassificationResult,
     run_classification,
-    ImplicitClassRow,
-    ImplicitClassificationResult,
-    run_classification_implicit,
 )
 from .lemma2_experiment import (
     plant_distance_k_weak_coloring,
@@ -72,9 +66,6 @@ __all__ = [
     "LogStarSweepPoint",
     "LogStarSweepResult",
     "run_logstar_sweep",
-    "ImplicitLogStarPoint",
-    "ImplicitLogStarResult",
-    "run_logstar_sweep_implicit",
     "DEFAULT_ID_BITS",
     "SpeedupFigureRow",
     "SpeedupFiguresResult",
@@ -87,9 +78,6 @@ __all__ = [
     "ClassRow",
     "ClassificationResult",
     "run_classification",
-    "ImplicitClassRow",
-    "ImplicitClassificationResult",
-    "run_classification_implicit",
     "plant_distance_k_weak_coloring",
     "Lemma2Point",
     "Lemma2Result",

@@ -7,9 +7,6 @@ Usage::
     python -m repro.experiments --jobs 4            # parallel cells
     python -m repro.experiments --jobs 4 --artifacts out/   # + JSON artifacts
     python -m repro.experiments --list              # registered components
-    python -m repro.experiments classification --implicit --n 1000000
-    python -m repro.experiments logstar_sweep --implicit --n 1000000 \
-        --rss-limit-mb 256                          # implicit-scale sweeps
 
 Regenerates Table 1, the log* sweep, Figures 1-2 (speedup lemmas), the
 Theorem 4 ladder, the Theorem 5 classification, Lemma 2, Claim 10,
@@ -53,37 +50,7 @@ def main(argv=None) -> int:
         description="Regenerate every table, figure, and headline claim. "
         "Exit code: 0 iff every verdict passes, 1 otherwise, 2 on usage errors.",
     )
-    parser.add_argument(
-        "experiment",
-        nargs="?",
-        default=None,
-        choices=("classification", "logstar_sweep"),
-        help="run a single experiment instead of the full report "
-        "(required for --implicit)",
-    )
     parser.add_argument("--quick", action="store_true", help="smaller sweeps")
-    parser.add_argument(
-        "--implicit",
-        action="store_true",
-        help="run the named experiment at implicit scale: the graph family "
-        "is a closed-form handle (docs/IMPLICIT.md), never materialized, "
-        "with O(distinct classes) peak memory",
-    )
-    parser.add_argument(
-        "--n",
-        type=int,
-        default=1_000_000,
-        metavar="N",
-        help="headline instance size for --implicit (default 1000000)",
-    )
-    parser.add_argument(
-        "--rss-limit-mb",
-        type=int,
-        default=None,
-        metavar="MB",
-        help="with --implicit: fail (exit 1) if peak RSS exceeds MB — the "
-        "materialization tripwire the CI smoke runs under",
-    )
     parser.add_argument(
         "--jobs",
         type=int,
@@ -116,69 +83,9 @@ def main(argv=None) -> int:
 
     if args.list_components:
         return _list_components()
-    if args.implicit:
-        if args.experiment is None:
-            print(
-                "error: --implicit needs an experiment name "
-                "(classification or logstar_sweep)",
-                file=sys.stderr,
-            )
-            return 2
-        return _run_implicit(args)
-    if args.experiment is not None:
-        print(
-            "error: naming an experiment requires --implicit "
-            "(the full report runs them all)",
-            file=sys.stderr,
-        )
-        return 2
     if args.jobs is not None or args.artifacts is not None:
         return _run_parallel(args)
     return _run_serial_report(args)
-
-
-def _run_implicit(args) -> int:
-    """Run one experiment at implicit scale, optionally RSS-capped.
-
-    Peak RSS is read from ``resource.getrusage`` after the run — the
-    ceiling is the materialization tripwire: any path that silently
-    materializes an n >= 10^6 family blows hundreds of MB and fails
-    the cap long before the verdicts are reached.
-    """
-    import resource
-
-    from .classification import run_classification_implicit
-    from .logstar_sweep import run_logstar_sweep_implicit
-
-    start = time.time()
-    if args.experiment == "classification":
-        result = run_classification_implicit(n=args.n)
-        print(result.format_table())
-        ok = result.all_verified()
-        print(f"verdict: {'PASS' if ok else 'FAIL'} (classification, implicit)")
-    else:
-        result = run_logstar_sweep_implicit(n=args.n)
-        for p in result.points:
-            print(
-                f"  n={p.n:<12d} depth={p.tree_depth:<3d} "
-                f"classes={p.distinct_classes:<4d} (bound {p.class_bound}) "
-                f"id bits={p.id_bits:<4d} log* n={p.log_star_n} "
-                f"CV prediction={p.predicted_cv_rounds}"
-            )
-        ok = result.monotone_in_log_star() and result.classes_stay_bounded()
-        print(f"verdict: {'PASS' if ok else 'FAIL'} (logstar_sweep, implicit)")
-    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    peak_mb = peak_kib / 1024.0
-    print(f"elapsed {time.time() - start:.2f}s, peak RSS {peak_mb:.1f} MB")
-    if args.rss_limit_mb is not None and peak_mb > args.rss_limit_mb:
-        print(
-            f"error: peak RSS {peak_mb:.1f} MB exceeds the "
-            f"--rss-limit-mb {args.rss_limit_mb} ceiling — "
-            "a materialized path leaked into the implicit pipeline",
-            file=sys.stderr,
-        )
-        return 1
-    return 0 if ok else 1
 
 
 def _list_components() -> int:

@@ -15,11 +15,9 @@ executable content of "all of the classes are nonempty".
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from ..algorithms.cole_vishkin import log_star
 from ..algorithms.homogeneous_solver import (
     solve_all_pstar,
     solve_weak2_homogeneous,
@@ -27,12 +25,6 @@ from ..algorithms.homogeneous_solver import (
 )
 from ..graphs.generators import regular_tree_of_depth_at_least
 from ..graphs.identifiers import sequential_ids
-from ..graphs.implicit import (
-    ImplicitCycle,
-    ImplicitGraph,
-    ImplicitTorus,
-    implicit_tree_of_size_at_least,
-)
 from ..lcl.catalog import WeakColoring
 from ..lcl.homogeneous import AlwaysAccept, HomogeneousLCL
 from .fitting import GrowthFit, fit_growth
@@ -41,9 +33,6 @@ __all__ = [
     "ClassRow",
     "ClassificationResult",
     "run_classification",
-    "ImplicitClassRow",
-    "ImplicitClassificationResult",
-    "run_classification_implicit",
 ]
 
 
@@ -143,182 +132,4 @@ def run_classification(
             fit=fit_growth([n for n, _ in measurements], [r for _, r in measurements]),
         )
     )
-    return result
-
-
-# ----------------------------------------------------------------------
-# The implicit n >= 10^6 regime (Table 1 / Theorem 13 crossover widening)
-# ----------------------------------------------------------------------
-
-@dataclass
-class ImplicitClassRow:
-    """One (family, radius) cell of the widened sweep.
-
-    ``distinct_classes`` is exact (closed-form strata, not sampling);
-    ``class_bound`` is the family's proven ceiling (O(1) for
-    cycles/tori, O(depth * (Delta-1)^radius) strata for trees), so
-    ``bounded`` failing means a closed form regressed.  ``anchored``
-    records that the same counter, run at a small overlap n, matched
-    the materialized partition's class multiplicities exactly.
-    """
-
-    family: str
-    n: int
-    radius: int
-    distinct_classes: int
-    class_bound: int
-    dominant_share: float
-    covers_n: bool
-    anchored: bool
-
-    @property
-    def bounded(self) -> bool:
-        """Whether the exact count respects the closed-form ceiling."""
-        return self.distinct_classes <= self.class_bound
-
-
-@dataclass
-class ImplicitClassificationResult:
-    """The widened classification sweep at implicit scale."""
-
-    n: int
-    delta: int
-    tree_depth: int
-    rows: List[ImplicitClassRow] = field(default_factory=list)
-    predicted_rounds: List[Tuple[str, str]] = field(default_factory=list)
-
-    def all_verified(self) -> bool:
-        """Every cell covers n, stays under its bound, and anchored."""
-        return all(
-            row.covers_n and row.bounded and row.anchored for row in self.rows
-        )
-
-    def format_table(self) -> str:
-        """Render the per-(family, radius) class-count table."""
-        lines = [
-            f"{'family':8s} {'n':>10s} {'radius':>6s} {'classes':>8s} "
-            f"{'bound':>6s} {'dominant':>9s} ok"
-        ]
-        for row in self.rows:
-            ok = row.covers_n and row.bounded and row.anchored
-            lines.append(
-                f"{row.family:8s} {row.n:>10d} {row.radius:>6d} "
-                f"{row.distinct_classes:>8d} {row.class_bound:>6d} "
-                f"{row.dominant_share:>8.4%} {ok}"
-            )
-        for label, prediction in self.predicted_rounds:
-            lines.append(f"  {label}: {prediction}")
-        return "\n".join(lines)
-
-
-#: Small overlap sizes where the anchor cross-check materializes the
-#: same family and compares exact multiplicities against the full
-#: partition (tree anchors use this as the depth).
-_ANCHOR = {"cycle": 41, "torus": 7, "tree": 3}
-
-
-def _anchor_twin(family: str, delta: int) -> ImplicitGraph:
-    """The small-n implicit handle the anchor cross-check runs on."""
-    if family == "cycle":
-        return ImplicitCycle(_ANCHOR["cycle"])
-    if family == "torus":
-        return ImplicitTorus(_ANCHOR["torus"], _ANCHOR["torus"])
-    return implicit_tree_of_size_at_least(
-        delta, delta * (delta - 1) ** (_ANCHOR["tree"] - 1)
-    )[0]
-
-
-def _anchored(family: str, delta: int, radii: Sequence[int]) -> bool:
-    """Exact-multiplicity cross-check at a materializable overlap n.
-
-    Runs the implicit class counter and the materialized full-partition
-    expander on the *same* small instance and demands identical keys,
-    representatives, and per-class multiplicities — the in-experiment
-    rendering of the bit-identity contract (the hypothesis/parity
-    suites prove it exhaustively; this keeps the headline sweep honest
-    on every run).
-    """
-    from ..local_model.batch_views import BatchBallExpander, expander_for
-
-    handle = _anchor_twin(family, delta)
-    materialized = handle.materialized()
-    full = BatchBallExpander(materialized)
-    counter = expander_for(handle, "implicit")
-    parts = full.node_classes_many(tuple(radii))
-    counts = counter.class_counts_many(tuple(radii))
-    for part, cc in zip(parts, counts):
-        bincount = [0] * part.class_count
-        for label in part.labels:
-            bincount[label] += 1
-        if (
-            cc.keys != part.keys
-            or list(cc.reps) != list(part.reps)
-            or list(cc.counts) != bincount
-        ):
-            return False
-    return True
-
-
-def run_classification_implicit(
-    n: int = 1_000_000,
-    delta: int = 4,
-    radii: Sequence[int] = (0, 1, 2),
-) -> ImplicitClassificationResult:
-    """Exact anonymous class structure at n >= 10^6, O(classes) memory.
-
-    For each symmetric family the paper argues about (cycle, toroidal
-    grid, balanced ``delta``-regular tree) at headline size ``n``,
-    counts the exact number of distinct radius-``r`` view classes and
-    their multiplicities from closed-form strata — no graph is ever
-    materialized, so peak memory is O(distinct classes * ball volume).
-    This is the regime where Table 1's four complexity classes visibly
-    separate: the class counts stay O(1) / O(depth) while n spans
-    10^6-10^8, which is exactly the paper's asymptotic claim rendered
-    finite.
-    """
-    from ..local_model.batch_views import expander_for
-
-    side = max(3, math.isqrt(n - 1) + 1)
-    tree, depth = implicit_tree_of_size_at_least(delta, n)
-    handles: List[Tuple[str, ImplicitGraph]] = [
-        ("cycle", ImplicitCycle(max(3, n))),
-        ("torus", ImplicitTorus(side, side)),
-        ("tree", tree),
-    ]
-    result = ImplicitClassificationResult(n=n, delta=delta, tree_depth=depth)
-    radii = tuple(radii)
-    for family, handle in handles:
-        counter = expander_for(handle, "implicit")
-        counts = counter.class_counts_many(radii)
-        anchored = _anchored(family, delta, radii)
-        for radius, cc in zip(radii, counts):
-            if family == "cycle":
-                bound = 2 * radius + 3
-            elif family == "torus":
-                bound = (2 * radius + 3) ** 2
-            else:
-                bound = len(handle.strata(radius))
-            result.rows.append(
-                ImplicitClassRow(
-                    family=family,
-                    n=handle.n,
-                    radius=radius,
-                    distinct_classes=cc.class_count,
-                    class_bound=bound,
-                    dominant_share=max(cc.counts) / cc.total,
-                    covers_n=cc.total == handle.n,
-                    anchored=anchored,
-                )
-            )
-    result.predicted_rounds = [
-        ("(1) constant-label + P* fallback", "O(1) rounds at any n"),
-        (
-            "(2) homogeneous weak 2-coloring",
-            f"Theta(log* n): log*({n}) = {log_star(float(n))}",
-        ),
-        (
-            "(3)/(4) universal all-P* solver",
-            f"Theta(log n): tree depth {depth} at n = {tree.n}",
-        ),
-    ]
     return result

@@ -20,7 +20,6 @@ from ..algorithms.cole_vishkin import cv_iterations_needed, log_star
 from ..algorithms.weak_coloring import weak_two_coloring_from_ids
 from ..graphs.generators import balanced_regular_tree
 from ..graphs.graph import Graph
-from ..graphs.implicit import implicit_tree_of_size_at_least
 from ..lcl.catalog import WeakColoring
 
 __all__ = [
@@ -28,9 +27,6 @@ __all__ = [
     "LogStarSweepResult",
     "run_logstar_sweep",
     "DEFAULT_ID_BITS",
-    "ImplicitLogStarPoint",
-    "ImplicitLogStarResult",
-    "run_logstar_sweep_implicit",
 ]
 
 #: Identifier-space bit widths swept by default: towers of growth.
@@ -96,90 +92,6 @@ def run_logstar_sweep(
                 predicted_cv_rounds=cv_iterations_needed(bits + 2),
                 measured_rounds=out.rounds,
                 verified=verified,
-            )
-        )
-    return result
-
-
-# ----------------------------------------------------------------------
-# The implicit n >= 10^6 regime
-# ----------------------------------------------------------------------
-
-@dataclass
-class ImplicitLogStarPoint:
-    """One headline-n point of the widened sweep.
-
-    ``distinct_classes`` is the exact anonymous radius-``r`` class
-    count (closed-form strata); ``predicted_cv_rounds`` is the
-    Cole-Vishkin iteration count for the *natural* identifier space at
-    this n (``n.bit_length()`` bits) — the quantity whose log*-growth
-    the materialized sweep can only fake by inflating the id space on
-    a tiny tree.
-    """
-
-    n: int
-    tree_depth: int
-    distinct_classes: int
-    class_bound: int
-    id_bits: int
-    log_star_n: int
-    predicted_cv_rounds: int
-
-
-@dataclass
-class ImplicitLogStarResult:
-    """The widened sweep: real n moving, structure exact."""
-
-    points: List[ImplicitLogStarPoint] = field(default_factory=list)
-
-    def monotone_in_log_star(self) -> bool:
-        """CV predictions must be non-decreasing as n grows."""
-        rounds = [p.predicted_cv_rounds for p in self.points]
-        return all(b >= a for a, b in zip(rounds, rounds[1:]))
-
-    def classes_stay_bounded(self) -> bool:
-        """Class counts must respect the O(depth) strata ceiling."""
-        return all(p.distinct_classes <= p.class_bound for p in self.points)
-
-
-def run_logstar_sweep_implicit(
-    n: int = 1_000_000,
-    factors: Sequence[int] = (1, 10, 100),
-    delta: int = 4,
-    radius: int = 2,
-) -> ImplicitLogStarResult:
-    """Sweep real tree sizes ``n * factor`` with O(classes) memory.
-
-    The materialized sweep (:func:`run_logstar_sweep`) holds the graph
-    fixed and inflates the identifier space; at implicit scale the
-    graph itself grows through 10^6-10^8 nodes while the exact class
-    structure (closed-form strata, never materialized) certifies that
-    the instance really has n nodes and O(depth) distinct views —
-    so the log* term is now driven by the honest quantity, the
-    identifier space ``2**n.bit_length()`` a real n-node instance
-    needs.
-    """
-    from ..local_model.batch_views import expander_for
-
-    result = ImplicitLogStarResult()
-    for factor in factors:
-        tree, depth = implicit_tree_of_size_at_least(delta, n * factor)
-        counter = expander_for(tree, "implicit")
-        cc = counter.class_counts(radius)
-        if cc.total != tree.n:
-            raise RuntimeError(
-                f"strata cover {cc.total} of {tree.n} nodes at factor {factor}"
-            )
-        bits = tree.n.bit_length()
-        result.points.append(
-            ImplicitLogStarPoint(
-                n=tree.n,
-                tree_depth=depth,
-                distinct_classes=cc.class_count,
-                class_bound=len(tree.strata(radius)),
-                id_bits=bits,
-                log_star_n=log_star(float(tree.n)),
-                predicted_cv_rounds=cv_iterations_needed(bits + 2),
             )
         )
     return result

@@ -26,7 +26,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.registry import register_graph_family
 from .graph import Graph, edge_key
-from .implicit import ImplicitCycle, ImplicitPath, ImplicitTorus, ImplicitTree
 
 __all__ = [
     "path",
@@ -48,9 +47,7 @@ __all__ = [
 ]
 
 
-@register_graph_family(
-    "path", params=("n",), implicit=True, implicit_builder=ImplicitPath
-)
+@register_graph_family("path", params=("n",))
 def path(n: int) -> Graph:
     """Path with ``n`` nodes ``0 - 1 - ... - (n-1)``."""
     if n < 1:
@@ -58,9 +55,7 @@ def path(n: int) -> Graph:
     return Graph(n, ((i, i + 1) for i in range(n - 1))).freeze()
 
 
-@register_graph_family(
-    "cycle", params=("n",), implicit=True, implicit_builder=ImplicitCycle
-)
+@register_graph_family("cycle", params=("n",))
 def cycle(n: int) -> Graph:
     """Cycle with ``n >= 3`` nodes."""
     if n < 3:
@@ -145,12 +140,7 @@ def balanced_regular_tree_size(delta: int, depth: int) -> int:
     return total
 
 
-@register_graph_family(
-    "tree",
-    params=("delta", "depth"),
-    implicit=True,
-    implicit_builder=ImplicitTree,
-)
+@register_graph_family("tree", params=("delta", "depth"))
 def balanced_regular_tree(delta: int, depth: int) -> Graph:
     """Balanced Delta-regular tree: every non-leaf has degree ``delta``.
 
@@ -188,12 +178,7 @@ def regular_tree_of_depth_at_least(delta: int, min_nodes: int) -> Tuple[Graph, i
     return balanced_regular_tree(delta, depth), depth
 
 
-@register_graph_family(
-    "torus",
-    params=("rows", "cols"),
-    implicit=True,
-    implicit_builder=ImplicitTorus,
-)
+@register_graph_family("torus", params=("rows", "cols"))
 def toroidal_grid(rows: int, cols: int) -> Graph:
     """The ``rows x cols`` torus: 4-regular, leafless, consistently orientable.
 
@@ -271,11 +256,6 @@ def random_regular_graph(
     n: int, d: int, rng: Optional[random.Random] = None, max_tries: int = 5000
 ) -> Graph:
     """A uniform-ish random simple ``d``-regular graph via the pairing model.
-
-    Registered *without* an ``implicit_builder``: the pairing model has
-    no closed-form neighborhood, so ``build_graph(..., implicit=True)``
-    on this family raises a ``RegistryError`` naming this materialized
-    factory as the fallback.
 
     Retries the configuration-model pairing until the result is simple.
 

@@ -16,7 +16,7 @@ immutability explicit.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 __all__ = ["Graph", "Edge", "edge_key"]
 
@@ -48,7 +48,7 @@ class Graph:
     bridge to it for generators and verification utilities.
     """
 
-    __slots__ = ("_n", "_adj", "_frozen", "_edge_set", "_csr")
+    __slots__ = ("_n", "_adj", "_frozen", "_edge_set")
 
     def __init__(self, n: int, edges: Optional[Iterable[Tuple[int, int]]] = None):
         if n < 0:
@@ -57,7 +57,6 @@ class Graph:
         self._adj: List[List[int]] = [[] for _ in range(n)]
         self._edge_set: Set[Edge] = set()
         self._frozen = False
-        self._csr = None
         if edges is not None:
             for u, v in edges:
                 self.add_edge(u, v)
@@ -90,10 +89,8 @@ class Graph:
     def freeze(self) -> "Graph":
         """Mark the graph immutable.  Returns ``self`` for chaining.
 
-        Freezing is what unlocks the compiled CSR layout: once frozen,
-        :meth:`add_edge` raises (regression-tested), so :meth:`csr` can
-        build its flat arrays exactly once and cache them without any
-        staleness hazard.  Idempotent.
+        Once frozen, :meth:`add_edge` raises (regression-tested).
+        Idempotent.
         """
         self._frozen = True
         return self
@@ -102,24 +99,6 @@ class Graph:
     def is_frozen(self) -> bool:
         """Whether :meth:`freeze` has been called (mutation now raises)."""
         return self._frozen
-
-    def csr(self) -> "Any":
-        """The compiled :class:`~repro.graphs.csr.CSRGraph` layout.
-
-        Built on first call and cached on the graph; requires the graph
-        to be frozen (a mutable graph would let the cached arrays go
-        stale).  The engines call this on every ``layout="csr"`` run,
-        so the build cost is paid once per graph, not once per run.
-        """
-        if not self._frozen:
-            raise ValueError(
-                "csr() requires a frozen graph; call freeze() first"
-            )
-        if self._csr is None:
-            from .csr import CSRGraph
-
-            self._csr = CSRGraph.from_graph(self)
-        return self._csr
 
     @classmethod
     def from_adjacency(cls, adjacency: Sequence[Sequence[int]]) -> "Graph":
@@ -442,16 +421,6 @@ class Graph:
     # ------------------------------------------------------------------
     # Dunder / misc
     # ------------------------------------------------------------------
-    def __getstate__(self):
-        # The cached CSR layout is derived data; rebuilding it lazily on
-        # the receiving side is cheaper than pickling numpy arrays with
-        # every graph.
-        return (self._n, self._adj, self._frozen, self._edge_set)
-
-    def __setstate__(self, state):
-        self._n, self._adj, self._frozen, self._edge_set = state
-        self._csr = None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self._n}, m={self.m})"
 

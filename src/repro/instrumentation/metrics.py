@@ -77,9 +77,6 @@ class RunMetrics:
     cache_misses: int = 0
     cache_bytes: int = 0
     cache_distinct_classes: int = 0
-    layout_dict_runs: int = 0
-    layout_csr_runs: int = 0
-    layout_entities: int = 0
     wall_seconds: float = 0.0
     halt_histogram: Dict[int, int] = field(default_factory=dict)
     per_round: List[RoundMetrics] = field(default_factory=list)
@@ -110,9 +107,6 @@ class RunMetrics:
             "cache_bytes": self.cache_bytes,
             "cache_distinct_classes": self.cache_distinct_classes,
             "cache_hit_rate": self.cache_hit_rate,
-            "layout_dict_runs": self.layout_dict_runs,
-            "layout_csr_runs": self.layout_csr_runs,
-            "layout_entities": self.layout_entities,
             "wall_seconds": self.wall_seconds,
             # JSON objects have string keys; keep them sorted for diffs.
             "halt_histogram": {
@@ -132,7 +126,8 @@ class RunMetrics:
         or by an older one carrying a retired counter (``service_*``,
         ``delta_*``, ``subruns``, ``shards``, ``degradations``,
         ``degraded_reasons``, ``layout_kernel_runs``,
-        ``layout_fallbacks``, ``layout_classes``, ``kernel_runs``,
+        ``layout_fallbacks``, ``layout_classes``, ``layout_dict_runs``,
+        ``layout_csr_runs``, ``layout_entities``, ``kernel_runs``,
         ``kernel_vectorized``, ``kernel_fallbacks``, ``kernel_entities``,
         ``kernel_classes``) — are ignored rather than rejected.
         Derived values such as ``cache_hit_rate`` are recomputed, never
@@ -228,13 +223,6 @@ class MetricsTracer(Tracer):
         self.metrics.views_gathered += 1
         self.metrics.view_nodes += nodes
         self.metrics.view_edges += edges
-
-    def on_layout(self, engine: str, layout: str, info: Dict[str, Any]) -> None:
-        if layout == "dict":
-            self.metrics.layout_dict_runs += 1
-        else:
-            self.metrics.layout_csr_runs += 1
-        self.metrics.layout_entities += info.get("entities", 0)
 
     def on_cache(self, engine: str, stats: Dict[str, Any]) -> None:
         self.metrics.cache_lookups += stats.get("lookups", 0)

@@ -104,9 +104,6 @@ class TraceRecorder(Tracer):
     def on_view(self, center: Any, radius: int, nodes: int, edges: int) -> None:
         self._emit("view", center=center, radius=radius, nodes=nodes, edges=edges)
 
-    def on_layout(self, engine: str, layout: str, info: Dict[str, Any]) -> None:
-        self._emit("layout", engine=engine, layout=layout, **info)
-
     def on_cache(self, engine: str, stats: Dict[str, Any]) -> None:
         self._emit("cache", engine=engine, **stats)
 

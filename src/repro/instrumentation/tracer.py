@@ -31,9 +31,6 @@ on_message          message-passing engine, once per sent message
 on_halt             message-passing engine, when a node commits + stops
 on_round_end        message-passing engine, after deliveries + receives
 on_view             view engines, once per materialized ball
-on_layout           view engines, once per run, with the resolved
-                    graph layout (dict vs CSR vs implicit) and the
-                    entity count
 on_cache            finite runs, once per run, with memo lookup stats
 on_trial            finite runner, once per Monte Carlo trial
 on_stage            speedup pipeline, once per ladder stage
@@ -103,17 +100,6 @@ class Tracer:
         center in the operational model).
         """
 
-    def on_layout(self, engine: str, layout: str, info: Dict[str, Any]) -> None:
-        """A view engine reports which graph layout served the run.
-
-        Fired once per ``view`` / ``edge`` run.  ``layout`` is the
-        resolved layout name (``"dict"`` for the reference per-entity
-        path, ``"csr"`` for gathers over the compiled arrays,
-        ``"implicit"`` for implicit handles); ``info`` carries
-        ``requested`` (the request's knob, e.g. ``"auto"``) and
-        ``entities``.
-        """
-
     def on_cache(self, engine: str, stats: Dict[str, Any]) -> None:
         """A finite run reports its algorithm's per-run memo statistics.
 
@@ -177,10 +163,6 @@ class MultiTracer(Tracer):
     def on_view(self, center: Any, radius: int, nodes: int, edges: int) -> None:
         for t in self.tracers:
             t.on_view(center, radius, nodes, edges)
-
-    def on_layout(self, engine: str, layout: str, info: Dict[str, Any]) -> None:
-        for t in self.tracers:
-            t.on_layout(engine, layout, info)
 
     def on_cache(self, engine: str, stats: Dict[str, Any]) -> None:
         for t in self.tracers:

@@ -245,8 +245,8 @@ def _signature(
     numbers, the degrees (row length), and the distances (BFS from the
     seeds is a function of the rows), so two balls have equal signatures
     iff their :meth:`View.key` encodings are equal — the property the
-    memoized differential run and the batched expander rely on, proven
-    by the property suite (``tests/test_view_signature_properties.py``).
+    memoized differential run relies on, proven by the property suite
+    (``tests/test_view_signature_properties.py``).
 
     It avoids the per-neighbor tuple allocations, edge sorting, and
     adjacency construction that :func:`gather_view` pays for.
@@ -310,9 +310,7 @@ def view_signature(
 
     Two nodes get equal signatures iff their :func:`gather_view` views
     have equal :meth:`View.key` — i.e. iff they are indistinguishable
-    in the model.  Cheaper to compute than the view itself; the
-    reference partition the batched expander
-    (:mod:`repro.local_model.batch_views`) must reproduce.
+    in the model.  Cheaper to compute than the view itself.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")

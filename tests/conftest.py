@@ -10,9 +10,7 @@ variable (CI exports ``ci``; anything else falls back to ``dev``):
 ``ci``
     More examples and a fixed, derandomized seed — every CI run drills
     the exact same example sequence, so a red build is reproducible by
-    exporting the same variable locally.  The parity suite
-    (``tests/test_csr_parity.py``) deliberately does *not* pin
-    ``max_examples`` so this profile scales its case count.
+    exporting the same variable locally.
 
 Tests that pin their own ``@settings(...)`` keep their pinned values;
 profiles only fill in what a test leaves unspecified.

@@ -2,9 +2,11 @@
 
 A T-round algorithm is a map from radius-T balls to outputs, so
 evaluating it once per canonical view class and broadcasting the
-output must be indistinguishable from running it at every node.  This
-module turns that claim — and the engine's layout claims — into
-executable oracles:
+output must be indistinguishable from running it at every node.  And
+a node has no name besides its identifier, so renaming the nodes of a
+graph — keeping every port, identifier and random value with its
+node — must rename the outputs and change nothing else.  This module
+turns both claims into executable oracles:
 
 * :func:`grid` enumerates a (algorithm × graph family × radius ×
   labeling) case grid — id-driven, anonymous, and randomness-driven
@@ -17,20 +19,22 @@ executable oracles:
 * :func:`assert_identical` demands the two
   :class:`~repro.local_model.ExecutionResult`s agree **bit for bit** —
   outputs, halt rounds, and round count;
-* :func:`run_case_layouts` / :func:`run_edge_case_layouts` run the same
-  case once per engine layout (the reference ``"dict"`` path and the
-  ``"csr"`` gathers) and return the :class:`~repro.core.SimReport`s,
-  which must reproduce the ``"dict"`` report bit for bit
-  (:func:`assert_layout_reports_identical`).
+* :func:`assert_renumbering_invariant` runs a case's
+  :class:`~repro.core.SimRequest` twice, on its graph and on a
+  port-preserving renumbered copy (:func:`renumbered`), and demands
+  that outputs, halt rounds and rounds permute exactly.  A gather
+  that reads node names (for example, one that explores neighbours in
+  sorted rather than port order) fails it.
 
 ``tests/test_differential.py`` parametrizes the memo comparison over
-the full grid; ``tests/test_engine_backends.py`` adds the layout
-comparison; ``python -m tests.differential`` (with ``src`` on the path)
-runs both standalone and prints a per-case table, which is handy when
-a layout change needs forensic rather than pass/fail output.
+the full grid; ``tests/test_engine_backends.py`` adds the renumbering
+comparison; ``python -m tests.differential`` (with ``src`` on the
+path) runs both standalone and prints a per-case table, which is handy
+when a gather change needs forensic rather than pass/fail output.
 
-Every case derives its labelings from ``sha256(case_id)``, so the grid
-is deterministic across processes, job counts, and Python hash seeds.
+Every case derives its labelings and its renumbering from
+``sha256(case_id)``, so the grid is deterministic across processes,
+job counts, and Python hash seeds.
 """
 
 from __future__ import annotations
@@ -38,11 +42,12 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.algorithms.view_rules import make_view_rule
 from repro.core import SimRequest, simulate
 from repro.graphs import (
+    Graph,
     balanced_regular_tree,
     caterpillar,
     complete_graph,
@@ -55,7 +60,6 @@ from repro.graphs import (
 from repro.graphs.graph import edge_key
 from repro.graphs.identifiers import random_permutation_ids
 from repro.local_model import EdgeViewAlgorithm, KeyedCache
-from repro.local_model.batch_views import LAYOUTS
 from repro.local_model.edge_model import (
     EdgeExecutionResult,
     run_edge_view_algorithm,
@@ -70,18 +74,18 @@ from repro.local_model.views import (
 
 __all__ = [
     "Case",
-    "LAYOUTS",
     "GRAPH_FAMILIES",
     "grid",
     "run_memoized",
     "run_edge_memoized",
     "run_case",
-    "run_layouts",
-    "run_case_layouts",
+    "build_request",
+    "edge_request",
+    "renumbering",
+    "renumbered",
+    "assert_renumbering_invariant",
     "run_edge_case",
-    "run_edge_case_layouts",
     "assert_identical",
-    "assert_layout_reports_identical",
     "run_grid",
 ]
 
@@ -223,7 +227,7 @@ def assert_identical(direct: Any, memoized: Any, case: Case) -> None:
 
 
 # ----------------------------------------------------------------------
-# Layout comparison (dict vs csr SimReports)
+# Renumbering comparison: node names must not reach any view
 # ----------------------------------------------------------------------
 
 def build_request(case: Case) -> SimRequest:
@@ -241,33 +245,77 @@ def build_request(case: Case) -> SimRequest:
     )
 
 
-def run_layouts(request: SimRequest) -> Dict[str, Any]:
-    """``request`` once per layout; layout name -> SimReport."""
-    return {
-        layout: simulate(replace(request, layout=layout)) for layout in LAYOUTS
-    }
+def renumbering(label: str, n: int) -> List[int]:
+    """A permutation ``pi`` of ``range(n)``, seeded by ``sha256(label)``.
 
-
-def run_case_layouts(case: Case) -> Dict[str, Any]:
-    """One case over every layout; layout name -> SimReport.
-
-    Every grid graph is frozen by its generator, so the ``"csr"``
-    layout is legal on all of them.
+    The seed string extends the case id, so the permutation is not the
+    shuffle the case's own labelings drew.
     """
-    return run_layouts(build_request(case))
+    digest = hashlib.sha256(f"{label}:renumber".encode("utf-8")).digest()
+    pi = list(range(n))
+    random.Random(int.from_bytes(digest[:8], "big")).shuffle(pi)
+    return pi
 
 
-def assert_layout_reports_identical(
-    reports: Dict[str, Any], label: str
-) -> None:
-    """Every other layout's report matches ``"dict"`` bit for bit."""
-    reference = reports["dict"].identity()
-    for layout, report in reports.items():
-        if layout == "dict":
-            continue
-        assert report.identity() == reference, (
-            f"{label}: layout {layout!r} diverges from dict"
+def renumbered(request: SimRequest, pi: Sequence[int]) -> SimRequest:
+    """``request`` with node ``v`` renamed ``pi[v]``, nothing else changed.
+
+    The copy is built with :meth:`~repro.graphs.Graph.from_adjacency`:
+    port ``i`` of ``pi[v]`` leads to ``pi`` of port ``i``'s neighbour
+    of ``v``, and ``v``'s identifier, input and random value move to
+    ``pi[v]``.
+    """
+    graph = request.graph
+    adjacency: List[List[int]] = [[] for _ in graph.nodes()]
+    for v in graph.nodes():
+        adjacency[pi[v]] = [pi[u] for u in graph.neighbors(v)]
+
+    def carry(labels: Optional[Sequence[Any]]) -> Optional[List[Any]]:
+        if labels is None:
+            return None
+        moved: List[Any] = [None] * len(labels)
+        for v, value in enumerate(labels):
+            moved[pi[v]] = value
+        return moved
+
+    return replace(
+        request,
+        graph=Graph.from_adjacency(adjacency).freeze(),
+        ids=carry(request.ids),
+        inputs=carry(request.inputs),
+        randomness=carry(request.randomness),
+    )
+
+
+def assert_renumbering_invariant(request: SimRequest, label: str) -> None:
+    """Outputs, halt rounds and rounds follow a renumbering exactly.
+
+    Node outputs and halt rounds must satisfy ``moved[pi[v]] ==
+    base[v]``; edge outputs are re-keyed by ``edge_key(pi[u], pi[v])``.
+    """
+    pi = renumbering(label, request.graph.n)
+    base = simulate(request)
+    moved = simulate(renumbered(request, pi))
+    if base.kind == "edge":
+        expected = {
+            edge_key(pi[u], pi[v]): out for (u, v), out in base.outputs.items()
+        }
+        assert moved.outputs == expected, (
+            f"{label}: edge outputs do not follow the renumbering"
         )
+    else:
+        diverging = [
+            v for v in request.graph.nodes()
+            if moved.outputs[pi[v]] != base.outputs[v]
+        ]
+        assert not diverging, (
+            f"{label}: outputs do not follow the renumbering at nodes "
+            f"{diverging[:5]}"
+        )
+        assert [moved.halt_rounds[pi[v]] for v in request.graph.nodes()] == (
+            base.halt_rounds
+        ), f"{label}: halt rounds do not follow the renumbering"
+    assert moved.rounds == base.rounds, f"{label}: round counts diverge"
 
 
 # ----------------------------------------------------------------------
@@ -298,24 +346,24 @@ def _edge_case_inputs(graph_name: str, rounds: int):
     return graph, alg, randomness
 
 
+def edge_request(graph_name: str, rounds: int) -> SimRequest:
+    """The :class:`~repro.core.SimRequest` for one edge case."""
+    graph, alg, randomness = _edge_case_inputs(graph_name, rounds)
+    return SimRequest(
+        kind="edge",
+        graph=graph,
+        algorithm=alg,
+        randomness=randomness,
+        label=f"edge-t{rounds}-{graph_name}",
+    )
+
+
 def run_edge_case(graph_name: str, rounds: int) -> Tuple[Any, Any]:
     """One edge-view algorithm, engine vs memo table, on one graph."""
     graph, alg, randomness = _edge_case_inputs(graph_name, rounds)
     direct = run_edge_view_algorithm(graph, alg, randomness=randomness)
     memoized, _ = run_edge_memoized(graph, alg, randomness=randomness)
     return direct, memoized
-
-
-def run_edge_case_layouts(graph_name: str, rounds: int) -> Dict[str, Any]:
-    """One edge case over every layout; layout name -> SimReport."""
-    graph, alg, randomness = _edge_case_inputs(graph_name, rounds)
-    return run_layouts(SimRequest(
-        kind="edge",
-        graph=graph,
-        algorithm=alg,
-        randomness=randomness,
-        label=f"edge-t{rounds}-{graph_name}",
-    ))
 
 
 # ----------------------------------------------------------------------
@@ -329,9 +377,7 @@ def run_grid(verbose: bool = True) -> int:
         direct, memoized, stats = run_case(case)
         try:
             assert_identical(direct, memoized, case)
-            assert_layout_reports_identical(
-                run_case_layouts(case), case.case_id
-            )
+            assert_renumbering_invariant(build_request(case), case.case_id)
             status = "ok"
         except AssertionError as exc:
             failures += 1
@@ -353,17 +399,17 @@ def run_grid(verbose: bool = True) -> int:
                 f"  edge-t{rounds}-{graph_name:<32s} "
                 f"{'ok' if ok else 'FAIL'}"
             )
+        label = f"edge-t{rounds}-{graph_name}"
         try:
-            assert_layout_reports_identical(
-                run_edge_case_layouts(graph_name, rounds),
-                f"edge-t{rounds}-{graph_name}",
+            assert_renumbering_invariant(
+                edge_request(graph_name, rounds), label
             )
-            layout_status = "layouts ok"
+            renumber_status = "renumbering ok"
         except AssertionError as exc:
             failures += 1
-            layout_status = f"layouts FAIL ({exc})"
+            renumber_status = f"renumbering FAIL ({exc})"
         if verbose:
-            print(f"  edge-t{rounds}-{graph_name:<32s} {layout_status}")
+            print(f"  {label:<39s} {renumber_status}")
     return failures
 
 

@@ -107,7 +107,7 @@ class TestContracts:
         # The artifact snapshot names exactly the axes the fuzzer runs.
         assert set(contract_for("ball-signature").to_dict()) == {
             "algorithm", "kind", "needs_ids", "needs_randomness",
-            "solves", "invariances", "layouts",
+            "solves", "invariances",
         }
 
     def test_auto_verifier_kwarg_resolves_against_graph(self):
@@ -303,17 +303,19 @@ class TestArtifacts:
 
     def test_artifact_from_the_delta_era_still_replays(self, tmp_path):
         # Artifacts written while the delta-identity axis, the cached
-        # backend or the kernel layout existed carry a ``deltas`` key, a
-        # ``backend-identity`` invariance (and failed check) or a
-        # ``"kernel"`` layout in their snapshot; replay reads only the
-        # case spec and re-runs the live contract's checks, so they keep
-        # reproducing their finding.
+        # backend, the layout axis or the implicit families existed
+        # carry a ``deltas`` key, a ``backend-identity`` invariance (and
+        # failed check), a ``layouts`` list or a failed
+        # ``implicit-identity`` check in their snapshot; replay reads
+        # only the case spec and re-runs the live contract's checks, so
+        # they keep reproducing their finding.
         register_broken_fixture()
         contract = contract_for(BROKEN_MIS)
         artifact = write_repro_artifact(
             str(tmp_path), contract, _broken_case(4),
             [CheckFailure("verifier", "planted"),
-             CheckFailure("backend-identity", "direct vs cached")],
+             CheckFailure("backend-identity", "direct vs cached"),
+             CheckFailure("implicit-identity", "closed-form drift")],
         )
         with open(artifact, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -358,7 +360,8 @@ class TestCli:
         assert exc.value.code == 2
 
     def test_retired_delta_check_is_an_unknown_name(self):
-        for retired in ("delta-identity", "backend-identity"):
+        for retired in ("delta-identity", "backend-identity",
+                        "layout-identity", "implicit-identity"):
             with pytest.raises(
                 SystemExit, match=f"unknown check name\\(s\\): {retired}"
             ):
@@ -370,9 +373,8 @@ class TestCli:
         ])
         assert code == 0
         out = capsys.readouterr().out
-        # One stage per planted fixture: MIS claim, implicit family.
-        assert out.count("self-test ok") == 2
-        assert "CSR layout" not in out
+        # One stage, for the one planted fixture: the MIS claim.
+        assert out.count("self-test ok") == 1
         summary = json.loads(
             (tmp_path / "conformance-summary.json").read_text()
         )

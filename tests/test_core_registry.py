@@ -20,6 +20,7 @@ import pytest
 from repro.core import (
     ALGORITHMS,
     GRAPH_FAMILIES,
+    KINDS,
     PROBLEMS,
     REPORTS,
     DirectEngine,
@@ -199,21 +200,21 @@ class TestEngineSeam:
             SimRequest(kind="quantum", graph=cycle(4), algorithm=None)
 
     def test_request_rejects_layout_on_local_and_finite(self):
-        # The local and finite kinds have one evaluation path: a layout
-        # other than "auto" is a named error, not a knob quietly ignored.
-        for kind in ("local", "finite"):
-            for layout in ("bogus", "kernel", "dict"):
-                with pytest.raises(ValueError, match=f"^'{kind}' requests"):
+        # Every kind has one evaluation path and SimRequest has no
+        # layout field: ``layout=`` is a TypeError on every kind, not a
+        # knob quietly accepted or ignored.
+        for kind in KINDS:
+            for layout in ("auto", "dict", "csr", "kernel"):
+                with pytest.raises(TypeError, match="layout"):
                     SimRequest(kind=kind, graph=cycle(4), algorithm=None,
                                layout=layout)
-            assert SimRequest(kind=kind, graph=cycle(4),
-                              algorithm=None).layout == "auto"
 
     def test_retired_kernel_layout_is_gone(self):
-        # "kernel" on a view or edge request fails like any unknown
-        # layout; the speedup entry points take no layout, reports carry
-        # no info dict, the tracer has no kernel hook, and the kernel
-        # modules are gone.
+        # ``layout="kernel"`` on a view or edge request is a TypeError
+        # like any layout; the speedup entry points take no layout,
+        # reports carry no info dict, the tracer has neither a kernel
+        # nor a layout hook, and the kernel, CSR, batch-view, implicit
+        # and entity-adapter modules are gone.
         import importlib.util
 
         from repro.algorithms.view_rules import make_view_rule
@@ -230,10 +231,9 @@ class TestEngineSeam:
             ("view", make_view_rule("ball-signature", radius=1)),
             ("edge", EdgeViewAlgorithm(1, len, name="edge-len")),
         ):
-            request = SimRequest(kind=kind, graph=cycle(6),
-                                 algorithm=algorithm, layout="kernel")
-            with pytest.raises(ValueError, match="^unknown layout 'kernel'"):
-                simulate(request)
+            with pytest.raises(TypeError, match="layout"):
+                SimRequest(kind=kind, graph=cycle(6), algorithm=algorithm,
+                           layout="kernel")
         for fn in (node_local_failure, edge_local_failure,
                    estimate_global_success, run_speedup_pipeline):
             assert "layout" not in inspect.signature(fn).parameters, fn
@@ -243,10 +243,37 @@ class TestEngineSeam:
         ))
         assert not hasattr(report, "info")
         hooks = [name for name in vars(Tracer) if name.startswith("on_")]
-        assert len(hooks) == 11 and "on_kernel" not in hooks
+        assert len(hooks) == 10
+        assert "on_kernel" not in hooks and "on_layout" not in hooks
         for module in ("repro.local_model.kernels", "repro.algorithms.kernels",
-                       "repro.speedup.trial_kernel"):
+                       "repro.speedup.trial_kernel", "repro.graphs.csr",
+                       "repro.graphs.implicit",
+                       "repro.local_model.batch_views",
+                       "repro.core.entities"):
             assert importlib.util.find_spec(module) is None, module
+
+    def test_paper_setup_does_not_import_numpy(self):
+        # The paper benchmark's set-up -- import repro.experiments, then
+        # register the built-ins -- runs in a fresh interpreter without
+        # numpy: no module under repro imports it.
+        import os
+        import subprocess
+        import sys
+
+        script = (
+            "import sys\n"
+            "import repro.experiments\n"
+            "from repro.core import ensure_builtins\n"
+            "ensure_builtins()\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert proc.stdout.strip() == "False"
 
     def test_finite_request_needs_orientation_or_tables(self):
         from dataclasses import replace

@@ -1,18 +1,26 @@
-"""Layout equivalence: the engine's layouts are interchangeable.
+"""Renumbering invariance: node names never reach a view.
 
-The engine seam's contract is that layout choice is a pure performance
-knob — every ``view`` / ``edge`` layout produces a
-:class:`~repro.core.SimReport` whose ``identity()`` (outputs, rounds,
-halt rounds) is bit-identical to the reference path.  This suite pins
-that contract:
+A T-round algorithm is a function of its radius-T ball, and a node has
+no name besides its identifier.  So renaming the nodes of a graph —
+keeping every port, identifier and random value with its node — must
+rename the engine's outputs and change nothing else.  This suite pins
+that contract on the one gather each kind has
+(:func:`~repro.local_model.views.gather_view`,
+:func:`~repro.local_model.views.gather_edge_view`):
 
 * the **node-model** grid of :mod:`tests.differential` (algorithm ×
-  graph family × radius × labeling), ``"csr"`` against ``"dict"`` per
-  case;
+  graph family × radius × labeling): each case runs on its graph and
+  on a port-preserving renumbered copy, and outputs, halt rounds and
+  rounds must permute exactly;
 * the **edge-model** cases (``B_t(e)`` views over cycles, trees, tori,
-  and random regular graphs), both layouts per case;
+  and random regular graphs), the same comparison with the outputs
+  re-keyed by ``edge_key(pi(u), pi(v))``;
 * **labelings of the wrong length**, the same named ``ValueError`` on
-  every kind and layout.
+  every kind.
+
+The permutation of each case is seeded from ``sha256`` of its case id
+(:func:`tests.differential.renumbering`).  A gather that explores
+neighbours in name order instead of port order fails the node grid.
 """
 
 from __future__ import annotations
@@ -26,41 +34,38 @@ from repro.graphs import cycle
 from repro.local_model.edge_model import EdgeViewAlgorithm
 
 from .differential import (
-    LAYOUTS,
-    assert_layout_reports_identical,
+    assert_renumbering_invariant,
+    build_request,
     edge_cases,
+    edge_request,
     grid,
-    run_case_layouts,
-    run_edge_case_layouts,
 )
 
 
 # ----------------------------------------------------------------------
-# Node model: the full differential grid, every layout per case
+# Node model: the full differential grid, renumbered per case
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("case", grid(), ids=lambda c: c.case_id)
 def test_backends_bit_identical_on_node_grid(case):
-    reports = run_case_layouts(case)
-    assert set(reports) == {"dict", "csr"}
-    assert_layout_reports_identical(reports, case.case_id)
+    assert_renumbering_invariant(build_request(case), case.case_id)
 
 
 # ----------------------------------------------------------------------
-# Edge model: every layout over every edge case
+# Edge model: every edge case, renumbered
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize(
     "graph_name,rounds", edge_cases(), ids=lambda p: str(p)
 )
 def test_backends_bit_identical_on_edge_model(graph_name, rounds):
-    reports = run_edge_case_layouts(graph_name, rounds)
-    assert set(reports) == {"dict", "csr"}
-    assert_layout_reports_identical(reports, f"edge-t{rounds}-{graph_name}")
+    assert_renumbering_invariant(
+        edge_request(graph_name, rounds), f"edge-t{rounds}-{graph_name}"
+    )
 
 
 # ----------------------------------------------------------------------
-# Labelings of the wrong length: a named error on every kind and layout
+# Labelings of the wrong length: a named error on every kind
 # ----------------------------------------------------------------------
 
 def _edge_ball_size(view):
@@ -84,9 +89,8 @@ def test_local_label_length_errors(field):
 
 
 @pytest.mark.parametrize("field", ["ids", "inputs", "randomness"])
-@pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("kind", ["view", "edge"])
-def test_view_label_length_errors(kind, layout, field):
+def test_view_label_length_errors(kind, field):
     graph = cycle(10)
     algorithm = (
         make_view_rule("local-max", radius=1) if kind == "view"
@@ -94,8 +98,7 @@ def test_view_label_length_errors(kind, layout, field):
     )
     for labels in ([5, 6, 7], list(range(11))):
         request = SimRequest(
-            kind=kind, graph=graph, algorithm=algorithm, layout=layout,
-            **{field: labels},
+            kind=kind, graph=graph, algorithm=algorithm, **{field: labels},
         )
         with pytest.raises(
             ValueError, match=f"^{field} must have one entry per node$"

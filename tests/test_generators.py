@@ -99,6 +99,18 @@ class TestBalancedTrees:
             balanced_regular_tree(3, -1)
 
 
+@pytest.mark.parametrize(
+    "factory",
+    [lambda: cycle(14), lambda: path(11), lambda: toroidal_grid(4, 5),
+     lambda: balanced_regular_tree(3, 3)],
+    ids=["cycle", "path", "torus", "tree"],
+)
+def test_generators_return_frozen_graphs(factory):
+    graph = factory()
+    assert graph.is_frozen
+    assert graph.freeze() is graph  # idempotent, no re-freeze dance
+
+
 class TestTorus:
     def test_torus_is_4_regular_leafless(self):
         g = toroidal_grid(4, 5)

@@ -1,5 +1,7 @@
 """Unit tests for the port-numbered graph substrate."""
 
+import pickle
+
 import pytest
 
 from repro.graphs import Graph, edge_key
@@ -51,6 +53,29 @@ class TestConstruction:
     def test_edge_key_canonical(self):
         assert edge_key(3, 1) == (1, 3)
         assert edge_key(1, 3) == (1, 3)
+
+
+class TestFreeze:
+    def test_add_edge_after_freeze_raises(self):
+        graph = Graph(4, edges=[(0, 1), (1, 2)])
+        graph.freeze()
+        with pytest.raises(ValueError, match="frozen"):
+            graph.add_edge(2, 3)
+        # The failed mutation left nothing behind.
+        assert graph.m == 2
+        assert graph.degree(3) == 0
+
+    def test_from_adjacency_freeze_then_add_edge_raises(self):
+        graph = Graph.from_adjacency([[1], [0], []]).freeze()
+        with pytest.raises(ValueError, match="frozen"):
+            graph.add_edge(1, 2)
+
+    def test_freeze_is_idempotent_and_visible(self):
+        graph = Graph(3, edges=[(0, 1)])
+        assert not graph.is_frozen
+        assert graph.freeze() is graph
+        assert graph.freeze() is graph  # second freeze is a no-op
+        assert graph.is_frozen
 
 
 class TestPorts:
@@ -215,3 +240,16 @@ class TestConversion:
         assert hash(a) == hash(b)
         c = Graph(3, [(0, 1)])
         assert a != c
+
+    @pytest.mark.parametrize("frozen", [True, False])
+    def test_pickle_round_trip_keeps_equality_and_frozen_flag(self, frozen):
+        graph = Graph.from_adjacency([[2, 1], [0, 2], [1, 0], []])
+        if frozen:
+            graph.freeze()
+        clone = pickle.loads(pickle.dumps(graph))
+        assert clone is not graph
+        assert clone == graph
+        assert clone.is_frozen is frozen
+        assert [clone.neighbors(v) for v in clone.nodes()] == [
+            graph.neighbors(v) for v in graph.nodes()
+        ]

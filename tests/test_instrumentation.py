@@ -200,8 +200,8 @@ class TestJsonRoundTrips:
     def test_from_dict_ignores_unknown_keys(self):
         # An artifact written by a newer version (extra counters), or by
         # an older one that still carried the retired service_*, delta_*,
-        # process-pool or kernel-layout counters, must load on this one
-        # rather than raise TypeError.
+        # process-pool, kernel-layout or layout counters, must load on
+        # this one rather than raise TypeError.
         graph = cycle(12)
         tracer = MetricsTracer()
         run_local(graph, Broadcast(2), tracer=tracer)
@@ -231,6 +231,9 @@ class TestJsonRoundTrips:
             "layout_kernel_runs": 1,
             "layout_fallbacks": 0,
             "layout_classes": 4,
+            "layout_dict_runs": 1,
+            "layout_csr_runs": 1,
+            "layout_entities": 12,
             "kernel_runs": 1,
             "kernel_vectorized": 1,
             "kernel_fallbacks": 0,
@@ -424,10 +427,13 @@ class TestCliContract:
     def test_usage_error_exit_code_2(self):
         from repro.experiments.__main__ import main
 
-        # A malformed value, and the retired backend and cache flags.
+        # A malformed value, the retired backend and cache flags, and
+        # the retired implicit-scale mode with its options.
         for argv in (["--jobs", "not-a-number"], ["--engine", "sharded"],
                      ["--engine", "cached", "--quick"],
-                     ["--view-cache", "--quick"]):
+                     ["--view-cache", "--quick"],
+                     ["classification", "--implicit"],
+                     ["--n", "1000000"], ["--rss-limit-mb", "256"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2

@@ -140,8 +140,7 @@ class TestLubyMIS:
         # O(log n) w.h.p.; allow a generous constant.
         assert result.rounds <= 40
 
-    @pytest.mark.parametrize("layout", ["auto"], ids=["direct"])
-    def test_halts_with_mis_on_irregular_frozen_graphs(self, layout):
+    def test_halts_with_mis_on_irregular_frozen_graphs(self):
         # Degree-irregular instances: ragged rows, halted neighbors,
         # and leaves that win vacuously.
         from repro.core import SimRequest, simulate
@@ -157,7 +156,7 @@ class TestLubyMIS:
             report = simulate(
                 SimRequest(
                     kind="local", graph=graph, algorithm=LubyMIS(),
-                    seed=seed, layout=layout,
+                    seed=seed,
                 )
             )
             assert report.all_halted()
