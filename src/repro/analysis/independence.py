@@ -119,7 +119,11 @@ def independent_execution_set(
     """
     if t < 1:
         raise ValueError("t must be at least 1")
-    dist_from_center = tree.bfs_distances(center)
+    # Only B_k(v) matters: S and every stride stay inside it.  The max
+    # keeps a seed sphere beyond the ball a zero-step run.
+    dist_from_center = tree.bfs_distances(
+        center, cutoff=max(ball_radius, seed_radius)
+    )
     stride = 2 * t + 1
 
     seed = [u for u, d in dist_from_center.items() if d == seed_radius]
@@ -160,9 +164,8 @@ def independent_execution_set(
                     if (dim, sign) == banned:
                         continue
                     reached = walk(u, (dim, sign))
-                    if reached is None or dist_from_center[reached] > ball_radius:
-                        continue
-                    new_frontier.append(reached)
+                    if reached in dist_from_center:  # inside B_k(v)
+                        new_frontier.append(reached)
         if not new_frontier:
             break
         collected.extend(new_frontier)

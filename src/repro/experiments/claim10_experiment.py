@@ -72,7 +72,7 @@ def run_claim10(
     tree = balanced_regular_tree(delta, depth)
     orientation = orient_tree(tree, delta // 2)
     ball_radius = depth - 1  # leaf-free ball
-    effective_n = len(tree.ball(0, ball_radius)) ** 3
+    effective_n = len(tree.bfs_distances(0, cutoff=ball_radius)) ** 3
     result = Claim10Result(
         delta=delta, depth=depth, n=tree.n, seed_radius=seed_radius
     )

@@ -46,16 +46,20 @@ class Graph:
     The class deliberately does not depend on :mod:`networkx` on the hot
     path; conversion helpers (:meth:`to_networkx`, :meth:`from_networkx`)
     bridge to it for generators and verification utilities.
+
+    The adjacency rows are the only edge store: :meth:`has_edge` and the
+    duplicate check of :meth:`add_edge` scan the shorter of the two rows,
+    which is cheap at the bounded degrees the LOCAL model works with.
     """
 
-    __slots__ = ("_n", "_adj", "_frozen", "_edge_set")
+    __slots__ = ("_n", "_adj", "_frozen", "_m")
 
     def __init__(self, n: int, edges: Optional[Iterable[Tuple[int, int]]] = None):
         if n < 0:
             raise ValueError(f"node count must be non-negative, got {n}")
         self._n = n
         self._adj: List[List[int]] = [[] for _ in range(n)]
-        self._edge_set: Set[Edge] = set()
+        self._m = 0
         self._frozen = False
         if edges is not None:
             for u, v in edges:
@@ -79,12 +83,11 @@ class Graph:
             raise ValueError(f"self-loop at node {u} is not allowed (simple graphs only)")
         if not (0 <= u < self._n and 0 <= v < self._n):
             raise ValueError(f"edge ({u}, {v}) out of range for n={self._n}")
-        key = edge_key(u, v)
-        if key in self._edge_set:
+        if self._adjacent(u, v):
             raise ValueError(f"duplicate edge ({u}, {v})")
-        self._edge_set.add(key)
         self._adj[u].append(v)
         self._adj[v].append(u)
+        self._m += 1
 
     def freeze(self) -> "Graph":
         """Mark the graph immutable.  Returns ``self`` for chaining.
@@ -129,7 +132,7 @@ class Graph:
                 if v not in adjacency[u]:
                     raise ValueError(f"asymmetric adjacency: {u} in adj[{v}] only")
         g._adj = [list(neighbors) for neighbors in adjacency]
-        g._edge_set = {edge_key(v, u) for v in range(n) for u in adjacency[v]}
+        g._m = sum(len(neighbors) for neighbors in adjacency) // 2
         return g
 
     # ------------------------------------------------------------------
@@ -143,7 +146,7 @@ class Graph:
     @property
     def m(self) -> int:
         """Number of edges."""
-        return len(self._edge_set)
+        return self._m
 
     def nodes(self) -> range:
         """All nodes, as a range."""
@@ -151,11 +154,16 @@ class Graph:
 
     def edges(self) -> Iterator[Edge]:
         """Iterate over canonical edge keys in sorted order (deterministic)."""
-        return iter(sorted(self._edge_set))
+        return iter([(v, u) for v, row in enumerate(self._adj) for u in sorted(row) if u > v])
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether the undirected edge ``{u, v}`` is present."""
-        return edge_key(u, v) in self._edge_set
+        return 0 <= u < self._n and 0 <= v < self._n and self._adjacent(u, v)
+
+    def _adjacent(self, u: int, v: int) -> bool:
+        """Whether ``v`` is in ``u``'s row, scanning the shorter of the two rows."""
+        a, b = self._adj[u], self._adj[v]
+        return v in a if len(a) <= len(b) else u in b
 
     def degree(self, v: int) -> int:
         """Degree of node ``v``."""
@@ -427,11 +435,11 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._n == other._n and self._edge_set == other._edge_set
+        return self._n == other._n and self.edge_set() == other.edge_set()
 
     def __hash__(self) -> int:
-        return hash((self._n, frozenset(self._edge_set)))
+        return hash((self._n, self.edge_set()))
 
     def edge_set(self) -> FrozenSet[Edge]:
         """The set of canonical edge keys, as a frozenset."""
-        return frozenset(self._edge_set)
+        return frozenset(self.edges())

@@ -19,8 +19,7 @@ For 4-regular graphs the classical names map as::
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .graph import Graph, Edge, edge_key
 
@@ -44,6 +43,11 @@ def direction_name(dim: int, sign: int, k: int = 2) -> str:
     return f"{'+' if sign > 0 else '-'}{dim}"
 
 
+def _direction(slot: int) -> Tuple[int, int]:
+    """The ``(dim, sign)`` that a row slot stands for."""
+    return (slot >> 1, -1 if slot & 1 else 1)
+
+
 class Orientation:
     """A consistent k-dimensional orientation of (a subgraph of) ``graph``.
 
@@ -54,21 +58,28 @@ class Orientation:
     k:
         Number of dimensions; oriented nodes can have degree at most ``2k``.
     labels:
-        Mapping from canonical edge keys to ``(dim, low)`` pairs, where
+        Mapping from edges ``(a, b)`` to ``(dim, low)`` pairs, where
         ``0 <= dim < k`` and ``low`` is an endpoint of the edge.
+
+    Notes
+    -----
+    The orientation is one flat list of ``n * 2k`` neighbor ids.  Node
+    ``v``'s row is ``[2k*v, 2k*(v+1))``; slot ``2*dim + (sign < 0)`` of it
+    holds the neighbor in direction ``(dim, sign)``, or ``-1``.  A
+    labeled edge fills mirror slots ``s`` at its low endpoint and
+    ``s ^ 1`` at the other, so every query reads the same store and no two
+    can disagree.  :meth:`labeled_neighbors` lists a row in slot order:
+    ``(0, +1), (0, -1), (1, +1), ...``.
     """
 
-    __slots__ = ("graph", "k", "_labels", "_slots")
+    __slots__ = ("graph", "k", "_rows")
 
     def __init__(self, graph: Graph, k: int, labels: Dict[Edge, Tuple[int, int]]):
         if k < 1:
             raise ValueError("need at least one dimension")
-        self.graph = graph
-        self.k = k
-        self._labels = dict(labels)
-        # Per-node lookup: (dim, sign) -> neighbor.
-        self._slots: List[Dict[Tuple[int, int], int]] = [dict() for _ in range(graph.n)]
-        for (a, b), (dim, low) in self._labels.items():
+        width = 2 * k
+        rows = [-1] * (graph.n * width)
+        for (a, b), (dim, low) in labels.items():
             if not graph.has_edge(a, b):
                 raise ValueError(f"labeled edge ({a}, {b}) not in graph")
             if low not in (a, b):
@@ -76,45 +87,99 @@ class Orientation:
             if not 0 <= dim < k:
                 raise ValueError(f"dimension {dim} out of range for k={k}")
             high = b if low == a else a
-            for node, sign, other in ((low, 1, high), (high, -1, low)):
-                slot = (dim, sign)
-                if slot in self._slots[node]:
+            for node, slot, other in ((low, 2 * dim, high), (high, 2 * dim + 1, low)):
+                i = node * width + slot
+                if rows[i] >= 0:
                     raise ValueError(
-                        f"node {node} has two edges in direction {direction_name(dim, sign, k)}"
+                        f"node {node} has two edges in direction "
+                        f"{direction_name(*_direction(slot), k)}"
                     )
-                self._slots[node][slot] = other
+                rows[i] = other
+        self.graph = graph
+        self.k = k
+        self._rows = rows
+
+    @classmethod
+    def _from_rows(cls, graph: Graph, k: int, rows: List[int]) -> "Orientation":
+        """Wrap already-filled rows (layout in the class notes).
+
+        Every filled slot is checked: its neighbor is adjacent in
+        ``graph``, and the neighbor's mirror slot names the node back.
+        """
+        if k < 1:
+            raise ValueError("need at least one dimension")
+        width = 2 * k
+        for v, adjacent in enumerate(graph.adjacency_rows()):
+            base = v * width
+            for slot in range(width):
+                u = rows[base + slot]
+                if u >= 0 and (u not in adjacent or rows[u * width + (slot ^ 1)] != v):
+                    raise ValueError(
+                        f"slot {slot} of node {v} names {u}, which does not name it back"
+                    )
+        self = cls.__new__(cls)
+        self.graph = graph
+        self.k = k
+        self._rows = rows
+        return self
+
+    def _find(self, v: int, u: int) -> int:
+        """The slot of ``v``'s row that holds ``u``, or -1."""
+        if u < 0 or v < 0:  # -1 marks an empty slot; a negative start would wrap
+            return -1
+        width = 2 * self.k
+        start = v * width
+        try:
+            return self._rows.index(u, start, start + width) - start
+        except ValueError:
+            return -1
+
+    def _slot(self, v: int, u: int) -> int:
+        """Like :meth:`_find`, but an unlabeled pair raises ``KeyError``."""
+        slot = self._find(v, u)
+        if slot < 0:
+            raise KeyError(edge_key(u, v))
+        return slot
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def dim_of(self, u: int, v: int) -> int:
         """Dimension of the edge ``{u, v}``."""
-        return self._labels[edge_key(u, v)][0]
+        return self._slot(u, v) >> 1
 
     def sign_at(self, v: int, u: int) -> int:
         """+1 if the edge ``{v, u}`` leaves ``v`` in the positive direction."""
-        dim, low = self._labels[edge_key(u, v)]
-        return 1 if low == v else -1
+        return -1 if self._slot(v, u) & 1 else 1
 
     def direction_at(self, v: int, u: int) -> Tuple[int, int]:
         """``(dim, sign)`` of the edge ``{v, u}`` as seen from ``v``."""
-        return (self.dim_of(u, v), self.sign_at(v, u))
+        return _direction(self._slot(v, u))
 
     def neighbor(self, v: int, dim: int, sign: int) -> Optional[int]:
         """The neighbor of ``v`` in direction ``(dim, sign)``, or ``None``."""
-        return self._slots[v].get((dim, sign))
+        if 0 <= dim < self.k and (sign == 1 or sign == -1):
+            u = self._rows[2 * (self.k * v + dim) + (sign < 0)]
+            if u >= 0:
+                return u
+        return None
 
     def labeled_neighbors(self, v: int) -> Dict[Tuple[int, int], int]:
-        """All of ``v``'s neighbors keyed by ``(dim, sign)``."""
-        return dict(self._slots[v])
+        """All of ``v``'s neighbors keyed by ``(dim, sign)``, in slot order."""
+        width = 2 * self.k
+        row = self._rows[v * width : (v + 1) * width]
+        return {_direction(slot): u for slot, u in enumerate(row) if u >= 0}
 
     def is_labeled(self, u: int, v: int) -> bool:
         """Whether the edge ``{u, v}`` carries an orientation label."""
-        return edge_key(u, v) in self._labels
+        return self._find(u, v) >= 0
 
     def edges_of_dimension(self, dim: int) -> List[Edge]:
         """All labeled edges of a given dimension, sorted."""
-        return sorted(e for e, (d, _) in self._labels.items() if d == dim)
+        if not 0 <= dim < self.k:
+            return []
+        column = self._rows[2 * dim :: 2 * self.k]  # each node's +dim slot
+        return sorted(edge_key(v, u) for v, u in enumerate(column) if u >= 0)
 
     # ------------------------------------------------------------------
     # Validation
@@ -137,45 +202,48 @@ class Orientation:
         if not require_full:
             return
         for e in self.graph.edges():
-            if e not in self._labels:
+            if self._find(*e) < 0:
                 raise ValueError(f"edge {e} is unlabeled")
+        width = 2 * self.k
         for v in self.graph.nodes():
-            if self.graph.degree(v) == 2 * self.k and len(self._slots[v]) != 2 * self.k:
-                raise ValueError(
-                    f"full-degree node {v} has only {len(self._slots[v])} directions"
-                )
+            if self.graph.degree(v) == width:
+                filled = width - self._rows[v * width : (v + 1) * width].count(-1)
+                if filled != width:
+                    raise ValueError(f"full-degree node {v} has only {filled} directions")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Orientation(k={self.k}, labeled={len(self._labels)}/{self.graph.m})"
+        labeled = (len(self._rows) - self._rows.count(-1)) // 2
+        return f"Orientation(k={self.k}, labeled={labeled}/{self.graph.m})"
 
 
 def orient_tree(graph: Graph, k: int, root: int = 0) -> Orientation:
     """Consistently orient a tree of maximum degree at most ``2k``.
 
-    BFS from ``root``; each node hands its children the directional slots
-    it has not used yet (the edge to its parent occupies one slot).  Any
-    tree with maximum degree <= 2k admits such an orientation.
+    BFS from ``root``; each node hands its children, in port order, the
+    directional slots it has not used yet, in slot order (the edge to its
+    parent occupies one slot).  Any tree with maximum degree <= 2k admits
+    such an orientation.
     """
     if not graph.is_tree():
         raise ValueError("orient_tree requires a tree")
     if graph.max_degree() > 2 * k:
         raise ValueError(f"maximum degree {graph.max_degree()} exceeds 2k = {2 * k}")
-    labels: Dict[Edge, Tuple[int, int]] = {}
-    all_slots = [(dim, sign) for dim in range(k) for sign in (1, -1)]
-    used: Dict[int, set] = {root: set()}
-    parent: Dict[int, int] = {root: -1}
-    frontier = deque([root])
-    while frontier:
-        v = frontier.popleft()
-        free = [s for s in all_slots if s not in used[v]]
-        children = [u for u in graph.neighbors(v) if u != parent[v]]
-        for u, (dim, sign) in zip(children, free):
-            # Edge leaves v with the given sign: v is the low endpoint iff +1.
-            labels[edge_key(u, v)] = (dim, v if sign == 1 else u)
-            used[u] = {(dim, -sign)}
-            parent[u] = v
-            frontier.append(u)
-    return Orientation(graph, k, labels)
+    width = 2 * k
+    # free[taken + 1]: the slots left once slot ``taken`` (-1: none) is used.
+    free = [[s for s in range(width) if s != taken] for taken in range(-1, width)]
+    adj = graph.adjacency_rows()
+    rows = [-1] * (graph.n * width)
+    order, toward = [root], [-1]  # BFS order; each node's slot toward its parent
+    for v, taken in zip(order, toward):  # both lists grow as the BFS runs
+        base = v * width
+        up = rows[base + taken] if taken >= 0 else -1
+        children = [u for u in adj[v] if u != up]
+        for u, s in zip(children, free[taken + 1]):
+            rows[base + s] = u
+            rows[u * width + (s ^ 1)] = v
+            order.append(u)
+            toward.append(s ^ 1)
+    return Orientation._from_rows(graph, k, rows)
 
 
 def orient_torus_nd(graph: Graph, dims: "tuple[int, ...]") -> Orientation:

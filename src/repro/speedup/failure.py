@@ -34,8 +34,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.engine import derive_seed
 from ..local_model.cache import ball_assignment_key
-from .algorithms import EdgeAlgorithm, NodeAlgorithm
-from .ball import OrientedBall
+from .algorithms import Assignment, EdgeAlgorithm, NodeAlgorithm
+from .ball import Direction, OrientedBall
 
 __all__ = ["FailureEstimate", "node_local_failure", "edge_local_failure"]
 
@@ -99,6 +99,21 @@ def _conditional_color_distribution(
     return {color: Fraction(n, total) for color, n in counts.items()}
 
 
+def _split_positions(
+    maps: Dict[Direction, List[int]], known_size: int
+) -> Tuple[Dict[Direction, List[Tuple[int, int]]], Dict[Direction, List[int]]]:
+    """Split each direction's position map at the conditioning region.
+
+    ``maps[d][pos]`` is the outer-ball index of position ``pos``.
+    Returns ``shared[d]``, the ``(pos, outer index)`` pairs inside the
+    first ``known_size`` outer positions, and ``beyond[d]``, the
+    positions outside them.
+    """
+    shared = {d: [(p, o) for p, o in enumerate(m) if o < known_size] for d, m in maps.items()}
+    beyond = {d: [p for p, o in enumerate(m) if o >= known_size] for d, m in maps.items()}
+    return shared, beyond
+
+
 # ----------------------------------------------------------------------
 # Node algorithms
 # ----------------------------------------------------------------------
@@ -121,40 +136,34 @@ def node_local_failure(
     directions = outer.directions
 
     center_map = outer.shift_map((), inner)
+    # Positions of B_t(v) inside the outer ball are 0..inner.size-1 by
+    # construction (BFS word order agrees on the common prefix), so a
+    # sigma over the inner ball doubles as the outer-ball prefix.
+    if center_map != list(range(inner.size)):
+        raise AssertionError("outer ball does not extend inner ball order (bug)")
     neighbor_maps = {d: outer.shift_map((d,), inner) for d in directions}
-    unknown_per_dir = {
-        d: [i for i in neighbor_maps[d] if i not in set(center_map)] for d in directions
-    }
-    cost = (values ** inner.size) * sum(
-        values ** len(u) for u in unknown_per_dir.values()
-    )
+    shared, beyond = _split_positions(neighbor_maps, inner.size)
+    cost = (values ** inner.size) * sum(values ** len(b) for b in beyond.values())
     use_exact = method == "exact" or (method == "auto" and cost <= exact_cost_limit)
     if method not in ("exact", "monte_carlo", "auto"):
         raise ValueError(f"unknown method {method!r}")
 
     if use_exact:
-        # Positions of B_t(v) inside the outer ball are 0..inner.size-1 by
-        # construction (BFS word order agrees on the common prefix), so a
-        # sigma over the inner ball doubles as the outer-ball prefix.
-        if center_map != list(range(inner.size)):
-            raise AssertionError("outer ball does not extend inner ball order (bug)")
+        # A neighbor's distribution depends only on its direction and the
+        # values it shares with B_t(v): enumerate each such pair once.
+        memo: Dict[Tuple[Direction, Assignment], Dict[Any, Fraction]] = {}
         fail = Fraction(0)
         for sigma in _enumerate_assignments(values, inner.size):
             center_color = alg.evaluate(sigma)
             prob_all_agree = Fraction(1)
             for d in directions:
-                base = {}
-                for nbr_pos, outer_pos in enumerate(neighbor_maps[d]):
-                    if outer_pos < inner.size:
-                        base[nbr_pos] = sigma[outer_pos]
-                unknown = [
-                    nbr_pos
-                    for nbr_pos, outer_pos in enumerate(neighbor_maps[d])
-                    if outer_pos >= inner.size
-                ]
-                dist = _conditional_color_distribution(
-                    alg.evaluate, base, unknown, inner.size, values
-                )
+                seen = tuple([sigma[o] for _, o in shared[d]])
+                dist = memo.get((d, seen))
+                if dist is None:
+                    base = {pos: sigma[o] for pos, o in shared[d]}
+                    dist = memo[d, seen] = _conditional_color_distribution(
+                        alg.evaluate, base, beyond[d], inner.size, values
+                    )
                 prob_all_agree *= dist.get(center_color, Fraction(0))
                 if prob_all_agree == 0:
                     break
@@ -214,39 +223,34 @@ def edge_local_failure(
     values = alg.values
     layouts = _edge_layouts(alg)
 
-    unknown_sizes = {
-        d: sum(1 for i in layouts[d][1] if i >= known.size) for d in layouts
-    }
-    cost = (values**known.size) * sum(values**u for u in unknown_sizes.values())
+    shared, beyond = _split_positions(
+        {d: emap for d, (_, emap) in layouts.items()}, known.size
+    )
+    cost = (values**known.size) * sum(values ** len(b) for b in beyond.values())
     use_exact = method == "exact" or (method == "auto" and cost <= exact_cost_limit)
 
     if use_exact:
+        # As for nodes: one enumeration per (direction, shared values).
+        memo: Dict[Tuple[Direction, Assignment], Dict[Any, Fraction]] = {}
         fail = Fraction(0)
         for sigma in _enumerate_assignments(values, known.size):
             prob_fail = Fraction(1)
             for dim in range(alg.k):
                 dists = []
                 for sign in (1, -1):
-                    dim_, emap = layouts[(dim, sign)]
-                    base = {
-                        pos: sigma[outer_pos]
-                        for pos, outer_pos in enumerate(emap)
-                        if outer_pos < known.size
-                    }
-                    unknown = [
-                        pos
-                        for pos, outer_pos in enumerate(emap)
-                        if outer_pos >= known.size
-                    ]
-                    dists.append(
-                        _conditional_color_distribution(
-                            lambda a, _dim=dim_: alg.evaluate(_dim, a),
+                    d = (dim, sign)
+                    seen = tuple([sigma[o] for _, o in shared[d]])
+                    dist = memo.get((d, seen))
+                    if dist is None:
+                        base = {pos: sigma[o] for pos, o in shared[d]}
+                        dist = memo[d, seen] = _conditional_color_distribution(
+                            lambda a, _dim=dim: alg.evaluate(_dim, a),
                             base,
-                            unknown,
+                            beyond[d],
                             alg.balls[dim].size,
                             values,
                         )
-                    )
+                    dists.append(dist)
                 plus, minus = dists
                 agree = sum(
                     (p * minus.get(color, Fraction(0)) for color, p in plus.items()),

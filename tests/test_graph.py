@@ -36,6 +36,20 @@ class TestConstruction:
         with pytest.raises(ValueError, match="duplicate"):
             g.add_edge(1, 0)
 
+    def test_edge_queries_from_either_row(self):
+        # The center's row is the long one; every query must give the same
+        # answer from the leaf's side, and out-of-range ids are just absent.
+        g = Graph(5, [(0, 3), (0, 1), (4, 0), (2, 0)])
+        assert all(g.has_edge(0, x) and g.has_edge(x, 0) for x in (1, 2, 3, 4))
+        assert not g.has_edge(1, 2)
+        assert not g.has_edge(0, 5) and not g.has_edge(-1, 0) and not g.has_edge(0, 0)
+        for u, v in ((3, 0), (0, 3)):
+            with pytest.raises(ValueError, match="duplicate"):
+                g.add_edge(u, v)
+        assert g.m == 4
+        assert list(g.edges()) == [(0, 1), (0, 2), (0, 3), (0, 4)]
+        assert Graph.from_adjacency([[1, 2], [0], [0]]).m == 2
+
     def test_out_of_range_rejected(self):
         g = Graph(2)
         with pytest.raises(ValueError, match="out of range"):

@@ -1,6 +1,8 @@
 """Unit tests for orientations and identifier schemes."""
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -109,6 +111,81 @@ class TestOrientation:
         o = orient_torus(g, 3, 3)
         assert len(o.edges_of_dimension(0)) == 9
         assert len(o.edges_of_dimension(1)) == 9
+
+    def test_non_canonical_key_agrees_everywhere(self):
+        # The key (1, 0) is not in sorted order; every query must still
+        # see the one label it carries.
+        o = Orientation(Graph(2, [(0, 1)]), 1, {(1, 0): (0, 0)})
+        assert o.neighbor(0, 0, 1) == 1 and o.neighbor(1, 0, -1) == 0
+        assert o.labeled_neighbors(0) == {(0, 1): 1}
+        assert o.is_labeled(0, 1) and o.is_labeled(1, 0)
+        assert o.direction_at(0, 1) == (0, 1)
+        assert o.direction_at(1, 0) == (0, -1)
+        o.validate()
+        # A direction outside range(k) x {+1, -1} names no neighbor, even
+        # where a flat index would land on a neighboring slot.
+        for v in (0, 1):
+            for dim, sign in ((1, 1), (1, -1), (-1, 1), (-1, -1), (0, 0)):
+                assert o.neighbor(v, dim, sign) is None
+
+    def test_unlabeled_pair_raises_key_error(self):
+        o = Orientation(Graph(3, [(0, 1), (1, 2)]), 1, {(0, 1): (0, 0)})
+        assert not o.is_labeled(1, 2)
+        for query in (o.direction_at, o.dim_of, o.sign_at):
+            with pytest.raises(KeyError):
+                query(1, 2)
+        with pytest.raises(KeyError):
+            o.direction_at(0, 2)  # not even an edge
+
+    def test_orient_tree_matches_validating_constructor(self):
+        for delta, depth in ((4, 4), (6, 3), (3, 5), (2, 5)):
+            tree = balanced_regular_tree(delta, depth)
+            k = (delta + 1) // 2
+            o = orient_tree(tree, k)
+            labels = {
+                (a, b): (dim, a if o.sign_at(a, b) == 1 else b)
+                for dim in range(k)
+                for a, b in o.edges_of_dimension(dim)
+            }
+            assert len(labels) == tree.m
+            rebuilt = Orientation(tree, k, labels)
+            rebuilt.validate()
+            for v in tree.nodes():
+                assert rebuilt.labeled_neighbors(v) == o.labeled_neighbors(v)
+
+    def test_labeled_neighbors_in_slot_order(self):
+        o = orient_torus(toroidal_grid(4, 5), 4, 5)
+        for v in (0, 7, 19):
+            assert list(o.labeled_neighbors(v)) == [(0, 1), (0, -1), (1, 1), (1, -1)]
+
+    def test_constructor_rejects_bad_labels(self):
+        g = Graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match="not in graph"):
+            Orientation(g, 1, {(0, 2): (0, 0)})
+        with pytest.raises(ValueError, match="low endpoint 2 not on edge"):
+            Orientation(g, 1, {(0, 1): (0, 2)})
+        with pytest.raises(ValueError, match="dimension 1 out of range"):
+            Orientation(g, 1, {(0, 1): (1, 0)})
+        with pytest.raises(ValueError, match="dimension -1 out of range"):
+            Orientation(g, 1, {(0, 1): (-1, 0)})
+
+    def test_orient_tree_memory_budget(self):
+        # Allocation counts, not time: deterministic under any load.  The
+        # rows take 2k slots of 8 bytes per node; the BFS adds two lists.
+        tree = balanced_regular_tree(4, 8)  # n = 13,121
+        orient_tree(balanced_regular_tree(4, 2), 2)  # warm up
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            o = orient_tree(tree, 2)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert o.k == 2
+        assert (after - before) / tree.n <= 64
+        assert (peak - before) / tree.n <= 200
 
 
 class TestIdentifiers:
