@@ -34,7 +34,6 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from ..graphs.graph import Graph
-from ..local_model.views import gather_view
 from .weak_coloring import WeakTwoColoringResult, weak_two_coloring_from_weak_coloring
 
 __all__ = [
@@ -78,17 +77,44 @@ def order_type_labeling(
     The type records the canonical ball (distances, degrees, ports) and
     the identifier *ranks*; two nodes get equal labels iff their labeled
     balls are order-isomorphic.  Round cost: ``radius``.
+
+    The key is the one a :func:`~repro.local_model.views.gather_view`
+    view gives, ``(distances, degrees, ranks, edges)`` with ball nodes
+    numbered in port-order BFS order and edges ``(i, j, port_i, port_j,
+    None)`` sorted, built from one cut-off BFS and the adjacency rows.
     """
     if len(set(ids)) != graph.n:
         raise ValueError("identifiers must be unique")
+    adj = graph.adjacency_rows()
     labels = []
     for v in graph.nodes():
-        view = gather_view(graph, v, radius, ids=ids)
-        order = sorted(range(view.node_count), key=lambda i: view.identifiers[i])
-        rank = [0] * view.node_count
-        for pos, i in enumerate(order):
+        dist = graph.bfs_distances(v, cutoff=radius)
+        order = list(dist)
+        local = {x: i for i, x in enumerate(order)}
+        # Each induced edge is met from both ends: the smaller local end
+        # records its port, the larger end completes the edge tuple.
+        first_port = {}
+        edges = []
+        for i, x in enumerate(order):
+            for p, u in enumerate(adj[x]):
+                j = local.get(u)
+                if j is None:
+                    continue
+                if i < j:
+                    first_port[i, j] = p
+                else:
+                    edges.append((j, i, first_port[j, i], p, None))
+        edges.sort()
+        ball_ids = [ids[x] for x in order]
+        rank = [0] * len(order)
+        for pos, i in enumerate(sorted(range(len(order)), key=ball_ids.__getitem__)):
             rank[i] = pos
-        type_key = (view.distances, view.degrees, tuple(rank), view.edges)
+        type_key = (
+            tuple(dist.values()),
+            tuple([len(adj[x]) for x in order]),
+            tuple(rank),
+            tuple(edges),
+        )
         encoded = int.from_bytes(repr(type_key).encode("ascii"), "big")
         if encoded.bit_length() >= ORDER_TYPE_BITS:
             raise AssertionError(

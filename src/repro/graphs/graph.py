@@ -229,6 +229,10 @@ class Graph:
     def bfs_distances(self, source: int, cutoff: Optional[int] = None) -> Dict[int, int]:
         """Shortest-path (hop) distances from ``source``.
 
+        The dict lists nodes in BFS order, each node's neighbors in port
+        order: the order in which :func:`~repro.local_model.views.gather_view`
+        numbers a view's nodes.
+
         Parameters
         ----------
         source:
@@ -236,17 +240,20 @@ class Graph:
         cutoff:
             If given, only nodes at distance at most ``cutoff`` are returned.
         """
+        adj = self._adj
         dist = {source: 0}
-        frontier = deque([source])
-        while frontier:
-            v = frontier.popleft()
-            dv = dist[v]
-            if cutoff is not None and dv >= cutoff:
-                continue
-            for u in self._adj[v]:
-                if u not in dist:
-                    dist[u] = dv + 1
-                    frontier.append(u)
+        # Layer-synchronous BFS: the frontier IS the distance bookkeeping.
+        layer = [source]
+        d = 0
+        while layer and (cutoff is None or d < cutoff):
+            d += 1
+            next_layer = []
+            for v in layer:
+                for u in adj[v]:
+                    if u not in dist:
+                        dist[u] = d
+                        next_layer.append(u)
+            layer = next_layer
         return dist
 
     def distance(self, u: int, v: int) -> int:
@@ -278,19 +285,22 @@ class Graph:
     def diameter(self) -> int:
         """Maximum eccentricity over all nodes (graph must be connected).
 
-        Trees use the exact double-BFS sweep (farthest node from an
-        arbitrary root is an endpoint of a diameter); general graphs
-        fall back to all-pairs BFS.
+        One BFS from node 0 checks connectivity.  A connected graph with
+        ``m == n`` and maximum degree 2 is a cycle, whose diameter is
+        ``n // 2``.  Trees use the exact double-BFS sweep (farthest node
+        from an arbitrary root is an endpoint of a diameter); general
+        graphs fall back to all-pairs BFS.
         """
-        if not self.is_connected():
-            raise ValueError("diameter is undefined for disconnected graphs")
         if self._n <= 1:
             return 0
-        if self.is_tree():
-            far = self.bfs_distances(0)
-            u = max(far, key=lambda v: far[v])
-            far_u = self.bfs_distances(u)
-            return max(far_u.values())
+        far = self.bfs_distances(0)
+        if len(far) != self._n:
+            raise ValueError("diameter is undefined for disconnected graphs")
+        if self._m == self._n and self.max_degree() == 2:
+            return self._n // 2
+        if self._m == self._n - 1:
+            u = max(far, key=far.__getitem__)
+            return max(self.bfs_distances(u).values())
         return max(self.eccentricity(v) for v in self.nodes())
 
     # ------------------------------------------------------------------
@@ -375,10 +385,8 @@ class Graph:
         node_list = sorted(set(nodes))
         mapping = {v: i for i, v in enumerate(node_list)}
         sub = Graph(len(node_list))
-        for v in node_list:
-            for u in self._adj[v]:
-                if u in mapping and v < u:
-                    sub.add_edge(mapping[v], mapping[u])
+        sub._adj = [[mapping[u] for u in self._adj[v] if u in mapping] for v in node_list]
+        sub._m = sum(len(row) for row in sub._adj) // 2
         return sub, mapping
 
     def is_bipartite(self) -> bool:

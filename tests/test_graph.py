@@ -1,11 +1,48 @@
 """Unit tests for the port-numbered graph substrate."""
 
 import pickle
+import random
+from collections import deque
 
 import pytest
 
 from repro.graphs import Graph, edge_key
-from repro.graphs.generators import balanced_regular_tree, cycle, path, toroidal_grid
+from repro.graphs.generators import (
+    balanced_regular_tree,
+    cycle,
+    path,
+    random_regular_graph,
+    random_tree,
+    toroidal_grid,
+)
+
+
+def port_shuffled(graph, rng):
+    """A copy of ``graph`` with every adjacency row in a random port order."""
+    rows = [list(graph.neighbors(v)) for v in graph.nodes()]
+    for row in rows:
+        rng.shuffle(row)
+    return Graph.from_adjacency(rows)
+
+
+def reference_bfs_distances(graph, source, cutoff=None):
+    """Textbook FIFO-queue BFS, the reference for ``Graph.bfs_distances``."""
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        if cutoff is not None and dist[v] >= cutoff:
+            continue
+        for u in graph.neighbors(v):
+            if u not in dist:
+                dist[u] = dist[v] + 1
+                queue.append(u)
+    return dist
+
+
+def all_pairs_diameter(graph):
+    """The definition: the largest eccentricity."""
+    return max(graph.eccentricity(v) for v in graph.nodes())
 
 
 class TestConstruction:
@@ -162,6 +199,97 @@ class TestDistances:
             g.diameter()
 
 
+class TestBfsDistances:
+    GRAPHS = {
+        "tree-d3": balanced_regular_tree(3, 4),
+        "tree-d4": balanced_regular_tree(4, 3),
+        "random-tree": random_tree(60, random.Random(3)),
+        "cycle-9": cycle(9),
+        "cycle-16": cycle(16),
+        "random-3-regular": random_regular_graph(40, 3, rng=random.Random(5)),
+        "random-4-regular-shuffled": port_shuffled(
+            random_regular_graph(30, 4, rng=random.Random(6)), random.Random(7)
+        ),
+        "disconnected": Graph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (5, 6)]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    @pytest.mark.parametrize("cutoff", [None, 0, 1, 2, 5])
+    def test_matches_fifo_reference_with_insertion_order(self, name, cutoff):
+        graph = self.GRAPHS[name]
+        for source in graph.nodes():
+            got = graph.bfs_distances(source, cutoff=cutoff)
+            want = reference_bfs_distances(graph, source, cutoff=cutoff)
+            assert got == want
+            assert list(got.items()) == list(want.items())
+
+    def test_cutoff_zero_is_the_source_alone(self):
+        assert cycle(5).bfs_distances(3, cutoff=0) == {3: 0}
+
+
+class TestDiameterDefinition:
+    """``Graph.diameter`` against ``max(eccentricity)`` on every shape it special-cases."""
+
+    @pytest.mark.parametrize("n", [*range(3, 41), 1024])
+    def test_cycles(self, n):
+        graph = cycle(n)
+        assert graph.diameter() == n // 2 == all_pairs_diameter(graph)
+
+    def test_port_shuffled_cycles(self):
+        rng = random.Random(11)
+        for n in (5, 6, 17, 30):
+            graph = port_shuffled(cycle(n), rng)
+            assert graph.diameter() == all_pairs_diameter(graph)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 20])
+    def test_paths(self, n):
+        graph = path(n)
+        assert graph.diameter() == n - 1 == all_pairs_diameter(graph)
+
+    @pytest.mark.parametrize("delta,depth", [(3, 0), (3, 1), (3, 3), (3, 5), (4, 1), (4, 3)])
+    def test_balanced_trees(self, delta, depth):
+        graph = balanced_regular_tree(delta, depth)
+        assert graph.diameter() == 2 * depth == all_pairs_diameter(graph)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_trees(self, seed):
+        graph = random_tree(5 + 7 * seed, random.Random(seed))
+        assert graph.diameter() == all_pairs_diameter(graph)
+
+    @pytest.mark.parametrize("n,d", [(10, 3), (20, 3), (16, 4), (12, 5)])
+    def test_random_regular_graphs(self, n, d):
+        graph = random_regular_graph(n, d, rng=random.Random(n * d))
+        assert graph.diameter() == all_pairs_diameter(graph)
+
+    def test_unicyclic_graphs_that_are_not_cycles(self):
+        # m == n but a node of degree 3: the cycle rule must not fire.
+        triangle_with_pendant = Graph(4, [(0, 1), (1, 2), (2, 0), (0, 3)])
+        triangle_with_tail = Graph(6, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 5)])
+        for graph in (triangle_with_pendant, triangle_with_tail):
+            assert graph.m == graph.n
+            assert graph.diameter() == all_pairs_diameter(graph)
+        assert triangle_with_tail.diameter() == 4
+
+    def test_two_disjoint_triangles_raise(self):
+        # m == n and maximum degree 2, but not connected: not a cycle.
+        graph = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+        with pytest.raises(ValueError, match="disconnected"):
+            graph.diameter()
+
+    def test_cycle_diameter_makes_at_most_two_bfs_calls(self, monkeypatch):
+        calls = []
+        original = Graph.bfs_distances
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        graph = cycle(4096)
+        monkeypatch.setattr(Graph, "bfs_distances", counting)
+        assert graph.diameter() == 2048
+        assert len(calls) <= 2
+
+
 class TestStructure:
     def test_is_tree(self):
         assert path(5).is_tree()
@@ -230,6 +358,35 @@ class TestSubgraph:
         sub, mapping = g.induced_subgraph([0, 1, 3])
         # Original ports at 0: 3, 1, 2 -> surviving order 3, 1.
         assert sub.neighbors(mapping[0]) == (mapping[3], mapping[1])
+
+    def test_induced_subgraph_keeps_port_order_when_smaller_neighbors_come_later(self):
+        g = Graph.from_adjacency(
+            [
+                [3, 5, 2],
+                [3, 5, 7, 2, 4],
+                [1, 0, 7],
+                [0, 5, 6, 1],
+                [1, 6, 5],
+                [0, 3, 1, 4],
+                [4, 3],
+                [2, 1],
+            ]
+        )
+        sub, mapping = g.induced_subgraph([0, 1, 2, 3, 6])
+        # Node 2's row is (1, 0, 7): its smaller neighbor 0 sits at a later port.
+        assert sub.neighbors(mapping[2]) == (mapping[1], mapping[0])
+
+    def test_induced_subgraph_rows_are_filtered_original_rows(self):
+        rng = random.Random(2)
+        for trial in range(40):
+            base = random_regular_graph(14, 3 + trial % 2, rng=random.Random(trial))
+            g = port_shuffled(base, rng)
+            keep = sorted(rng.sample(range(g.n), rng.randint(1, g.n)))
+            sub, mapping = g.induced_subgraph(keep)
+            assert sub.m == sum(1 for u, v in g.edges() if u in mapping and v in mapping)
+            for v in keep:
+                want = tuple(mapping[u] for u in g.neighbors(v) if u in mapping)
+                assert sub.neighbors(mapping[v]) == want
 
 
 class TestConversion:

@@ -7,9 +7,11 @@ import pytest
 from repro.algorithms import (
     in_degree_labeling,
     is_distance_k_weak,
+    naor_stockmeyer,
     odd_degree_weak_two_coloring,
     order_type_labeling,
 )
+from repro.algorithms.naor_stockmeyer import ORDER_TYPE_BITS, ORDER_TYPE_RADIUS
 from repro.graphs import (
     Graph,
     balanced_regular_tree,
@@ -17,11 +19,64 @@ from repro.graphs import (
     path,
     random_permutation_ids,
     random_regular_graph,
+    regular_tree_of_depth_at_least,
     sequential_ids,
     sorted_by_bfs_ids,
     star,
 )
 from repro.lcl import WeakColoring
+from repro.local_model.views import View, gather_view
+
+
+def view_order_type_labeling(graph, ids, radius=ORDER_TYPE_RADIUS):
+    """The order-type labeling as it was first written, one ``View`` per node.
+
+    Kept verbatim as the oracle for :func:`order_type_labeling`, which
+    builds the same key without a ``View``.
+    """
+    if len(set(ids)) != graph.n:
+        raise ValueError("identifiers must be unique")
+    labels = []
+    for v in graph.nodes():
+        view = gather_view(graph, v, radius, ids=ids)
+        order = sorted(range(view.node_count), key=lambda i: view.identifiers[i])
+        rank = [0] * view.node_count
+        for pos, i in enumerate(order):
+            rank[i] = pos
+        type_key = (view.distances, view.degrees, tuple(rank), view.edges)
+        encoded = int.from_bytes(repr(type_key).encode("ascii"), "big")
+        if encoded.bit_length() >= ORDER_TYPE_BITS:
+            raise AssertionError(
+                "order-type encoding exceeded the constant-size cap; "
+                "raise ORDER_TYPE_BITS for this Delta"
+            )
+        labels.append(encoded)
+    return labels, radius
+
+
+def _oracle_graphs():
+    graphs = {}
+    # Table 1's Delta = 3 trees (targets 50, 200, 800: n = 94, 382, 1,534).
+    for target in (50, 200, 800):
+        tree, _ = regular_tree_of_depth_at_least(3, target)
+        graphs[f"table1-d3-n{tree.n}"] = tree
+    graphs["tree-d5"] = balanced_regular_tree(5, 3)
+    graphs["random-3-regular"] = random_regular_graph(40, 3, rng=random.Random(1))
+    graphs["random-5-regular"] = random_regular_graph(36, 5, rng=random.Random(2))
+    graphs["matching"] = Graph(6, [(0, 1), (2, 3), (4, 5)])
+    graphs["star"] = star(5)
+    graphs["cycle-12"] = cycle(12)
+    return graphs
+
+
+ORACLE_GRAPHS = _oracle_graphs()
+
+ID_SCHEMES = {
+    "sequential": sequential_ids,
+    "random": lambda g: random_permutation_ids(g, random.Random(g.n)),
+    # BFS order needs a connected graph; the matching keeps sequential ids.
+    "bfs-sorted": lambda g: sorted_by_bfs_ids(g) if g.is_connected() else sequential_ids(g),
+}
 
 
 class TestInDegreeLabeling:
@@ -96,6 +151,45 @@ class TestOrderTypeLabeling:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
             order_type_labeling(path(3), [1, 1, 2])
+
+
+class TestOrderTypesMatchViewOracle:
+    @pytest.mark.parametrize("scheme", sorted(ID_SCHEMES))
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+    def test_labels_identical(self, name, radius, scheme):
+        graph = ORACLE_GRAPHS[name]
+        ids = ID_SCHEMES[scheme](graph)
+        assert order_type_labeling(graph, ids, radius) == view_order_type_labeling(
+            graph, ids, radius
+        )
+
+    @pytest.mark.parametrize("scheme", sorted(ID_SCHEMES))
+    @pytest.mark.parametrize("name", [n for n in sorted(ORACLE_GRAPHS) if n != "cycle-12"])
+    def test_weak_two_coloring_identical(self, name, scheme, monkeypatch):
+        graph = ORACLE_GRAPHS[name]
+        ids = ID_SCHEMES[scheme](graph)
+        got = odd_degree_weak_two_coloring(graph, ids)
+        monkeypatch.setattr(naor_stockmeyer, "order_type_labeling", view_order_type_labeling)
+        want = odd_degree_weak_two_coloring(graph, ids)
+        assert got.labels == want.labels
+        assert got.rounds == want.rounds
+        assert got.phase_rounds == want.phase_rounds
+
+    def test_builds_no_view(self, monkeypatch):
+        built = []
+        original = View.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(View, "__init__", counting)
+        graph = ORACLE_GRAPHS["table1-d3-n94"]
+        order_type_labeling(graph, sequential_ids(graph))
+        assert built == []
+        view_order_type_labeling(graph, sequential_ids(graph))
+        assert len(built) == graph.n  # the counter does see View construction
 
 
 class TestOddDegreeWeakTwoColoring:
