@@ -6,8 +6,9 @@ function from the edge's view ``B_t(e)`` — radius-``t-1`` balls around
 both endpoints — to the edge's output label.  No honest constant-round
 rule in this module *solves* one of those LCLs (that impossibility is
 the paper's point), so none declares ``solves=``; the rules exist to
-give the conformance fuzzer and the differential harness registered
-``kind="edge"`` entries that exercise the engine's edge path.
+give the contract properties (``tests/test_contracts.py``) and the
+differential harness registered ``kind="edge"`` entries that exercise
+the engine's edge path.
 """
 
 from __future__ import annotations

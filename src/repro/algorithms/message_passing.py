@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 
-@register_algorithm("cole-vishkin-mp", kind="local", needs_ids=False,
+@register_algorithm("cole-vishkin-mp", kind="local", needs="none",
                     params=("color_bits",))
 class ColeVishkinMP(LocalAlgorithm):
     """Cole-Vishkin on a pseudoforest, as synchronous message passing.
@@ -96,7 +96,7 @@ class ColeVishkinMP(LocalAlgorithm):
             ctx.halt(ctx.state["color"])
 
 
-@register_algorithm("luby-mis", kind="local", needs_ids=True,
+@register_algorithm("luby-mis", kind="local", needs="ids",
                     solves=("mis", {}),
                     domains=(
                         {"graph": "path", "n": (2, 16)},
@@ -167,7 +167,7 @@ class LubyMIS(LocalAlgorithm):
             ctx.halt(True)
 
 
-@register_algorithm("greedy-sequential-coloring", kind="local", needs_ids=True,
+@register_algorithm("greedy-sequential-coloring", kind="local", needs="ids",
                     solves=("proper-coloring",
                             {"colors": "auto:max-degree+1"}),
                     domains=(
@@ -227,7 +227,7 @@ class GreedySequentialColoring(LocalAlgorithm):
             ctx.state["color"] = min(c for c in range(ctx.degree + 1) if c not in used)
 
 
-@register_algorithm("randomized-weak-coloring", kind="local", needs_ids=False,
+@register_algorithm("randomized-weak-coloring", kind="local", needs="none",
                     solves=("weak-coloring", {"colors": 2}),
                     domains=(
                         {"graph": "path", "n": (2, 16)},
@@ -302,7 +302,7 @@ class RandomizedWeakColoring(LocalAlgorithm):
             ctx.state["color"] = ctx.rng.randrange(2)
 
 
-@register_algorithm("flood-leader-parity", kind="local", needs_ids=True,
+@register_algorithm("flood-leader-parity", kind="local", needs="ids",
                     solves=("proper-coloring", {"colors": 2}),
                     # Bipartite-only domains: a 2-coloring exists exactly
                     # on even cycles/tori, trees, and hypercubes.

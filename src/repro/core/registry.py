@@ -14,8 +14,8 @@ registration at the definition site::
     @register_graph_family("cycle", params=("n",))
     def cycle(n: int) -> Graph: ...
 
-    @register_algorithm("luby-mis", kind="local", needs_ids=True,
-                        verifier=("mis", {}))
+    @register_algorithm("luby-mis", kind="local", needs="ids",
+                        solves=("mis", {}))
     class LubyMIS(LocalAlgorithm): ...
 
 Four registries cover the system:
@@ -91,8 +91,8 @@ class RegistryEntry:
 
         An unknown/missing keyword surfaces as :class:`RegistryError`
         naming the factory's valid parameters — not as the factory's
-        bare ``TypeError`` — so a typo'd CLI flag or conformance-domain
-        entry fails with the fix in the message.  ``TypeError`` raised
+        bare ``TypeError`` — so a typo'd CLI flag or ``domains`` entry
+        fails with the fix in the message.  ``TypeError`` raised
         *inside* a correctly-called factory body passes through.
         """
         try:
@@ -194,13 +194,13 @@ class Registry:
 GRAPH_FAMILIES = Registry("graph family")
 
 #: Algorithms: ``kind="local"`` (message passing), ``kind="view"``
-#: (functional node-view rules), or ``kind="edge"`` (edge-view rules).
-#: Local entries carry ``needs_ids`` and view/edge entries carry
-#: ``needs`` ("ids" / "randomness" / "none").  Entries that solve an
-#: LCL declare ``solves=(problem_name, kwargs)`` resolved through
-#: :data:`PROBLEMS` (``verifier`` is the accepted legacy spelling);
-#: conformance-fuzzable entries add ``domains`` / ``fuzz_params`` /
-#: ``invariances`` — see ``docs/CONFORMANCE.md``.
+#: (functional node-view rules), ``kind="edge"`` (edge-view rules), or
+#: ``kind="finite"`` (oriented-tree node algorithms).  Local, view and
+#: edge entries carry ``needs`` ("ids" / "randomness" / "none").
+#: Entries that solve an LCL declare ``solves=(problem_name, kwargs)``
+#: resolved through :data:`PROBLEMS`; entries that state a contract add
+#: ``domains`` / ``fuzz_params`` / ``invariances``, which
+#: ``tests/test_contracts.py`` checks — see ``docs/ENGINE.md``.
 ALGORITHMS = Registry("algorithm")
 
 #: LCL problems (verifiers) from :mod:`repro.lcl.catalog`.

@@ -31,7 +31,7 @@ Two cell kinds exist:
 Component names resolve through :mod:`repro.core.registry`: graph
 families via :data:`~repro.core.registry.GRAPH_FAMILIES`, algorithms
 via :data:`~repro.core.registry.ALGORITHMS` (whose
-``verifier`` metadata names the matching LCL problem in
+``solves`` metadata names the matching LCL problem in
 :data:`~repro.core.registry.PROBLEMS`), and the classic report specs via
 :data:`~repro.core.registry.REPORTS` — registered below, next to
 nothing: one decorator at each definition site replaces the string
@@ -75,7 +75,6 @@ __all__ = [
     "ExperimentCell",
     "CellResult",
     "RunnerSummary",
-    "artifact_path",
     "derive_cell_seed",
     "execute_cell",
     "run_cells",
@@ -156,16 +155,16 @@ def _build_graph(params: Dict[str, Any]):
 def _make_algorithm(name: str):
     """Resolve ``(algorithm, verifier, needs_ids)`` through the registries.
 
-    The algorithm's ``solves`` metadata — ``(problem_name, kwargs)``,
-    with ``verifier`` as the accepted legacy spelling — names the LCL
-    problem in :data:`PROBLEMS` that judges its output; a registered
-    algorithm without one is not runnable as a ``local-algorithm`` cell.
-    ``"auto:..."`` kwarg values are conformance-layer conveniences
-    (resolved against a concrete graph) and are not runnable here.
+    The algorithm's ``solves`` metadata — ``(problem_name, kwargs)`` —
+    names the LCL problem in :data:`PROBLEMS` that judges its output; a
+    registered algorithm without one is not runnable as a
+    ``local-algorithm`` cell.  Neither is one whose kwargs hold
+    ``"auto:..."`` values: those depend on the concrete graph, and a
+    cell builds its verifier without looking at the graph.
     """
     ensure_builtins()
     entry = ALGORITHMS.get(name)
-    solves = entry.metadata.get("solves", entry.metadata.get("verifier"))
+    solves = entry.metadata.get("solves")
     if entry.metadata.get("kind") != "local" or solves is None:
         raise ValueError(
             f"algorithm {name!r} is not runnable as a local-algorithm cell "
@@ -176,11 +175,11 @@ def _make_algorithm(name: str):
            for v in problem_kwargs.values()):
         raise ValueError(
             f"algorithm {name!r} declares graph-dependent verifier "
-            f"parameters ({problem_kwargs}); run it through "
-            f"repro.conformance, which resolves them per graph"
+            f"parameters ({problem_kwargs}); local-algorithm cells "
+            f"only run verifiers with fixed parameters"
         )
     verifier = PROBLEMS.create(problem_name, **problem_kwargs)
-    return entry.create(), verifier, bool(entry.metadata.get("needs_ids"))
+    return entry.create(), verifier, entry.metadata.get("needs") == "ids"
 
 
 def _run_local_algorithm_cell(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
@@ -410,11 +409,6 @@ def _artifact_path(directory: str, cell_id: str) -> str:
     if os.path.dirname(os.path.abspath(path)) != os.path.abspath(directory):
         raise ValueError(f"cell_id {cell_id!r} escapes the artifact directory")
     return path
-
-
-#: Public alias: the artifact-naming convention other subsystems reuse
-#: (``repro.conformance`` writes its repro artifacts through this).
-artifact_path = _artifact_path
 
 
 def write_artifacts(summary: RunnerSummary, directory: str) -> None:

@@ -263,11 +263,11 @@ def parity_coloring(k: int, bits: int = 1) -> NodeAlgorithm:
 
 
 # ----------------------------------------------------------------------
-# Conformance contracts for the "finite" request kind
+# Contracts for the "finite" request kind
 # ----------------------------------------------------------------------
-# The radius-1 starters are fuzzable on oriented tori (the family the
-# finite runner accepts: locally tree-like at radius 1, orientation
-# rebuilt from rows/cols).  ``k`` is pinned to 2 — a 2-dimensional
+# The radius-1 starters declare contracts on oriented tori (the family
+# the finite runner accepts: locally tree-like at radius 1, orientation
+# built from rows/cols).  ``k`` is pinned to 2 — a 2-dimensional
 # torus has exactly two oriented dimensions.  No ``solves`` claim: a
 # weak-coloring *attempt* legitimately fails on bad randomness, so the
 # contracts promise determinism, not correctness.

@@ -147,7 +147,7 @@ class TestBuiltins:
         ensure_builtins()
         entry = ALGORITHMS.get("luby-mis")
         assert entry.metadata["kind"] == "local"
-        assert entry.metadata["needs_ids"] is True
+        assert entry.metadata["needs"] == "ids"
         problem_name, problem_kwargs = entry.metadata["solves"]
         assert problem_name == "mis"
         assert PROBLEMS.create(problem_name, **problem_kwargs) is not None

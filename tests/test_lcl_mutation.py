@@ -1,9 +1,10 @@
 """Mutation tests: every catalog verifier must pinpoint planted bugs.
 
 A verifier that always passes (or blames the wrong node) makes every
-downstream correctness claim vacuous — the conformance fuzzer, the
-experiment runner's verdicts, and the paper-facing tables all trust
-``verify``.  For each LCL in ``repro/lcl/catalog.py``, and for the
+downstream correctness claim vacuous — the registry contracts
+(``tests/test_contracts.py``), the experiment runner's verdicts, and
+the paper-facing tables all trust ``verify``.  For each LCL in
+``repro/lcl/catalog.py``, and for the
 pointer problem P* and the homogeneous LCLs behind Theorems 4/5, this
 table feeds one known-good labeling (must verify clean) and
 minimally-corrupted variants (must produce violations at *exactly* the

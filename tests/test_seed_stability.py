@@ -1,11 +1,11 @@
 """Golden pins for the one seed-derivation scheme.
 
-Every recorded benchmark baseline, experiment artifact, and conformance
-repro artifact encodes seeds produced by
-:func:`repro.core.engine.derive_seed` (``sha256(f"{base}:{label}")``,
-first 8 bytes, big-endian).  A refactor that changes the scheme —
-different hash, different slice, different formatting — would silently
-invalidate all of them while every behavioral test still passes.  This
+Every recorded benchmark baseline and experiment artifact encodes
+seeds produced by :func:`repro.core.engine.derive_seed`
+(``sha256(f"{base}:{label}")``, first 8 bytes, big-endian).  A
+refactor that changes the scheme — different hash, different slice,
+different formatting — would silently invalidate all of them while
+every behavioral test still passes.  This
 table is the tripwire: if it fails, either revert the scheme or
 consciously version every artifact format that embeds seeds.
 """
