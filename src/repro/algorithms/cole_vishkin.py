@@ -136,8 +136,9 @@ def reduce_to_three_colors(
     n = len(colors)
     if len(successor) != n:
         raise ValueError("colors and successor must have equal length")
+    bound = 1 << color_bits
     for v in range(n):
-        if not 0 <= colors[v] < (1 << color_bits):
+        if not 0 <= colors[v] < bound:
             raise ValueError(f"color {colors[v]} of node {v} exceeds {color_bits} bits")
     if not is_proper_on_pseudoforest(colors, successor):
         raise ValueError("initial coloring is not proper on the pseudoforest")

@@ -34,7 +34,11 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from ..graphs.graph import Graph
-from .weak_coloring import WeakTwoColoringResult, weak_two_coloring_from_weak_coloring
+from .weak_coloring import (
+    WeakTwoColoringResult,
+    nearest_differing_distance,
+    weak_two_coloring_from_weak_coloring,
+)
 
 __all__ = [
     "in_degree_labeling",
@@ -82,10 +86,15 @@ def order_type_labeling(
     view gives, ``(distances, degrees, ranks, edges)`` with ball nodes
     numbered in port-order BFS order and edges ``(i, j, port_i, port_j,
     None)`` sorted, built from one cut-off BFS and the adjacency rows.
+    The label is the integer of the key's ASCII ``repr``.  Only the ranks
+    depend on the identifiers, so the text around them is written once
+    per ball shape and each node ``repr``s its rank tuple alone.
     """
     if len(set(ids)) != graph.n:
         raise ValueError("identifiers must be unique")
     adj = graph.adjacency_rows()
+    # (distances, degrees, edges) -> the key's text before and after the ranks.
+    shape_text = {}
     labels = []
     for v in graph.nodes():
         dist = graph.bfs_distances(v, cutoff=radius)
@@ -105,17 +114,21 @@ def order_type_labeling(
                 else:
                     edges.append((j, i, first_port[j, i], p, None))
         edges.sort()
+        shape = (tuple(dist.values()), tuple([len(adj[x]) for x in order]), tuple(edges))
+        text = shape_text.get(shape)
+        if text is None:
+            distances, degrees, edge_tuple = shape
+            text = shape_text[shape] = (
+                f"({distances!r}, {degrees!r}, ",
+                f", {edge_tuple!r})",
+            )
         ball_ids = [ids[x] for x in order]
         rank = [0] * len(order)
         for pos, i in enumerate(sorted(range(len(order)), key=ball_ids.__getitem__)):
             rank[i] = pos
-        type_key = (
-            tuple(dist.values()),
-            tuple([len(adj[x]) for x in order]),
-            tuple(rank),
-            tuple(edges),
+        encoded = int.from_bytes(
+            (text[0] + repr(tuple(rank)) + text[1]).encode("ascii"), "big"
         )
-        encoded = int.from_bytes(repr(type_key).encode("ascii"), "big")
         if encoded.bit_length() >= ORDER_TYPE_BITS:
             raise AssertionError(
                 "order-type encoding exceeded the constant-size cap; "
@@ -127,11 +140,8 @@ def order_type_labeling(
 
 def is_distance_k_weak(graph: Graph, labels: Sequence[int], k: int) -> bool:
     """Whether every node has a differently-labeled node within distance k."""
-    for v in graph.nodes():
-        ball = graph.bfs_distances(v, cutoff=k)
-        if not any(u != v and labels[u] != labels[v] for u in ball):
-            return False
-    return True
+    adj = graph.adjacency_rows()
+    return all(nearest_differing_distance(adj, labels, v, k) is not None for v in graph.nodes())
 
 
 def odd_degree_weak_two_coloring(

@@ -70,32 +70,52 @@ def smallest_prime_at_least(x: int) -> int:
         candidate += 1
 
 
+def _ceil_root(n: int, k: int) -> int:
+    """The smallest ``r`` with ``r ** k >= n`` (``n >= 1``), exactly."""
+    r = 1 << -(-n.bit_length() // k)  # r ** k >= 2 ** bit_length > n
+    while True:
+        # Integer Newton steps from above descend to the floor root.
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            break
+        r = s
+    return r if r**k >= n else r + 1
+
+
 def polynomial_step_parameters(palette: int, delta: int) -> Tuple[int, int]:
     """Choose (degree d, prime p) minimizing the new palette ``p**2``.
 
     Requires ``p >= delta * d + 1`` and ``p ** (d + 1) >= palette`` so
     that distinct colors map to distinct polynomials and a free point
-    always exists.
+    always exists.  Ties go to the smallest ``d``.
+
+    Degree ``d`` takes the smallest prime ``>= max(q_d, r_d)``, where
+    ``q_d`` is the smallest prime ``>= delta * d + 1`` and ``r_d`` the
+    ``(d + 1)``-th root of ``palette`` rounded up, in exact integer
+    arithmetic.  Once ``r_d <= q_d`` that prime is ``q_d``, which only
+    grows with ``d``, so the degrees end there.  A prime is searched for
+    only at degrees whose bound ``max(q_d, r_d)`` can still beat the
+    best one, so a huge palette never trial-divides near its root.
     """
     if palette < 2:
         raise ValueError("palette must be at least 2")
-    best: Optional[Tuple[int, int, int]] = None  # (p*p, d, p)
-    d = 1
+    bounds = []  # (lower bound on p, d)
+    d = 0
     while True:
-        # Smallest p satisfying both constraints for this degree.
-        root = int(palette ** (1.0 / (d + 1)))
-        while (root + 1) ** (d + 1) <= palette:
-            root += 1
-        if root ** (d + 1) < palette:
-            root += 1
-        p = smallest_prime_at_least(max(delta * d + 1, root))
-        if best is None or p * p < best[0]:
-            best = (p * p, d, p)
-        # Larger d only helps while the root constraint dominates.
-        if p == smallest_prime_at_least(delta * d + 1) or d > 64:
-            break
         d += 1
-    return best[1], best[2]
+        floor_prime = smallest_prime_at_least(delta * d + 1)
+        root = _ceil_root(palette, d + 1)
+        bounds.append((max(floor_prime, root), d))
+        if root <= floor_prime:
+            break
+    best: Optional[Tuple[int, int]] = None  # (p, d)
+    for bound, d in sorted(bounds):
+        if best is not None and (bound, d) >= best:
+            break
+        p = smallest_prime_at_least(bound)
+        if best is None or (p, d) < best:
+            best = (p, d)
+    return best[1], best[0]
 
 
 def polynomial_color_reduction_step(
@@ -117,12 +137,14 @@ def polynomial_color_reduction_step(
             value //= p
         return [sum(c * pow(x, i, p) for i, c in enumerate(coeffs)) % p for x in range(p)]
 
+    codes = [code(colors[v]) for v in graph.nodes()]
+    adj = graph.adjacency_rows()
     new_colors: List[int] = []
     for v in graph.nodes():
-        mine = code(colors[v])
+        mine = codes[v]
         taken = set()
-        for u in graph.neighbors(v):
-            their = code(colors[u])
+        for u in adj[v]:
+            their = codes[u]
             for x in range(p):
                 if their[x] == mine[x]:
                     taken.add(x)

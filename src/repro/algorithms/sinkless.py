@@ -91,29 +91,43 @@ def sinkless_random_repair(
         tree/torus families this library targets).
     """
     rng = rng or random.Random(0)
+    adj = graph.adjacency_rows()
     orientation: Dict[Edge, int] = {}
-    for u, v in graph.edges():
-        orientation[edge_key(u, v)] = v if rng.random() < 0.5 else u
+    # A sink is a node of degree >= 3 whose out-degree is 0.
+    out_degree = [0] * graph.n
+    for u, v in graph.edges():  # canonical keys, u < v
+        if rng.random() < 0.5:
+            orientation[u, v] = v
+            out_degree[u] += 1
+        else:
+            orientation[u, v] = u
+            out_degree[v] += 1
 
-    result = SinklessResult(orientation=orientation, rounds=0)
+    sinks = [v for v in graph.nodes() if out_degree[v] == 0 and len(adj[v]) >= 3]
     rounds = 0
-    while True:
-        sinks = result.sinks(graph)
-        if not sinks:
-            break
+    while sinks:
         rounds += 1
         if rounds > max_rounds:
             raise RuntimeError(f"sink repair did not converge in {max_rounds} rounds")
         flips: Dict[Edge, int] = {}
         for v in sinks:
-            u = graph.neighbors(v)[rng.randrange(graph.degree(v))]
+            u = adj[v][rng.randrange(len(adj[v]))]
             key = edge_key(v, u)
             # Simultaneous flips on one edge settle toward the larger node.
             if key in flips:
                 flips[key] = max(flips[key], u)
             else:
                 flips[key] = u
-        orientation.update(flips)
-        result = SinklessResult(orientation=orientation, rounds=rounds)
-    result.rounds = rounds
-    return result
+        for key, head in flips.items():
+            # The sink that flipped was the edge's head; it becomes the tail.
+            out_degree[orientation[key]] += 1
+            out_degree[head] -= 1
+            orientation[key] = head
+        # A flip changes the out-degree of its two endpoints only: the
+        # sink that flipped and the edge's new head.  Every other node was
+        # no sink and stays none.  Ascending order keeps the draws of a
+        # full rescan.
+        touched = set(sinks)
+        touched.update(flips.values())
+        sinks = [v for v in sorted(touched) if out_degree[v] == 0 and len(adj[v]) >= 3]
+    return SinklessResult(orientation=orientation, rounds=rounds)

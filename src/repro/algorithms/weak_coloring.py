@@ -73,6 +73,38 @@ class WeakTwoColoringResult:
     successor: Optional[List[int]] = None
 
 
+def nearest_differing_distance(
+    adj: Sequence[Sequence[int]], labels: Sequence, v: int, k: int
+) -> Optional[int]:
+    """``D(v)``: the distance from ``v`` to the closest node ``u`` with
+    ``labels[u] != labels[v]``, or ``None`` if it exceeds ``k``.
+
+    ``adj`` is the graph's adjacency rows.  The search is layer by layer
+    and stops at the first layer that holds a differing node; at
+    distance 1 it reads ``v``'s row and nothing else.
+    """
+    if k < 1:
+        return None
+    mine = labels[v]
+    for u in adj[v]:
+        if labels[u] != mine:
+            return 1
+    seen = {v}
+    seen.update(adj[v])
+    layer = adj[v]
+    for d in range(2, k + 1):
+        next_layer = []
+        for x in layer:
+            for u in adj[x]:
+                if u not in seen:
+                    if labels[u] != mine:
+                        return d
+                    seen.add(u)
+                    next_layer.append(u)
+        layer = next_layer
+    return None
+
+
 def distance_parity_recoloring(
     graph: Graph, phi: Sequence[int], k: int
 ) -> Tuple[List[Tuple[int, int]], int]:
@@ -84,13 +116,10 @@ def distance_parity_recoloring(
 
     Returns the new labels and the round cost (``k``).
     """
+    adj = graph.adjacency_rows()
     out: List[Tuple[int, int]] = []
     for v in graph.nodes():
-        dist = graph.bfs_distances(v, cutoff=k)
-        d_best: Optional[int] = None
-        for u, d in dist.items():
-            if u != v and phi[u] != phi[v] and (d_best is None or d < d_best):
-                d_best = d
+        d_best = nearest_differing_distance(adj, phi, v, k)
         if d_best is None:
             raise ValueError(
                 f"node {v} has no differing color within distance {k}: "
@@ -107,16 +136,20 @@ def choose_successors(graph: Graph, labels: Sequence[Tuple[int, int]]) -> List[i
     deterministic local rule works.  Raises if some node has no
     differing neighbor (i.e. the input is not a weak coloring).
     """
+    adj = graph.adjacency_rows()
     successor: List[int] = []
     for v in graph.nodes():
-        candidates = [
-            (labels[u], port, u)
-            for port, u in enumerate(graph.neighbors(v))
-            if labels[u] != labels[v]
-        ]
-        if not candidates:
+        mine = labels[v]
+        best = -1
+        # As ``min`` over ``(label, port)`` pairs: a later port wins only
+        # with a strictly smaller label, and equal labels never meet ``<``.
+        for u in adj[v]:
+            label = labels[u]
+            if label != mine and (best < 0 or (label != best_label and label < best_label)):
+                best, best_label = u, label
+        if best < 0:
             raise ValueError(f"node {v} has no differing neighbor: not a weak coloring")
-        successor.append(min(candidates)[2])
+        successor.append(best)
     return successor
 
 

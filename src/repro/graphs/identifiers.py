@@ -39,13 +39,13 @@ IdAssignment = List[int]
 
 def sequential_ids(graph: Graph) -> IdAssignment:
     """IDs ``1..n`` in node order."""
-    return [v + 1 for v in graph.nodes()]
+    return list(range(1, graph.n + 1))
 
 
 def random_permutation_ids(graph: Graph, rng: Optional[random.Random] = None) -> IdAssignment:
     """A uniformly random bijection onto ``{1..n}``."""
     rng = rng or random.Random(0)
-    ids = [v + 1 for v in graph.nodes()]
+    ids = list(range(1, graph.n + 1))
     rng.shuffle(ids)
     return ids
 

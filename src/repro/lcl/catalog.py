@@ -101,7 +101,11 @@ class WeakColoring(NodeLCL):
             return Violation(v, f"label {mine!r} outside the {self.colors}-color palette")
         if graph.degree(v) == 0:
             return None  # isolated nodes are vacuously weakly colored
-        ball = graph.bfs_distances(v, cutoff=self.distance)
+        # At distance 1 the ball, v aside, is v's adjacency row.
+        if self.distance == 1:
+            ball = graph.adjacency_rows()[v]
+        else:
+            ball = graph.bfs_distances(v, cutoff=self.distance)
         for u in ball:
             if u != v and labeling[u] is not None and labeling[u] != mine:
                 return None
