@@ -24,9 +24,8 @@ bit-identical to the per-node run — the invariant
 
 Each rule is registered in :data:`repro.core.registry.ALGORITHMS` with
 ``kind="view"`` and a ``needs`` metadata slot ("ids" / "randomness" /
-"none"), which is how the experiment runner's ``view-algorithm`` cells
-resolve names; :func:`make_view_rule` is a thin compatibility wrapper
-over that registry.
+"none"); :func:`make_view_rule` is a thin compatibility wrapper over
+that registry.
 """
 
 from __future__ import annotations
@@ -205,8 +204,7 @@ class DegreeProfileRule(ViewAlgorithm):
         )
 
 
-#: Registry names accepted by :func:`make_view_rule` (and therefore by
-#: the experiment runner's ``view-algorithm`` cells).
+#: Registry names accepted by :func:`make_view_rule`.
 VIEW_RULE_NAMES = (
     "local-max",
     "random-priority",

@@ -5,8 +5,8 @@ Two seams that the rest of the repository plugs into:
 * :func:`simulate` runs a :class:`SimRequest` on :class:`DirectEngine`
   and returns a :class:`SimReport`.
 * :class:`Registry` tables (:data:`GRAPH_FAMILIES`, :data:`ALGORITHMS`,
-  :data:`PROBLEMS`, :data:`REPORTS`) map names to factories with
-  declarative metadata, replacing per-layer string dispatch.
+  :data:`PROBLEMS`) map names to factories with declarative metadata,
+  replacing per-layer string dispatch.
 
 See ``docs/ARCHITECTURE.md`` for the layer diagram and
 ``docs/ENGINE.md`` for the request kinds.
@@ -24,16 +24,13 @@ from .registry import (
     ALGORITHMS,
     GRAPH_FAMILIES,
     PROBLEMS,
-    REPORTS,
     Registry,
     RegistryEntry,
     RegistryError,
-    build_graph,
     ensure_builtins,
     register_algorithm,
     register_graph_family,
     register_problem,
-    register_report,
 )
 
 __all__ = [
@@ -51,11 +48,8 @@ __all__ = [
     "GRAPH_FAMILIES",
     "ALGORITHMS",
     "PROBLEMS",
-    "REPORTS",
     "register_graph_family",
     "register_algorithm",
     "register_problem",
-    "register_report",
     "ensure_builtins",
-    "build_graph",
 ]

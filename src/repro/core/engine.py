@@ -41,11 +41,9 @@ def derive_seed(base_seed: int, label: str) -> int:
     """Deterministic 64-bit seed for one unit of work.
 
     The one seed-derivation scheme in the system:
-    ``sha256(f"{base_seed}:{label}")``, shared by the experiment
-    runner's cells (its ``derive_cell_seed`` delegates here),
-    :meth:`SimRequest.resolved_rng`, and the speedup pipeline's Monte
-    Carlo defaults.  Stable across processes, job counts, and plan
-    composition.
+    ``sha256(f"{base_seed}:{label}")``, shared by
+    :meth:`SimRequest.resolved_rng` and the speedup pipeline's Monte
+    Carlo defaults.  Stable across processes and Python versions.
     """
     digest = hashlib.sha256(f"{base_seed}:{label}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")

@@ -1,11 +1,7 @@
 """The component registry: one name -> factory table per component kind.
 
 Before this module existed, every layer that needed to turn a *name*
-into a *thing* grew its own private string dispatch: the experiment
-runner re-implemented graph construction (``_build_graph``) and
-algorithm construction (``_make_algorithm``), the view-rule library had
-``make_view_rule``, and the report specs lived in a hand-written dict.
-Adding one algorithm meant touching all of them, and nothing could
+into a *thing* grew its own private string dispatch, and nothing could
 *enumerate* what exists — there was no honest ``--list``.
 
 A :class:`Registry` replaces those silos with decorator-based
@@ -18,24 +14,27 @@ registration at the definition site::
                         solves=("mis", {}))
     class LubyMIS(LocalAlgorithm): ...
 
-Four registries cover the system:
+Three registries cover the system:
 
 =====================  ==================================================
 registry               contents
 =====================  ==================================================
 :data:`GRAPH_FAMILIES` graph generators (``params`` metadata names the
                        keys each factory consumes)
-:data:`ALGORITHMS`     message-passing algorithms (``kind="local"``) and
-                       view rules (``kind="view"``)
+:data:`ALGORITHMS`     message-passing algorithms (``kind="local"``),
+                       view and edge rules, and finite algorithms
 :data:`PROBLEMS`       LCL problems / verifiers from ``repro.lcl.catalog``
-:data:`REPORTS`        the classic experiment report specs
 =====================  ==================================================
+
+The paper's exhibits are not registered: they are the rows of
+:data:`repro.experiments.exhibits.EXHIBITS`.
 
 Registration happens as a side effect of importing the defining module,
 so :func:`ensure_builtins` imports the canonical set before any lookup
 that must see the full picture (``python -m repro.experiments --list``,
-the cell runner).  Lookups raise :class:`RegistryError` — a ``KeyError``
-that names the known entries, so a typo'd CLI flag fails usefully.
+``tests/test_contracts.py``).  Lookups raise :class:`RegistryError` — a
+``KeyError`` that names the known entries, so a typo'd name fails
+usefully.
 """
 
 from __future__ import annotations
@@ -52,13 +51,10 @@ __all__ = [
     "GRAPH_FAMILIES",
     "ALGORITHMS",
     "PROBLEMS",
-    "REPORTS",
     "register_graph_family",
     "register_algorithm",
     "register_problem",
-    "register_report",
     "ensure_builtins",
-    "build_graph",
 ]
 
 
@@ -189,8 +185,8 @@ class Registry:
         return f"Registry({self.kind!r}, {len(self)} entries)"
 
 
-#: Graph generators.  ``params`` metadata names the keys the factory
-#: consumes from a cell's parameter dict (see :func:`build_graph`).
+#: Graph generators.  ``params`` metadata names the keyword parameters
+#: the factory takes.
 GRAPH_FAMILIES = Registry("graph family")
 
 #: Algorithms: ``kind="local"`` (message passing), ``kind="view"``
@@ -206,13 +202,9 @@ ALGORITHMS = Registry("algorithm")
 #: LCL problems (verifiers) from :mod:`repro.lcl.catalog`.
 PROBLEMS = Registry("LCL problem")
 
-#: Classic experiment report specs (Table 1, the log* sweep, ...).
-REPORTS = Registry("report spec")
-
 register_graph_family = GRAPH_FAMILIES.register
 register_algorithm = ALGORITHMS.register
 register_problem = PROBLEMS.register
-register_report = REPORTS.register
 
 
 #: Modules whose import populates the built-in registries.
@@ -223,7 +215,6 @@ _BUILTIN_MODULES = (
     "repro.algorithms.view_rules",
     "repro.algorithms.edge_rules",
     "repro.speedup.algorithms",
-    "repro.experiments.runner",
 )
 
 
@@ -236,21 +227,3 @@ def ensure_builtins() -> None:
     """
     for module in _BUILTIN_MODULES:
         importlib.import_module(module)
-
-
-def build_graph(params: Mapping[str, Any]) -> Any:
-    """Build the graph a parameter dict describes.
-
-    ``params["graph"]`` names the family; the entry's ``params``
-    metadata says which other keys the factory consumes, so the dict may
-    freely carry unrelated cell parameters (algorithm, seed index, ...).
-    """
-    ensure_builtins()
-    entry = GRAPH_FAMILIES.get(params["graph"])
-    wanted = entry.metadata.get("params", ())
-    missing = [key for key in wanted if key not in params]
-    if missing:
-        raise RegistryError(
-            f"graph family {entry.name!r} needs parameter(s) {missing}"
-        )
-    return entry.create(**{key: params[key] for key in wanted})

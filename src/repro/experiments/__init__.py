@@ -1,4 +1,8 @@
-"""Experiment harness: one runner per table / figure / headline claim."""
+"""Experiment harness: one runner per table / figure / headline claim.
+
+:data:`EXHIBITS` lists them as the report runs them, with their
+arguments and verdicts (:mod:`repro.experiments.exhibits`).
+"""
 
 from .fitting import GrowthFit, fit_growth, GROWTH_MODELS
 from .table1 import Table1Row, Table1Result, run_table1, DEFAULT_SIZES
@@ -44,16 +48,7 @@ from .global_failure import (
     GlobalFailureResult,
     run_global_failure,
 )
-from .runner import (
-    ARTIFACT_SCHEMA,
-    CellResult,
-    ExperimentCell,
-    RunnerSummary,
-    default_plan,
-    derive_cell_seed,
-    execute_cell,
-    run_cells,
-)
+from .exhibits import EXHIBITS, Exhibit
 
 __all__ = [
     "GrowthFit",
@@ -96,12 +91,6 @@ __all__ = [
     "GlobalFailurePoint",
     "GlobalFailureResult",
     "run_global_failure",
-    "ARTIFACT_SCHEMA",
-    "CellResult",
-    "ExperimentCell",
-    "RunnerSummary",
-    "default_plan",
-    "derive_cell_seed",
-    "execute_cell",
-    "run_cells",
+    "EXHIBITS",
+    "Exhibit",
 ]

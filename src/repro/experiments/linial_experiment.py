@@ -56,6 +56,7 @@ class LinialResult:
 
     points: List[LinialPoint] = field(default_factory=list)
     derived_algorithm_valid: bool = False
+    threshold_checked: bool = False  # whether the N_1(7) search ran
     threshold_m: Optional[int] = None  # least m with N_1(m) not 3-colorable
 
     def format_table(self) -> str:
@@ -118,6 +119,7 @@ def run_linial_experiment(
             )
         )
     if check_threshold:
+        result.threshold_checked = True
         graph7, _ = neighborhood_graph(7, 1)
         colorable = is_c_colorable(graph7, 3) is not None
         result.points.append(

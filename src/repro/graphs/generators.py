@@ -13,10 +13,9 @@ Every instance family the paper's arguments touch is constructible here:
 
 All generators return frozen :class:`~repro.graphs.graph.Graph` objects.
 
-The families experiment plans can name are registered in
+The families a name can select are registered in
 :data:`repro.core.registry.GRAPH_FAMILIES` at the definition site; the
-``params`` metadata names the keys each factory consumes from a cell's
-parameter dict (see :func:`repro.core.registry.build_graph`).
+``params`` metadata names the keyword parameters each factory takes.
 """
 
 from __future__ import annotations

@@ -1,9 +1,8 @@
 """Aggregating tracer: per-round message/byte/halt/wall-clock metrics.
 
 :class:`MetricsTracer` folds the engine's event stream into a compact
-:class:`RunMetrics` summary — the object the parallel experiment runner
-serializes into its JSON artifacts.  It keeps O(rounds) state, not
-O(messages): each message updates a handful of counters.
+:class:`RunMetrics` summary, serializable to JSON.  It keeps O(rounds)
+state, not O(messages): each message updates a handful of counters.
 
 The metrics schema (``RunMetrics.to_dict``) is documented in
 ``docs/OBSERVABILITY.md`` and is covered by a JSON round-trip test, so

@@ -17,8 +17,8 @@ Zero-overhead contract
 path*: engines normalize both to ``None`` via :func:`effective_tracer`
 and guard every hook site with a single ``if tracer is not None``.  No
 event objects are built, no sizes estimated, no clocks read.  This is
-what lets every benchmark in ``benchmarks/`` keep its numbers while the
-observability layer exists.
+what lets the paper benchmark (``paperbench/``) time an untraced run
+at full speed while the observability layer exists.
 
 Event vocabulary
 ----------------

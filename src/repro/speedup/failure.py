@@ -20,8 +20,8 @@ The probability is therefore
 computed with exact rational arithmetic.  When the conditioning space
 is too large, a seeded Monte Carlo estimator takes over; its default
 seed comes from :func:`repro.core.derive_seed` labeled by the
-algorithm's name, the same sha256 scheme the experiment runner uses,
-so every estimate in the repo is reproducible from one base seed.
+algorithm's name, the one sha256 seed scheme of the repo, so every
+estimate is reproducible from one base seed.
 """
 
 from __future__ import annotations

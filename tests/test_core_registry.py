@@ -3,8 +3,7 @@
 Two surfaces:
 
 * the :class:`~repro.core.Registry` mechanics — decorator registration,
-  duplicate handling, error messages, builtin population, and graph
-  construction from experiment params;
+  duplicate handling, error messages, and builtin population;
 * the :func:`~repro.core.simulate` facade plumbing — request
   validation, seed derivation, the one-engine signature, and the
   legacy entry-point signatures the refactor promised to keep intact.
@@ -22,12 +21,10 @@ from repro.core import (
     GRAPH_FAMILIES,
     KINDS,
     PROBLEMS,
-    REPORTS,
     DirectEngine,
     Registry,
     RegistryError,
     SimRequest,
-    build_graph,
     derive_seed,
     ensure_builtins,
     simulate,
@@ -136,13 +133,6 @@ class TestBuiltins:
                 "weak-edge-coloring", "sinkless-orientation",
                 "maximal-matching"} <= set(PROBLEMS.names())
 
-    def test_builtin_reports_present_and_lazy_factories_work(self):
-        ensure_builtins()
-        assert {"table1", "logstar-sweep", "theorem4",
-                "cycle-trichotomy"} <= set(REPORTS.names())
-        spec = REPORTS.get("table1").create()
-        assert callable(spec.fn) and callable(spec.verdict)
-
     def test_algorithm_metadata_drives_cell_resolution(self):
         ensure_builtins()
         entry = ALGORITHMS.get("luby-mis")
@@ -151,16 +141,6 @@ class TestBuiltins:
         problem_name, problem_kwargs = entry.metadata["solves"]
         assert problem_name == "mis"
         assert PROBLEMS.create(problem_name, **problem_kwargs) is not None
-
-    def test_build_graph_from_params(self):
-        g = build_graph({"graph": "cycle", "n": 12, "unrelated": "x"})
-        assert g.n == 12
-        g = build_graph({"graph": "tree", "delta": 3, "depth": 2})
-        assert g.degree(0) == 3
-
-    def test_build_graph_missing_param_raises(self):
-        with pytest.raises(RegistryError):
-            build_graph({"graph": "cycle"})
 
 
 # ----------------------------------------------------------------------
@@ -189,11 +169,6 @@ class TestEngineSeam:
         assert derive_seed(0, "a") != derive_seed(0, "b")
         assert derive_seed(0, "a") != derive_seed(1, "a")
         assert 0 <= derive_seed(0, "a") < 2 ** 64
-
-    def test_derive_seed_matches_runner_cell_scheme(self):
-        from repro.experiments.runner import derive_cell_seed
-
-        assert derive_cell_seed(7, "cell") == derive_seed(7, "cell")
 
     def test_request_rejects_unknown_kind(self):
         with pytest.raises(ValueError):

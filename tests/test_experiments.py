@@ -181,7 +181,7 @@ class TestRecurrenceExperiment:
 
 
 class TestListCLI:
-    """``python -m repro.experiments --list`` prints the registries."""
+    """``python -m repro.experiments --list`` prints the registries and exhibits."""
 
     def test_list_exits_zero_and_prints_sections(self, capsys):
         from repro.experiments.__main__ import main
@@ -189,26 +189,24 @@ class TestListCLI:
         assert main(["--list"]) == 0
         out = capsys.readouterr().out
         for section in ("algorithms:", "graph families:", "LCL problems:",
-                        "report specs:"):
+                        "exhibits:"):
             assert section in out
         assert "engine backends:" not in out  # one engine, nothing to list
+        assert "report specs:" not in out  # the exhibits replaced REPORTS
 
     def test_list_names_every_registered_component(self, capsys):
-        from repro.core import (
-            ALGORITHMS,
-            GRAPH_FAMILIES,
-            PROBLEMS,
-            REPORTS,
-            ensure_builtins,
-        )
+        from repro.core import ALGORITHMS, GRAPH_FAMILIES, PROBLEMS, ensure_builtins
+        from repro.experiments import EXHIBITS
         from repro.experiments.__main__ import main
 
         ensure_builtins()
         main(["--list"])
         out = capsys.readouterr().out
-        for registry in (ALGORITHMS, GRAPH_FAMILIES, PROBLEMS, REPORTS):
+        for registry in (ALGORITHMS, GRAPH_FAMILIES, PROBLEMS):
             for name in registry.names():
                 assert name in out
+        for exhibit in EXHIBITS:
+            assert f"  {exhibit.name:<28s} {exhibit.title}" in out
 
     def test_list_does_not_run_any_experiment(self, capsys):
         from repro.experiments.__main__ import main
@@ -216,39 +214,3 @@ class TestListCLI:
         assert main(["--list"]) == 0
         out = capsys.readouterr().out
         assert "SUMMARY" not in out
-
-
-class TestArtifactPathHardening:
-    """Cell ids never choose a file outside the artifact directory."""
-
-    def test_plain_cell_id_is_a_direct_child(self, tmp_path):
-        from repro.experiments.runner import _artifact_path
-
-        path = _artifact_path(str(tmp_path), "luby-c16-s0")
-        assert path == str(tmp_path / "luby-c16-s0.json")
-
-    def test_traversal_components_are_neutralized(self, tmp_path):
-        import os
-
-        from repro.experiments.runner import _artifact_path
-
-        for hostile in ("../escape", "../../etc/passwd", "a/../../b",
-                        "..\\windows", "/etc/passwd", "nested/dir/cell",
-                        "////"):
-            path = _artifact_path(str(tmp_path), hostile)
-            assert os.path.dirname(os.path.abspath(path)) == str(tmp_path)
-
-    def test_all_dot_cell_id_rejected(self, tmp_path):
-        from repro.experiments.runner import _artifact_path
-
-        for hostile in ("..", ".", "...", ""):
-            with pytest.raises(ValueError):
-                _artifact_path(str(tmp_path), hostile)
-
-    def test_hidden_file_names_are_unhidden(self, tmp_path):
-        import os
-
-        from repro.experiments.runner import _artifact_path
-
-        path = _artifact_path(str(tmp_path), ".hidden")
-        assert not os.path.basename(path).startswith(".")

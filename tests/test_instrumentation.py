@@ -1,4 +1,4 @@
-"""Tests for the instrumentation layer and the parallel cell runner.
+"""Tests for the instrumentation layer and the experiments CLI contract.
 
 Covers the tentpole guarantees:
 
@@ -6,8 +6,7 @@ Covers the tentpole guarantees:
   broadcast round moves exactly ``2m`` messages);
 * the ``NullTracer`` path is byte-identical to the untraced path;
 * metrics and trace exports round-trip through JSON;
-* the cell runner derives deterministic seeds, writes schema'd
-  artifacts, and reports the documented exit codes.
+* retired ``python -m repro.experiments`` flags are usage errors.
 """
 
 import json
@@ -16,14 +15,6 @@ import random
 import pytest
 
 from repro.algorithms.message_passing import LubyMIS, RandomizedWeakColoring
-from repro.experiments.runner import (
-    ARTIFACT_SCHEMA,
-    ExperimentCell,
-    default_plan,
-    derive_cell_seed,
-    execute_cell,
-    run_cells,
-)
 from repro.graphs.generators import balanced_regular_tree, cycle, star
 from repro.instrumentation import (
     MetricsTracer,
@@ -348,88 +339,15 @@ class TestSpeedupTracing:
         assert tracer.metrics.trial_successes == round(rate * 20)
 
 
-class TestCellRunner:
-    def test_seed_derivation_deterministic_and_distinct(self):
-        a = derive_cell_seed(0, "cell-a")
-        assert a == derive_cell_seed(0, "cell-a")
-        assert a != derive_cell_seed(0, "cell-b")
-        assert a != derive_cell_seed(1, "cell-a")
-
-    def test_execute_cell_never_raises(self):
-        bad = ExperimentCell("boom", "boom", "local-algorithm", {"graph": "nope"})
-        result = execute_cell(bad)
-        assert result.verdict is None
-        assert result.error is not None
-        assert not result.ok
-
-    def test_artifacts_schema_and_round_trip(self, tmp_path):
-        cells = [
-            ExperimentCell(
-                "luby-c16-s0",
-                "local-luby-mis",
-                "local-algorithm",
-                {"algorithm": "luby-mis", "graph": "cycle", "n": 16},
-            )
-        ]
-        out = tmp_path / "artifacts"
-        summary = run_cells(cells, jobs=1, artifacts_dir=str(out))
-        assert summary.exit_code == 0
-        artifact = json.loads((out / "luby-c16-s0.json").read_text())
-        assert artifact["schema"] == ARTIFACT_SCHEMA
-        assert artifact["verdict"] is True
-        assert artifact["metrics"]["rounds"] >= 1
-        assert artifact["metrics"]["messages_sent"] > 0
-        assert artifact["seed"] == derive_cell_seed(0, "luby-c16-s0")
-        restored = RunMetrics.from_dict(artifact["metrics"])
-        assert restored.messages_sent == artifact["metrics"]["messages_sent"]
-        summary_doc = json.loads((out / "summary.json").read_text())
-        assert summary_doc["cells"] == 1 and summary_doc["passed"] == 1
-
-    def test_failed_verdict_sets_exit_code(self, tmp_path):
-        cells = [
-            ExperimentCell("boom", "boom", "report", {"report": "no-such-report"})
-        ]
-        summary = run_cells(cells, jobs=1, artifacts_dir=str(tmp_path / "a"))
-        assert summary.exit_code == 1
-        doc = json.loads((tmp_path / "a" / "summary.json").read_text())
-        assert doc["failed"] == ["boom"]
-
-    def test_duplicate_cell_ids_rejected(self):
-        cell = ExperimentCell("x", "x", "report", {"report": "table1"})
-        with pytest.raises(ValueError):
-            run_cells([cell, cell], jobs=1)
-
-    def test_parallel_matches_serial(self, tmp_path):
-        cells = [c for c in default_plan(quick=True) if c.kind == "local-algorithm"][:4]
-        serial = run_cells(cells, jobs=1)
-        parallel = run_cells(cells, jobs=2)
-        assert [r.cell.cell_id for r in serial.results] == [
-            r.cell.cell_id for r in parallel.results
-        ]
-        assert [r.verdict for r in serial.results] == [
-            r.verdict for r in parallel.results
-        ]
-        assert [r.metrics["messages_sent"] for r in serial.results] == [
-            r.metrics["messages_sent"] for r in parallel.results
-        ]
-
-    def test_default_plan_covers_grid_and_reports(self):
-        cells = default_plan(quick=True)
-        kinds = {c.kind for c in cells}
-        assert kinds == {"local-algorithm", "report"}
-        reports = {c.params["report"] for c in cells if c.kind == "report"}
-        assert "table1" in reports and "logstar-sweep" in reports
-        ids = [c.cell_id for c in cells]
-        assert len(set(ids)) == len(ids)
-
-
 class TestCliContract:
     def test_usage_error_exit_code_2(self):
         from repro.experiments.__main__ import main
 
-        # A malformed value, the retired backend and cache flags, and
-        # the retired implicit-scale mode with its options.
-        for argv in (["--jobs", "not-a-number"], ["--engine", "sharded"],
+        # The retired cell runner's pool and seed flags, the retired
+        # backend and cache flags, and the retired implicit-scale mode
+        # with its options.
+        for argv in (["--jobs", "not-a-number"], ["--jobs", "2"],
+                     ["--seed", "3"], ["--engine", "sharded"],
                      ["--engine", "cached", "--quick"],
                      ["--view-cache", "--quick"],
                      ["classification", "--implicit"],
@@ -437,8 +355,3 @@ class TestCliContract:
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
-
-    def test_jobs_zero_rejected(self):
-        from repro.experiments.__main__ import main
-
-        assert main(["--jobs", "0"]) == 2

@@ -2,7 +2,7 @@
 
 A verifier that always passes (or blames the wrong node) makes every
 downstream correctness claim vacuous — the registry contracts
-(``tests/test_contracts.py``), the experiment runner's verdicts, and
+(``tests/test_contracts.py``), the report's SUMMARY verdicts, and
 the paper-facing tables all trust ``verify``.  For each LCL in
 ``repro/lcl/catalog.py``, and for the
 pointer problem P* and the homogeneous LCLs behind Theorems 4/5, this

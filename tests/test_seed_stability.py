@@ -11,7 +11,6 @@ consciously version every artifact format that embeds seeds.
 """
 
 from repro.core.engine import derive_seed
-from repro.experiments.runner import derive_cell_seed
 
 # (base_seed, label) -> expected 64-bit seed.  Computed once from the
 # original sha256 scheme; NEVER regenerate without bumping artifact
@@ -44,14 +43,6 @@ def test_derive_seed_matches_golden_table():
 def test_derive_seed_is_64_bit():
     for (base, label) in GOLDEN:
         assert 0 <= derive_seed(base, label) < 2**64
-
-
-def test_cell_seed_delegates_to_derive_seed():
-    # The experiment runner's scheme IS the engine's scheme; if they
-    # ever diverge, recorded cell artifacts stop being reproducible.
-    assert derive_cell_seed(0, "cell:table1:row0") == GOLDEN[
-        (0, "cell:table1:row0")
-    ]
 
 
 def test_distinct_labels_distinct_seeds():
