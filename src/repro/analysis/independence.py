@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..graphs.generators import balanced_regular_tree
 from ..graphs.graph import Graph
@@ -29,6 +29,7 @@ from ..graphs.orientation import Orientation, orient_tree
 __all__ = [
     "IndependentSetResult",
     "independent_execution_set",
+    "first_close_pair",
     "claim10_set_size_bound",
     "claim10_global_success_bound",
     "claim10_ball_radius",
@@ -86,6 +87,29 @@ def claim10_global_success_bound(p: float, n: int, t: int) -> float:
     return (1 - p) ** claim10_set_size_bound(n, t) + 1 / (2 * n ** (1 / 3))
 
 
+def first_close_pair(
+    graph: Graph, members: Sequence[int], stride: int
+) -> Optional[Tuple[int, int, int]]:
+    """The first pair of ``members`` closer than ``stride``, or ``None``.
+
+    Pairs are ordered by the positions ``i < j`` of their members, and the
+    answer is ``(members[i], members[j], distance)``.  Such a ``j`` lies
+    in the radius-``(stride - 1)`` ball of ``members[i]``, so each member
+    intersects its ball with the later members instead of testing every
+    pair.  A member listed twice is a pair at distance 0.
+    """
+    positions: Dict[int, List[int]] = {}
+    for j, b in enumerate(members):
+        positions.setdefault(b, []).append(j)
+    for i, a in enumerate(members):
+        dist_a = graph.bfs_distances(a, cutoff=stride - 1)
+        later = [j for u in dist_a for j in positions.get(u, ()) if j > i]
+        if later:
+            b = members[min(later)]
+            return a, b, dist_a[b]
+    return None
+
+
 def independent_execution_set(
     tree: Graph,
     orientation: Orientation,
@@ -115,7 +139,8 @@ def independent_execution_set(
     seed_radius:
         Radius of the seed sphere (the paper uses 7).
     verify:
-        Check all pairwise distances (quadratic; disable for big runs).
+        Check all pairwise distances: one radius-``2t`` ball per member,
+        intersected with the later members.
     """
     if t < 1:
         raise ValueError("t must be at least 1")
@@ -172,16 +197,12 @@ def independent_execution_set(
         frontier = new_frontier
         steps += 1
 
-    verified = False
-    if verify and collected:
-        verified = True
-        for i, a in enumerate(collected):
-            dist_a = tree.bfs_distances(a, cutoff=stride - 1)
-            for b in collected[i + 1 :]:
-                if b in dist_a:
-                    raise AssertionError(
-                        f"nodes {a} and {b} are at distance {dist_a[b]} < {stride} (bug)"
-                    )
+    verified = verify and bool(collected)
+    if verified:
+        close = first_close_pair(tree, collected, stride)
+        if close is not None:
+            a, b, d = close
+            raise AssertionError(f"nodes {a} and {b} are at distance {d} < {stride} (bug)")
     return IndependentSetResult(
         nodes=collected, steps=steps, seed_size=len(seed), verified=verified
     )

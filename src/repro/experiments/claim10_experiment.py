@@ -18,7 +18,7 @@ from ..analysis.independence import (
     claim10_set_size_bound,
     independent_execution_set,
 )
-from ..graphs.generators import balanced_regular_tree
+from ..graphs.generators import balanced_regular_tree, balanced_regular_tree_size
 from ..graphs.orientation import orient_tree
 
 __all__ = ["Claim10Point", "Claim10Result", "run_claim10"]
@@ -66,23 +66,34 @@ def run_claim10(
     seed_radius: int = 2,
     verify_pairwise: bool = True,
 ) -> Claim10Result:
-    """Build S for each t on one balanced oriented tree.
+    """Build S for each t inside the ball ``B_{depth-1}(0)`` of a balanced oriented tree.
+
+    The claim plants S inside ``B_k(v)`` with ``k = depth - 1``, the
+    leaf-free ball, and both the construction and the closed form read
+    only that ball.  So only the ball is built: the balanced tree of depth
+    ``k`` is ``B_k(0)`` of the depth-``depth`` tree, node for node and
+    port for port, and :func:`~repro.graphs.orientation.orient_tree`
+    gives its edges the same slots.  A seed sphere beyond the ball still
+    gets built (up to ``depth``), so it stays a zero-step run.
+    :attr:`Claim10Result.n` is the size of the depth-``depth`` tree the
+    ball sits in.
 
     ``seed_radius`` defaults to 2 rather than the paper's 7 — the
     construction is identical, only the constant changes, and radius 7
     needs trees of depth > 11 (about 10^6 nodes) before the first
     expansion step fits.  Pass ``seed_radius=7`` with ``depth >= 12``
-    for the literal construction.
+    for the literal construction.  ``verify_pairwise`` checks every
+    harvested pair against the ``2t + 1`` distance; that check costs
+    one radius-``2t`` ball per member of S.
     """
     if delta % 2 != 0:
         raise ValueError("the oriented-tree setting needs even Delta")
-    tree = balanced_regular_tree(delta, depth)
-    orientation = orient_tree(tree, delta // 2)
+    n = balanced_regular_tree_size(delta, depth)
     ball_radius = depth - 1  # leaf-free ball
+    tree = balanced_regular_tree(delta, min(depth, max(ball_radius, seed_radius)))
+    orientation = orient_tree(tree, delta // 2)
     effective_n = len(tree.bfs_distances(0, cutoff=ball_radius)) ** 3
-    result = Claim10Result(
-        delta=delta, depth=depth, n=tree.n, seed_radius=seed_radius
-    )
+    result = Claim10Result(delta=delta, depth=depth, n=n, seed_radius=seed_radius)
     for t in ts:
         harvest = independent_execution_set(
             tree,

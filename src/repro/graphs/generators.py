@@ -21,7 +21,7 @@ The families a name can select are registered in
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..core.registry import register_graph_family
 from .graph import Graph, edge_key
@@ -144,26 +144,33 @@ def balanced_regular_tree(delta: int, depth: int) -> Graph:
     """Balanced Delta-regular tree: every non-leaf has degree ``delta``.
 
     Node 0 is the root (the tree's center).  Nodes are numbered in BFS
-    order, so layer boundaries are contiguous.  Every node at distance
-    less than ``depth`` from the root has degree exactly ``delta``; nodes
-    at distance ``depth`` are leaves.
+    order, so layer boundaries are contiguous, and the tree of depth
+    ``d < depth`` is the prefix ``0 .. size(d) - 1`` of this one: its ball
+    ``B_d(0)``, port for port.  Every node at distance less than ``depth``
+    from the root has degree exactly ``delta``; nodes at distance
+    ``depth`` are leaves.
+
+    Each row is written whole, sized exactly: the parent on port 0, then
+    the children in BFS order, the ports :meth:`Graph.add_edge` would
+    give them.
     """
     n = balanced_regular_tree_size(delta, depth)
-    g = Graph(n)
     if depth == 0:
-        return g.freeze()
-    next_id = 1
-    frontier: List[int] = [0]
-    for layer in range(depth):
-        new_frontier: List[int] = []
-        for v in frontier:
-            children = delta if layer == 0 else delta - 1
-            for _ in range(children):
-                g.add_edge(v, next_id)
-                new_frontier.append(next_id)
-                next_id += 1
-        frontier = new_frontier
-    return g.freeze()
+        return Graph._from_rows([[]]).freeze()
+    c = delta - 1
+    inner = balanced_regular_tree_size(delta, depth - 1)  # nodes with children
+    ids = list(range(n))  # one int per node, shared by every row naming it
+    # The root's children are 1 .. delta.  Inner node u >= 1 has children
+    # u*c + 2 .. u*c + c + 1, so node u >= 1 hangs below max(u - 2, 0) // c.
+    rows = [ids[1 : delta + 1]]
+    for u in range(1, inner):
+        row = ids[u * c + 1 : u * c + delta + 1]  # the children, after slot 0
+        row[0] = ids[max(u - 2, 0) // c]
+        rows.append(row)
+    # A leaf's row is its parent; the parents are the last inner layer.
+    per_parent = range(delta if depth == 1 else c)
+    rows += [[p] for p in ids[max(inner - 2, 0) // c : inner] for _ in per_parent]
+    return Graph._from_rows(rows).freeze()
 
 
 def regular_tree_of_depth_at_least(delta: int, min_nodes: int) -> Tuple[Graph, int]:

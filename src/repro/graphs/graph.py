@@ -116,7 +116,6 @@ class Graph:
         ``adjacency[v]`` iff ``v`` in ``adjacency[u]``.
         """
         n = len(adjacency)
-        g = cls(n)
         for v, neighbors in enumerate(adjacency):
             seen = set()
             for u in neighbors:
@@ -131,8 +130,21 @@ class Graph:
             for u in neighbors:
                 if v not in adjacency[u]:
                     raise ValueError(f"asymmetric adjacency: {u} in adj[{v}] only")
-        g._adj = [list(neighbors) for neighbors in adjacency]
-        g._m = sum(len(neighbors) for neighbors in adjacency) // 2
+        return cls._from_rows([list(neighbors) for neighbors in adjacency])
+
+    @classmethod
+    def _from_rows(cls, rows: List[List[int]]) -> "Graph":
+        """Wrap finished adjacency rows, unchecked and uncopied.
+
+        The caller vouches that ``rows`` describe a simple undirected
+        graph in port order, as :meth:`from_adjacency` checks, and hands
+        the lists over.  The graph is not frozen.
+        """
+        g = cls.__new__(cls)
+        g._n = len(rows)
+        g._adj = rows
+        g._m = sum(map(len, rows)) // 2
+        g._frozen = False
         return g
 
     # ------------------------------------------------------------------
@@ -384,10 +396,8 @@ class Graph:
         """
         node_list = sorted(set(nodes))
         mapping = {v: i for i, v in enumerate(node_list)}
-        sub = Graph(len(node_list))
-        sub._adj = [[mapping[u] for u in self._adj[v] if u in mapping] for v in node_list]
-        sub._m = sum(len(row) for row in sub._adj) // 2
-        return sub, mapping
+        rows = [[mapping[u] for u in self._adj[v] if u in mapping] for v in node_list]
+        return Graph._from_rows(rows), mapping
 
     def is_bipartite(self) -> bool:
         """Whether the graph is 2-colorable."""

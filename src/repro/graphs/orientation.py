@@ -223,27 +223,49 @@ def orient_tree(graph: Graph, k: int, root: int = 0) -> Orientation:
     directional slots it has not used yet, in slot order (the edge to its
     parent occupies one slot).  Any tree with maximum degree <= 2k admits
     such an orientation.
+
+    The same BFS checks the input.  With ``m == n - 1``, the graph is a
+    tree iff the BFS from ``root`` reaches exactly ``n`` nodes: on a cycle
+    it comes back round and passes ``n``, where it stops.  Every row it
+    walks must fit in ``2k`` slots.  Only when the BFS fails do
+    :meth:`Graph.is_tree` and :meth:`Graph.max_degree` run, to name the
+    cause.
+
+    Raises
+    ------
+    ValueError
+        If the graph is not a tree, its maximum degree exceeds ``2k``, or
+        ``root`` is not one of its nodes.
     """
-    if not graph.is_tree():
-        raise ValueError("orient_tree requires a tree")
-    if graph.max_degree() > 2 * k:
-        raise ValueError(f"maximum degree {graph.max_degree()} exceeds 2k = {2 * k}")
+    n = graph.n
     width = 2 * k
+    if graph.m != n - 1:
+        raise ValueError("orient_tree requires a tree")
+    if not 0 <= root < n:
+        raise ValueError(f"root {root} is not a node of the {n}-node graph")
     # free[taken + 1]: the slots left once slot ``taken`` (-1: none) is used.
     free = [[s for s in range(width) if s != taken] for taken in range(-1, width)]
     adj = graph.adjacency_rows()
-    rows = [-1] * (graph.n * width)
+    rows = [-1] * (n * width)
     order, toward = [root], [-1]  # BFS order; each node's slot toward its parent
     for v, taken in zip(order, toward):  # both lists grow as the BFS runs
+        row = adj[v]
+        if len(row) > width or len(order) > n:
+            break
         base = v * width
         up = rows[base + taken] if taken >= 0 else -1
-        children = [u for u in adj[v] if u != up]
+        children = [u for u in row if u != up]
         for u, s in zip(children, free[taken + 1]):
             rows[base + s] = u
             rows[u * width + (s ^ 1)] = v
             order.append(u)
             toward.append(s ^ 1)
-    return Orientation._from_rows(graph, k, rows)
+    else:  # the BFS ran out: a tree iff it reached all n nodes
+        if len(order) == n:
+            return Orientation._from_rows(graph, k, rows)
+    if not graph.is_tree():
+        raise ValueError("orient_tree requires a tree")
+    raise ValueError(f"maximum degree {graph.max_degree()} exceeds 2k = {width}")
 
 
 def orient_torus_nd(graph: Graph, dims: "tuple[int, ...]") -> Orientation:

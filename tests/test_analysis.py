@@ -1,6 +1,8 @@
 """Tests for tower arithmetic, recurrences, independence, and bounds."""
 
 import math
+import random
+import re
 
 import pytest
 
@@ -27,7 +29,8 @@ from repro.analysis import (
     zero_round_failure_of_distribution,
     zero_round_optimal_failure,
 )
-from repro.graphs import balanced_regular_tree, orient_tree
+from repro.analysis.independence import first_close_pair
+from repro.graphs import balanced_regular_tree, cycle, orient_tree, toroidal_grid
 
 
 class TestTowerNumber:
@@ -153,6 +156,70 @@ class TestIndependentSet:
         orientation = orient_tree(tree, 2)
         with pytest.raises(ValueError):
             independent_execution_set(tree, orientation, 0, t=0, ball_radius=3)
+
+
+def _first_close_pair_reference(graph, members, stride):
+    """Every pair, in order: the check ``first_close_pair`` replaced."""
+    for i, a in enumerate(members):
+        dist_a = graph.bfs_distances(a, cutoff=stride - 1)
+        for b in members[i + 1 :]:
+            if b in dist_a:
+                return a, b, dist_a[b]
+    return None
+
+
+class TestFirstClosePair:
+    GRAPHS = {
+        "tree": balanced_regular_tree(4, 5),
+        "cycle": cycle(40),
+        "torus": toroidal_grid(6, 7),
+    }
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_every_pair_check(self, seed):
+        rng = random.Random(seed)
+        name = sorted(self.GRAPHS)[seed % 3]
+        graph = self.GRAPHS[name]
+        members = rng.sample(range(graph.n), rng.randint(1, 12))
+        if seed % 4 == 0:  # a member listed twice is a pair at distance 0
+            members.insert(rng.randrange(len(members) + 1), rng.choice(members))
+        stride = rng.randint(1, 6)
+        assert first_close_pair(graph, members, stride) == _first_close_pair_reference(
+            graph, members, stride
+        )
+
+    def test_harvested_sets_have_no_close_pair(self):
+        tree = balanced_regular_tree(4, 9)
+        orientation = orient_tree(tree, 2)
+        for t in (1, 2):
+            members = independent_execution_set(
+                tree, orientation, 0, t=t, ball_radius=8, seed_radius=1, verify=False
+            ).nodes
+            assert members
+            assert first_close_pair(tree, members, 2 * t + 1) is None
+            assert _first_close_pair_reference(tree, members, 2 * t + 1) is None
+
+    def test_planted_close_pair_is_reported_first_in_pair_order(self):
+        # Walks that ignore the sign reach the same node along +dim and
+        # -dim, so S holds repeats; the check must name the same first
+        # pair, with the same message, as the every-pair check.
+        tree = balanced_regular_tree(4, 7)
+        real = orient_tree(tree, 2)
+
+        class SignBlind:
+            k = real.k
+            labeled_neighbors = staticmethod(real.labeled_neighbors)
+
+            @staticmethod
+            def neighbor(v, dim, sign):
+                return real.neighbor(v, dim, 1)
+
+        kwargs = dict(center=0, t=1, ball_radius=6, seed_radius=2)
+        members = independent_execution_set(tree, SignBlind(), verify=False, **kwargs).nodes
+        a, b, d = _first_close_pair_reference(tree, members, 3)
+        message = f"nodes {a} and {b} are at distance {d} < 3 (bug)"
+        with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+            independent_execution_set(tree, SignBlind(), verify=True, **kwargs)
 
 
 class TestRecurrences:

@@ -6,7 +6,7 @@
 * The verdicts state the claims: points planted unverified fail the
   SUMMARY, the exit code and ``summary.json`` (``--artifacts`` writes
   one file per row from the same loop), and a Claim 10 sweep with no
-  in-regime point fails its verdict.
+  in-regime point, or with one left unverified, fails its verdict.
 * The report's own results hold the shapes no verdict states.
 """
 
@@ -128,6 +128,16 @@ def test_claim10_without_an_in_regime_point_fails():
     assert not any(p.in_regime for p in shallow.points)
     assert all(p.bound_holds for p in shallow.points)  # each point holds vacuously
     assert BY_NAME["claim10"].verdicts(shallow) == [("Claim 10 bounds", False)]
+
+
+def test_claim10_needs_every_in_regime_point_verified():
+    claim10 = BY_NAME["claim10"]
+    assert all(claim10.arguments(quick)["verify_pairwise"] for quick in (False, True))
+    unverified = run_claim10(depth=8, ts=(1, 2), seed_radius=2, verify_pairwise=False)
+    assert unverified.all_bounds_hold()  # the bounds alone would pass
+    assert not any(p.pairwise_verified for p in unverified.points)
+    assert claim10.verdicts(unverified) == [("Claim 10 bounds", False)]
+    assert claim10.verdicts(_result("claim10", True)) == [("Claim 10 bounds", True)]
 
 
 # The report's own full results: shapes the verdicts leave to tests.

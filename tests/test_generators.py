@@ -1,10 +1,13 @@
 """Unit tests for graph generators."""
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
 from repro.graphs import (
+    Graph,
     balanced_regular_tree,
     balanced_regular_tree_size,
     caterpillar,
@@ -97,6 +100,64 @@ class TestBalancedTrees:
             balanced_regular_tree(1, 2)
         with pytest.raises(ValueError):
             balanced_regular_tree(3, -1)
+
+
+def _tree_by_add_edge(delta, depth):
+    """The balanced tree built edge by edge, layer by layer: the rows' oracle."""
+    g = Graph(balanced_regular_tree_size(delta, depth))
+    next_id, frontier = 1, [0]
+    for layer in range(depth):
+        new_frontier = []
+        for v in frontier:
+            for _ in range(delta if layer == 0 else delta - 1):
+                g.add_edge(v, next_id)
+                new_frontier.append(next_id)
+                next_id += 1
+        frontier = new_frontier
+    return g.freeze()
+
+
+TREE_CASES = [(delta, depth) for delta in range(2, 7) for depth in range(7)]
+
+
+@pytest.mark.parametrize(
+    "delta,depth", TREE_CASES, ids=[f"delta{d}-depth{h}" for d, h in TREE_CASES]
+)
+def test_tree_rows_match_add_edge_build(delta, depth):
+    tree, reference = balanced_regular_tree(delta, depth), _tree_by_add_edge(delta, depth)
+    assert (tree.n, tree.m, tree.is_frozen) == (reference.n, reference.m, True)
+    rows = tree.adjacency_rows()
+    assert rows == reference.adjacency_rows()  # port for port
+    assert len({id(row) for row in rows}) == tree.n  # no row shared between nodes
+
+
+@pytest.mark.parametrize("delta", [2, 3, 4, 6])
+def test_shallower_tree_is_the_ball_of_a_deeper_one(delta):
+    deep = balanced_regular_tree(delta, 5)
+    for depth in range(5):
+        ball = balanced_regular_tree(delta, depth)
+        assert sorted(deep.bfs_distances(0, cutoff=depth)) == list(range(ball.n))
+        for v, row in enumerate(ball.adjacency_rows()):
+            assert row == [u for u in deep.adjacency_rows()[v] if u < ball.n]
+
+
+def test_tree_memory_budget():
+    # Allocation counts, not time: deterministic under any load.  Each row
+    # is sized exactly (a leaf's row holds one entry) and every row naming
+    # a node shares that node's int.
+    balanced_regular_tree(4, 2)  # warm up
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        tree = balanced_regular_tree(4, 8)  # n = 13,121
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tree.m == tree.n - 1
+    assert (after - before) / tree.n <= 120
+    assert (peak - before) / tree.n <= 132
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from repro.graphs import (
     Orientation,
     adversarial_interval_ids,
     balanced_regular_tree,
+    caterpillar,
     cycle,
     direction_name,
     orient_torus,
@@ -18,8 +19,10 @@ from repro.graphs import (
     path,
     random_ids,
     random_permutation_ids,
+    random_tree,
     sequential_ids,
     sorted_by_bfs_ids,
+    star,
     toroidal_grid,
     validate_ids,
 )
@@ -186,6 +189,93 @@ class TestOrientation:
         assert o.k == 2
         assert (after - before) / tree.n <= 64
         assert (peak - before) / tree.n <= 200
+
+
+def _orient_tree_reference(graph, k, root=0):
+    """The slots ``orient_tree`` filled when ``is_tree()`` and ``max_degree()`` ran first."""
+    if not graph.is_tree():
+        raise ValueError("orient_tree requires a tree")
+    if graph.max_degree() > 2 * k:
+        raise ValueError(f"maximum degree {graph.max_degree()} exceeds 2k = {2 * k}")
+    width = 2 * k
+    free = [[s for s in range(width) if s != taken] for taken in range(-1, width)]
+    adj = graph.adjacency_rows()
+    rows = [-1] * (graph.n * width)
+    order, toward = [root], [-1]
+    for v, taken in zip(order, toward):
+        base = v * width
+        up = rows[base + taken] if taken >= 0 else -1
+        children = [u for u in adj[v] if u != up]
+        for u, s in zip(children, free[taken + 1]):
+            rows[base + s] = u
+            rows[u * width + (s ^ 1)] = v
+            order.append(u)
+            toward.append(s ^ 1)
+    return rows
+
+
+TREES = {
+    **{f"balanced{d}-{h}": balanced_regular_tree(d, h) for d in range(2, 7) for h in range(5)},
+    **{f"random{n}": random_tree(n, random.Random(n)) for n in (1, 2, 3, 9, 40, 120)},
+    "path1": path(1), "path2": path(2), "path17": path(17),
+    "star1": star(1), "star3": star(3), "star6": star(6),
+    "caterpillar": caterpillar(6, 2), "caterpillar-bare": caterpillar(4, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_orient_tree_matches_reference_from_several_roots(name):
+    tree = TREES[name]
+    k = (tree.max_degree() + 1) // 2 or 1
+    roots = sorted({0, tree.n - 1, tree.n // 2, random.Random(name).randrange(tree.n)})
+    for kk in (k, k + 1):
+        for root in roots:
+            assert orient_tree(tree, kk, root)._rows == _orient_tree_reference(tree, kk, root)
+
+
+_TRIANGLE_AND_ISOLATED = Graph(4, [(0, 1), (1, 2), (2, 0)])  # m = n - 1
+ERROR_CASES = {
+    "cycle": (cycle(6), 2, 0),
+    "triangle-plus-isolated-from-triangle": (_TRIANGLE_AND_ISOLATED, 2, 0),
+    "triangle-plus-isolated-from-isolated": (_TRIANGLE_AND_ISOLATED, 2, 3),
+    "two-components": (Graph(4, [(0, 1), (2, 3)]), 2, 0),
+    "degree-above-2k": (balanced_regular_tree(6, 2), 2, 0),
+    "star-above-2k": (star(5), 2, 3),
+    "wide-node-beside-a-cycle": (  # a 5-leaf star beside a triangle: m = n - 1
+        Graph(9, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (6, 7), (7, 8), (8, 6)]), 2, 0),
+    "empty": (Graph(0), 2, 0),
+    "no-dimensions": (path(3), 0, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_CASES))
+def test_orient_tree_raises_what_the_reference_raises(name):
+    graph, k, root = ERROR_CASES[name]
+    with pytest.raises(ValueError) as expected:
+        _orient_tree_reference(graph, k, root)
+    with pytest.raises(ValueError) as raised:
+        orient_tree(graph, k, root)
+    assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("root", [-1, 17], ids=["minus-one", "n"])
+def test_orient_tree_rejects_a_root_that_is_not_a_node(root):
+    # Neither may index the rows: -1 would read the last node's slots.
+    tree = balanced_regular_tree(4, 2)
+    assert tree.n == 17
+    with pytest.raises(ValueError, match=f"^root {root} is not a node of the 17-node graph$"):
+        orient_tree(tree, 2, root)
+
+
+def test_ball_orientation_is_the_deeper_trees_restricted():
+    deep = orient_tree(balanced_regular_tree(4, 6), 2)
+    for depth in range(6):
+        ball = balanced_regular_tree(4, depth)
+        oriented = orient_tree(ball, 2)
+        for v in ball.nodes():
+            assert oriented.labeled_neighbors(v) == {
+                d: u for d, u in deep.labeled_neighbors(v).items() if u < ball.n
+            }
 
 
 class TestIdentifiers:
