@@ -218,7 +218,6 @@ class DirectEngine:
     ) -> SimReport:
         # Lazy import: repro.speedup imports the core seam at module
         # scope, so the reverse edge must resolve at call time.
-        from ..local_model.cache import ball_assignment_key
         from ..speedup.finite_runner import resolve_ball_tables
 
         graph, alg = request.graph, request.algorithm
@@ -227,7 +226,7 @@ class DirectEngine:
             raise ValueError("finite requests need per-node random values")
         if len(values) != graph.n:
             raise ValueError("need one random value per node")
-        if any(not 0 <= x < alg.values for x in values):
+        if graph.n and not (0 <= min(values) and max(values) < alg.values):
             raise ValueError(f"values must lie in [0, {alg.values})")
         if tables is None:
             if request.orientation is None:
@@ -242,16 +241,21 @@ class DirectEngine:
             for v in graph.nodes():
                 tracer.on_view(v, alg.t, ball_size, max(0, ball_size - 1))
         before = alg.cache.stats.copy() if tracer is not None else None
+        # Each key is the node's ball_assignment_key, inlined.
+        evaluate, value_at = alg.evaluate, values.__getitem__
         outputs: List[Any] = [
-            alg.evaluate(ball_assignment_key(values, tables[v]))
-            for v in graph.nodes()
+            evaluate(tuple(map(value_at, tables[v]))) for v in graph.nodes()
         ]
-        failing = [
-            v
-            for v in graph.nodes()
-            if graph.degree(v) > 0
-            and all(outputs[u] == outputs[v] for u in graph.neighbors(v))
-        ]
+        # v fails when it has neighbors and every one copies its output.
+        failing = []
+        for v, row in enumerate(graph.adjacency_rows()):
+            if row:
+                out = outputs[v]
+                for u in row:
+                    if not outputs[u] == out:
+                        break
+                else:
+                    failing.append(v)
         if tracer is not None:
             # The algorithm's assignment cache outlives the run; report
             # only the lookups this run contributed.

@@ -92,7 +92,8 @@ def run_claim10(
     ball_radius = depth - 1  # leaf-free ball
     tree = balanced_regular_tree(delta, min(depth, max(ball_radius, seed_radius)))
     orientation = orient_tree(tree, delta // 2)
-    effective_n = len(tree.bfs_distances(0, cutoff=ball_radius)) ** 3
+    # |B_k(0)|; at depth 0 the ball (radius -1) is the lone root.
+    effective_n = balanced_regular_tree_size(delta, max(ball_radius, 0)) ** 3
     result = Claim10Result(delta=delta, depth=depth, n=n, seed_radius=seed_radius)
     for t in ts:
         harvest = independent_execution_set(

@@ -16,6 +16,7 @@ report the per-run delta through the tracer's ``on_cache`` hook (the
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
@@ -35,7 +36,9 @@ class CacheStats:
     ``bytes`` approximates the retained size of stored keys and values
     (estimated with :func:`~repro.instrumentation.sizes.estimate_size`);
     ``distinct_classes`` is the number of stored entries — the number
-    of distinct keys (ball assignments, view classes) seen.
+    of distinct keys (ball assignments, view classes) seen.  A
+    :class:`KeyedCache` fills in both when its ``stats`` are read, not
+    when it stores, so ``bytes`` costs nothing until someone reads it.
     """
 
     lookups: int = 0
@@ -91,6 +94,12 @@ class KeyedCache:
     (:class:`~repro.speedup.algorithms.NodeAlgorithm`): it maps a
     canonical encoding of "everything the computing entity can see" to
     an output, computed once per distinct encoding.
+
+    Sizing happens on read: :meth:`store` only files the entry, and
+    reading :attr:`stats` sizes the entries stored since the last read.
+    ``stats.bytes`` therefore equals what sizing every store would have
+    summed, and a cache whose stats nobody reads never calls the size
+    estimator.
     """
 
     #: Sentinel returned by :meth:`get` on a miss (never a stored value).
@@ -99,14 +108,31 @@ class KeyedCache:
     def __init__(self, size_estimator: Optional[SizeEstimator] = None):
         self._store: Dict[Any, Any] = {}
         self._size = size_estimator or estimate_size
-        self.stats = CacheStats()
+        self._stats = CacheStats()
+        # The first ``_sized`` entries, in insertion order, are in
+        # ``_stats.bytes``.
+        self._sized = 0
 
     def __len__(self) -> int:
         return len(self._store)
 
+    @property
+    def stats(self) -> CacheStats:
+        """The counters, with every entry stored so far sized."""
+        stats, entries = self._stats, self._store
+        if self._sized < len(entries):
+            pending = itertools.islice(entries.items(), self._sized, None)
+            stats.bytes += sum(self._cost(key, value) for key, value in pending)
+            self._sized = len(entries)
+        stats.distinct_classes = len(entries)
+        return stats
+
+    def _cost(self, key: Any, value: Any) -> int:
+        return (self._size(key) + self._size(value) + 7) // 8
+
     def get(self, key: Any) -> Any:
         """The stored value, or :attr:`MISS`; counts the lookup."""
-        stats = self.stats
+        stats = self._stats
         stats.lookups += 1
         value = self._store.get(key, _MISS)
         if value is _MISS:
@@ -117,10 +143,11 @@ class KeyedCache:
 
     def store(self, key: Any, value: Any) -> Any:
         """Store ``value`` under ``key`` and return it."""
+        if key in self._store:
+            # Replacing an entry: size the pending entries while the old
+            # value still sits in its slot, then size this store.
+            self.stats.bytes += self._cost(key, value)
         self._store[key] = value
-        stats = self.stats
-        stats.distinct_classes = len(self._store)
-        stats.bytes += (self._size(key) + self._size(value) + 7) // 8
         return value
 
     def get_or_compute(self, key: Any, compute: Callable[[], Any]) -> Any:
@@ -133,8 +160,9 @@ class KeyedCache:
     def clear(self) -> None:
         """Drop every entry; the cumulative counters keep counting."""
         self._store.clear()
-        self.stats.distinct_classes = 0
-        self.stats.bytes = 0
+        self._sized = 0
+        self._stats.distinct_classes = 0
+        self._stats.bytes = 0
 
 
 def ball_assignment_key(
@@ -142,12 +170,13 @@ def ball_assignment_key(
 ) -> Tuple[Any, ...]:
     """Project per-node values through a resolved ball table.
 
-    The one keying function shared by the finite runner
-    (:func:`~repro.speedup.finite_runner.run_node_algorithm_on_oriented_graph`),
-    the exact failure enumerations, and the tree algorithms' own
-    memoization: entry ``i`` is the value the ball's ``i``-th word
-    reads.  Equal keys mean the computing entity sees identical random
-    data in identical positions — the oriented-tree analogue of
-    :func:`~repro.local_model.views.view_signature`.
+    The key the tree algorithms memoize on: entry ``i`` is the value the
+    ball's ``i``-th word reads.  The finite runner
+    (:func:`~repro.speedup.finite_runner.run_node_algorithm_on_oriented_graph`)
+    builds it inline for every node, the Monte Carlo failure estimators
+    call it per sample, and the exact enumerations spell whole keys with
+    ``itertools.product``.  Equal keys mean the computing entity sees
+    identical random data in identical positions — the oriented-tree
+    analogue of :func:`~repro.local_model.views.view_signature`.
     """
     return tuple(values[i] for i in table)

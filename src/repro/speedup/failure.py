@@ -28,9 +28,11 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..core.engine import derive_seed
 from ..local_model.cache import ball_assignment_key
@@ -74,29 +76,21 @@ def _enumerate_assignments(values: int, size: int):
     return itertools.product(range(values), repeat=size)
 
 
-def _conditional_color_distribution(
-    evaluate,
-    base: Dict[int, int],
-    unknown: List[int],
-    total_size: int,
-    values: int,
-) -> Dict[Any, Fraction]:
-    """Distribution of ``evaluate(assignment)`` over the unknown nodes.
+def color_counts(
+    evaluate, size: int, fixed: Iterable[Tuple[int, Any]], values: int
+) -> Counter:
+    """How often ``evaluate`` outputs each color over the free positions.
 
-    ``base`` maps already-fixed positions to values; ``unknown`` lists
-    the free positions.  Positions index the evaluator's own ball.
+    Keys have ``size`` positions.  ``fixed`` lists ``(position, value)``
+    pairs; every other position ranges over ``range(values)``.  One
+    ``itertools.product`` spells each key whole, the last free position
+    varying fastest, and the counts stay integers: callers divide once.
+    Every exact failure and every frequent color set is built on them.
     """
-    counts: Dict[Any, int] = {}
-    scratch = [0] * total_size
-    for pos, val in base.items():
-        scratch[pos] = val
-    for completion in _enumerate_assignments(values, len(unknown)):
-        for pos, val in zip(unknown, completion):
-            scratch[pos] = val
-        color = evaluate(tuple(scratch))
-        counts[color] = counts.get(color, 0) + 1
-    total = values ** len(unknown)
-    return {color: Fraction(n, total) for color, n in counts.items()}
+    choices: List[Any] = [range(values)] * size
+    for pos, val in fixed:
+        choices[pos] = (val,)
+    return Counter(map(evaluate, itertools.product(*choices)))
 
 
 def _split_positions(
@@ -149,27 +143,31 @@ def node_local_failure(
         raise ValueError(f"unknown method {method!r}")
 
     if use_exact:
-        # A neighbor's distribution depends only on its direction and the
-        # values it shares with B_t(v): enumerate each such pair once.
-        memo: Dict[Tuple[Direction, Assignment], Dict[Any, Fraction]] = {}
-        fail = Fraction(0)
+        # A neighbor's color counts depend only on its direction and the
+        # values it shares with B_t(v): count each such pair once.  Each
+        # direction's counts run over values**len(beyond[d]) completions,
+        # so the integer products share one denominator.
+        memo: Dict[Tuple[Direction, Assignment], Counter] = {}
+        hits = 0
         for sigma in _enumerate_assignments(values, inner.size):
             center_color = alg.evaluate(sigma)
-            prob_all_agree = Fraction(1)
+            all_agree = 1
             for d in directions:
                 seen = tuple([sigma[o] for _, o in shared[d]])
-                dist = memo.get((d, seen))
-                if dist is None:
-                    base = {pos: sigma[o] for pos, o in shared[d]}
-                    dist = memo[d, seen] = _conditional_color_distribution(
-                        alg.evaluate, base, beyond[d], inner.size, values
+                counts = memo.get((d, seen))
+                if counts is None:
+                    counts = memo[d, seen] = color_counts(
+                        alg.evaluate,
+                        inner.size,
+                        [(pos, sigma[o]) for pos, o in shared[d]],
+                        values,
                     )
-                prob_all_agree *= dist.get(center_color, Fraction(0))
-                if prob_all_agree == 0:
+                all_agree *= counts[center_color]
+                if all_agree == 0:
                     break
-            fail += prob_all_agree
-        fail /= values**inner.size
-        return FailureEstimate(probability=fail, exact=True)
+            hits += all_agree
+        free = inner.size + sum(len(b) for b in beyond.values())
+        return FailureEstimate(probability=Fraction(hits, values**free), exact=True)
 
     rng = rng or _default_rng(f"node-failure:{alg.name}")
     hits = 0
@@ -230,38 +228,33 @@ def edge_local_failure(
     use_exact = method == "exact" or (method == "auto" and cost <= exact_cost_limit)
 
     if use_exact:
-        # As for nodes: one enumeration per (direction, shared values).
-        memo: Dict[Tuple[Direction, Assignment], Dict[Any, Fraction]] = {}
-        fail = Fraction(0)
+        # As for nodes: one count per (direction, shared values), and one
+        # denominator for every product of counts.
+        memo: Dict[Tuple[Direction, Assignment], Counter] = {}
+        hits = 0
         for sigma in _enumerate_assignments(values, known.size):
-            prob_fail = Fraction(1)
+            all_fail = 1
             for dim in range(alg.k):
-                dists = []
+                sides = []
                 for sign in (1, -1):
                     d = (dim, sign)
                     seen = tuple([sigma[o] for _, o in shared[d]])
-                    dist = memo.get((d, seen))
-                    if dist is None:
-                        base = {pos: sigma[o] for pos, o in shared[d]}
-                        dist = memo[d, seen] = _conditional_color_distribution(
-                            lambda a, _dim=dim: alg.evaluate(_dim, a),
-                            base,
-                            beyond[d],
+                    counts = memo.get((d, seen))
+                    if counts is None:
+                        counts = memo[d, seen] = color_counts(
+                            partial(alg.evaluate, dim),
                             alg.balls[dim].size,
+                            [(pos, sigma[o]) for pos, o in shared[d]],
                             values,
                         )
-                    dists.append(dist)
-                plus, minus = dists
-                agree = sum(
-                    (p * minus.get(color, Fraction(0)) for color, p in plus.items()),
-                    Fraction(0),
-                )
-                prob_fail *= agree
-                if prob_fail == 0:
+                    sides.append(counts)
+                plus, minus = sides
+                all_fail *= sum(n * minus[color] for color, n in plus.items())
+                if all_fail == 0:
                     break
-            fail += prob_fail
-        fail /= values**known.size
-        return FailureEstimate(probability=fail, exact=True)
+            hits += all_fail
+        free = known.size + sum(len(b) for b in beyond.values())
+        return FailureEstimate(probability=Fraction(hits, values**free), exact=True)
 
     rng = rng or _default_rng(f"edge-failure:{alg.name}")
     hits = 0

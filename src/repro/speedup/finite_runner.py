@@ -166,9 +166,10 @@ def estimate_global_success(
     tracer = effective_tracer(tracer)
     if tracer is not None:
         tracer.on_run_start("finite", alg.name, graph.n, trials=trials)
+    randrange, choices, nodes = rng.randrange, alg.values, graph.nodes()
     successes = 0
     for i in range(trials):
-        values = [rng.randrange(alg.values) for _ in graph.nodes()]
+        values = [randrange(choices) for _ in nodes]
         run = run_node_algorithm_on_oriented_graph(
             alg, graph, orientation, values, tables=tables
         )

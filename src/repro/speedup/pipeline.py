@@ -147,7 +147,11 @@ def run_speedup_pipeline(
         delta = node.delta
         c = node.palette
         p_val = p.as_float()
-        f1 = threshold_override or paper_threshold_first(p_val, c, delta)
+        f1 = (
+            threshold_override
+            if threshold_override is not None
+            else paper_threshold_first(p_val, c, delta)
+        )
         edge = first_speedup(node, f1)
         p_edge = edge_local_failure(edge, method=method, samples=samples,
                                     rng=stage_rng(len(result.stages), edge.name))
@@ -166,7 +170,11 @@ def run_speedup_pipeline(
 
         c_edge = edge.palette
         p_edge_val = p_edge.as_float()
-        f2 = threshold_override or paper_threshold_second(p_edge_val, c_edge, delta)
+        f2 = (
+            threshold_override
+            if threshold_override is not None
+            else paper_threshold_second(p_edge_val, c_edge, delta)
+        )
         node = second_speedup(edge, f2)
         p = node_local_failure(node, method=method, samples=samples,
                                rng=stage_rng(len(result.stages), node.name))

@@ -25,14 +25,15 @@ error (see :mod:`repro.speedup.failure`).
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
-from typing import Any, Dict, FrozenSet, List, Tuple, Union
+from functools import partial
+from typing import Any, Callable, Dict, FrozenSet, List, Tuple, Union
 
 from ..analysis.towers import TowerNumber, exp2_scaled
 from .algorithms import Assignment, EdgeAlgorithm, NodeAlgorithm
 from .ball import EdgeBall, OrientedBall, inverse, reduce_word
+from .failure import color_counts
 
 __all__ = [
     "first_speedup",
@@ -121,24 +122,23 @@ def second_lemma_bound(p: float, c: Union[int, TowerNumber], delta: int) -> floa
 def _frequent_colors(
     evaluate,
     total_size: int,
-    known: Dict[int, int],
-    unknown: List[int],
+    known: List[Tuple[int, int]],
     values: int,
     threshold: Fraction,
 ) -> FrozenSet[Any]:
-    """Colors whose conditional probability is at least ``threshold``."""
-    counts: Dict[Any, int] = {}
-    scratch = [0] * total_size
-    for pos, val in known.items():
-        scratch[pos] = val
-    for completion in itertools.product(range(values), repeat=len(unknown)):
-        for pos, val in zip(unknown, completion):
-            scratch[pos] = val
-        color = evaluate(tuple(scratch))
-        counts[color] = counts.get(color, 0) + 1
-    total = values ** len(unknown)
+    """Colors whose conditional probability is at least ``threshold``.
+
+    ``known`` lists the ``(position, value)`` pairs the view fixes; the
+    other positions are enumerated (:func:`~repro.speedup.failure.color_counts`).
+    A color seen ``n`` times in ``total`` completions is frequent iff
+    ``n / total >= threshold``, compared in integers.
+    """
+    total = values ** (total_size - len(known))
+    num, den = threshold.numerator, threshold.denominator
     return frozenset(
-        color for color, n in counts.items() if Fraction(n, total) >= threshold
+        color
+        for color, n in color_counts(evaluate, total_size, known, values).items()
+        if n * den >= num * total
     )
 
 
@@ -159,34 +159,34 @@ def first_speedup(alg: NodeAlgorithm, threshold: Fraction) -> EdgeAlgorithm:
     # Precompute, per dimension, the layout of each endpoint's radius-t
     # ball inside the edge ball: known positions come from the edge view,
     # unknown positions are enumerated.
-    layouts: Dict[int, List[Tuple[Dict[int, int], List[int]]]] = {}
+    layouts: Dict[int, List[List[Tuple[int, int]]]] = {}
     for dim in range(k):
         eb = EdgeBall(k, r, (dim, 1))
         per_endpoint = []
         for anchor in eb.endpoint_words():
-            known_map: Dict[int, int] = {}
-            unknown: List[int] = []
+            known_map: List[Tuple[int, int]] = []
             for pos, w in enumerate(node_ball.words):
                 absolute = reduce_word(anchor + w)
                 if absolute in eb.index:
-                    known_map[pos] = eb.index[absolute]
-                else:
-                    unknown.append(pos)
-            per_endpoint.append((known_map, unknown))
+                    known_map.append((pos, eb.index[absolute]))
+            per_endpoint.append(known_map)
         layouts[dim] = per_endpoint
 
     values = alg.values
+    # Exact, so the frequency test compares integers; a float keeps its value.
+    threshold = Fraction(threshold)
 
     def fn(dim: int, assignment: Assignment) -> Tuple[FrozenSet[Any], FrozenSet[Any]]:
-        sets = []
-        for known_map, unknown in layouts[dim]:
-            known = {pos: assignment[ei] for pos, ei in known_map.items()}
-            sets.append(
-                _frequent_colors(
-                    alg.evaluate, node_ball.size, known, unknown, values, threshold
-                )
+        return tuple(
+            _frequent_colors(
+                alg.evaluate,
+                node_ball.size,
+                [(pos, assignment[ei]) for pos, ei in known_map],
+                values,
+                threshold,
             )
-        return (sets[0], sets[1])
+            for known_map in layouts[dim]
+        )
 
     return EdgeAlgorithm(
         k=k,
@@ -210,38 +210,33 @@ def second_speedup(alg: EdgeAlgorithm, threshold: Fraction) -> NodeAlgorithm:
     directions = node_ball.directions
 
     # Per incident direction: the edge ball's layout relative to the node.
-    layouts: List[Tuple[int, Dict[int, int], List[int]]] = []
+    layouts: List[Tuple[Callable[[Assignment], Any], int, List[Tuple[int, int]]]] = []
     for direction in directions:
         dim, sign = direction
         eb = alg.balls[dim]
         anchor = () if sign == 1 else (direction,)
-        known_map: Dict[int, int] = {}
-        unknown: List[int] = []
+        known_map: List[Tuple[int, int]] = []
         for pos, w in enumerate(eb.words):
             absolute = reduce_word(anchor + w)
             if absolute in node_ball.index:
-                known_map[pos] = node_ball.index[absolute]
-            else:
-                unknown.append(pos)
-        layouts.append((dim, known_map, unknown))
+                known_map.append((pos, node_ball.index[absolute]))
+        layouts.append((partial(alg.evaluate, dim), eb.size, known_map))
 
     values = alg.values
+    # Exact, so the frequency test compares integers; a float keeps its value.
+    threshold = Fraction(threshold)
 
     def fn(assignment: Assignment) -> Tuple[FrozenSet[Any], ...]:
-        out = []
-        for dim, known_map, unknown in layouts:
-            known = {pos: assignment[ni] for pos, ni in known_map.items()}
-            out.append(
-                _frequent_colors(
-                    lambda a, _dim=dim: alg.evaluate(_dim, a),
-                    alg.balls[dim].size,
-                    known,
-                    unknown,
-                    values,
-                    threshold,
-                )
+        return tuple(
+            _frequent_colors(
+                evaluate,
+                size,
+                [(pos, assignment[ni]) for pos, ni in known_map],
+                values,
+                threshold,
             )
-        return tuple(out)
+            for evaluate, size, known_map in layouts
+        )
 
     return NodeAlgorithm(
         k=k,

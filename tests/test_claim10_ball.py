@@ -5,12 +5,14 @@ lies beyond that ball, and not the depth-``depth`` tree.  The oracle is
 the same function handed the whole tree: the two must return equal
 results, and raise the same errors where the construction raises (a seed
 sphere beyond the tree, and seed radius 0, whose center has no way back).
+The closed-form ``effective_n`` is checked against a BFS of the ball.
 """
 
 import functools
 
 import pytest
 
+from repro.analysis.independence import IndependentSetResult
 from repro.experiments import claim10_experiment, run_claim10
 from repro.graphs import balanced_regular_tree, balanced_regular_tree_size, orient_tree
 
@@ -51,6 +53,28 @@ def test_ball_only_run_equals_the_whole_tree_run(monkeypatch, depth, seed_radius
     assert ball_only == whole
     if not isinstance(whole, tuple):
         assert ball_only.n == tree.n
+
+
+@pytest.mark.parametrize("depth", range(0, 11))
+def test_effective_n_is_the_ball_size_cubed(monkeypatch, depth):
+    # The old computation: |B_{depth-1}(0)| by BFS over the built tree
+    # (the lone root at depth 0).  A stub harvest lets every seed radius
+    # finish, also those where the construction raises.
+    built = []
+
+    def recording(delta, d):
+        built.append(balanced_regular_tree(delta, d))
+        return built[-1]
+
+    def no_harvest(*args, **kwargs):
+        return IndependentSetResult(nodes=[], steps=0, seed_size=0, verified=True)
+
+    monkeypatch.setattr(claim10_experiment, "balanced_regular_tree", recording)
+    monkeypatch.setattr(claim10_experiment, "independent_execution_set", no_harvest)
+    for seed_radius in SEED_RADII:
+        (point,) = run_claim10(delta=4, depth=depth, ts=(1,), seed_radius=seed_radius).points
+        ball = built[-1].bfs_distances(0, cutoff=depth - 1)
+        assert point.effective_n == len(ball) ** 3
 
 
 def test_only_the_ball_is_built(monkeypatch):

@@ -338,6 +338,31 @@ class TestSpeedupTracing:
         assert tracer.metrics.trials == 20
         assert tracer.metrics.trial_successes == round(rate * 20)
 
+    def test_global_success_event_stream(self):
+        # The per-trial runs get no tracer: a traced estimate sees its
+        # own start and end and one trial each, no ball views and no
+        # on_cache.
+        from repro.graphs.generators import toroidal_grid
+        from repro.graphs.orientation import orient_torus
+        from repro.speedup import local_maximum_coloring
+        from repro.speedup.finite_runner import estimate_global_success
+
+        graph = toroidal_grid(6, 6)
+        recorder = TraceRecorder()
+        estimate_global_success(
+            local_maximum_coloring(2, bits=2),
+            graph,
+            orient_torus(graph, 6, 6),
+            trials=7,
+            rng=random.Random(0),
+            tracer=recorder,
+        )
+        events = recorder.events
+        assert [e.kind for e in events] == ["run_start"] + ["trial"] * 7 + ["run_end"]
+        assert events[0].data["engine"] == "finite"
+        assert events[0].data["trials"] == 7
+        assert [e.data["index"] for e in events[1:-1]] == list(range(7))
+
 
 class TestCliContract:
     def test_usage_error_exit_code_2(self):

@@ -1,0 +1,241 @@
+"""The speedup exhibits' counting paths against the loops they replaced.
+
+Each oracle below is the earlier implementation's arithmetic (the exact
+failures without their memo and early exit):
+
+* the finite runner keyed every node with ``ball_assignment_key`` and
+  found failing nodes through ``graph.neighbors`` copies;
+* the exact failures multiplied one ``Fraction`` distribution per
+  neighbor (resp. incident edge), step by step;
+* frequent color sets scattered each completion into a scratch list and
+  compared ``Fraction(n, total) >= threshold``.
+
+The code under test must give the same outputs, failing nodes, exact
+``Fraction`` values and color sets.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from repro.experiments.speedup_figures import default_seeds
+from repro.graphs import Graph, orient_torus, toroidal_grid
+from repro.local_model.cache import ball_assignment_key
+from repro.speedup import (
+    EdgeAlgorithm,
+    OrientedBall,
+    first_speedup,
+    local_maximum_coloring,
+    parity_coloring,
+    run_speedup_pipeline,
+    second_speedup,
+    smaller_count_coloring,
+    zero_round_uniform,
+)
+from repro.speedup.failure import (
+    _edge_layouts,
+    _split_positions,
+    edge_local_failure,
+    node_local_failure,
+)
+from repro.speedup.finite_runner import (
+    resolve_ball_tables,
+    run_node_algorithm_on_oriented_graph,
+)
+from repro.speedup.transform import _frequent_colors
+
+
+# ----------------------------------------------------------------------
+# The finite runner
+# ----------------------------------------------------------------------
+def old_finite_run(alg, graph, tables, values):
+    """Per-node keys and per-node neighbor tuples."""
+    if any(not 0 <= x < alg.values for x in values):
+        raise ValueError(f"values must lie in [0, {alg.values})")
+    outputs = [alg.evaluate(ball_assignment_key(values, tables[v])) for v in graph.nodes()]
+    failing = [
+        v
+        for v in graph.nodes()
+        if graph.degree(v) > 0
+        and all(outputs[u] == outputs[v] for u in graph.neighbors(v))
+    ]
+    return outputs, failing
+
+
+FINITE_ALGORITHMS = {
+    "uniform-4": lambda: zero_round_uniform(2, 4),
+    "uniform-2": lambda: zero_round_uniform(2, 2),
+    "local-maximum-1": lambda: local_maximum_coloring(2, bits=1),
+    "local-maximum-2": lambda: local_maximum_coloring(2, bits=2),
+    "smaller-count-2": lambda: smaller_count_coloring(2, bits=2),
+    "parity": lambda: parity_coloring(2, bits=1),
+}
+
+
+@pytest.mark.parametrize("side", range(3, 13))
+@pytest.mark.parametrize("name", sorted(FINITE_ALGORITHMS))
+def test_finite_run_matches_the_per_node_loop(name, side):
+    graph = toroidal_grid(side, side)
+    orientation = orient_torus(graph, side, side)
+    make = FINITE_ALGORITHMS[name]
+    alg, oracle = make(), make()
+    tables = resolve_ball_tables(alg, graph, orientation)
+    rng = random.Random(side)
+    for _ in range(4):
+        values = [rng.randrange(alg.values) for _ in graph.nodes()]
+        run = run_node_algorithm_on_oriented_graph(alg, graph, orientation, values)
+        assert (run.outputs, run.failing_nodes) == old_finite_run(
+            oracle, graph, tables, values
+        )
+    # A constant assignment makes every node fail.
+    values = [0] * graph.n
+    run = run_node_algorithm_on_oriented_graph(alg, graph, orientation, values)
+    assert (run.outputs, run.failing_nodes) == old_finite_run(oracle, graph, tables, values)
+    # Out-of-range values raise the same error wherever they sit.
+    for bad in (-1, alg.values):
+        for position in (0, graph.n // 2, graph.n - 1):
+            values = [0] * graph.n
+            values[position] = bad
+            with pytest.raises(ValueError) as new:
+                run_node_algorithm_on_oriented_graph(alg, graph, orientation, values)
+            with pytest.raises(ValueError) as old:
+                old_finite_run(oracle, graph, tables, values)
+            assert str(new.value) == str(old.value)
+
+
+def test_isolated_nodes_never_fail():
+    # Node 2 has no neighbors: it cannot fail even though its output
+    # equals everyone's.
+    graph = Graph.from_adjacency([[1], [0], []])
+    alg = zero_round_uniform(2, 2)
+    tables = [[0], [1], [2]]
+    values = [1, 1, 1]
+    run = run_node_algorithm_on_oriented_graph(alg, graph, None, values, tables=tables)
+    assert (run.outputs, run.failing_nodes) == old_finite_run(alg, graph, tables, values)
+    assert run.failing_nodes == [0, 1]
+
+
+# ----------------------------------------------------------------------
+# Exact failures: one Fraction against the step-by-step product
+# ----------------------------------------------------------------------
+def fraction_distribution(evaluate, base, unknown, total_size, values):
+    """The scatter loop: each color's conditional probability."""
+    counts = {}
+    scratch = [0] * total_size
+    for pos, val in base.items():
+        scratch[pos] = val
+    for completion in itertools.product(range(values), repeat=len(unknown)):
+        for pos, val in zip(unknown, completion):
+            scratch[pos] = val
+        color = evaluate(tuple(scratch))
+        counts[color] = counts.get(color, 0) + 1
+    total = values ** len(unknown)
+    return {color: Fraction(n, total) for color, n in counts.items()}
+
+
+def old_node_failure(alg):
+    inner, outer, values = alg.ball, OrientedBall(alg.k, alg.t + 1), alg.values
+    maps = {d: outer.shift_map((d,), inner) for d in outer.directions}
+    shared, beyond = _split_positions(maps, inner.size)
+    fail = Fraction(0)
+    for sigma in itertools.product(range(values), repeat=inner.size):
+        center_color = alg.evaluate(sigma)
+        prob_all_agree = Fraction(1)
+        for d in outer.directions:
+            base = {pos: sigma[o] for pos, o in shared[d]}
+            dist = fraction_distribution(alg.evaluate, base, beyond[d], inner.size, values)
+            prob_all_agree *= dist.get(center_color, Fraction(0))
+        fail += prob_all_agree
+    return fail / values**inner.size
+
+
+def old_edge_failure(alg):
+    known, values = OrientedBall(alg.k, alg.r), alg.values
+    layouts = _edge_layouts(alg)
+    shared, beyond = _split_positions({d: m for d, (_, m) in layouts.items()}, known.size)
+    fail = Fraction(0)
+    for sigma in itertools.product(range(values), repeat=known.size):
+        prob_fail = Fraction(1)
+        for dim in range(alg.k):
+            plus, minus = (
+                fraction_distribution(
+                    lambda a, _dim=dim: alg.evaluate(_dim, a),
+                    {pos: sigma[o] for pos, o in shared[dim, sign]},
+                    beyond[dim, sign],
+                    alg.balls[dim].size,
+                    values,
+                )
+                for sign in (1, -1)
+            )
+            prob_fail *= sum(
+                (p * minus.get(color, Fraction(0)) for color, p in plus.items()),
+                Fraction(0),
+            )
+        fail += prob_fail
+    return fail / values**known.size
+
+
+@pytest.mark.parametrize("index", range(len(default_seeds(2))))
+def test_figures_ladder_matches_the_fraction_product(index):
+    # Every stage of the report's ladder (default seeds, exact), rebuilt
+    # from its recorded thresholds and measured again the old way.
+    ladder = run_speedup_pipeline(default_seeds(2)[index], method="exact").stages
+    node = default_seeds(2)[index]  # a fresh copy: no shared memo
+    assert ladder[0].measured_failure.probability == old_node_failure(node)
+    for edge_stage, node_stage in zip(ladder[1::2], ladder[2::2]):
+        edge = first_speedup(node, edge_stage.threshold)
+        assert edge_stage.measured_failure.probability == old_edge_failure(edge)
+        node = second_speedup(edge, node_stage.threshold)
+        assert node_stage.measured_failure.probability == old_node_failure(node)
+
+
+def test_global_failure_seed_matches_the_fraction_product():
+    # run_global_failure's default algorithm, one fresh copy per side.
+    exact = node_local_failure(local_maximum_coloring(2, bits=2), method="exact")
+    assert exact.probability == old_node_failure(local_maximum_coloring(2, bits=2))
+
+
+def test_edge_failure_with_zero_products_matches():
+    # An edge colored by its two endpoints' values is fixed by B_1(v) at
+    # both incident edges, so most products are zero (the loop breaks
+    # early).  A node fails iff its whole radius-1 ball agrees: 2/32.
+    def make():
+        return EdgeAlgorithm(2, 1, 1, 4, lambda dim, a: (a[0], a[1]), name="endpoints")
+
+    exact = edge_local_failure(make(), method="exact").probability
+    assert exact == old_edge_failure(make()) == Fraction(1, 16)
+
+
+# ----------------------------------------------------------------------
+# Frequent color sets
+# ----------------------------------------------------------------------
+def old_frequent_colors(evaluate, total_size, known, unknown, values, threshold):
+    dist = fraction_distribution(evaluate, known, unknown, total_size, values)
+    return frozenset(color for color, p in dist.items() if p >= threshold)
+
+
+THRESHOLDS = (
+    0, Fraction(1, 16), Fraction(1, 8), Fraction(3, 16), Fraction(1, 4),
+    Fraction(1, 2), Fraction(773444160, 916733179), 1, 0.25, 0.3,
+)
+
+
+@pytest.mark.parametrize("index", range(len(default_seeds(2))))
+def test_frequent_colors_match_the_scatter_loop(index):
+    # Every known subset of up to two ball positions, every value on it,
+    # and thresholds on and between the attainable frequencies.
+    alg = default_seeds(2)[index]
+    size, values = alg.ball.size, alg.values
+    for known_size in range(3):
+        for positions in itertools.combinations(range(size), known_size):
+            unknown = [p for p in range(size) if p not in positions]
+            for fixed in itertools.product(range(values), repeat=known_size):
+                known = dict(zip(positions, fixed))
+                for threshold in THRESHOLDS:
+                    assert _frequent_colors(
+                        alg.evaluate, size, list(known.items()), values, Fraction(threshold)
+                    ) == old_frequent_colors(
+                        alg.evaluate, size, known, unknown, values, threshold
+                    )

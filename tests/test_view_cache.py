@@ -1,11 +1,12 @@
 """Unit and regression tests for the memoization layer.
 
 Covers the cache substrate (:class:`KeyedCache` / :class:`CacheStats`),
-the ``on_cache`` tracer hook end to end on finite runs (MetricsTracer
-aggregation, TraceRecorder events, artifact round-trips), memo reuse
-across runs, and the speedup engine's shared keying function —
-including the regression guard for the finite runner's injectivity
-refusal on tori at radius >= 2.
+its sizing on read (``bytes`` equals per-store sizing, and an untraced
+report sizes nothing), the ``on_cache`` tracer hook end to end on
+finite runs (MetricsTracer aggregation, TraceRecorder events, artifact
+round-trips), memo reuse across runs, and the speedup engine's shared
+keying function — including the regression guard for the finite
+runner's injectivity refusal on tori at radius >= 2.
 """
 
 from __future__ import annotations
@@ -13,11 +14,21 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.algorithms.view_rules import DegreeProfileRule
+from repro.experiments.exhibits import EXHIBITS
 from repro.graphs import cycle, orient_torus, toroidal_grid
-from repro.instrumentation import MetricsTracer, RunMetrics, TraceRecorder
+from repro.instrumentation import (
+    MetricsTracer,
+    RunMetrics,
+    TraceRecorder,
+    estimate_size,
+    sizes,
+)
 from repro.local_model import CacheStats, KeyedCache, ball_assignment_key
+from repro.local_model import cache as cache_module
 from repro.local_model.network import run_view_algorithm
 from repro.speedup import (
     local_maximum_coloring,
@@ -95,6 +106,100 @@ def test_clear_drops_entries_but_keeps_cumulative_lookups():
     assert cache.stats.distinct_classes == 0
     assert cache.stats.bytes == 0
     assert cache.stats.lookups == 1  # history survives
+
+
+# ----------------------------------------------------------------------
+# Sizing on read: bytes equals what sizing every store would sum
+# ----------------------------------------------------------------------
+
+def _per_store_bytes(key, value):
+    return (estimate_size(key) + estimate_size(value) + 7) // 8
+
+
+# 1, 1.0 and True are one dict key of three sizes; values of every size
+# make replacing an entry change the bytes.
+KEYS = st.one_of(st.integers(-3, 3), st.sampled_from([1.0, True, (1, 2), "ab"]))
+VALUES = st.one_of(
+    st.none(), st.integers(), st.tuples(st.integers(), st.integers()), st.text(max_size=3)
+)
+OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("get"), KEYS),
+        st.tuples(st.just("store"), KEYS, VALUES),
+        st.tuples(st.just("stats")),
+        st.tuples(st.just("clear")),
+    ),
+    max_size=40,
+)
+
+
+@given(OPS)
+@example([("store", 1, 0), ("store", 1.0, "abc"), ("stats",), ("store", True, (5, 6)),
+          ("get", 1), ("clear",), ("store", 2, None), ("stats",)])
+def test_bytes_equal_per_store_sizing_under_any_interleaving(ops):
+    keyed = KeyedCache()
+    model, expected = {}, {"lookups": 0, "hits": 0, "misses": 0, "bytes": 0}
+    for op, *args in ops:
+        if op == "get":
+            (key,) = args
+            expected["lookups"] += 1
+            expected["hits" if key in model else "misses"] += 1
+            assert keyed.get(key) == model.get(key, KeyedCache.MISS)
+        elif op == "store":
+            key, value = args
+            model[key] = value
+            expected["bytes"] += _per_store_bytes(key, value)
+            assert keyed.store(key, value) is value
+        elif op == "clear":
+            model.clear()
+            expected["bytes"] = 0
+            keyed.clear()
+        else:
+            stats = keyed.stats.to_dict()
+            assert {name: stats[name] for name in expected} == expected
+            assert stats["distinct_classes"] == len(model) == len(keyed)
+    stats = keyed.stats
+    assert (stats.bytes, stats.distinct_classes) == (expected["bytes"], len(model))
+
+
+def test_traced_finite_run_reports_per_store_bytes(monkeypatch):
+    alg = local_maximum_coloring(2)
+    stored = []
+    store = alg.cache.store
+
+    def recording_store(key, value):
+        stored.append((key, value))
+        return store(key, value)
+
+    monkeypatch.setattr(alg.cache, "store", recording_store)
+    _finite_run(None, alg, seed=1)  # untraced: its entries stay unsized
+    stored.clear()
+    recorder = TraceRecorder()
+    _finite_run(recorder, alg, seed=3)
+    (event,) = recorder.of_kind("cache")
+    assert stored and event.data["misses"] == len(stored)
+    assert event.data["distinct_classes"] == len(stored)
+    assert event.data["bytes"] == sum(_per_store_bytes(k, v) for k, v in stored)
+
+
+@pytest.mark.parametrize("name", ("figures", "global_failure"))
+def test_untraced_report_exhibits_size_nothing(monkeypatch, name):
+    calls = []
+
+    def counting(payload, _size=sizes.estimate_size):
+        calls.append(1)
+        return _size(payload)
+
+    # Recursive calls resolve through the module; caches bind at init.
+    monkeypatch.setattr(sizes, "estimate_size", counting)
+    monkeypatch.setattr(cache_module, "estimate_size", counting)
+    (exhibit,) = [e for e in EXHIBITS if e.name == name]
+    exhibit.run(**exhibit.full_args)
+    assert calls == []
+    # The counter sees sizing where it happens: on a stats read.
+    keyed = KeyedCache()
+    keyed.store((1, 2), 3)
+    assert keyed.stats.bytes > 0 and calls
 
 
 # ----------------------------------------------------------------------
