@@ -91,16 +91,6 @@ def is_proper_on_pseudoforest(colors: Sequence[int], successor: Sequence[int]) -
     return all(colors[v] != colors[successor[v]] for v in range(len(colors)))
 
 
-def _pseudoforest_neighbors(successor: Sequence[int]) -> List[List[int]]:
-    """Adjacency of the pseudoforest (successor plus in-neighbors)."""
-    n = len(successor)
-    neighbors: List[List[int]] = [[] for _ in range(n)]
-    for v, s in enumerate(successor):
-        neighbors[v].append(s)
-        neighbors[s].append(v)
-    return [sorted(set(adj)) for adj in neighbors]
-
-
 def reduce_to_three_colors(
     colors: Sequence[int], successor: Sequence[int], color_bits: int
 ) -> Tuple[List[int], int]:
@@ -126,6 +116,11 @@ def reduce_to_three_colors(
 
     Notes
     -----
+    Each Cole-Vishkin round is one pass that applies :func:`cv_step`'s
+    rule inline to every (color, successor color) pair; equal colors
+    raise :func:`cv_step`'s own ``ValueError``.  The predecessor lists
+    are built once and serve the three recolor rounds.
+
     Shift-down (every node adopts its successor's color) makes all of a
     node's in-neighbors monochromatic, so after it each node sees at most
     two distinct colors among its pseudoforest neighbors and the greedy
@@ -137,28 +132,40 @@ def reduce_to_three_colors(
     if len(successor) != n:
         raise ValueError("colors and successor must have equal length")
     bound = 1 << color_bits
-    for v in range(n):
-        if not 0 <= colors[v] < bound:
-            raise ValueError(f"color {colors[v]} of node {v} exceeds {color_bits} bits")
+    if n and not (0 <= min(colors) and max(colors) < bound):
+        for v in range(n):
+            if not 0 <= colors[v] < bound:
+                raise ValueError(f"color {colors[v]} of node {v} exceeds {color_bits} bits")
     if not is_proper_on_pseudoforest(colors, successor):
         raise ValueError("initial coloring is not proper on the pseudoforest")
 
     current = list(colors)
     rounds = 0
     for _ in range(cv_iterations_needed(color_bits)):
-        current = [cv_step(current[v], current[successor[v]]) for v in range(n)]
+        stepped = []
+        append = stepped.append
+        for color, successor_color in zip(current, map(current.__getitem__, successor)):
+            diff = color ^ successor_color
+            if not diff:
+                raise ValueError(f"CV step needs distinct colors, got {color} twice")
+            i = (diff & -diff).bit_length() - 1
+            append(2 * i + ((color >> i) & 1))
+        current = stepped
         rounds += 1
 
-    neighbors = _pseudoforest_neighbors(successor)
+    predecessors: List[List[int]] = [[] for _ in range(n)]
+    for v, s in enumerate(successor):
+        predecessors[s].append(v)
     for target in (5, 4, 3):
         # Shift-down: adopt the successor's color (1 round).
-        current = [current[successor[v]] for v in range(n)]
+        current = list(map(current.__getitem__, successor))
         rounds += 1
         # Recolor the target class greedily into {0, 1, 2} (1 round).
         fresh = list(current)
-        for v in range(n):
-            if current[v] == target:
-                used = {current[u] for u in neighbors[v]}
+        for v, color in enumerate(current):
+            if color == target:
+                used = {current[successor[v]]}
+                used.update(map(current.__getitem__, predecessors[v]))
                 fresh[v] = min(c for c in (0, 1, 2) if c not in used)
         current = fresh
         rounds += 1

@@ -31,7 +31,8 @@ the library keeps it as a documented negative result / ablation.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from itertools import chain
+from typing import List, Optional, Sequence, Tuple
 
 from ..graphs.graph import Graph
 from .weak_coloring import (
@@ -85,50 +86,49 @@ def order_type_labeling(
     The key is the one a :func:`~repro.local_model.views.gather_view`
     view gives, ``(distances, degrees, ranks, edges)`` with ball nodes
     numbered in port-order BFS order and edges ``(i, j, port_i, port_j,
-    None)`` sorted, built from one cut-off BFS and the adjacency rows.
-    The label is the integer of the key's ASCII ``repr``.  Only the ranks
-    depend on the identifiers, so the text around them is written once
-    per ball shape and each node ``repr``s its rank tuple alone.
+    None)`` sorted.  The label is the integer of the key's ASCII
+    ``repr``.  Each node runs one cut-off BFS and reads its ball's
+    *shape* off the adjacency rows: the degrees, and each port's local
+    number (``None`` outside the ball).  The shape fixes the distances,
+    degrees and edges, so their text is derived once per shape, and each
+    node ``repr``s its rank tuple alone.
     """
     if len(set(ids)) != graph.n:
         raise ValueError("identifiers must be unique")
     adj = graph.adjacency_rows()
-    # (distances, degrees, edges) -> the key's text before and after the ranks.
+    row_of = adj.__getitem__
+    id_of = ids.__getitem__
+    # shape -> the key's text before and after the ranks.
     shape_text = {}
     labels = []
     for v in graph.nodes():
-        dist = graph.bfs_distances(v, cutoff=radius)
-        order = list(dist)
-        local = {x: i for i, x in enumerate(order)}
-        # Each induced edge is met from both ends: the smaller local end
-        # records its port, the larger end completes the edge tuple.
-        first_port = {}
-        edges = []
-        for i, x in enumerate(order):
-            for p, u in enumerate(adj[x]):
-                j = local.get(u)
-                if j is None:
-                    continue
-                if i < j:
-                    first_port[i, j] = p
-                else:
-                    edges.append((j, i, first_port[j, i], p, None))
-        edges.sort()
-        shape = (tuple(dist.values()), tuple([len(adj[x]) for x in order]), tuple(edges))
+        order = [v]
+        local = {v: 0}
+        start = 0
+        for _ in range(radius):
+            end = len(order)
+            for i in range(start, end):
+                for u in adj[order[i]]:
+                    if u not in local:
+                        local[u] = len(order)
+                        order.append(u)
+            if len(order) == end:
+                break
+            start = end
+        rows = list(map(row_of, order))
+        # Tuples go through lists: ``tuple()`` of a ``map`` guesses 10
+        # slots and resizes, and a resized small tuple is freed into the
+        # free list of its new size, where thousands of them would stay.
+        shape = (
+            tuple([*map(len, rows)]),
+            tuple([*map(local.get, chain.from_iterable(rows))]),
+        )
         text = shape_text.get(shape)
         if text is None:
-            distances, degrees, edge_tuple = shape
-            text = shape_text[shape] = (
-                f"({distances!r}, {degrees!r}, ",
-                f", {edge_tuple!r})",
-            )
-        ball_ids = [ids[x] for x in order]
-        rank = [0] * len(order)
-        for pos, i in enumerate(sorted(range(len(order)), key=ball_ids.__getitem__)):
-            rank[i] = pos
-        encoded = int.from_bytes(
-            (text[0] + repr(tuple(rank)) + text[1]).encode("ascii"), "big"
-        )
+            text = shape_text[shape] = _shape_text(*shape)
+        ball_ids = list(map(id_of, order))
+        ranks = tuple([*map(sorted(ball_ids).index, ball_ids)])
+        encoded = int.from_bytes((text[0] + repr(ranks) + text[1]).encode("ascii"), "big")
         if encoded.bit_length() >= ORDER_TYPE_BITS:
             raise AssertionError(
                 "order-type encoding exceeded the constant-size cap; "
@@ -136,6 +136,37 @@ def order_type_labeling(
             )
         labels.append(encoded)
     return labels, radius
+
+
+def _shape_text(degrees: Tuple[int, ...], ports: Tuple[Optional[int], ...]) -> Tuple[str, str]:
+    """The key's text around the ranks, from a ball's shape.
+
+    ``ports`` lists, row by row in BFS order, each port's local number.
+    Ball node 0 is the center, so a BFS over the local rows in index
+    order gives the distances.  Each induced edge is met from both ends:
+    the smaller local end records its port, the larger end completes the
+    edge tuple.
+    """
+    rows = []
+    start = 0
+    for degree in degrees:
+        rows.append(ports[start:start + degree])
+        start += degree
+    distances = [0] + [None] * (len(rows) - 1)
+    first_port = {}
+    edges = []
+    for i, row in enumerate(rows):
+        for p, j in enumerate(row):
+            if j is None:
+                continue
+            if distances[j] is None:
+                distances[j] = distances[i] + 1
+            if i < j:
+                first_port[i, j] = p
+            else:
+                edges.append((j, i, first_port[j, i], p, None))
+    edges.sort()
+    return f"({tuple(distances)!r}, {degrees!r}, ", f", {tuple(edges)!r})"
 
 
 def is_distance_k_weak(graph: Graph, labels: Sequence[int], k: int) -> bool:

@@ -104,51 +104,46 @@ def _solve_pstar_acyclic(
 ) -> PStarSolution:
     """Fast path for graphs with no degree-Delta cycle in range.
 
-    A single multi-source Dijkstra with composite keys ``(distance,
-    degree, identifier)`` — exactly Lemma 3's low-degree preference
-    rule — labels every node at once.  Along any pointer chain the
-    winning key's target is provably consistent (two adjacent nodes
-    whose best distances differ by one share the same best target), so
-    chains carry one ``d`` value and terminate at their target.
+    A layered multi-source BFS from the low-degree nodes labels every
+    node at once.  A node first reached in layer ``d`` takes the least
+    ``(degree, identifier, target)`` key over its neighbors in layer
+    ``d - 1``; with unit-length edges that is exactly Lemma 3's
+    low-degree preference rule ``(distance, degree, identifier)``.  Its
+    pointer is the smallest-identifier one of those neighbors that holds
+    that key.  Along any pointer chain the winning key's target is
+    provably consistent (two adjacent nodes whose best distances differ
+    by one share the same best target), so chains carry one ``d`` value
+    and terminate at their target.
     """
-    import heapq
-
+    adj = graph.adjacency_rows()
     n = graph.n
-    INF = (r + 1, 0, 0, -1)
-    best: List[Tuple[int, int, int, int]] = [INF] * n  # (dist, deg_t, id_t, t)
-    heap = []
-    for u in graph.nodes():
-        if graph.degree(u) < delta:
-            key = (0, graph.degree(u), ids[u], u)
-            best[u] = key
-            heapq.heappush(heap, key + (u,))
-    while heap:
-        dist, deg_t, id_t, t, v = heapq.heappop(heap)
-        if best[v] != (dist, deg_t, id_t, t):
-            continue
-        if dist >= r:
-            continue
-        for w in graph.neighbors(v):
-            candidate = (dist + 1, deg_t, id_t, t)
-            if candidate < best[w]:
-                best[w] = candidate
-                heapq.heappush(heap, candidate + (w,))
-
     labels: List[Optional[PStarLabel]] = [None] * n
-    for v in graph.nodes():
-        deg = graph.degree(v)
-        if deg < delta:
-            labels[v] = PStarLabel(d=deg, p=None)
-            continue
-        dist, deg_t, id_t, t = best[v]
-        if t < 0 or dist > r:
-            continue
-        hop = min(
-            (ids[w], w)
-            for w in graph.neighbors(v)
-            if best[w][0] == dist - 1 and best[w][1:] == (deg_t, id_t, t)
-        )[1]
-        labels[v] = PStarLabel(d=deg_t, p=hop)
+    # key[x] = (degree, identifier, node) of the target x points toward;
+    # None until x is reached.
+    key: List[Optional[Tuple[int, int, int]]] = [None] * n
+    layer = []
+    for u, row in enumerate(adj):
+        if len(row) < delta:
+            labels[u] = PStarLabel(d=len(row), p=None)
+            key[u] = (len(row), ids[u], u)
+            layer.append(u)
+    for _ in range(r):
+        # w -> the least (target key, identifier, node) over w's
+        # neighbors in the previous layer: the target, then the hop.
+        offers: Dict[int, Tuple[Tuple[int, int, int], int, int]] = {}
+        for x in layer:
+            offer = (key[x], ids[x], x)
+            for w in adj[x]:
+                if key[w] is None:
+                    best = offers.get(w)
+                    if best is None or offer < best:
+                        offers[w] = offer
+        if not offers:
+            break
+        layer = list(offers)
+        for w, (target, _, hop) in offers.items():
+            key[w] = target
+            labels[w] = PStarLabel(d=target[0], p=hop)
     return PStarSolution(labels=labels, radius=r, rounds=2 * r)
 
 

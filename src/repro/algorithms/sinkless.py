@@ -95,13 +95,17 @@ def sinkless_random_repair(
     orientation: Dict[Edge, int] = {}
     # A sink is a node of degree >= 3 whose out-degree is 0.
     out_degree = [0] * graph.n
-    for u, v in graph.edges():  # canonical keys, u < v
-        if rng.random() < 0.5:
-            orientation[u, v] = v
-            out_degree[u] += 1
-        else:
-            orientation[u, v] = u
-            out_degree[v] += 1
+    coin = rng.random
+    # One coin per edge in ``graph.edges()`` order: canonical keys, u < v.
+    for u, row in enumerate(adj):
+        for v in sorted(row):
+            if v > u:
+                if coin() < 0.5:
+                    orientation[u, v] = v
+                    out_degree[u] += 1
+                else:
+                    orientation[u, v] = u
+                    out_degree[v] += 1
 
     sinks = [v for v in graph.nodes() if out_degree[v] == 0 and len(adj[v]) >= 3]
     rounds = 0

@@ -160,24 +160,22 @@ def mis_on_pseudoforest(
 
     Runs 3 rounds; in round ``j`` every so-far-undominated node of color
     ``j`` joins.  The 3-coloring is proper on the pseudoforest, so
-    joining nodes of one class are pairwise non-adjacent.
+    joining nodes of one class are pairwise non-adjacent.  A joining
+    node blocks its successor, and a node whose successor has joined is
+    blocked: between them the two rules cover every pseudoforest edge.
     """
     n = len(successor)
-    neighbors: List[set] = [set() for _ in range(n)]
-    for v, s in enumerate(successor):
-        neighbors[v].add(s)
-        neighbors[s].add(v)
     in_mis = [False] * n
     blocked = [False] * n
     for j in (0, 1, 2):
         joining = [
-            v for v in range(n) if colors3[v] == j and not blocked[v] and not in_mis[v]
+            v
+            for v, color, s in zip(range(n), colors3, successor)
+            if color == j and not blocked[v] and not in_mis[s]
         ]
         for v in joining:
             in_mis[v] = True
-        for v in joining:
-            for u in neighbors[v]:
-                blocked[u] = True
+            blocked[successor[v]] = True
     return in_mis, 3
 
 

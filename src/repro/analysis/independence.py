@@ -137,7 +137,8 @@ def independent_execution_set(
         The ``k`` of the claim: all of ``S`` and the strides stay inside
         ``B_k(center)``.
     seed_radius:
-        Radius of the seed sphere (the paper uses 7).
+        Radius of the seed sphere (the paper uses 7).  Radius 0 seeds the
+        center alone, which expands in all ``2k`` directions.
     verify:
         Check all pairwise distances: one radius-``2t`` ball per member,
         intersected with the later members.
@@ -165,9 +166,15 @@ def independent_execution_set(
             x = nxt
         return x
 
-    def back_direction(u: int) -> Tuple[int, int]:
-        """Direction of the first hop from ``u`` toward the center."""
+    def back_direction(u: int) -> Optional[Tuple[int, int]]:
+        """Direction of the first hop from ``u`` toward the center.
+
+        The center itself has no way back: from a seed of radius 0 it
+        expands in all ``2k`` directions.
+        """
         du = dist_from_center[u]
+        if du == 0:
+            return None
         for (dim, sign), w in orientation.labeled_neighbors(u).items():
             if dist_from_center.get(w, du) == du - 1:
                 return (dim, sign)

@@ -100,12 +100,13 @@ def run_table1(
     """Measure all four rows and fit their growth classes."""
     rng = random.Random(rng_seed)
     result = Table1Result()
+    two_coloring, sinkless, weak_two = ProperColoring(2), SinklessOrientation(), WeakColoring(2)
 
     # Row 1: 2-coloring — global, Theta(diameter) = Theta(log n) on trees.
     measurements, randomized, verified = [], [], True
     for tree in _tree_sweep(4, sizes):
         out = proper_two_coloring(tree, sequential_ids(tree))
-        verified &= not ProperColoring(2).verify(tree, out.colors)
+        verified &= not two_coloring.verify(tree, out.colors)
         measurements.append((tree.n, out.rounds))
         out_r = proper_two_coloring(tree, random_permutation_ids(tree, rng))
         randomized.append((tree.n, out_r.rounds))
@@ -125,10 +126,10 @@ def run_table1(
     measurements, randomized, verified = [], [], True
     for tree in _tree_sweep(4, sizes):
         det = sinkless_from_pstar(tree, 4, sequential_ids(tree))
-        verified &= not SinklessOrientation().verify(tree, det.orientation)
+        verified &= not sinkless.verify(tree, det.orientation)
         measurements.append((tree.n, det.rounds))
         rand = sinkless_random_repair(tree, random.Random(rng.getrandbits(64)))
-        verified &= not SinklessOrientation().verify(tree, rand.orientation)
+        verified &= not sinkless.verify(tree, rand.orientation)
         randomized.append((tree.n, rand.rounds))
     result.rows.append(
         Table1Row(
@@ -146,10 +147,10 @@ def run_table1(
     measurements, randomized, verified = [], [], True
     for tree in _tree_sweep(4, sizes):
         out = weak_two_coloring_from_ids(tree, sequential_ids(tree))
-        verified &= not WeakColoring(2).verify(tree, out.labels)
+        verified &= not weak_two.verify(tree, out.labels)
         measurements.append((tree.n, out.rounds))
         out_r = weak_two_coloring_from_ids(tree, random_permutation_ids(tree, rng))
-        verified &= not WeakColoring(2).verify(tree, out_r.labels)
+        verified &= not weak_two.verify(tree, out_r.labels)
         randomized.append((tree.n, out_r.rounds))
     result.rows.append(
         Table1Row(
@@ -167,10 +168,10 @@ def run_table1(
     measurements, randomized, verified = [], [], True
     for tree in _tree_sweep(3, sizes):
         out = odd_degree_weak_two_coloring(tree, sequential_ids(tree))
-        verified &= not WeakColoring(2).verify(tree, out.labels)
+        verified &= not weak_two.verify(tree, out.labels)
         measurements.append((tree.n, out.rounds))
         out_r = odd_degree_weak_two_coloring(tree, random_permutation_ids(tree, rng))
-        verified &= not WeakColoring(2).verify(tree, out_r.labels)
+        verified &= not weak_two.verify(tree, out_r.labels)
         randomized.append((tree.n, out_r.rounds))
     result.rows.append(
         Table1Row(

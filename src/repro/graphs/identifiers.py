@@ -43,10 +43,28 @@ def sequential_ids(graph: Graph) -> IdAssignment:
 
 
 def random_permutation_ids(graph: Graph, rng: Optional[random.Random] = None) -> IdAssignment:
-    """A uniformly random bijection onto ``{1..n}``."""
+    """A uniformly random bijection onto ``{1..n}``.
+
+    The list and the draws are those of ``rng.shuffle`` on ``1..n``:
+    ``random.Random.shuffle`` swaps position ``i`` (from ``n - 1`` down
+    to 1) with ``j <= i``, drawn by rejection from
+    ``getrandbits((i + 1).bit_length())``.  Inlining that loop saves a
+    Python call per element, and the bit count is worked out once per
+    run of positions that share it.
+    """
     rng = rng or random.Random(0)
     ids = list(range(1, graph.n + 1))
-    rng.shuffle(ids)
+    getrandbits = rng.getrandbits
+    top = graph.n - 1
+    while top > 0:
+        bits = (top + 1).bit_length()
+        low = max(1, (1 << (bits - 1)) - 1)
+        for i in range(top, low - 1, -1):
+            j = getrandbits(bits)
+            while j > i:
+                j = getrandbits(bits)
+            ids[i], ids[j] = ids[j], ids[i]
+        top = low - 1
     return ids
 
 

@@ -4,15 +4,20 @@
 lies beyond that ball, and not the depth-``depth`` tree.  The oracle is
 the same function handed the whole tree: the two must return equal
 results, and raise the same errors where the construction raises (a seed
-sphere beyond the tree, and seed radius 0, whose center has no way back).
-The closed-form ``effective_n`` is checked against a BFS of the ball.
+sphere beyond the tree).  Seed radius 0 seeds the center alone, which
+has no way back and expands in all ``2k`` directions.  The closed-form
+``effective_n`` is checked against a BFS of the ball.
 """
 
 import functools
 
 import pytest
 
-from repro.analysis.independence import IndependentSetResult
+from repro.analysis.independence import (
+    IndependentSetResult,
+    first_close_pair,
+    independent_execution_set,
+)
 from repro.experiments import claim10_experiment, run_claim10
 from repro.graphs import balanced_regular_tree, balanced_regular_tree_size, orient_tree
 
@@ -101,3 +106,19 @@ def test_paper_seed_radius_7():
     assert t1.in_regime and t1.bound_holds and t1.pairwise_verified
     assert not t2.in_regime and t2.set_size == 0
     assert result.all_bounds_hold()
+
+
+@pytest.mark.parametrize("depth", range(5, 11))
+def test_seed_radius_0_expands_the_center_in_every_direction(depth):
+    tree, orientation = _whole_tree(4, depth)
+    t, stride = 1, 3
+    harvest = independent_execution_set(
+        tree, orientation, center=0, t=t, ball_radius=depth - 1, seed_radius=0
+    )
+    assert harvest.seed_size == 1 and harvest.steps >= 1 and harvest.verified
+    directions = 2 * orientation.k
+    first_step = harvest.nodes[:directions]
+    distances = tree.bfs_distances(0)
+    assert len(set(first_step)) == directions == 4
+    assert [distances[u] for u in first_step] == [stride] * directions
+    assert first_close_pair(tree, harvest.nodes, stride) is None

@@ -1,16 +1,22 @@
 """Tests for Cole-Vishkin color reduction on pseudoforests."""
 
 import random
+import sys
+from typing import List
 
 import pytest
 
 from repro.algorithms import (
+    cole_vishkin,
     cv_iterations_needed,
     cv_step,
     is_proper_on_pseudoforest,
     log_star,
+    order_type_labeling,
     reduce_to_three_colors,
 )
+from repro.algorithms.weak_coloring import choose_successors, distance_parity_recoloring
+from repro.graphs import random_permutation_ids, regular_tree_of_depth_at_least, sequential_ids
 
 
 class TestLogStar:
@@ -135,3 +141,178 @@ class TestReduceToThree:
         out, _ = reduce_to_three_colors([0, 1, 2], successor, color_bits=2)
         assert set(out) <= {0, 1, 2}
         assert is_proper_on_pseudoforest(out, successor)
+
+
+def reference_pseudoforest_neighbors(successor) -> List[List[int]]:
+    """``_pseudoforest_neighbors`` as first written, kept verbatim."""
+    n = len(successor)
+    neighbors: List[List[int]] = [[] for _ in range(n)]
+    for v, s in enumerate(successor):
+        neighbors[v].append(s)
+        neighbors[s].append(v)
+    return [sorted(set(adj)) for adj in neighbors]
+
+
+def reference_reduce_to_three_colors(colors, successor, color_bits):
+    """``reduce_to_three_colors`` as first written: one ``cv_step`` call per
+    node and round, and the pseudoforest's neighbor lists.  Kept verbatim
+    as the oracle for the inline rounds."""
+    n = len(colors)
+    if len(successor) != n:
+        raise ValueError("colors and successor must have equal length")
+    bound = 1 << color_bits
+    for v in range(n):
+        if not 0 <= colors[v] < bound:
+            raise ValueError(f"color {colors[v]} of node {v} exceeds {color_bits} bits")
+    if not is_proper_on_pseudoforest(colors, successor):
+        raise ValueError("initial coloring is not proper on the pseudoforest")
+
+    current = list(colors)
+    rounds = 0
+    for _ in range(cv_iterations_needed(color_bits)):
+        current = [cv_step(current[v], current[successor[v]]) for v in range(n)]
+        rounds += 1
+
+    neighbors = reference_pseudoforest_neighbors(successor)
+    for target in (5, 4, 3):
+        # Shift-down: adopt the successor's color (1 round).
+        current = [current[successor[v]] for v in range(n)]
+        rounds += 1
+        # Recolor the target class greedily into {0, 1, 2} (1 round).
+        fresh = list(current)
+        for v in range(n):
+            if current[v] == target:
+                used = {current[u] for u in neighbors[v]}
+                fresh[v] = min(c for c in (0, 1, 2) if c not in used)
+        current = fresh
+        rounds += 1
+
+    if not is_proper_on_pseudoforest(current, successor):
+        raise AssertionError("CV reduction produced an improper coloring (bug)")
+    if any(c not in (0, 1, 2) for c in current):
+        raise AssertionError("CV reduction left colors outside {0,1,2} (bug)")
+    return current, rounds
+
+
+def cv_outcome(function, *args):
+    """The result, or the type and text of the error it raised."""
+    try:
+        return ("ok", function(*args))
+    except (ValueError, AssertionError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _shapes(n, rng):
+    """Pseudoforests with a 2-coloring ``parity`` that is proper along them.
+
+    ``pairs``: 2-cycles (an odd ``n`` leaves one node pointing into one).
+    ``chain``: one long in-tree, a path pointing at a 2-cycle.  ``hub``:
+    every node points at node 0, which points at node 1.  ``random``:
+    each node points at a random node of the other random side, so
+    in-degrees vary and many cycles are 2-cycles.
+    """
+    side = [rng.randrange(2) for _ in range(n)]
+    side[0], side[1] = 0, 1
+    by_side = ([v for v in range(n) if side[v] == 0], [v for v in range(n) if side[v] == 1])
+    return {
+        "pairs": ([v ^ 1 if v ^ 1 < n else 1 for v in range(n)], [v % 2 for v in range(n)]),
+        "chain": ([1] + [v - 1 for v in range(1, n)], [v % 2 for v in range(n)]),
+        "hub": ([1] + [0] * (n - 1), [0] + [1] * (n - 1)),
+        "random": ([rng.choice(by_side[1 - side[v]]) for v in range(n)], side),
+    }
+
+
+def pseudoforest_cases(seed):
+    """(name, colors, successor, color_bits) over shapes and palette widths.
+
+    Colors keep the shape's parity as their lowest bit, so they are proper
+    for every width; where the palette holds ``n`` colors a second case
+    uses distinct colors.
+    """
+    rng = random.Random(seed)
+    cases = []
+    for n in (2, 3, 17, 64, 301):
+        for shape, (successor, parity) in _shapes(n, rng).items():
+            for bits in (1, 2, 3, 4, 7, 12, 31, 64):
+                colors = [(rng.getrandbits(bits - 1) << 1) | p for p in parity]
+                cases.append((f"{shape}-n{n}-b{bits}-parity", colors, successor, bits))
+                if 1 << bits >= n:
+                    distinct = rng.sample(range(1 << bits), n) if bits < 40 else [
+                        rng.getrandbits(bits) for _ in range(n)
+                    ]
+                    if len(set(distinct)) == n:
+                        cases.append((f"{shape}-n{n}-b{bits}-distinct", distinct, successor, bits))
+    return cases
+
+
+def _table1_odd_degree_inputs():
+    """Lemma 2's Cole-Vishkin input in Table 1's odd-degree row: order-type
+    labels (831 to 2,223 bits here) with their parity bit, in a palette of
+    ``2 * 2**65536`` colors."""
+    out = []
+    for target in (50, 200, 800):
+        tree, _ = regular_tree_of_depth_at_least(3, target)
+        for ids in (sequential_ids(tree), random_permutation_ids(tree, random.Random(tree.n))):
+            labels, _ = order_type_labeling(tree, ids)
+            phi_prime, _ = distance_parity_recoloring(tree, labels, 1)
+            successor = choose_successors(tree, phi_prime)
+            packed = [color * 2 + parity for color, parity in phi_prime]
+            out.append((packed, successor, ((2 << 65536) - 1).bit_length()))
+    return out
+
+
+class TestReductionMatchesReference:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_outputs_and_rounds_equal(self, seed):
+        for name, colors, successor, bits in pseudoforest_cases(seed):
+            got = reduce_to_three_colors(colors, successor, bits)
+            assert got == reference_reduce_to_three_colors(colors, successor, bits), name
+
+    def test_table1_odd_degree_inputs(self):
+        for colors, successor, bits in _table1_odd_degree_inputs():
+            assert bits == 65537
+            assert min(colors).bit_length() > 800 and max(colors).bit_length() > 2000
+            got = reduce_to_three_colors(colors, successor, bits)
+            assert got == reference_reduce_to_three_colors(colors, successor, bits)
+
+    @pytest.mark.parametrize(
+        "colors,successor,bits",
+        [
+            ([0, 9, 1, 12], [1, 0, 3, 2], 3),  # node 1 is the first out of range
+            ([0, 1, 8, 2], [1, 0, 3, 2], 3),  # exactly 2 ** color_bits
+            ([0, 1, -2, 3], [1, 0, 3, 2], 3),  # a negative color
+            ([1, 5, 6, 7], [1, 0, 3, 2], 2),  # every color but node 0's
+            ([0, 1], [1, 0, 0], 2),  # length mismatch
+            ([0, 1, 1], [1, 2, 1], 2),  # improper start: nodes 1 and 2 equal
+            ([3, 3], [1, 0], 2),
+        ],
+    )
+    def test_same_errors(self, colors, successor, bits):
+        got = cv_outcome(reduce_to_three_colors, colors, successor, bits)
+        assert got[0] == "ValueError"
+        assert got == cv_outcome(reference_reduce_to_three_colors, colors, successor, bits)
+
+    def test_equal_colors_raise_the_cv_step_error(self, monkeypatch):
+        """With the start check off, the first round meets equal colors: the
+        first offending node in node order names its color."""
+        monkeypatch.setattr(cole_vishkin, "is_proper_on_pseudoforest", lambda c, s: True)
+        monkeypatch.setattr(
+            sys.modules[__name__], "is_proper_on_pseudoforest", lambda c, s: True
+        )
+        colors, successor = [0, 4, 4, 6, 6, 1], [5, 2, 0, 4, 3, 0]
+        got = cv_outcome(reduce_to_three_colors, colors, successor, 3)
+        assert got == ("ValueError", "CV step needs distinct colors, got 4 twice")
+        assert got == cv_outcome(reference_reduce_to_three_colors, colors, successor, 3)
+        with pytest.raises(ValueError) as direct:
+            cv_step(4, 4)
+        assert str(direct.value) == got[1]
+
+    def test_cases_are_not_vacuous(self):
+        cases = pseudoforest_cases(0)
+        shapes = {name.split("-")[0] for name, *_ in cases}
+        assert shapes == {"pairs", "chain", "hub", "random"}
+        assert {bits for *_, bits in cases} == {1, 2, 3, 4, 7, 12, 31, 64}
+        assert any(name.endswith("distinct") for name, *_ in cases)
+        # Nodes with many predecessors, and recolorings that use them.
+        hub = next(s for name, _, s, _ in cases if name.startswith("hub-n301"))
+        assert hub.count(0) == 300

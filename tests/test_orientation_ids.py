@@ -289,6 +289,19 @@ class TestIdentifiers:
         ids = random_permutation_ids(g, random.Random(1))
         assert sorted(ids) == list(range(1, 11))
 
+    @pytest.mark.parametrize("seed", range(21))
+    def test_random_permutation_is_random_shuffle(self, seed):
+        """The list and the generator state are those of ``Random.shuffle``,
+        on every Python the suite runs on: n = 0..300 and Table 1's sizes
+        (Delta = 4: 53, 485, 1,457, 4,373; Delta = 3: 94, 382, 1,534,
+        6,142)."""
+        for n in [*range(301), 53, 485, 1457, 4373, 94, 382, 1534, 6142]:
+            rng, reference = random.Random(seed), random.Random(seed)
+            want = list(range(1, n + 1))
+            reference.shuffle(want)
+            assert random_permutation_ids(Graph(n), rng) == want, n
+            assert rng.getstate() == reference.getstate(), n
+
     def test_random_ids_in_range(self):
         g = cycle(10)
         ids = random_ids(g, c=2, rng=random.Random(2))

@@ -1,23 +1,31 @@
 """Tests for the P* solvers (Lemma 3 partial, Lemma 17 global)."""
 
+import heapq
 import random
+from typing import List, Optional, Tuple
 
 import pytest
 
-from repro.algorithms import solve_pstar, solve_pstar_partial
+from repro.algorithms import pointer_solver, solve_pstar, solve_pstar_partial
+from repro.algorithms.pointer_solver import PStarSolution
 from repro.graphs import (
     Graph,
     balanced_regular_tree,
     caterpillar,
     cycle,
+    lemma18_pair,
     path,
     random_permutation_ids,
     random_regular_graph,
+    random_tree,
+    regular_tree_of_depth_at_least,
     sequential_ids,
+    sorted_by_bfs_ids,
     star,
     toroidal_grid,
 )
 from repro.lcl import PStar
+from repro.lcl.pointer import PStarLabel
 
 
 class TestPartialSolver:
@@ -144,3 +152,161 @@ class TestCyclePreference:
             assert sol.labels[v].p in (0, 1, 2)  # follows the cycle
         # And the full labeling at this radius is happy.
         assert not PStar(3).verify(g, sol.labels)
+
+
+def reference_solve_pstar_acyclic(graph, delta, r, ids):
+    """``_solve_pstar_acyclic`` as first written: one multi-source Dijkstra
+    over a heap with keys ``(distance, degree, identifier, target)``.
+    Kept verbatim as the oracle for the layered BFS."""
+    n = graph.n
+    INF = (r + 1, 0, 0, -1)
+    best: List[Tuple[int, int, int, int]] = [INF] * n  # (dist, deg_t, id_t, t)
+    heap = []
+    for u in graph.nodes():
+        if graph.degree(u) < delta:
+            key = (0, graph.degree(u), ids[u], u)
+            best[u] = key
+            heapq.heappush(heap, key + (u,))
+    while heap:
+        dist, deg_t, id_t, t, v = heapq.heappop(heap)
+        if best[v] != (dist, deg_t, id_t, t):
+            continue
+        if dist >= r:
+            continue
+        for w in graph.neighbors(v):
+            candidate = (dist + 1, deg_t, id_t, t)
+            if candidate < best[w]:
+                best[w] = candidate
+                heapq.heappush(heap, candidate + (w,))
+
+    labels: List[Optional[PStarLabel]] = [None] * n
+    for v in graph.nodes():
+        deg = graph.degree(v)
+        if deg < delta:
+            labels[v] = PStarLabel(d=deg, p=None)
+            continue
+        dist, deg_t, id_t, t = best[v]
+        if t < 0 or dist > r:
+            continue
+        hop = min(
+            (ids[w], w)
+            for w in graph.neighbors(v)
+            if best[w][0] == dist - 1 and best[w][1:] == (deg_t, id_t, t)
+        )[1]
+        labels[v] = PStarLabel(d=deg_t, p=hop)
+    return PStarSolution(labels=labels, radius=r, rounds=2 * r)
+
+
+def _random_forest(n, components, isolated, seed):
+    """Random trees of random sizes side by side, plus isolated nodes."""
+    rng = random.Random(seed)
+    cuts = sorted(rng.sample(range(1, n - isolated), components - 1))
+    sizes = [b - a for a, b in zip([0] + cuts, cuts + [n - isolated])]
+    g = Graph(n)
+    offset = 0
+    for size in sizes:
+        for u, v in random_tree(size, random.Random(rng.getrandbits(64))).edges():
+            g.add_edge(offset + u, offset + v)
+        offset += size
+    return g.freeze()
+
+
+def _pstar_graphs():
+    """(graph, delta) pairs: the exhibits' trees, random trees and forests,
+    and a few graphs with cycles that the fast path also serves."""
+    graphs = {}
+    for delta in (3, 4, 5):
+        for target in (50, 200, 800, 3200):
+            tree, _ = regular_tree_of_depth_at_least(delta, target)
+            graphs[f"exhibit-tree-d{delta}-n{tree.n}"] = (tree, delta)
+        t, t_prime, _ = lemma18_pair(delta, 4)
+        graphs[f"lemma18-T-d{delta}"] = (t, delta)
+        graphs[f"lemma18-T-prime-d{delta}"] = (t_prime, delta)
+    for seed, n in enumerate((2, 30, 200, 1000)):
+        for delta in (3, 4):
+            graphs[f"random-tree-n{n}-d{delta}"] = (random_tree(n, random.Random(seed)), delta)
+    graphs["forest-5-trees-3-isolated"] = (_random_forest(120, 5, 3, seed=1), 3)
+    graphs["forest-12-trees-1-isolated"] = (_random_forest(400, 12, 1, seed=2), 4)
+    graphs["isolated-only"] = (Graph(4).freeze(), 3)
+    graphs["caterpillar"] = (caterpillar(20, 2), 4)
+    graphs["torus-minus-edge"] = (
+        Graph(30, [e for e in toroidal_grid(5, 6).edges() if e != (0, 1)]).freeze(),
+        4,
+    )
+    graphs["random-4-regular-minus-edges"] = (
+        Graph(40, list(random_regular_graph(40, 4, rng=random.Random(3)).edges())[3:]).freeze(),
+        4,
+    )
+    return graphs
+
+
+PSTAR_GRAPHS = _pstar_graphs()
+
+PSTAR_ID_SCHEMES = {
+    "sequential": sequential_ids,
+    "random": lambda g: random_permutation_ids(g, random.Random(g.n)),
+    "bfs-sorted": lambda g: sorted_by_bfs_ids(g) if g.is_connected() else sequential_ids(g),
+    # Equal identifiers: ties on (degree, identifier) fall to the node index.
+    "all-equal": lambda g: [1] * g.n,
+}
+
+
+def _low_degree_distances(graph, delta):
+    """Each reachable node's distance to the nearest node of degree < delta."""
+    dist = {v: 0 for v in graph.nodes() if graph.degree(v) < delta}
+    frontier = list(dist)
+    while frontier:
+        next_frontier = []
+        for x in frontier:
+            for w in graph.neighbors(x):
+                if w not in dist:
+                    dist[w] = dist[x] + 1
+                    next_frontier.append(w)
+        frontier = next_frontier
+    return dist
+
+
+def _max_radius(graph, delta):
+    return max(_low_degree_distances(graph, delta).values(), default=0)
+
+
+class TestAcyclicFastPathMatchesHeap:
+    @pytest.mark.parametrize("scheme", sorted(PSTAR_ID_SCHEMES))
+    @pytest.mark.parametrize("name", sorted(PSTAR_GRAPHS))
+    def test_labels_radius_and_rounds_equal(self, name, scheme):
+        graph, delta = PSTAR_GRAPHS[name]
+        ids = PSTAR_ID_SCHEMES[scheme](graph)
+        for r in range(_max_radius(graph, delta) + 2):
+            got = pointer_solver._solve_pstar_acyclic(graph, delta, r, ids)
+            want = reference_solve_pstar_acyclic(graph, delta, r, ids)
+            assert got.labels == want.labels, r
+            assert (got.radius, got.rounds) == (want.radius, want.rounds)
+
+    @pytest.mark.parametrize("delta", [3, 4, 5])
+    def test_solve_pstar_on_exhibit_trees_equal(self, delta, monkeypatch):
+        for target in (50, 200, 800, 3200):
+            tree, _ = regular_tree_of_depth_at_least(delta, target)
+            ids = sequential_ids(tree)
+            got = solve_pstar(tree, delta, ids)
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    pointer_solver, "_solve_pstar_acyclic", reference_solve_pstar_acyclic
+                )
+                want = solve_pstar(tree, delta, ids)
+            assert got == want
+
+    def test_cases_are_not_vacuous(self):
+        """Unlabeled nodes occur, and so do nodes with several neighbors one
+        layer closer: there the (degree, identifier, target) order decides."""
+        graph, delta = PSTAR_GRAPHS["random-tree-n1000-d3"]
+        ids = sequential_ids(graph)
+        partial = reference_solve_pstar_acyclic(graph, delta, 1, ids).labels
+        assert None in partial and any(label.p is None for label in partial if label)
+        full = reference_solve_pstar_acyclic(graph, delta, _max_radius(graph, delta), ids)
+        assert None not in full.labels
+        layer = _low_degree_distances(graph, delta)
+        contested = [
+            v for v in graph.nodes()
+            if sum(layer[w] == layer[v] - 1 for w in graph.neighbors(v)) > 1
+        ]
+        assert len(contested) > 10

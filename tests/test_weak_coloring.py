@@ -10,6 +10,7 @@ from repro.algorithms import (
     choose_successors,
     distance_parity_recoloring,
     mis_on_pseudoforest,
+    reduce_to_three_colors,
     weak_two_coloring_from_ids,
     weak_two_coloring_from_weak_coloring,
 )
@@ -27,6 +28,8 @@ from repro.graphs import (
     toroidal_grid,
 )
 from repro.lcl import WeakColoring
+
+from .test_cole_vishkin import pseudoforest_cases
 
 
 class TestDistanceParityRecoloring:
@@ -98,6 +101,62 @@ class TestMISOnPseudoforest:
             if not in_mis[v]:
                 neighbors = {successor[v]} | {u for u in range(4) if successor[u] == v}
                 assert any(in_mis[u] for u in neighbors)
+
+
+def reference_mis_on_pseudoforest(successor, colors3):
+    """``mis_on_pseudoforest`` as first written: one neighbor set per node,
+    and every joining node blocks all its neighbors.  Kept verbatim as the
+    oracle."""
+    n = len(successor)
+    neighbors = [set() for _ in range(n)]
+    for v, s in enumerate(successor):
+        neighbors[v].add(s)
+        neighbors[s].add(v)
+    in_mis = [False] * n
+    blocked = [False] * n
+    for j in (0, 1, 2):
+        joining = [
+            v for v in range(n) if colors3[v] == j and not blocked[v] and not in_mis[v]
+        ]
+        for v in joining:
+            in_mis[v] = True
+        for v in joining:
+            for u in neighbors[v]:
+                blocked[u] = True
+    return in_mis, 3
+
+
+class TestMISMatchesReference:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equal_on_random_three_colorings(self, seed):
+        """Proper 3-colorings (a random greedy one, and Cole-Vishkin's from
+        the case's colors) and, beyond the contract, arbitrary ones."""
+        rng = random.Random(seed)
+        joined, kinds = 0, set()
+        for name, colors, successor, _ in pseudoforest_cases(seed):
+            n = len(successor)
+            predecessors = [[] for _ in range(n)]
+            for v, s in enumerate(successor):
+                predecessors[s].append(v)
+            greedy = [None] * n
+            for v in rng.sample(range(n), n):
+                taken = {greedy[successor[v]]} | {greedy[u] for u in predecessors[v]}
+                free = [c for c in (0, 1, 2) if c not in taken]
+                greedy[v] = rng.choice(free) if free else None
+            colorings = {"arbitrary": [rng.randrange(3) for _ in range(n)]}
+            if None not in greedy:
+                colorings["greedy"] = greedy
+            if len(set(colors)) == n:
+                colorings["cole-vishkin"] = reduce_to_three_colors(
+                    colors, successor, max(colors).bit_length() or 1
+                )[0]
+            for kind, colors3 in colorings.items():
+                got = mis_on_pseudoforest(successor, colors3)
+                assert got == reference_mis_on_pseudoforest(successor, colors3), (name, kind)
+                joined += sum(got[0])
+                kinds.add(kind)
+        assert joined > 1000
+        assert kinds == {"arbitrary", "greedy", "cole-vishkin"}
 
 
 def assert_weak2(graph, labels):
