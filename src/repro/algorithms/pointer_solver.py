@@ -105,7 +105,18 @@ def _solve_pstar_acyclic(
     """Fast path for graphs with no degree-Delta cycle in range.
 
     A layered multi-source BFS from the low-degree nodes labels every
-    node at once.  A node first reached in layer ``d`` takes the least
+    node at once (:func:`_acyclic_labels`, here cut at ``r`` layers).
+    """
+    labels, _, _ = _acyclic_labels(graph, delta, r, ids)
+    return PStarSolution(labels=labels, radius=r, rounds=2 * r)
+
+
+def _acyclic_labels(
+    graph: Graph, delta: int, r: Optional[int], ids: Sequence[int]
+) -> Tuple[List[Optional[PStarLabel]], int, int]:
+    """The layered BFS of the fast path: labels, layers walked, nodes labeled.
+
+    A node first reached in layer ``d`` takes the least
     ``(degree, identifier, target)`` key over its neighbors in layer
     ``d - 1``; with unit-length edges that is exactly Lemma 3's
     low-degree preference rule ``(distance, degree, identifier)``.  Its
@@ -114,6 +125,10 @@ def _solve_pstar_acyclic(
     provably consistent (two adjacent nodes whose best distances differ
     by one share the same best target), so chains carry one ``d`` value
     and terminate at their target.
+
+    The BFS walks at most ``r`` layers past the low-degree nodes, or,
+    when ``r`` is None, until its frontier empties; the layers walked are
+    then the farthest distance from a low-degree node.
     """
     adj = graph.adjacency_rows()
     n = graph.n
@@ -127,7 +142,8 @@ def _solve_pstar_acyclic(
             labels[u] = PStarLabel(d=len(row), p=None)
             key[u] = (len(row), ids[u], u)
             layer.append(u)
-    for _ in range(r):
+    labeled, depth = len(layer), 0
+    while r is None or depth < r:
         # w -> the least (target key, identifier, node) over w's
         # neighbors in the previous layer: the target, then the hop.
         offers: Dict[int, Tuple[Tuple[int, int, int], int, int]] = {}
@@ -140,11 +156,13 @@ def _solve_pstar_acyclic(
                         offers[w] = offer
         if not offers:
             break
+        depth += 1
         layer = list(offers)
+        labeled += len(layer)
         for w, (target, _, hop) in offers.items():
             key[w] = target
             labels[w] = PStarLabel(d=target[0], p=hop)
-    return PStarSolution(labels=labels, radius=r, rounds=2 * r)
+    return labels, depth, labeled
 
 
 def solve_pstar_partial(
@@ -242,32 +260,22 @@ def solve_pstar_partial(
 def solve_pstar(graph: Graph, delta: int, ids: Sequence[int]) -> PStarSolution:
     """Lemma 17: solve P* everywhere in O(log_Delta n) rounds.
 
-    On forests the minimal radius is computed exactly (the farthest any
-    node sits from a low-degree node); cyclic graphs grow the radius
-    geometrically until every node is covered.  The geometric growth of
-    degree-Delta tree balls guarantees ``r = O(log_Delta n)`` either
-    way, and the radius used is reported so callers can chart the
-    measured complexity.
+    On forests the minimal radius is exact: one layered BFS from the
+    low-degree nodes runs until its frontier empties, and the layers it
+    walked (the farthest any node sits from a low-degree node) are the
+    radius.  Cyclic graphs grow the radius geometrically until every
+    node is covered.  The geometric growth of degree-Delta tree balls
+    guarantees ``r = O(log_Delta n)`` either way, and the radius used is
+    reported so callers can chart the measured complexity.
     """
-    cycle_free = graph.m == graph.n - len(graph.connected_components())
-    if cycle_free:
-        from collections import deque
-
-        dist = {v: 0 for v in graph.nodes() if graph.degree(v) < delta}
-        if len(dist) < graph.n:
-            frontier = deque(dist)
-            while frontier:
-                x = frontier.popleft()
-                for y in graph.neighbors(x):
-                    if y not in dist:
-                        dist[y] = dist[x] + 1
-                        frontier.append(y)
-        if len(dist) != graph.n:
+    if graph.m == graph.n - len(graph.connected_components()):  # a forest
+        labels, radius, labeled = _acyclic_labels(graph, delta, None, ids)
+        if labeled != graph.n:
             raise ValueError(
                 f"no node of degree < {delta} exists; an acyclic graph cannot "
                 "be Delta-regular, so check the delta argument"
             )
-        return solve_pstar_partial(graph, delta, max(dist.values(), default=0), ids)
+        return PStarSolution(labels=labels, radius=radius, rounds=2 * radius)
 
     r = 1
     while True:

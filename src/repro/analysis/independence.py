@@ -142,13 +142,24 @@ def independent_execution_set(
     verify:
         Check all pairwise distances: one radius-``2t`` ball per member,
         intersected with the later members.
+
+    The BFS from ``center`` stops at radius
+    ``max(seed_radius, ball_radius - t)``, not at ``ball_radius``.  That
+    is exact on every graph and every orientation whose moves follow
+    edges, defective ones included: the seeds sit at distance
+    ``seed_radius``, each step walks ``stride`` hops, and at most
+    ``max_steps`` steps run, so by the triangle inequality every node a
+    walk reaches lies within ``seed_radius + max_steps * stride <=
+    ball_radius - t`` of the center.  Every reached node, every frontier
+    node and the neighbor it steps back through are therefore in the
+    BFS, and the seed sphere keeps its BFS order.
     """
     if t < 1:
         raise ValueError("t must be at least 1")
-    # Only B_k(v) matters: S and every stride stay inside it.  The max
-    # keeps a seed sphere beyond the ball a zero-step run.
+    # Every walk ends within ball_radius - t (see above).  The max keeps
+    # a seed sphere beyond that radius a zero-step run.
     dist_from_center = tree.bfs_distances(
-        center, cutoff=max(ball_radius, seed_radius)
+        center, cutoff=max(seed_radius, ball_radius - t)
     )
     stride = 2 * t + 1
 

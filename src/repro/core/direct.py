@@ -234,6 +234,9 @@ class DirectEngine:
                     "finite requests need an orientation (or precomputed tables)"
                 )
             tables = resolve_ball_tables(alg, graph, request.orientation)
+        # The keys below zip the rows, which would cut them to the shortest.
+        if len(tables) != graph.n or len(set(map(len, tables))) > 1:
+            raise ValueError("tables must hold one row per node, all of one length")
 
         if tracer is not None:
             tracer.on_run_start("finite", alg.name, graph.n)
@@ -241,11 +244,14 @@ class DirectEngine:
             for v in graph.nodes():
                 tracer.on_view(v, alg.t, ball_size, max(0, ball_size - 1))
         before = alg.cache.stats.copy() if tracer is not None else None
-        # Each key is the node's ball_assignment_key, inlined.
-        evaluate, value_at = alg.evaluate, values.__getitem__
-        outputs: List[Any] = [
-            evaluate(tuple(map(value_at, tables[v]))) for v in graph.nodes()
-        ]
+        # Every node's ball_assignment_key, built in C: column i of the
+        # tables (the node each node's i-th ball word reaches) is mapped
+        # to its values, and zip joins the columns into one tuple per
+        # node (a 1-tuple for a one-word ball).  One memo pass answers
+        # all of them.
+        value_at = values.__getitem__
+        keys = list(zip(*[map(value_at, column) for column in zip(*tables)]))
+        outputs: List[Any] = alg.evaluate_many(keys)
         # v fails when it has neighbors and every one copies its output.
         failing = []
         for v, row in enumerate(graph.adjacency_rows()):

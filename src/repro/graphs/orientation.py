@@ -156,8 +156,17 @@ class Orientation:
         """``(dim, sign)`` of the edge ``{v, u}`` as seen from ``v``."""
         return _direction(self._slot(v, u))
 
+    def _check_node(self, v: int) -> None:
+        """Raise unless ``v`` is a node: its row index must not wrap or overrun."""
+        if not 0 <= v < self.graph.n:
+            raise ValueError(f"{v} is not a node of the {self.graph.n}-node graph")
+
     def neighbor(self, v: int, dim: int, sign: int) -> Optional[int]:
-        """The neighbor of ``v`` in direction ``(dim, sign)``, or ``None``."""
+        """The neighbor of ``v`` in direction ``(dim, sign)``, or ``None``.
+
+        Raises ``ValueError`` if ``v`` is not a node of the graph.
+        """
+        self._check_node(v)
         if 0 <= dim < self.k and (sign == 1 or sign == -1):
             u = self._rows[2 * (self.k * v + dim) + (sign < 0)]
             if u >= 0:
@@ -165,7 +174,11 @@ class Orientation:
         return None
 
     def labeled_neighbors(self, v: int) -> Dict[Tuple[int, int], int]:
-        """All of ``v``'s neighbors keyed by ``(dim, sign)``, in slot order."""
+        """All of ``v``'s neighbors keyed by ``(dim, sign)``, in slot order.
+
+        Raises ``ValueError`` if ``v`` is not a node of the graph.
+        """
+        self._check_node(v)
         width = 2 * self.k
         row = self._rows[v * width : (v + 1) * width]
         return {_direction(slot): u for slot, u in enumerate(row) if u >= 0}
@@ -222,7 +235,9 @@ def orient_tree(graph: Graph, k: int, root: int = 0) -> Orientation:
     BFS from ``root``; each node hands its children, in port order, the
     directional slots it has not used yet, in slot order (the edge to its
     parent occupies one slot).  Any tree with maximum degree <= 2k admits
-    such an orientation.
+    such an orientation.  The BFS walks each row once, skips the parent
+    and takes the next free slot from an iterator, so it builds no list
+    per node.
 
     The same BFS checks the input.  With ``m == n - 1``, the graph is a
     tree iff the BFS from ``root`` reaches exactly ``n`` nodes: on a cycle
@@ -254,12 +269,17 @@ def orient_tree(graph: Graph, k: int, root: int = 0) -> Orientation:
             break
         base = v * width
         up = rows[base + taken] if taken >= 0 else -1
-        children = [u for u in row if u != up]
-        for u, s in zip(children, free[taken + 1]):
-            rows[base + s] = u
-            rows[u * width + (s ^ 1)] = v
-            order.append(u)
-            toward.append(s ^ 1)
+        # Every filled slot names a neighbor, so ``up`` is in ``row`` when
+        # ``taken >= 0`` and ``next`` never runs out: a node below the
+        # root has at most 2k - 1 children for its 2k - 1 free slots.
+        slots = iter(free[taken + 1])
+        for u in row:
+            if u != up:
+                s = next(slots)
+                rows[base + s] = u
+                rows[u * width + (s ^ 1)] = v
+                order.append(u)
+                toward.append(s ^ 1)
     else:  # the BFS ran out: a tree iff it reached all n nodes
         if len(order) == n:
             return Orientation._from_rows(graph, k, rows)

@@ -7,7 +7,10 @@ executable form memoizes each algorithm on a canonical encoding of
 :class:`~repro.speedup.algorithms.NodeAlgorithm` keys its evaluations
 by :func:`ball_assignment_key` (the per-ball random words) through one
 :class:`KeyedCache`, so each distinct assignment is evaluated once no
-matter how many nodes, trials, or runs present it.
+matter how many nodes, trials, or runs present it.  A whole enumeration
+or finite trial is answered by one :meth:`KeyedCache.get_or_compute_many`
+call, which counts exactly what a :meth:`~KeyedCache.get` /
+:meth:`~KeyedCache.store` per key would.
 
 :class:`CacheStats` counts every lookup as a hit or a miss; finite runs
 report the per-run delta through the tracer's ``on_cache`` hook (the
@@ -18,7 +21,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from operator import is_
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..instrumentation.sizes import SizeEstimator, estimate_size
 
@@ -100,6 +104,11 @@ class KeyedCache:
     ``stats.bytes`` therefore equals what sizing every store would have
     summed, and a cache whose stats nobody reads never calls the size
     estimator.
+
+    The counters count keys, not calls: :meth:`get_or_compute_many`
+    answers a list of keys in one pass and advances ``lookups``,
+    ``hits`` and ``misses`` by what one :meth:`get` (and, on a miss, one
+    :meth:`store`) per key would.
     """
 
     #: Sentinel returned by :meth:`get` on a miss (never a stored value).
@@ -157,6 +166,45 @@ class KeyedCache:
             value = self.store(key, compute())
         return value
 
+    def get_or_compute_many(
+        self, keys: Sequence[Any], compute: Callable[[Any], Any]
+    ) -> List[Any]:
+        """The values of ``keys``, in order, computing each missing one once.
+
+        Equivalent to ``get``, then ``store(key, compute(key))`` on a
+        miss, for each key in turn: one ``dict.get`` pass in C finds the
+        stored values, and the misses are then resolved in key order.  A
+        key that misses twice is computed at its first occurrence and is
+        a hit at the second, so ``compute`` sees the same keys in the same
+        order and the counters advance by the same amounts.  When
+        ``compute`` raises, the lookups up to and including the failing
+        key are counted, as the per-key loop would have counted them.
+        """
+        store = self._store
+        values = list(map(store.get, keys, itertools.repeat(_MISS)))
+        misses = 0
+        for i in itertools.compress(
+            itertools.count(), map(is_, values, itertools.repeat(_MISS))
+        ):
+            key = keys[i]
+            value = store.get(key, _MISS)  # an earlier miss may have stored it
+            if value is _MISS:
+                misses += 1
+                try:
+                    value = self.store(key, compute(key))
+                except BaseException:
+                    self._count(i + 1, misses)
+                    raise
+            values[i] = value
+        self._count(len(values), misses)
+        return values
+
+    def _count(self, lookups: int, misses: int) -> None:
+        stats = self._stats
+        stats.lookups += lookups
+        stats.hits += lookups - misses
+        stats.misses += misses
+
     def clear(self) -> None:
         """Drop every entry; the cumulative counters keep counting."""
         self._store.clear()
@@ -173,10 +221,11 @@ def ball_assignment_key(
     The key the tree algorithms memoize on: entry ``i`` is the value the
     ball's ``i``-th word reads.  The finite runner
     (:func:`~repro.speedup.finite_runner.run_node_algorithm_on_oriented_graph`)
-    builds it inline for every node, the Monte Carlo failure estimators
-    call it per sample, and the exact enumerations spell whole keys with
-    ``itertools.product``.  Equal keys mean the computing entity sees
-    identical random data in identical positions — the oriented-tree
-    analogue of :func:`~repro.local_model.views.view_signature`.
+    builds it inline, every node's key of a trial at once, the Monte
+    Carlo failure estimators call it per sample, and the exact
+    enumerations spell whole keys with ``itertools.product``.  Equal keys
+    mean the computing entity sees identical random data in identical
+    positions — the oriented-tree analogue of
+    :func:`~repro.local_model.views.view_signature`.
     """
     return tuple(values[i] for i in table)

@@ -22,7 +22,8 @@ The module also ships the starter algorithms used by the experiments.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Tuple, Union
+import itertools
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.towers import TowerNumber
 from ..core.registry import ALGORITHMS
@@ -103,12 +104,20 @@ class NodeAlgorithm:
         """The output color for a full ball assignment (memoized)."""
         color = self.cache.get(assignment)
         if color is KeyedCache.MISS:
-            if len(assignment) != self.ball.size:
-                raise ValueError(
-                    f"assignment has {len(assignment)} values, ball has {self.ball.size}"
-                )
-            color = self.cache.store(assignment, self.fn(assignment))
+            color = self.cache.store(assignment, self._compute(assignment))
         return color
+
+    def evaluate_many(self, assignments: Sequence[Assignment]) -> List[Any]:
+        """:meth:`evaluate` of each assignment, in order, in one memo pass."""
+        return self.cache.get_or_compute_many(assignments, self._compute)
+
+    def _compute(self, assignment: Assignment) -> Any:
+        """A memo miss: check the assignment's length, then run ``fn``."""
+        if len(assignment) != self.ball.size:
+            raise ValueError(
+                f"assignment has {len(assignment)} values, ball has {self.ball.size}"
+            )
+        return self.fn(assignment)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"NodeAlgorithm({self.name}, k={self.k}, t={self.t}, c={self.palette})"
@@ -161,13 +170,23 @@ class EdgeAlgorithm:
         key = (dim, assignment)
         color = self.cache.get(key)
         if color is KeyedCache.MISS:
-            ball = self.balls[dim]
-            if len(assignment) != ball.size:
-                raise ValueError(
-                    f"assignment has {len(assignment)} values, edge ball has {ball.size}"
-                )
-            color = self.cache.store(key, self.fn(dim, assignment))
+            color = self.cache.store(key, self._compute(key))
         return color
+
+    def evaluate_many(self, dim: int, assignments: Iterable[Assignment]) -> List[Any]:
+        """:meth:`evaluate` of each dimension-``dim`` edge, in order, in one memo pass."""
+        keys = list(zip(itertools.repeat(dim), assignments))
+        return self.cache.get_or_compute_many(keys, self._compute)
+
+    def _compute(self, key: Tuple[int, Assignment]) -> Any:
+        """A memo miss: check the assignment's length, then run ``fn``."""
+        dim, assignment = key
+        ball = self.balls[dim]
+        if len(assignment) != ball.size:
+            raise ValueError(
+                f"assignment has {len(assignment)} values, edge ball has {ball.size}"
+            )
+        return self.fn(dim, assignment)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"EdgeAlgorithm({self.name}, k={self.k}, r={self.r}, c={self.palette})"

@@ -76,21 +76,35 @@ def _enumerate_assignments(values: int, size: int):
     return itertools.product(range(values), repeat=size)
 
 
+#: Keys per :func:`color_counts` batch: the memo answers a batch in one
+#: pass, and a batch bounds the memory of an enumeration of any size.
+_BATCH = 1 << 12
+
+
 def color_counts(
-    evaluate, size: int, fixed: Iterable[Tuple[int, Any]], values: int
+    evaluate_many, size: int, fixed: Iterable[Tuple[int, Any]], values: int
 ) -> Counter:
-    """How often ``evaluate`` outputs each color over the free positions.
+    """How often ``evaluate_many`` outputs each color over the free positions.
 
     Keys have ``size`` positions.  ``fixed`` lists ``(position, value)``
     pairs; every other position ranges over ``range(values)``.  One
     ``itertools.product`` spells each key whole, the last free position
     varying fastest, and the counts stay integers: callers divide once.
     Every exact failure and every frequent color set is built on them.
+
+    ``evaluate_many`` maps a list of keys to their colors in order (an
+    algorithm's ``evaluate_many``).  It is handed the enumeration in
+    batches of at most ``_BATCH`` keys, so the memo sees every key in
+    product order and no more than one batch is held at a time.
     """
     choices: List[Any] = [range(values)] * size
     for pos, val in fixed:
         choices[pos] = (val,)
-    return Counter(map(evaluate, itertools.product(*choices)))
+    keys = itertools.product(*choices)
+    counts: Counter = Counter()
+    for batch in iter(lambda: list(itertools.islice(keys, _BATCH)), []):
+        counts.update(evaluate_many(batch))
+    return counts
 
 
 def _split_positions(
@@ -157,7 +171,7 @@ def node_local_failure(
                 counts = memo.get((d, seen))
                 if counts is None:
                     counts = memo[d, seen] = color_counts(
-                        alg.evaluate,
+                        alg.evaluate_many,
                         inner.size,
                         [(pos, sigma[o]) for pos, o in shared[d]],
                         values,
@@ -242,7 +256,7 @@ def edge_local_failure(
                     counts = memo.get((d, seen))
                     if counts is None:
                         counts = memo[d, seen] = color_counts(
-                            partial(alg.evaluate, dim),
+                            partial(alg.evaluate_many, dim),
                             alg.balls[dim].size,
                             [(pos, sigma[o]) for pos, o in shared[d]],
                             values,

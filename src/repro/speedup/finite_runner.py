@@ -156,6 +156,15 @@ def estimate_global_success(
 ) -> float:
     """Monte Carlo estimate of Pr[the whole graph is weakly colored].
 
+    Each trial draws one value per node, in node order, with the draws
+    of ``rng.randrange(alg.values)``: ``random.Random._randbelow`` takes
+    ``getrandbits(alg.values.bit_length())`` and draws again while the
+    result is out of range.  That loop runs inline, without two Python
+    calls per value, and leaves ``rng`` in the state the ``randrange``
+    calls would.  (A subclass that overrides ``random()`` but not
+    ``getrandbits()`` makes ``randrange`` draw through ``random()``; its
+    values here are still uniform, but not ``randrange``'s.)
+
     An optional ``tracer`` observes one
     :meth:`~repro.instrumentation.Tracer.on_trial` per trial.
     """
@@ -166,10 +175,16 @@ def estimate_global_success(
     tracer = effective_tracer(tracer)
     if tracer is not None:
         tracer.on_run_start("finite", alg.name, graph.n, trials=trials)
-    randrange, choices, nodes = rng.randrange, alg.values, graph.nodes()
+    getrandbits, choices, n = rng.getrandbits, alg.values, graph.n
+    bits = choices.bit_length()
     successes = 0
     for i in range(trials):
-        values = [randrange(choices) for _ in nodes]
+        values = [0] * n
+        for v in range(n):
+            value = getrandbits(bits)
+            while value >= choices:
+                value = getrandbits(bits)
+            values[v] = value
         run = run_node_algorithm_on_oriented_graph(
             alg, graph, orientation, values, tables=tables
         )

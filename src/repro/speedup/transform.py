@@ -120,7 +120,7 @@ def second_lemma_bound(p: float, c: Union[int, TowerNumber], delta: int) -> floa
 
 
 def _frequent_colors(
-    evaluate,
+    evaluate_many,
     total_size: int,
     known: List[Tuple[int, int]],
     values: int,
@@ -129,7 +129,8 @@ def _frequent_colors(
     """Colors whose conditional probability is at least ``threshold``.
 
     ``known`` lists the ``(position, value)`` pairs the view fixes; the
-    other positions are enumerated (:func:`~repro.speedup.failure.color_counts`).
+    other positions are enumerated (:func:`~repro.speedup.failure.color_counts`,
+    which hands ``evaluate_many`` the keys in batches).
     A color seen ``n`` times in ``total`` completions is frequent iff
     ``n / total >= threshold``, compared in integers.
     """
@@ -137,7 +138,7 @@ def _frequent_colors(
     num, den = threshold.numerator, threshold.denominator
     return frozenset(
         color
-        for color, n in color_counts(evaluate, total_size, known, values).items()
+        for color, n in color_counts(evaluate_many, total_size, known, values).items()
         if n * den >= num * total
     )
 
@@ -179,7 +180,7 @@ def first_speedup(alg: NodeAlgorithm, threshold: Fraction) -> EdgeAlgorithm:
     def fn(dim: int, assignment: Assignment) -> Tuple[FrozenSet[Any], FrozenSet[Any]]:
         return tuple(
             _frequent_colors(
-                alg.evaluate,
+                alg.evaluate_many,
                 node_ball.size,
                 [(pos, assignment[ei]) for pos, ei in known_map],
                 values,
@@ -210,7 +211,9 @@ def second_speedup(alg: EdgeAlgorithm, threshold: Fraction) -> NodeAlgorithm:
     directions = node_ball.directions
 
     # Per incident direction: the edge ball's layout relative to the node.
-    layouts: List[Tuple[Callable[[Assignment], Any], int, List[Tuple[int, int]]]] = []
+    layouts: List[
+        Tuple[Callable[[List[Assignment]], List[Any]], int, List[Tuple[int, int]]]
+    ] = []
     for direction in directions:
         dim, sign = direction
         eb = alg.balls[dim]
@@ -220,7 +223,7 @@ def second_speedup(alg: EdgeAlgorithm, threshold: Fraction) -> NodeAlgorithm:
             absolute = reduce_word(anchor + w)
             if absolute in node_ball.index:
                 known_map.append((pos, node_ball.index[absolute]))
-        layouts.append((partial(alg.evaluate, dim), eb.size, known_map))
+        layouts.append((partial(alg.evaluate_many, dim), eb.size, known_map))
 
     values = alg.values
     # Exact, so the frequency test compares integers; a float keeps its value.
@@ -229,13 +232,13 @@ def second_speedup(alg: EdgeAlgorithm, threshold: Fraction) -> NodeAlgorithm:
     def fn(assignment: Assignment) -> Tuple[FrozenSet[Any], ...]:
         return tuple(
             _frequent_colors(
-                evaluate,
+                evaluate_many,
                 size,
                 [(pos, assignment[ni]) for pos, ni in known_map],
                 values,
                 threshold,
             )
-            for evaluate, size, known_map in layouts
+            for evaluate_many, size, known_map in layouts
         )
 
     return NodeAlgorithm(

@@ -29,8 +29,8 @@ from repro.analysis import (
     zero_round_failure_of_distribution,
     zero_round_optimal_failure,
 )
-from repro.analysis.independence import first_close_pair
-from repro.graphs import balanced_regular_tree, cycle, orient_tree, toroidal_grid
+from repro.analysis.independence import IndependentSetResult, first_close_pair
+from repro.graphs import balanced_regular_tree, cycle, orient_torus, orient_tree, toroidal_grid
 
 
 class TestTowerNumber:
@@ -220,6 +220,177 @@ class TestFirstClosePair:
         message = f"nodes {a} and {b} are at distance {d} < 3 (bug)"
         with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
             independent_execution_set(tree, SignBlind(), verify=True, **kwargs)
+
+
+def _independent_execution_set_whole_ball(
+    tree, orientation, center, t, ball_radius, seed_radius=7, verify=True
+):
+    """``independent_execution_set`` with its BFS cut at the whole ball,
+    ``max(ball_radius, seed_radius)``: the construction as it stood before
+    the cut moved to ``max(seed_radius, ball_radius - t)``."""
+    if t < 1:
+        raise ValueError("t must be at least 1")
+    dist_from_center = tree.bfs_distances(center, cutoff=max(ball_radius, seed_radius))
+    stride = 2 * t + 1
+    seed = [u for u, d in dist_from_center.items() if d == seed_radius]
+    if not seed:
+        raise ValueError(f"tree too shallow: no nodes at distance {seed_radius}")
+
+    def walk(u, direction):
+        x = u
+        for _ in range(stride):
+            nxt = orientation.neighbor(x, *direction)
+            if nxt is None:
+                return None
+            x = nxt
+        return x
+
+    def back_direction(u):
+        du = dist_from_center[u]
+        if du == 0:
+            return None
+        for (dim, sign), w in orientation.labeled_neighbors(u).items():
+            if dist_from_center.get(w, du) == du - 1:
+                return (dim, sign)
+        raise AssertionError("no neighbor is closer to the center (bug)")
+
+    collected, frontier, steps = [], seed, 0
+    max_steps = max(0, (ball_radius - seed_radius - t) // stride)
+    while steps < max_steps:
+        new_frontier = []
+        for u in frontier:
+            banned = back_direction(u)
+            for dim in range(orientation.k):
+                for sign in (1, -1):
+                    if (dim, sign) == banned:
+                        continue
+                    reached = walk(u, (dim, sign))
+                    if reached in dist_from_center:
+                        new_frontier.append(reached)
+        if not new_frontier:
+            break
+        collected.extend(new_frontier)
+        frontier = new_frontier
+        steps += 1
+    verified = verify and bool(collected)
+    if verified:
+        close = first_close_pair(tree, collected, stride)
+        if close is not None:
+            a, b, d = close
+            raise AssertionError(f"nodes {a} and {b} are at distance {d} < {stride} (bug)")
+    return IndependentSetResult(
+        nodes=collected, steps=steps, seed_size=len(seed), verified=verified
+    )
+
+
+def _sign_blind(real):
+    """An orientation whose walks ignore the sign: defective, but its moves
+    follow edges."""
+
+    class SignBlind:
+        k = real.k
+        labeled_neighbors = staticmethod(real.labeled_neighbors)
+
+        @staticmethod
+        def neighbor(v, dim, sign):
+            return real.neighbor(v, dim, 1)
+
+    return SignBlind()
+
+
+def _oriented_tree(depth):
+    tree = balanced_regular_tree(4, depth)
+    return tree, orient_tree(tree, 2)
+
+
+def _oriented_torus(side):
+    torus = toroidal_grid(side, side)
+    return torus, orient_torus(torus, side, side)
+
+
+#: name -> (graph and orientation, keyword arguments).
+HARVEST_CASES = {
+    **{
+        f"tree-depth{depth}-ball{ball}-seed{seed}-t{t}-verify{int(verify)}": (
+            lambda depth=depth: _oriented_tree(depth),
+            dict(center=0, t=t, ball_radius=ball, seed_radius=seed, verify=verify),
+        )
+        for depth, ball, seed, t, verify in (
+            (9, 8, 2, 1, True),  # TestIndependentSet's cases
+            (8, 7, 1, 1, True),
+            (9, 8, 1, 1, False),
+            (9, 8, 1, 2, False),
+            (3, 3, 7, 1, True),  # a seed sphere beyond the tree
+            (4, 3, 1, 0, True),  # t = 0
+            (9, 9, 2, 1, True),  # Claim 10's exhibit, B_9(0)
+            (9, 9, 2, 2, True),
+            (9, 9, 0, 1, True),
+            (9, 9, 0, 3, True),
+            (7, 6, 5, 1, True),  # a seed sphere beyond ball_radius - t
+            (6, 6, 6, 1, True),
+        )
+    },
+    **{
+        f"torus{side}-center{center}-ball{ball}-seed{seed}-t{t}-verify{int(verify)}": (
+            lambda side=side: _oriented_torus(side),
+            dict(center=center, t=t, ball_radius=ball, seed_radius=seed, verify=verify),
+        )
+        for side, center, ball, seed, t, verify in (
+            (15, 0, 7, 1, 1, False),
+            (15, 112, 7, 0, 1, False),
+            (16, 5, 8, 2, 1, False),
+            (21, 0, 10, 0, 2, False),
+            (21, 200, 10, 1, 1, False),
+            (31, 0, 13, 0, 1, False),  # four steps; the walks wrap around
+            (31, 480, 16, 0, 2, False),
+            (31, 0, 13, 0, 1, True),
+        )
+    },
+    **{
+        f"sign-blind-ball{ball}-seed{seed}-t{t}-verify{int(verify)}": (
+            lambda: (lambda tree, real: (tree, _sign_blind(real)))(*_oriented_tree(7)),
+            dict(center=0, t=t, ball_radius=ball, seed_radius=seed, verify=verify),
+        )
+        for ball, seed, t, verify in (
+            (6, 2, 1, False),
+            (6, 2, 1, True),  # the close pair of TestFirstClosePair
+            (7, 0, 1, False),
+            (7, 1, 2, False),
+        )
+    },
+}
+
+
+def _outcome(run):
+    try:
+        return run()
+    except (ValueError, AssertionError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(HARVEST_CASES))
+def test_harvest_equals_the_whole_ball_bfs(name):
+    # Cutting the BFS at ball_radius - t changes no member, step, seed or
+    # error: on trees, tori and a defective orientation.
+    build, kwargs = HARVEST_CASES[name]
+    graph, orientation = build()
+    got = _outcome(lambda: independent_execution_set(graph, orientation, **kwargs))
+    want = _outcome(lambda: _independent_execution_set_whole_ball(graph, orientation, **kwargs))
+    assert got == want
+
+
+def test_harvest_cases_are_not_vacuous():
+    # Most cases harvest several steps; the torus walks wrap around.
+    harvested = {}
+    for name, (build, kwargs) in HARVEST_CASES.items():
+        graph, orientation = build()
+        harvested[name] = _outcome(
+            lambda: independent_execution_set(graph, orientation, **kwargs)
+        )
+    stepped = [name for name, r in harvested.items() if not isinstance(r, tuple) and r.steps >= 2]
+    assert len(stepped) >= 8
+    assert any(name.startswith("torus") and harvested[name].steps >= 4 for name in stepped)
+    assert any(isinstance(r, tuple) for r in harvested.values())
 
 
 class TestRecurrences:

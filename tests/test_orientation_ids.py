@@ -267,6 +267,46 @@ def test_orient_tree_rejects_a_root_that_is_not_a_node(root):
         orient_tree(tree, 2, root)
 
 
+@pytest.mark.parametrize("v", [-1, -17, 17], ids=["minus-one", "minus-n", "n"])
+def test_queries_reject_a_node_outside_the_graph(v):
+    # -1 and -17 would read node 16's and node 0's slots; 17 would read
+    # past the rows (neighbor) or find an empty row (labeled_neighbors).
+    o = orient_tree(balanced_regular_tree(4, 2), 2)
+    message = f"^{v} is not a node of the 17-node graph$"
+    for dim, sign in ((0, 1), (1, 1), (0, -1)):
+        with pytest.raises(ValueError, match=message):
+            o.neighbor(v, dim, sign)
+    with pytest.raises(ValueError, match=message):
+        o.labeled_neighbors(v)
+
+
+#: Edits to the rows of path 0 - 1 - 2 oriented with k = 1, and the slot
+#: each must be refused at: (node, slot, named node).
+FROM_ROWS_CORRUPTIONS = {
+    # Node 0's empty slot names 2, and 2 names 0 back: only adjacency fails.
+    "not-adjacent": ({1: 2, 4: 0}, (0, 1, 2)),
+    # Node 1's slot toward 0 names 2 instead.
+    "mirror-names-a-third-node": ({3: 2}, (0, 0, 1)),
+    # Node 1's slot toward 0 is emptied.
+    "mirror-empty": ({3: -1}, (0, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROM_ROWS_CORRUPTIONS))
+def test_from_rows_refuses_a_slot_that_is_not_named_back(name):
+    graph = path(3)
+    rows = orient_tree(graph, 1)._rows
+    assert rows == [1, -1, 2, 0, -1, 1]
+    Orientation._from_rows(graph, 1, list(rows))  # the intact rows pass
+    edits, (v, slot, u) = FROM_ROWS_CORRUPTIONS[name]
+    corrupted = list(rows)
+    for i, x in edits.items():
+        corrupted[i] = x
+    message = f"slot {slot} of node {v} names {u}, which does not name it back"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Orientation._from_rows(graph, 1, corrupted)
+
+
 def test_ball_orientation_is_the_deeper_trees_restricted():
     deep = orient_tree(balanced_regular_tree(4, 6), 2)
     for depth in range(6):

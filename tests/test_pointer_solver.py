@@ -241,6 +241,11 @@ def _pstar_graphs():
 
 
 PSTAR_GRAPHS = _pstar_graphs()
+PSTAR_FORESTS = [
+    name
+    for name, (graph, _) in PSTAR_GRAPHS.items()
+    if graph.m == graph.n - len(graph.connected_components())
+]
 
 PSTAR_ID_SCHEMES = {
     "sequential": sequential_ids,
@@ -294,6 +299,51 @@ class TestAcyclicFastPathMatchesHeap:
                 )
                 want = solve_pstar(tree, delta, ids)
             assert got == want
+
+    @pytest.mark.parametrize("scheme", sorted(PSTAR_ID_SCHEMES))
+    @pytest.mark.parametrize("name", sorted(PSTAR_FORESTS))
+    def test_solve_pstar_on_forests_equals_the_radius_bfs_and_heap(self, name, scheme):
+        # solve_pstar used to find the radius with its own BFS and then
+        # hand it to the fast path; now one BFS does both.  The heap at
+        # that radius is the oracle: labels, radius and rounds.
+        graph, delta = PSTAR_GRAPHS[name]
+        ids = PSTAR_ID_SCHEMES[scheme](graph)
+        radius = _max_radius(graph, delta)
+        assert solve_pstar(graph, delta, ids) == reference_solve_pstar_acyclic(
+            graph, delta, radius, ids
+        )
+
+    def test_solve_pstar_tests_a_forest_for_cycles_once(self, monkeypatch):
+        calls = []
+        components = Graph.connected_components
+
+        def counting(graph):
+            calls.append(graph)
+            return components(graph)
+
+        monkeypatch.setattr(Graph, "connected_components", counting)
+        tree, _ = regular_tree_of_depth_at_least(3, 200)
+        solve_pstar(tree, 3, sequential_ids(tree))
+        assert calls == [tree]
+
+    @pytest.mark.parametrize(
+        "graph,delta",
+        [
+            (Graph(3, [(0, 1)]), 1),  # nodes 0 and 1 reach no node of degree < 1
+            (Graph(2, [(0, 1)]), 1),  # no node of degree < 1 at all
+            (balanced_regular_tree(3, 2), 1),
+        ],
+        ids=["edge-beside-isolated", "one-edge", "tree-delta-1"],
+    )
+    def test_solve_pstar_refuses_a_forest_node_unreachable_from_low_degree(
+        self, graph, delta
+    ):
+        message = (
+            f"no node of degree < {delta} exists; an acyclic graph cannot "
+            "be Delta-regular, so check the delta argument"
+        )
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            solve_pstar(graph.freeze(), delta, list(range(1, graph.n + 1)))
 
     def test_cases_are_not_vacuous(self):
         """Unlabeled nodes occur, and so do nodes with several neighbors one

@@ -3,8 +3,10 @@
 Each oracle below is the earlier implementation's arithmetic (the exact
 failures without their memo and early exit):
 
-* the finite runner keyed every node with ``ball_assignment_key`` and
-  found failing nodes through ``graph.neighbors`` copies;
+* the finite runner keyed every node with ``ball_assignment_key``, looked
+  each key up on its own and found failing nodes through
+  ``graph.neighbors`` copies;
+* global failure drew each node's value with ``rng.randrange``;
 * the exact failures multiplied one ``Fraction`` distribution per
   neighbor (resp. incident edge), step by step;
 * frequent color sets scattered each completion into a scratch list and
@@ -25,6 +27,7 @@ from repro.graphs import Graph, orient_torus, toroidal_grid
 from repro.local_model.cache import ball_assignment_key
 from repro.speedup import (
     EdgeAlgorithm,
+    NodeAlgorithm,
     OrientedBall,
     first_speedup,
     local_maximum_coloring,
@@ -40,7 +43,9 @@ from repro.speedup.failure import (
     edge_local_failure,
     node_local_failure,
 )
+from repro.speedup import finite_runner
 from repro.speedup.finite_runner import (
+    estimate_global_success,
     resolve_ball_tables,
     run_node_algorithm_on_oriented_graph,
 )
@@ -115,6 +120,59 @@ def test_isolated_nodes_never_fail():
     run = run_node_algorithm_on_oriented_graph(alg, graph, None, values, tables=tables)
     assert (run.outputs, run.failing_nodes) == old_finite_run(alg, graph, tables, values)
     assert run.failing_nodes == [0, 1]
+
+
+def test_malformed_tables_are_refused():
+    # The keys zip the table rows, so a missing, extra or longer row must
+    # raise instead of being cut; rows of one wrong length still reach
+    # the ball-size check.
+    graph = toroidal_grid(3, 3)
+    alg = local_maximum_coloring(2)
+    tables = resolve_ball_tables(alg, graph, orient_torus(graph, 3, 3))
+    values = [0] * graph.n
+    for bad in (tables[:-1], tables + [tables[0]], [tables[0] + [0]] + tables[1:]):
+        with pytest.raises(
+            ValueError, match="^tables must hold one row per node, all of one length$"
+        ):
+            run_node_algorithm_on_oriented_graph(alg, graph, None, values, tables=bad)
+    with pytest.raises(ValueError, match="^assignment has 4 values, ball has 5$"):
+        run_node_algorithm_on_oriented_graph(
+            alg, graph, None, values, tables=[row[:4] for row in tables]
+        )
+
+
+class _DrawsBelow(NodeAlgorithm):
+    """A radius-0 algorithm whose nodes draw from ``range(choices)``."""
+
+    def __init__(self, choices):
+        super().__init__(2, 0, 1, 2, lambda a: a[0] % 2, name=f"below-{choices}")
+        self.choices = choices
+
+    @property
+    def values(self):
+        return self.choices
+
+
+@pytest.mark.parametrize("choices", [*range(1, 18), 31, 32, 33, 1000, 2**20, 2**31 + 5])
+def test_global_success_draws_what_randrange_draws(choices, monkeypatch):
+    # Every trial's values are the rng.randrange(choices) calls of the old
+    # loop, in node order, and each generator ends in the same state.
+    graph = toroidal_grid(3, 4)
+    orientation = orient_torus(graph, 3, 4)
+    drawn = []
+    run = finite_runner.run_node_algorithm_on_oriented_graph
+
+    def recording(alg, graph, orientation, values, **kwargs):
+        drawn.append(list(values))
+        return run(alg, graph, orientation, values, **kwargs)
+
+    monkeypatch.setattr(finite_runner, "run_node_algorithm_on_oriented_graph", recording)
+    for seed in range(4):
+        rng, oracle = random.Random(seed), random.Random(seed)
+        drawn.clear()
+        estimate_global_success(_DrawsBelow(choices), graph, orientation, trials=3, rng=rng)
+        assert drawn == [[oracle.randrange(choices) for _ in graph.nodes()] for _ in range(3)]
+        assert rng.getstate() == oracle.getstate()
 
 
 # ----------------------------------------------------------------------
@@ -235,7 +293,7 @@ def test_frequent_colors_match_the_scatter_loop(index):
                 known = dict(zip(positions, fixed))
                 for threshold in THRESHOLDS:
                     assert _frequent_colors(
-                        alg.evaluate, size, list(known.items()), values, Fraction(threshold)
+                        alg.evaluate_many, size, list(known.items()), values, Fraction(threshold)
                     ) == old_frequent_colors(
                         alg.evaluate, size, known, unknown, values, threshold
                     )

@@ -31,6 +31,7 @@ from repro.local_model import CacheStats, KeyedCache, ball_assignment_key
 from repro.local_model import cache as cache_module
 from repro.local_model.network import run_view_algorithm
 from repro.speedup import (
+    EdgeAlgorithm,
     local_maximum_coloring,
     two_round_local_maximum,
 )
@@ -160,6 +161,108 @@ def test_bytes_equal_per_store_sizing_under_any_interleaving(ops):
             assert stats["distinct_classes"] == len(model) == len(keyed)
     stats = keyed.stats
     assert (stats.bytes, stats.distinct_classes) == (expected["bytes"], len(model))
+
+
+# ----------------------------------------------------------------------
+# The batched lookup answers as the per-key loop it replaces
+# ----------------------------------------------------------------------
+
+class _Poisoned(Exception):
+    pass
+
+
+def _per_key_loop(cache, keys, compute):
+    """``get``, and ``store(key, compute(key))`` on a miss, key by key."""
+    values = []
+    for key in keys:
+        value = cache.get(key)
+        if value is KeyedCache.MISS:
+            value = cache.store(key, compute(key))
+        values.append(value)
+    return values
+
+
+@given(
+    prefill=st.lists(st.tuples(KEYS, VALUES), max_size=6),
+    batches=st.lists(st.tuples(st.lists(KEYS, max_size=30), st.booleans()), max_size=4),
+    poison=st.one_of(st.none(), KEYS),
+)
+@example(prefill=[(2, "x")], batches=[([1, True, 2, 1.0, 3, 3], False)], poison=None)
+@example(prefill=[], batches=[([0, 1, 0, 2, 1], False), ([2, 0], True)], poison=2)
+def test_batched_lookup_equals_the_per_key_loop(prefill, batches, poison):
+    # Random key sequences with repeats (1, 1.0 and True are one key),
+    # on a pre-filled cache and across clear(): the same values, the same
+    # compute calls in the same order and the same counters.  A compute
+    # that raises at the poisoned key stops both after the same lookups.
+    looped, batched = KeyedCache(), KeyedCache()
+    for key, value in prefill:
+        looped.store(key, value)
+        batched.store(key, value)
+    for keys, clear_first in batches:
+        if clear_first:
+            looped.clear()
+            batched.clear()
+        calls = {looped: [], batched: []}
+
+        def compute_for(cache):
+            def compute(key):
+                calls[cache].append(key)
+                if poison is not None and key == poison:
+                    raise _Poisoned
+                # A key computed twice would get a second, different value.
+                return (key, len(calls[cache]))
+
+            return compute
+
+        outcomes = []
+        for lookup in (
+            lambda: _per_key_loop(looped, keys, compute_for(looped)),
+            lambda: batched.get_or_compute_many(keys, compute_for(batched)),
+        ):
+            try:
+                outcomes.append(lookup())
+            except _Poisoned:
+                outcomes.append(_Poisoned)
+        assert outcomes[0] == outcomes[1]
+        assert calls[looped] == calls[batched]
+        assert batched.stats == looped.stats
+        assert list(batched._store.items()) == list(looped._store.items())
+
+
+def test_batched_lookup_checks_the_ball_size_on_every_miss():
+    # The per-key evaluate and evaluate_many raise the same message at the
+    # same key and leave the same counters, for node and edge algorithms.
+    def node_keys(alg):
+        return [(0,) * 5, (1,) * 5, (0,) * 4, (0,) * 6]
+
+    def edge_keys(alg):
+        size = alg.balls[1].size
+        return [(0,) * size, (0,) * (size + 1)]
+
+    for make, keys_of, per_key, batched in (
+        (
+            lambda: local_maximum_coloring(2),
+            node_keys,
+            lambda alg, keys: [alg.evaluate(a) for a in keys],
+            lambda alg, keys: alg.evaluate_many(keys),
+        ),
+        (
+            lambda: EdgeAlgorithm(2, 1, 1, 2, lambda dim, a: a[0], name="first-value"),
+            edge_keys,
+            lambda alg, keys: [alg.evaluate(1, a) for a in keys],
+            lambda alg, keys: alg.evaluate_many(1, keys),
+        ),
+    ):
+        errors, stats = [], []
+        for run in (per_key, batched):
+            alg = make()
+            with pytest.raises(ValueError) as raised:
+                run(alg, keys_of(alg))
+            errors.append(str(raised.value))
+            stats.append(alg.cache.stats)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("assignment has ")
+        assert stats[0] == stats[1]
 
 
 def test_traced_finite_run_reports_per_store_bytes(monkeypatch):
