@@ -68,7 +68,12 @@ def run_logstar_sweep(
 
     Identifiers are sampled uniformly (and distinctly) from
     ``{1 .. 2**bits}``; the graph stays fixed, so every change in the
-    round count is the log* term moving.
+    round count is the log* term moving.  Each draw is
+    ``1 + rng.getrandbits(bits)``, the same uniform law as
+    ``rng.randint(1, 2**bits)`` without its rejection loop (which draws
+    ``bits + 1`` bits and rejects about half of them).  The identifiers
+    differ from ``randint``'s, but the round counts depend only on
+    ``bits``, so the sweep prints the same points.
     """
     tree = balanced_regular_tree(4, tree_depth)
     rng = random.Random(rng_seed)
@@ -79,7 +84,7 @@ def run_logstar_sweep(
         ids: List[int] = []
         seen = set()
         while len(ids) < tree.n:
-            candidate = rng.randint(1, space)
+            candidate = 1 + rng.getrandbits(bits)
             if candidate not in seen:
                 seen.add(candidate)
                 ids.append(candidate)

@@ -50,10 +50,16 @@ def random_permutation_ids(graph: Graph, rng: Optional[random.Random] = None) ->
     to 1) with ``j <= i``, drawn by rejection from
     ``getrandbits((i + 1).bit_length())``.  Inlining that loop saves a
     Python call per element, and the bit count is worked out once per
-    run of positions that share it.
+    run of positions that share it.  The loop is replayed only when
+    ``rng`` draws that way: a subclass that overrides ``random()`` but
+    not ``getrandbits()`` gets another ``_randbelow``, and then
+    ``rng.shuffle`` itself runs.
     """
     rng = rng or random.Random(0)
     ids = list(range(1, graph.n + 1))
+    if getattr(type(rng), "_randbelow", None) is not random.Random._randbelow:
+        rng.shuffle(ids)
+        return ids
     getrandbits = rng.getrandbits
     top = graph.n - 1
     while top > 0:

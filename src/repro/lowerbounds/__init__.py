@@ -1,5 +1,6 @@
 """Classical lower-bound machinery: Linial's neighborhood graphs and
-the weak-coloring window formalism."""
+the weak-coloring window formalism, decided by a clause-learning prover
+whose refutations a separate RUP checker re-derives (:mod:`.cnf`)."""
 
 from .weak_cycle import (
     weak_constraints,
@@ -13,9 +14,9 @@ from .linial import (
     CycleAlgorithm,
     algorithm_from_coloring,
     chromatic_number,
+    optimal_coloring,
     is_c_colorable,
     linial_chromatic_lower_bound,
-    min_rounds_for_3_coloring,
 )
 
 __all__ = [
@@ -24,9 +25,9 @@ __all__ = [
     "CycleAlgorithm",
     "algorithm_from_coloring",
     "chromatic_number",
+    "optimal_coloring",
     "is_c_colorable",
     "linial_chromatic_lower_bound",
-    "min_rounds_for_3_coloring",
     "weak_constraints",
     "weak_table_exists",
     "WeakCycleAlgorithm",

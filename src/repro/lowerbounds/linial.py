@@ -14,8 +14,9 @@ first — Linial [17] and Naor [18] — argues on *neighborhood graphs*:
 So ``chi(N_t(m)) <= c`` is *equivalent* to "c-coloring the cycle in t
 rounds with identifier space m", and Linial's lower bound is the
 statement ``chi(N_t(m)) >= log^(2t) m``.  This module builds ``N_t(m)``
-concretely, decides c-colorability exactly (small instances), converts
-any proper coloring of ``N_t(m)`` into a runnable cycle algorithm, and
+concretely, decides c-colorability exactly (small instances; a coloring
+is checked edge by edge, a refutation by a RUP checker), converts any
+proper coloring of ``N_t(m)`` into a runnable cycle algorithm, and
 exposes the iterated-log lower-bound evaluator — the lower-bound world
 the paper generalizes away from cycles.
 """
@@ -28,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.towers import iterated_log
 from ..graphs.graph import Graph
-from ..lcl.catalog import ProperColoring
+from . import cnf
 
 __all__ = [
     "neighborhood_graph",
@@ -36,9 +37,9 @@ __all__ = [
     "CycleAlgorithm",
     "algorithm_from_coloring",
     "chromatic_number",
+    "optimal_coloring",
     "is_c_colorable",
     "linial_chromatic_lower_bound",
-    "min_rounds_for_3_coloring",
 ]
 
 #: A radius-t window on the directed cycle: 2t+1 distinct identifiers.
@@ -199,27 +200,130 @@ def _dsatur(graph: Graph, c: int) -> Tuple[Optional[List[int]], int]:
     return (colors if search(0, 0) else None), nodes
 
 
-def is_c_colorable(graph: Graph, c: int) -> Optional[List[int]]:
-    """A proper c-coloring of ``graph``, or ``None`` — exact.
+def _greedy_clique(graph: Graph) -> List[int]:
+    """A clique grown greedily from the vertex of largest degree.
 
-    Exhaustive DSATUR backtracking with color-symmetry breaking (see
-    :func:`_dsatur` for the branching order, which is deterministic, so
-    the coloring returned for a satisfiable graph is too).  Exact and
-    fast enough for the neighborhood graphs of the demonstrations
-    (hundreds of vertices, small c): the ``N_1(7)`` 3-coloring proof
-    explores 5e4 search nodes.
+    Each step adds the common neighbor of the clique so far with the
+    largest degree (ties to the smallest index), so the result does not
+    depend on set order.
     """
-    return _dsatur(graph, c)[0]
+    if graph.n == 0:
+        return []
+    adj = graph.adjacency_rows()
+
+    def rank(v: int) -> Tuple[int, int]:
+        return len(adj[v]), -v
+
+    clique = [max(range(graph.n), key=rank)]
+    candidates = set(adj[clique[0]])
+    while candidates:
+        clique.append(max(candidates, key=rank))
+        candidates.intersection_update(adj[clique[-1]])
+    return clique
+
+
+def _coloring_cnf(
+    graph: Graph, c: int, clique: Sequence[int]
+) -> Tuple[List[int], List[Tuple[int, ...]]]:
+    """CNF for "a proper c-coloring gives ``clique[i]`` color ``i``".
+
+    Returns ``(rank, clauses)``: variable ``rank[v] * c + k + 1`` says
+    that vertex ``v`` takes color ``k``.  There is one at-least-one
+    clause per vertex, one binary clause per edge and color, and one
+    unit clause per clique vertex.  Fixing the clique breaks the color
+    symmetry soundly: any proper coloring gives the clique's vertices
+    distinct colors, and renaming the colors maps it to one in which
+    ``clique[i]`` has color ``i``.  A model may give a vertex several
+    colors; each of them is proper.
+
+    ``rank`` numbers the clique first and then the other vertices
+    breadth first from it (a new root, the smallest unranked index, per
+    component), so the prover's first branches, taken in variable order,
+    color the graph outward from the clique.
+    """
+    adj = graph.adjacency_rows()
+    order = list(clique)
+    rank = [-1] * graph.n
+    for i, v in enumerate(order):
+        rank[v] = i
+    head = root = 0
+    while len(order) < graph.n:
+        if head == len(order):
+            while rank[root] >= 0:
+                root += 1
+            rank[root] = len(order)
+            order.append(root)
+        for u in adj[order[head]]:
+            if rank[u] < 0:
+                rank[u] = len(order)
+                order.append(u)
+        head += 1
+    clauses: List[Tuple[int, ...]] = [tuple(range(r * c + 1, r * c + c + 1)) for r in rank]
+    excluded = [tuple(range(-r * c - 1, -r * c - c - 1, -1)) for r in rank]  # "v lacks color k"
+    for v, row in enumerate(adj):
+        for u in row:
+            if u > v:
+                clauses.extend(zip(excluded[v], excluded[u]))
+    clauses.extend((i * c + i + 1,) for i in range(len(clique)))
+    return rank, clauses
+
+
+def is_c_colorable(graph: Graph, c: int) -> Optional[List[int]]:
+    """A proper c-coloring of ``graph``, or ``None`` — exact and checked.
+
+    A greedy clique of more than ``c`` vertices refutes c-colorability
+    outright (a pigeonhole certificate, checked pair by pair).  Otherwise
+    the clause-learning prover of :mod:`repro.lowerbounds.cnf` decides
+    :func:`_coloring_cnf`.  A model is decoded to each vertex's smallest
+    color and returned only after every edge is checked proper; ``None``
+    is returned only after :func:`~repro.lowerbounds.cnf.check_rup`
+    accepts the prover's refutation, and a rejected one raises.  The
+    prover is deterministic, so the coloring returned for a satisfiable
+    graph is too.  ``N_1(7)`` at ``c = 3`` is refuted with 128 learnt
+    clauses.  :func:`_dsatur` is the second, independent prover
+    that the tests hold it against.
+    """
+    n = graph.n
+    if n == 0:
+        return []
+    clique = _greedy_clique(graph)
+    if len(clique) > c:
+        if not all(graph.has_edge(u, v) for u, v in itertools.combinations(clique, 2)):
+            raise RuntimeError("the greedy clique is not a clique")
+        return None
+    rank, clauses = _coloring_cnf(graph, c, clique)
+    model, proof = cnf.solve(n * c, clauses)
+    if model is None:
+        if not cnf.check_rup(n * c, clauses, proof):
+            raise RuntimeError(f"the {c}-coloring refutation failed its RUP check")
+        return None
+    coloring = [model.index(True, r * c + 1) - r * c - 1 for r in rank]
+    adj = graph.adjacency_rows()
+    if any(coloring[u] == coloring[v] for v in range(n) for u in adj[v]):
+        raise RuntimeError(f"the prover's {c}-coloring is not proper")
+    return coloring
+
+
+def optimal_coloring(graph: Graph, max_c: int = 16) -> List[int]:
+    """A proper coloring with the fewest colors (small graphs).
+
+    Tries ``c = ω..max_c`` with :func:`is_c_colorable`, where ``ω`` is
+    the size of a greedy clique (a lower bound), and returns the first
+    coloring found; every smaller ``c`` was refuted, so it uses exactly
+    ``chi`` colors.
+    """
+    if graph.n == 0:
+        return []
+    for c in range(len(_greedy_clique(graph)), max_c + 1):
+        coloring = is_c_colorable(graph, c)
+        if coloring is not None:
+            return coloring
+    raise ValueError(f"chromatic number exceeds {max_c}")
 
 
 def chromatic_number(graph: Graph, max_c: int = 16) -> int:
-    """The exact chromatic number (small graphs; tries c = 1..max_c)."""
-    if graph.n == 0:
-        return 0
-    for c in range(1, max_c + 1):
-        if is_c_colorable(graph, c) is not None:
-            return c
-    raise ValueError(f"chromatic number exceeds {max_c}")
+    """The exact chromatic number: the colors :func:`optimal_coloring` uses."""
+    return len(set(optimal_coloring(graph, max_c)))
 
 
 def linial_chromatic_lower_bound(m: int, t: int) -> float:
@@ -230,19 +334,3 @@ def linial_chromatic_lower_bound(m: int, t: int) -> float:
     ``log^(2t) m <= 3``, i.e. ``t >= (log* m - O(1)) / 2``.
     """
     return iterated_log(float(m), 2 * t).to_float()
-
-
-def min_rounds_for_3_coloring(m: int, t_max: int = 2) -> Optional[int]:
-    """The least ``t <= t_max`` with ``chi(N_t(m)) <= 3`` — exact.
-
-    Returns ``None`` when even ``t_max`` rounds cannot 3-color cycles
-    with identifier space ``m`` (by the neighborhood-graph equivalence,
-    this is a *proof*, not an estimate).
-    """
-    for t in range(0, t_max + 1):
-        if 2 * t + 1 > m:
-            break
-        graph, _ = neighborhood_graph(m, t)
-        if is_c_colorable(graph, 3) is not None:
-            return t
-    return None

@@ -15,11 +15,11 @@ Exact consequences, machine-checked here:
   ``m <= 4`` (split 2 + 2).  Contrast χ(N_0(m)) = m for proper
   coloring: weak coloring is *strictly easier*, exactly the theme the
   paper builds on.
-* **One round**: tables exist comfortably at every m the search
-  reaches — again easier than proper 3-coloring, which dies at m = 7.
+* **One round**: tables exist iff ``m <= 8`` — again easier than
+  proper 3-coloring, which dies at m = 7.  At m = 9 the clause-learning
+  prover's refutation is re-derived by the RUP checker.
 
-Searches are exact backtracking with unit-style propagation over the
-ternary constraints.
+Searches are CNF for :mod:`repro.lowerbounds.cnf`, each answer checked.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import cnf
 from .linial import Window, window_of, _windows
 
 __all__ = [
@@ -64,50 +65,43 @@ def weak_constraints(m: int, t: int) -> Tuple[List[Window], List[Tuple[int, int,
 def weak_table_exists(
     m: int, t: int, colors: int = 2
 ) -> Optional[List[int]]:
-    """An exact weak-c-coloring window table, or ``None`` — by search.
+    """An exact weak-c-coloring window table, or ``None`` — proven.
 
-    Backtracking over window colors; a constraint whose first two
-    members are already equal forces the third to differ (propagated by
-    checking completed constraints only — instances here are small).
+    The constraints become CNF for the prover of
+    :mod:`repro.lowerbounds.cnf`: at least one color per window, and per
+    constraint and color one clause forbidding all three windows in that
+    color.  With two colors that is one variable per window (true means
+    color 1).  Window 0's color is fixed to 0, which is sound because
+    renaming the colors maps every table to a table.  A model is decoded
+    to each window's smallest color and returned only after every
+    constraint is checked; ``None`` is returned only after
+    :func:`~repro.lowerbounds.cnf.check_rup` accepts the refutation, and
+    a rejected one raises.
     """
+    if colors < 1:
+        raise ValueError(f"need at least one color, got {colors}")
     windows, constraints = weak_constraints(m, t)
     n = len(windows)
-    # Constraints touching each window, for incremental checking.
-    touching: List[List[Tuple[int, int, int]]] = [[] for _ in range(n)]
-    for c in constraints:
-        for w in set(c):
-            touching[w].append(c)
-
-    # Window-enumeration order works well here (windows sharing prefixes
-    # sit together, so constraints complete early); instances beyond
-    # m = 6 at t = 1 grow expensive — keep exhibits within that range.
-    assignment: List[Optional[int]] = [None] * n
-
-    def violated(constraint: Tuple[int, int, int]) -> bool:
-        a, b, c = constraint
-        return (
-            assignment[a] is not None
-            and assignment[a] == assignment[b] == assignment[c]
-        )
-
-    def backtrack(idx: int) -> bool:
-        if idx == n:
-            return True
-        for color in range(colors):
-            assignment[idx] = color
-            if not any(
-                violated(c)
-                for c in touching[idx]
-                if all(assignment[w] is not None for w in c)
-            ):
-                if backtrack(idx + 1):
-                    return True
-        assignment[idx] = None
-        return False
-
-    if backtrack(0):
-        return [int(x) for x in assignment]
-    return None
+    # lacks[w][k]: the literal "window w does not take color k".
+    if colors == 2:
+        lacks = [(w, -w) for w in range(1, n + 1)]
+        clauses: List[Tuple[int, ...]] = []
+    else:
+        lacks = [tuple(range(-w * colors - 1, -w * colors - colors - 1, -1)) for w in range(n)]
+        clauses = [tuple(-lit for lit in row) for row in lacks]
+    num_vars = n if colors == 2 else n * colors
+    clauses.append((-lacks[0][0],))
+    for a, b, c in constraints:
+        clauses.extend(zip(lacks[a], lacks[b], lacks[c]))
+    model, proof = cnf.solve(num_vars, clauses)
+    if model is None:
+        if not cnf.check_rup(num_vars, clauses, proof):
+            raise RuntimeError(f"the weak {colors}-coloring refutation failed its RUP check")
+        return None
+    table = [next(k for k, lit in enumerate(row) if model[abs(lit)] != (lit > 0)) for row in lacks]
+    if any(table[a] == table[b] == table[c] for a, b, c in constraints):
+        raise RuntimeError("the prover's table violates a weak-coloring constraint")
+    return table
 
 
 @dataclass

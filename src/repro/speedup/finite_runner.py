@@ -161,9 +161,9 @@ def estimate_global_success(
     ``getrandbits(alg.values.bit_length())`` and draws again while the
     result is out of range.  That loop runs inline, without two Python
     calls per value, and leaves ``rng`` in the state the ``randrange``
-    calls would.  (A subclass that overrides ``random()`` but not
-    ``getrandbits()`` makes ``randrange`` draw through ``random()``; its
-    values here are still uniform, but not ``randrange``'s.)
+    calls would.  It is replayed only when ``rng`` draws that way: a
+    subclass that overrides ``random()`` but not ``getrandbits()`` gets
+    another ``_randbelow``, and then ``rng.randrange`` itself runs.
 
     An optional ``tracer`` observes one
     :meth:`~repro.instrumentation.Tracer.on_trial` per trial.
@@ -177,14 +177,18 @@ def estimate_global_success(
         tracer.on_run_start("finite", alg.name, graph.n, trials=trials)
     getrandbits, choices, n = rng.getrandbits, alg.values, graph.n
     bits = choices.bit_length()
+    replay = getattr(type(rng), "_randbelow", None) is random.Random._randbelow
     successes = 0
     for i in range(trials):
-        values = [0] * n
-        for v in range(n):
-            value = getrandbits(bits)
-            while value >= choices:
+        if not replay:
+            values = [rng.randrange(choices) for _ in range(n)]
+        else:
+            values = [0] * n
+            for v in range(n):
                 value = getrandbits(bits)
-            values[v] = value
+                while value >= choices:
+                    value = getrandbits(bits)
+                values[v] = value
         run = run_node_algorithm_on_oriented_graph(
             alg, graph, orientation, values, tables=tables
         )

@@ -17,11 +17,26 @@ from repro.lowerbounds import (
     chromatic_number,
     is_c_colorable,
     linial_chromatic_lower_bound,
-    min_rounds_for_3_coloring,
     neighborhood_graph,
+    optimal_coloring,
     window_of,
 )
-from repro.lowerbounds.linial import _dsatur
+from repro.lowerbounds import cnf
+from repro.lowerbounds.linial import _coloring_cnf, _dsatur, _greedy_clique
+
+
+@pytest.fixture
+def rup_verdicts(monkeypatch):
+    """Every verdict :func:`cnf.check_rup` returns while the test runs."""
+    verdicts = []
+    real = cnf.check_rup
+
+    def spy(*args):
+        verdicts.append(real(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(cnf, "check_rup", spy)
+    return verdicts
 
 
 class TestNeighborhoodGraph:
@@ -126,7 +141,7 @@ class TestSearchOrder:
 
     def test_n1_6_coloring_digest(self):
         g, _ = neighborhood_graph(6, 1)
-        coloring = is_c_colorable(g, 3)
+        coloring, _ = _dsatur(g, 3)
         assert hashlib.sha256(bytes(coloring)).hexdigest() == (
             "8927f952ee5d45f6dec7cfdf5efeddb01c7984e080e4d54d477b52e172ea04b8"
         )
@@ -136,10 +151,74 @@ class TestSearchOrder:
         # smallest index) is fixed to color 0, and no color is skipped.
         for m, t, c in ((4, 0, 4), (4, 1, 2), (6, 1, 4)):
             g, _ = neighborhood_graph(m, t)
-            coloring = is_c_colorable(g, c)
+            coloring, _ = _dsatur(g, c)
             first = min(g.nodes(), key=lambda v: (-g.degree(v), v))
             assert coloring[first] == 0
             assert set(coloring) == set(range(max(coloring) + 1))
+
+
+class TestClauseLearningProver:
+    """The prover behind :func:`is_c_colorable` is deterministic too.
+
+    Its variable order, branching rule and learning scheme are explicit,
+    so the refutation of ``N_1(7)`` and the coloring of ``N_1(6)`` are
+    pinned the same way as DSATUR's.
+    """
+
+    def test_n1_7_refutation_lemma_count(self):
+        g, _ = neighborhood_graph(7, 1)
+        _, clauses = _coloring_cnf(g, 3, _greedy_clique(g))
+        model, lemmas = cnf.solve(g.n * 3, clauses)
+        assert model is None
+        assert len(lemmas) == 128 and lemmas[-1] == ()
+        assert cnf.check_rup(g.n * 3, clauses, lemmas)
+
+    def test_n1_6_coloring_digest(self):
+        g, _ = neighborhood_graph(6, 1)
+        coloring = is_c_colorable(g, 3)
+        assert hashlib.sha256(bytes(coloring)).hexdigest() == (
+            "c866030d4d20b345c10ca0489211d16b5397c3149b7e371f33d4e438d3157ed3"
+        )
+
+    def test_clique_takes_the_first_colors(self):
+        # Symmetry breaking: the greedy clique is fixed to colors 0..|Q|-1.
+        for m, t, c in ((4, 0, 4), (4, 1, 2), (6, 1, 4)):
+            g, _ = neighborhood_graph(m, t)
+            clique = _greedy_clique(g)
+            coloring = is_c_colorable(g, c)
+            assert [coloring[q] for q in clique] == list(range(len(clique)))
+
+    def test_large_clique_refutes_before_any_cnf(self, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("the pigeonhole certificate should decide")
+
+        monkeypatch.setattr(cnf, "solve", no_solve)
+        g, _ = neighborhood_graph(6, 0)
+        assert all(is_c_colorable(g, c) is None for c in range(6))
+
+    def test_rejected_refutation_raises(self, monkeypatch):
+        monkeypatch.setattr(cnf, "check_rup", lambda *args: False)
+        with pytest.raises(RuntimeError, match="RUP check"):
+            is_c_colorable(cycle(5), 2)
+        assert is_c_colorable(cycle(5), 3) is not None  # a model needs no proof
+
+    def test_refutations_are_checked(self, rup_verdicts):
+        g, _ = neighborhood_graph(7, 1)
+        assert is_c_colorable(g, 3) is None
+        assert rup_verdicts == [True]
+
+
+@pytest.mark.parametrize("m, t", [(3, 0), (4, 0), (5, 0), (6, 0), (4, 1), (5, 1), (6, 1), (7, 1)])
+def test_provers_agree(m, t):
+    """DSATUR and the clause-learning prover on every exhibit instance."""
+    g, _ = neighborhood_graph(m, t)
+    for c in range(1, 5):
+        coloring = is_c_colorable(g, c)
+        other, _ = _dsatur(g, c)
+        assert (coloring is None) == (other is None), (m, t, c)
+        for found in (coloring, other):
+            if found is not None:
+                assert ProperColoring(c).is_feasible(g, found)
 
 
 def _brute_force_colorable(graph, c):
@@ -170,6 +249,21 @@ class TestSearchAgainstBruteForce:
         assert (coloring is not None) == _brute_force_colorable(g, c)
         if coloring is not None:
             assert ProperColoring(c).is_feasible(g, coloring)
+
+    @given(small_graphs(), st.integers(1, 4))
+    def test_dsatur_matches_oracle(self, g, c):
+        coloring, _ = _dsatur(g, c)
+        assert (coloring is not None) == _brute_force_colorable(g, c)
+        if coloring is not None:
+            assert ProperColoring(c).is_feasible(g, coloring)
+
+    @given(small_graphs())
+    def test_optimal_coloring_uses_chi_colors(self, g):
+        coloring = optimal_coloring(g)
+        chi = len(set(coloring))
+        assert chi == chromatic_number(g)
+        assert ProperColoring(max(chi, 1)).is_feasible(g, coloring)
+        assert chi == 0 or not _brute_force_colorable(g, chi - 1)
 
 
 class TestAlgorithmBridge:
@@ -203,11 +297,6 @@ class TestAlgorithmBridge:
         with pytest.raises(ValueError, match="1..6"):
             alg.run([1, 2, 3, 9])
 
-    def test_min_rounds_for_3_coloring(self):
-        assert min_rounds_for_3_coloring(3, t_max=1) == 0
-        assert min_rounds_for_3_coloring(5, t_max=1) == 1
-        assert min_rounds_for_3_coloring(6, t_max=1) == 1
-
 
 class TestLinialBound:
     def test_bound_values(self):
@@ -230,6 +319,14 @@ class TestExperiment:
         one_round = [p for p in result.points if p.t == 1]
         assert all(p.chi <= 3 for p in one_round)
         assert "chi" in result.format_table() or "3-colorable" in result.format_table()
+
+    def test_bridge_without_the_m6_row(self):
+        # Exhibit 3 reuses exhibit 2's coloring of N_1(6) when that row
+        # ran, and colors N_1(6) itself otherwise.
+        with_row = run_linial_experiment(check_threshold=False)
+        without = run_linial_experiment(one_round_chi_ms=(4, 5), check_threshold=False)
+        assert with_row.derived_algorithm_valid and without.derived_algorithm_valid
+        assert [p.m for p in without.points if p.t == 1] == [4, 5]
 
 
 class TestWeakCycleWindows:
@@ -256,6 +353,34 @@ class TestWeakCycleWindows:
 
         for m in (5, 6):
             assert weak_table_exists(m, 1) is not None
+
+    @pytest.mark.parametrize("m", [7, 8])
+    def test_frontier_tables_run_as_weak_coloring_algorithms(self, m):
+        # The largest identifier spaces with a one-round weak 2-coloring.
+        from repro.lowerbounds import WeakCycleAlgorithm
+        from repro.lcl import WeakColoring
+
+        alg = WeakCycleAlgorithm.from_search(m, 1)
+        rng = random.Random(m)
+        for _ in range(40):
+            n = rng.randrange(5, m + 1)
+            ids = rng.sample(range(1, m + 1), n)
+            assert WeakColoring(2).is_feasible(cycle(n), alg.run(ids))
+
+    def test_one_round_frontier_is_eight(self, rup_verdicts):
+        # No one-round weak 2-coloring with identifiers from {1..9}: the
+        # prover's refutation is accepted by the RUP checker.
+        from repro.lowerbounds import weak_table_exists
+
+        assert weak_table_exists(9, 1) is None
+        assert rup_verdicts == [True]
+
+    def test_rejected_refutation_raises(self, monkeypatch):
+        from repro.lowerbounds import weak_table_exists
+
+        monkeypatch.setattr(cnf, "check_rup", lambda *args: False)
+        with pytest.raises(RuntimeError, match="RUP check"):
+            weak_table_exists(5, 0)
 
     def test_tables_run_as_weak_coloring_algorithms(self):
         from repro.lowerbounds import WeakCycleAlgorithm

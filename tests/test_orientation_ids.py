@@ -342,6 +342,20 @@ class TestIdentifiers:
             assert random_permutation_ids(Graph(n), rng) == want, n
             assert rng.getstate() == reference.getstate(), n
 
+    def test_random_permutation_of_a_subclass_is_its_shuffle(self):
+        # A subclass that overrides random() but not getrandbits() gets
+        # _randbelow_without_getrandbits: its own shuffle must run.
+        class RandomOnly(random.Random):
+            def random(self):
+                return super().random()
+
+        for n in (0, 1, 10, 53, 485):
+            rng, reference = RandomOnly(5), RandomOnly(5)
+            want = list(range(1, n + 1))
+            reference.shuffle(want)
+            assert random_permutation_ids(Graph(n), rng) == want, n
+            assert rng.getstate() == reference.getstate(), n
+
     def test_random_ids_in_range(self):
         g = cycle(10)
         ids = random_ids(g, c=2, rng=random.Random(2))

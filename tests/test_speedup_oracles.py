@@ -175,6 +175,33 @@ def test_global_success_draws_what_randrange_draws(choices, monkeypatch):
         assert rng.getstate() == oracle.getstate()
 
 
+class _RandomOnly(random.Random):
+    """Overrides ``random()`` only, so ``randrange`` draws through it."""
+
+    def random(self):
+        return super().random()
+
+
+@pytest.mark.parametrize("choices", [2, 3, 5, 1000])
+def test_global_success_draws_randrange_of_a_subclass(choices, monkeypatch):
+    # Such a subclass gets _randbelow_without_getrandbits, which the
+    # inline getrandbits loop would not reproduce.
+    graph = toroidal_grid(3, 4)
+    orientation = orient_torus(graph, 3, 4)
+    drawn = []
+    run = finite_runner.run_node_algorithm_on_oriented_graph
+
+    def recording(alg, graph, orientation, values, **kwargs):
+        drawn.append(list(values))
+        return run(alg, graph, orientation, values, **kwargs)
+
+    monkeypatch.setattr(finite_runner, "run_node_algorithm_on_oriented_graph", recording)
+    rng, oracle = _RandomOnly(5), _RandomOnly(5)
+    estimate_global_success(_DrawsBelow(choices), graph, orientation, trials=3, rng=rng)
+    assert drawn == [[oracle.randrange(choices) for _ in graph.nodes()] for _ in range(3)]
+    assert rng.getstate() == oracle.getstate()
+
+
 # ----------------------------------------------------------------------
 # Exact failures: one Fraction against the step-by-step product
 # ----------------------------------------------------------------------
