@@ -37,7 +37,7 @@ Subpackages
 ``repro.speedup``
     The speedup simulation engine — the paper's core contribution.
 ``repro.analysis``
-    Tower arithmetic, recurrences, independence counting, bounds.
+    Tower arithmetic, recurrences, independence counting.
 ``repro.experiments``
     Runners regenerating Table 1, Figures 1-2, and the headline claims.
 """

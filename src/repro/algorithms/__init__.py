@@ -31,15 +31,8 @@ from .proper_coloring import (
     polynomial_color_reduction_step,
     linial_coloring,
 )
-from .mis import MISResult, greedy_mis_from_coloring, mis_via_linial, weak_two_coloring_from_mis
 from .two_coloring import TwoColoringResult, proper_two_coloring
 from .sinkless import SinklessResult, sinkless_from_pstar, sinkless_random_repair
-from .brute_force import find_feasible_labeling, exists_feasible, count_feasible
-from .edge_coloring import (
-    EdgeColoringResult,
-    edge_coloring_via_line_graph,
-    weak_edge_coloring_via_proper,
-)
 from .message_passing import (
     ColeVishkinMP,
     LubyMIS,
@@ -88,21 +81,11 @@ __all__ = [
     "polynomial_step_parameters",
     "polynomial_color_reduction_step",
     "linial_coloring",
-    "MISResult",
-    "greedy_mis_from_coloring",
-    "mis_via_linial",
-    "weak_two_coloring_from_mis",
     "TwoColoringResult",
     "proper_two_coloring",
     "SinklessResult",
     "sinkless_from_pstar",
     "sinkless_random_repair",
-    "find_feasible_labeling",
-    "exists_feasible",
-    "count_feasible",
-    "EdgeColoringResult",
-    "edge_coloring_via_line_graph",
-    "weak_edge_coloring_via_proper",
     "ColeVishkinMP",
     "LubyMIS",
     "GreedySequentialColoring",

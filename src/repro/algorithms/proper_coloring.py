@@ -17,9 +17,7 @@ The classical pipeline [Linial 1992; Goldberg-Plotkin-Shannon 1988]:
    constantly many classes for constant Delta.
 
 This is Table 1's row-3 technology from the proper-coloring side (the
-paper cites it via [9, 15, 17]); together with
-:func:`~repro.algorithms.mis.greedy_mis_from_coloring` it yields the
-classical O(log* n) MIS and hence yet another weak 2-coloring route.
+paper cites it via [9, 15, 17]).
 """
 
 from __future__ import annotations

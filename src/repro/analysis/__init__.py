@@ -1,4 +1,4 @@
-"""Quantitative machinery: towers, recurrences, independence counting, bounds."""
+"""Quantitative machinery: towers, recurrences, independence counting."""
 
 from .towers import TowerNumber, tower, log_star_float, iterated_log, exp2_scaled
 from .independence import (
@@ -17,23 +17,6 @@ from .recurrence import (
     Lemma9Evaluation,
     lemma9_evaluate,
     theorem13_crossover_height,
-)
-from .gaps import (
-    derandomization_instance_size,
-    derandomized_bound,
-    forbidden_deterministic_gap,
-    forbidden_randomized_gap,
-    classify_homogeneous,
-    HOMOGENEOUS_CLASSES,
-    GapViolation,
-)
-from .bounds import (
-    zero_round_failure_of_distribution,
-    zero_round_optimal_failure,
-    id_collision_probability_bound,
-    first_lemma_bound,
-    second_lemma_bound,
-    theorem6_round_floor,
 )
 
 __all__ = [
@@ -55,17 +38,4 @@ __all__ = [
     "Lemma9Evaluation",
     "lemma9_evaluate",
     "theorem13_crossover_height",
-    "derandomization_instance_size",
-    "derandomized_bound",
-    "forbidden_deterministic_gap",
-    "forbidden_randomized_gap",
-    "classify_homogeneous",
-    "HOMOGENEOUS_CLASSES",
-    "GapViolation",
-    "zero_round_failure_of_distribution",
-    "zero_round_optimal_failure",
-    "id_collision_probability_bound",
-    "first_lemma_bound",
-    "second_lemma_bound",
-    "theorem6_round_floor",
 ]

@@ -6,8 +6,7 @@ Theta(log* n); or (3) global — Theta(n).  This experiment exhibits one
 representative per class on an n-sweep of cycles:
 
 * trivial: the constant labeling (valid for the always-accept LCL);
-* local: proper 3-coloring via Linial's reduction (also 3-edge-coloring
-  through the line graph, and MIS via the color classes);
+* local: proper 3-coloring via Linial's reduction;
 * global: proper 2-coloring (needs the whole cycle's parity).
 """
 

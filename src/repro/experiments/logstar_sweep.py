@@ -73,9 +73,17 @@ def run_logstar_sweep(
     ``rng.randint(1, 2**bits)`` without its rejection loop (which draws
     ``bits + 1`` bits and rejects about half of them).  The identifiers
     differ from ``randint``'s, but the round counts depend only on
-    ``bits``, so the sweep prints the same points.
+    ``bits``, so the sweep prints the same points.  A width whose space
+    ``2**bits`` is smaller than the tree raises ``ValueError`` before
+    any draw.
     """
     tree = balanced_regular_tree(4, tree_depth)
+    for bits in id_bits:
+        if 1 << bits < tree.n:
+            raise ValueError(
+                f"identifier space 2**{bits} = {1 << bits} is smaller than the "
+                f"tree's n = {tree.n}: no distinct assignment exists"
+            )
     rng = random.Random(rng_seed)
     result = LogStarSweepResult()
     verifier = WeakColoring(2)

@@ -20,15 +20,11 @@ from .generators import (
     lemma18_pair,
 )
 from .orientation import Orientation, orient_tree, orient_torus, orient_torus_nd, direction_name
-from .transforms import line_graph, graph_power
 from .identifiers import (
     IdAssignment,
     sequential_ids,
     random_permutation_ids,
-    random_ids,
     sorted_by_bfs_ids,
-    adversarial_interval_ids,
-    validate_ids,
 )
 
 __all__ = [
@@ -56,13 +52,8 @@ __all__ = [
     "orient_torus",
     "orient_torus_nd",
     "direction_name",
-    "line_graph",
-    "graph_power",
     "IdAssignment",
     "sequential_ids",
     "random_permutation_ids",
-    "random_ids",
     "sorted_by_bfs_ids",
-    "adversarial_interval_ids",
-    "validate_ids",
 ]

@@ -43,10 +43,6 @@ class Graph:
 
     Notes
     -----
-    The class deliberately does not depend on :mod:`networkx` on the hot
-    path; conversion helpers (:meth:`to_networkx`, :meth:`from_networkx`)
-    bridge to it for generators and verification utilities.
-
     The adjacency rows are the only edge store: :meth:`has_edge` and the
     duplicate check of :meth:`add_edge` scan the shorter of the two rows,
     which is cheap at the bounded degrees the LOCAL model works with.
@@ -420,29 +416,6 @@ class Graph:
                     elif color[u] == color[v]:
                         return None
         return color
-
-    # ------------------------------------------------------------------
-    # Conversion
-    # ------------------------------------------------------------------
-    def to_networkx(self):
-        """Convert to a :class:`networkx.Graph` (nodes and edges only)."""
-        import networkx as nx
-
-        g = nx.Graph()
-        g.add_nodes_from(self.nodes())
-        g.add_edges_from(self.edges())
-        return g
-
-    @classmethod
-    def from_networkx(cls, g) -> "Graph":
-        """Build from a :class:`networkx.Graph` with integer nodes ``0..n-1``."""
-        nodes = sorted(g.nodes())
-        if nodes and (nodes[0] != 0 or nodes[-1] != len(nodes) - 1):
-            raise ValueError("networkx graph must have nodes 0..n-1; relabel first")
-        out = cls(len(nodes))
-        for u, v in sorted(tuple(edge_key(a, b)) for a, b in g.edges()):
-            out.add_edge(u, v)
-        return out
 
     # ------------------------------------------------------------------
     # Dunder / misc

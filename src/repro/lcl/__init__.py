@@ -18,7 +18,6 @@ from .pointer import (
     Irregularity,
     enumerate_cycles,
     degree_delta_cycles,
-    irregularity_distance,
     closest_irregularity,
 )
 from .homogeneous import HomogeneousLabel, HomogeneousLCL, AlwaysAccept
@@ -43,7 +42,6 @@ __all__ = [
     "Irregularity",
     "enumerate_cycles",
     "degree_delta_cycles",
-    "irregularity_distance",
     "closest_irregularity",
     "HomogeneousLabel",
     "HomogeneousLCL",

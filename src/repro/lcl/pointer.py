@@ -34,7 +34,6 @@ __all__ = [
     "Irregularity",
     "enumerate_cycles",
     "degree_delta_cycles",
-    "irregularity_distance",
     "closest_irregularity",
 ]
 
@@ -229,19 +228,6 @@ def degree_delta_cycles(
         CycleIrregularity(c)
         for c in enumerate_cycles(graph, max_length, nodes=full, limit=limit)
     ]
-
-
-def irregularity_distance(graph: Graph, v: int, irr: Irregularity) -> int:
-    """Distance from ``v`` to an irregularity, with the paper's convention.
-
-    For a low-degree node: ordinary hop distance.  For a cycle ``C``:
-    ``max_{u in C} dist(v, u)``, plus 1 if ``C`` is odd.
-    """
-    if isinstance(irr, LowDegreeIrregularity):
-        return graph.distance(v, irr.node)
-    dist = graph.bfs_distances(v)
-    worst = max(dist[u] for u in irr.nodes)
-    return worst + 1 if irr.odd else worst
 
 
 def closest_irregularity(

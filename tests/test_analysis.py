@@ -1,8 +1,10 @@
-"""Tests for tower arithmetic, recurrences, independence, and bounds."""
+"""Tests for tower arithmetic, recurrences, independence counting, and
+the zero-round and round-threshold bounds."""
 
 import math
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -15,22 +17,17 @@ from repro.analysis import (
     claim12_c0_ceiling,
     claim12_failure_floor_reciprocal,
     claim12_round_threshold,
-    first_lemma_bound,
-    id_collision_probability_bound,
     independent_execution_set,
     iterated_log,
     lemma9_evaluate,
     log_star_float,
     palette_trajectory,
-    second_lemma_bound,
-    theorem6_round_floor,
     theorem13_crossover_height,
     tower,
-    zero_round_failure_of_distribution,
-    zero_round_optimal_failure,
 )
 from repro.analysis.independence import IndependentSetResult, first_close_pair
 from repro.graphs import balanced_regular_tree, cycle, orient_torus, orient_tree, toroidal_grid
+from repro.speedup import NodeAlgorithm, node_local_failure, zero_round_uniform
 
 
 class TestTowerNumber:
@@ -459,23 +456,33 @@ class TestLemma9Theorem13:
 
 class TestBounds:
     def test_zero_round_uniform_is_optimal(self):
-        uniform = zero_round_optimal_failure(4, 4)
-        skewed = zero_round_failure_of_distribution([0.7, 0.1, 0.1, 0.1], 4)
-        assert uniform < skewed
-        assert abs(uniform - 4.0**-4) < 1e-15
+        # Claim 12's floor: a 0-round node and its Delta = 4 neighbors
+        # draw independently, so failure is sum_i q_i^5, least (4^-4)
+        # for the uniform q.  Skewed: 5 of 8 values give color 0.
+        uniform = node_local_failure(zero_round_uniform(2, 4), method="exact")
+        skewed_alg = NodeAlgorithm(2, 0, 3, 4, lambda a: max(0, a[0] - 4), name="skewed")
+        skewed = node_local_failure(skewed_alg, method="exact")
+        assert uniform.probability == Fraction(1, 4**4)
+        assert skewed.probability == Fraction(5**5 + 3, 8**5)
+        assert uniform.probability < skewed.probability
 
     def test_distribution_validation(self):
-        with pytest.raises(ValueError):
-            zero_round_failure_of_distribution([0.5, 0.2], 4)
-
-    def test_id_collision_bound(self):
-        n = 10**6
-        m = round(n ** (1 / 3))
-        assert id_collision_probability_bound(m, n) < 1 / (2 * n ** (1 / 3)) + 1e-9
+        # 2**bits values split evenly into colors, or the 0-round
+        # algorithm is not uniform and is refused.
+        with pytest.raises(ValueError, match="evenly"):
+            zero_round_uniform(2, 3)
+        with pytest.raises(ValueError, match="evenly"):
+            zero_round_uniform(2, 4, bits=1)
 
     def test_theorem6_round_floor(self):
-        assert theorem6_round_floor(2**16, b=1) == pytest.approx(4 / 2 - 4)
+        # Theorem 6's threshold t = log*(n)/2 - b - 3 is Claim 12's.
+        assert claim12_round_threshold(log_star_float(2**16), b=1) == pytest.approx(4 / 2 - 4)
 
     def test_lemma_bounds_reexported(self):
-        assert first_lemma_bound(0.001, 2, 4) > 0
-        assert second_lemma_bound(0.001, 2, 4) > 0
+        from repro import speedup
+        from repro.speedup import transform
+
+        assert speedup.first_lemma_bound is transform.first_lemma_bound
+        assert speedup.second_lemma_bound is transform.second_lemma_bound
+        assert speedup.first_lemma_bound(0.001, 2, 4) > 0
+        assert speedup.second_lemma_bound(0.001, 2, 4) > 0

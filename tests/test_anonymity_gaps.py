@@ -1,21 +1,11 @@
-"""Tests for anonymous-symmetry impossibility, explicit ports,
-d-dimensional tori, and the Appendix A.1 gap oracle."""
+"""Tests for anonymous-symmetry impossibility, explicit ports, and
+d-dimensional tori."""
 
+import itertools
 import random
 
 import pytest
 
-from repro.analysis import (
-    GapViolation,
-    HOMOGENEOUS_CLASSES,
-    classify_homogeneous,
-    derandomization_instance_size,
-    derandomized_bound,
-    forbidden_deterministic_gap,
-    forbidden_randomized_gap,
-    tower,
-)
-from repro.experiments import run_classification, run_table1
 from repro.graphs import (
     Graph,
     cycle,
@@ -113,6 +103,29 @@ class TestNdTorus:
             v = o.neighbor(v, 0, 1)
         assert v == 0
 
+    @pytest.mark.parametrize(
+        "dims", [(3,), (5,), (3, 4), (4, 3), (3, 4, 5), (3, 3, 3, 3)]
+    )
+    def test_orientation_steps_one_coordinate(self, dims):
+        # Row-major coordinates: direction (axis, +1) adds 1 to the
+        # axis coordinate mod its side, (axis, -1) subtracts 1, and
+        # every other coordinate stays.
+        g = toroidal_grid_nd(dims)
+        o = orient_torus_nd(g, dims)
+        coords = list(itertools.product(*(range(side) for side in dims)))
+        index = {c: v for v, c in enumerate(coords)}
+        for v, c in enumerate(coords):
+            assert set(o.labeled_neighbors(v)) == {
+                (axis, sign) for axis in range(len(dims)) for sign in (1, -1)
+            }
+            for axis, side in enumerate(dims):
+                for sign in (1, -1):
+                    step = list(c)
+                    step[axis] = (step[axis] + sign) % side
+                    u = index[tuple(step)]
+                    assert o.neighbor(v, axis, sign) == u
+                    assert g.has_edge(v, u)
+
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
             toroidal_grid_nd((2, 3))
@@ -128,49 +141,3 @@ class TestNdTorus:
             rng=random.Random(0),
         )
         assert 0.0 <= rate <= 1.0
-
-
-class TestGapOracle:
-    def test_allowed_classes(self):
-        assert "O(1)" in classify_homogeneous("constant")
-        assert "log*" in classify_homogeneous("log_star")
-        assert "log n" in classify_homogeneous("log")
-
-    def test_forbidden_classes_raise(self):
-        for label in ("sqrt", "linear", "log_log_star", "sqrt_log_star"):
-            with pytest.raises(GapViolation):
-                classify_homogeneous(label)
-
-    def test_gap_predicates(self):
-        assert forbidden_deterministic_gap("sqrt_log_star")
-        assert not forbidden_deterministic_gap("log_star")
-        assert forbidden_randomized_gap("between_log_star_and_log_log")
-        assert not forbidden_randomized_gap("log")
-
-    def test_derandomization_sizes(self):
-        assert derandomization_instance_size(4).to_float() == 2.0**16
-        big = derandomization_instance_size(64)
-        assert not big.is_finite_float() or big.to_float() > 1e300
-
-    def test_derandomized_bound_combinator(self):
-        # A randomized Theta(log log n) curve derandomizes to O(log n):
-        # rand(2^(n^2)) = log log 2^(n^2) = log(n^2) = 2 log n.
-        import math
-
-        def rand_complexity(size):
-            return size.log2().log2().to_float()
-
-        bound = derandomized_bound(rand_complexity, 256)
-        assert bound == pytest.approx(2 * math.log2(256))
-
-    def test_measured_curves_land_in_allowed_classes(self):
-        # The harness's own measurements never hit a gap.
-        table = run_table1(sizes=(50, 200, 800))
-        for row in table.rows:
-            classify_homogeneous(row.fit.best)  # must not raise
-
-    def test_every_class_is_realized(self):
-        result = run_classification(sizes=(50, 200, 800, 3200))
-        labels = {row.fit.best for row in result.rows}
-        assert labels == {"constant", "log"} or labels == {"constant", "log_star", "log"}
-        # (log* measures flat at feasible n; both outcomes name all classes.)

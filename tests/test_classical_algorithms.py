@@ -1,5 +1,5 @@
-"""Tests for Linial coloring, MIS, 2-coloring, sinkless orientation,
-and the brute-force oracle."""
+"""Tests for Linial coloring, MIS as weak 2-coloring, 2-coloring and
+sinkless orientation."""
 
 import functools
 import random
@@ -9,19 +9,14 @@ from typing import Dict, Optional, Tuple
 import pytest
 
 from repro.algorithms import (
-    count_feasible,
-    exists_feasible,
-    find_feasible_labeling,
-    greedy_mis_from_coloring,
+    LubyMIS,
     linial_coloring,
-    mis_via_linial,
     polynomial_color_reduction_step,
     polynomial_step_parameters,
     proper_two_coloring,
     sinkless_from_pstar,
     sinkless_random_repair,
     smallest_prime_at_least,
-    weak_two_coloring_from_mis,
 )
 from repro.graphs import (
     Graph,
@@ -42,6 +37,7 @@ from repro.lcl import (
     SinklessOrientation,
     WeakColoring,
 )
+from repro.local_model import run_local
 
 
 class TestPrimesAndParameters:
@@ -220,32 +216,26 @@ class TestLinialColoring:
 
 
 class TestMIS:
-    def test_greedy_from_coloring(self):
-        g = cycle(9)
-        colors = [v % 3 for v in g.nodes()]
-        # v % 3 is proper on a 9-cycle.
-        mis = greedy_mis_from_coloring(g, colors, 3)
-        assert MaximalIndependentSet().is_feasible(g, mis.in_mis)
-        assert mis.rounds == 3
+    """Lemma 2's "natural way": on a graph without isolated nodes an
+    MIS, read as black (1) and white (0), is a weak 2-coloring."""
+
+    def test_weak_two_coloring_from_mis(self):
+        g = cycle(10)
+        out = run_local(g, LubyMIS(), rng=random.Random(10))
+        assert MaximalIndependentSet().is_feasible(g, out.outputs)
+        labels = [1 if x else 0 for x in out.outputs]
+        assert WeakColoring(2).is_feasible(g, labels)
 
     @pytest.mark.parametrize(
         "graph",
         [cycle(12), balanced_regular_tree(3, 3), star(6), path(9)],
     )
-    def test_mis_via_linial(self, graph):
-        out = mis_via_linial(graph, sequential_ids(graph))
-        assert MaximalIndependentSet().is_feasible(graph, out.in_mis)
-
-    def test_weak_two_coloring_from_mis(self):
-        g = cycle(10)
-        out = mis_via_linial(g, sequential_ids(g))
-        labels = weak_two_coloring_from_mis(g, out.in_mis)
-        assert WeakColoring(2).is_feasible(g, labels)
-
-    def test_weak_from_mis_needs_degree(self):
-        g = Graph(2)
-        with pytest.raises(ValueError):
-            weak_two_coloring_from_mis(g, [True, False])
+    def test_every_mis_is_weak(self, graph):
+        for seed in range(5):
+            out = run_local(graph, LubyMIS(), rng=random.Random(seed))
+            assert MaximalIndependentSet().is_feasible(graph, out.outputs)
+            labels = [1 if x else 0 for x in out.outputs]
+            assert WeakColoring(2).is_feasible(graph, labels)
 
 
 class TestTwoColoring:
@@ -408,54 +398,3 @@ class TestSinkRepairMatchesReference:
                 )
                 raised += got[0] == "RuntimeError"
         assert raised >= 10
-
-
-class TestBruteForce:
-    def test_finds_proper_coloring(self):
-        g = cycle(7)
-        labeling = find_feasible_labeling(g, ProperColoring(3), [0, 1, 2])
-        assert labeling is not None
-        assert ProperColoring(3).is_feasible(g, labeling)
-
-    def test_detects_infeasibility(self):
-        assert not exists_feasible(cycle(5), ProperColoring(2), [0, 1])
-        assert exists_feasible(cycle(6), ProperColoring(2), [0, 1])
-
-    def test_weak_coloring_always_feasible_on_connected(self):
-        for g in (path(5), cycle(5), star(4), balanced_regular_tree(3, 2)):
-            assert exists_feasible(g, WeakColoring(2), [0, 1])
-
-    def test_count_proper_2_colorings_of_even_cycle(self):
-        assert count_feasible(cycle(6), ProperColoring(2), [0, 1]) == 2
-
-    def test_count_weak_colorings_of_single_edge(self):
-        g = path(2)
-        # Valid: 01 and 10 (00/11 fail weakness).
-        assert count_feasible(g, WeakColoring(2), [0, 1]) == 2
-
-    def test_count_respects_limit(self):
-        g = path(8)
-        assert count_feasible(g, WeakColoring(2), [0, 1], limit=3) == 3
-
-    def test_mis_search(self):
-        g = star(4)
-        labeling = find_feasible_labeling(g, MaximalIndependentSet(), [True, False])
-        assert labeling is not None
-        assert MaximalIndependentSet().is_feasible(g, labeling)
-
-    def test_default_node_order_runs_one_full_bfs(self, monkeypatch):
-        # The default BFS order needs the distances from node 0 once; the
-        # search's own pruning only runs radius-bounded BFS (cutoff set).
-        g = path(40)
-        full_bfs = []
-        original = Graph.bfs_distances
-
-        def counting(self, source, cutoff=None):
-            if cutoff is None:
-                full_bfs.append(source)
-            return original(self, source, cutoff)
-
-        monkeypatch.setattr(Graph, "bfs_distances", counting)
-        labeling = find_feasible_labeling(g, ProperColoring(2), [0, 1])
-        assert labeling == [i % 2 for i in range(40)]
-        assert full_bfs == [0]

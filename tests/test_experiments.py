@@ -88,6 +88,15 @@ class TestLogStarSweep:
         result = run_logstar_sweep(id_bits=(8, 65536), tree_depth=3)
         assert result.points[-1].measured_rounds > result.points[0].measured_rounds
 
+    def test_space_smaller_than_the_tree_is_refused(self):
+        # 16 values cannot give 53 nodes distinct identifiers; the draw
+        # loop used to spin forever.
+        with pytest.raises(ValueError, match=r"2\*\*4 = 16 .* n = 53"):
+            run_logstar_sweep(id_bits=(8, 4), tree_depth=3)
+        # 2**6 = 64 is the smallest width that fits the 53 nodes.
+        (point,) = run_logstar_sweep(id_bits=(6,), tree_depth=3).points
+        assert point.verified
+
 
 class TestSpeedupFigures:
     def test_bounds_hold_for_default_seeds(self):

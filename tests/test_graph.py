@@ -390,20 +390,6 @@ class TestSubgraph:
 
 
 class TestConversion:
-    def test_networkx_roundtrip(self):
-        g = balanced_regular_tree(4, 2)
-        nx_graph = g.to_networkx()
-        back = Graph.from_networkx(nx_graph)
-        assert back == g
-
-    def test_from_networkx_requires_contiguous_nodes(self):
-        import networkx as nx
-
-        h = nx.Graph()
-        h.add_edge(5, 7)
-        with pytest.raises(ValueError, match="0..n-1"):
-            Graph.from_networkx(h)
-
     def test_equality_and_hash(self):
         a = Graph(3, [(0, 1), (1, 2)])
         b = Graph(3, [(1, 2), (0, 1)])

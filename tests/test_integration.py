@@ -15,7 +15,6 @@ from repro.analysis import (
     independent_execution_set,
     lemma9_evaluate,
     tower,
-    zero_round_optimal_failure,
 )
 from repro.experiments import plant_distance_k_weak_coloring
 from repro.graphs import (
@@ -119,7 +118,7 @@ class TestLowerBoundStory:
             alg = zero_round_uniform(2, c)
             measured = node_local_failure(alg, method="exact")
             assert measured.probability == Fraction(1, c**4)
-            assert float(measured.probability) == zero_round_optimal_failure(c, 4)
+            assert float(measured.probability) == float(c) ** -4
 
     def test_claim10_set_inside_real_tree(self):
         tree = balanced_regular_tree(4, 9)

@@ -17,6 +17,7 @@ from repro.lcl import (
     MaximalIndependentSet,
     MaximalMatching,
     ProperColoring,
+    ProperEdgeColoring,
     SinklessOrientation,
     WeakColoring,
     WeakEdgeColoring,
@@ -180,6 +181,55 @@ class TestWeakEdgeColoring:
             tree, labeling, orientation=o
         )
         assert len(violations) == 4  # the four leaves
+
+
+class TestProperEdgeColoring:
+    def test_alternating_even_cycle_is_proper(self):
+        g = cycle(8)
+        labeling = {edge_key(v, (v + 1) % 8): v % 2 for v in g.nodes()}
+        assert ProperEdgeColoring(2).is_feasible(g, labeling)
+
+    def test_odd_cycle_needs_three(self):
+        g = cycle(7)
+        two = {edge_key(v, (v + 1) % 7): v % 2 for v in g.nodes()}
+        # Edges {6, 0} and {0, 1} both get color 0: node 0 alone fails.
+        assert [x.where for x in ProperEdgeColoring(2).verify(g, two)] == [0]
+        three = dict(two)
+        three[edge_key(6, 0)] = 2
+        assert ProperEdgeColoring(3).is_feasible(g, three)
+
+    def test_shared_color_names_both_edges(self):
+        g = path(3)
+        labeling = {edge_key(0, 1): 1, edge_key(1, 2): 1}
+        violations = ProperEdgeColoring(2).verify(g, labeling)
+        assert [x.where for x in violations] == [1]
+        assert "share color 1" in violations[0].reason
+
+    def test_star_needs_delta_colors(self):
+        g = star(4)
+        labeling = {edge_key(0, leaf): leaf - 1 for leaf in range(1, 5)}
+        assert ProperEdgeColoring(4).is_feasible(g, labeling)
+        assert not ProperEdgeColoring(3).is_feasible(g, labeling)
+
+    def test_palette_enforced(self):
+        g = path(2)
+        for bad in (2, -1):
+            violations = ProperEdgeColoring(2).verify(g, {edge_key(0, 1): bad})
+            assert {x.where for x in violations} == {0, 1}
+            assert all("outside the palette" in x.reason for x in violations)
+
+    def test_unlabeled_edge_is_violation(self):
+        g = path(3)
+        violations = ProperEdgeColoring(2).verify(g, {edge_key(0, 1): 0})
+        assert {x.where for x in violations} == {1, 2}
+        assert all("unlabeled" in x.reason for x in violations)
+
+    def test_isolated_nodes_vacuous(self):
+        assert ProperEdgeColoring(1).is_feasible(Graph(3), {})
+
+    def test_parameter_validation(self):
+        with pytest.raises(ValueError):
+            ProperEdgeColoring(0)
 
 
 class TestSinklessOrientation:

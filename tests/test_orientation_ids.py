@@ -9,7 +9,6 @@ import pytest
 from repro.graphs import (
     Graph,
     Orientation,
-    adversarial_interval_ids,
     balanced_regular_tree,
     caterpillar,
     cycle,
@@ -17,14 +16,12 @@ from repro.graphs import (
     orient_torus,
     orient_tree,
     path,
-    random_ids,
     random_permutation_ids,
     random_tree,
     sequential_ids,
     sorted_by_bfs_ids,
     star,
     toroidal_grid,
-    validate_ids,
 )
 
 
@@ -322,7 +319,6 @@ class TestIdentifiers:
     def test_sequential(self):
         g = path(5)
         assert sequential_ids(g) == [1, 2, 3, 4, 5]
-        assert validate_ids(g, sequential_ids(g), c=1)
 
     def test_random_permutation_is_permutation(self):
         g = cycle(10)
@@ -356,11 +352,6 @@ class TestIdentifiers:
             assert random_permutation_ids(Graph(n), rng) == want, n
             assert rng.getstate() == reference.getstate(), n
 
-    def test_random_ids_in_range(self):
-        g = cycle(10)
-        ids = random_ids(g, c=2, rng=random.Random(2))
-        assert all(1 <= i <= 100 for i in ids)
-
     def test_sorted_by_bfs(self):
         g = path(5)
         ids = sorted_by_bfs_ids(g, root=0)
@@ -372,17 +363,3 @@ class TestIdentifiers:
         g = Graph(3, [(0, 1)])
         with pytest.raises(ValueError):
             sorted_by_bfs_ids(g)
-
-    def test_adversarial_interval(self):
-        g = cycle(5)
-        assert adversarial_interval_ids(g, start=10) == [10, 11, 12, 13, 14]
-        with pytest.raises(ValueError):
-            adversarial_interval_ids(g, start=0)
-
-    def test_validate_rejects_duplicates(self):
-        g = path(3)
-        assert not validate_ids(g, [1, 1, 2])
-        assert not validate_ids(g, [0, 1, 2])
-        assert not validate_ids(g, [1, 2])
-        assert not validate_ids(g, [1, 2, 100], c=1)
-        assert validate_ids(g, [1, 2, 9], c=2)

@@ -20,7 +20,6 @@ from repro.lcl import (
     closest_irregularity,
     degree_delta_cycles,
     enumerate_cycles,
-    irregularity_distance,
 )
 
 
@@ -156,23 +155,6 @@ class TestCycleEnumeration:
         g = cycle(5)
         assert degree_delta_cycles(g, 2, max_length=5)[0].length == 5
         assert degree_delta_cycles(g, 3, max_length=5) == []
-
-
-class TestIrregularityDistance:
-    def test_low_degree_distance(self):
-        g = path(5)
-        irr = LowDegreeIrregularity(node=0, degree=1)
-        assert irregularity_distance(g, 3, irr) == 3
-
-    def test_even_cycle_distance_is_max(self):
-        g = cycle(4)
-        irr = CycleIrregularity((0, 1, 2, 3))
-        assert irregularity_distance(g, 0, irr) == 2
-
-    def test_odd_cycle_distance_is_max_plus_one(self):
-        g = cycle(5)
-        irr = CycleIrregularity((0, 1, 2, 3, 4))
-        assert irregularity_distance(g, 0, irr) == 3
 
 
 class TestClosestIrregularity:

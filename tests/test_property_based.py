@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from repro.algorithms import (
     cv_step,
     linial_coloring,
-    mis_via_linial,
     odd_degree_weak_two_coloring,
     order_type_labeling,
     is_distance_k_weak,
@@ -22,7 +21,7 @@ from repro.algorithms import (
     weak_two_coloring_from_ids,
 )
 from repro.graphs import Graph, balanced_regular_tree, random_regular_graph, random_tree
-from repro.lcl import MaximalIndependentSet, PStar, ProperColoring, WeakColoring
+from repro.lcl import PStar, ProperColoring, WeakColoring
 from repro.local_model import gather_view
 from repro.speedup import OrientedBall, reduce_word
 
@@ -109,13 +108,6 @@ class TestColoringProperties:
         tree, ids = data
         out = linial_coloring(tree, ids)
         assert ProperColoring(tree.max_degree() + 1).is_feasible(tree, out.colors)
-
-    @DEFAULT_SETTINGS
-    @given(tree_with_ids())
-    def test_mis_on_trees(self, data):
-        tree, ids = data
-        out = mis_via_linial(tree, ids)
-        assert MaximalIndependentSet().is_feasible(tree, out.in_mis)
 
     @given(
         st.integers(0, 2**20 - 1),

@@ -1,4 +1,4 @@
-"""Property-based tests: tower arithmetic, neighborhood graphs, LCL duals."""
+"""Property-based tests: tower arithmetic and neighborhood graphs."""
 
 import math
 import random
@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import TowerNumber, exp2_scaled, iterated_log, tower
-from repro.graphs import cycle, line_graph, random_tree
+from repro.graphs import cycle
 from repro.lcl import ProperColoring
 from repro.lowerbounds import (
     algorithm_from_coloring,
@@ -100,17 +100,3 @@ class TestNeighborhoodGraphProperties:
         w = window_of(ids, position, t)
         assert len(w) == 2 * t + 1
         assert w[t] == ids[position]
-
-
-class TestLineGraphProperties:
-    @given(st.integers(2, 30), st.integers(0, 2**32 - 1))
-    @DEFAULT
-    def test_line_graph_of_tree_sizes(self, n, seed):
-        tree = random_tree(n, random.Random(seed))
-        lg, edges = line_graph(tree)
-        assert lg.n == tree.m
-        # Sum over nodes of C(deg, 2) counts line-graph edges.
-        expected = sum(
-            tree.degree(v) * (tree.degree(v) - 1) // 2 for v in tree.nodes()
-        )
-        assert lg.m == expected

@@ -1,108 +1,157 @@
-"""Tests for graph transforms, edge coloring, trichotomy, global failure,
-and the experiments CLI."""
+"""Tests for the distance-k and edge verifiers against graph powers and
+line graphs, the cycle trichotomy, global failure, and the experiments
+CLI."""
 
+import itertools
 import random
 
 import pytest
 
-from repro.algorithms import edge_coloring_via_line_graph
+from repro.algorithms import is_distance_k_weak
 from repro.experiments import run_cycle_trichotomy, run_global_failure
 from repro.experiments.__main__ import main as experiments_main
 from repro.graphs import (
     Graph,
     balanced_regular_tree,
+    caterpillar,
     cycle,
-    graph_power,
-    line_graph,
+    edge_key,
     path,
-    random_permutation_ids,
     random_regular_graph,
-    sequential_ids,
+    random_tree,
     star,
+    toroidal_grid,
 )
-from repro.lcl import ProperEdgeColoring, WeakColoring
-from repro.speedup import local_maximum_coloring
+from repro.lcl import (
+    MaximalIndependentSet,
+    MaximalMatching,
+    ProperColoring,
+    ProperEdgeColoring,
+    WeakColoring,
+)
 
 
-class TestLineGraph:
-    def test_path_line_graph_is_shorter_path(self):
-        lg, edges = line_graph(path(5))
-        assert lg.n == 4
-        assert lg.m == 3
-        assert lg.is_tree()
+def distance_k_graph(graph, k):
+    """``graph`` with an edge between every two nodes at distance 1..k."""
+    power = Graph(graph.n)
+    for v in graph.nodes():
+        for u in graph.bfs_distances(v, cutoff=k):
+            if v < u:
+                power.add_edge(v, u)
+    return power
 
-    def test_cycle_line_graph_is_cycle(self):
-        lg, _ = line_graph(cycle(7))
-        assert lg.n == 7 and lg.is_regular(2)
-        assert lg.girth() == 7
 
-    def test_star_line_graph_is_complete(self):
-        lg, _ = line_graph(star(4))
-        assert lg.n == 4
-        assert lg.m == 6  # K4
+def edge_adjacency_graph(graph):
+    """One node per edge of ``graph`` (in ``graph.edges()`` order), two
+    adjacent iff their edges share an endpoint."""
+    edges = list(graph.edges())
+    index = {e: i for i, e in enumerate(edges)}
+    lines = Graph(len(edges))
+    for v in graph.nodes():
+        incident = [index[edge_key(v, u)] for u in graph.neighbors(v)]
+        for a, b in itertools.combinations(incident, 2):
+            lines.add_edge(a, b)
+    return lines, edges
 
-    def test_degree_bound(self):
-        g = random_regular_graph(20, 4, rng=random.Random(0))
-        lg, _ = line_graph(g)
-        assert lg.max_degree() <= 2 * (4 - 1)
 
-    def test_edge_mapping_consistent(self):
-        g = balanced_regular_tree(3, 2)
-        lg, edges = line_graph(g)
-        assert len(edges) == g.m
-        assert lg.n == g.m
-
-    def test_empty_graph(self):
-        lg, edges = line_graph(Graph(3))
-        assert lg.n == 0 and edges == []
+#: Connected instances with at least one edge: every node has a
+#: neighbor, so the verifiers and ``is_distance_k_weak`` agree on what a
+#: node must see.
+INSTANCES = {
+    "path9": lambda: path(9),
+    "cycle10": lambda: cycle(10),
+    "cycle11": lambda: cycle(11),
+    "star5": lambda: star(5),
+    "tree3-3": lambda: balanced_regular_tree(3, 3),
+    "caterpillar4-2": lambda: caterpillar(4, 2),
+    "random-tree20": lambda: random_tree(20, random.Random(20)),
+    "random-regular16-3": lambda: random_regular_graph(16, 3, rng=random.Random(16)),
+    "torus4-5": lambda: toroidal_grid(4, 5),
+}
 
 
 class TestGraphPower:
-    def test_square_of_path(self):
-        g2 = graph_power(path(5), 2)
-        assert g2.has_edge(0, 2)
-        assert not g2.has_edge(0, 3)
-
-    def test_power_one_is_identity(self):
-        g = cycle(8)
-        assert graph_power(g, 1) == g
-
     def test_distance_k_weak_becomes_distance_1(self):
         g = path(7)
         colors = [(v // 3) % 2 for v in g.nodes()]
         assert WeakColoring(2, distance=3).is_feasible(g, colors)
-        assert WeakColoring(2, distance=1).is_feasible(graph_power(g, 3), colors)
+        assert WeakColoring(2, distance=1).is_feasible(distance_k_graph(g, 3), colors)
 
-    def test_invalid_power(self):
-        with pytest.raises(ValueError):
-            graph_power(path(3), 0)
+    @pytest.mark.parametrize("name", sorted(INSTANCES))
+    def test_distance_k_verifier_matches_power_graph(self, name):
+        # Most nodes get color 0, so that both verdicts occur.
+        g = INSTANCES[name]()
+        rng = random.Random(name)
+        verdicts = set()
+        for k in (1, 2, 3):
+            power = distance_k_graph(g, k)
+            for _ in range(30):
+                labels = [0 if rng.random() < 0.85 else rng.randrange(1, 3) for _ in g.nodes()]
+                verdict = WeakColoring(3, distance=k).is_feasible(g, labels)
+                assert WeakColoring(3).is_feasible(power, labels) == verdict
+                assert is_distance_k_weak(g, labels, k) == verdict
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
 
 
-class TestEdgeColoring:
-    @pytest.mark.parametrize(
-        "graph",
-        [cycle(10), path(9), balanced_regular_tree(3, 3), star(5)],
-    )
-    def test_proper_and_within_palette(self, graph):
-        out = edge_coloring_via_line_graph(graph, sequential_ids(graph))
-        assert ProperEdgeColoring(out.palette).is_feasible(graph, out.colors)
-        assert out.palette <= 2 * graph.max_degree() - 1
+class TestLineGraph:
+    @pytest.mark.parametrize("name", sorted(INSTANCES))
+    def test_proper_edge_coloring_matches_node_coloring_of_edges(self, name):
+        # A proper edge coloring of G is a proper coloring of L(G),
+        # palette check included.  Half the labelings are greedy proper
+        # colorings in a random edge order with one edge then redrawn,
+        # half are uniform over one color more than the palette.
+        g = INSTANCES[name]()
+        lines, edges = edge_adjacency_graph(g)
+        palette = 2 * g.max_degree() - 1
+        rng = random.Random(name)
+        verdicts = set()
+        for trial in range(40):
+            if trial % 2:
+                labels = {e: rng.randrange(palette + 1) for e in edges}
+            else:
+                labels = {}
+                used = [set() for _ in g.nodes()]
+                for u, v in rng.sample(edges, len(edges)):
+                    c = min(set(range(palette)) - used[u] - used[v])
+                    labels[(u, v)] = c
+                    used[u].add(c)
+                    used[v].add(c)
+                labels[rng.choice(edges)] = rng.randrange(palette + 1)
+            verdict = ProperEdgeColoring(palette).is_feasible(g, labels)
+            node_labels = [labels[e] for e in edges]
+            assert ProperColoring(palette).is_feasible(lines, node_labels) == verdict
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
 
-    def test_random_regular(self):
-        g = random_regular_graph(20, 4, rng=random.Random(1))
-        out = edge_coloring_via_line_graph(g, random_permutation_ids(g, random.Random(2)))
-        assert ProperEdgeColoring(out.palette).is_feasible(g, out.colors)
-
-    def test_edgeless(self):
-        out = edge_coloring_via_line_graph(Graph(4), [1, 2, 3, 4])
-        assert out.colors == {} and out.rounds == 0
-
-    def test_rounds_constant_in_n_on_cycles(self):
-        rounds = {
-            edge_coloring_via_line_graph(cycle(n), sequential_ids(cycle(n))).rounds
-            for n in (32, 128, 512)
-        }
-        assert max(rounds) - min(rounds) <= 3  # log*-flat
+    @pytest.mark.parametrize("name", sorted(INSTANCES))
+    def test_maximal_matching_matches_mis_of_edges(self, name):
+        # A maximal matching of G is an MIS of L(G).  Half the labelings
+        # are greedy maximal matchings in a random edge order, every
+        # other one with one edge then flipped (which always breaks it);
+        # half match each edge with probability 1/3.
+        g = INSTANCES[name]()
+        lines, edges = edge_adjacency_graph(g)
+        rng = random.Random(name)
+        verdicts = set()
+        for trial in range(40):
+            if trial % 2:
+                labels = {e: rng.random() < 1 / 3 for e in edges}
+            else:
+                labels = dict.fromkeys(edges, False)
+                matched = set()
+                for u, v in rng.sample(edges, len(edges)):
+                    if u not in matched and v not in matched:
+                        labels[(u, v)] = True
+                        matched.update((u, v))
+                if trial % 4:
+                    flip = rng.choice(edges)
+                    labels[flip] = not labels[flip]
+            verdict = MaximalMatching().is_feasible(g, labels)
+            in_set = [labels[e] for e in edges]
+            assert MaximalIndependentSet().is_feasible(lines, in_set) == verdict
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
 
 
 class TestCycleTrichotomy:

@@ -1,56 +1,110 @@
 """Tests for the weak-edge-coloring upper bound and engine orientation."""
 
-import random
-
 import pytest
 
-from repro.algorithms import weak_edge_coloring_via_proper
 from repro.graphs import (
     balanced_regular_tree,
+    edge_key,
     orient_torus,
     orient_torus_nd,
     orient_tree,
-    sequential_ids,
     toroidal_grid,
     toroidal_grid_nd,
 )
-from repro.lcl import WeakEdgeColoring
+from repro.lcl import ProperEdgeColoring, WeakEdgeColoring
 from repro.local_model import LocalAlgorithm, run_local
 
 
+def greedy_proper_edge_coloring(graph):
+    """Each edge, in ``graph.edges()`` order, takes the smallest color
+    unused at both endpoints: a proper coloring with at most
+    ``2 * Delta - 1`` colors."""
+    colors = {}
+    used = [set() for _ in graph.nodes()]
+    for u, v in graph.edges():
+        c = 0
+        while c in used[u] or c in used[v]:
+            c += 1
+        colors[edge_key(u, v)] = c
+        used[u].add(c)
+        used[v].add(c)
+    return colors, max(colors.values()) + 1
+
+
+def assert_proper_is_weak(graph, orientation, k):
+    colors, palette = greedy_proper_edge_coloring(graph)
+    assert palette <= 2 * graph.max_degree() - 1
+    assert ProperEdgeColoring(palette).is_feasible(graph, colors)
+    assert WeakEdgeColoring(palette, k=k).is_feasible(
+        graph, colors, orientation=orientation
+    )
+
+
 class TestWeakEdgeColoringUpperBound:
+    """Section 7's upper bound: two edges of one dimension share their
+    node, so a proper edge coloring is a weak one."""
+
     def test_on_2d_torus(self):
         g = toroidal_grid(4, 5)
-        o = orient_torus(g, 4, 5)
-        out = weak_edge_coloring_via_proper(g, sequential_ids(g))
-        assert WeakEdgeColoring(out.palette, k=2).is_feasible(
-            g, out.colors, orientation=o
-        )
-        assert out.palette <= 2 * 4 - 1
+        assert_proper_is_weak(g, orient_torus(g, 4, 5), k=2)
 
     def test_on_3d_torus(self):
         dims = (3, 3, 4)
         g = toroidal_grid_nd(dims)
-        o = orient_torus_nd(g, dims)
-        out = weak_edge_coloring_via_proper(g, sequential_ids(g))
-        assert WeakEdgeColoring(out.palette, k=3).is_feasible(
-            g, out.colors, orientation=o
-        )
+        assert_proper_is_weak(g, orient_torus_nd(g, dims), k=3)
 
     def test_on_oriented_tree(self):
         g = balanced_regular_tree(4, 3)
-        o = orient_tree(g, 2)
-        out = weak_edge_coloring_via_proper(g, sequential_ids(g))
-        assert WeakEdgeColoring(out.palette, k=2).is_feasible(
-            g, out.colors, orientation=o
-        )
+        assert_proper_is_weak(g, orient_tree(g, 2), k=2)
 
-    def test_rounds_logstar_flat(self):
-        rounds = set()
-        for side in (4, 6, 8):
-            g = toroidal_grid(side, side)
-            rounds.add(weak_edge_coloring_via_proper(g, sequential_ids(g)).rounds)
-        assert max(rounds) - min(rounds) <= 3
+    @pytest.mark.parametrize(
+        "dims", [(3,), (4,), (3, 4), (5, 5), (3, 3, 4), (3, 3, 3, 3)]
+    )
+    def test_on_nd_torus(self, dims):
+        g = toroidal_grid_nd(dims)
+        assert_proper_is_weak(g, orient_torus_nd(g, dims), k=len(dims))
+
+
+class TestParityAlongOneDimension:
+    """Coloring the edges of one dimension by their tail's coordinate
+    parity (every other edge 0) is a weak 2-edge-coloring exactly when
+    that dimension has even length; on odd length the nodes at
+    coordinate 0 see both of its edges share parity 0."""
+
+    @pytest.mark.parametrize(
+        "dims, axis",
+        [
+            ((4, 4), 0),
+            ((4, 4), 1),
+            ((3, 4), 1),
+            ((3, 4), 0),
+            ((3, 4, 6), 2),
+            ((5, 3, 3), 0),
+        ],
+    )
+    def test_violations_are_the_wraparound_nodes(self, dims, axis):
+        g = toroidal_grid_nd(dims)
+        o = orient_torus_nd(g, dims)
+        stride = 1
+        for side in dims[axis + 1:]:
+            stride *= side
+
+        def coordinate(v):
+            return v // stride % dims[axis]
+
+        labeling = {}
+        for u, v in g.edges():
+            tail = u if o.sign_at(u, v) == 1 else v
+            on_axis = o.dim_of(u, v) == axis
+            labeling[edge_key(u, v)] = coordinate(tail) % 2 if on_axis else 0
+        bad = {x.where for x in WeakEdgeColoring(2, k=len(dims)).verify(
+            g, labeling, orientation=o
+        )}
+        if dims[axis] % 2 == 0:
+            assert bad == set()
+        else:
+            assert bad == {v for v in g.nodes() if coordinate(v) == 0}
+            assert len(bad) == g.n // dims[axis]
 
 
 class DirectionEcho(LocalAlgorithm):
