@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from ..graphs.graph import Graph
 
 __all__ = [
     "log_star",

@@ -20,7 +20,6 @@ from typing import Any, List, Optional, Sequence
 
 from ..graphs.graph import Graph
 from ..lcl.homogeneous import HomogeneousLabel
-from ..lcl.pointer import PStarLabel
 from .pointer_solver import solve_pstar, solve_pstar_partial
 from .weak_coloring import weak_two_coloring_from_ids
 

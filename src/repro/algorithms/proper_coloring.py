@@ -23,7 +23,7 @@ paper cites it via [9, 15, 17]).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..graphs.graph import Graph
 

@@ -22,9 +22,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..graphs.generators import balanced_regular_tree
 from ..graphs.graph import Graph
-from ..graphs.orientation import Orientation, orient_tree
+from ..graphs.orientation import Orientation
 
 __all__ = [
     "IndependentSetResult",

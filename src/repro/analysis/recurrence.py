@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import List, Optional
 
 from .towers import TowerNumber, exp2_scaled, iterated_log, tower
 

@@ -1,11 +1,15 @@
 """Experiment harness: one runner per table / figure / headline claim.
 
 :data:`EXHIBITS` lists them as the report runs them, with their
-arguments and verdicts (:mod:`repro.experiments.exhibits`).
+arguments and verdicts (:mod:`repro.experiments.exhibits`).  The five
+runners that measure round counts (Table 1, Theorem 4, the
+classification, Lemma 2, the cycle trichotomy) declare their columns as
+rows of one series table (:mod:`repro.experiments.solvers`).
 """
 
 from .fitting import GrowthFit, fit_growth, GROWTH_MODELS
-from .table1 import Table1Row, Table1Result, run_table1, DEFAULT_SIZES
+from .solvers import DEFAULT_SIZES, Measured
+from .table1 import Table1Row, Table1Result, run_table1
 from .logstar_sweep import (
     LogStarSweepPoint,
     LogStarSweepResult,
@@ -24,11 +28,7 @@ from .pstar_theorem4 import (
     Theorem4Result,
     run_theorem4,
 )
-from .classification import (
-    ClassRow,
-    ClassificationResult,
-    run_classification,
-)
+from .classification import ClassificationResult, run_classification
 from .lemma2_experiment import (
     plant_distance_k_weak_coloring,
     Lemma2Point,
@@ -38,11 +38,7 @@ from .lemma2_experiment import (
 from .claim10_experiment import Claim10Point, Claim10Result, run_claim10
 from .recurrence_experiment import RecurrenceResult, run_recurrence_experiment
 from .linial_experiment import LinialPoint, LinialResult, run_linial_experiment
-from .cycle_trichotomy import (
-    TrichotomyRow,
-    CycleTrichotomyResult,
-    run_cycle_trichotomy,
-)
+from .cycle_trichotomy import CycleTrichotomyResult, run_cycle_trichotomy
 from .global_failure import (
     GlobalFailurePoint,
     GlobalFailureResult,
@@ -54,10 +50,11 @@ __all__ = [
     "GrowthFit",
     "fit_growth",
     "GROWTH_MODELS",
+    "DEFAULT_SIZES",
+    "Measured",
     "Table1Row",
     "Table1Result",
     "run_table1",
-    "DEFAULT_SIZES",
     "LogStarSweepPoint",
     "LogStarSweepResult",
     "run_logstar_sweep",
@@ -70,7 +67,6 @@ __all__ = [
     "Lemma18Witness",
     "Theorem4Result",
     "run_theorem4",
-    "ClassRow",
     "ClassificationResult",
     "run_classification",
     "plant_distance_k_weak_coloring",
@@ -85,7 +81,6 @@ __all__ = [
     "LinialPoint",
     "LinialResult",
     "run_linial_experiment",
-    "TrichotomyRow",
     "CycleTrichotomyResult",
     "run_cycle_trichotomy",
     "GlobalFailurePoint",

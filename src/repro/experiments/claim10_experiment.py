@@ -11,7 +11,7 @@ probabilities — the amplification step that feeds Lemma 9.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..analysis.independence import (
     claim10_global_success_bound,

@@ -16,42 +16,28 @@ executable content of "all of the classes are nonempty".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 from ..algorithms.homogeneous_solver import (
     solve_all_pstar,
     solve_weak2_homogeneous,
     solve_with_constant_label,
 )
-from ..graphs.generators import regular_tree_of_depth_at_least
-from ..graphs.identifiers import sequential_ids
 from ..lcl.catalog import WeakColoring
 from ..lcl.homogeneous import AlwaysAccept, HomogeneousLCL
-from .fitting import GrowthFit, fit_growth
+from .solvers import DEFAULT_SIZES, Measured, Series, measure, sequential
 
 __all__ = [
-    "ClassRow",
     "ClassificationResult",
     "run_classification",
 ]
 
 
 @dataclass
-class ClassRow:
-    """One Theorem 5 class."""
-
-    label: str
-    paper_complexity: str
-    measurements: List[Tuple[int, int]]
-    all_verified: bool
-    fit: Optional[GrowthFit] = None
-
-
-@dataclass
 class ClassificationResult:
     """All measured classes."""
 
-    rows: List[ClassRow] = field(default_factory=list)
+    rows: List[Measured] = field(default_factory=list)
 
     def format_table(self) -> str:
         lines = [f"{'class':34s} {'paper':16s} {'measured':30s} {'fit':9s} ok"]
@@ -67,69 +53,21 @@ class ClassificationResult:
 
 def run_classification(
     delta: int = 4,
-    sizes: Sequence[int] = (50, 200, 800, 3200),
+    sizes: Sequence[int] = DEFAULT_SIZES,
 ) -> ClassificationResult:
     """Measure one representative solver per Theorem 5 class."""
-    result = ClassificationResult()
-    trees = []
-    seen = set()
-    for target in sizes:
-        tree, _ = regular_tree_of_depth_at_least(delta, target)
-        if tree.n not in seen:
-            seen.add(tree.n)
-            trees.append(tree)
-
-    # Class (1): constant label valid inside regular trees.
     h_const = HomogeneousLCL(AlwaysAccept(), delta)
-    measurements, ok = [], True
-    for tree in trees:
-        sol = solve_with_constant_label(tree, delta, "go", radius=1, ids=sequential_ids(tree))
-        ok &= h_const.is_feasible(tree, sol.labels)
-        measurements.append((tree.n, sol.rounds))
-    result.rows.append(
-        ClassRow(
-            label="(1) constant-label + P* fallback",
-            paper_complexity="O(1)",
-            measurements=measurements,
-            all_verified=ok,
-            fit=fit_growth([n for n, _ in measurements], [r for _, r in measurements]),
-        )
-    )
-
-    # Class (2): homogeneous weak 2-coloring.
-    h_weak = HomogeneousLCL(WeakColoring(2), delta)
-    measurements, ok = [], True
-    for tree in trees:
-        sol = solve_weak2_homogeneous(tree, sequential_ids(tree))
-        ok &= h_weak.is_feasible(tree, sol.labels)
-        measurements.append((tree.n, sol.rounds))
-    result.rows.append(
-        ClassRow(
-            label="(2) homogeneous weak 2-coloring",
-            paper_complexity="Theta(log* n)",
-            measurements=measurements,
-            all_verified=ok,
-            fit=fit_growth(
-                [n for n, _ in measurements],
-                [r for _, r in measurements],
-                flatness_tolerance=2.0,
-            ),
-        )
-    )
-
-    # Classes (3)/(4): the universal all-P* upper bound.
-    measurements, ok = [], True
-    for tree in trees:
-        sol = solve_all_pstar(tree, delta, sequential_ids(tree))
-        ok &= h_const.is_feasible(tree, sol.labels)  # all-P* satisfies any P_H
-        measurements.append((tree.n, sol.rounds))
-    result.rows.append(
-        ClassRow(
-            label="(3)/(4) universal all-P* solver",
-            paper_complexity="Theta(log n)",
-            measurements=measurements,
-            all_verified=ok,
-            fit=fit_growth([n for n, _ in measurements], [r for _, r in measurements]),
-        )
-    )
-    return result
+    return ClassificationResult(measure([
+        # Class (1): constant label valid inside regular trees.
+        Series("(1) constant-label + P* fallback", "O(1)", "tree", delta,
+               lambda g, ids: solve_with_constant_label(g, delta, "go", radius=1, ids=ids),
+               sequential, h_const, "labels"),
+        # Class (2): homogeneous weak 2-coloring.
+        Series("(2) homogeneous weak 2-coloring", "Theta(log* n)", "tree", delta,
+               lambda g, ids: solve_weak2_homogeneous(g, ids), sequential,
+               HomogeneousLCL(WeakColoring(2), delta), "labels", flatness_tolerance=2.0),
+        # Classes (3)/(4): the universal all-P* upper bound, which
+        # satisfies any P_H, so the class (1) problem checks it.
+        Series("(3)/(4) universal all-P* solver", "Theta(log n)", "tree", delta,
+               lambda g, ids: solve_all_pstar(g, delta, ids), sequential, h_const, "labels"),
+    ], sizes))

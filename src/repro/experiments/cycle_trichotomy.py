@@ -13,34 +13,23 @@ representative per class on an n-sweep of cycles:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from types import SimpleNamespace
+from typing import List, Sequence
 
 from ..algorithms.proper_coloring import linial_coloring
 from ..algorithms.two_coloring import proper_two_coloring
-from ..graphs.generators import cycle
-from ..graphs.identifiers import sequential_ids
 from ..lcl.catalog import ProperColoring
-from .fitting import GrowthFit, fit_growth
+from ..lcl.homogeneous import AlwaysAccept
+from .solvers import Measured, Series, measure, sequential
 
-__all__ = ["TrichotomyRow", "CycleTrichotomyResult", "run_cycle_trichotomy"]
-
-
-@dataclass
-class TrichotomyRow:
-    """One class of the trichotomy."""
-
-    label: str
-    paper_complexity: str
-    measurements: List[Tuple[int, int]]
-    all_verified: bool
-    fit: Optional[GrowthFit] = None
+__all__ = ["CycleTrichotomyResult", "run_cycle_trichotomy"]
 
 
 @dataclass
 class CycleTrichotomyResult:
     """All three classes."""
 
-    rows: List[TrichotomyRow] = field(default_factory=list)
+    rows: List[Measured] = field(default_factory=list)
 
     def format_table(self) -> str:
         lines = [f"{'class':26s} {'paper':14s} {'measured':32s} {'fit'}"]
@@ -57,54 +46,17 @@ def run_cycle_trichotomy(
     sizes: Sequence[int] = (16, 64, 256, 1024),
 ) -> CycleTrichotomyResult:
     """Measure the three classes on even cycles of the given sizes."""
-    result = CycleTrichotomyResult()
-    graphs = [cycle(n if n % 2 == 0 else n + 1) for n in sizes]
-
-    # (1) trivial: constant output, zero rounds by definition.
-    measurements = [(g.n, 0) for g in graphs]
-    result.rows.append(
-        TrichotomyRow(
-            label="(1) trivial (constant label)",
-            paper_complexity="O(1)",
-            measurements=measurements,
-            all_verified=True,
-            fit=fit_growth([n for n, _ in measurements], [r for _, r in measurements]),
-        )
-    )
-
-    # (2) local: 3-coloring via Linial.
-    measurements, ok = [], True
-    for g in graphs:
-        out = linial_coloring(g, sequential_ids(g))
-        ok &= ProperColoring(3).is_feasible(g, out.colors)
-        measurements.append((g.n, out.rounds))
-    result.rows.append(
-        TrichotomyRow(
-            label="(2) local (3-coloring)",
-            paper_complexity="Theta(log* n)",
-            measurements=measurements,
-            all_verified=ok,
-            fit=fit_growth(
-                [n for n, _ in measurements],
-                [r for _, r in measurements],
-                flatness_tolerance=3.0,
-            ),
-        )
-    )
-
-    # (3) global: 2-coloring needs Theta(n) (diameter = n/2 on a cycle).
-    measurements, ok = [], True
-    for g in graphs:
-        out = proper_two_coloring(g, sequential_ids(g))
-        ok &= ProperColoring(2).is_feasible(g, out.colors)
-        measurements.append((g.n, out.rounds))
-    result.rows.append(
-        TrichotomyRow(
-            label="(3) global (2-coloring)",
-            paper_complexity="Theta(n)",
-            measurements=measurements,
-            all_verified=ok,
-            fit=fit_growth([n for n, _ in measurements], [r for _, r in measurements]),
-        )
-    )
-    return result
+    return CycleTrichotomyResult(measure([
+        # (1) trivial: one label everywhere, zero rounds.
+        Series("(1) trivial (constant label)", "O(1)", "cycle", 2,
+               lambda g, ids: SimpleNamespace(labels=[0] * g.n, rounds=0), sequential,
+               AlwaysAccept(), "labels"),
+        # (2) local: 3-coloring via Linial.
+        Series("(2) local (3-coloring)", "Theta(log* n)", "cycle", 2,
+               lambda g, ids: linial_coloring(g, ids), sequential, ProperColoring(3), "colors",
+               flatness_tolerance=3.0),
+        # (3) global: 2-coloring needs Theta(n) (diameter = n/2 on a cycle).
+        Series("(3) global (2-coloring)", "Theta(n)", "cycle", 2,
+               lambda g, ids: proper_two_coloring(g, ids), sequential, ProperColoring(2),
+               "colors"),
+    ], sizes))

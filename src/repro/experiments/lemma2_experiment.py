@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..algorithms.weak_coloring import weak_two_coloring_from_weak_coloring
-from ..graphs.generators import regular_tree_of_depth_at_least
 from ..graphs.graph import Graph
 from ..lcl.catalog import WeakColoring
-from .fitting import GrowthFit, fit_growth
+from .fitting import GrowthFit
+from .solvers import DEFAULT_SIZES, Series, measure
 
 __all__ = [
     "plant_distance_k_weak_coloring",
@@ -84,32 +84,18 @@ def run_lemma2(
     k: int = 2,
     c: int = 4,
     delta: int = 4,
-    sizes: Sequence[int] = (50, 200, 800, 3200),
+    sizes: Sequence[int] = DEFAULT_SIZES,
     rng_seed: int = 0,
 ) -> Lemma2Result:
     """Sweep n at fixed (k, c) and record the reduction's round count."""
-    rng = random.Random(rng_seed)
-    result = Lemma2Result(k=k, c=c)
-    verifier = WeakColoring(2)
-    seen = set()
-    for target in sizes:
-        tree, _ = regular_tree_of_depth_at_least(delta, target)
-        if tree.n in seen:
-            continue
-        seen.add(tree.n)
-        phi = plant_distance_k_weak_coloring(tree, k, c, rng)
-        out = weak_two_coloring_from_weak_coloring(tree, phi, k=k, c=c)
-        verified = not verifier.verify(tree, out.labels)
-        result.points.append(
-            Lemma2Point(
-                n=tree.n,
-                rounds=out.rounds,
-                phase_rounds=dict(out.phase_rounds),
-                verified=verified,
-            )
-        )
-    if len(result.points) >= 3:
-        result.fit = fit_growth(
-            [p.n for p in result.points], [p.rounds for p in result.points]
-        )
-    return result
+    (reduction,) = measure([
+        Series(f"distance-{k} weak {c}-coloring to weak 2-coloring", "O(1)", "tree", delta,
+               lambda g, phi: weak_two_coloring_from_weak_coloring(g, phi, k=k, c=c),
+               lambda g, rng: plant_distance_k_weak_coloring(g, k, c, rng),
+               WeakColoring(2), "labels", detail="phase_rounds"),
+    ], sizes, random.Random(rng_seed))
+    points = [
+        Lemma2Point(n=p.n, rounds=p.rounds, phase_rounds=p.detail, verified=p.verified)
+        for p in reduction.points
+    ]
+    return Lemma2Result(k=k, c=c, points=points, fit=reduction.fit)

@@ -19,7 +19,6 @@ from typing import List, Sequence, Tuple
 from ..algorithms.cole_vishkin import cv_iterations_needed, log_star
 from ..algorithms.weak_coloring import weak_two_coloring_from_ids
 from ..graphs.generators import balanced_regular_tree
-from ..graphs.graph import Graph
 from ..lcl.catalog import WeakColoring
 
 __all__ = [

@@ -16,14 +16,14 @@ forced contradiction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..algorithms.pointer_solver import solve_pstar
-from ..graphs.generators import balanced_regular_tree, lemma18_pair, regular_tree_of_depth_at_least
-from ..graphs.identifiers import sequential_ids
+from ..graphs.generators import lemma18_pair
 from ..lcl.pointer import PStar
 from ..local_model.views import gather_view
-from .fitting import GrowthFit, fit_growth
+from .fitting import GrowthFit
+from .solvers import DEFAULT_SIZES, Series, measure, sequential
 
 __all__ = [
     "PStarUpperPoint",
@@ -83,33 +83,22 @@ def _max_equal_view_radius(t, t_prime, center: int, cap: int) -> int:
 
 def run_theorem4(
     delta: int = 4,
-    sizes: Tuple[int, ...] = (50, 200, 800, 3200, 12800),
+    sizes: Sequence[int] = DEFAULT_SIZES,
     witness_depths: Tuple[int, ...] = (2, 3, 4),
 ) -> Theorem4Result:
     """Measure the upper bound and build the Lemma 18 witnesses."""
-    result = Theorem4Result()
-    seen = set()
-    for target in sizes:
-        tree, _ = regular_tree_of_depth_at_least(delta, target)
-        if tree.n in seen:
-            continue
-        seen.add(tree.n)
-        ids = sequential_ids(tree)
-        solution = solve_pstar(tree, delta, ids)
-        verified = not PStar(delta).verify(tree, solution.labels)
-        result.upper.append(
-            PStarUpperPoint(
-                n=tree.n,
-                radius=solution.radius,
-                rounds=solution.rounds,
-                verified=verified,
-            )
-        )
-    if len(result.upper) >= 3:
-        result.fit = fit_growth(
-            [p.n for p in result.upper], [p.rounds for p in result.upper]
-        )
-
+    (upper,) = measure([
+        Series("P* solver", "Theta(log n)", "tree", delta,
+               lambda g, ids: solve_pstar(g, delta, ids), sequential, PStar(delta), "labels",
+               detail="radius"),
+    ], sizes)
+    result = Theorem4Result(
+        upper=[
+            PStarUpperPoint(n=p.n, radius=p.detail, rounds=p.rounds, verified=p.verified)
+            for p in upper.points
+        ],
+        fit=upper.fit,
+    )
     for depth in witness_depths:
         t, t_prime, center = lemma18_pair(delta, depth)
         equal_radius = _max_equal_view_radius(t, t_prime, center, cap=depth)

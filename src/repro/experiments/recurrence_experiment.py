@@ -21,12 +21,11 @@ from typing import List, Sequence
 from ..analysis.recurrence import (
     Lemma9Evaluation,
     claim11_failure_floor_log2,
-    claim12_round_threshold,
     lemma9_evaluate,
     palette_trajectory,
     theorem13_crossover_height,
 )
-from ..analysis.towers import TowerNumber, tower
+from ..analysis.towers import tower
 
 __all__ = ["RecurrenceResult", "run_recurrence_experiment"]
 

@@ -24,7 +24,6 @@ from ..speedup.algorithms import (
     NodeAlgorithm,
     local_maximum_coloring,
     smaller_count_coloring,
-    zero_round_uniform,
 )
 from ..speedup.pipeline import SpeedupPipelineResult, run_speedup_pipeline
 

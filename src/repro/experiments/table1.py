@@ -22,22 +22,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..algorithms.naor_stockmeyer import odd_degree_weak_two_coloring
 from ..algorithms.sinkless import sinkless_from_pstar, sinkless_random_repair
 from ..algorithms.two_coloring import proper_two_coloring
 from ..algorithms.weak_coloring import weak_two_coloring_from_ids
-from ..graphs.generators import balanced_regular_tree, regular_tree_of_depth_at_least
-from ..graphs.graph import Graph
-from ..graphs.identifiers import random_permutation_ids, sequential_ids
 from ..lcl.catalog import ProperColoring, SinklessOrientation, WeakColoring
-from .fitting import GrowthFit, fit_growth
+from .fitting import GrowthFit
+from .solvers import DEFAULT_SIZES, Series, measure, seeded, sequential, shuffled
 
-__all__ = ["Table1Row", "Table1Result", "run_table1", "DEFAULT_SIZES"]
-
-#: Default n-sweep targets (actual n snaps to balanced-tree sizes).
-DEFAULT_SIZES = (50, 200, 800, 3200, 12800)
+__all__ = ["Table1Row", "Table1Result", "run_table1"]
 
 
 @dataclass
@@ -81,111 +76,46 @@ class Table1Result:
         return "\n".join(lines)
 
 
-def _tree_sweep(delta: int, sizes: Sequence[int]) -> List[Graph]:
-    """Balanced delta-regular trees with at least the requested sizes."""
-    trees = []
-    seen = set()
-    for target in sizes:
-        tree, _depth = regular_tree_of_depth_at_least(delta, target)
-        if tree.n not in seen:
-            seen.add(tree.n)
-            trees.append(tree)
-    return trees
-
-
 def run_table1(
     sizes: Sequence[int] = DEFAULT_SIZES,
     rng_seed: int = 0,
 ) -> Table1Result:
-    """Measure all four rows and fit their growth classes."""
-    rng = random.Random(rng_seed)
-    result = Table1Result()
+    """Measure all four rows and fit their growth classes.
+
+    Each row is two series on the same trees: sequential identifiers (the
+    deterministic column, which the fit reads), then a random draw.
+    """
     two_coloring, sinkless, weak_two = ProperColoring(2), SinklessOrientation(), WeakColoring(2)
-
-    # Row 1: 2-coloring — global, Theta(diameter) = Theta(log n) on trees.
-    measurements, randomized, verified = [], [], True
-    for tree in _tree_sweep(4, sizes):
-        out = proper_two_coloring(tree, sequential_ids(tree))
-        verified &= not two_coloring.verify(tree, out.colors)
-        measurements.append((tree.n, out.rounds))
-        out_r = proper_two_coloring(tree, random_permutation_ids(tree, rng))
-        randomized.append((tree.n, out_r.rounds))
-    result.rows.append(
+    color = lambda g, ids: proper_two_coloring(g, ids)
+    weak_even = lambda g, ids: weak_two_coloring_from_ids(g, ids)
+    weak_odd = lambda g, ids: odd_degree_weak_two_coloring(g, ids)
+    even, odd = "weak 2-coloring in even-degree graphs", "weak 2-coloring in odd-degree graphs"
+    columns = measure([
+        # Row 1: 2-coloring — global, Theta(diameter) = Theta(log n) on trees.
+        Series("2-coloring", "Theta(log n)", "tree", 4, color, sequential, two_coloring, "colors"),
+        Series("2-coloring", "Theta(log n)", "tree", 4, color, shuffled, two_coloring, "colors"),
+        # Row 2: sinkless orientation — deterministic via P*, randomized repair.
+        Series("sinkless orientation", "Theta(log n)", "tree", 4,
+               lambda g, ids: sinkless_from_pstar(g, 4, ids), sequential, sinkless, "orientation"),
+        Series("sinkless orientation", "Theta(log log n)", "tree", 4,
+               lambda g, rng: sinkless_random_repair(g, rng), seeded, sinkless, "orientation"),
+        # Row 3: weak 2-coloring in even-degree graphs — Theta(log* n).
+        Series(even, "Theta(log* n)", "tree", 4, weak_even, sequential, weak_two, "labels"),
+        Series(even, "Theta(log* n)", "tree", 4, weak_even, shuffled, weak_two, "labels"),
+        # Row 4: weak 2-coloring in odd-degree graphs — Theta(1).
+        Series(odd, "Theta(1)", "tree", 3, weak_odd, sequential, weak_two, "labels",
+               flatness_tolerance=2.0),
+        Series(odd, "Theta(1)", "tree", 3, weak_odd, shuffled, weak_two, "labels"),
+    ], sizes, random.Random(rng_seed))
+    return Table1Result([
         Table1Row(
-            example="2-coloring",
-            paper_deterministic="Theta(log n)",
-            paper_randomized="Theta(log n)",
-            measurements=measurements,
-            randomized_measurements=randomized,
-            all_verified=verified,
-            fit=fit_growth([n for n, _ in measurements], [r for _, r in measurements]),
+            example=deterministic.label,
+            paper_deterministic=deterministic.paper_complexity,
+            paper_randomized=randomized.paper_complexity,
+            measurements=deterministic.measurements,
+            randomized_measurements=randomized.measurements,
+            all_verified=deterministic.all_verified and randomized.all_verified,
+            fit=deterministic.fit,
         )
-    )
-
-    # Row 2: sinkless orientation — deterministic via P*, randomized repair.
-    measurements, randomized, verified = [], [], True
-    for tree in _tree_sweep(4, sizes):
-        det = sinkless_from_pstar(tree, 4, sequential_ids(tree))
-        verified &= not sinkless.verify(tree, det.orientation)
-        measurements.append((tree.n, det.rounds))
-        rand = sinkless_random_repair(tree, random.Random(rng.getrandbits(64)))
-        verified &= not sinkless.verify(tree, rand.orientation)
-        randomized.append((tree.n, rand.rounds))
-    result.rows.append(
-        Table1Row(
-            example="sinkless orientation",
-            paper_deterministic="Theta(log n)",
-            paper_randomized="Theta(log log n)",
-            measurements=measurements,
-            randomized_measurements=randomized,
-            all_verified=verified,
-            fit=fit_growth([n for n, _ in measurements], [r for _, r in measurements]),
-        )
-    )
-
-    # Row 3: weak 2-coloring in even-degree graphs — Theta(log* n).
-    measurements, randomized, verified = [], [], True
-    for tree in _tree_sweep(4, sizes):
-        out = weak_two_coloring_from_ids(tree, sequential_ids(tree))
-        verified &= not weak_two.verify(tree, out.labels)
-        measurements.append((tree.n, out.rounds))
-        out_r = weak_two_coloring_from_ids(tree, random_permutation_ids(tree, rng))
-        verified &= not weak_two.verify(tree, out_r.labels)
-        randomized.append((tree.n, out_r.rounds))
-    result.rows.append(
-        Table1Row(
-            example="weak 2-coloring in even-degree graphs",
-            paper_deterministic="Theta(log* n)",
-            paper_randomized="Theta(log* n)",
-            measurements=measurements,
-            randomized_measurements=randomized,
-            all_verified=verified,
-            fit=fit_growth([n for n, _ in measurements], [r for _, r in measurements]),
-        )
-    )
-
-    # Row 4: weak 2-coloring in odd-degree graphs — Theta(1).
-    measurements, randomized, verified = [], [], True
-    for tree in _tree_sweep(3, sizes):
-        out = odd_degree_weak_two_coloring(tree, sequential_ids(tree))
-        verified &= not weak_two.verify(tree, out.labels)
-        measurements.append((tree.n, out.rounds))
-        out_r = odd_degree_weak_two_coloring(tree, random_permutation_ids(tree, rng))
-        verified &= not weak_two.verify(tree, out_r.labels)
-        randomized.append((tree.n, out_r.rounds))
-    result.rows.append(
-        Table1Row(
-            example="weak 2-coloring in odd-degree graphs",
-            paper_deterministic="Theta(1)",
-            paper_randomized="Theta(1)",
-            measurements=measurements,
-            randomized_measurements=randomized,
-            all_verified=verified,
-            fit=fit_growth(
-                [n for n, _ in measurements],
-                [r for _, r in measurements],
-                flatness_tolerance=2.0,
-            ),
-        )
-    )
-    return result
+        for deterministic, randomized in zip(columns[::2], columns[1::2])
+    ])

@@ -21,7 +21,7 @@ The families a name can select are registered in
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..core.registry import register_graph_family
 from .graph import Graph, edge_key

@@ -264,19 +264,6 @@ class Graph:
             layer = next_layer
         return dist
 
-    def distance(self, u: int, v: int) -> int:
-        """Hop distance between ``u`` and ``v``.
-
-        Raises
-        ------
-        ValueError
-            If ``v`` is unreachable from ``u``.
-        """
-        dist = self.bfs_distances(u)
-        if v not in dist:
-            raise ValueError(f"node {v} is unreachable from {u}")
-        return dist[v]
-
     def ball(self, v: int, radius: int) -> List[int]:
         """Nodes at distance at most ``radius`` from ``v``, sorted."""
         return sorted(self.bfs_distances(v, cutoff=radius))

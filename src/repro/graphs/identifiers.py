@@ -15,7 +15,7 @@ Lower-bound arguments care about *which* assignment the adversary picks:
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from .graph import Graph
 

@@ -44,7 +44,7 @@ views), ``"edge"`` (edge views), ``"finite"`` (oriented finite runner),
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 __all__ = ["Tracer", "NullTracer", "MultiTracer", "effective_tracer"]
 

@@ -25,7 +25,7 @@ paper's construction explicitly works with partial labelings.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Optional, Set
 
 from ..core.registry import register_problem
 from ..graphs.graph import Graph, edge_key

@@ -20,7 +20,7 @@ work out).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from ..graphs.graph import Graph
 from ..graphs.orientation import Orientation
@@ -149,10 +149,6 @@ class CycleIrregularity:
     @property
     def length(self) -> int:
         return len(self.nodes)
-
-    @property
-    def odd(self) -> bool:
-        return len(self.nodes) % 2 == 1
 
 
 Irregularity = Union[LowDegreeIrregularity, CycleIrregularity]

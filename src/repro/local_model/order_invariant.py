@@ -23,7 +23,7 @@ module makes the notion executable:
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from ..graphs.graph import Graph
 from .algorithm import ViewAlgorithm

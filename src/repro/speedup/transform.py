@@ -32,7 +32,7 @@ from typing import Any, Callable, Dict, FrozenSet, List, Tuple, Union
 
 from ..analysis.towers import TowerNumber, exp2_scaled
 from .algorithms import Assignment, EdgeAlgorithm, NodeAlgorithm
-from .ball import EdgeBall, OrientedBall, inverse, reduce_word
+from .ball import EdgeBall, OrientedBall, reduce_word
 from .failure import color_counts
 
 __all__ = [

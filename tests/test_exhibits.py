@@ -3,13 +3,16 @@
 * Each row prints what the paper benchmark digests: its lines plus the
   benchmark's own verdict labels hash to the committed digest in
   ``paperbench/digests.json``, one test per (workload, exhibit).
-* The verdicts state the claims: points planted unverified fail the
-  SUMMARY, the exit code and ``summary.json`` (``--artifacts`` writes
-  one file per row from the same loop), and a Claim 10 sweep with no
-  in-regime point, or with one left unverified, fails its verdict.
+* The verdicts state the claims: points planted unverified, and a
+  2-coloring planted wrong only under shuffled identifiers (Table 1's
+  randomized column), fail the SUMMARY, the exit code and
+  ``summary.json`` (``--artifacts`` writes one file per row from the
+  same loop), and a Claim 10 sweep with no in-regime point, or with one
+  left unverified, fails its verdict.
 * The report's own results hold the shapes no verdict states.
 """
 
+import dataclasses
 import functools
 import hashlib
 import importlib
@@ -93,21 +96,35 @@ def _unverified(point_class):
     return lambda **fields: point_class(**{**fields, "verified": False})
 
 
+def _wrong_when_shuffled(solver):
+    """A 2-coloring that paints every node 0 unless the identifiers are 1..n."""
+    def planted(graph, ids):
+        out = solver(graph, ids)
+        if list(ids) == list(range(1, graph.n + 1)):
+            return out
+        return dataclasses.replace(out, colors=[0] * graph.n)
+    return planted
+
+
 def test_planted_unverified_points_fail_the_report(monkeypatch, tmp_path, capsys):
     for module, point in (("lemma2_experiment", "Lemma2Point"),
                           ("logstar_sweep", "LogStarSweepPoint")):
         module = importlib.import_module(f"repro.experiments.{module}")
         monkeypatch.setattr(module, point, _unverified(getattr(module, point)))
+    table1 = importlib.import_module("repro.experiments.table1")
+    monkeypatch.setattr(table1, "proper_two_coloring",
+                        _wrong_when_shuffled(table1.proper_two_coloring))
     assert main(["--quick", "--artifacts", str(tmp_path)]) == 1
     out = capsys.readouterr().out
+    assert "  [FAIL] Table 1 verified" in out
     assert "  [FAIL] log* sweep monotone" in out
     assert "  [FAIL] Lemma 2 constant" in out
-    assert out.count("[FAIL]") == 2
+    assert out.count("[FAIL]") == 3
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["schema"] == SUMMARY_SCHEMA
     assert summary["exhibits"] == [e.name for e in EXHIBITS]
-    assert summary["failed"] == ["log* sweep monotone", "Lemma 2 constant"]
-    assert summary["passed"] == 15
+    assert summary["failed"] == ["Table 1 verified", "log* sweep monotone", "Lemma 2 constant"]
+    assert summary["passed"] == 14
     # One artifact per exhibit, written by the same loop that printed.
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         [f"{e.name}.json" for e in EXHIBITS] + ["summary.json"]
@@ -117,7 +134,7 @@ def test_planted_unverified_points_fail_the_report(monkeypatch, tmp_path, capsys
         assert doc["schema"] == EXHIBIT_SCHEMA and doc["quick"] is True
         assert doc["arguments"] == json.loads(json.dumps(exhibit.quick_args))
         assert "\n".join(doc["lines"]) in out
-        assert doc["passed"] is (exhibit.name not in ("lemma2", "logstar_sweep"))
+        assert doc["passed"] is (exhibit.name not in ("table1", "lemma2", "logstar_sweep"))
         assert [v["label"] for v in doc["verdicts"]] == [
             v["label"] for v in summary["verdicts"] if v["exhibit"] == exhibit.name
         ]

@@ -161,15 +161,6 @@ class TestDistances:
         dist = g.bfs_distances(0, cutoff=3)
         assert set(dist) == {0, 1, 2, 3}
 
-    def test_distance_symmetry(self):
-        g = balanced_regular_tree(3, 3)
-        assert g.distance(0, 5) == g.distance(5, 0)
-
-    def test_distance_unreachable_raises(self):
-        g = Graph(3, [(0, 1)])
-        with pytest.raises(ValueError, match="unreachable"):
-            g.distance(0, 2)
-
     def test_ball_and_sphere(self):
         g = balanced_regular_tree(4, 2)
         assert g.ball(0, 0) == [0]

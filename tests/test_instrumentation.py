@@ -22,7 +22,6 @@ from repro.instrumentation import (
     NullTracer,
     RunMetrics,
     TraceRecorder,
-    Tracer,
     constant_size,
     effective_tracer,
     estimate_size,

@@ -21,7 +21,6 @@ from repro.graphs import (
     balanced_regular_tree,
     lemma18_pair,
     orient_tree,
-    random_permutation_ids,
     random_regular_high_girth,
     sequential_ids,
 )

@@ -12,7 +12,6 @@ from repro.experiments import run_linial_experiment
 from repro.graphs import Graph, cycle
 from repro.lcl import ProperColoring
 from repro.lowerbounds import (
-    CycleAlgorithm,
     algorithm_from_coloring,
     chromatic_number,
     is_c_colorable,

@@ -7,7 +7,6 @@ import pytest
 from repro.graphs import balanced_regular_tree, cycle, path, sequential_ids
 from repro.local_model import (
     LocalAlgorithm,
-    UNSET,
     ViewAlgorithm,
     run_local,
     run_view_algorithm,

@@ -9,9 +9,6 @@ from repro.algorithms import (
     FloodLeaderParity,
     GreedySequentialColoring,
     LubyMIS,
-    choose_successors,
-    cv_iterations_needed,
-    distance_parity_recoloring,
     reduce_to_three_colors,
 )
 from repro.graphs import (

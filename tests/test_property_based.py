@@ -20,7 +20,7 @@ from repro.algorithms import (
     solve_pstar,
     weak_two_coloring_from_ids,
 )
-from repro.graphs import Graph, balanced_regular_tree, random_regular_graph, random_tree
+from repro.graphs import random_regular_graph, random_tree
 from repro.lcl import PStar, ProperColoring, WeakColoring
 from repro.local_model import gather_view
 from repro.speedup import OrientedBall, reduce_word

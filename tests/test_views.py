@@ -7,7 +7,6 @@ from repro.graphs import (
     cycle,
     orient_tree,
     path,
-    sequential_ids,
     toroidal_grid,
     orient_torus,
 )
