@@ -69,14 +69,25 @@ def run_claim10(
     """Build S for each t inside the ball ``B_{depth-1}(0)`` of a balanced oriented tree.
 
     The claim plants S inside ``B_k(v)`` with ``k = depth - 1``, the
-    leaf-free ball, and both the construction and the closed form read
-    only that ball.  So only the ball is built: the balanced tree of depth
-    ``k`` is ``B_k(0)`` of the depth-``depth`` tree, node for node and
-    port for port, and :func:`~repro.graphs.orientation.orient_tree`
-    gives its edges the same slots.  A seed sphere beyond the ball still
-    gets built (up to ``depth``), so it stays a zero-step run.
-    :attr:`Claim10Result.n` is the size of the depth-``depth`` tree the
-    ball sits in.
+    leaf-free ball, and the closed form reads that ball's size.  The
+    harvests read less: only ``B_r(0)`` is built, with ``r =
+    min(depth, max(seed_radius, k - min(ts)))``.  The balanced tree of
+    depth ``r`` is ``B_r(0)`` of the depth-``depth`` tree, node for node
+    and port for port, and :func:`~repro.graphs.orientation.orient_tree`
+    gives its edges the same slots.  That is exact:
+
+    * every walk and every BFS node of the harvest for budget ``t`` lies
+      within ``max(seed_radius, k - t)`` of the centre
+      (:func:`~repro.analysis.independence.independent_execution_set`
+      says why), and the smallest ``t`` reaches furthest;
+    * in a tree the path between two nodes of ``B_r(0)`` stays inside
+      ``B_r(0)``, so :func:`~repro.analysis.independence.first_close_pair`
+      sees the same members at the same distances.
+
+    A seed sphere beyond that radius still gets built (up to ``depth``),
+    so it stays a zero-step run.  :attr:`Claim10Result.n` is the size of
+    the depth-``depth`` tree the ball sits in, and ``effective_n`` is
+    ``|B_k(0)|^3`` whatever is built.
 
     ``seed_radius`` defaults to 2 rather than the paper's 7 — the
     construction is identical, only the constant changes, and radius 7
@@ -90,7 +101,8 @@ def run_claim10(
         raise ValueError("the oriented-tree setting needs even Delta")
     n = balanced_regular_tree_size(delta, depth)
     ball_radius = depth - 1  # leaf-free ball
-    tree = balanced_regular_tree(delta, min(depth, max(ball_radius, seed_radius)))
+    reach = max([seed_radius] + [ball_radius - t for t in ts])  # the radius the harvests read
+    tree = balanced_regular_tree(delta, min(depth, reach))
     orientation = orient_tree(tree, delta // 2)
     # |B_k(0)|; at depth 0 the ball (radius -1) is the lone root.
     effective_n = balanced_regular_tree_size(delta, max(ball_radius, 0)) ** 3

@@ -10,7 +10,6 @@ of "weak 2-coloring is a minimal symmetry-breaking problem".
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -28,10 +27,8 @@ __all__ = [
 ]
 
 
-def plant_distance_k_weak_coloring(
-    graph: Graph, k: int, c: int, rng: random.Random
-) -> List[int]:
-    """A synthetic distance-k weak c-coloring.
+def plant_distance_k_weak_coloring(graph: Graph, k: int, c: int) -> List[int]:
+    """A synthetic distance-k weak c-coloring, the same on every call.
 
     Blocks of a BFS layering get constant colors: layer ``j`` takes
     color ``(j // k) mod c`` — within distance ``k`` of any node there
@@ -87,13 +84,19 @@ def run_lemma2(
     sizes: Sequence[int] = DEFAULT_SIZES,
     rng_seed: int = 0,
 ) -> Lemma2Result:
-    """Sweep n at fixed (k, c) and record the reduction's round count."""
+    """Sweep n at fixed (k, c) and record the reduction's round count.
+
+    ``rng_seed`` has no effect: the planted coloring draws nothing, so
+    every seed measures the same input per n.  It stays because the
+    paper benchmark (``paperbench/child.py``) passes it; ROADMAP item 1
+    removes ``lemma2`` from the benchmark's ``SEEDED`` exhibits.
+    """
     (reduction,) = measure([
         Series(f"distance-{k} weak {c}-coloring to weak 2-coloring", "O(1)", "tree", delta,
                lambda g, phi: weak_two_coloring_from_weak_coloring(g, phi, k=k, c=c),
-               lambda g, rng: plant_distance_k_weak_coloring(g, k, c, rng),
+               lambda g, _: plant_distance_k_weak_coloring(g, k, c),
                WeakColoring(2), "labels", detail="phase_rounds"),
-    ], sizes, random.Random(rng_seed))
+    ], sizes)
     points = [
         Lemma2Point(n=p.n, rounds=p.rounds, phase_rounds=p.detail, verified=p.verified)
         for p in reduction.points

@@ -319,7 +319,7 @@ HARVEST_CASES = {
             (9, 8, 1, 2, False),
             (3, 3, 7, 1, True),  # a seed sphere beyond the tree
             (4, 3, 1, 0, True),  # t = 0
-            (9, 9, 2, 1, True),  # Claim 10's exhibit, B_9(0)
+            (9, 9, 2, 1, True),  # Claim 10's exhibit: k = 9, on all of B_9(0)
             (9, 9, 2, 2, True),
             (9, 9, 0, 1, True),
             (9, 9, 0, 3, True),

@@ -1,15 +1,19 @@
-"""Claim 10 builds only the ball it reads.
+"""Claim 10 builds only the ball its harvests read.
 
-``run_claim10`` builds ``B_{depth-1}(0)``, or the seed sphere when it
-lies beyond that ball, and not the depth-``depth`` tree.  The oracle is
+``run_claim10`` builds ``B_r(0)`` with ``r = min(depth, max(seed_radius,
+depth - 1 - min(ts)))``, not the depth-``depth`` tree.  The oracle is
 the same function handed the whole tree: the two must return equal
 results, and raise the same errors where the construction raises (a seed
-sphere beyond the tree).  Seed radius 0 seeds the center alone, which
+sphere beyond the tree).  A ball one radius short fails that oracle,
+though not the verdict.  Seed radius 0 seeds the center alone, which
 has no way back and expands in all ``2k`` directions.  The closed-form
-``effective_n`` is checked against a BFS of the ball.
+``effective_n`` is checked against a BFS of the ball, and
+EXPERIMENTS.md's Claim 10 tables against the runs they report.
 """
 
 import functools
+import re
+from pathlib import Path
 
 import pytest
 
@@ -18,13 +22,28 @@ from repro.analysis.independence import (
     first_close_pair,
     independent_execution_set,
 )
-from repro.experiments import claim10_experiment, run_claim10
+from repro.experiments import EXHIBITS, claim10_experiment, run_claim10
 from repro.graphs import balanced_regular_tree, balanced_regular_tree_size, orient_tree
 
 DEPTHS = range(1, 11)
 SEED_RADII = (0, 1, 2, 3, 4, 5, 7)
 TS = ((1, 2, 3), (4,), (1,))
 CASES = [(depth, r, ts) for depth in DEPTHS for r in SEED_RADII for ts in TS]
+# What the built radius also depends on: the smallest t not first, no t
+# at all, pairwise checks off, and Delta.  Ordered by (delta, depth),
+# as _whole_tree caches one tree.
+MORE_CASES = [
+    (4, depth, r, ts, pairwise)
+    for depth in DEPTHS
+    for r in SEED_RADII
+    for ts, pairwise in (((2, 1), True), ((3, 1), True), ((), True), ((1, 2, 3), False))
+] + [
+    (6, depth, r, ts, pairwise)
+    for depth in range(0, 6)
+    for r in SEED_RADII
+    for ts, pairwise in (((1, 2), True), ((2, 1), False))
+]
+EXPERIMENTS_MD = Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
 
 
 @functools.lru_cache(maxsize=1)  # CASES run depth by depth
@@ -40,45 +59,75 @@ def _outcome(run):
         return type(exc), str(exc)
 
 
+def _ball_only_and_whole(monkeypatch, delta, depth, **kwargs):
+    """``run_claim10``'s outcome as built, and on the whole depth-``depth`` tree."""
+
+    def run():
+        return run_claim10(delta=delta, depth=depth, **kwargs)
+
+    ball_only = _outcome(run)
+    tree, orientation = _whole_tree(delta, depth)
+    with monkeypatch.context() as patch:
+        patch.setattr(claim10_experiment, "balanced_regular_tree", lambda delta, d: tree)
+        patch.setattr(claim10_experiment, "orient_tree", lambda graph, k: orientation)
+        whole = _outcome(run)
+    return ball_only, whole
+
+
 @pytest.mark.parametrize(
     "depth,seed_radius,ts",
     CASES,
     ids=[f"depth{d}-r{r}-t{'.'.join(map(str, ts))}" for d, r, ts in CASES],
 )
 def test_ball_only_run_equals_the_whole_tree_run(monkeypatch, depth, seed_radius, ts):
-    def run():
-        return run_claim10(delta=4, depth=depth, ts=ts, seed_radius=seed_radius)
-
-    ball_only = _outcome(run)
-    tree, orientation = _whole_tree(4, depth)
-    with monkeypatch.context() as patch:
-        patch.setattr(claim10_experiment, "balanced_regular_tree", lambda delta, d: tree)
-        patch.setattr(claim10_experiment, "orient_tree", lambda graph, k: orientation)
-        whole = _outcome(run)
+    ball_only, whole = _ball_only_and_whole(monkeypatch, 4, depth, ts=ts, seed_radius=seed_radius)
     assert ball_only == whole
     if not isinstance(whole, tuple):
-        assert ball_only.n == tree.n
+        assert ball_only.n == _whole_tree(4, depth)[0].n
+
+
+@pytest.mark.parametrize(
+    "delta,depth,seed_radius,ts,verify_pairwise",
+    MORE_CASES,
+    ids=[f"delta{D}-depth{d}-r{r}-t{'.'.join(map(str, ts)) or 'none'}-{'pairs' if p else 'nopairs'}"
+         for D, d, r, ts, p in MORE_CASES],
+)
+def test_ball_only_run_equals_the_whole_tree_run_for_every_radius_input(
+    monkeypatch, delta, depth, seed_radius, ts, verify_pairwise
+):
+    ball_only, whole = _ball_only_and_whole(
+        monkeypatch, delta, depth, ts=ts, seed_radius=seed_radius, verify_pairwise=verify_pairwise
+    )
+    assert ball_only == whole
+    if not ts:  # no harvest runs, so nothing raises either
+        assert ball_only.points == []
+
+
+def test_a_ball_one_radius_short_fails_the_oracle(monkeypatch):
+    # At the report's arguments the t = 1 walks end at distance 8 = r:
+    # B_7(0) loses them, yet the short harvest still meets its closed form.
+    def one_short(delta, depth):
+        return balanced_regular_tree(delta, depth - 1)
+
+    monkeypatch.setattr(claim10_experiment, "balanced_regular_tree", one_short)
+    short, whole = _ball_only_and_whole(monkeypatch, 4, 10, ts=(1, 2), seed_radius=2)
+    assert short != whole
+    assert [p.set_size for p in whole.points] == [144, 36]
+    assert short.points[0].set_size == 36 and short.all_bounds_hold()
 
 
 @pytest.mark.parametrize("depth", range(0, 11))
 def test_effective_n_is_the_ball_size_cubed(monkeypatch, depth):
-    # The old computation: |B_{depth-1}(0)| by BFS over the built tree
+    # The old computation: |B_{depth-1}(0)| by BFS over the whole tree
     # (the lone root at depth 0).  A stub harvest lets every seed radius
     # finish, also those where the construction raises.
-    built = []
-
-    def recording(delta, d):
-        built.append(balanced_regular_tree(delta, d))
-        return built[-1]
-
     def no_harvest(*args, **kwargs):
         return IndependentSetResult(nodes=[], steps=0, seed_size=0, verified=True)
 
-    monkeypatch.setattr(claim10_experiment, "balanced_regular_tree", recording)
+    ball = _whole_tree(4, depth)[0].bfs_distances(0, cutoff=depth - 1)
     monkeypatch.setattr(claim10_experiment, "independent_execution_set", no_harvest)
     for seed_radius in SEED_RADII:
         (point,) = run_claim10(delta=4, depth=depth, ts=(1,), seed_radius=seed_radius).points
-        ball = built[-1].bfs_distances(0, cutoff=depth - 1)
         assert point.effective_n == len(ball) ** 3
 
 
@@ -92,20 +141,82 @@ def test_only_the_ball_is_built(monkeypatch):
     monkeypatch.setattr(claim10_experiment, "balanced_regular_tree", recording)
     assert run_claim10(depth=10, ts=(1, 2), seed_radius=2).n == 118_097
     assert run_claim10(depth=3, ts=(1,), seed_radius=3).n == balanced_regular_tree_size(4, 3)
-    assert built == [9, 3]  # B_9(0); a seed sphere beyond B_2(0) keeps its layer
+    assert built == [8, 3]  # B_8(0), where t = 1 walks end; a seed sphere beyond keeps its layer
 
 
-def test_paper_seed_radius_7():
+@pytest.fixture(scope="module")
+def paper_seed_radius_7():
+    return run_claim10(depth=12, ts=(1, 2), seed_radius=7)
+
+
+@pytest.fixture(scope="module")
+def report_claim10():
+    (exhibit,) = [e for e in EXHIBITS if e.name == "claim10"]
+    return exhibit.run(**exhibit.full_args)
+
+
+def test_paper_seed_radius_7(paper_seed_radius_7):
     # The paper's literal construction: the seed sphere at radius 7 holds
-    # 4 * 3^6 = 2,916 nodes and one stride of 3 triples it.  Only B_11(0)
-    # (354,293 nodes) of the 1,062,881-node tree is built.
-    result = run_claim10(depth=12, ts=(1, 2), seed_radius=7)
+    # 4 * 3^6 = 2,916 nodes and one stride of 3 triples it.  Only B_10(0)
+    # (118,097 nodes) of the 1,062,881-node tree is built.
+    result = paper_seed_radius_7
     t1, t2 = result.points
     assert result.n == 1_062_881
     assert (t1.set_size, round(t1.closed_form_bound, 1)) == (8_748, 70.8)
     assert t1.in_regime and t1.bound_holds and t1.pairwise_verified
     assert not t2.in_regime and t2.set_size == 0
     assert result.all_bounds_hold()
+
+
+def _claim10_tables(markdown):
+    """The rows of each table in the Claim 10 section, as lists of cells.
+
+    Each table's first two lines, its header and its ``|---|`` rule, are
+    skipped.
+    """
+    section = markdown.split("\n## Claim 10 ", 1)[1].split("\n## ", 1)[0]
+    cells = re.compile(r"(?<!\\)\|")  # a cell border, not an escaped \| inside a cell
+    return [
+        [[cell.strip() for cell in cells.split(row)[1:-1]] for row in table.splitlines()[2:]]
+        for table in re.findall(r"(?:^\|.*\n)+", section, flags=re.M)
+    ]
+
+
+def _cells(point):
+    """A point as EXPERIMENTS.md prints it: t, |S|, closed form, verified."""
+    size = f"{point.set_size:,}".replace(",", " ")
+    return [
+        str(point.t),
+        size if point.in_regime else f"{size} (out of regime)",
+        f"{point.closed_form_bound:.1f}",
+        "✓" if point.pairwise_verified else "—",
+    ]
+
+
+def _documented_cells_match(markdown, report, paper):
+    return _claim10_tables(markdown) == [
+        [_cells(p) for p in report.points],
+        [_cells(p) for p in paper.points],
+    ]
+
+
+def test_experiments_md_claim10_cells_are_measured(report_claim10, paper_seed_radius_7):
+    # The report's row (depth 10, seed radius 2) and the paper's seed radius 7.
+    markdown = EXPERIMENTS_MD.read_text(encoding="utf-8")
+    assert _documented_cells_match(markdown, report_claim10, paper_seed_radius_7)
+
+
+@pytest.mark.parametrize("cell,changed", [
+    ("| 1 | 144 | 34.0 | ✓ |", "| 1 | 145 | 34.0 | ✓ |"),
+    ("| 2 | 36 | 8.3 | ✓ |", "| 2 | 36 | 8.2 | ✓ |"),
+    ("| 1 | 8 748 | 70.8 | ✓ |", "| 1 | 8 748 | 70.8 | — |"),
+    ("| 2 | 0 (out of regime) | 12.9 | — |", "| 2 | 0 | 12.9 | — |"),
+])
+def test_a_changed_claim10_cell_fails(report_claim10, paper_seed_radius_7, cell, changed):
+    markdown = EXPERIMENTS_MD.read_text(encoding="utf-8")
+    assert markdown.count(cell) == 1
+    changed_markdown = markdown.replace(cell, changed)
+    assert not _documented_cells_match(changed_markdown, report_claim10, paper_seed_radius_7)
 
 
 @pytest.mark.parametrize("depth", range(5, 11))

@@ -16,7 +16,6 @@ from repro.experiments import (
 )
 from repro.graphs import balanced_regular_tree
 from repro.lcl import WeakColoring
-import random
 
 
 SMALL_SIZES = (50, 200, 800)
@@ -144,7 +143,7 @@ class TestClassification:
 class TestLemma2Experiment:
     def test_planting_produces_valid_coloring(self):
         g = balanced_regular_tree(4, 4)
-        phi = plant_distance_k_weak_coloring(g, k=2, c=4, rng=random.Random(0))
+        phi = plant_distance_k_weak_coloring(g, k=2, c=4)
         assert WeakColoring(4, distance=2).is_feasible(g, phi)
 
     def test_reduction_rounds_constant(self):
@@ -156,6 +155,11 @@ class TestLemma2Experiment:
     def test_other_parameters(self):
         result = run_lemma2(k=3, c=3, sizes=(50, 200))
         assert result.rounds_are_constant()
+
+    def test_rng_seed_changes_nothing(self):
+        # The planted coloring draws nothing (SMALL_SIZES are --quick's).
+        seed0, seed1 = (run_lemma2(sizes=SMALL_SIZES, rng_seed=s).points for s in (0, 1))
+        assert seed0 == seed1
 
 
 class TestClaim10Experiment:

@@ -44,13 +44,12 @@ class TestMinimalityStory:
     def test_any_planted_weak_coloring_reduces(self):
         # Whatever (k, c) a hypothetical fast algorithm produced, Lemma 2
         # turns it into a weak 2-coloring in rounds independent of n.
-        rng = random.Random(0)
         rounds_by_params = {}
         for k, c in ((1, 2), (2, 3), (3, 5)):
             rounds = set()
             for depth in (3, 4, 5):
                 tree = balanced_regular_tree(4, depth)
-                phi = plant_distance_k_weak_coloring(tree, k, c, rng)
+                phi = plant_distance_k_weak_coloring(tree, k, c)
                 out = weak_two_coloring_from_weak_coloring(tree, phi, k=k, c=c)
                 assert WeakColoring(2).is_feasible(tree, out.labels)
                 rounds.add(out.rounds)
