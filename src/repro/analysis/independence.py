@@ -28,6 +28,7 @@ from ..graphs.orientation import Orientation
 __all__ = [
     "IndependentSetResult",
     "independent_execution_set",
+    "harvest_radius",
     "first_close_pair",
     "claim10_set_size_bound",
     "claim10_global_success_bound",
@@ -193,10 +194,7 @@ def independent_execution_set(
     collected: List[int] = []
     frontier = seed
     steps = 0
-    # The paper caps at floor((k - 7) / (2t+1)) - 1 so that every member's
-    # t-ball stays inside B_k(v); subtracting t directly is the same
-    # guarantee with one fewer wasted layer on small trees.
-    max_steps = max(0, (ball_radius - seed_radius - t) // stride)
+    max_steps = _max_steps(t, ball_radius, seed_radius)
     while steps < max_steps:
         new_frontier: List[int] = []
         for u in frontier:
@@ -222,4 +220,33 @@ def independent_execution_set(
             raise AssertionError(f"nodes {a} and {b} are at distance {d} < {stride} (bug)")
     return IndependentSetResult(
         nodes=collected, steps=steps, seed_size=len(seed), verified=verified
+    )
+
+
+def _max_steps(t: int, ball_radius: int, seed_radius: int) -> int:
+    """The expansion steps the harvest for budget ``t`` runs at most."""
+    # The paper caps at floor((k - 7) / (2t+1)) - 1 so that every member's
+    # t-ball stays inside B_k(v); subtracting t directly is the same
+    # guarantee with one fewer wasted layer on small trees.
+    return max(0, (ball_radius - seed_radius - t) // (2 * t + 1))
+
+
+def harvest_radius(ts: Sequence[int], ball_radius: int, seed_radius: int) -> int:
+    """The radius around the center that the harvests for ``ts`` walk in.
+
+    The seeds lie at ``seed_radius`` from the center, and the harvest
+    for budget ``t`` runs at most ``max_steps`` steps of ``2t + 1`` hops
+    each, so by the triangle inequality every node it walks through lies
+    within ``seed_radius + max_steps * (2t + 1)`` of the center; the
+    nodes it steps back through are closer still.  The largest of these
+    radii bounds every harvest of :func:`independent_execution_set`.  A
+    budget below 1 walks nowhere: its harvest raises first.
+    """
+    return max(
+        [seed_radius]
+        + [
+            seed_radius + _max_steps(t, ball_radius, seed_radius) * (2 * t + 1)
+            for t in ts
+            if t >= 1
+        ]
     )

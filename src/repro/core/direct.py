@@ -216,17 +216,30 @@ class DirectEngine:
     def _run_finite(
         self, request: SimRequest, tracer: Optional[Tracer]
     ) -> SimReport:
+        """Evaluate every node of every trial in ``request.batch``.
+
+        A request with ``values`` is the batch of one, and its report
+        unwraps that trial's outputs and failing nodes.  The values and
+        the tables are checked once per batch, not once per trial.
+        """
         # Lazy import: repro.speedup imports the core seam at module
         # scope, so the reverse edge must resolve at call time.
         from ..speedup.finite_runner import resolve_ball_tables
 
         graph, alg = request.graph, request.algorithm
-        values, tables = request.values, request.tables
-        if values is None:
-            raise ValueError("finite requests need per-node random values")
-        if len(values) != graph.n:
+        batch, tables = request.batch, request.tables
+        if batch is None:
+            if request.values is None:
+                raise ValueError("finite requests need per-node random values")
+            batch = (request.values,)
+        elif request.values is not None:
+            raise ValueError("finite requests take values or a batch, not both")
+        n = graph.n
+        if any(len(values) != n for values in batch):
             raise ValueError("need one random value per node")
-        if graph.n and not (0 <= min(values) and max(values) < alg.values):
+        if n and batch and not (
+            0 <= min(map(min, batch)) and max(map(max, batch)) < alg.values
+        ):
             raise ValueError(f"values must lie in [0, {alg.values})")
         if tables is None:
             if request.orientation is None:
@@ -235,42 +248,55 @@ class DirectEngine:
                 )
             tables = resolve_ball_tables(alg, graph, request.orientation)
         # The keys below zip the rows, which would cut them to the shortest.
-        if len(tables) != graph.n or len(set(map(len, tables))) > 1:
+        if len(tables) != n or len(set(map(len, tables))) > 1:
             raise ValueError("tables must hold one row per node, all of one length")
 
         if tracer is not None:
-            tracer.on_run_start("finite", alg.name, graph.n)
+            tracer.on_run_start("finite", alg.name, n)
             ball_size = len(alg.ball.words)
             for v in graph.nodes():
                 tracer.on_view(v, alg.t, ball_size, max(0, ball_size - 1))
         before = alg.cache.stats.copy() if tracer is not None else None
-        # Every node's ball_assignment_key, built in C: column i of the
-        # tables (the node each node's i-th ball word reaches) is mapped
-        # to its values, and zip joins the columns into one tuple per
-        # node (a 1-tuple for a one-word ball).  One memo pass answers
-        # all of them.
-        value_at = values.__getitem__
-        keys = list(zip(*[map(value_at, column) for column in zip(*tables)]))
-        outputs: List[Any] = alg.evaluate_many(keys)
-        # v fails when it has neighbors and every one copies its output.
-        failing = []
-        for v, row in enumerate(graph.adjacency_rows()):
-            if row:
-                out = outputs[v]
-                for u in row:
-                    if not outputs[u] == out:
-                        break
-                else:
-                    failing.append(v)
+        # Column i of the tables: the node each node's i-th ball word
+        # reaches.
+        columns = list(zip(*tables))
+        rows = graph.adjacency_rows()
+        stop = request.first_failure_only
+        trial_outputs: List[Any] = []
+        trial_failing: List[Any] = []
+        for values in batch:
+            # Every node's ball_assignment_key, built in C: each column
+            # is mapped to its values, and zip joins the columns into one
+            # tuple per node (a 1-tuple for a one-word ball).  One memo
+            # pass answers all of them.
+            value_at = values.__getitem__
+            keys = list(zip(*[map(value_at, column) for column in columns]))
+            outputs: List[Any] = alg.evaluate_many(keys)
+            # v fails when it has neighbors and every one copies its output.
+            failing = []
+            for v, row in enumerate(rows):
+                if row:
+                    out = outputs[v]
+                    for u in row:
+                        if not outputs[u] == out:
+                            break
+                    else:
+                        failing.append(v)
+                        if stop:
+                            break
+            trial_outputs.append(outputs)
+            trial_failing.append(failing)
         if tracer is not None:
             # The algorithm's assignment cache outlives the run; report
             # only the lookups this run contributed.
             tracer.on_cache("finite", alg.cache.stats.delta(before).to_dict())
             tracer.on_run_end(alg.t)
+        if request.batch is None:  # the batch of one, unwrapped
+            trial_outputs, trial_failing = trial_outputs[0], trial_failing[0]
         return SimReport(
             kind="finite",
-            outputs=outputs,
+            outputs=trial_outputs,
             rounds=alg.t,
-            failing_nodes=failing,
+            failing_nodes=trial_failing,
             backend=self.name,
         )

@@ -66,8 +66,10 @@ class SimRequest:
       :class:`~repro.local_model.edge_model.EdgeViewAlgorithm`.
     * ``"finite"`` — ``algorithm`` is a
       :class:`~repro.speedup.algorithms.NodeAlgorithm`; requires
-      ``values`` (per-node random words) and ``orientation`` unless
-      ``tables`` (precomputed ball tables) are given.
+      ``values`` (per-node random words) or a ``batch`` of them (one
+      per-node list per trial), and ``orientation`` unless ``tables``
+      (precomputed ball tables) are given.  ``first_failure_only`` stops
+      each trial's failure scan at its first failing node.
 
     ``seed`` is the reproducible alternative to ``rng``: when set (and
     ``rng`` is not), the engine constructs
@@ -93,7 +95,9 @@ class SimRequest:
     max_rounds: Optional[int] = None
     # -- "finite" kind --------------------------------------------------
     values: Optional[Sequence[int]] = None
+    batch: Optional[Sequence[Sequence[int]]] = None
     tables: Optional[List[List[int]]] = None
+    first_failure_only: bool = False
     # -- bookkeeping ----------------------------------------------------
     label: str = ""
 
@@ -121,7 +125,10 @@ class SimReport:
     ``outputs`` is a per-node list for ``local`` / ``view`` / ``finite``
     requests and an ``{edge: label}`` dict for ``edge`` requests.
     ``halt_rounds`` and ``failing_nodes`` are populated by the kinds
-    that define them (``None`` elsewhere).  :meth:`identity` is the
+    that define them (``None`` elsewhere).  A ``finite`` request with a
+    ``batch`` reports one ``outputs`` list and one ``failing_nodes``
+    list per trial, in order; a request with ``values`` is the batch of
+    one, unwrapped.  :meth:`identity` is the
     comparable core — what the differential suites compare;
     ``backend`` (the engine's name) is a diagnostic.
     """

@@ -16,6 +16,7 @@ from typing import List, Sequence
 from ..analysis.independence import (
     claim10_global_success_bound,
     claim10_set_size_bound,
+    harvest_radius,
     independent_execution_set,
 )
 from ..graphs.generators import balanced_regular_tree, balanced_regular_tree_size
@@ -70,18 +71,21 @@ def run_claim10(
 
     The claim plants S inside ``B_k(v)`` with ``k = depth - 1``, the
     leaf-free ball, and the closed form reads that ball's size.  The
-    harvests read less: only ``B_r(0)`` is built, with ``r =
-    min(depth, max(seed_radius, k - min(ts)))``.  The balanced tree of
-    depth ``r`` is ``B_r(0)`` of the depth-``depth`` tree, node for node
-    and port for port, and :func:`~repro.graphs.orientation.orient_tree`
-    gives its edges the same slots.  That is exact:
+    harvests read less: only ``B_R(0)`` is built, with ``R = min(depth,
+    max(seed_radius, max over ts of seed_radius + max_steps * (2t +
+    1)))``, where ``max_steps`` is the step cap of the harvest for
+    budget ``t`` (:func:`~repro.analysis.independence.harvest_radius`).
+    The balanced tree of depth ``R`` is ``B_R(0)`` of the
+    depth-``depth`` tree, node for node and port for port, and
+    :func:`~repro.graphs.orientation.orient_tree` gives its edges the
+    same slots.  That is exact:
 
-    * every walk and every BFS node of the harvest for budget ``t`` lies
-      within ``max(seed_radius, k - t)`` of the centre
-      (:func:`~repro.analysis.independence.independent_execution_set`
-      says why), and the smallest ``t`` reaches furthest;
-    * in a tree the path between two nodes of ``B_r(0)`` stays inside
-      ``B_r(0)``, so :func:`~repro.analysis.independence.first_close_pair`
+    * every node a harvest walks through or steps back through lies
+      within ``R`` of the centre, and the harvest's BFS from the centre
+      gives those nodes the same distances and the seed sphere the same
+      order;
+    * in a tree the path between two nodes of ``B_R(0)`` stays inside
+      ``B_R(0)``, so :func:`~repro.analysis.independence.first_close_pair`
       sees the same members at the same distances.
 
     A seed sphere beyond that radius still gets built (up to ``depth``),
@@ -101,8 +105,9 @@ def run_claim10(
         raise ValueError("the oriented-tree setting needs even Delta")
     n = balanced_regular_tree_size(delta, depth)
     ball_radius = depth - 1  # leaf-free ball
-    reach = max([seed_radius] + [ball_radius - t for t in ts])  # the radius the harvests read
-    tree = balanced_regular_tree(delta, min(depth, reach))
+    tree = balanced_regular_tree(
+        delta, min(depth, harvest_radius(ts, ball_radius, seed_radius))
+    )
     orientation = orient_tree(tree, delta // 2)
     # |B_k(0)|; at depth 0 the ball (radius -1) is the lone root.
     effective_n = balanced_regular_tree_size(delta, max(ball_radius, 0)) ** 3

@@ -165,9 +165,17 @@ def estimate_global_success(
     subclass that overrides ``random()`` but not ``getrandbits()`` gets
     another ``_randbelow``, and then ``rng.randrange`` itself runs.
 
+    Every trial is drawn first, trial by trial, and the trials then run
+    as one ``batch`` request of the ``finite`` kind: one engine call per
+    estimate.  A trial's scan stops at its first failing node, since
+    only its success counts, unless a tracer needs the failing count.
+
     An optional ``tracer`` observes one
     :meth:`~repro.instrumentation.Tracer.on_trial` per trial.
     """
+    from ..core.direct import DirectEngine
+    from ..core.engine import SimRequest
+
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = rng or random.Random(0)
@@ -178,8 +186,8 @@ def estimate_global_success(
     getrandbits, choices, n = rng.getrandbits, alg.values, graph.n
     bits = choices.bit_length()
     replay = getattr(type(rng), "_randbelow", None) is random.Random._randbelow
-    successes = 0
-    for i in range(trials):
+    batch = []
+    for _ in range(trials):
         if not replay:
             values = [rng.randrange(choices) for _ in range(n)]
         else:
@@ -189,13 +197,19 @@ def estimate_global_success(
                 while value >= choices:
                     value = getrandbits(bits)
                 values[v] = value
-        run = run_node_algorithm_on_oriented_graph(
-            alg, graph, orientation, values, tables=tables
+        batch.append(values)
+    report = DirectEngine().run(
+        SimRequest(
+            kind="finite",
+            graph=graph,
+            algorithm=alg,
+            batch=batch,
+            tables=tables,
+            first_failure_only=tracer is None,
         )
-        if run.succeeded:
-            successes += 1
-        if tracer is not None:
-            tracer.on_trial(i, run.succeeded, len(run.failing_nodes))
+    )
     if tracer is not None:
+        for i, failing in enumerate(report.failing_nodes):
+            tracer.on_trial(i, not failing, len(failing))
         tracer.on_run_end(alg.t)
-    return successes / trials
+    return report.failing_nodes.count([]) / trials

@@ -1,7 +1,8 @@
 """Claim 10 builds only the ball its harvests read.
 
-``run_claim10`` builds ``B_r(0)`` with ``r = min(depth, max(seed_radius,
-depth - 1 - min(ts)))``, not the depth-``depth`` tree.  The oracle is
+``run_claim10`` builds ``B_R(0)`` with ``R = min(depth, max(seed_radius,
+max over ts of seed_radius + max_steps * (2t + 1)))``, the radius the
+harvests' walks end at, not the depth-``depth`` tree.  The oracle is
 the same function handed the whole tree: the two must return equal
 results, and raise the same errors where the construction raises (a seed
 sphere beyond the tree).  A ball one radius short fails that oracle,
@@ -12,8 +13,6 @@ EXPERIMENTS.md's Claim 10 tables against the runs they report.
 """
 
 import functools
-import re
-from pathlib import Path
 
 import pytest
 
@@ -24,6 +23,8 @@ from repro.analysis.independence import (
 )
 from repro.experiments import EXHIBITS, claim10_experiment, run_claim10
 from repro.graphs import balanced_regular_tree, balanced_regular_tree_size, orient_tree
+
+from .markdown_tables import EXPERIMENTS_MD, section_tables
 
 DEPTHS = range(1, 11)
 SEED_RADII = (0, 1, 2, 3, 4, 5, 7)
@@ -43,7 +44,6 @@ MORE_CASES = [
     for r in SEED_RADII
     for ts, pairwise in (((1, 2), True), ((2, 1), False))
 ]
-EXPERIMENTS_MD = Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
 
 
 @functools.lru_cache(maxsize=1)  # CASES run depth by depth
@@ -116,6 +116,20 @@ def test_a_ball_one_radius_short_fails_the_oracle(monkeypatch):
     assert short.points[0].set_size == 36 and short.all_bounds_hold()
 
 
+@pytest.mark.parametrize("verify_pairwise", [True, False], ids=["pairs", "nopairs"])
+def test_a_ball_one_radius_short_fails_the_oracle_at_depth_8(monkeypatch, verify_pairwise):
+    # --quick's depth 8: the t = 1 walks end at distance 5, well inside
+    # k - t = 6, so B_5(0) is built and B_4(0) loses the walks' ends.
+    def one_short(delta, depth):
+        return balanced_regular_tree(delta, depth - 1)
+
+    monkeypatch.setattr(claim10_experiment, "balanced_regular_tree", one_short)
+    short, whole = _ball_only_and_whole(
+        monkeypatch, 4, 8, ts=(1, 2), seed_radius=2, verify_pairwise=verify_pairwise
+    )
+    assert short != whole
+
+
 @pytest.mark.parametrize("depth", range(0, 11))
 def test_effective_n_is_the_ball_size_cubed(monkeypatch, depth):
     # The old computation: |B_{depth-1}(0)| by BFS over the whole tree
@@ -141,7 +155,10 @@ def test_only_the_ball_is_built(monkeypatch):
     monkeypatch.setattr(claim10_experiment, "balanced_regular_tree", recording)
     assert run_claim10(depth=10, ts=(1, 2), seed_radius=2).n == 118_097
     assert run_claim10(depth=3, ts=(1,), seed_radius=3).n == balanced_regular_tree_size(4, 3)
-    assert built == [8, 3]  # B_8(0), where t = 1 walks end; a seed sphere beyond keeps its layer
+    assert run_claim10(depth=8, ts=(1, 2), seed_radius=2).n == balanced_regular_tree_size(4, 8)
+    # B_8(0), where t = 1 walks end; a seed sphere beyond keeps its
+    # layer; at depth 8 the t = 1 walks end at 2 + 1 * 3 = 5 < k - t = 6.
+    assert built == [8, 3, 5]
 
 
 @pytest.fixture(scope="module")
@@ -168,20 +185,6 @@ def test_paper_seed_radius_7(paper_seed_radius_7):
     assert result.all_bounds_hold()
 
 
-def _claim10_tables(markdown):
-    """The rows of each table in the Claim 10 section, as lists of cells.
-
-    Each table's first two lines, its header and its ``|---|`` rule, are
-    skipped.
-    """
-    section = markdown.split("\n## Claim 10 ", 1)[1].split("\n## ", 1)[0]
-    cells = re.compile(r"(?<!\\)\|")  # a cell border, not an escaped \| inside a cell
-    return [
-        [[cell.strip() for cell in cells.split(row)[1:-1]] for row in table.splitlines()[2:]]
-        for table in re.findall(r"(?:^\|.*\n)+", section, flags=re.M)
-    ]
-
-
 def _cells(point):
     """A point as EXPERIMENTS.md prints it: t, |S|, closed form, verified."""
     size = f"{point.set_size:,}".replace(",", " ")
@@ -194,7 +197,7 @@ def _cells(point):
 
 
 def _documented_cells_match(markdown, report, paper):
-    return _claim10_tables(markdown) == [
+    return section_tables(markdown, "Claim 10 ") == [
         [_cells(p) for p in report.points],
         [_cells(p) for p in paper.points],
     ]

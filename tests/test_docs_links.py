@@ -10,6 +10,8 @@ import sys
 
 import repro
 
+from .markdown_tables import CELL_BORDER
+
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -92,7 +94,7 @@ def stale_paper_map_references(text):
     """Code-column names and Checked-by test references that do not exist."""
     stale = []
     for line in text.splitlines():
-        cells = line.strip().strip("|").split("|")
+        cells = CELL_BORDER.split(line.strip().strip("|"))
         if not line.startswith("|") or len(cells) != 4:
             continue
         code, checked_by = cells[2], cells[3]
@@ -118,11 +120,14 @@ def test_paper_map_check_flags_stale_rows():
         "| `tests/test_lcl_catalog.py::TestWeakColoring` |\n"
         "| C | gone | `analysis.recurrence.no_such_*`, `NoSuchClass.method` "
         "| `tests/no_such_file.py` |\n"
+        "| D | gone, \\|B\\| escaped | `analysis.no_such_module` | `tests/no_such_file.py` |\n"
     )
     assert stale_paper_map_references(table) == [
         "analysis.no_such_module",
         "tests/test_lcl_catalog.py::TestNoSuchClass",
         "analysis.recurrence.no_such_*",
         "NoSuchClass.method",
+        "tests/no_such_file.py",
+        "analysis.no_such_module",
         "tests/no_such_file.py",
     ]

@@ -9,7 +9,8 @@
   ``summary.json`` (``--artifacts`` writes one file per row from the
   same loop), and a Claim 10 sweep with no in-regime point, or with one
   left unverified, fails its verdict.
-* The report's own results hold the shapes no verdict states.
+* The report's own results hold the shapes no verdict states, and
+  EXPERIMENTS.md's global-failure table is the report's run.
 """
 
 import dataclasses
@@ -24,6 +25,8 @@ import pytest
 
 from repro.experiments import EXHIBITS, run_claim10
 from repro.experiments.__main__ import EXHIBIT_SCHEMA, SUMMARY_SCHEMA, main
+
+from .markdown_tables import EXPERIMENTS_MD, section_tables
 
 DIGESTS = json.loads(
     (Path(__file__).resolve().parent.parent / "paperbench" / "digests.json").read_text()
@@ -192,3 +195,37 @@ def test_global_success_collapses_by_twelve_by_twelve():
     points = _result("global_failure", False).points
     assert (points[0].rows, points[-1].rows) == (3, 12)
     assert points[-1].measured_success <= min(points[0].measured_success, 0.05)
+
+
+@pytest.fixture(scope="module")
+def report_global_failure():
+    exhibit = BY_NAME["global_failure"]
+    return exhibit.run(**exhibit.full_args, rng_seed=0)
+
+
+def _global_failure_table_matches(markdown, result):
+    """EXPERIMENTS.md's torus, n, measured success and ceiling cells."""
+    return section_tables(markdown, "Local -> global amplification") == [
+        [
+            [f"{p.rows}×{p.cols}", str(p.n), f"{p.measured_success:.2f}",
+             f"{p.analytic_ceiling:.2f}"]
+            for p in result.points
+        ]
+    ]
+
+
+def test_experiments_md_global_failure_cells_are_measured(report_global_failure):
+    markdown = EXPERIMENTS_MD.read_text(encoding="utf-8")
+    assert _global_failure_table_matches(markdown, report_global_failure)
+
+
+@pytest.mark.parametrize("cell,changed", [
+    ("| 3×3 | 9 | 0.03 | 0.41 |", "| 3×3 | 9 | 0.02 | 0.41 |"),
+    ("| 6×6 | 36 | 0.00 | 0.03 |", "| 6×6 | 36 | 0.00 | 0.02 |"),
+    ("| 12×12 | 144 | 0.00 | 0.00 |", "| 12×12 | 121 | 0.00 | 0.00 |"),
+])
+def test_a_changed_global_failure_cell_fails(report_global_failure, cell, changed):
+    markdown = EXPERIMENTS_MD.read_text(encoding="utf-8")
+    assert markdown.count(cell) == 1
+    changed_markdown = markdown.replace(cell, changed)
+    assert not _global_failure_table_matches(changed_markdown, report_global_failure)

@@ -6,7 +6,8 @@ failures without their memo and early exit):
 * the finite runner keyed every node with ``ball_assignment_key``, looked
   each key up on its own and found failing nodes through
   ``graph.neighbors`` copies;
-* global failure drew each node's value with ``rng.randrange``;
+* global failure drew each node's value with ``rng.randrange`` and ran
+  one finite request per trial, scanning every node;
 * the exact failures multiplied one ``Fraction`` distribution per
   neighbor (resp. incident edge), step by step;
 * frequent color sets scattered each completion into a scratch list and
@@ -22,8 +23,11 @@ from fractions import Fraction
 
 import pytest
 
+from repro.core.direct import DirectEngine
+from repro.core.engine import SimRequest
 from repro.experiments.speedup_figures import default_seeds
 from repro.graphs import Graph, orient_torus, toroidal_grid
+from repro.instrumentation import Tracer
 from repro.local_model.cache import ball_assignment_key
 from repro.speedup import (
     EdgeAlgorithm,
@@ -43,7 +47,6 @@ from repro.speedup.failure import (
     edge_local_failure,
     node_local_failure,
 )
-from repro.speedup import finite_runner
 from repro.speedup.finite_runner import (
     estimate_global_success,
     resolve_ball_tables,
@@ -153,20 +156,26 @@ class _DrawsBelow(NodeAlgorithm):
         return self.choices
 
 
+def _record_batches(monkeypatch):
+    """Every trial's values that ``DirectEngine.run`` is handed, in order."""
+    drawn = []
+    run = DirectEngine.run
+
+    def recording(self, request, tracer=None):
+        drawn.extend(list(values) for values in request.batch)
+        return run(self, request, tracer=tracer)
+
+    monkeypatch.setattr(DirectEngine, "run", recording)
+    return drawn
+
+
 @pytest.mark.parametrize("choices", [*range(1, 18), 31, 32, 33, 1000, 2**20, 2**31 + 5])
 def test_global_success_draws_what_randrange_draws(choices, monkeypatch):
     # Every trial's values are the rng.randrange(choices) calls of the old
     # loop, in node order, and each generator ends in the same state.
     graph = toroidal_grid(3, 4)
     orientation = orient_torus(graph, 3, 4)
-    drawn = []
-    run = finite_runner.run_node_algorithm_on_oriented_graph
-
-    def recording(alg, graph, orientation, values, **kwargs):
-        drawn.append(list(values))
-        return run(alg, graph, orientation, values, **kwargs)
-
-    monkeypatch.setattr(finite_runner, "run_node_algorithm_on_oriented_graph", recording)
+    drawn = _record_batches(monkeypatch)
     for seed in range(4):
         rng, oracle = random.Random(seed), random.Random(seed)
         drawn.clear()
@@ -188,18 +197,152 @@ def test_global_success_draws_randrange_of_a_subclass(choices, monkeypatch):
     # inline getrandbits loop would not reproduce.
     graph = toroidal_grid(3, 4)
     orientation = orient_torus(graph, 3, 4)
-    drawn = []
-    run = finite_runner.run_node_algorithm_on_oriented_graph
-
-    def recording(alg, graph, orientation, values, **kwargs):
-        drawn.append(list(values))
-        return run(alg, graph, orientation, values, **kwargs)
-
-    monkeypatch.setattr(finite_runner, "run_node_algorithm_on_oriented_graph", recording)
+    drawn = _record_batches(monkeypatch)
     rng, oracle = _RandomOnly(5), _RandomOnly(5)
     estimate_global_success(_DrawsBelow(choices), graph, orientation, trials=3, rng=rng)
     assert drawn == [[oracle.randrange(choices) for _ in graph.nodes()] for _ in range(3)]
     assert rng.getstate() == oracle.getstate()
+
+
+# ----------------------------------------------------------------------
+# Global success: one batch against one run per trial
+# ----------------------------------------------------------------------
+def old_global_success(alg, graph, tables, trials, rng):
+    """Per-trial randrange draws, each trial run by the per-node loop.
+
+    Returns the estimate and every trial's (succeeded, failing count).
+    """
+    outcomes = []
+    for _ in range(trials):
+        values = [rng.randrange(alg.values) for _ in graph.nodes()]
+        _, failing = old_finite_run(alg, graph, tables, values)
+        outcomes.append((not failing, len(failing)))
+    return sum(ok for ok, _ in outcomes) / trials, outcomes
+
+
+class _Trials(Tracer):
+    """Keeps each ``on_trial``'s success and failing count."""
+
+    def __init__(self):
+        self.outcomes = []
+
+    def on_trial(self, index, succeeded, failing_nodes):
+        assert index == len(self.outcomes)
+        self.outcomes.append((succeeded, failing_nodes))
+
+
+@pytest.mark.parametrize("side", range(3, 7))
+@pytest.mark.parametrize("name", sorted(FINITE_ALGORITHMS))
+def test_global_success_matches_one_run_per_trial(name, side):
+    graph = toroidal_grid(side, side)
+    orientation = orient_torus(graph, side, side)
+    make = FINITE_ALGORITHMS[name]
+    tables = resolve_ball_tables(make(), graph, orientation)
+    for seed, trials in ((0, 1), (1, 7), (2, 40), (side, 120)):
+        alg, oracle = make(), make()
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        expected, outcomes = old_global_success(oracle, graph, tables, trials, oracle_rng)
+        assert estimate_global_success(alg, graph, orientation, trials, rng) == expected
+        assert rng.getstate() == oracle_rng.getstate()
+        # Traced, a trial counts every failing node, not just the first.
+        tracer = _Trials()
+        rng = random.Random(seed)
+        assert estimate_global_success(
+            make(), graph, orientation, trials, rng, tracer=tracer
+        ) == expected
+        assert tracer.outcomes == outcomes
+
+
+def test_global_success_counts_the_trials_that_succeed():
+    # The report's 3 x 3 torus at seed 0: 3 of its 120 trials succeed.
+    graph = toroidal_grid(3, 3)
+    orientation = orient_torus(graph, 3, 3)
+    seed = random.Random(0).getrandbits(64)  # run_global_failure's first draw
+    alg, oracle = local_maximum_coloring(2, bits=2), local_maximum_coloring(2, bits=2)
+    expected, outcomes = old_global_success(
+        oracle, graph, resolve_ball_tables(oracle, graph, orientation), 120, random.Random(seed)
+    )
+    assert sum(ok for ok, _ in outcomes) == 3
+    assert estimate_global_success(alg, graph, orientation, 120, random.Random(seed)) == expected
+    assert expected == 3 / 120
+
+
+def test_global_success_is_one_engine_call(monkeypatch):
+    calls = []
+    run = DirectEngine.run
+
+    def counting(self, request, tracer=None):
+        calls.append(len(request.batch))
+        return run(self, request, tracer=tracer)
+
+    monkeypatch.setattr(DirectEngine, "run", counting)
+    graph = toroidal_grid(4, 5)
+    orientation = orient_torus(graph, 4, 5)
+    for trials in (1, 2, 120):
+        calls.clear()
+        estimate_global_success(local_maximum_coloring(2), graph, orientation, trials)
+        assert calls == [trials]
+        calls.clear()
+        estimate_global_success(
+            local_maximum_coloring(2), graph, orientation, trials, tracer=_Trials()
+        )
+        assert calls == [trials]
+
+
+def _batch_request(alg, graph, batch, **kwargs):
+    return SimRequest(kind="finite", graph=graph, algorithm=alg, batch=batch, **kwargs)
+
+
+@pytest.mark.parametrize("first_failure_only", [False, True])
+def test_a_batch_reports_each_trial_as_its_own_run(first_failure_only):
+    # Trial by trial, a batch reports what one run with those values
+    # reports; stopping at the first failure keeps only that node.
+    graph = toroidal_grid(5, 4)
+    orientation = orient_torus(graph, 5, 4)
+    alg = smaller_count_coloring(2, bits=2)
+    rng = random.Random(3)
+    batch = [[rng.randrange(alg.values) for _ in graph.nodes()] for _ in range(30)]
+    batch.append([0] * graph.n)  # every node fails
+    report = DirectEngine().run(
+        _batch_request(
+            alg, graph, batch, orientation=orientation, first_failure_only=first_failure_only
+        )
+    )
+    runs = [run_node_algorithm_on_oriented_graph(alg, graph, orientation, v) for v in batch]
+    assert report.outputs == [run.outputs for run in runs]
+    if first_failure_only:
+        assert report.failing_nodes == [run.failing_nodes[:1] for run in runs]
+    else:
+        assert report.failing_nodes == [run.failing_nodes for run in runs]
+    assert any(report.failing_nodes) and not all(report.failing_nodes)
+    assert report.failing_nodes[-1] == ([0] if first_failure_only else list(graph.nodes()))
+
+
+def test_a_batch_refuses_what_one_run_refuses():
+    # Any trial out of range, of the wrong length, or malformed tables
+    # raise the one-trial errors; values and a batch together are refused.
+    graph = toroidal_grid(3, 3)
+    alg = local_maximum_coloring(2, bits=2)
+    tables = resolve_ball_tables(alg, graph, orient_torus(graph, 3, 3))
+    good = [[0] * graph.n for _ in range(3)]
+    for trial in range(3):
+        for bad in (-1, alg.values):
+            for position in (0, graph.n // 2, graph.n - 1):
+                batch = [list(values) for values in good]
+                batch[trial][position] = bad
+                with pytest.raises(ValueError, match=r"^values must lie in \[0, 4\)$"):
+                    DirectEngine().run(_batch_request(alg, graph, batch, tables=tables))
+        batch = [list(values) for values in good]
+        batch[trial] = batch[trial][:-1]
+        with pytest.raises(ValueError, match="^need one random value per node$"):
+            DirectEngine().run(_batch_request(alg, graph, batch, tables=tables))
+    for bad in (tables[:-1], tables + [tables[0]], [tables[0] + [0]] + tables[1:]):
+        with pytest.raises(
+            ValueError, match="^tables must hold one row per node, all of one length$"
+        ):
+            DirectEngine().run(_batch_request(alg, graph, good, tables=bad))
+    with pytest.raises(ValueError, match="^finite requests take values or a batch, not both$"):
+        DirectEngine().run(_batch_request(alg, graph, good, tables=tables, values=good[0]))
 
 
 # ----------------------------------------------------------------------
