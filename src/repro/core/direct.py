@@ -18,6 +18,7 @@ import random
 from typing import Any, Dict, List, Optional
 
 from ..graphs.graph import edge_key
+from ..instrumentation.sizes import estimate_size
 from ..instrumentation.tracer import Tracer, effective_tracer
 from ..local_model.context import NodeContext
 from ..local_model.views import gather_edge_view, gather_view
@@ -95,7 +96,7 @@ class DirectEngine:
             )
 
         if tracer is not None:
-            tracer.on_run_start("local", algorithm.name, n)
+            tracer.on_event("run_start", engine="local", algorithm=algorithm.name, n=n)
 
         halt_rounds: List[Optional[int]] = [None] * n
         for v in graph.nodes():
@@ -103,7 +104,7 @@ class DirectEngine:
             if contexts[v].halted:
                 halt_rounds[v] = 0
                 if tracer is not None:
-                    tracer.on_halt(v, 0, contexts[v].output)
+                    tracer.on_event("halt", node=v, round=0, output=contexts[v].output)
 
         rounds = 0
         active = [v for v in graph.nodes() if not contexts[v].halted]
@@ -117,7 +118,7 @@ class DirectEngine:
             for v in active:
                 contexts[v].round_number = rounds
             if tracer is not None:
-                tracer.on_round_start(rounds, len(active))
+                tracer.on_event("round_start", round=rounds, active=len(active))
             outboxes: Dict[int, Dict[int, Any]] = {}
             for v in active:
                 msgs = algorithm.send(contexts[v])
@@ -131,23 +132,29 @@ class DirectEngine:
                     if delivered:
                         inboxes[u][graph.port_to(u, v)] = payload
                     if tracer is not None:
-                        tracer.on_message(v, u, port, payload, delivered)
+                        tracer.on_event(
+                            "message", sender=v, receiver=u, port=port,
+                            bits=estimate_size(payload), delivered=delivered,
+                            payload=payload,
+                        )
             next_active = []
             for v in active:
                 algorithm.receive(contexts[v], inboxes[v])
                 if contexts[v].halted:
                     halt_rounds[v] = rounds
                     if tracer is not None:
-                        tracer.on_halt(v, rounds, contexts[v].output)
+                        tracer.on_event(
+                            "halt", node=v, round=rounds, output=contexts[v].output
+                        )
                 else:
                     next_active.append(v)
             active = next_active
             if tracer is not None:
-                tracer.on_round_end(rounds)
+                tracer.on_event("round_end", round=rounds)
 
         total = max((r for r in halt_rounds if r is not None), default=0)
         if tracer is not None:
-            tracer.on_run_end(total)
+            tracer.on_event("run_end", rounds=total)
         return SimReport(
             kind="local",
             outputs=[contexts[v].output for v in graph.nodes()],
@@ -180,7 +187,9 @@ class DirectEngine:
             radius, rounds = algorithm.view_radius(), algorithm.rounds
             evaluate = algorithm.output_fn
         if tracer is not None:
-            tracer.on_run_start(kind, algorithm.name, len(entities))
+            tracer.on_event(
+                "run_start", engine=kind, algorithm=algorithm.name, n=len(entities)
+            )
         outputs = []
         for entity in entities:
             view = gather(
@@ -193,10 +202,13 @@ class DirectEngine:
                 orientation=request.orientation,
             )
             if tracer is not None:
-                tracer.on_view(entity, view.radius, view.node_count, len(view.edges))
+                tracer.on_event(
+                    "view", center=entity, radius=view.radius,
+                    nodes=view.node_count, edges=len(view.edges),
+                )
             outputs.append(evaluate(view))
         if tracer is not None:
-            tracer.on_run_end(rounds)
+            tracer.on_event("run_end", rounds=rounds)
         if kind == "view":
             return SimReport(
                 kind="view",
@@ -252,10 +264,13 @@ class DirectEngine:
             raise ValueError("tables must hold one row per node, all of one length")
 
         if tracer is not None:
-            tracer.on_run_start("finite", alg.name, n)
+            tracer.on_event("run_start", engine="finite", algorithm=alg.name, n=n)
             ball_size = len(alg.ball.words)
             for v in graph.nodes():
-                tracer.on_view(v, alg.t, ball_size, max(0, ball_size - 1))
+                tracer.on_event(
+                    "view", center=v, radius=alg.t, nodes=ball_size,
+                    edges=max(0, ball_size - 1),
+                )
         before = alg.cache.stats.copy() if tracer is not None else None
         # Column i of the tables: the node each node's i-th ball word
         # reaches.
@@ -289,8 +304,10 @@ class DirectEngine:
         if tracer is not None:
             # The algorithm's assignment cache outlives the run; report
             # only the lookups this run contributed.
-            tracer.on_cache("finite", alg.cache.stats.delta(before).to_dict())
-            tracer.on_run_end(alg.t)
+            tracer.on_event(
+                "cache", engine="finite", **alg.cache.stats.delta(before).to_dict()
+            )
+            tracer.on_event("run_end", rounds=alg.t)
         if request.batch is None:  # the batch of one, unwrapped
             trial_outputs, trial_failing = trial_outputs[0], trial_failing[0]
         return SimReport(

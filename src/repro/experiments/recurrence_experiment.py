@@ -71,16 +71,9 @@ def run_recurrence_experiment(
     result = RecurrenceResult()
     for delta in deltas:
         for t in ts:
-            trajectory = palette_trajectory(t, delta)
-            c0 = trajectory[-1]
+            c0 = palette_trajectory(t, delta)[-1]
             result.palette_rows.append(
-                {
-                    "t": t,
-                    "delta": delta,
-                    "c0": c0,
-                    "c0_log_star": c0.log_star(),
-                    "trajectory_log_stars": [c.log_star() for c in trajectory],
-                }
+                {"t": t, "delta": delta, "c0": c0, "c0_log_star": c0.log_star()}
             )
             # A representative calibration: p0 at the uniform floor of a
             # moderate palette (c0 capped for the float computation).

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..graphs.generators import balanced_regular_tree_size, cycle, regular_tree_of_depth_at_least
@@ -99,7 +100,15 @@ class Measured:
     label: str
     paper_complexity: str
     points: List[Point]
-    fit: Optional[GrowthFit] = None
+    flatness_tolerance: float = 1.0
+
+    @cached_property
+    def fit(self) -> Optional[GrowthFit]:
+        """The growth fit of three or more points, made when first read."""
+        if len(self.points) < 3:
+            return None
+        return fit_growth([p.n for p in self.points], [p.rounds for p in self.points],
+                          self.flatness_tolerance)
 
     @property
     def measurements(self) -> List[Tuple[int, int]]:
@@ -128,7 +137,7 @@ def measure(
     sizes: Sequence[int],
     rng: Optional[random.Random] = None,
 ) -> List[Measured]:
-    """Run every row across its sweep and fit each column of three or more points.
+    """Run every row across its sweep; a column fits its points when its fit is read.
 
     Each (family, delta) sweep is built once per call: the sizes snap to
     the family's graphs, duplicates go, and n ascends.  The rows run in
@@ -142,7 +151,6 @@ def measure(
         if key not in sweeps:
             sweeps[key] = _sweep(row.family, row.delta, sizes)
         points = [_point(row, graph, rng) for graph in sweeps[key]]
-        ns, rounds = [p.n for p in points], [p.rounds for p in points]
-        fit = fit_growth(ns, rounds, row.flatness_tolerance) if len(points) >= 3 else None
-        columns.append(Measured(row.label, row.paper_complexity, points, fit))
+        columns.append(Measured(row.label, row.paper_complexity, points,
+                                row.flatness_tolerance))
     return columns

@@ -1,4 +1,4 @@
-"""Aggregating tracer: per-round message/byte/halt/wall-clock metrics.
+"""Aggregating tracer: per-round message/bit/halt/wall-clock metrics.
 
 :class:`MetricsTracer` folds the engine's event stream into a compact
 :class:`RunMetrics` summary, serializable to JSON.  It keeps O(rounds)
@@ -12,10 +12,9 @@ downstream consumers can treat it as stable.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, List, Optional
 
-from .sizes import SizeEstimator, estimate_size
 from .tracer import Tracer
 
 __all__ = ["RoundMetrics", "RunMetrics", "MetricsTracer"]
@@ -34,15 +33,7 @@ class RoundMetrics:
     wall_seconds: float = 0.0
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "round": self.round,
-            "active": self.active,
-            "messages_sent": self.messages_sent,
-            "messages_delivered": self.messages_delivered,
-            "bits_sent": self.bits_sent,
-            "halts": self.halts,
-            "wall_seconds": self.wall_seconds,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -74,7 +65,6 @@ class RunMetrics:
     cache_lookups: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    cache_bytes: int = 0
     cache_distinct_classes: int = 0
     wall_seconds: float = 0.0
     halt_histogram: Dict[int, int] = field(default_factory=dict)
@@ -103,7 +93,6 @@ class RunMetrics:
             "cache_lookups": self.cache_lookups,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
-            "cache_bytes": self.cache_bytes,
             "cache_distinct_classes": self.cache_distinct_classes,
             "cache_hit_rate": self.cache_hit_rate,
             "wall_seconds": self.wall_seconds,
@@ -128,7 +117,8 @@ class RunMetrics:
         ``layout_fallbacks``, ``layout_classes``, ``layout_dict_runs``,
         ``layout_csr_runs``, ``layout_entities``, ``kernel_runs``,
         ``kernel_vectorized``, ``kernel_fallbacks``, ``kernel_entities``,
-        ``kernel_classes``) — are ignored rather than rejected.
+        ``kernel_classes``, ``cache_bytes``) — are ignored rather than
+        rejected.
         Derived values such as ``cache_hit_rate`` are recomputed, never
         read back.
         """
@@ -150,96 +140,67 @@ class RunMetrics:
 class MetricsTracer(Tracer):
     """Fold the event stream into :class:`RunMetrics`.
 
-    Parameters
-    ----------
-    message_size:
-        Pluggable payload-size estimator (bits); defaults to
-        :func:`~repro.instrumentation.sizes.estimate_size`.
-    per_round:
-        Keep the per-round breakdown (O(rounds) memory).  Disable for
-        very long runs where only totals matter.
-    clock:
-        Injectable monotonic clock, for deterministic tests.
-
-    One tracer instance observes one run at a time; :meth:`on_run_start`
-    resets it, so reusing an instance across sequential runs keeps only
-    the last run's numbers.
+    One tracer instance observes one run at a time; a ``run_start``
+    event resets it, so reusing an instance across sequential runs
+    keeps only the last run's numbers.  Wall times come from
+    :func:`time.perf_counter`.
     """
 
-    def __init__(
-        self,
-        message_size: Optional[SizeEstimator] = None,
-        per_round: bool = True,
-        clock=time.perf_counter,
-    ):
-        self.message_size: SizeEstimator = message_size or estimate_size
-        self.keep_per_round = per_round
-        self.clock = clock
+    def __init__(self):
         self.metrics = RunMetrics()
         self._round: Optional[RoundMetrics] = None
         self._round_started_at = 0.0
         self._run_started_at = 0.0
 
-    # -- engine hooks ---------------------------------------------------
-    def on_run_start(self, engine: str, algorithm: str, n: int, **info: Any) -> None:
-        self.metrics = RunMetrics(engine=engine, algorithm=algorithm, n=n)
-        self._round = None
-        self._run_started_at = self.clock()
+    def on_event(self, kind: str, **info: Any) -> None:
+        m, current = self.metrics, self._round
+        if kind == "message":
+            bits = info["bits"]
+            m.messages_sent += 1
+            m.bits_sent += bits
+            if info["delivered"]:
+                m.messages_delivered += 1
+            if current is not None:
+                current.messages_sent += 1
+                current.bits_sent += bits
+                if info["delivered"]:
+                    current.messages_delivered += 1
+        elif kind == "view":
+            m.views_gathered += 1
+            m.view_nodes += info["nodes"]
+            m.view_edges += info["edges"]
+        elif kind == "halt":
+            halted_in = info["round"]
+            m.halt_histogram[halted_in] = m.halt_histogram.get(halted_in, 0) + 1
+            if current is not None and current.round == halted_in:
+                current.halts += 1
+        elif kind == "round_start":
+            self._round = RoundMetrics(round=info["round"], active=info["active"])
+            self._round_started_at = time.perf_counter()
+        elif kind == "round_end":
+            if current is not None:
+                current.wall_seconds = time.perf_counter() - self._round_started_at
+                m.per_round.append(current)
+                self._round = None
+        elif kind == "trial":
+            m.trials += 1
+            if info["succeeded"]:
+                m.trial_successes += 1
+        elif kind == "cache":
+            m.cache_lookups += info["lookups"]
+            m.cache_hits += info["hits"]
+            m.cache_misses += info["misses"]
+            m.cache_distinct_classes += info["distinct_classes"]
+        elif kind == "run_start":
+            self.metrics = RunMetrics(
+                engine=info["engine"], algorithm=info["algorithm"], n=info["n"]
+            )
+            self._round = None
+            self._run_started_at = time.perf_counter()
+        elif kind == "run_end":
+            m.rounds = info["rounds"]
+            m.wall_seconds = time.perf_counter() - self._run_started_at
 
-    def on_round_start(self, round_number: int, active: int) -> None:
-        self._round = RoundMetrics(round=round_number, active=active)
-        self._round_started_at = self.clock()
-
-    def on_message(
-        self, sender: int, receiver: int, port: int, payload: Any, delivered: bool
-    ) -> None:
-        bits = self.message_size(payload)
-        self.metrics.messages_sent += 1
-        self.metrics.bits_sent += bits
-        if delivered:
-            self.metrics.messages_delivered += 1
-        if self._round is not None:
-            self._round.messages_sent += 1
-            self._round.bits_sent += bits
-            if delivered:
-                self._round.messages_delivered += 1
-
-    def on_halt(self, node: int, round_number: int, output: Any) -> None:
-        hist = self.metrics.halt_histogram
-        hist[round_number] = hist.get(round_number, 0) + 1
-        if self._round is not None and self._round.round == round_number:
-            self._round.halts += 1
-
-    def on_round_end(self, round_number: int) -> None:
-        if self._round is None:
-            return
-        self._round.wall_seconds = self.clock() - self._round_started_at
-        if self.keep_per_round:
-            self.metrics.per_round.append(self._round)
-        self._round = None
-
-    def on_view(self, center: Any, radius: int, nodes: int, edges: int) -> None:
-        self.metrics.views_gathered += 1
-        self.metrics.view_nodes += nodes
-        self.metrics.view_edges += edges
-
-    def on_cache(self, engine: str, stats: Dict[str, Any]) -> None:
-        self.metrics.cache_lookups += stats.get("lookups", 0)
-        self.metrics.cache_hits += stats.get("hits", 0)
-        self.metrics.cache_misses += stats.get("misses", 0)
-        self.metrics.cache_bytes += stats.get("bytes", 0)
-        self.metrics.cache_distinct_classes += stats.get("distinct_classes", 0)
-
-    def on_trial(self, index: int, succeeded: bool, failing_nodes: int) -> None:
-        self.metrics.trials += 1
-        if succeeded:
-            self.metrics.trial_successes += 1
-
-    def on_run_end(self, rounds: int, **info: Any) -> None:
-        self.metrics.rounds = rounds
-        self.metrics.wall_seconds = self.clock() - self._run_started_at
-
-    # -- conveniences ---------------------------------------------------
     def report(self) -> Dict[str, Any]:
         """The JSON-ready metrics dict of the last observed run."""
         return self.metrics.to_dict()

@@ -4,7 +4,8 @@ The LOCAL model itself does not meter bandwidth — message size is
 unbounded — but CONGEST-style accounting is what makes instrumented runs
 comparable ("CV sends O(log c)-bit colors, Luby sends 48-bit
 priorities").  :func:`estimate_size` assigns every payload a size in
-*bits* using information-theoretic conventions:
+*bits* using information-theoretic conventions; the message-passing
+engine puts it in each traced ``message`` event's ``bits`` field:
 
 * ``None`` costs 1 (presence bit);
 * ``bool`` costs 1;
@@ -14,23 +15,13 @@ priorities").  :func:`estimate_size` assigns every payload a size in
 * containers (tuple/list/set/frozenset/dict) cost the sum of their
   elements plus 2 bits of framing per element;
 * anything else falls back to ``8 * len(repr(payload))``.
-
-The estimator is *pluggable*: every consumer
-(:class:`~repro.instrumentation.metrics.MetricsTracer`,
-:class:`~repro.instrumentation.recorder.TraceRecorder`) takes a
-``message_size=`` callable, so a CONGEST experiment can substitute a
-strict ``O(log n)``-enforcing estimator, or a constant-1 estimator that
-turns byte counts back into message counts.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
-__all__ = ["estimate_size", "SizeEstimator", "constant_size"]
-
-#: Type of a pluggable size estimator: payload -> size in bits.
-SizeEstimator = Callable[[Any], int]
+__all__ = ["estimate_size"]
 
 
 def estimate_size(payload: Any) -> int:
@@ -52,13 +43,3 @@ def estimate_size(payload: Any) -> int:
     if isinstance(payload, (tuple, list, set, frozenset)):
         return sum(2 + estimate_size(x) for x in payload)
     return 8 * len(repr(payload))
-
-
-def constant_size(bits: int = 1) -> SizeEstimator:
-    """An estimator charging every message a flat ``bits`` — message
-    counting in byte-accounting clothes."""
-
-    def estimator(_payload: Any) -> int:
-        return bits
-
-    return estimator

@@ -5,120 +5,71 @@ A *tracer* is a passive observer handed to an engine entry point
 :func:`~repro.local_model.network.run_view_algorithm`,
 :func:`~repro.local_model.edge_model.run_edge_view_algorithm`,
 :func:`~repro.speedup.finite_runner.run_node_algorithm_on_oriented_graph`,
+:func:`~repro.speedup.finite_runner.estimate_global_success`,
 :func:`~repro.speedup.pipeline.run_speedup_pipeline`) via the optional
-``tracer=`` keyword.  Engines call the hooks below at well-defined
-points; tracers never influence execution — an instrumented run must
-produce the exact same :class:`~repro.local_model.network.ExecutionResult`
-as an uninstrumented one.
+``tracer=`` keyword.  Engines report every event through one method,
+:meth:`Tracer.on_event`; tracers never influence execution — an
+instrumented run must produce the exact same result as an
+uninstrumented one.
 
 Zero-overhead contract
 ----------------------
 ``tracer=None`` (the default) and ``tracer=NullTracer()`` are the *same
 path*: engines normalize both to ``None`` via :func:`effective_tracer`
-and guard every hook site with a single ``if tracer is not None``.  No
-event objects are built, no sizes estimated, no clocks read.  This is
+and guard every event site with a single ``if tracer is not None``.  No
+event fields are built, no sizes estimated, no clocks read.  This is
 what lets the paper benchmark (``paperbench/``) time an untraced run
 at full speed while the observability layer exists.
 
 Event vocabulary
 ----------------
-==================  ====================================================
-hook                fired by
-==================  ====================================================
-on_run_start        every engine, once, before any work
-on_round_start      message-passing engine, once per synchronous round
-on_message          message-passing engine, once per sent message
-on_halt             message-passing engine, when a node commits + stops
-on_round_end        message-passing engine, after deliveries + receives
-on_view             view engines, once per materialized ball
-on_cache            finite runs, once per run, with memo lookup stats
-on_trial            finite runner, once per Monte Carlo trial
-on_stage            speedup pipeline, once per ladder stage
-on_run_end          every engine, once, after the result is assembled
-==================  ====================================================
+============  ==========================================  =====================
+kind          fields                                      fired by
+============  ==========================================  =====================
+run_start     engine, algorithm, n (, trials)             every engine, once
+round_start   round, active                               ``local``, per round
+message       sender, receiver, port, bits, delivered,    ``local``, per message
+              payload
+halt          node, round, output                         ``local``, per halt
+round_end     round                                       ``local``, per round
+view          center, radius, nodes, edges                view/edge/finite, per ball
+cache         engine, lookups, hits, misses,              ``finite``, once per run
+              distinct_classes, hit_rate
+trial         index, succeeded, failing_nodes             global success, per trial
+stage         stage_kind, radius, name, measured_failure, ``pipeline``, per rung
+              lemma_bound, threshold
+run_end       rounds                                      every engine, once
+============  ==========================================  =====================
 
 ``engine`` strings: ``"local"`` (message passing), ``"view"`` (node
 views), ``"edge"`` (edge views), ``"finite"`` (oriented finite runner),
-``"pipeline"`` (speedup ladder).
+``"pipeline"`` (speedup ladder).  A message's ``port`` is the sender's
+and its ``bits`` are :func:`~repro.instrumentation.sizes.estimate_size`
+of the payload; ``delivered`` is False when the receiver has already
+halted.  A ``cache`` event carries the
+:class:`~repro.local_model.cache.CacheStats` of this run only, even
+though the algorithm's memo outlives it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 __all__ = ["Tracer", "NullTracer", "MultiTracer", "effective_tracer"]
 
 
 class Tracer:
-    """Base tracer: every hook is a no-op.
+    """Base tracer: :meth:`on_event` is a no-op.
 
-    Subclass and override the hooks you care about; see
+    Subclass and override it; see
     :class:`~repro.instrumentation.metrics.MetricsTracer` for an
     aggregating example and
     :class:`~repro.instrumentation.recorder.TraceRecorder` for a
     full-fidelity event log.
     """
 
-    def on_run_start(self, engine: str, algorithm: str, n: int, **info: Any) -> None:
-        """A run begins: ``n`` nodes (or edges/trials — engine-specific)."""
-
-    def on_round_start(self, round_number: int, active: int) -> None:
-        """A synchronous round begins with ``active`` non-halted nodes."""
-
-    def on_message(
-        self,
-        sender: int,
-        receiver: int,
-        port: int,
-        payload: Any,
-        delivered: bool,
-    ) -> None:
-        """One message crosses (or fails to cross) an edge.
-
-        ``port`` is the *sender's* port.  ``delivered`` is False when the
-        receiver has already halted — the model drops the message, but
-        the sender still paid for it, so bandwidth accounting sees both.
-        """
-
-    def on_halt(self, node: int, round_number: int, output: Any) -> None:
-        """``node`` commits ``output`` and goes silent after this round."""
-
-    def on_round_end(self, round_number: int) -> None:
-        """The round's sends, deliveries, and receives are all done."""
-
-    def on_view(
-        self,
-        center: Any,
-        radius: int,
-        nodes: int,
-        edges: int,
-    ) -> None:
-        """A radius-``radius`` ball was materialized around ``center``.
-
-        ``nodes``/``edges`` size the ball — the view-engine analogue of
-        bandwidth (everything in the ball crossed the wire to reach the
-        center in the operational model).
-        """
-
-    def on_cache(self, engine: str, stats: Dict[str, Any]) -> None:
-        """A finite run reports its algorithm's per-run memo statistics.
-
-        Fired once, just before :meth:`on_run_end`, by every ``finite``
-        run.  ``stats`` is the JSON-ready
-        form of :class:`~repro.local_model.cache.CacheStats`
-        (``lookups``, ``hits``, ``misses``, ``bytes``,
-        ``distinct_classes``, ``hit_rate``), covering this run only
-        even when the underlying cache is shared across runs.
-        """
-
-    def on_trial(self, index: int, succeeded: bool, failing_nodes: int) -> None:
-        """One Monte Carlo trial of the finite runner finished."""
-
-    def on_stage(self, kind: str, radius: int, info: Dict[str, Any]) -> None:
-        """One rung of the speedup ladder was constructed and measured."""
-
-    def on_run_end(self, rounds: int, **info: Any) -> None:
-        """The run is over; ``rounds`` is the engine's round count."""
+    def on_event(self, kind: str, **info: Any) -> None:
+        """One engine event: its ``kind`` and its fields (module table)."""
 
 
 class NullTracer(Tracer):
@@ -138,47 +89,9 @@ class MultiTracer(Tracer):
             t for t in tracers if effective_tracer(t) is not None
         )
 
-    def on_run_start(self, engine: str, algorithm: str, n: int, **info: Any) -> None:
+    def on_event(self, kind: str, **info: Any) -> None:
         for t in self.tracers:
-            t.on_run_start(engine, algorithm, n, **info)
-
-    def on_round_start(self, round_number: int, active: int) -> None:
-        for t in self.tracers:
-            t.on_round_start(round_number, active)
-
-    def on_message(
-        self, sender: int, receiver: int, port: int, payload: Any, delivered: bool
-    ) -> None:
-        for t in self.tracers:
-            t.on_message(sender, receiver, port, payload, delivered)
-
-    def on_halt(self, node: int, round_number: int, output: Any) -> None:
-        for t in self.tracers:
-            t.on_halt(node, round_number, output)
-
-    def on_round_end(self, round_number: int) -> None:
-        for t in self.tracers:
-            t.on_round_end(round_number)
-
-    def on_view(self, center: Any, radius: int, nodes: int, edges: int) -> None:
-        for t in self.tracers:
-            t.on_view(center, radius, nodes, edges)
-
-    def on_cache(self, engine: str, stats: Dict[str, Any]) -> None:
-        for t in self.tracers:
-            t.on_cache(engine, stats)
-
-    def on_trial(self, index: int, succeeded: bool, failing_nodes: int) -> None:
-        for t in self.tracers:
-            t.on_trial(index, succeeded, failing_nodes)
-
-    def on_stage(self, kind: str, radius: int, info: Dict[str, Any]) -> None:
-        for t in self.tracers:
-            t.on_stage(kind, radius, info)
-
-    def on_run_end(self, rounds: int, **info: Any) -> None:
-        for t in self.tracers:
-            t.on_run_end(rounds, **info)
+            t.on_event(kind, **info)
 
 
 def effective_tracer(tracer: Optional[Tracer]) -> Optional[Tracer]:

@@ -13,7 +13,7 @@ call, which counts exactly what a :meth:`~KeyedCache.get` /
 :meth:`~KeyedCache.store` per key would.
 
 :class:`CacheStats` counts every lookup as a hit or a miss; finite runs
-report the per-run delta through the tracer's ``on_cache`` hook (the
+report the per-run delta as the tracer's ``cache`` event (the
 ``cache_*`` fields of :class:`~repro.instrumentation.RunMetrics`).
 """
 
@@ -22,9 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import is_
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
-
-from ..instrumentation.sizes import SizeEstimator, estimate_size
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 __all__ = [
     "CacheStats",
@@ -37,18 +35,14 @@ __all__ = [
 class CacheStats:
     """Counters for one cache: every lookup is a hit or a miss.
 
-    ``bytes`` approximates the retained size of stored keys and values
-    (estimated with :func:`~repro.instrumentation.sizes.estimate_size`);
     ``distinct_classes`` is the number of stored entries — the number
     of distinct keys (ball assignments, view classes) seen.  A
-    :class:`KeyedCache` fills in both when its ``stats`` are read, not
-    when it stores, so ``bytes`` costs nothing until someone reads it.
+    :class:`KeyedCache` fills it in when its ``stats`` are read.
     """
 
     lookups: int = 0
     hits: int = 0
     misses: int = 0
-    bytes: int = 0
     distinct_classes: int = 0
 
     @property
@@ -62,7 +56,6 @@ class CacheStats:
             lookups=self.lookups,
             hits=self.hits,
             misses=self.misses,
-            bytes=self.bytes,
             distinct_classes=self.distinct_classes,
         )
 
@@ -72,17 +65,15 @@ class CacheStats:
             lookups=self.lookups - since.lookups,
             hits=self.hits - since.hits,
             misses=self.misses - since.misses,
-            bytes=self.bytes - since.bytes,
             distinct_classes=self.distinct_classes - since.distinct_classes,
         )
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form (the ``on_cache`` hook's payload)."""
+        """JSON-ready form (the fields of a ``cache`` event)."""
         return {
             "lookups": self.lookups,
             "hits": self.hits,
             "misses": self.misses,
-            "bytes": self.bytes,
             "distinct_classes": self.distinct_classes,
             "hit_rate": self.hit_rate,
         }
@@ -99,12 +90,6 @@ class KeyedCache:
     canonical encoding of "everything the computing entity can see" to
     an output, computed once per distinct encoding.
 
-    Sizing happens on read: :meth:`store` only files the entry, and
-    reading :attr:`stats` sizes the entries stored since the last read.
-    ``stats.bytes`` therefore equals what sizing every store would have
-    summed, and a cache whose stats nobody reads never calls the size
-    estimator.
-
     The counters count keys, not calls: :meth:`get_or_compute_many`
     answers a list of keys in one pass and advances ``lookups``,
     ``hits`` and ``misses`` by what one :meth:`get` (and, on a miss, one
@@ -114,30 +99,18 @@ class KeyedCache:
     #: Sentinel returned by :meth:`get` on a miss (never a stored value).
     MISS = _MISS
 
-    def __init__(self, size_estimator: Optional[SizeEstimator] = None):
+    def __init__(self):
         self._store: Dict[Any, Any] = {}
-        self._size = size_estimator or estimate_size
         self._stats = CacheStats()
-        # The first ``_sized`` entries, in insertion order, are in
-        # ``_stats.bytes``.
-        self._sized = 0
 
     def __len__(self) -> int:
         return len(self._store)
 
     @property
     def stats(self) -> CacheStats:
-        """The counters, with every entry stored so far sized."""
-        stats, entries = self._stats, self._store
-        if self._sized < len(entries):
-            pending = itertools.islice(entries.items(), self._sized, None)
-            stats.bytes += sum(self._cost(key, value) for key, value in pending)
-            self._sized = len(entries)
-        stats.distinct_classes = len(entries)
-        return stats
-
-    def _cost(self, key: Any, value: Any) -> int:
-        return (self._size(key) + self._size(value) + 7) // 8
+        """The counters, with ``distinct_classes`` brought up to date."""
+        self._stats.distinct_classes = len(self._store)
+        return self._stats
 
     def get(self, key: Any) -> Any:
         """The stored value, or :attr:`MISS`; counts the lookup."""
@@ -152,10 +125,6 @@ class KeyedCache:
 
     def store(self, key: Any, value: Any) -> Any:
         """Store ``value`` under ``key`` and return it."""
-        if key in self._store:
-            # Replacing an entry: size the pending entries while the old
-            # value still sits in its slot, then size this store.
-            self.stats.bytes += self._cost(key, value)
         self._store[key] = value
         return value
 
@@ -208,9 +177,7 @@ class KeyedCache:
     def clear(self) -> None:
         """Drop every entry; the cumulative counters keep counting."""
         self._store.clear()
-        self._sized = 0
         self._stats.distinct_classes = 0
-        self._stats.bytes = 0
 
 
 def ball_assignment_key(

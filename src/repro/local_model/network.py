@@ -143,8 +143,8 @@ def run_view_algorithm(
 
     Every node's output is ``algorithm.output(B_T(v))``; the running time
     is ``T = algorithm.radius`` by definition.  An optional ``tracer``
-    observes one :meth:`~repro.instrumentation.Tracer.on_view` event per
-    materialized ball (the view engine's bandwidth analogue).
+    observes one ``view`` event per materialized ball (the view
+    engine's bandwidth analogue).
     """
     from ..core.direct import DirectEngine
     from ..core.engine import SimRequest

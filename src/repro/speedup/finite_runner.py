@@ -116,7 +116,8 @@ def run_node_algorithm_on_oriented_graph(
         validated once per (algorithm, graph) instead of per call).
     tracer:
         Optional :class:`~repro.instrumentation.Tracer`; sees one
-        ``on_view`` per node (the resolved ball) plus run start/end.
+        ``view`` event per node (the resolved ball), one ``cache``
+        event, and the run's start and end.
 
     Raises
     ------
@@ -170,8 +171,8 @@ def estimate_global_success(
     estimate.  A trial's scan stops at its first failing node, since
     only its success counts, unless a tracer needs the failing count.
 
-    An optional ``tracer`` observes one
-    :meth:`~repro.instrumentation.Tracer.on_trial` per trial.
+    An optional ``tracer`` observes one ``trial`` event per trial,
+    between the estimate's ``run_start`` and ``run_end``.
     """
     from ..core.direct import DirectEngine
     from ..core.engine import SimRequest
@@ -182,7 +183,9 @@ def estimate_global_success(
     tables = resolve_ball_tables(alg, graph, orientation)
     tracer = effective_tracer(tracer)
     if tracer is not None:
-        tracer.on_run_start("finite", alg.name, graph.n, trials=trials)
+        tracer.on_event(
+            "run_start", engine="finite", algorithm=alg.name, n=graph.n, trials=trials
+        )
     getrandbits, choices, n = rng.getrandbits, alg.values, graph.n
     bits = choices.bit_length()
     replay = getattr(type(rng), "_randbelow", None) is random.Random._randbelow
@@ -210,6 +213,8 @@ def estimate_global_success(
     )
     if tracer is not None:
         for i, failing in enumerate(report.failing_nodes):
-            tracer.on_trial(i, not failing, len(failing))
-        tracer.on_run_end(alg.t)
+            tracer.on_event(
+                "trial", index=i, succeeded=not failing, failing_nodes=len(failing)
+            )
+        tracer.on_event("run_end", rounds=alg.t)
     return report.failing_nodes.count([]) / trials

@@ -97,8 +97,8 @@ def run_speedup_pipeline(
         the ablation bench sweeps.
     tracer:
         Optional :class:`~repro.instrumentation.Tracer`; sees one
-        :meth:`~repro.instrumentation.Tracer.on_stage` per ladder rung
-        (kind, radius, measured failure, lemma bound).
+        ``stage`` event per ladder rung (kind, radius, measured failure,
+        lemma bound).
     base_seed:
         Base seed for Monte Carlo stages; each stage's rng is derived
         via :func:`repro.core.derive_seed` labeled by the stage index
@@ -108,22 +108,21 @@ def run_speedup_pipeline(
     """
     tracer = effective_tracer(tracer)
     if tracer is not None:
-        tracer.on_run_start("pipeline", start.name, start.t)
+        tracer.on_event("run_start", engine="pipeline", algorithm=start.name, n=start.t)
 
     def stage_rng(index: int, name: str) -> random.Random:
         return random.Random(derive_seed(base_seed, f"pipeline:{index}:{name}"))
 
     def note(stage: PipelineStage) -> None:
         if tracer is not None:
-            tracer.on_stage(
-                stage.kind,
-                stage.radius,
-                {
-                    "name": stage.name,
-                    "measured_failure": stage.measured_failure.as_float(),
-                    "lemma_bound": stage.lemma_bound,
-                    "threshold": None if stage.threshold is None else float(stage.threshold),
-                },
+            tracer.on_event(
+                "stage",
+                stage_kind=stage.kind,
+                radius=stage.radius,
+                name=stage.name,
+                measured_failure=stage.measured_failure.as_float(),
+                lemma_bound=stage.lemma_bound,
+                threshold=None if stage.threshold is None else float(stage.threshold),
             )
 
     result = SpeedupPipelineResult()
@@ -192,5 +191,5 @@ def run_speedup_pipeline(
         note(result.stages[-1])
 
     if tracer is not None:
-        tracer.on_run_end(len(result.stages))
+        tracer.on_event("run_end", rounds=len(result.stages))
     return result

@@ -187,9 +187,9 @@ class TestEngineSeam:
     def test_retired_kernel_layout_is_gone(self):
         # ``layout="kernel"`` on a view or edge request is a TypeError
         # like any layout; the speedup entry points take no layout,
-        # reports carry no info dict, the tracer has neither a kernel
-        # nor a layout hook, and the kernel, CSR, batch-view, implicit
-        # and entity-adapter modules are gone.
+        # reports carry no info dict, the tracer's one hook is on_event
+        # (no kernel or layout hook), and the kernel, CSR, batch-view,
+        # implicit and entity-adapter modules are gone.
         import importlib.util
 
         from repro.algorithms.view_rules import make_view_rule
@@ -218,8 +218,7 @@ class TestEngineSeam:
         ))
         assert not hasattr(report, "info")
         hooks = [name for name in vars(Tracer) if name.startswith("on_")]
-        assert len(hooks) == 10
-        assert "on_kernel" not in hooks and "on_layout" not in hooks
+        assert hooks == ["on_event"]
         for module in ("repro.local_model.kernels", "repro.algorithms.kernels",
                        "repro.speedup.trial_kernel", "repro.graphs.csr",
                        "repro.graphs.implicit",

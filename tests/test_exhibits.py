@@ -10,7 +10,8 @@
   same loop), and a Claim 10 sweep with no in-regime point, or with one
   left unverified, fails its verdict.
 * The report's own results hold the shapes no verdict states, and
-  EXPERIMENTS.md's global-failure table is the report's run.
+  EXPERIMENTS.md's Table 1, Theorem 5, cycle-trichotomy and
+  global-failure tables are the report's run, cell by cell.
 """
 
 import dataclasses
@@ -229,3 +230,62 @@ def test_a_changed_global_failure_cell_fails(report_global_failure, cell, change
     assert markdown.count(cell) == 1
     changed_markdown = markdown.replace(cell, changed)
     assert not _global_failure_table_matches(changed_markdown, report_global_failure)
+
+
+def _md(text):
+    """A label or a paper class as EXPERIMENTS.md writes it: Θ, and ``*`` escaped."""
+    return text.replace("Theta", "Θ").replace("*", "\\*")
+
+
+def _sweep_cells(row):
+    """A measured column's n range, its rounds and its printed fit."""
+    ns = [n for n, _ in row.measurements]
+    return [f"{ns[0]}…{ns[-1]}", ", ".join(str(r) for _, r in row.measurements), row.fit.best]
+
+
+def _table1_cells(result):
+    return [
+        [_md(row.example), f"{_md(row.paper_deterministic)} / {_md(row.paper_randomized)}",
+         *_sweep_cells(row), "✓" if row.all_verified else "✗"]
+        for row in result.rows
+    ]
+
+
+def _class_cells(result):
+    return [[_md(row.label), _md(row.paper_complexity), *_sweep_cells(row)]
+            for row in result.rows]
+
+
+#: exhibit -> (its EXPERIMENTS.md section heading, the cells its full result reads as)
+REPORT_TABLES = {
+    "table1": ("Table 1", _table1_cells),
+    "classification": ("Theorem 5", _class_cells),
+    "trichotomy": ("Cycle trichotomy", _class_cells),
+}
+
+
+def _report_table_matches(markdown, name):
+    heading, cells = REPORT_TABLES[name]
+    return section_tables(markdown, heading) == [cells(_result(name, False))]
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_TABLES))
+def test_experiments_md_table_cells_are_measured(name):
+    assert _report_table_matches(EXPERIMENTS_MD.read_text(encoding="utf-8"), name)
+
+
+#: exhibit -> one cell of its table as written, and the same cell changed
+CHANGED_CELLS = {
+    "table1": ("| Θ(1) / Θ(1) | 94…6142 |", "| Θ(1) / Θ(1) | 53…4373 |"),
+    "classification": ("| 53…4373 | 15, 15, 15, 15 | constant |\n",
+                       "| 53…4373 | 15, 15, 15, 15 | log_star |\n"),
+    "trichotomy": ("| 8, 32, 128, 512 | linear |", "| 8, 32, 128, 511 | linear |"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHANGED_CELLS))
+def test_a_changed_report_table_cell_fails(name):
+    cell, changed = CHANGED_CELLS[name]
+    markdown = EXPERIMENTS_MD.read_text(encoding="utf-8")
+    assert markdown.count(cell) == 1
+    assert not _report_table_matches(markdown.replace(cell, changed), name)

@@ -1,4 +1,4 @@
-"""Golden pins for the engine's view and edge tracer event streams.
+"""Golden pins for the engine's tracer event streams.
 
 :meth:`~repro.core.SimReport.identity` deliberately excludes
 diagnostics, so the differential grid cannot notice a change that
@@ -14,6 +14,10 @@ sha256 of the canonical JSON of the whole stream.  If a digest moves,
 the event stream of that cell changed; either restore it or record the
 change consciously (``python -m tests.test_golden_events`` prints the
 current table).
+
+The message-passing stream is pinned by the worked trace in
+``docs/ENGINE.md``: its 36 JSONL lines must be what a recorder on that
+run exports, byte for byte.
 """
 
 from __future__ import annotations
@@ -21,16 +25,19 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
+from pathlib import Path
 from typing import Any, Tuple
 
 import pytest
 
+from repro.algorithms.message_passing import RandomizedWeakColoring
 from repro.algorithms.view_rules import make_view_rule
 from repro.core import DirectEngine, SimRequest
-from repro.graphs import toroidal_grid
+from repro.graphs import cycle, toroidal_grid
 from repro.graphs.identifiers import random_permutation_ids
 from repro.instrumentation import TraceRecorder
-from repro.local_model import EdgeViewAlgorithm
+from repro.local_model import EdgeViewAlgorithm, run_local
 
 CASES = ("view-ids", "edge-ids", "view-anon", "edge-anon")
 
@@ -109,6 +116,24 @@ def test_event_stream_matches_golden_digest(engine, case):
 
 def test_golden_table_covers_the_full_grid():
     assert set(GOLDEN_EVENTS) == {("direct", c) for c in CASES}
+
+
+ENGINE_MD = Path(__file__).resolve().parent.parent / "docs" / "ENGINE.md"
+
+
+def worked_trace(markdown: str) -> str:
+    """The JSONL fence that follows the worked trace's "full JSONL event log"."""
+    fence = re.search(r"The full JSONL event log.*?```json\n(.*?)```", markdown, re.S)
+    return fence.group(1).rstrip("\n")
+
+
+def test_engine_md_worked_trace_is_the_recorded_stream():
+    recorder = TraceRecorder()
+    run_local(cycle(6), RandomizedWeakColoring(), rng=random.Random(42),
+              tracer=recorder)
+    documented = worked_trace(ENGINE_MD.read_text(encoding="utf-8"))
+    assert len(documented.splitlines()) == 36
+    assert recorder.to_jsonl() == documented
 
 
 if __name__ == "__main__":  # pragma: no cover - table regeneration aid

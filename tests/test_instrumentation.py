@@ -4,7 +4,7 @@ Covers the tentpole guarantees:
 
 * message counts obey the handshake lemma on known graphs (every
   broadcast round moves exactly ``2m`` messages);
-* the ``NullTracer`` path is byte-identical to the untraced path;
+* every traced entry point returns what its untraced run returns;
 * metrics and trace exports round-trip through JSON;
 * retired ``python -m repro.experiments`` flags are usage errors.
 """
@@ -15,14 +15,16 @@ import random
 import pytest
 
 from repro.algorithms.message_passing import LubyMIS, RandomizedWeakColoring
+from repro.experiments.speedup_figures import default_seeds
+from repro.graphs import orient_torus, toroidal_grid
 from repro.graphs.generators import balanced_regular_tree, cycle, star
 from repro.instrumentation import (
     MetricsTracer,
     MultiTracer,
     NullTracer,
     RunMetrics,
+    Tracer,
     TraceRecorder,
-    constant_size,
     effective_tracer,
     estimate_size,
 )
@@ -34,6 +36,12 @@ from repro.local_model import (
     run_local,
     run_view_algorithm,
 )
+from repro.speedup import local_maximum_coloring
+from repro.speedup.finite_runner import (
+    estimate_global_success,
+    run_node_algorithm_on_oriented_graph,
+)
+from repro.speedup.pipeline import run_speedup_pipeline
 
 
 class Broadcast(LocalAlgorithm):
@@ -111,6 +119,60 @@ class TestHandshakeLemma:
         assert m.messages_sent - m.messages_delivered == 8
 
 
+def _view(tracer):
+    result = run_view_algorithm(cycle(9), ConstantView(), tracer=tracer)
+    return result.outputs, result.rounds
+
+
+def _edge_view(tracer):
+    alg = EdgeViewAlgorithm(rounds=1, output_fn=lambda view: min(view.randomness))
+    result = run_edge_view_algorithm(
+        cycle(8), alg, randomness=[v % 3 for v in range(8)], tracer=tracer
+    )
+    return result.outputs, result.rounds
+
+
+def _torus():
+    graph = toroidal_grid(3, 3)
+    return graph, orient_torus(graph, 3, 3)
+
+
+def _finite_run(tracer):
+    graph, orientation = _torus()
+    alg = local_maximum_coloring(2)
+    rng = random.Random(3)
+    values = [rng.randrange(alg.values) for _ in graph.nodes()]
+    result = run_node_algorithm_on_oriented_graph(
+        alg, graph, orientation, values, tracer=tracer
+    )
+    return result.outputs, result.failing_nodes
+
+
+def _global_success(tracer):
+    graph, orientation = _torus()
+    rng = random.Random(7)
+    estimate = estimate_global_success(
+        local_maximum_coloring(2, bits=3), graph, orientation, trials=40, rng=rng,
+        tracer=tracer,
+    )
+    return estimate, rng.getstate()
+
+
+def _pipeline(tracer):
+    return run_speedup_pipeline(default_seeds()[0], method="exact", tracer=tracer).stages
+
+
+#: Every traced entry point beyond ``run_local``, as a function of the
+#: tracer returning everything its result (and its rng) ends in.
+ENTRY_POINTS = {
+    "view": _view,
+    "edge": _edge_view,
+    "finite": _finite_run,
+    "global_success": _global_success,
+    "pipeline": _pipeline,
+}
+
+
 class TestZeroOverheadPath:
     def test_null_tracer_is_collapsed(self):
         assert effective_tracer(None) is None
@@ -131,12 +193,37 @@ class TestZeroOverheadPath:
             runs.append((result.outputs, result.halt_rounds, result.rounds))
         assert all(r == runs[0] for r in runs[1:])
 
-    def test_view_engine_identical_under_tracing(self):
-        graph = cycle(9)
-        plain = run_view_algorithm(graph, ConstantView())
-        traced = run_view_algorithm(graph, ConstantView(), tracer=MetricsTracer())
-        assert plain.outputs == traced.outputs
-        assert plain.rounds == traced.rounds
+    @pytest.mark.parametrize("tracer_cls", [MetricsTracer, TraceRecorder])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_entry_point_identical_under_tracing(self, entry, tracer_cls):
+        run = ENTRY_POINTS[entry]
+        tracer = tracer_cls()
+        assert run(tracer) == run(None)
+        seen = tracer.events if tracer_cls is TraceRecorder else tracer.metrics.engine
+        assert seen  # the tracer was handed the run's events
+
+    def test_traced_global_success_scans_every_node(self):
+        # The traced batch counts every failing node of a trial; the
+        # untraced one stops at the first, yet both draw and estimate alike.
+        recorder = TraceRecorder()
+        _global_success(recorder)
+        failing = [e.data["failing_nodes"] for e in recorder.of_kind("trial")]
+        assert max(failing) > 1 and 0 in failing
+
+
+class TestTracerProtocol:
+    def test_multi_tracer_fans_each_event_out_in_order(self):
+        class Kinds(Tracer):
+            def __init__(self):
+                self.kinds = []
+
+            def on_event(self, kind, **info):
+                self.kinds.append(kind)
+
+        recorder, kinds = TraceRecorder(), Kinds()
+        run_local(cycle(4), Broadcast(1), tracer=MultiTracer(recorder, NullTracer(), kinds))
+        assert kinds.kinds == [e.kind for e in recorder.events]
+        assert kinds.kinds[0] == "run_start" and kinds.kinds[-1] == "run_end"
 
 
 class TestViewEngines:
@@ -179,19 +266,21 @@ class TestSizeEstimation:
 
         assert estimate_size(Obj()) == 16
 
-    def test_pluggable_constant_estimator(self):
-        graph = cycle(5)
-        tracer = MetricsTracer(message_size=constant_size(1))
-        run_local(graph, Broadcast(2), tracer=tracer)
-        assert tracer.metrics.bits_sent == tracer.metrics.messages_sent
+    def test_message_events_carry_the_payload_size(self):
+        recorder = TraceRecorder()
+        run_local(cycle(5), Broadcast(2), tracer=recorder)
+        messages = recorder.of_kind("message")
+        assert messages and all(
+            e.data["bits"] == estimate_size(e.data["payload"]) for e in messages
+        )
 
 
 class TestJsonRoundTrips:
     def test_from_dict_ignores_unknown_keys(self):
         # An artifact written by a newer version (extra counters), or by
         # an older one that still carried the retired service_*, delta_*,
-        # process-pool, kernel-layout or layout counters, must load on
-        # this one rather than raise TypeError.
+        # process-pool, kernel-layout, layout or cache_bytes counters,
+        # must load on this one rather than raise TypeError.
         graph = cycle(12)
         tracer = MetricsTracer()
         run_local(graph, Broadcast(2), tracer=tracer)
@@ -229,6 +318,7 @@ class TestJsonRoundTrips:
             "kernel_fallbacks": 0,
             "kernel_entities": 12,
             "kernel_classes": 4,
+            "cache_bytes": 4096,
         }
         for data in (newer, older):
             restored = RunMetrics.from_dict(data)
@@ -239,12 +329,12 @@ class TestJsonRoundTrips:
         from repro.graphs import orient_torus, toroidal_grid
         from repro.speedup import local_maximum_coloring
 
-        # Finite runs report their algorithm's memo lookups (on_cache).
+        # Finite runs report their algorithm's memo lookups (a cache event).
         graph = toroidal_grid(5, 5)
         alg = local_maximum_coloring(2)
         rng = random.Random(5)
         values = [rng.randrange(alg.values) for _ in graph.nodes()]
-        tracer = MetricsTracer(per_round=False)
+        tracer = MetricsTracer()
         request = SimRequest(kind="finite", graph=graph, algorithm=alg,
                              orientation=orient_torus(graph, 5, 5),
                              values=values)
@@ -268,27 +358,15 @@ class TestJsonRoundTrips:
         assert restored == tracer.metrics
         assert restored.to_dict() == report
 
-    def test_recorder_json_and_jsonl_round_trip(self):
+    def test_recorder_jsonl_round_trip(self):
         graph = cycle(5)
         recorder = TraceRecorder()
         run_local(graph, Broadcast(2), tracer=recorder)
-        as_json = TraceRecorder.load_events(recorder.to_json())
-        as_jsonl = TraceRecorder.load_events(recorder.to_jsonl())
-        assert as_json == as_jsonl
-        assert len(as_json) == len(recorder.events)
-        assert as_json[0]["kind"] == "run_start"
-        assert as_json[-1]["kind"] == "run_end"
-        assert [e["seq"] for e in as_json] == list(range(len(as_json)))
-
-    def test_recorder_save_and_reload(self, tmp_path):
-        graph = cycle(4)
-        recorder = TraceRecorder(record_payloads=False)
-        run_local(graph, Broadcast(1), tracer=recorder)
-        path = tmp_path / "trace.jsonl"
-        recorder.save(str(path))
-        events = TraceRecorder.load_events(path.read_text())
-        assert len(events) == len(recorder.events)
-        assert all("payload" not in e for e in events if e["kind"] == "message")
+        events = [json.loads(line) for line in recorder.to_jsonl().splitlines()]
+        assert events == [e.to_dict() for e in recorder.events]
+        assert events[0]["kind"] == "run_start"
+        assert events[-1]["kind"] == "run_end"
+        assert [e["seq"] for e in events] == list(range(len(events)))
 
     def test_unjsonable_payloads_do_not_break_export(self):
         class Opaque:
@@ -301,7 +379,7 @@ class TestJsonRoundTrips:
 
         recorder = TraceRecorder()
         run_local(cycle(4), SendsObjects(1), tracer=recorder)
-        events = TraceRecorder.load_events(recorder.to_jsonl())
+        events = [json.loads(line) for line in recorder.to_jsonl().splitlines()]
         payloads = [e["payload"] for e in events if e["kind"] == "message"]
         assert payloads and all(p == "<opaque>" for p in payloads)
 
@@ -338,9 +416,9 @@ class TestSpeedupTracing:
         assert tracer.metrics.trial_successes == round(rate * 20)
 
     def test_global_success_event_stream(self):
-        # The per-trial runs get no tracer: a traced estimate sees its
-        # own start and end and one trial each, no ball views and no
-        # on_cache.
+        # The batched run gets no tracer: a traced estimate sees its
+        # own start and end and one trial event each, no ball views and
+        # no cache event.
         from repro.graphs.generators import toroidal_grid
         from repro.graphs.orientation import orient_torus
         from repro.speedup import local_maximum_coloring

@@ -88,8 +88,9 @@ def test_trial_draws_and_outcomes_match_golden_table():
         def __init__(self):
             self.failing = []
 
-        def on_trial(self, index, succeeded, failing_nodes):
-            self.failing.append(failing_nodes)
+        def on_event(self, kind, **info):
+            if kind == "trial":
+                self.failing.append(info["failing_nodes"])
 
     factories = {
         "local-maximum": local_maximum_coloring,

@@ -221,14 +221,15 @@ def old_global_success(alg, graph, tables, trials, rng):
 
 
 class _Trials(Tracer):
-    """Keeps each ``on_trial``'s success and failing count."""
+    """Keeps each ``trial`` event's success and failing count."""
 
     def __init__(self):
         self.outcomes = []
 
-    def on_trial(self, index, succeeded, failing_nodes):
-        assert index == len(self.outcomes)
-        self.outcomes.append((succeeded, failing_nodes))
+    def on_event(self, kind, **info):
+        if kind == "trial":
+            assert info["index"] == len(self.outcomes)
+            self.outcomes.append((info["succeeded"], info["failing_nodes"]))
 
 
 @pytest.mark.parametrize("side", range(3, 7))

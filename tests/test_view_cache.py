@@ -1,12 +1,12 @@
 """Unit and regression tests for the memoization layer.
 
 Covers the cache substrate (:class:`KeyedCache` / :class:`CacheStats`),
-its sizing on read (``bytes`` equals per-store sizing, and an untraced
-report sizes nothing), the ``on_cache`` tracer hook end to end on
-finite runs (MetricsTracer aggregation, TraceRecorder events, artifact
-round-trips), memo reuse across runs, and the speedup engine's shared
-keying function — including the regression guard for the finite
-runner's injectivity refusal on tori at radius >= 2.
+its counters against a dict model under any interleaving, the tracer's
+``cache`` event end to end on finite runs (MetricsTracer aggregation,
+TraceRecorder events, artifact round-trips), memo reuse across runs,
+and the speedup engine's shared keying function — including the
+regression guard for the finite runner's injectivity refusal on tori
+at radius >= 2.
 """
 
 from __future__ import annotations
@@ -18,17 +18,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.algorithms.view_rules import DegreeProfileRule
-from repro.experiments.exhibits import EXHIBITS
 from repro.graphs import cycle, orient_torus, toroidal_grid
-from repro.instrumentation import (
-    MetricsTracer,
-    RunMetrics,
-    TraceRecorder,
-    estimate_size,
-    sizes,
-)
+from repro.instrumentation import MetricsTracer, RunMetrics, TraceRecorder
 from repro.local_model import CacheStats, KeyedCache, ball_assignment_key
-from repro.local_model import cache as cache_module
 from repro.local_model.network import run_view_algorithm
 from repro.speedup import (
     EdgeAlgorithm,
@@ -46,7 +38,7 @@ from repro.speedup.finite_runner import (
 # ----------------------------------------------------------------------
 
 def test_stats_hit_rate_and_dict():
-    stats = CacheStats(lookups=10, hits=7, misses=3, bytes=100, distinct_classes=3)
+    stats = CacheStats(lookups=10, hits=7, misses=3, distinct_classes=3)
     assert stats.hit_rate == 0.7
     d = stats.to_dict()
     assert d["hits"] == 7 and d["hit_rate"] == 0.7
@@ -54,7 +46,7 @@ def test_stats_hit_rate_and_dict():
 
 
 def test_stats_copy_is_independent_and_delta_subtracts():
-    stats = CacheStats(lookups=5, hits=2, misses=3, bytes=40, distinct_classes=3)
+    stats = CacheStats(lookups=5, hits=2, misses=3, distinct_classes=3)
     snap = stats.copy()
     stats.lookups += 4
     stats.hits += 4
@@ -76,7 +68,6 @@ def test_keyed_cache_counts_hits_and_misses():
     assert cache.stats.hits == 1
     assert cache.stats.misses == 1
     assert cache.stats.distinct_classes == len(cache) == 1
-    assert cache.stats.bytes > 0
 
 
 def test_keyed_cache_caches_none_values():
@@ -105,20 +96,14 @@ def test_clear_drops_entries_but_keeps_cumulative_lookups():
     cache.clear()
     assert len(cache) == 0
     assert cache.stats.distinct_classes == 0
-    assert cache.stats.bytes == 0
     assert cache.stats.lookups == 1  # history survives
 
 
 # ----------------------------------------------------------------------
-# Sizing on read: bytes equals what sizing every store would sum
+# The counters follow a dict model under any interleaving
 # ----------------------------------------------------------------------
 
-def _per_store_bytes(key, value):
-    return (estimate_size(key) + estimate_size(value) + 7) // 8
-
-
-# 1, 1.0 and True are one dict key of three sizes; values of every size
-# make replacing an entry change the bytes.
+# 1, 1.0 and True are one dict key.
 KEYS = st.one_of(st.integers(-3, 3), st.sampled_from([1.0, True, (1, 2), "ab"]))
 VALUES = st.one_of(
     st.none(), st.integers(), st.tuples(st.integers(), st.integers()), st.text(max_size=3)
@@ -137,9 +122,9 @@ OPS = st.lists(
 @given(OPS)
 @example([("store", 1, 0), ("store", 1.0, "abc"), ("stats",), ("store", True, (5, 6)),
           ("get", 1), ("clear",), ("store", 2, None), ("stats",)])
-def test_bytes_equal_per_store_sizing_under_any_interleaving(ops):
+def test_counters_follow_a_dict_model_under_any_interleaving(ops):
     keyed = KeyedCache()
-    model, expected = {}, {"lookups": 0, "hits": 0, "misses": 0, "bytes": 0}
+    model, expected = {}, {"lookups": 0, "hits": 0, "misses": 0}
     for op, *args in ops:
         if op == "get":
             (key,) = args
@@ -149,18 +134,15 @@ def test_bytes_equal_per_store_sizing_under_any_interleaving(ops):
         elif op == "store":
             key, value = args
             model[key] = value
-            expected["bytes"] += _per_store_bytes(key, value)
             assert keyed.store(key, value) is value
         elif op == "clear":
             model.clear()
-            expected["bytes"] = 0
             keyed.clear()
         else:
             stats = keyed.stats.to_dict()
             assert {name: stats[name] for name in expected} == expected
             assert stats["distinct_classes"] == len(model) == len(keyed)
-    stats = keyed.stats
-    assert (stats.bytes, stats.distinct_classes) == (expected["bytes"], len(model))
+    assert keyed.stats.distinct_classes == len(model)
 
 
 # ----------------------------------------------------------------------
@@ -265,7 +247,7 @@ def test_batched_lookup_checks_the_ball_size_on_every_miss():
         assert stats[0] == stats[1]
 
 
-def test_traced_finite_run_reports_per_store_bytes(monkeypatch):
+def test_traced_finite_run_reports_its_stores(monkeypatch):
     alg = local_maximum_coloring(2)
     stored = []
     store = alg.cache.store
@@ -275,38 +257,18 @@ def test_traced_finite_run_reports_per_store_bytes(monkeypatch):
         return store(key, value)
 
     monkeypatch.setattr(alg.cache, "store", recording_store)
-    _finite_run(None, alg, seed=1)  # untraced: its entries stay unsized
+    _finite_run(None, alg, seed=1)  # the event counts only the traced run's stores
     stored.clear()
     recorder = TraceRecorder()
     _finite_run(recorder, alg, seed=3)
     (event,) = recorder.of_kind("cache")
     assert stored and event.data["misses"] == len(stored)
     assert event.data["distinct_classes"] == len(stored)
-    assert event.data["bytes"] == sum(_per_store_bytes(k, v) for k, v in stored)
-
-
-@pytest.mark.parametrize("name", ("figures", "global_failure"))
-def test_untraced_report_exhibits_size_nothing(monkeypatch, name):
-    calls = []
-
-    def counting(payload, _size=sizes.estimate_size):
-        calls.append(1)
-        return _size(payload)
-
-    # Recursive calls resolve through the module; caches bind at init.
-    monkeypatch.setattr(sizes, "estimate_size", counting)
-    monkeypatch.setattr(cache_module, "estimate_size", counting)
-    (exhibit,) = [e for e in EXHIBITS if e.name == name]
-    exhibit.run(**exhibit.full_args)
-    assert calls == []
-    # The counter sees sizing where it happens: on a stats read.
-    keyed = KeyedCache()
-    keyed.store((1, 2), 3)
-    assert keyed.stats.bytes > 0 and calls
+    assert "bytes" not in event.data
 
 
 # ----------------------------------------------------------------------
-# on_cache end to end: finite runs report their memo lookups
+# The cache event end to end: finite runs report their memo lookups
 # ----------------------------------------------------------------------
 
 def _finite_run(tracer, alg=None, seed=3):
@@ -333,7 +295,7 @@ def test_metrics_tracer_reports_hit_rate():
     assert m.cache_misses == m.cache_distinct_classes == run.misses
     assert 0 < m.cache_misses < graph.n  # the torus shares assignments
     assert m.cache_hit_rate == pytest.approx(run.hits / graph.n)
-    # Hook ordering: cache stats land once, before run_end.
+    # Event order: cache stats land once, before run_end.
     recorder = TraceRecorder()
     _finite_run(recorder, alg)
     kinds = [e.kind for e in recorder.events]

@@ -5,8 +5,9 @@ Usage::
 
     PYTHONPATH=src python tools/run_doc_examples.py [FILE ...]
 
-With no arguments, runs ``README.md`` and ``docs/ENGINE.md`` — the
-pages whose examples the docs CI job promises are executable.
+With no arguments, runs ``README.md``, ``docs/ENGINE.md`` and
+``docs/OBSERVABILITY.md`` — the pages whose examples the docs CI job
+promises are executable.
 Each file's ```` ```python ```` blocks run top to bottom in one shared
 namespace (later blocks may use names bound by earlier ones, exactly
 as a reader following along would), so an example that drifts from the
@@ -27,6 +28,7 @@ from typing import List, Tuple
 _DEFAULT_FILES = (
     "README.md",
     os.path.join("docs", "ENGINE.md"),
+    os.path.join("docs", "OBSERVABILITY.md"),
 )
 
 _OPEN_FENCE = re.compile(r"^(```|~~~)\s*python\s*$")
