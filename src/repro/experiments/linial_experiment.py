@@ -88,7 +88,7 @@ def run_linial_experiment(
 
     ``check_threshold`` runs the exact unsatisfiability proof that
     ``N_1(7)`` has no proper 3-coloring (a clause-learning refutation of
-    128 lemmas that a RUP checker re-derives, about 0.1 s).
+    128 lemmas whose hints a RUP checker replays, about 0.03 s).
     """
     result = LinialResult()
 

@@ -47,7 +47,9 @@ class RunMetrics:
     the finite runner populates ``trials`` / ``trial_successes``.
     Finite runs populate the ``cache_*`` counters from the algorithm's
     ball-assignment memo — one lookup per node, each a hit or a miss;
-    ``cache_hit_rate`` is the fraction served from the memo.
+    ``cache_hit_rate`` is the fraction served from the memo.  A speedup
+    pipeline run leaves ``n`` and ``rounds`` at 0: its events report
+    the seed's radius and the number of ladder rungs instead.
     """
 
     engine: str = ""
@@ -192,13 +194,15 @@ class MetricsTracer(Tracer):
             m.cache_misses += info["misses"]
             m.cache_distinct_classes += info["distinct_classes"]
         elif kind == "run_start":
+            # A pipeline run reports its seed's radius, not a node count.
             self.metrics = RunMetrics(
-                engine=info["engine"], algorithm=info["algorithm"], n=info["n"]
+                engine=info["engine"], algorithm=info["algorithm"], n=info.get("n", 0)
             )
             self._round = None
             self._run_started_at = time.perf_counter()
         elif kind == "run_end":
-            m.rounds = info["rounds"]
+            # A pipeline run reports its stage count, not rounds.
+            m.rounds = info.get("rounds", 0)
             m.wall_seconds = time.perf_counter() - self._run_started_at
 
     def report(self) -> Dict[str, Any]:

@@ -26,7 +26,9 @@ Event vocabulary
 ============  ==========================================  =====================
 kind          fields                                      fired by
 ============  ==========================================  =====================
-run_start     engine, algorithm, n (, trials)             every engine, once
+run_start     engine, algorithm, n (, trials)             every engine, once;
+                                                          ``pipeline``: radius
+                                                          in place of n
 round_start   round, active                               ``local``, per round
 message       sender, receiver, port, bits, delivered,    ``local``, per message
               payload
@@ -38,7 +40,9 @@ cache         engine, lookups, hits, misses,              ``finite``, once per r
 trial         index, succeeded, failing_nodes             global success, per trial
 stage         stage_kind, radius, name, measured_failure, ``pipeline``, per rung
               lemma_bound, threshold
-run_end       rounds                                      every engine, once
+run_end       rounds                                      every engine, once;
+                                                          ``pipeline``: stages
+                                                          in place of rounds
 ============  ==========================================  =====================
 
 ``engine`` strings: ``"local"`` (message passing), ``"view"`` (node

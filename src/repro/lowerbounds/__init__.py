@@ -1,6 +1,7 @@
 """Classical lower-bound machinery: Linial's neighborhood graphs and
 the weak-coloring window formalism, decided by a clause-learning prover
-whose refutations a separate RUP checker re-derives (:mod:`.cnf`)."""
+whose refutations carry hints that a separate RUP checker replays
+(:mod:`.cnf`)."""
 
 from .weak_cycle import (
     weak_constraints,

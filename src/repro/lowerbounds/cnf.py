@@ -2,14 +2,17 @@
 
 Formulas are in DIMACS form: the variables are ``1..num_vars``, a
 literal is ``v`` or ``-v``, and a clause is a sequence of literals (their
-disjunction).  :func:`solve` either finds a model or refutes the
-formula, logging every clause it learns; a refutation's log ends in the
-empty clause and is a proof in the RUP format (*reverse unit
-propagation*: each clause follows from the formula and the clauses
-before it by unit propagation alone).  :func:`check_rup` re-derives
-such a log with its own propagation loop and shares nothing with the
-search, so an "unsatisfiable" verdict rests on the short checker, not on
-the prover that found it.
+disjunction).  Clause ids number the formula's clauses from 0 in input
+order and then the learnt clauses after them.  :func:`solve` either
+finds a model or refutes the formula, logging every clause it learns
+with its *hints*: the ids of the clauses its conflict analysis resolved.
+A refutation's log ends in the empty clause and is a proof in the RUP
+format (*reverse unit propagation*: each clause follows from the
+formula and the clauses before it by unit propagation alone), with the
+hints naming the unit steps, as in LRAT without deletions.
+:func:`check_rup` replays each lemma's hints with its own loop and
+shares nothing with the search, so an "unsatisfiable" verdict rests on
+the short checker, not on the prover that found it.
 
 Both functions index per-literal lists of length ``2 * num_vars + 1`` by
 the signed literal itself: ``a[-v]`` is ``a[2 * num_vars + 1 - v]``, a
@@ -19,24 +22,35 @@ slot that no positive literal uses.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from itertools import chain
-from typing import Iterable, List, Optional, Sequence, Tuple
+from itertools import accumulate, chain
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = ["solve", "check_rup"]
+
+#: One proof step: a learnt clause and its hints, the ids of the clauses
+#: that derive it (see :func:`check_rup`).
+Step = Tuple[Tuple[int, ...], Sequence[int]]
 
 #: VSIDS: each conflict multiplies the activity increment by 1 / DECAY.
 _DECAY = 0.95
 
 
 def solve(
-    num_vars: int, clauses: Iterable[Sequence[int]]
-) -> Tuple[Optional[List[bool]], Optional[List[Tuple[int, ...]]]]:
-    """Decide a CNF formula: ``(model, None)`` or ``(None, lemmas)``.
+    num_vars: int, clauses: Sequence[Sequence[int]]
+) -> Tuple[Optional[List[bool]], Optional[List[Step]]]:
+    """Decide a CNF formula: ``(model, None)`` or ``(None, proof)``.
 
     ``model[v]`` is the value of variable ``v`` (``model[0]`` is unused).
-    For an unsatisfiable formula, ``lemmas`` are the learnt clauses in
-    the order they were learnt, ending in the empty clause: a RUP
-    refutation for :func:`check_rup`.  No clause may repeat a variable.
+    For an unsatisfiable formula, ``proof`` lists the learnt clauses in
+    the order they were learnt, each as a step ``(lemma, hints)``, and
+    ends in the empty clause: a hinted RUP refutation for
+    :func:`check_rup`.  A lemma's hints are the ids of the reasons of
+    the literals its analysis resolved, in trail order, then of the
+    conflict clause, packed as C ints (a ``memoryview`` of format
+    ``"i"``, which holds no int objects); reasons of literals assigned
+    at the root level are left out, since the checker's root
+    propagation assigns them too.  The empty clause has no hints.  No
+    clause may repeat a variable.
 
     Conflict-driven clause learning: binary clauses are kept as
     per-literal implication lists and longer ones are watched on two
@@ -55,6 +69,7 @@ def solve(
     value = [0] * size  # value[lit]: 1 true, -1 false, 0 unassigned
     implied: List[List[int]] = [[] for _ in range(size)]  # p -> q for clause (-p, q)
     watches: List[List[List[int]]] = [[] for _ in range(size)]
+    longs: List[List[int]] = []  # the watched copies, in input order
     trail: List[int] = []
     for clause in clauses:
         width = len(clause)
@@ -64,10 +79,11 @@ def solve(
             implied[-b].append(a)
         elif width > 2:
             clause = list(clause)
+            longs.append(clause)
             watches[clause[0]].append(clause)
             watches[clause[1]].append(clause)
         elif width == 0 or value[clause[0]] < 0:
-            return None, [()]
+            return None, [((), _packed(()))]
         elif not value[clause[0]]:
             lit = clause[0]
             value[lit], value[-lit] = 1, -1
@@ -87,7 +103,22 @@ def solve(
     heap_key: List[Optional[float]] = [0.0] * (num_vars + 1)
     increment = 1.0
     trail_lim: List[int] = []
-    lemmas: List[Tuple[int, ...]] = []
+    proof: List[Step] = []
+    # Clause ids for the hints, numbered at the first conflict (so a
+    # search without one pays nothing for them, and no id is allocated
+    # among the clauses the propagation loop reads): the first
+    # ``counts[p]`` entries of ``implied[p]`` are the formula's, and
+    # ``learnt_ids[p]`` lists the lemmas behind the rest; ``long_ids``
+    # maps ``id()`` of each watched clause to its clause id.
+    learnt_ids: Dict[int, List[int]] = {}
+
+    def binary_id(q: int, r: int) -> int:
+        """The id of the binary clause ``(q, r)``, entry ``q`` of ``implied[-r]``."""
+        k = implied[-r].index(q)
+        if k < counts[-r]:
+            return binary_ids[starts[-r] + k]
+        return learnt_ids[-r][k - counts[-r]]
+
     qhead = 0
     depth = 0
 
@@ -167,12 +198,17 @@ def solve(
             continue
 
         if not depth:
-            lemmas.append(())
-            return None, lemmas
+            proof.append(((), _packed(())))
+            return None, proof
+        if not proof:
+            counts, starts, binary_ids, long_ids = _number_clauses(clauses, implied, longs)
+            del longs
 
         # First-UIP analysis: resolve the conflict with the reasons of
         # its current-level literals, latest first, until one is left.
+        # ``used`` collects the ids of those reasons in the same order.
         learnt = [0]
+        used: List[int] = []
         pending = 0
         index = len(trail) - 1
         lits: Sequence[int] = conflict
@@ -197,7 +233,12 @@ def solve(
             if not pending:
                 break
             r = reason[v]
-            lits = (r,) if r.__class__ is int else r[1:]
+            if r.__class__ is int:
+                lits = (r,)
+                used.append(binary_id(p, r))
+            else:
+                lits = r[1:]
+                used.append(long_ids[id(r)])
         learnt[0] = -p
         back = 0
         for k in range(1, len(learnt)):
@@ -207,7 +248,9 @@ def solve(
             if level[u] > back:
                 back = level[u]
                 learnt[1], learnt[k] = learnt[k], learnt[1]
-        lemmas.append(tuple(learnt))
+        used.reverse()
+        used.append(binary_id(*conflict) if len(conflict) == 2 else long_ids[id(conflict)])
+        proof.append((tuple(learnt), _packed(used)))
         increment /= _DECAY
 
         # Back-jump to the second highest level of the learnt clause.
@@ -232,13 +275,17 @@ def solve(
         # The learnt clause is unit here: assert its first literal.
         asserted = learnt[0]
         v = asserted if asserted > 0 else -asserted
+        lemma_id = len(clauses) + len(proof) - 1
         if len(learnt) == 1:
             reason[v] = None
         elif len(learnt) == 2:
             implied[-asserted].append(learnt[1])
+            learnt_ids.setdefault(-asserted, []).append(lemma_id)
             implied[-learnt[1]].append(asserted)
+            learnt_ids.setdefault(-learnt[1], []).append(lemma_id)
             reason[v] = learnt[1]
         else:
+            long_ids[id(learnt)] = lemma_id
             watches[asserted].append(learnt)
             watches[learnt[1]].append(learnt)
             reason[v] = learnt
@@ -247,18 +294,67 @@ def solve(
         trail.append(asserted)
 
 
-def check_rup(
-    num_vars: int, clauses: Sequence[Sequence[int]], lemmas: Sequence[Sequence[int]]
-) -> bool:
-    """Whether ``lemmas`` is a RUP refutation of ``clauses``.
+def _number_clauses(
+    clauses: Sequence[Sequence[int]], implied: List[List[int]], longs: List[List[int]]
+) -> Tuple[List[int], memoryview, memoryview, Dict[int, int]]:
+    """Number the formula's clauses where :func:`solve` reads them.
 
-    Each lemma must follow by unit propagation: asserting the negation
-    of its literals, on top of the formula and every earlier lemma, must
-    propagate to a falsified clause.  The last lemma must be the empty
-    clause, which follows only when the formula and the lemmas alone
-    propagate to a conflict.  A literal outside ``±1..±num_vars`` rejects
-    the proof.  Every accepted lemma is implied by the formula, so an
-    accepted proof shows that the formula is unsatisfiable.
+    Returns ``(counts, starts, ids, long_ids)``: ``implied[p]`` holds
+    ``counts[p]`` entries from the formula, and its entry ``k <
+    counts[p]`` comes from clause ``ids[starts[p] + k]``; ``long_ids``
+    maps ``id()`` of each watched copy in ``longs`` to its clause id.
+    ``implied`` and ``longs`` must hold the formula's clauses alone, in
+    input order: the formula is walked backwards, filling each literal's
+    block of ``ids`` from its end.  ``starts`` and ``ids`` are packed;
+    ``counts`` holds small ints.
+    """
+    counts = list(map(len, implied))
+    starts = list(accumulate(counts))
+    ids = [0] * starts[-1]
+    long_ids = {}
+    copies = reversed(longs)
+    for clause_id, clause in zip(range(len(clauses) - 1, -1, -1), reversed(clauses)):
+        if len(clause) == 2:
+            a, b = clause
+            k = starts[-a] - 1
+            starts[-a] = k
+            ids[k] = clause_id
+            k = starts[-b] - 1
+            starts[-b] = k
+            ids[k] = clause_id
+        elif len(clause) > 2:
+            long_ids[id(next(copies))] = clause_id
+    return counts, _packed(starts), _packed(ids), long_ids
+
+
+def _packed(values: Sequence[int]) -> memoryview:
+    """``values`` as C ints: a compact sequence that holds no int objects."""
+    view = memoryview(bytearray(4 * len(values))).cast("i")
+    for k, value in enumerate(values):
+        view[k] = value
+    return view
+
+
+def check_rup(
+    num_vars: int, clauses: Sequence[Sequence[int]], proof: Sequence[Step]
+) -> bool:
+    """Whether ``proof``, steps ``(lemma, hints)``, is a RUP refutation of ``clauses``.
+
+    The checker keeps the *root assignment*: what the formula and the
+    lemmas checked so far propagate to.  Each lemma is checked by
+    asserting the negation of its literals on top of it and replaying
+    its hints in order: each hinted clause must be unit, and its open
+    literal is asserted, until one is falsified, which shows the lemma.
+    A hinted clause that is satisfied or has two open literals, hints
+    that run out first, or a hint that is not the id of a formula clause
+    or an earlier lemma (the lemma itself, a later one, or out of range)
+    rejects the proof.  The empty clause is decided by the root
+    propagation instead: it follows only when the formula and the lemmas
+    before it propagate to a conflict, and its hints are not read.  The
+    last lemma must be the empty clause.  A literal outside
+    ``±1..±num_vars`` rejects the proof.  A hint can only fail a check,
+    never pass one: every accepted lemma is implied by the formula, so
+    an accepted proof shows that the formula is unsatisfiable.
     """
     size = 2 * num_vars + 1
     true = [False] * size
@@ -317,21 +413,42 @@ def check_rup(
                 return False
         return True
 
+    def replay(lemma: Sequence[int], hints: Sequence[int]) -> bool:
+        """Whether the hints, asserted on the negated lemma, falsify a clause."""
+        if not all(assign(-lit) for lit in lemma):
+            return True  # a literal of the lemma is already true
+        for h in hints:
+            if not 0 <= h < len(known):
+                return False
+            unit = 0
+            for lit in known[h]:
+                if not true[-lit]:
+                    if unit or true[lit]:
+                        return False
+                    unit = lit
+            if not unit:
+                return True
+            true[unit] = True
+            trail.append(unit)
+        return False
+
     def literals() -> Iterable[int]:
-        return chain.from_iterable(chain(clauses, lemmas))
+        return chain.from_iterable(chain(clauses, (lemma for lemma, _ in proof)))
 
     if 0 in literals() or max(map(abs, literals()), default=0) > num_vars:
         return False
+    known = list(clauses)  # clause id -> clause; each lemma joins once checked
     consistent = add(clauses) and not conflict_from(0)
-    for lemma in lemmas:
+    for lemma, hints in proof:
         if consistent:
             root = len(trail)
-            refuted = not all(assign(-lit) for lit in lemma) or conflict_from(root)
+            holds = bool(lemma) and replay(lemma, hints)
             for lit in trail[root:]:
                 true[lit] = False
             del trail[root:]
-            if not refuted:
+            if not holds:
                 return False
             # Literals false at the root drop out, so both watches are open.
             consistent = add([[lit for lit in lemma if not true[-lit]]]) and not conflict_from(root)
-    return bool(lemmas) and not lemmas[-1]
+        known.append(lemma)
+    return bool(proof) and not proof[-1][0]

@@ -16,8 +16,8 @@ Exact consequences, machine-checked here:
   coloring: weak coloring is *strictly easier*, exactly the theme the
   paper builds on.
 * **One round**: tables exist iff ``m <= 8`` — again easier than
-  proper 3-coloring, which dies at m = 7.  At m = 9 the clause-learning
-  prover's refutation is re-derived by the RUP checker.
+  proper 3-coloring, which dies at m = 7.  At m = 9 the RUP checker
+  replays the hints of the clause-learning prover's refutation.
 
 Searches are CNF for :mod:`repro.lowerbounds.cnf`, each answer checked.
 """

@@ -96,9 +96,10 @@ def run_speedup_pipeline(
         instead of the paper's per-stage optimizing choice — the knob
         the ablation bench sweeps.
     tracer:
-        Optional :class:`~repro.instrumentation.Tracer`; sees one
-        ``stage`` event per ladder rung (kind, radius, measured failure,
-        lemma bound).
+        Optional :class:`~repro.instrumentation.Tracer`; sees a
+        ``run_start`` with the seed's ``radius``, one ``stage`` event per
+        ladder rung (kind, radius, measured failure, lemma bound), and a
+        ``run_end`` with the number of ``stages``.
     base_seed:
         Base seed for Monte Carlo stages; each stage's rng is derived
         via :func:`repro.core.derive_seed` labeled by the stage index
@@ -108,7 +109,7 @@ def run_speedup_pipeline(
     """
     tracer = effective_tracer(tracer)
     if tracer is not None:
-        tracer.on_event("run_start", engine="pipeline", algorithm=start.name, n=start.t)
+        tracer.on_event("run_start", engine="pipeline", algorithm=start.name, radius=start.t)
 
     def stage_rng(index: int, name: str) -> random.Random:
         return random.Random(derive_seed(base_seed, f"pipeline:{index}:{name}"))
@@ -191,5 +192,5 @@ def run_speedup_pipeline(
         note(result.stages[-1])
 
     if tracer is not None:
-        tracer.on_event("run_end", rounds=len(result.stages))
+        tracer.on_event("run_end", stages=len(result.stages))
     return result

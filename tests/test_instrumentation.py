@@ -399,6 +399,26 @@ class TestSpeedupTracing:
             s.kind for s in result.stages
         ]
 
+    def test_pipeline_reports_radius_and_stages(self):
+        # The ladder's run_start carries the seed's radius and its run_end
+        # the rung count; MetricsTracer reads neither as n or rounds.
+        recorder, metrics = TraceRecorder(), MetricsTracer()
+        seed = default_seeds()[0]
+        result = run_speedup_pipeline(
+            seed, method="exact", tracer=MultiTracer(recorder, metrics)
+        )
+        ends = [(e.kind, e.data) for e in recorder.events if e.kind in ("run_start", "run_end")]
+        assert ends == [
+            ("run_start", {"engine": "pipeline", "algorithm": seed.name, "radius": seed.t}),
+            ("run_end", {"stages": len(result.stages)}),
+        ]
+        assert (seed.t, len(result.stages)) == (1, 3)
+        report = metrics.report()
+        assert report.pop("wall_seconds") > 0
+        expected = RunMetrics(engine="pipeline", algorithm=seed.name).to_dict()
+        del expected["wall_seconds"]
+        assert report == expected  # n and rounds stay 0
+
     def test_finite_runner_trials(self):
         from repro.graphs.generators import toroidal_grid
         from repro.graphs.orientation import orient_torus

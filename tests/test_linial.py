@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.experiments import run_linial_experiment
+from repro.experiments import EXHIBITS, run_linial_experiment
 from repro.graphs import Graph, cycle
 from repro.lcl import ProperColoring
 from repro.lowerbounds import (
@@ -23,16 +23,25 @@ from repro.lowerbounds import (
 from repro.lowerbounds import cnf
 from repro.lowerbounds.linial import _coloring_cnf, _dsatur, _greedy_clique
 
+from .markdown_tables import EXPERIMENTS_MD, section_tables
+from .rup_reference import check_by_propagation, lemmas_of
+
 
 @pytest.fixture
 def rup_verdicts(monkeypatch):
-    """Every verdict :func:`cnf.check_rup` returns while the test runs."""
+    """One ``(lemmas, verdict, reference verdict)`` per proof checked.
+
+    Each proof :func:`cnf.check_rup` checks while the test runs is also
+    held to the reference checker of ``tests/rup_reference.py``, which
+    reads no hints; ``lemmas`` is the proof's length.
+    """
     verdicts = []
     real = cnf.check_rup
 
-    def spy(*args):
-        verdicts.append(real(*args))
-        return verdicts[-1]
+    def spy(num_vars, clauses, proof):
+        reference = check_by_propagation(num_vars, clauses, lemmas_of(proof))
+        verdicts.append((len(proof), real(num_vars, clauses, proof), reference))
+        return verdicts[-1][1]
 
     monkeypatch.setattr(cnf, "check_rup", spy)
     return verdicts
@@ -167,10 +176,12 @@ class TestClauseLearningProver:
     def test_n1_7_refutation_lemma_count(self):
         g, _ = neighborhood_graph(7, 1)
         _, clauses = _coloring_cnf(g, 3, _greedy_clique(g))
-        model, lemmas = cnf.solve(g.n * 3, clauses)
+        model, proof = cnf.solve(g.n * 3, clauses)
         assert model is None
-        assert len(lemmas) == 128 and lemmas[-1] == ()
-        assert cnf.check_rup(g.n * 3, clauses, lemmas)
+        assert len(proof) == 128 and proof[-1][0] == () and not proof[-1][1]
+        assert sum(len(hints) for _, hints in proof) == 4129
+        assert cnf.check_rup(g.n * 3, clauses, proof)
+        assert check_by_propagation(g.n * 3, clauses, lemmas_of(proof))
 
     def test_n1_6_coloring_digest(self):
         g, _ = neighborhood_graph(6, 1)
@@ -204,12 +215,15 @@ class TestClauseLearningProver:
     def test_refutations_are_checked(self, rup_verdicts):
         g, _ = neighborhood_graph(7, 1)
         assert is_c_colorable(g, 3) is None
-        assert rup_verdicts == [True]
+        assert rup_verdicts == [(128, True, True)]
 
 
 @pytest.mark.parametrize("m, t", [(3, 0), (4, 0), (5, 0), (6, 0), (4, 1), (5, 1), (6, 1), (7, 1)])
-def test_provers_agree(m, t):
-    """DSATUR and the clause-learning prover on every exhibit instance."""
+def test_provers_agree(m, t, rup_verdicts):
+    """DSATUR and the clause-learning prover on every exhibit instance.
+
+    Each refutation that reaches the prover passes both checkers.
+    """
     g, _ = neighborhood_graph(m, t)
     for c in range(1, 5):
         coloring = is_c_colorable(g, c)
@@ -218,6 +232,7 @@ def test_provers_agree(m, t):
         for found in (coloring, other):
             if found is not None:
                 assert ProperColoring(c).is_feasible(g, found)
+    assert all(verdict and reference for _, verdict, reference in rup_verdicts)
 
 
 def _brute_force_colorable(graph, c):
@@ -328,6 +343,53 @@ class TestExperiment:
         assert [p.m for p in without.points if p.t == 1] == [4, 5]
 
 
+@pytest.fixture(scope="module")
+def report_linial():
+    """The Linial exhibit at the report's arguments (its ``EXHIBITS`` row)."""
+    exhibit = next(e for e in EXHIBITS if e.name == "linial")
+    return exhibit.run(**exhibit.full_args)
+
+
+def _linial_table_matches(markdown, result):
+    """EXPERIMENTS.md's m, χ(N₀(m)) and χ(N₁(m)) cells, row by row.
+
+    One row per m whose N₁(m) the report measures: χ for m = 4..6, and
+    the threshold at m = 7.  The report does not compute χ(N₀(7)): its
+    zero-round sweep stops at m = 6, so that cell is computed here.
+    """
+    chi = {(p.m, p.t): p.chi for p in result.points}
+    rows = []
+    for point in result.points:
+        if point.t != 1:
+            continue
+        zero_round = chi.get((point.m, 0))
+        if zero_round is None:
+            zero_round = chromatic_number(neighborhood_graph(point.m, 0)[0])
+        if point.chi is not None:
+            one_round = str(point.chi)
+        else:  # the threshold row decides 3-colorability alone
+            one_round = "3-colorable" if point.three_colorable else "**> 3** (not 3-colorable)"
+        rows.append([str(point.m), str(zero_round), one_round])
+    return section_tables(markdown, "Linial's neighborhood graphs") == [rows]
+
+
+def test_experiments_md_linial_cells_are_measured(report_linial):
+    assert [p.m for p in report_linial.points if p.t == 1] == [4, 5, 6, 7]
+    markdown = EXPERIMENTS_MD.read_text(encoding="utf-8")
+    assert _linial_table_matches(markdown, report_linial)
+
+
+@pytest.mark.parametrize("cell,changed", [
+    ("| 5 | 5 | 3 |", "| 5 | 5 | 2 |"),
+    ("| 6 | 6 | 3 |", "| 6 | 5 | 3 |"),
+    ("| 7 | 7 | **> 3** (not 3-colorable) |", "| 7 | 6 | **> 3** (not 3-colorable) |"),
+])
+def test_a_changed_linial_cell_fails(report_linial, cell, changed):
+    markdown = EXPERIMENTS_MD.read_text(encoding="utf-8")
+    assert markdown.count(cell) == 1
+    assert not _linial_table_matches(markdown.replace(cell, changed), report_linial)
+
+
 class TestWeakCycleWindows:
     """The weak-coloring window formalism (repro.lowerbounds.weak_cycle)."""
 
@@ -368,11 +430,11 @@ class TestWeakCycleWindows:
 
     def test_one_round_frontier_is_eight(self, rup_verdicts):
         # No one-round weak 2-coloring with identifiers from {1..9}: the
-        # prover's refutation is accepted by the RUP checker.
+        # prover's 298-lemma refutation is accepted by the RUP checker.
         from repro.lowerbounds import weak_table_exists
 
         assert weak_table_exists(9, 1) is None
-        assert rup_verdicts == [True]
+        assert rup_verdicts == [(298, True, True)]
 
     def test_rejected_refutation_raises(self, monkeypatch):
         from repro.lowerbounds import weak_table_exists
