@@ -194,15 +194,16 @@ class MetricsTracer(Tracer):
             m.cache_misses += info["misses"]
             m.cache_distinct_classes += info["distinct_classes"]
         elif kind == "run_start":
+            engine = info["engine"]
             # A pipeline run reports its seed's radius, not a node count.
-            self.metrics = RunMetrics(
-                engine=info["engine"], algorithm=info["algorithm"], n=info.get("n", 0)
-            )
+            n = 0 if engine == "pipeline" else info["n"]
+            self.metrics = RunMetrics(engine=engine, algorithm=info["algorithm"], n=n)
             self._round = None
             self._run_started_at = time.perf_counter()
         elif kind == "run_end":
             # A pipeline run reports its stage count, not rounds.
-            m.rounds = info.get("rounds", 0)
+            if m.engine != "pipeline":
+                m.rounds = info["rounds"]
             m.wall_seconds = time.perf_counter() - self._run_started_at
 
     def report(self) -> Dict[str, Any]:

@@ -21,6 +21,7 @@ slot that no positive literal uses.
 
 from __future__ import annotations
 
+import struct
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -29,7 +30,7 @@ __all__ = ["solve", "check_rup"]
 
 #: One proof step: a learnt clause and its hints, the ids of the clauses
 #: that derive it (see :func:`check_rup`).
-Step = Tuple[Tuple[int, ...], Sequence[int]]
+Step = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 #: VSIDS: each conflict multiplies the activity increment by 1 / DECAY.
 _DECAY = 0.95
@@ -46,11 +47,9 @@ def solve(
     ends in the empty clause: a hinted RUP refutation for
     :func:`check_rup`.  A lemma's hints are the ids of the reasons of
     the literals its analysis resolved, in trail order, then of the
-    conflict clause, packed as C ints (a ``memoryview`` of format
-    ``"i"``, which holds no int objects); reasons of literals assigned
-    at the root level are left out, since the checker's root
-    propagation assigns them too.  The empty clause has no hints.  No
-    clause may repeat a variable.
+    conflict clause; reasons of literals assigned at the root level are
+    left out, since the checker's root propagation assigns them too.
+    The empty clause has no hints.  No clause may repeat a variable.
 
     Conflict-driven clause learning: binary clauses are kept as
     per-literal implication lists and longer ones are watched on two
@@ -83,7 +82,7 @@ def solve(
             watches[clause[0]].append(clause)
             watches[clause[1]].append(clause)
         elif width == 0 or value[clause[0]] < 0:
-            return None, [((), _packed(()))]
+            return None, [((), ())]
         elif not value[clause[0]]:
             lit = clause[0]
             value[lit], value[-lit] = 1, -1
@@ -104,12 +103,13 @@ def solve(
     increment = 1.0
     trail_lim: List[int] = []
     proof: List[Step] = []
-    # Clause ids for the hints, numbered at the first conflict (so a
-    # search without one pays nothing for them, and no id is allocated
-    # among the clauses the propagation loop reads): the first
-    # ``counts[p]`` entries of ``implied[p]`` are the formula's, and
-    # ``learnt_ids[p]`` lists the lemmas behind the rest; ``long_ids``
-    # maps ``id()`` of each watched clause to its clause id.
+    # Clause ids for the hints, numbered at the first conflict: a search
+    # without one pays nothing for them, and no id is allocated among the
+    # watch lists the load loop fills (which slowed the m = 9 window
+    # search by a fifth).  The first ``counts[p]`` entries of
+    # ``implied[p]`` are the formula's, and ``learnt_ids[p]`` lists the
+    # lemmas behind the rest; ``long_ids`` maps ``id()`` of each watched
+    # clause to its clause id.
     learnt_ids: Dict[int, List[int]] = {}
 
     def binary_id(q: int, r: int) -> int:
@@ -198,7 +198,7 @@ def solve(
             continue
 
         if not depth:
-            proof.append(((), _packed(())))
+            proof.append(((), ()))
             return None, proof
         if not proof:
             counts, starts, binary_ids, long_ids = _number_clauses(clauses, implied, longs)
@@ -250,7 +250,7 @@ def solve(
                 learnt[1], learnt[k] = learnt[k], learnt[1]
         used.reverse()
         used.append(binary_id(*conflict) if len(conflict) == 2 else long_ids[id(conflict)])
-        proof.append((tuple(learnt), _packed(used)))
+        proof.append((tuple(learnt), tuple(used)))
         increment /= _DECAY
 
         # Back-jump to the second highest level of the learnt clause.
@@ -305,8 +305,8 @@ def _number_clauses(
     maps ``id()`` of each watched copy in ``longs`` to its clause id.
     ``implied`` and ``longs`` must hold the formula's clauses alone, in
     input order: the formula is walked backwards, filling each literal's
-    block of ``ids`` from its end.  ``starts`` and ``ids`` are packed;
-    ``counts`` holds small ints.
+    block of ``ids`` from its end.  ``starts`` and ``ids`` are packed C
+    ints, which hold no int objects; ``counts`` holds small ints.
     """
     counts = list(map(len, implied))
     starts = list(accumulate(counts))
@@ -329,10 +329,7 @@ def _number_clauses(
 
 def _packed(values: Sequence[int]) -> memoryview:
     """``values`` as C ints: a compact sequence that holds no int objects."""
-    view = memoryview(bytearray(4 * len(values))).cast("i")
-    for k, value in enumerate(values):
-        view[k] = value
-    return view
+    return memoryview(struct.pack(f"{len(values)}i", *values)).cast("i")
 
 
 def check_rup(

@@ -47,15 +47,10 @@ def learning_formulas(draw):
     return num_vars, draw(st.lists(clause, min_size=3 * num_vars, max_size=6 * num_vars))
 
 
-def steps(proof):
-    """A proof's steps with their hints as tuples, for comparing and planting."""
-    return [(lemma, tuple(hints)) for lemma, hints in proof]
-
-
 def with_hints(proof, index, hints):
     """``proof`` with the hints of step ``index`` replaced."""
-    planted = steps(proof)
-    planted[index] = (planted[index][0], tuple(hints))
+    planted = list(proof)
+    planted[index] = (planted[index][0], hints)
     return planted
 
 
@@ -68,7 +63,7 @@ def test_solve_matches_oracle(formula):
         assert proof is None
         assert all(any(model[abs(lit)] == (lit > 0) for lit in c) for c in clauses)
     else:
-        assert steps(proof)[-1] == ((), ())
+        assert proof[-1] == ((), ())
         assert cnf.check_rup(num_vars, clauses, proof)
         assert check_by_propagation(num_vars, clauses, lemmas_of(proof))
         assert not cnf.check_rup(num_vars, clauses, proof[:-1])
@@ -83,7 +78,7 @@ def test_every_hint_is_needed(formula):
     model, proof = cnf.solve(num_vars, clauses)
     if model is not None:
         return
-    for i, (_, hints) in enumerate(steps(proof)):
+    for i, (_, hints) in enumerate(proof):
         for j in range(len(hints)):
             dropped = with_hints(proof, i, hints[:j] + hints[j + 1 :])
             assert not cnf.check_rup(num_vars, clauses, dropped), (i, j)
@@ -92,7 +87,7 @@ def test_every_hint_is_needed(formula):
 def test_empty_formula_and_empty_clause():
     assert cnf.solve(2, []) == ([False, True, True], None)
     model, proof = cnf.solve(1, [(1,), ()])
-    assert model is None and steps(proof) == [((), ())]
+    assert model is None and proof == [((), ())]
     assert cnf.check_rup(1, [(1,), (-1,)], [((), ())])
     assert not cnf.check_rup(1, [(1,)], [((), ())])
     assert not cnf.check_rup(1, [(1,), (-1,)], [])
@@ -105,7 +100,7 @@ def n1_7():
     _, clauses = _coloring_cnf(g, 3, _greedy_clique(g))
     model, proof = cnf.solve(g.n * 3, clauses)
     assert model is None
-    return g.n * 3, clauses, steps(proof)
+    return g.n * 3, clauses, proof
 
 
 class TestPlantedDefects:

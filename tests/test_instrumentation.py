@@ -419,6 +419,14 @@ class TestSpeedupTracing:
         del expected["wall_seconds"]
         assert report == expected  # n and rounds stay 0
 
+    def test_other_engines_must_report_n_and_rounds(self):
+        metrics = MetricsTracer()
+        with pytest.raises(KeyError):
+            metrics.on_event("run_start", engine="view", algorithm="x")
+        metrics.on_event("run_start", engine="view", algorithm="x", n=3)
+        with pytest.raises(KeyError):
+            metrics.on_event("run_end", stages=1)
+
     def test_finite_runner_trials(self):
         from repro.graphs.generators import toroidal_grid
         from repro.graphs.orientation import orient_torus

@@ -178,7 +178,7 @@ class TestClauseLearningProver:
         _, clauses = _coloring_cnf(g, 3, _greedy_clique(g))
         model, proof = cnf.solve(g.n * 3, clauses)
         assert model is None
-        assert len(proof) == 128 and proof[-1][0] == () and not proof[-1][1]
+        assert len(proof) == 128 and proof[-1] == ((), ())
         assert sum(len(hints) for _, hints in proof) == 4129
         assert cnf.check_rup(g.n * 3, clauses, proof)
         assert check_by_propagation(g.n * 3, clauses, lemmas_of(proof))

@@ -3,20 +3,20 @@
 
 Usage::
 
-    python tools/unmapped_time.py [--workload W] [--runs N] [--seed S]
+    python tools/unmapped_time.py [--workload W] [--runs N]
 
 Each run is a fresh interpreter that imports ``paperbench/layers.py``
 and ``paperbench/child.py`` (and changes neither), wraps the layer entry
 points with ``layers.install()``, and runs the workload's exhibits once
-with the report's arguments, as a traced ``paperbench`` child does.  For
-each exhibit it prints the median milliseconds spent inside a wrapped
-entry point (the layers' self time) and outside every one, then the
-median, min and max of the in-process coverage: mapped seconds over
-exhibit seconds, the ratio behind the benchmark's ``trace.coverage``
-gate (0.95).  No machine-speed probe runs, so a change's effect on that
-gate shows in seconds, without the probe's own chunks in the unmapped
-time.  The runs go one after another; the exit code is 0 unless a run
-fails.
+with the report's arguments and seed 0, as a traced ``paperbench`` child
+does by default.  For each exhibit it prints the median milliseconds
+spent inside a wrapped entry point (the layers' self time) and outside
+every one, then the median, min and max of the in-process coverage:
+mapped seconds over exhibit seconds, the ratio behind the benchmark's
+``trace.coverage`` gate (0.95).  No machine-speed probe runs, so a
+change's effect on that gate shows in seconds, without the probe's own
+chunks in the unmapped time.  The runs go one after another; the exit
+code is 0 unless a run fails.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ sys.path.insert(0, str(ROOT / "paperbench"))
 from paper_bench import WORKLOADS  # paperbench/ is a directory of scripts, not a package
 
 
-def run_workload(workload: str, seed: int) -> dict:
+def run_workload(workload: str) -> dict:
     """Run the workload once here: each exhibit's seconds and mapped seconds."""
     import child  # puts src/ on sys.path
     import layers
@@ -50,7 +50,7 @@ def run_workload(workload: str, seed: int) -> dict:
     exhibits = {}
     for name in names:
         mapped = sum(trace.self_s.values())
-        result = child.run_exhibit(name, quick, seed)
+        result = child.run_exhibit(name, quick, seed=0)
         if result["error"] or not result["ok"]:
             raise SystemExit(f"{workload}/{name} failed: {result['error'] or 'a FAIL verdict'}")
         exhibits[name] = {
@@ -60,12 +60,12 @@ def run_workload(workload: str, seed: int) -> dict:
     return exhibits
 
 
-def fresh_run(workload: str, seed: int) -> dict:
+def fresh_run(workload: str) -> dict:
     """:func:`run_workload` in a new interpreter."""
     env = dict(os.environ)
     env.pop("PYTHONPATH", None)
     proc = subprocess.run(
-        [sys.executable, __file__, "--workload", workload, "--seed", str(seed), "--here"],
+        [sys.executable, __file__, "--workload", workload, "--here"],
         cwd=ROOT, env=env, capture_output=True, text=True,
     )
     if proc.returncode != 0:
@@ -77,16 +77,15 @@ def main(argv) -> int:
     parser = argparse.ArgumentParser(prog="tools/unmapped_time.py")
     parser.add_argument("--workload", default="paper-quick", choices=list(WORKLOADS))
     parser.add_argument("--runs", type=int, default=5, help="fresh interpreters (default 5)")
-    parser.add_argument("--seed", type=int, default=0, help="rng_seed of the seeded exhibits")
     parser.add_argument("--here", action="store_true",
                         help="one run in this interpreter, printed as JSON")
     args = parser.parse_args(argv)
     if args.here:
-        print(json.dumps(run_workload(args.workload, args.seed)))
+        print(json.dumps(run_workload(args.workload)))
         return 0
 
-    runs = [fresh_run(args.workload, args.seed) for _ in range(max(args.runs, 1))]
-    print(f"{args.workload}, {len(runs)} fresh run(s) at seed {args.seed}, no probe: "
+    runs = [fresh_run(args.workload) for _ in range(max(args.runs, 1))]
+    print(f"{args.workload}, {len(runs)} fresh run(s), no probe: "
           f"median ms inside and outside the mapped entry points")
     print(f"  {'exhibit':<16s} {'inside':>9s} {'outside':>9s}")
     totals = [
