@@ -24,6 +24,7 @@ exactly.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import List, Sequence, Tuple
 
 
@@ -101,7 +102,7 @@ def reduce_to_three_colors(
         Initial colors, proper along the pseudoforest, each below
         ``2 ** color_bits``.
     successor:
-        ``successor[v]`` is the node ``v`` points at.
+        ``successor[v]`` is the node ``v`` points at, one of ``0..n-1``.
     color_bits:
         Public bound on the initial palette (all nodes must agree on it,
         as they do in LOCAL where ``n`` is common knowledge).
@@ -117,8 +118,9 @@ def reduce_to_three_colors(
     -----
     Each Cole-Vishkin round is one pass that applies :func:`cv_step`'s
     rule inline to every (color, successor color) pair; equal colors
-    raise :func:`cv_step`'s own ``ValueError``.  The predecessor lists
-    are built once and serve the three recolor rounds.
+    raise :func:`cv_step`'s own ``ValueError``.  The predecessors are
+    grouped by successor once, in two flat lists, and serve the three
+    recolor rounds.
 
     Shift-down (every node adopts its successor's color) makes all of a
     node's in-neighbors monochromatic, so after it each node sees at most
@@ -130,6 +132,10 @@ def reduce_to_three_colors(
     n = len(colors)
     if len(successor) != n:
         raise ValueError("colors and successor must have equal length")
+    if n and not (0 <= min(successor) and max(successor) < n):
+        for v in range(n):
+            if not 0 <= successor[v] < n:
+                raise ValueError(f"successor {successor[v]} of node {v} is not a node")
     bound = 1 << color_bits
     if n and not (0 <= min(colors) and max(colors) < bound):
         for v in range(n):
@@ -152,9 +158,13 @@ def reduce_to_three_colors(
         current = stepped
         rounds += 1
 
-    predecessors: List[List[int]] = [[] for _ in range(n)]
-    for v, s in enumerate(successor):
-        predecessors[s].append(v)
+    # The predecessors of v, in node order, are
+    # by_successor[first[v]:first[v + 1]].
+    by_successor = sorted(range(n), key=successor.__getitem__)
+    first = [0] * (n + 1)
+    for s in successor:
+        first[s + 1] += 1
+    first = list(accumulate(first))
     for target in (5, 4, 3):
         # Shift-down: adopt the successor's color (1 round).
         current = list(map(current.__getitem__, successor))
@@ -164,7 +174,7 @@ def reduce_to_three_colors(
         for v, color in enumerate(current):
             if color == target:
                 used = {current[successor[v]]}
-                used.update(map(current.__getitem__, predecessors[v]))
+                used.update(map(current.__getitem__, by_successor[first[v]:first[v + 1]]))
                 fresh[v] = min(c for c in (0, 1, 2) if c not in used)
         current = fresh
         rounds += 1

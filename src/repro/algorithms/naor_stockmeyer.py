@@ -66,8 +66,7 @@ def in_degree_labeling(graph: Graph, ids: Sequence[int]) -> Tuple[List[int], int
     identifiers every non-root node has in-degree exactly 1.  Kept as a
     baseline and as the negative result motivating order types.
     """
-    if len(set(ids)) != graph.n:
-        raise ValueError("identifiers must be unique")
+    _check_ids(graph, ids)
     labels = [
         sum(1 for u in graph.neighbors(v) if ids[u] < ids[v]) for v in graph.nodes()
     ]
@@ -92,14 +91,20 @@ def order_type_labeling(
     number (``None`` outside the ball).  The shape fixes the distances,
     degrees and edges, so their text is derived once per shape, and each
     node ``repr``s its rank tuple alone.
+
+    Equal order types share one int: the labels are interned by the key
+    ``(shape text, ranks)``, and only a new key is encoded and checked
+    against :data:`ORDER_TYPE_BITS`.  A tree with sequential identifiers
+    has a few dozen types, so its labels are a few dozen ints, not ``n``.
     """
-    if len(set(ids)) != graph.n:
-        raise ValueError("identifiers must be unique")
+    _check_ids(graph, ids)
     adj = graph.adjacency_rows()
     row_of = adj.__getitem__
     id_of = ids.__getitem__
     # shape -> the key's text before and after the ranks.
     shape_text = {}
+    # (text, ranks) -> the label of that order type.
+    label_of = {}
     labels = []
     for v in graph.nodes():
         order = [v]
@@ -128,14 +133,25 @@ def order_type_labeling(
             text = shape_text[shape] = _shape_text(*shape)
         ball_ids = list(map(id_of, order))
         ranks = tuple([*map(sorted(ball_ids).index, ball_ids)])
-        encoded = int.from_bytes((text[0] + repr(ranks) + text[1]).encode("ascii"), "big")
-        if encoded.bit_length() >= ORDER_TYPE_BITS:
-            raise AssertionError(
-                "order-type encoding exceeded the constant-size cap; "
-                "raise ORDER_TYPE_BITS for this Delta"
-            )
+        encoded = label_of.get((text, ranks))
+        if encoded is None:
+            encoded = int.from_bytes((text[0] + repr(ranks) + text[1]).encode("ascii"), "big")
+            if encoded.bit_length() >= ORDER_TYPE_BITS:
+                raise AssertionError(
+                    "order-type encoding exceeded the constant-size cap; "
+                    "raise ORDER_TYPE_BITS for this Delta"
+                )
+            label_of[text, ranks] = encoded
         labels.append(encoded)
     return labels, radius
+
+
+def _check_ids(graph: Graph, ids: Sequence[int]) -> None:
+    """One identifier per node, no two equal."""
+    if len(ids) != graph.n:
+        raise ValueError(f"ids has {len(ids)} entries for a graph with {graph.n} nodes")
+    if len(set(ids)) != graph.n:
+        raise ValueError("identifiers must be unique")
 
 
 def _shape_text(degrees: Tuple[int, ...], ports: Tuple[Optional[int], ...]) -> Tuple[str, str]:

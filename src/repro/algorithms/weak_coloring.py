@@ -31,7 +31,7 @@ are positive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..graphs.graph import Graph
 from .cole_vishkin import reduce_to_three_colors
@@ -114,10 +114,15 @@ def distance_parity_recoloring(
     ``phi``-color; the input must be a distance-k weak coloring, so
     ``D(v) <= k`` — otherwise this raises.
 
-    Returns the new labels and the round cost (``k``).
+    Returns the new labels and the round cost (``k``).  The pipeline
+    keeps each pair as the code ``2 * phi(v) + D(v) mod 2`` instead.
     """
+    return [(phi[v], parity) for v, parity in enumerate(_parities(graph, phi, k))], k
+
+
+def _parities(graph: Graph, phi: Sequence[int], k: int) -> Iterator[int]:
+    """``D(v) mod 2`` node by node; raises at the first ``D(v) > k``."""
     adj = graph.adjacency_rows()
-    out: List[Tuple[int, int]] = []
     for v in graph.nodes():
         d_best = nearest_differing_distance(adj, phi, v, k)
         if d_best is None:
@@ -125,16 +130,29 @@ def distance_parity_recoloring(
                 f"node {v} has no differing color within distance {k}: "
                 "input is not a distance-k weak coloring"
             )
-        out.append((phi[v], d_best % 2))
-    return out, k
+        yield d_best % 2
 
 
-def choose_successors(graph: Graph, labels: Sequence[Tuple[int, int]]) -> List[int]:
+def _parity_codes(graph: Graph, phi: Sequence[int], k: int) -> List[int]:
+    """Phase 1 as the pipeline keeps it: ``2 * phi(v) + D(v) mod 2`` per node.
+
+    Equal codes share one int.
+    """
+    code_of: Dict[int, int] = {}
+    codes = []
+    for color, parity in zip(phi, _parities(graph, phi, k)):
+        code = 2 * color + parity
+        codes.append(code_of.setdefault(code, code))
+    return codes
+
+
+def choose_successors(graph: Graph, labels: Sequence) -> List[int]:
     """Phase 2: point at a differently-labeled neighbor.
 
     Ties break toward the smallest label, then the smallest port — any
     deterministic local rule works.  Raises if some node has no
-    differing neighbor (i.e. the input is not a weak coloring).
+    differing neighbor (i.e. the input is not a weak coloring).  The
+    labels are phase 1's pairs or their codes, which order alike.
     """
     adj = graph.adjacency_rows()
     successor: List[int] = []
@@ -200,21 +218,31 @@ def weak_two_coloring_from_weak_coloring(
     Raises
     ------
     ValueError
-        If ``phi`` is not actually a distance-k weak c-coloring.
+        If ``phi`` does not have one color per node, or is not actually
+        a distance-k weak c-coloring.
+
+    Notes
+    -----
+    Phase 1's pairs ``(phi(v), D(v) mod 2)`` are kept as the codes
+    ``2 * phi(v) + D(v) mod 2`` below ``2c``, which order and compare
+    exactly as the pairs do; phases 2 and 3 read the codes.  Equal codes
+    share one int, so a few distinct colors cost a few ints however
+    large they are.
     """
+    if len(phi) != graph.n:
+        raise ValueError(f"phi has {len(phi)} entries for a graph with {graph.n} nodes")
     if graph.min_degree() < 1:
         raise ValueError("weak 2-coloring needs minimum degree 1")
     if any(not 0 <= phi[v] < c for v in graph.nodes()):
         raise ValueError(f"phi uses colors outside 0..{c - 1}")
 
-    phi_prime, r1 = distance_parity_recoloring(graph, phi, k)
+    phi_prime = _parity_codes(graph, phi, k)
+    r1 = k
     successor = choose_successors(graph, phi_prime)
     r2 = 1
 
-    # Encode (color, parity) into integers below 2c for Cole-Vishkin.
-    packed = [col * 2 + par for col, par in phi_prime]
     bits = max(1, (2 * c - 1).bit_length())
-    colors3, r3 = reduce_to_three_colors(packed, successor, bits)
+    colors3, r3 = reduce_to_three_colors(phi_prime, successor, bits)
 
     in_mis, r4 = mis_on_pseudoforest(successor, colors3)
     labels = [BLACK if m else WHITE for m in in_mis]
@@ -235,6 +263,8 @@ def weak_two_coloring_from_ids(
     ``id_space`` (default ``n**2``); the pipeline's Cole-Vishkin phase
     then costs O(log* n) rounds and dominates the running time.
     """
+    if len(ids) != graph.n:
+        raise ValueError(f"ids has {len(ids)} entries for a graph with {graph.n} nodes")
     if id_space is None:
         id_space = max(graph.n**2, 2)
     if any(not 1 <= i <= id_space for i in ids):

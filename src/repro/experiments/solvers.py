@@ -140,17 +140,21 @@ def measure(
     """Run every row across its sweep; a column fits its points when its fit is read.
 
     Each (family, delta) sweep is built once per call: the sizes snap to
-    the family's graphs, duplicates go, and n ascends.  The rows run in
-    order, each graph by graph, so the input schemes draw from ``rng``
-    row by row and graph by graph.
+    the family's graphs, duplicates go, and n ascends.  It is dropped
+    after its last row, so its graphs are freed before the next sweep's
+    rows run.  The rows run in order, each graph by graph, so the input
+    schemes draw from ``rng`` row by row and graph by graph.
     """
+    last_row = {(row.family, row.delta): i for i, row in enumerate(series)}
     sweeps: Dict[Tuple[str, int], List[Graph]] = {}
     columns = []
-    for row in series:
+    for i, row in enumerate(series):
         key = (row.family, row.delta)
         if key not in sweeps:
             sweeps[key] = _sweep(row.family, row.delta, sizes)
         points = [_point(row, graph, rng) for graph in sweeps[key]]
+        if i == last_row[key]:
+            del sweeps[key]
         columns.append(Measured(row.label, row.paper_complexity, points,
                                 row.flatness_tolerance))
     return columns

@@ -48,7 +48,7 @@ class Graph:
     which is cheap at the bounded degrees the LOCAL model works with.
     """
 
-    __slots__ = ("_n", "_adj", "_frozen", "_m")
+    __slots__ = ("_n", "_adj", "_frozen", "_m", "__weakref__")
 
     def __init__(self, n: int, edges: Optional[Iterable[Tuple[int, int]]] = None):
         if n < 0:

@@ -1,4 +1,4 @@
-"""Markdown tables, read for the tests that check their cells."""
+"""Markdown sections and tables, read for the tests that check their cells."""
 
 import re
 from pathlib import Path
@@ -9,17 +9,21 @@ EXPERIMENTS_MD = Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
 CELL_BORDER = re.compile(r"(?<!\\)\|")
 
 
-def section_tables(markdown, heading):
+def section(markdown, heading):
+    """The text of the section whose title starts with ``heading``."""
+    return markdown.split(f"\n## {heading}", 1)[1].split("\n## ", 1)[0]
+
+
+def section_tables(markdown, heading, header=False):
     """The rows of each table in the section whose title starts with ``heading``.
 
-    Each row is a list of its stripped cells.  Each table's first two
-    lines, its header and its ``|---|`` rule, are skipped.
+    Each row is a list of its stripped cells.  Each table's ``|---|``
+    rule is skipped, and so is its header unless ``header``.
     """
-    section = markdown.split(f"\n## {heading}", 1)[1].split("\n## ", 1)[0]
+    tables = [table.splitlines() for table in
+              re.findall(r"(?:^\|.*\n)+", section(markdown, heading), flags=re.M)]
     return [
-        [
-            [cell.strip() for cell in CELL_BORDER.split(row)[1:-1]]
-            for row in table.splitlines()[2:]
-        ]
-        for table in re.findall(r"(?:^\|.*\n)+", section, flags=re.M)
+        [[cell.strip() for cell in CELL_BORDER.split(row)[1:-1]]
+         for row in (lines[:1] if header else []) + lines[2:]]
+        for lines in tables
     ]

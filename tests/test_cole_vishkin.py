@@ -194,6 +194,59 @@ def reference_reduce_to_three_colors(colors, successor, color_bits):
     return current, rounds
 
 
+def predecessor_list_reduce_to_three_colors(colors, successor, color_bits):
+    """``reduce_to_three_colors`` with the inline Cole-Vishkin rounds and one
+    predecessor list per node, as it was before the predecessors went into
+    two flat lists.  Kept verbatim as the oracle for the flat grouping."""
+    n = len(colors)
+    if len(successor) != n:
+        raise ValueError("colors and successor must have equal length")
+    bound = 1 << color_bits
+    if n and not (0 <= min(colors) and max(colors) < bound):
+        for v in range(n):
+            if not 0 <= colors[v] < bound:
+                raise ValueError(f"color {colors[v]} of node {v} exceeds {color_bits} bits")
+    if not is_proper_on_pseudoforest(colors, successor):
+        raise ValueError("initial coloring is not proper on the pseudoforest")
+
+    current = list(colors)
+    rounds = 0
+    for _ in range(cv_iterations_needed(color_bits)):
+        stepped = []
+        append = stepped.append
+        for color, successor_color in zip(current, map(current.__getitem__, successor)):
+            diff = color ^ successor_color
+            if not diff:
+                raise ValueError(f"CV step needs distinct colors, got {color} twice")
+            i = (diff & -diff).bit_length() - 1
+            append(2 * i + ((color >> i) & 1))
+        current = stepped
+        rounds += 1
+
+    predecessors: List[List[int]] = [[] for _ in range(n)]
+    for v, s in enumerate(successor):
+        predecessors[s].append(v)
+    for target in (5, 4, 3):
+        # Shift-down: adopt the successor's color (1 round).
+        current = list(map(current.__getitem__, successor))
+        rounds += 1
+        # Recolor the target class greedily into {0, 1, 2} (1 round).
+        fresh = list(current)
+        for v, color in enumerate(current):
+            if color == target:
+                used = {current[successor[v]]}
+                used.update(map(current.__getitem__, predecessors[v]))
+                fresh[v] = min(c for c in (0, 1, 2) if c not in used)
+        current = fresh
+        rounds += 1
+
+    if not is_proper_on_pseudoforest(current, successor):
+        raise AssertionError("CV reduction produced an improper coloring (bug)")
+    if any(c not in (0, 1, 2) for c in current):
+        raise AssertionError("CV reduction left colors outside {0,1,2} (bug)")
+    return current, rounds
+
+
 def cv_outcome(function, *args):
     """The result, or the type and text of the error it raised."""
     try:
@@ -267,6 +320,20 @@ class TestReductionMatchesReference:
         for name, colors, successor, bits in pseudoforest_cases(seed):
             got = reduce_to_three_colors(colors, successor, bits)
             assert got == reference_reduce_to_three_colors(colors, successor, bits), name
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_flat_grouping_equals_per_node_predecessor_lists(self, seed):
+        for name, colors, successor, bits in pseudoforest_cases(seed):
+            got = reduce_to_three_colors(colors, successor, bits)
+            assert got == predecessor_list_reduce_to_three_colors(colors, successor, bits), name
+
+    @pytest.mark.parametrize("successor,named", [
+        ([1, 0, -1, 2], "successor -1 of node 2"),
+        ([1, 0, 4, 2], "successor 4 of node 2"),
+    ])
+    def test_successors_outside_the_nodes_rejected(self, successor, named):
+        with pytest.raises(ValueError, match=f"^{named} is not a node$"):
+            reduce_to_three_colors([0, 1, 0, 1], successor, 2)
 
     def test_table1_odd_degree_inputs(self):
         for colors, successor, bits in _table1_odd_degree_inputs():

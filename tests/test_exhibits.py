@@ -10,8 +10,9 @@
   same loop), and a Claim 10 sweep with no in-regime point, or with one
   left unverified, fails its verdict.
 * The report's own results hold the shapes no verdict states, and
-  EXPERIMENTS.md's Table 1, Theorem 5, cycle-trichotomy and
-  global-failure tables are the report's run, cell by cell.
+  EXPERIMENTS.md's Table 1, log* sweep, Theorem 5, cycle-trichotomy and
+  global-failure tables, and the round series its Theorem 4 and Lemma 2
+  sections quote, are the report's run, cell by cell.
 """
 
 import dataclasses
@@ -20,6 +21,7 @@ import hashlib
 import importlib
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -27,7 +29,7 @@ import pytest
 from repro.experiments import EXHIBITS, run_claim10
 from repro.experiments.__main__ import EXHIBIT_SCHEMA, SUMMARY_SCHEMA, main
 
-from .markdown_tables import EXPERIMENTS_MD, section_tables
+from .markdown_tables import EXPERIMENTS_MD, section, section_tables
 
 DIGESTS = json.loads(
     (Path(__file__).resolve().parent.parent / "paperbench" / "digests.json").read_text()
@@ -237,10 +239,14 @@ def _md(text):
     return text.replace("Theta", "Θ").replace("*", "\\*")
 
 
+def _series(values):
+    return ", ".join(str(value) for value in values)
+
+
 def _sweep_cells(row):
     """A measured column's n range, its rounds and its printed fit."""
     ns = [n for n, _ in row.measurements]
-    return [f"{ns[0]}…{ns[-1]}", ", ".join(str(r) for _, r in row.measurements), row.fit.best]
+    return [f"{ns[0]}…{ns[-1]}", _series(r for _, r in row.measurements), row.fit.best]
 
 
 def _table1_cells(result):
@@ -256,17 +262,45 @@ def _class_cells(result):
             for row in result.rows]
 
 
-#: exhibit -> (its EXPERIMENTS.md section heading, the cells its full result reads as)
+def _logstar_cells(sweep):
+    return [
+        ["id space", *(f"2^{p.id_bits}" for p in sweep.points)],
+        ["measured rounds", *(str(p.measured_rounds) for p in sweep.points)],
+        ["predicted CV iterations", *(str(p.predicted_cv_rounds) for p in sweep.points)],
+    ]
+
+
+def _tables(heading):
+    """A section's tables."""
+    return lambda markdown: section_tables(markdown, heading)
+
+
+def _logstar_columns(markdown):
+    """The log* sweep's table, header included, cut to the report's four id
+    spaces (its 2^65536 column is ``tests/test_paper_shapes.py``'s run)."""
+    return [[row[:5] for row in table]
+            for table in section_tables(markdown, "Θ(log\\* n), made visible", header=True)]
+
+
+def _bold_series(heading):
+    """A section's bold runs of numbers: the series its prose quotes."""
+    return lambda markdown: re.findall(r"\*\*([\d, ]+)\*\*", section(markdown, heading))
+
+
+#: exhibit -> (what its EXPERIMENTS.md section writes, what its full result reads as)
 REPORT_TABLES = {
-    "table1": ("Table 1", _table1_cells),
-    "classification": ("Theorem 5", _class_cells),
-    "trichotomy": ("Cycle trichotomy", _class_cells),
+    "table1": (_tables("Table 1"), _table1_cells),
+    "classification": (_tables("Theorem 5"), _class_cells),
+    "trichotomy": (_tables("Cycle trichotomy"), _class_cells),
+    "logstar_sweep": (_logstar_columns, _logstar_cells),
+    "theorem4": (_bold_series("Theorem 4"), lambda result: _series(p.rounds for p in result.upper)),
+    "lemma2": (_bold_series("Lemma 2"), lambda result: _series(p.rounds for p in result.points)),
 }
 
 
 def _report_table_matches(markdown, name):
-    heading, cells = REPORT_TABLES[name]
-    return section_tables(markdown, heading) == [cells(_result(name, False))]
+    written, cells = REPORT_TABLES[name]
+    return written(markdown) == [cells(_result(name, False))]
 
 
 @pytest.mark.parametrize("name", sorted(REPORT_TABLES))
@@ -274,18 +308,27 @@ def test_experiments_md_table_cells_are_measured(name):
     assert _report_table_matches(EXPERIMENTS_MD.read_text(encoding="utf-8"), name)
 
 
-#: exhibit -> one cell of its table as written, and the same cell changed
+#: exhibit -> cells as written, each with the same cell changed
 CHANGED_CELLS = {
-    "table1": ("| Θ(1) / Θ(1) | 94…6142 |", "| Θ(1) / Θ(1) | 53…4373 |"),
-    "classification": ("| 53…4373 | 15, 15, 15, 15 | constant |\n",
-                       "| 53…4373 | 15, 15, 15, 15 | log_star |\n"),
-    "trichotomy": ("| 8, 32, 128, 512 | linear |", "| 8, 32, 128, 511 | linear |"),
+    "table1": [("| Θ(1) / Θ(1) | 94…6142 |", "| Θ(1) / Θ(1) | 53…4373 |")],
+    "classification": [("| 53…4373 | 15, 15, 15, 15 | constant |\n",
+                        "| 53…4373 | 15, 15, 15, 15 | log_star |\n")],
+    "trichotomy": [("| 8, 32, 128, 512 | linear |", "| 8, 32, 128, 511 | linear |")],
+    "logstar_sweep": [
+        ("| id space | 2^8 | 2^64 | 2^1024 | 2^16384 |",
+         "| id space | 2^8 | 2^32 | 2^1024 | 2^16384 |"),
+        ("| measured rounds | 15 | 15 | 16 | 16 |", "| measured rounds | 15 | 15 | 16 | 15 |"),
+        ("| predicted CV iterations | 4 | 4 | 5 | 5 |",
+         "| predicted CV iterations | 4 | 4 | 4 | 5 |"),
+    ],
+    "theorem4": [("**6, 10, 12, 14**", "**6, 10, 12, 15**")],
+    "lemma2": [("**13, 13, 13, 13**", "**13, 13, 13, 12**")],
 }
 
 
 @pytest.mark.parametrize("name", sorted(CHANGED_CELLS))
 def test_a_changed_report_table_cell_fails(name):
-    cell, changed = CHANGED_CELLS[name]
     markdown = EXPERIMENTS_MD.read_text(encoding="utf-8")
-    assert markdown.count(cell) == 1
-    assert not _report_table_matches(markdown.replace(cell, changed), name)
+    for cell, changed in CHANGED_CELLS[name]:
+        assert markdown.count(cell) == 1
+        assert not _report_table_matches(markdown.replace(cell, changed), name)

@@ -167,6 +167,38 @@ class TestOrderTypeLabeling:
             order_type_labeling(path(3), [1, 1, 2])
 
 
+@pytest.fixture(scope="module")
+def table1_odd_tree():
+    """Table 1's largest Delta = 3 tree (n = 6,142)."""
+    return regular_tree_of_depth_at_least(3, 3200)[0]
+
+
+class TestOrderTypesShareInts:
+    @pytest.mark.parametrize("scheme,types", [("sequential", 22), ("random", 2795)])
+    def test_one_int_per_distinct_type(self, table1_odd_tree, scheme, types):
+        labels, _ = order_type_labeling(table1_odd_tree, ID_SCHEMES[scheme](table1_odd_tree))
+        assert len(set(labels)) == types
+        assert len({id(label) for label in labels}) == types
+
+
+class TestInputLengths:
+    """``balanced_regular_tree(3, 2)`` has 10 nodes, every degree odd."""
+
+    LABELINGS = [in_degree_labeling, order_type_labeling, odd_degree_weak_two_coloring]
+
+    @pytest.mark.parametrize("labeling", LABELINGS)
+    def test_eleven_ids_with_one_repeat_rejected(self, labeling):
+        with pytest.raises(ValueError, match="^ids has 11 entries for a graph with 10 nodes$"):
+            labeling(balanced_regular_tree(3, 2), [*range(1, 11), 3])
+
+    @pytest.mark.parametrize("count", [9, 11])
+    @pytest.mark.parametrize("labeling", LABELINGS)
+    def test_distinct_ids_of_another_count_rejected(self, labeling, count):
+        expected = f"^ids has {count} entries for a graph with 10 nodes$"
+        with pytest.raises(ValueError, match=expected):
+            labeling(balanced_regular_tree(3, 2), list(range(1, count + 1)))
+
+
 class TestOrderTypesMatchViewOracle:
     @pytest.mark.parametrize("scheme", sorted(ID_SCHEMES))
     @pytest.mark.parametrize("radius", [0, 1, 2, 3, 4])

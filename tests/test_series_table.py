@@ -7,11 +7,13 @@ run one loop, so each of them:
   sizes that snap to the same graph, as the sorted distinct graphs;
 * calls every solver through its module-level name, which a tracer (the
   layer trace of ``paperbench/layers.py``) or a test's plant rebinds, and
-  builds each graph once per call.
+  builds each graph once per call;
+* frees each sweep's graphs after its last row.
 """
 
 import importlib
 import sys
+import weakref
 from collections import Counter
 
 import pytest
@@ -53,6 +55,27 @@ def test_sizes_snapping_to_one_graph_are_measured_once():
         row.measurements for row in run_cycle_trichotomy(sizes=(16, 64, 256)).rows
     ]
     assert [n for n, _ in result.rows[0].measurements] == [16, 64, 256]
+
+
+def test_a_sweep_is_freed_after_its_last_row(monkeypatch):
+    """Table 1's Delta = 4 trees are gone when its first Delta = 3 row solves."""
+    table1 = importlib.import_module("repro.experiments.table1")
+    trees, alive_at_odd_rows = [], []
+
+    def recording(graph, ids, _solve=table1.proper_two_coloring):
+        trees.append(weakref.ref(graph))
+        return _solve(graph, ids)
+
+    def checking(graph, ids, _solve=table1.odd_degree_weak_two_coloring):
+        alive_at_odd_rows.append(sum(tree() is not None for tree in trees))
+        return _solve(graph, ids)
+
+    monkeypatch.setattr(table1, "proper_two_coloring", recording)
+    monkeypatch.setattr(table1, "odd_degree_weak_two_coloring", checking)
+    result = table1.run_table1(sizes=(50, 200))
+    assert len(trees) == 4  # two trees, each 2-colored twice
+    assert alive_at_odd_rows == [0, 0, 0, 0]
+    assert all(row.all_verified for row in result.rows)
 
 
 #: The solvers the five runners call, and the generators of their sweeps.

@@ -10,10 +10,13 @@ from repro.algorithms import (
     choose_successors,
     distance_parity_recoloring,
     mis_on_pseudoforest,
+    order_type_labeling,
     reduce_to_three_colors,
+    weak_coloring,
     weak_two_coloring_from_ids,
     weak_two_coloring_from_weak_coloring,
 )
+from repro.algorithms.naor_stockmeyer import ORDER_TYPE_BITS
 from repro.graphs import (
     Graph,
     balanced_regular_tree,
@@ -23,6 +26,7 @@ from repro.graphs import (
     random_permutation_ids,
     random_regular_graph,
     random_tree,
+    regular_tree_of_depth_at_least,
     sequential_ids,
     star,
     toroidal_grid,
@@ -243,6 +247,16 @@ class TestFullPipeline:
         out = weak_two_coloring_from_ids(g, sequential_ids(g))
         assert_weak2(g, out.labels)
 
+    def test_phi_of_eight_colors_rejected(self):
+        with pytest.raises(ValueError, match="^phi has 8 entries for a graph with 10 nodes$"):
+            weak_two_coloring_from_weak_coloring(balanced_regular_tree(3, 2), [0, 1] * 4, 1, 2)
+
+    @pytest.mark.parametrize("count", [9, 11])
+    def test_ids_of_another_count_rejected(self, count):
+        expected = f"^ids has {count} entries for a graph with 10 nodes$"
+        with pytest.raises(ValueError, match=expected):
+            weak_two_coloring_from_ids(balanced_regular_tree(3, 2), list(range(1, count + 1)))
+
     def test_huge_id_space_still_few_rounds(self):
         g = path(8)
         space = 1 << 256
@@ -250,3 +264,26 @@ class TestFullPipeline:
         out = weak_two_coloring_from_ids(g, ids, id_space=space)
         assert_weak2(g, out.labels)
         assert out.rounds < 30  # log*(2^256) territory, not 256
+
+
+@pytest.mark.parametrize("scheme", ["sequential", "shuffled"])
+def test_equal_codes_share_one_int(monkeypatch, scheme):
+    """Phase 1's pairs reach Cole-Vishkin as codes 2 * color + parity, one int
+    per distinct code, and choose the successors the pairs choose."""
+    tree, _ = regular_tree_of_depth_at_least(3, 800)  # Table 1's n = 1,534
+    ids = sequential_ids(tree) if scheme == "sequential" else random_permutation_ids(
+        tree, random.Random(tree.n))
+    phi, _ = order_type_labeling(tree, ids)
+    received = []
+
+    def receiving(colors, successor, color_bits):
+        received.append(colors)
+        return reduce_to_three_colors(colors, successor, color_bits)
+
+    monkeypatch.setattr(weak_coloring, "reduce_to_three_colors", receiving)
+    out = weak_two_coloring_from_weak_coloring(tree, phi, k=1, c=1 << ORDER_TYPE_BITS)
+    (codes,) = received
+    pairs, _ = distance_parity_recoloring(tree, phi, 1)
+    assert codes == [2 * color + parity for color, parity in pairs]
+    assert len({id(code) for code in codes}) == len(set(codes)) < tree.n
+    assert out.successor == choose_successors(tree, pairs)
