@@ -36,9 +36,6 @@ class GrowthFit:
     rmse: Dict[str, float]
     coefficients: Dict[str, Tuple[float, float]]  # model -> (a, b)
 
-    def is_constant(self) -> bool:
-        return self.best == "constant"
-
 
 def _least_squares(xs: Sequence[float], ys: Sequence[float]) -> Tuple[float, float, float]:
     """Fit ``y = a + b x``; returns (a, b, rmse)."""

@@ -11,12 +11,11 @@ of "weak 2-coloring is a minimal symmetry-breaking problem".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..algorithms.weak_coloring import weak_two_coloring_from_weak_coloring
 from ..graphs.graph import Graph
 from ..lcl.catalog import WeakColoring
-from .fitting import GrowthFit
 from .solvers import DEFAULT_SIZES, Series, measure
 
 __all__ = [
@@ -70,7 +69,6 @@ class Lemma2Result:
     k: int
     c: int
     points: List[Lemma2Point] = field(default_factory=list)
-    fit: Optional[GrowthFit] = None
 
     def rounds_are_constant(self) -> bool:
         rounds = {p.rounds for p in self.points}
@@ -101,4 +99,4 @@ def run_lemma2(
         Lemma2Point(n=p.n, rounds=p.rounds, phase_rounds=p.detail, verified=p.verified)
         for p in reduction.points
     ]
-    return Lemma2Result(k=k, c=c, points=points, fit=reduction.fit)
+    return Lemma2Result(k=k, c=c, points=points)

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
-from ..algorithms.cole_vishkin import cv_iterations_needed, log_star
+from ..algorithms.cole_vishkin import cv_iterations_needed
 from ..algorithms.weak_coloring import weak_two_coloring_from_ids
 from ..graphs.generators import balanced_regular_tree
 from ..lcl.catalog import WeakColoring
@@ -37,7 +37,6 @@ class LogStarSweepPoint:
     """One sweep point: identifier space ``2**id_bits``."""
 
     id_bits: int
-    log_star_of_space: int
     predicted_cv_rounds: int
     measured_rounds: int
     verified: bool
@@ -48,9 +47,6 @@ class LogStarSweepResult:
     """The whole sweep."""
 
     points: List[LogStarSweepPoint] = field(default_factory=list)
-
-    def rounds_series(self) -> List[Tuple[int, int]]:
-        return [(p.id_bits, p.measured_rounds) for p in self.points]
 
     def monotone_in_log_star(self) -> bool:
         """Rounds must be non-decreasing in the identifier space size."""
@@ -100,7 +96,6 @@ def run_logstar_sweep(
         result.points.append(
             LogStarSweepPoint(
                 id_bits=bits,
-                log_star_of_space=1 + log_star(float(bits)),  # log*(2^b) = 1 + log*(b)
                 predicted_cv_rounds=cv_iterations_needed(bits + 2),
                 measured_rounds=out.rounds,
                 verified=verified,

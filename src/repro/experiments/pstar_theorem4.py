@@ -8,9 +8,11 @@ trees agree on the ball of radius ``depth - 2`` around the center, so
 any algorithm running in fewer rounds answers identically on both — yet
 on T the center must advertise ``d = 1`` (chains end at leaves) while
 on T' every chain ends at a degree-(Delta-1) node, forcing
-``d = Delta - 1``.  The experiment constructs the pair, checks the
-view-level indistinguishability radius mechanically, and reports the
-forced contradiction.
+``d = Delta - 1``.  The experiment constructs the pair and checks the
+view-level indistinguishability radius mechanically; that radius is all
+it computes.  The two forced values are the lemma's statement, written
+into each witness as constants: no algorithm runs on the pair and no
+labeling of it is checked.
 """
 
 from __future__ import annotations

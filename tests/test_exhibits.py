@@ -10,9 +10,10 @@
   same loop), and a Claim 10 sweep with no in-regime point, or with one
   left unverified, fails its verdict.
 * The report's own results hold the shapes no verdict states, and
-  EXPERIMENTS.md's Table 1, log* sweep, Theorem 5, cycle-trichotomy and
-  global-failure tables, and the round series its Theorem 4 and Lemma 2
-  sections quote, are the report's run, cell by cell.
+  each of EXPERIMENTS.md's report blocks is what the report prints for
+  its exhibit: ``tools/render_experiments.py``'s ``render`` of the run
+  leaves it unchanged, puts back a changed digit, and refuses a block
+  that is missing, unknown, duplicated or unterminated.
 """
 
 import dataclasses
@@ -28,8 +29,7 @@ import pytest
 
 from repro.experiments import EXHIBITS, run_claim10
 from repro.experiments.__main__ import EXHIBIT_SCHEMA, SUMMARY_SCHEMA, main
-
-from .markdown_tables import EXPERIMENTS_MD, section, section_tables
+from tools.render_experiments import EXPERIMENTS_MD, render
 
 DIGESTS = json.loads(
     (Path(__file__).resolve().parent.parent / "paperbench" / "digests.json").read_text()
@@ -200,135 +200,41 @@ def test_global_success_collapses_by_twelve_by_twelve():
     assert points[-1].measured_success <= min(points[0].measured_success, 0.05)
 
 
-@pytest.fixture(scope="module")
-def report_global_failure():
-    exhibit = BY_NAME["global_failure"]
-    return exhibit.run(**exhibit.full_args, rng_seed=0)
+# EXPERIMENTS.md's report blocks: each is the report's own lines.
+
+def _report_text(name):
+    """What ``python -m repro.experiments`` prints for exhibit ``name``."""
+    return "\n".join(BY_NAME[name].lines(_result(name, False)))
 
 
-def _global_failure_table_matches(markdown, result):
-    """EXPERIMENTS.md's torus, n, measured success and ceiling cells."""
-    return section_tables(markdown, "Local -> global amplification") == [
-        [
-            [f"{p.rows}×{p.cols}", str(p.n), f"{p.measured_success:.2f}",
-             f"{p.analytic_ceiling:.2f}"]
-            for p in result.points
-        ]
-    ]
-
-
-def test_experiments_md_global_failure_cells_are_measured(report_global_failure):
-    markdown = EXPERIMENTS_MD.read_text(encoding="utf-8")
-    assert _global_failure_table_matches(markdown, report_global_failure)
-
-
-@pytest.mark.parametrize("cell,changed", [
-    ("| 3×3 | 9 | 0.03 | 0.41 |", "| 3×3 | 9 | 0.02 | 0.41 |"),
-    ("| 6×6 | 36 | 0.00 | 0.03 |", "| 6×6 | 36 | 0.00 | 0.02 |"),
-    ("| 12×12 | 144 | 0.00 | 0.00 |", "| 12×12 | 121 | 0.00 | 0.00 |"),
-])
-def test_a_changed_global_failure_cell_fails(report_global_failure, cell, changed):
-    markdown = EXPERIMENTS_MD.read_text(encoding="utf-8")
-    assert markdown.count(cell) == 1
-    changed_markdown = markdown.replace(cell, changed)
-    assert not _global_failure_table_matches(changed_markdown, report_global_failure)
-
-
-def _md(text):
-    """A label or a paper class as EXPERIMENTS.md writes it: Θ, and ``*`` escaped."""
-    return text.replace("Theta", "Θ").replace("*", "\\*")
-
-
-def _series(values):
-    return ", ".join(str(value) for value in values)
-
-
-def _sweep_cells(row):
-    """A measured column's n range, its rounds and its printed fit."""
-    ns = [n for n, _ in row.measurements]
-    return [f"{ns[0]}…{ns[-1]}", _series(r for _, r in row.measurements), row.fit.best]
-
-
-def _table1_cells(result):
-    return [
-        [_md(row.example), f"{_md(row.paper_deterministic)} / {_md(row.paper_randomized)}",
-         *_sweep_cells(row), "✓" if row.all_verified else "✗"]
-        for row in result.rows
-    ]
-
-
-def _class_cells(result):
-    return [[_md(row.label), _md(row.paper_complexity), *_sweep_cells(row)]
-            for row in result.rows]
-
-
-def _logstar_cells(sweep):
-    return [
-        ["id space", *(f"2^{p.id_bits}" for p in sweep.points)],
-        ["measured rounds", *(str(p.measured_rounds) for p in sweep.points)],
-        ["predicted CV iterations", *(str(p.predicted_cv_rounds) for p in sweep.points)],
-    ]
-
-
-def _tables(heading):
-    """A section's tables."""
-    return lambda markdown: section_tables(markdown, heading)
-
-
-def _logstar_columns(markdown):
-    """The log* sweep's table, header included, cut to the report's four id
-    spaces (its 2^65536 column is ``tests/test_paper_shapes.py``'s run)."""
-    return [[row[:5] for row in table]
-            for table in section_tables(markdown, "Θ(log\\* n), made visible", header=True)]
-
-
-def _bold_series(heading):
-    """A section's bold runs of numbers: the series its prose quotes."""
-    return lambda markdown: re.findall(r"\*\*([\d, ]+)\*\*", section(markdown, heading))
-
-
-#: exhibit -> (what its EXPERIMENTS.md section writes, what its full result reads as)
-REPORT_TABLES = {
-    "table1": (_tables("Table 1"), _table1_cells),
-    "classification": (_tables("Theorem 5"), _class_cells),
-    "trichotomy": (_tables("Cycle trichotomy"), _class_cells),
-    "logstar_sweep": (_logstar_columns, _logstar_cells),
-    "theorem4": (_bold_series("Theorem 4"), lambda result: _series(p.rounds for p in result.upper)),
-    "lemma2": (_bold_series("Lemma 2"), lambda result: _series(p.rounds for p in result.points)),
-}
-
-
-def _report_table_matches(markdown, name):
-    written, cells = REPORT_TABLES[name]
-    return written(markdown) == [cells(_result(name, False))]
-
-
-@pytest.mark.parametrize("name", sorted(REPORT_TABLES))
+@pytest.mark.parametrize("name", sorted(BY_NAME))
 def test_experiments_md_table_cells_are_measured(name):
-    assert _report_table_matches(EXPERIMENTS_MD.read_text(encoding="utf-8"), name)
+    markdown = EXPERIMENTS_MD.read_text(encoding="utf-8")
+    assert render(markdown, {name: _report_text(name)}) == markdown
 
 
-#: exhibit -> cells as written, each with the same cell changed
-CHANGED_CELLS = {
-    "table1": [("| Θ(1) / Θ(1) | 94…6142 |", "| Θ(1) / Θ(1) | 53…4373 |")],
-    "classification": [("| 53…4373 | 15, 15, 15, 15 | constant |\n",
-                        "| 53…4373 | 15, 15, 15, 15 | log_star |\n")],
-    "trichotomy": [("| 8, 32, 128, 512 | linear |", "| 8, 32, 128, 511 | linear |")],
-    "logstar_sweep": [
-        ("| id space | 2^8 | 2^64 | 2^1024 | 2^16384 |",
-         "| id space | 2^8 | 2^32 | 2^1024 | 2^16384 |"),
-        ("| measured rounds | 15 | 15 | 16 | 16 |", "| measured rounds | 15 | 15 | 16 | 15 |"),
-        ("| predicted CV iterations | 4 | 4 | 5 | 5 |",
-         "| predicted CV iterations | 4 | 4 | 4 | 5 |"),
-    ],
-    "theorem4": [("**6, 10, 12, 14**", "**6, 10, 12, 15**")],
-    "lemma2": [("**13, 13, 13, 13**", "**13, 13, 13, 12**")],
-}
-
-
-@pytest.mark.parametrize("name", sorted(CHANGED_CELLS))
+@pytest.mark.parametrize("name", sorted(BY_NAME))
 def test_a_changed_report_table_cell_fails(name):
     markdown = EXPERIMENTS_MD.read_text(encoding="utf-8")
-    for cell, changed in CHANGED_CELLS[name]:
-        assert markdown.count(cell) == 1
-        assert not _report_table_matches(markdown.replace(cell, changed), name)
+    opening = markdown.index(f"<!-- report:{name} -->")
+    closing = markdown.index("<!-- /report -->", opening)
+    at = max(i for i in range(opening, closing) if markdown[i].isdigit())  # the block's last digit
+    changed = markdown[:at] + str((int(markdown[at]) + 1) % 10) + markdown[at + 1:]
+    assert render(changed, {name: _report_text(name)}) == markdown  # the check puts it back
+
+
+def _without_lemma2(markdown):
+    return re.sub(r"<!-- report:lemma2 -->.*?<!-- /report -->", "", markdown, flags=re.S)
+
+
+@pytest.mark.parametrize("problem,edit,texts", [
+    ("missing", _without_lemma2, {}),
+    ("unknown", lambda md: md + "<!-- report:table2 -->\n<!-- /report -->\n", {}),
+    ("unknown", lambda md: md, {"table2": ""}),
+    ("duplicated", lambda md: md + "<!-- report:table1 -->\n<!-- /report -->\n", {}),
+    ("unterminated", lambda md: md.replace("<!-- /report -->", "", 1), {}),
+], ids=["missing", "unknown-block", "unknown-text", "duplicated", "unterminated"])
+def test_render_refuses_a_bad_block(problem, edit, texts):
+    markdown = edit(EXPERIMENTS_MD.read_text(encoding="utf-8"))
+    with pytest.raises(ValueError, match=problem):
+        render(markdown, texts)

@@ -150,7 +150,8 @@ class TestLemma2Experiment:
         result = run_lemma2(k=2, c=4, sizes=SMALL_SIZES)
         assert result.rounds_are_constant()
         assert all(p.verified for p in result.points)
-        assert result.fit.best == "constant"
+        fit = fit_growth([p.n for p in result.points], [p.rounds for p in result.points])
+        assert fit.best == "constant"
 
     def test_other_parameters(self):
         result = run_lemma2(k=3, c=3, sizes=(50, 200))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.experiments import EXHIBITS, run_linial_experiment
+from repro.experiments import run_linial_experiment
 from repro.graphs import Graph, cycle
 from repro.lcl import ProperColoring
 from repro.lowerbounds import (
@@ -23,7 +23,6 @@ from repro.lowerbounds import (
 from repro.lowerbounds import cnf
 from repro.lowerbounds.linial import _coloring_cnf, _dsatur, _greedy_clique
 
-from .markdown_tables import EXPERIMENTS_MD, section_tables
 from .rup_reference import check_by_propagation, lemmas_of
 
 
@@ -343,53 +342,6 @@ class TestExperiment:
         assert [p.m for p in without.points if p.t == 1] == [4, 5]
 
 
-@pytest.fixture(scope="module")
-def report_linial():
-    """The Linial exhibit at the report's arguments (its ``EXHIBITS`` row)."""
-    exhibit = next(e for e in EXHIBITS if e.name == "linial")
-    return exhibit.run(**exhibit.full_args)
-
-
-def _linial_table_matches(markdown, result):
-    """EXPERIMENTS.md's m, χ(N₀(m)) and χ(N₁(m)) cells, row by row.
-
-    One row per m whose N₁(m) the report measures: χ for m = 4..6, and
-    the threshold at m = 7.  The report does not compute χ(N₀(7)): its
-    zero-round sweep stops at m = 6, so that cell is computed here.
-    """
-    chi = {(p.m, p.t): p.chi for p in result.points}
-    rows = []
-    for point in result.points:
-        if point.t != 1:
-            continue
-        zero_round = chi.get((point.m, 0))
-        if zero_round is None:
-            zero_round = chromatic_number(neighborhood_graph(point.m, 0)[0])
-        if point.chi is not None:
-            one_round = str(point.chi)
-        else:  # the threshold row decides 3-colorability alone
-            one_round = "3-colorable" if point.three_colorable else "**> 3** (not 3-colorable)"
-        rows.append([str(point.m), str(zero_round), one_round])
-    return section_tables(markdown, "Linial's neighborhood graphs") == [rows]
-
-
-def test_experiments_md_linial_cells_are_measured(report_linial):
-    assert [p.m for p in report_linial.points if p.t == 1] == [4, 5, 6, 7]
-    markdown = EXPERIMENTS_MD.read_text(encoding="utf-8")
-    assert _linial_table_matches(markdown, report_linial)
-
-
-@pytest.mark.parametrize("cell,changed", [
-    ("| 5 | 5 | 3 |", "| 5 | 5 | 2 |"),
-    ("| 6 | 6 | 3 |", "| 6 | 5 | 3 |"),
-    ("| 7 | 7 | **> 3** (not 3-colorable) |", "| 7 | 6 | **> 3** (not 3-colorable) |"),
-])
-def test_a_changed_linial_cell_fails(report_linial, cell, changed):
-    markdown = EXPERIMENTS_MD.read_text(encoding="utf-8")
-    assert markdown.count(cell) == 1
-    assert not _linial_table_matches(markdown.replace(cell, changed), report_linial)
-
-
 class TestWeakCycleWindows:
     """The weak-coloring window formalism (repro.lowerbounds.weak_cycle)."""
 
@@ -428,13 +380,26 @@ class TestWeakCycleWindows:
             ids = rng.sample(range(1, m + 1), n)
             assert WeakColoring(2).is_feasible(cycle(n), alg.run(ids))
 
-    def test_one_round_frontier_is_eight(self, rup_verdicts):
+    def test_one_round_frontier_is_eight(self, rup_verdicts, monkeypatch):
         # No one-round weak 2-coloring with identifiers from {1..9}: the
-        # prover's 298-lemma refutation is accepted by the RUP checker.
+        # prover refutes the 504-window, 15,120-constraint table with 298
+        # lemmas and 5,981 hints, and the RUP checker accepts the proof.
         from repro.lowerbounds import weak_table_exists
 
+        sizes = []
+        spy = cnf.check_rup
+
+        def sizing(num_vars, clauses, proof):
+            # One variable per window; window 0's unit clause, then one
+            # clause per constraint and color.
+            sizes.append((num_vars, (len(clauses) - 1) // 2,
+                          sum(len(hints) for _, hints in proof)))
+            return spy(num_vars, clauses, proof)
+
+        monkeypatch.setattr(cnf, "check_rup", sizing)
         assert weak_table_exists(9, 1) is None
         assert rup_verdicts == [(298, True, True)]
+        assert sizes == [(504, 15_120, 5_981)]
 
     def test_rejected_refutation_raises(self, monkeypatch):
         from repro.lowerbounds import weak_table_exists

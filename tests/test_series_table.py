@@ -3,8 +3,9 @@
 Table 1, Theorem 4, the classification, Lemma 2 and the cycle trichotomy
 run one loop, so each of them:
 
-* returns no fit for a two-size sweep, and measures unsorted sizes, and
-  sizes that snap to the same graph, as the sorted distinct graphs;
+* returns no fit for a two-size sweep (Lemma 2 keeps no fit: its
+  verdict reads the rounds), and measures unsorted sizes, and sizes
+  that snap to the same graph, as the sorted distinct graphs;
 * calls every solver through its module-level name, which a tracer (the
   layer trace of ``paperbench/layers.py``) or a test's plant rebinds, and
   builds each graph once per call;
@@ -34,7 +35,7 @@ def _fits(result):
 
 
 def test_two_size_sweeps_leave_every_fit_empty():
-    for runner in RUNNERS:
+    for runner in (run_table1, run_theorem4, run_classification, run_cycle_trichotomy):
         sizes = (16, 64) if runner is run_cycle_trichotomy else (50, 200)
         fits = _fits(runner(sizes=sizes))
         assert fits and all(fit is None for fit in fits)
