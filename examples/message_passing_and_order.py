@@ -19,6 +19,7 @@ Run:  python examples/message_passing_and_order.py
 import random
 
 from repro.algorithms import FloodLeaderParity, LubyMIS, proper_two_coloring
+from repro.core import SimRequest, simulate
 from repro.graphs import balanced_regular_tree, cycle, random_permutation_ids, sequential_ids
 from repro.lcl import MaximalIndependentSet, ProperColoring
 from repro.local_model import (
@@ -26,7 +27,6 @@ from repro.local_model import (
     ViewAlgorithm,
     is_order_invariant,
     order_homogeneous_failure,
-    run_local,
 )
 
 
@@ -45,12 +45,14 @@ def main() -> None:
     tree = balanced_regular_tree(3, 3)
     ids = random_permutation_ids(tree, random.Random(1))
 
-    mis = run_local(tree, LubyMIS(), rng=random.Random(2))
+    mis = simulate(SimRequest(kind="local", graph=tree, algorithm=LubyMIS(),
+                              rng=random.Random(2)))
     ok = MaximalIndependentSet().is_feasible(tree, mis.outputs)
     print(f"   Luby MIS (message passing): {mis.rounds} rounds, "
           f"|MIS| = {sum(mis.outputs)}, verified = {ok}")
 
-    mp = run_local(tree, FloodLeaderParity(), ids=ids)
+    mp = simulate(SimRequest(kind="local", graph=tree, algorithm=FloodLeaderParity(),
+                             ids=ids))
     fn = proper_two_coloring(tree, ids)
     print(f"   2-coloring: message passing ({mp.rounds} rounds) and "
           f"functional ({fn.rounds} rounds) agree = {mp.outputs == fn.colors}, "

@@ -1,15 +1,10 @@
 """The engine: evaluate every computing entity, no shortcuts.
 
-This is the one implementation of all four request kinds.  The loops
-here are the former bodies of the legacy entry points
-(``run_local``, ``run_view_algorithm``, ``run_edge_view_algorithm``,
-``run_node_algorithm_on_oriented_graph``), moved behind the
-:class:`~repro.core.engine.SimRequest` seam; the legacy functions are
-now thin adapters over :class:`DirectEngine` and keep their exact
-signatures, faithfulness guarantees, and tracer event streams.  Each
-kind has one evaluation path; ``view`` / ``edge`` requests gather every
-ball over the adjacency lists (:func:`~repro.local_model.views.gather_view`
-and :func:`~repro.local_model.views.gather_edge_view`).
+This is the one implementation of all four request kinds, behind the
+:class:`~repro.core.engine.SimRequest` seam.  Each kind has one
+evaluation path; ``view`` / ``edge`` requests gather every ball over
+the adjacency lists (:func:`~repro.local_model.views.gather_view` and
+:func:`~repro.local_model.views.gather_edge_view`).
 """
 
 from __future__ import annotations
@@ -48,22 +43,42 @@ def _check_labelings(request: SimRequest) -> None:
 class DirectEngine:
     """One evaluation per node / edge / entity."""
 
-    name = "direct"
-
     def run(self, request: SimRequest, tracer: Optional[Tracer] = None) -> SimReport:
         """Execute ``request`` and return its :class:`SimReport`."""
         tracer = effective_tracer(tracer)
         _check_labelings(request)
         if request.kind == "local":
-            return self._run_local(request, tracer)
+            return self._run_message_passing(request, tracer)
         if request.kind == "finite":
             return self._run_finite(request, tracer)
         return self._run_entities(request, tracer)
 
     # -- "local": the synchronous message-passing round -----------------
-    def _run_local(
+    def _run_message_passing(
         self, request: SimRequest, tracer: Optional[Tracer]
     ) -> SimReport:
+        """Run a :class:`~repro.local_model.algorithm.LocalAlgorithm` to completion.
+
+        The report holds every node's output (``UNSET`` if it never
+        produced one), the round each node halted in (0 before any
+        communication, ``None`` if it never halted), and ``rounds``,
+        the largest halting round: the algorithm's running time.
+
+        Faithfulness guarantees:
+
+        * nodes exchange messages only along edges, one message per port
+          per round, delivered synchronously;
+        * a node that has halted is silent from the next round on;
+        * per-node randomness is private and derived from independent
+          streams of the request's master RNG;
+        * deterministic runs poison the RNG so accidental randomness
+          raises.
+
+        ``max_rounds`` defaults to ``4 * n + 16``: any LOCAL problem is
+        solvable in ``O(n)`` rounds, so a correct algorithm that exceeds
+        it on a connected graph is looping, and the run raises
+        ``RuntimeError``.
+        """
         graph, algorithm = request.graph, request.algorithm
         ids, inputs = request.ids, request.inputs
         n = graph.n
@@ -160,7 +175,6 @@ class DirectEngine:
             outputs=[contexts[v].output for v in graph.nodes()],
             halt_rounds=halt_rounds,
             rounds=total,
-            backend=self.name,
         )
 
     # -- "view"/"edge": one evaluation per entity's radius-t ball -------
@@ -215,13 +229,11 @@ class DirectEngine:
                 outputs=outputs,
                 halt_rounds=[rounds] * len(outputs),
                 rounds=rounds,
-                backend=self.name,
             )
         return SimReport(
             kind="edge",
             outputs={edge_key(u, v): out for (u, v), out in zip(entities, outputs)},
             rounds=rounds,
-            backend=self.name,
         )
 
     # -- "finite": oriented-tree algorithms on finite graphs ------------
@@ -234,10 +246,6 @@ class DirectEngine:
         unwraps that trial's outputs and failing nodes.  The values and
         the tables are checked once per batch, not once per trial.
         """
-        # Lazy import: repro.speedup imports the core seam at module
-        # scope, so the reverse edge must resolve at call time.
-        from ..speedup.finite_runner import resolve_ball_tables
-
         graph, alg = request.graph, request.algorithm
         batch, tables = request.batch, request.tables
         if batch is None:
@@ -254,14 +262,20 @@ class DirectEngine:
         ):
             raise ValueError(f"values must lie in [0, {alg.values})")
         if tables is None:
-            if request.orientation is None:
-                raise ValueError(
-                    "finite requests need an orientation (or precomputed tables)"
-                )
-            tables = resolve_ball_tables(alg, graph, request.orientation)
+            raise ValueError(
+                "finite requests need ball tables (from resolve_ball_tables)"
+            )
         # The keys below zip the rows, which would cut them to the shortest.
         if len(tables) != n or len(set(map(len, tables))) > 1:
             raise ValueError("tables must hold one row per node, all of one length")
+        # A negative entry would read from the end of the values, and one
+        # of n or more would raise IndexError halfway through the keys.
+        for v, row in enumerate(tables):
+            for u in row:
+                if not 0 <= u < n:
+                    raise ValueError(
+                        f"tables: node {v}'s entry {u} is not a node in 0..{n - 1}"
+                    )
 
         if tracer is not None:
             tracer.on_event("run_start", engine="finite", algorithm=alg.name, n=n)
@@ -315,5 +329,4 @@ class DirectEngine:
             outputs=trial_outputs,
             rounds=alg.t,
             failing_nodes=trial_failing,
-            backend=self.name,
         )

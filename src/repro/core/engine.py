@@ -1,19 +1,14 @@
 """The engine seam: one request/report pair, one engine.
 
-Every execution model in the repository — message passing
-(:func:`~repro.local_model.network.run_local`), node views
-(:func:`~repro.local_model.network.run_view_algorithm`), edge views
-(:func:`~repro.local_model.edge_model.run_edge_view_algorithm`), and
-the oriented finite runner
-(:func:`~repro.speedup.finite_runner.run_node_algorithm_on_oriented_graph`)
-— is one *kind* of :class:`SimRequest`, and every outcome is one
-:class:`SimReport`.  :class:`~repro.core.direct.DirectEngine` maps
-requests to reports with one evaluation path per kind.
+Every execution model in the repository — message passing, node views,
+edge views, and oriented-ball runs on finite graphs — is one *kind* of
+:class:`SimRequest`, and every outcome is one :class:`SimReport`.
+:class:`~repro.core.direct.DirectEngine` maps requests to reports with
+one evaluation path per kind.
 
-:func:`simulate` is the facade the rest of the system calls; the legacy
-entry points are thin adapters over the engine (their signatures and
-semantics are unchanged).  One :class:`~repro.instrumentation.Tracer`
-threads through every kind the same way.
+:func:`simulate` is the one way to run an algorithm.  One
+:class:`~repro.instrumentation.Tracer` threads through every kind the
+same way.
 """
 
 from __future__ import annotations
@@ -21,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence
 
 from ..instrumentation.tracer import Tracer
 
@@ -54,8 +49,8 @@ class SimRequest:
     """One simulation, fully described.
 
     ``kind`` selects the execution model; the remaining fields are the
-    union of what the four models accept (unused fields are ignored by
-    the other kinds, mirroring the legacy signatures):
+    union of what the four models accept (a kind ignores the fields it
+    does not read):
 
     * ``"local"`` — ``algorithm`` is a
       :class:`~repro.local_model.algorithm.LocalAlgorithm`; honors
@@ -67,9 +62,12 @@ class SimRequest:
     * ``"finite"`` — ``algorithm`` is a
       :class:`~repro.speedup.algorithms.NodeAlgorithm`; requires
       ``values`` (per-node random words) or a ``batch`` of them (one
-      per-node list per trial), and ``orientation`` unless ``tables``
-      (precomputed ball tables) are given.  ``first_failure_only`` stops
-      each trial's failure scan at its first failing node.
+      per-node list per trial), and the ball ``tables`` that
+      :func:`~repro.speedup.finite_runner.resolve_ball_tables` returns
+      (one row per node, each entry the node in ``0..n-1`` that one
+      ball word reaches).
+      ``first_failure_only`` stops each trial's failure scan at its
+      first failing node.
 
     ``seed`` is the reproducible alternative to ``rng``: when set (and
     ``rng`` is not), the engine constructs
@@ -109,7 +107,7 @@ class SimRequest:
         """The run's master RNG.
 
         Priority: an explicit ``rng``; else ``seed`` through
-        :func:`derive_seed`; else the legacy default ``Random(0)``.
+        :func:`derive_seed`; else ``Random(0)``.
         """
         if self.rng is not None:
             return self.rng
@@ -124,13 +122,12 @@ class SimReport:
 
     ``outputs`` is a per-node list for ``local`` / ``view`` / ``finite``
     requests and an ``{edge: label}`` dict for ``edge`` requests.
-    ``halt_rounds`` and ``failing_nodes`` are populated by the kinds
-    that define them (``None`` elsewhere).  A ``finite`` request with a
-    ``batch`` reports one ``outputs`` list and one ``failing_nodes``
-    list per trial, in order; a request with ``values`` is the batch of
-    one, unwrapped.  :meth:`identity` is the
-    comparable core — what the differential suites compare;
-    ``backend`` (the engine's name) is a diagnostic.
+    ``halt_rounds`` is populated by the node kinds (``local`` /
+    ``view``), ``failing_nodes`` by ``finite`` (``None`` elsewhere).  A
+    ``finite`` request with a ``batch`` reports one ``outputs`` list and
+    one ``failing_nodes`` list per trial, in order; a request with
+    ``values`` is the batch of one, unwrapped.  Two reports are equal
+    when every field is: what the differential suites compare.
     """
 
     kind: str
@@ -138,54 +135,12 @@ class SimReport:
     rounds: int
     halt_rounds: Optional[List[Optional[int]]] = None
     failing_nodes: Optional[List[int]] = None
-    backend: str = ""
-
-    def identity(self) -> Tuple[Any, ...]:
-        """The bit-comparable result: everything except diagnostics."""
-        return (
-            self.kind,
-            self.outputs,
-            self.halt_rounds,
-            self.rounds,
-            self.failing_nodes,
-        )
 
     def all_halted(self) -> bool:
         """Whether every node halted (vacuously true for view kinds)."""
         if self.halt_rounds is None:
             return True
         return all(r is not None for r in self.halt_rounds)
-
-    # -- legacy adapters ------------------------------------------------
-    def to_execution_result(self) -> Any:
-        """As a legacy :class:`~repro.local_model.network.ExecutionResult`."""
-        from ..local_model.network import ExecutionResult
-
-        if self.kind not in ("local", "view"):
-            raise ValueError(f"{self.kind!r} reports have no ExecutionResult form")
-        return ExecutionResult(
-            outputs=self.outputs,
-            halt_rounds=self.halt_rounds,
-            rounds=self.rounds,
-        )
-
-    def to_edge_result(self) -> Any:
-        """As a legacy :class:`~repro.local_model.edge_model.EdgeExecutionResult`."""
-        from ..local_model.edge_model import EdgeExecutionResult
-
-        if self.kind != "edge":
-            raise ValueError(f"{self.kind!r} reports have no EdgeExecutionResult form")
-        return EdgeExecutionResult(outputs=self.outputs, rounds=self.rounds)
-
-    def to_finite_result(self) -> Any:
-        """As a legacy :class:`~repro.speedup.finite_runner.FiniteRunResult`."""
-        from ..speedup.finite_runner import FiniteRunResult
-
-        if self.kind != "finite":
-            raise ValueError(f"{self.kind!r} reports have no FiniteRunResult form")
-        return FiniteRunResult(
-            outputs=self.outputs, failing_nodes=self.failing_nodes
-        )
 
 
 def simulate(request: SimRequest, tracer: Optional[Tracer] = None) -> SimReport:

@@ -1,11 +1,8 @@
 """The tracer protocol: how execution engines report what they do.
 
 A *tracer* is a passive observer handed to an engine entry point
-(:func:`~repro.local_model.network.run_local`,
-:func:`~repro.local_model.network.run_view_algorithm`,
-:func:`~repro.local_model.edge_model.run_edge_view_algorithm`,
-:func:`~repro.speedup.finite_runner.run_node_algorithm_on_oriented_graph`,
-:func:`~repro.speedup.finite_runner.estimate_global_success`,
+(:func:`~repro.core.simulate`, for every request kind;
+:func:`~repro.speedup.finite_runner.estimate_global_success`;
 :func:`~repro.speedup.pipeline.run_speedup_pipeline`) via the optional
 ``tracer=`` keyword.  Engines report every event through one method,
 :meth:`Tracer.on_event`; tracers never influence execution — an

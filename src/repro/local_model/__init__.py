@@ -2,7 +2,6 @@
 
 from .algorithm import LocalAlgorithm, ViewAlgorithm
 from .context import NodeContext, UNSET
-from .network import ExecutionResult, run_local, run_view_algorithm
 from .views import (
     View,
     gather_view,
@@ -10,11 +9,7 @@ from .views import (
     view_signature,
     edge_view_signature,
 )
-from .edge_model import (
-    EdgeViewAlgorithm,
-    EdgeExecutionResult,
-    run_edge_view_algorithm,
-)
+from .edge_model import EdgeViewAlgorithm
 from .cache import (
     CacheStats,
     KeyedCache,
@@ -32,9 +27,6 @@ __all__ = [
     "ViewAlgorithm",
     "NodeContext",
     "UNSET",
-    "ExecutionResult",
-    "run_local",
-    "run_view_algorithm",
     "View",
     "gather_view",
     "gather_edge_view",
@@ -44,8 +36,6 @@ __all__ = [
     "KeyedCache",
     "ball_assignment_key",
     "EdgeViewAlgorithm",
-    "EdgeExecutionResult",
-    "run_edge_view_algorithm",
     "order_projected_view",
     "OrderInvariantProjection",
     "is_order_invariant",

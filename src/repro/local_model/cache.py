@@ -186,11 +186,11 @@ def ball_assignment_key(
     """Project per-node values through a resolved ball table.
 
     The key the tree algorithms memoize on: entry ``i`` is the value the
-    ball's ``i``-th word reads.  The finite runner
-    (:func:`~repro.speedup.finite_runner.run_node_algorithm_on_oriented_graph`)
-    builds it inline, every node's key of a trial at once, the Monte
-    Carlo failure estimators call it per sample, and the exact
-    enumerations spell whole keys with ``itertools.product``.  Equal keys
+    ball's ``i``-th word reads.  The engine's ``finite`` kind
+    (:meth:`~repro.core.direct.DirectEngine.run`) builds it inline,
+    every node's key of a trial at once, the Monte Carlo failure
+    estimators call it per sample, and the exact enumerations spell
+    whole keys with ``itertools.product``.  Equal keys
     mean the computing entity sees identical random data in identical
     positions — the oriented-tree analogue of
     :func:`~repro.local_model.views.view_signature`.

@@ -28,12 +28,7 @@ from .transform import (
     second_lemma_bound,
 )
 from .pipeline import PipelineStage, SpeedupPipelineResult, run_speedup_pipeline
-from .finite_runner import (
-    FiniteRunResult,
-    resolve_ball_tables,
-    run_node_algorithm_on_oriented_graph,
-    estimate_global_success,
-)
+from .finite_runner import resolve_ball_tables, estimate_global_success
 
 __all__ = [
     "Direction",
@@ -62,8 +57,6 @@ __all__ = [
     "PipelineStage",
     "SpeedupPipelineResult",
     "run_speedup_pipeline",
-    "FiniteRunResult",
     "resolve_ball_tables",
-    "run_node_algorithm_on_oriented_graph",
     "estimate_global_success",
 ]

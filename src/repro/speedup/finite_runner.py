@@ -3,24 +3,26 @@
 The speedup engine studies algorithms as functions of *oriented tree
 balls*.  To connect those objects to global failure probabilities on
 finite networks (Claim 10's amplification, Lemma 9's endgame), this
-module evaluates a :class:`~repro.speedup.algorithms.NodeAlgorithm` on
-every node of a finite consistently-oriented graph: each node walks its
-ball's direction words through the orientation and reads off the random
-values it finds.
+module resolves, for every node of a finite consistently-oriented
+graph, the node each word of a
+:class:`~repro.speedup.algorithms.NodeAlgorithm`'s ball reaches through
+the orientation.  A ``finite`` request to :func:`repro.core.simulate`
+takes those tables and evaluates the algorithm at every node on the
+random values it finds there.
 
 Soundness requires the graph to *locally look like* the oriented tree
 up to the algorithm's radius: distinct ball words must reach distinct
 nodes.  Tori satisfy this exactly for radius-1 algorithms (their moves
-commute, so radius >= 2 words like RU/UR collide); the runner checks
+commute, so radius >= 2 words like RU/UR collide); the resolver checks
 injectivity per node and refuses unsound combinations.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
+from ..core.engine import SimRequest, simulate
 from ..graphs.graph import Graph
 from ..graphs.orientation import Orientation
 from ..instrumentation.tracer import Tracer, effective_tracer
@@ -28,24 +30,9 @@ from .algorithms import NodeAlgorithm
 from .ball import Word
 
 __all__ = [
-    "FiniteRunResult",
     "resolve_ball_tables",
-    "run_node_algorithm_on_oriented_graph",
     "estimate_global_success",
 ]
-
-
-@dataclass
-class FiniteRunResult:
-    """One evaluation of a tree algorithm on a finite oriented graph."""
-
-    outputs: List[object]
-    failing_nodes: List[int]
-
-    @property
-    def succeeded(self) -> bool:
-        """Whether the output is a (global) weak coloring."""
-        return not self.failing_nodes
 
 
 def _resolve(orientation: Orientation, start: int, word: Word) -> Optional[int]:
@@ -64,11 +51,11 @@ def resolve_ball_tables(
 ) -> List[List[int]]:
     """Per-node tables: the graph node each ball word reaches.
 
-    Precompute once and pass to :func:`run_node_algorithm_on_oriented_graph`
-    when running many trials on the same graph.  A node's cache key is
-    its table projected through the trial's random values —
-    :func:`~repro.local_model.cache.ball_assignment_key`, the same
-    keying function the canonical-view cache builds on.
+    A ``finite`` :class:`~repro.core.SimRequest` reads its balls from
+    these tables, so many trials on one graph resolve them once.  A
+    node's cache key is its table projected through the trial's random
+    values — :func:`~repro.local_model.cache.ball_assignment_key`, the
+    same keying function the canonical-view cache builds on.
 
     Raises
     ------
@@ -94,57 +81,6 @@ def resolve_ball_tables(
             )
         tables.append(resolved)
     return tables
-
-
-def run_node_algorithm_on_oriented_graph(
-    alg: NodeAlgorithm,
-    graph: Graph,
-    orientation: Orientation,
-    values: Sequence[int],
-    tables: Optional[List[List[int]]] = None,
-    tracer: Optional[Tracer] = None,
-) -> FiniteRunResult:
-    """Evaluate ``alg`` at every node, given per-node random values.
-
-    Parameters
-    ----------
-    values:
-        One random value in ``[0, alg.values)`` per node — the graph's
-        random-bit assignment.
-    tables:
-        Precomputed :func:`resolve_ball_tables` output (resolved and
-        validated once per (algorithm, graph) instead of per call).
-    tracer:
-        Optional :class:`~repro.instrumentation.Tracer`; sees one
-        ``view`` event per node (the resolved ball), one ``cache``
-        event, and the run's start and end.
-
-    Raises
-    ------
-    ValueError
-        Propagated from :func:`resolve_ball_tables` when the graph is
-        not locally tree-like at the algorithm's radius.
-
-    The evaluation loop lives behind the engine seam (the ``"finite"``
-    request kind of :class:`~repro.core.direct.DirectEngine`); this
-    entry point is a signature-stable adapter over
-    :func:`repro.core.simulate`.
-    """
-    from ..core.direct import DirectEngine
-    from ..core.engine import SimRequest
-
-    report = DirectEngine().run(
-        SimRequest(
-            kind="finite",
-            graph=graph,
-            algorithm=alg,
-            orientation=orientation,
-            values=values,
-            tables=tables,
-        ),
-        tracer=tracer,
-    )
-    return report.to_finite_result()
 
 
 def estimate_global_success(
@@ -174,9 +110,6 @@ def estimate_global_success(
     An optional ``tracer`` observes one ``trial`` event per trial,
     between the estimate's ``run_start`` and ``run_end``.
     """
-    from ..core.direct import DirectEngine
-    from ..core.engine import SimRequest
-
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = rng or random.Random(0)
@@ -201,7 +134,7 @@ def estimate_global_success(
                     value = getrandbits(bits)
                 values[v] = value
         batch.append(values)
-    report = DirectEngine().run(
+    report = simulate(
         SimRequest(
             kind="finite",
             graph=graph,

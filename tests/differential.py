@@ -16,9 +16,8 @@ turns both claims into executable oracles:
   a memo table built here (:func:`run_memoized` — one
   :class:`~repro.local_model.KeyedCache` lookup per node, keyed by
   :func:`~repro.local_model.views.view_signature`, one gather per key);
-* :func:`assert_identical` demands the two
-  :class:`~repro.local_model.ExecutionResult`s agree **bit for bit** —
-  outputs, halt rounds, and round count;
+* :func:`assert_identical` demands the two reports agree **bit for
+  bit** — outputs, halt rounds, and round count;
 * :func:`assert_renumbering_invariant` runs a case's
   :class:`~repro.core.SimRequest` twice, on its graph and on a
   port-preserving renumbered copy (:func:`renumbered`), and demands
@@ -45,7 +44,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.algorithms.view_rules import make_view_rule
-from repro.core import SimRequest, simulate
+from repro.core import SimReport, SimRequest, simulate
 from repro.graphs import (
     Graph,
     balanced_regular_tree,
@@ -60,11 +59,6 @@ from repro.graphs import (
 from repro.graphs.graph import edge_key
 from repro.graphs.identifiers import random_permutation_ids
 from repro.local_model import EdgeViewAlgorithm, KeyedCache
-from repro.local_model.edge_model import (
-    EdgeExecutionResult,
-    run_edge_view_algorithm,
-)
-from repro.local_model.network import ExecutionResult, run_view_algorithm
 from repro.local_model.views import (
     edge_view_signature,
     gather_edge_view,
@@ -160,7 +154,7 @@ def _labelings(
 
 def run_memoized(
     graph, rule, ids=None, randomness=None
-) -> Tuple[ExecutionResult, KeyedCache]:
+) -> Tuple[SimReport, KeyedCache]:
     """A view run as a memo table: one evaluation per view class.
 
     Each node is looked up by its canonical signature; a miss gathers
@@ -177,12 +171,13 @@ def run_memoized(
         )
         for v in graph.nodes()
     ]
-    return ExecutionResult(outputs, [radius] * len(outputs), radius), cache
+    report = SimReport("view", outputs, radius, halt_rounds=[radius] * len(outputs))
+    return report, cache
 
 
 def run_edge_memoized(
     graph, algorithm, randomness=None
-) -> Tuple[EdgeExecutionResult, KeyedCache]:
+) -> Tuple[SimReport, KeyedCache]:
     """:func:`run_memoized` for an edge algorithm, keyed per edge ball."""
     cache = KeyedCache()
     radius = algorithm.view_radius()
@@ -195,7 +190,7 @@ def run_edge_memoized(
         )
         for u, v in graph.edges()
     }
-    return EdgeExecutionResult(outputs, algorithm.rounds), cache
+    return SimReport("edge", outputs, algorithm.rounds), cache
 
 
 def run_case(case: Case) -> Tuple[Any, Any, Dict[str, Any]]:
@@ -203,11 +198,12 @@ def run_case(case: Case) -> Tuple[Any, Any, Dict[str, Any]]:
 
     Returns ``(direct, memoized, cache_stats_dict)``.
     """
-    graph = GRAPH_FAMILIES[case.graph]()
-    rule = make_view_rule(case.rule, radius=case.radius)
-    ids, randomness = _labelings(case, graph)
-    direct = run_view_algorithm(graph, rule, ids=ids, randomness=randomness)
-    memoized, cache = run_memoized(graph, rule, ids=ids, randomness=randomness)
+    request = build_request(case)
+    direct = simulate(request)
+    memoized, cache = run_memoized(
+        request.graph, request.algorithm,
+        ids=request.ids, randomness=request.randomness,
+    )
     return direct, memoized, cache.stats.to_dict()
 
 
@@ -336,33 +332,28 @@ def _edge_profile_output(view: Any) -> Tuple[int, int, int]:
     return (view.node_count, len(view.edges), min(view.randomness))
 
 
-def _edge_case_inputs(graph_name: str, rounds: int):
-    graph = GRAPH_FAMILIES[graph_name]()
-    rng = random.Random(rounds * 1009 + len(graph_name))
-    randomness = [rng.getrandbits(12) for _ in graph.nodes()]
-    alg = EdgeViewAlgorithm(
-        rounds, _edge_profile_output, name=f"edge-profile-t{rounds}"
-    )
-    return graph, alg, randomness
-
-
 def edge_request(graph_name: str, rounds: int) -> SimRequest:
     """The :class:`~repro.core.SimRequest` for one edge case."""
-    graph, alg, randomness = _edge_case_inputs(graph_name, rounds)
+    graph = GRAPH_FAMILIES[graph_name]()
+    rng = random.Random(rounds * 1009 + len(graph_name))
     return SimRequest(
         kind="edge",
         graph=graph,
-        algorithm=alg,
-        randomness=randomness,
+        algorithm=EdgeViewAlgorithm(
+            rounds, _edge_profile_output, name=f"edge-profile-t{rounds}"
+        ),
+        randomness=[rng.getrandbits(12) for _ in graph.nodes()],
         label=f"edge-t{rounds}-{graph_name}",
     )
 
 
 def run_edge_case(graph_name: str, rounds: int) -> Tuple[Any, Any]:
     """One edge-view algorithm, engine vs memo table, on one graph."""
-    graph, alg, randomness = _edge_case_inputs(graph_name, rounds)
-    direct = run_edge_view_algorithm(graph, alg, randomness=randomness)
-    memoized, _ = run_edge_memoized(graph, alg, randomness=randomness)
+    request = edge_request(graph_name, rounds)
+    direct = simulate(request)
+    memoized, _ = run_edge_memoized(
+        request.graph, request.algorithm, randomness=request.randomness
+    )
     return direct, memoized
 
 
@@ -389,10 +380,7 @@ def run_grid(verbose: bool = True) -> int:
             )
     for graph_name, rounds in edge_cases():
         direct, memoized = run_edge_case(graph_name, rounds)
-        ok = (
-            memoized.outputs == direct.outputs
-            and memoized.rounds == direct.rounds
-        )
+        ok = memoized == direct
         failures += 0 if ok else 1
         if verbose:
             print(

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.core import SimRequest, simulate
 from repro.graphs import (
     Graph,
     cycle,
@@ -14,7 +15,7 @@ from repro.graphs import (
     toroidal_grid_nd,
 )
 from repro.lcl import WeakColoring
-from repro.local_model import ViewAlgorithm, gather_view, run_view_algorithm
+from repro.local_model import ViewAlgorithm, gather_view
 from repro.speedup import estimate_global_success, local_maximum_coloring
 
 
@@ -66,7 +67,7 @@ class TestAnonymousSymmetry:
                 # Arbitrary deterministic function of the (anonymous) view.
                 return hash(view.key()) % 7
 
-        result = run_view_algorithm(g, AnyRule())
+        result = simulate(SimRequest(kind="view", graph=g, algorithm=AnyRule()))
         assert len(set(result.outputs)) == 1  # constant output, forced
         # ... and therefore no weak 2-coloring: every node fails.
         violations = WeakColoring(7, palette=None).verify(g, result.outputs)

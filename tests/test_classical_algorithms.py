@@ -18,6 +18,7 @@ from repro.algorithms import (
     sinkless_random_repair,
     smallest_prime_at_least,
 )
+from repro.core import SimRequest, simulate
 from repro.graphs import (
     Graph,
     balanced_regular_tree,
@@ -37,7 +38,6 @@ from repro.lcl import (
     SinklessOrientation,
     WeakColoring,
 )
-from repro.local_model import run_local
 
 
 class TestPrimesAndParameters:
@@ -221,7 +221,8 @@ class TestMIS:
 
     def test_weak_two_coloring_from_mis(self):
         g = cycle(10)
-        out = run_local(g, LubyMIS(), rng=random.Random(10))
+        out = simulate(SimRequest(kind="local", graph=g, algorithm=LubyMIS(),
+                                  rng=random.Random(10)))
         assert MaximalIndependentSet().is_feasible(g, out.outputs)
         labels = [1 if x else 0 for x in out.outputs]
         assert WeakColoring(2).is_feasible(g, labels)
@@ -232,7 +233,8 @@ class TestMIS:
     )
     def test_every_mis_is_weak(self, graph):
         for seed in range(5):
-            out = run_local(graph, LubyMIS(), rng=random.Random(seed))
+            out = simulate(SimRequest(kind="local", graph=graph, algorithm=LubyMIS(),
+                                      rng=random.Random(seed)))
             assert MaximalIndependentSet().is_feasible(graph, out.outputs)
             labels = [1 if x else 0 for x in out.outputs]
             assert WeakColoring(2).is_feasible(graph, labels)

@@ -16,7 +16,7 @@ its check):
     the ``solves`` LCL accepts the outputs, with
     ``"auto:max-degree+1"`` resolved against the drawn graph;
 ``determinism``
-    the same request reproduces :meth:`~repro.core.SimReport.identity`;
+    the same request reproduces the whole :class:`~repro.core.SimReport`;
 ``port-permutation`` (when declared)
     shuffling every adjacency row keeps the outputs;
 ``label-order`` (when declared)
@@ -45,6 +45,7 @@ from repro.core import (
 )
 from repro.graphs import Graph
 from repro.graphs.orientation import orient_torus
+from repro.speedup.finite_runner import resolve_ball_tables
 
 ensure_builtins()
 
@@ -90,8 +91,11 @@ def check_contract(entry, data):
     if kind == "local":
         extra["seed"] = draw(WORDS)
     if kind == "finite":
-        words = st.integers(0, entry.factory(**fuzz).values - 1)
-        extra["orientation"] = orient_torus(graph, params["rows"], params["cols"])
+        alg = entry.factory(**fuzz)
+        words = st.integers(0, alg.values - 1)
+        extra["tables"] = resolve_ball_tables(
+            alg, graph, orient_torus(graph, params["rows"], params["cols"])
+        )
         extra["values"] = draw(st.lists(words, min_size=n, max_size=n))
 
     def run(graph, ids=ids, randomness=randomness):
@@ -114,7 +118,7 @@ def check_contract(entry, data):
             f"[verifier] {entry.name} does not solve {verifier.name}: "
             + "; ".join(str(v) for v in violations[:4])
         )
-    assert run(graph).identity() == report.identity(), (
+    assert run(graph) == report, (
         f"[determinism] {entry.name}: the same request gave a new report"
     )
     invariances = meta.get("invariances", ())

@@ -6,7 +6,7 @@ Two surfaces:
   duplicate handling, error messages, and builtin population;
 * the :func:`~repro.core.simulate` facade plumbing — request
   validation, seed derivation, the one-engine signature, and the
-  legacy entry-point signatures the refactor promised to keep intact.
+  retired second surface staying gone.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from repro.core import (
     DirectEngine,
     Registry,
     RegistryError,
+    SimReport,
     SimRequest,
     derive_seed,
     ensure_builtins,
@@ -249,7 +250,7 @@ class TestEngineSeam:
         )
         assert proc.stdout.strip() == "False"
 
-    def test_finite_request_needs_orientation_or_tables(self):
+    def test_finite_request_needs_tables(self):
         from dataclasses import replace
 
         from repro.graphs import orient_torus, toroidal_grid
@@ -260,15 +261,17 @@ class TestEngineSeam:
         orientation = orient_torus(graph, 3, 4)
         alg = local_maximum_coloring(2, 1)
         request = SimRequest(kind="finite", graph=graph, algorithm=alg,
+                             orientation=orientation,
                              values=[v % alg.values for v in graph.nodes()])
-        with pytest.raises(ValueError,
-                           match="^finite requests need an orientation"):
+        # An orientation alone does not do: the balls come from the tables.
+        with pytest.raises(
+            ValueError, match=r"^finite requests need ball tables \(from resolve_ball_tables\)$"
+        ):
             simulate(request)
-        oriented = simulate(replace(request, orientation=orientation))
-        tabled = simulate(replace(
-            request, tables=resolve_ball_tables(alg, graph, orientation)
-        ))
-        assert tabled.identity() == oriented.identity()
+        tables = resolve_ball_tables(alg, graph, orientation)
+        assert simulate(replace(request, tables=tables)) == simulate(
+            replace(request, orientation=None, tables=tables)
+        )
 
     def test_resolved_rng_precedence(self):
         graph = cycle(4)
@@ -281,46 +284,31 @@ class TestEngineSeam:
         expected = random.Random(derive_seed(5, "x"))
         assert seeded.resolved_rng().random() == expected.random()
 
-    def test_simulate_reports_backend_name(self):
-        from repro.algorithms.view_rules import make_view_rule
+    def test_retired_run_surface_is_gone(self):
+        # simulate() is the one way to run an algorithm: the run
+        # adapters, their result types, the report converters and the
+        # engine-name diagnostic are gone, and so is the module that
+        # held the message-passing adapters.  A report's own == compares
+        # every field it has.
+        import dataclasses
+        import importlib
+        import importlib.util
 
-        request = SimRequest(kind="view", graph=cycle(8),
-                             algorithm=make_view_rule("ball-signature", radius=1))
-        assert simulate(request).backend == DirectEngine.name == "direct"
-
-
-class TestLegacySignatures:
-    """The refactor's compatibility promise, pinned as tests."""
-
-    def test_run_local_signature(self):
-        from repro.local_model.network import run_local
-
-        params = list(inspect.signature(run_local).parameters)
-        assert params == ["graph", "algorithm", "ids", "inputs",
-                          "orientation", "rng", "deterministic",
-                          "max_rounds", "tracer"]
-
-    def test_run_view_algorithm_signature(self):
-        from repro.local_model.network import run_view_algorithm
-
-        params = list(inspect.signature(run_view_algorithm).parameters)
-        assert params == ["graph", "algorithm", "ids", "inputs",
-                          "randomness", "orientation", "tracer"]
-
-    def test_run_edge_view_algorithm_signature(self):
-        from repro.local_model.edge_model import run_edge_view_algorithm
-
-        params = list(inspect.signature(run_edge_view_algorithm).parameters)
-        assert params == ["graph", "algorithm", "ids", "inputs",
-                          "randomness", "orientation", "tracer"]
-
-    def test_finite_runner_signature(self):
-        from repro.speedup.finite_runner import (
-            run_node_algorithm_on_oriented_graph,
-        )
-
-        params = list(
-            inspect.signature(run_node_algorithm_on_oriented_graph).parameters
-        )
-        assert params == ["alg", "graph", "orientation", "values", "tables",
-                          "tracer"]
+        assert importlib.util.find_spec("repro.local_model.network") is None
+        retired = ("run_local", "run_view_algorithm", "run_edge_view_algorithm",
+                   "run_node_algorithm_on_oriented_graph", "ExecutionResult",
+                   "EdgeExecutionResult", "FiniteRunResult")
+        for module in ("repro.core", "repro.local_model",
+                       "repro.local_model.edge_model", "repro.speedup",
+                       "repro.speedup.finite_runner"):
+            exported = importlib.import_module(module)
+            for name in retired:
+                assert not hasattr(exported, name), (module, name)
+                assert name not in getattr(exported, "__all__", ()), (module, name)
+        for name in ("to_execution_result", "to_edge_result",
+                     "to_finite_result", "identity", "backend"):
+            assert not hasattr(SimReport, name), name
+        assert [field.name for field in dataclasses.fields(SimReport)] == [
+            "kind", "outputs", "rounds", "halt_rounds", "failing_nodes",
+        ]
+        assert not hasattr(DirectEngine, "name")

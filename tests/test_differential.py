@@ -27,10 +27,10 @@ from repro.algorithms.message_passing import (
     RandomizedWeakColoring,
 )
 from repro.algorithms.view_rules import make_view_rule
+from repro.core import SimRequest, simulate
 from repro.graphs import balanced_regular_tree, cycle
 from repro.graphs.identifiers import random_permutation_ids
 from repro.instrumentation import MetricsTracer
-from repro.local_model.network import run_local, run_view_algorithm
 
 from .differential import (
     assert_identical,
@@ -61,8 +61,7 @@ def test_cached_run_is_bit_identical(case):
 )
 def test_cached_edge_run_is_bit_identical(graph_name, rounds):
     direct, memoized = run_edge_case(graph_name, rounds)
-    assert memoized.outputs == direct.outputs
-    assert memoized.rounds == direct.rounds
+    assert memoized == direct
 
 
 # ----------------------------------------------------------------------
@@ -85,7 +84,8 @@ def _run_message_passing(factory, needs_ids, build_graph, seed, tracer=None):
     graph = build_graph()
     rng = random.Random(seed)
     ids = random_permutation_ids(graph, rng) if needs_ids else None
-    return run_local(graph, factory(), ids=ids, rng=rng, tracer=tracer)
+    request = SimRequest(kind="local", graph=graph, algorithm=factory(), ids=ids, rng=rng)
+    return simulate(request, tracer=tracer)
 
 
 @pytest.mark.parametrize("graph_name,build_graph", _QUICK_GRAPHS)
@@ -133,11 +133,12 @@ def test_view_rules_agree_traced_untraced_cached(
     )
     rule = make_view_rule(rule_name, radius=radius)
 
-    untraced = run_view_algorithm(graph, rule, ids=ids, randomness=randomness)
-    tracer = MetricsTracer()
-    traced = run_view_algorithm(
-        graph, rule, ids=ids, randomness=randomness, tracer=tracer
+    request = SimRequest(
+        kind="view", graph=graph, algorithm=rule, ids=ids, randomness=randomness
     )
+    untraced = simulate(request)
+    tracer = MetricsTracer()
+    traced = simulate(request, tracer=tracer)
     memoized, cache = run_memoized(graph, rule, ids=ids, randomness=randomness)
 
     for other in (traced, memoized):

@@ -1,13 +1,12 @@
 """Golden pins for the engine's tracer event streams.
 
-:meth:`~repro.core.SimReport.identity` deliberately excludes
-diagnostics, so the differential grid cannot notice a change that
-still computes the right outputs but reports a different story: views
-materialized around other centres or in another order, or event
-payloads that moved.  Every recorded trace artifact depends on
+A :class:`~repro.core.SimReport` holds only the run's results, so the
+differential grid cannot notice a change that still computes the right
+outputs but reports a different story: views materialized around other
+centres or in another order, or event payloads that moved.  Every recorded trace artifact depends on
 that story.
 
-This table is the tripwire: one run per (engine × case) cell,
+This table is the tripwire: one run per case,
 recorded with a :class:`~repro.instrumentation.TraceRecorder`
 (which reads no clock, so its events are deterministic), hashed as the
 sha256 of the canonical JSON of the whole stream.  If a digest moves,
@@ -33,11 +32,11 @@ import pytest
 
 from repro.algorithms.message_passing import RandomizedWeakColoring
 from repro.algorithms.view_rules import make_view_rule
-from repro.core import DirectEngine, SimRequest
+from repro.core import SimRequest, simulate
 from repro.graphs import cycle, toroidal_grid
 from repro.graphs.identifiers import random_permutation_ids
 from repro.instrumentation import TraceRecorder
-from repro.local_model import EdgeViewAlgorithm, run_local
+from repro.local_model import EdgeViewAlgorithm
 
 CASES = ("view-ids", "edge-ids", "view-anon", "edge-anon")
 
@@ -76,7 +75,7 @@ def _request(case: str) -> SimRequest:
 def record_stream(case: str) -> str:
     """The canonical JSON of one cell's event stream."""
     recorder = TraceRecorder()
-    DirectEngine().run(_request(case), tracer=recorder)
+    simulate(_request(case), tracer=recorder)
     return json.dumps(
         [e.to_dict() for e in recorder.events],
         sort_keys=True,
@@ -89,33 +88,26 @@ def stream_digest(case: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-# (engine, case) -> sha256 of the canonical event stream.
+# case -> sha256 of the canonical event stream.
 GOLDEN_EVENTS = {
-    ('direct', 'view-ids'):
+    'view-ids':
         '065c4e15d93b8a698f72d250434854cb72e9de2dba0c44ed276a3f33884f2882',
-    ('direct', 'edge-ids'):
+    'edge-ids':
         'aa466a5de1ebbc6ccc769e9b35ae748c8eb0d8e932bdf00b5ce014b43250cfbd',
-    ('direct', 'view-anon'):
+    'view-anon':
         '6ea3f2305afeba2d02c862d2beef4af8fc7753c7de64788b942f93a43ce09d0b',
-    ('direct', 'edge-anon'):
+    'edge-anon':
         'aa466a5de1ebbc6ccc769e9b35ae748c8eb0d8e932bdf00b5ce014b43250cfbd',
 }
 
 
-@pytest.mark.parametrize(
-    "engine,case",
-    sorted(GOLDEN_EVENTS),
-    ids=lambda p: str(p),
-)
-def test_event_stream_matches_golden_digest(engine, case):
-    assert engine == DirectEngine.name  # the name every event carries
-    assert stream_digest(case) == GOLDEN_EVENTS[(engine, case)], (
-        record_stream(case)
-    )
+@pytest.mark.parametrize("case", sorted(GOLDEN_EVENTS))
+def test_event_stream_matches_golden_digest(case):
+    assert stream_digest(case) == GOLDEN_EVENTS[case], record_stream(case)
 
 
 def test_golden_table_covers_the_full_grid():
-    assert set(GOLDEN_EVENTS) == {("direct", c) for c in CASES}
+    assert set(GOLDEN_EVENTS) == set(CASES)
 
 
 ENGINE_MD = Path(__file__).resolve().parent.parent / "docs" / "ENGINE.md"
@@ -129,8 +121,9 @@ def worked_trace(markdown: str) -> str:
 
 def test_engine_md_worked_trace_is_the_recorded_stream():
     recorder = TraceRecorder()
-    run_local(cycle(6), RandomizedWeakColoring(), rng=random.Random(42),
-              tracer=recorder)
+    simulate(SimRequest(kind="local", graph=cycle(6),
+                        algorithm=RandomizedWeakColoring(), rng=random.Random(42)),
+             tracer=recorder)
     documented = worked_trace(ENGINE_MD.read_text(encoding="utf-8"))
     assert len(documented.splitlines()) == 36
     assert recorder.to_jsonl() == documented
@@ -138,4 +131,4 @@ def test_engine_md_worked_trace_is_the_recorded_stream():
 
 if __name__ == "__main__":  # pragma: no cover - table regeneration aid
     for c in CASES:
-        print(f"    ('direct', {c!r}):\n        {stream_digest(c)!r},")
+        print(f"    {c!r}:\n        {stream_digest(c)!r},")

@@ -15,6 +15,7 @@ import random
 import pytest
 
 from repro.algorithms.message_passing import LubyMIS, RandomizedWeakColoring
+from repro.core import SimRequest, simulate
 from repro.experiments.speedup_figures import default_seeds
 from repro.graphs import orient_torus, toroidal_grid
 from repro.graphs.generators import balanced_regular_tree, cycle, star
@@ -28,19 +29,9 @@ from repro.instrumentation import (
     effective_tracer,
     estimate_size,
 )
-from repro.local_model import (
-    EdgeViewAlgorithm,
-    LocalAlgorithm,
-    ViewAlgorithm,
-    run_edge_view_algorithm,
-    run_local,
-    run_view_algorithm,
-)
+from repro.local_model import EdgeViewAlgorithm, LocalAlgorithm, ViewAlgorithm
 from repro.speedup import local_maximum_coloring
-from repro.speedup.finite_runner import (
-    estimate_global_success,
-    run_node_algorithm_on_oriented_graph,
-)
+from repro.speedup.finite_runner import estimate_global_success, resolve_ball_tables
 from repro.speedup.pipeline import run_speedup_pipeline
 
 
@@ -79,7 +70,7 @@ class TestHandshakeLemma:
     def test_messages_per_round_is_twice_m(self, graph):
         rounds = 3
         tracer = MetricsTracer()
-        run_local(graph, Broadcast(rounds), tracer=tracer)
+        simulate(SimRequest(kind="local", graph=graph, algorithm=Broadcast(rounds)), tracer=tracer)
         m = tracer.metrics
         assert m.rounds == rounds
         assert m.messages_sent == rounds * 2 * graph.m
@@ -93,7 +84,8 @@ class TestHandshakeLemma:
     def test_halt_histogram_accounts_every_node(self):
         graph = cycle(12)
         tracer = MetricsTracer()
-        result = run_local(graph, Broadcast(2), tracer=tracer)
+        request = SimRequest(kind="local", graph=graph, algorithm=Broadcast(2))
+        result = simulate(request, tracer=tracer)
         hist = tracer.metrics.halt_histogram
         assert sum(hist.values()) == graph.n
         assert hist == {2: graph.n}
@@ -110,9 +102,10 @@ class TestHandshakeLemma:
 
         graph = cycle(8)
         tracer = MetricsTracer()
-        run_local(
-            graph, HaltEarlyEven(3), ids=list(range(graph.n)), tracer=tracer
+        request = SimRequest(
+            kind="local", graph=graph, algorithm=HaltEarlyEven(3), ids=list(range(graph.n)),
         )
+        simulate(request, tracer=tracer)
         m = tracer.metrics
         # Final round: 4 odd nodes send 2 messages each, all to halted
         # even neighbors.
@@ -120,15 +113,17 @@ class TestHandshakeLemma:
 
 
 def _view(tracer):
-    result = run_view_algorithm(cycle(9), ConstantView(), tracer=tracer)
+    request = SimRequest(kind="view", graph=cycle(9), algorithm=ConstantView())
+    result = simulate(request, tracer=tracer)
     return result.outputs, result.rounds
 
 
 def _edge_view(tracer):
     alg = EdgeViewAlgorithm(rounds=1, output_fn=lambda view: min(view.randomness))
-    result = run_edge_view_algorithm(
-        cycle(8), alg, randomness=[v % 3 for v in range(8)], tracer=tracer
+    request = SimRequest(
+        kind="edge", graph=cycle(8), algorithm=alg, randomness=[v % 3 for v in range(8)],
     )
+    result = simulate(request, tracer=tracer)
     return result.outputs, result.rounds
 
 
@@ -142,9 +137,11 @@ def _finite_run(tracer):
     alg = local_maximum_coloring(2)
     rng = random.Random(3)
     values = [rng.randrange(alg.values) for _ in graph.nodes()]
-    result = run_node_algorithm_on_oriented_graph(
-        alg, graph, orientation, values, tracer=tracer
+    request = SimRequest(
+        kind="finite", graph=graph, algorithm=alg, values=values,
+        tables=resolve_ball_tables(alg, graph, orientation),
     )
+    result = simulate(request, tracer=tracer)
     return result.outputs, result.failing_nodes
 
 
@@ -162,7 +159,7 @@ def _pipeline(tracer):
     return run_speedup_pipeline(default_seeds()[0], method="exact", tracer=tracer).stages
 
 
-#: Every traced entry point beyond ``run_local``, as a function of the
+#: Every traced run beyond the ``local`` kind, as a function of the
 #: tracer returning everything its result (and its rng) ends in.
 ENTRY_POINTS = {
     "view": _view,
@@ -187,9 +184,10 @@ class TestZeroOverheadPath:
         graph = balanced_regular_tree(3, 4)
         runs = []
         for tracer in (None, NullTracer(), MetricsTracer(), TraceRecorder()):
-            result = run_local(
-                graph, algorithm_cls(), rng=random.Random(123), tracer=tracer
+            request = SimRequest(
+                kind="local", graph=graph, algorithm=algorithm_cls(), rng=random.Random(123),
             )
+            result = simulate(request, tracer=tracer)
             runs.append((result.outputs, result.halt_rounds, result.rounds))
         assert all(r == runs[0] for r in runs[1:])
 
@@ -221,7 +219,8 @@ class TestTracerProtocol:
                 self.kinds.append(kind)
 
         recorder, kinds = TraceRecorder(), Kinds()
-        run_local(cycle(4), Broadcast(1), tracer=MultiTracer(recorder, NullTracer(), kinds))
+        request = SimRequest(kind="local", graph=cycle(4), algorithm=Broadcast(1))
+        simulate(request, tracer=MultiTracer(recorder, NullTracer(), kinds))
         assert kinds.kinds == [e.kind for e in recorder.events]
         assert kinds.kinds[0] == "run_start" and kinds.kinds[-1] == "run_end"
 
@@ -230,7 +229,7 @@ class TestViewEngines:
     def test_view_events_cover_every_node(self):
         graph = cycle(7)
         tracer = MetricsTracer()
-        run_view_algorithm(graph, ConstantView(), tracer=tracer)
+        simulate(SimRequest(kind="view", graph=graph, algorithm=ConstantView()), tracer=tracer)
         assert tracer.metrics.engine == "view"
         assert tracer.metrics.views_gathered == graph.n
         # Radius-1 ball in a cycle: 3 nodes, 2 edges — per node.
@@ -241,7 +240,7 @@ class TestViewEngines:
         graph = cycle(6)
         tracer = MetricsTracer()
         alg = EdgeViewAlgorithm(rounds=1, output_fn=lambda view: view.node_count)
-        run_edge_view_algorithm(graph, alg, tracer=tracer)
+        simulate(SimRequest(kind="edge", graph=graph, algorithm=alg), tracer=tracer)
         assert tracer.metrics.engine == "edge"
         assert tracer.metrics.views_gathered == graph.m
 
@@ -268,7 +267,7 @@ class TestSizeEstimation:
 
     def test_message_events_carry_the_payload_size(self):
         recorder = TraceRecorder()
-        run_local(cycle(5), Broadcast(2), tracer=recorder)
+        simulate(SimRequest(kind="local", graph=cycle(5), algorithm=Broadcast(2)), tracer=recorder)
         messages = recorder.of_kind("message")
         assert messages and all(
             e.data["bits"] == estimate_size(e.data["payload"]) for e in messages
@@ -283,7 +282,7 @@ class TestJsonRoundTrips:
         # must load on this one rather than raise TypeError.
         graph = cycle(12)
         tracer = MetricsTracer()
-        run_local(graph, Broadcast(2), tracer=tracer)
+        simulate(SimRequest(kind="local", graph=graph, algorithm=Broadcast(2)), tracer=tracer)
         newer = tracer.metrics.to_dict()
         newer["counter_from_the_future"] = 42
         newer["per_round"] = [
@@ -325,19 +324,15 @@ class TestJsonRoundTrips:
             assert restored == tracer.metrics
 
     def test_cache_counters_round_trip(self):
-        from repro.core import SimRequest, simulate
-        from repro.graphs import orient_torus, toroidal_grid
-        from repro.speedup import local_maximum_coloring
-
         # Finite runs report their algorithm's memo lookups (a cache event).
         graph = toroidal_grid(5, 5)
         alg = local_maximum_coloring(2)
         rng = random.Random(5)
         values = [rng.randrange(alg.values) for _ in graph.nodes()]
         tracer = MetricsTracer()
+        tables = resolve_ball_tables(alg, graph, orient_torus(graph, 5, 5))
         request = SimRequest(kind="finite", graph=graph, algorithm=alg,
-                             orientation=orient_torus(graph, 5, 5),
-                             values=values)
+                             tables=tables, values=values)
         simulate(request, tracer=tracer)
         data = json.loads(json.dumps(tracer.metrics.to_dict()))
         restored = RunMetrics.from_dict(data)
@@ -352,7 +347,7 @@ class TestJsonRoundTrips:
     def test_metrics_round_trip(self):
         graph = balanced_regular_tree(3, 3)
         tracer = MetricsTracer()
-        run_local(graph, Broadcast(2), tracer=tracer)
+        simulate(SimRequest(kind="local", graph=graph, algorithm=Broadcast(2)), tracer=tracer)
         report = tracer.report()
         restored = RunMetrics.from_dict(json.loads(json.dumps(report)))
         assert restored == tracer.metrics
@@ -361,7 +356,7 @@ class TestJsonRoundTrips:
     def test_recorder_jsonl_round_trip(self):
         graph = cycle(5)
         recorder = TraceRecorder()
-        run_local(graph, Broadcast(2), tracer=recorder)
+        simulate(SimRequest(kind="local", graph=graph, algorithm=Broadcast(2)), tracer=recorder)
         events = [json.loads(line) for line in recorder.to_jsonl().splitlines()]
         assert events == [e.to_dict() for e in recorder.events]
         assert events[0]["kind"] == "run_start"
@@ -378,7 +373,8 @@ class TestJsonRoundTrips:
                 return {port: Opaque() for port in range(ctx.degree)}
 
         recorder = TraceRecorder()
-        run_local(cycle(4), SendsObjects(1), tracer=recorder)
+        request = SimRequest(kind="local", graph=cycle(4), algorithm=SendsObjects(1))
+        simulate(request, tracer=recorder)
         events = [json.loads(line) for line in recorder.to_jsonl().splitlines()]
         payloads = [e["payload"] for e in events if e["kind"] == "message"]
         assert payloads and all(p == "<opaque>" for p in payloads)

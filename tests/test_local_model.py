@@ -4,14 +4,13 @@ import random
 
 import pytest
 
+from repro.core import SimRequest, simulate
 from repro.graphs import balanced_regular_tree, cycle, path, sequential_ids
+from repro.graphs.graph import edge_key
 from repro.local_model import (
     LocalAlgorithm,
     ViewAlgorithm,
-    run_local,
-    run_view_algorithm,
     EdgeViewAlgorithm,
-    run_edge_view_algorithm,
 )
 
 
@@ -87,7 +86,7 @@ class NeverHalts(LocalAlgorithm):
 class TestMessagePassing:
     def test_zero_round_algorithm(self):
         g = balanced_regular_tree(3, 2)
-        result = run_local(g, HaltImmediately())
+        result = simulate(SimRequest(kind="local", graph=g, algorithm=HaltImmediately()))
         assert result.rounds == 0
         assert result.outputs == [g.degree(v) for v in g.nodes()]
         assert result.halt_rounds == [0] * g.n
@@ -96,41 +95,49 @@ class TestMessagePassing:
     def test_flood_minimum_finds_global_min(self):
         g = cycle(9)
         ids = [50, 3, 77, 12, 9, 31, 25, 60, 41]
-        result = run_local(g, FloodMinimum(), ids=ids)
+        result = simulate(SimRequest(kind="local", graph=g, algorithm=FloodMinimum(), ids=ids))
         assert set(result.outputs) == {3}
         assert result.rounds == g.n
 
     def test_messages_arrive_on_correct_ports(self):
         g = path(4)
-        result = run_local(g, CountNeighbors())
+        result = simulate(SimRequest(kind="local", graph=g, algorithm=CountNeighbors()))
         assert result.outputs == [1, 2, 2, 1]
         assert result.rounds == 1
 
     def test_deterministic_run_forbids_randomness(self):
         g = path(2)
         with pytest.raises(RuntimeError, match="deterministic"):
-            run_local(g, UsesRandomness(), deterministic=True)
+            simulate(SimRequest(
+                kind="local", graph=g, algorithm=UsesRandomness(), deterministic=True,
+            ))
 
     def test_randomized_runs_reproducible_by_seed(self):
         g = path(4)
-        a = run_local(g, UsesRandomness(), rng=random.Random(5))
-        b = run_local(g, UsesRandomness(), rng=random.Random(5))
+        a = simulate(SimRequest(
+            kind="local", graph=g, algorithm=UsesRandomness(), rng=random.Random(5),
+        ))
+        b = simulate(SimRequest(
+            kind="local", graph=g, algorithm=UsesRandomness(), rng=random.Random(5),
+        ))
         assert a.outputs == b.outputs
 
     def test_randomness_is_private(self):
         g = path(16)
-        result = run_local(g, UsesRandomness(), rng=random.Random(1))
+        result = simulate(SimRequest(
+            kind="local", graph=g, algorithm=UsesRandomness(), rng=random.Random(1),
+        ))
         assert len(set(result.outputs)) > 1
 
     def test_runaway_algorithm_raises(self):
         g = path(3)
         with pytest.raises(RuntimeError, match="still running"):
-            run_local(g, NeverHalts(), max_rounds=10)
+            simulate(SimRequest(kind="local", graph=g, algorithm=NeverHalts(), max_rounds=10))
 
     def test_id_length_validation(self):
         g = path(3)
         with pytest.raises(ValueError):
-            run_local(g, HaltImmediately(), ids=[1, 2])
+            simulate(SimRequest(kind="local", graph=g, algorithm=HaltImmediately(), ids=[1, 2]))
 
     def test_labeling_includes_unset_for_non_halting(self):
         g = path(2)
@@ -146,7 +153,9 @@ class TestMessagePassing:
                     ctx.halt("done")
 
         with pytest.raises(RuntimeError):
-            run_local(g, OneHalts(), ids=[1, 2], max_rounds=5)
+            simulate(SimRequest(
+                kind="local", graph=g, algorithm=OneHalts(), ids=[1, 2], max_rounds=5,
+            ))
 
     def test_halted_nodes_stop_sending(self):
         g = path(3)
@@ -165,7 +174,7 @@ class TestMessagePassing:
                 elif ctx.round_number == 2:
                     ctx.halt(len(messages))
 
-        result = run_local(g, MiddleListens())
+        result = simulate(SimRequest(kind="local", graph=g, algorithm=MiddleListens()))
         assert result.outputs[1] == 0  # both ends were silent in round 2
 
 
@@ -179,7 +188,7 @@ class TestViewAlgorithms:
                 return sum(view.degrees)
 
         g = path(4)
-        result = run_view_algorithm(g, DegreeSum())
+        result = simulate(SimRequest(kind="view", graph=g, algorithm=DegreeSum()))
         assert result.rounds == 1
         assert result.outputs == [3, 5, 5, 3]
 
@@ -192,7 +201,9 @@ class TestViewAlgorithms:
                 return max(view.identifiers)
 
         g = path(5)
-        result = run_view_algorithm(g, MaxId(), ids=sequential_ids(g))
+        result = simulate(SimRequest(
+            kind="view", graph=g, algorithm=MaxId(), ids=sequential_ids(g),
+        ))
         assert result.outputs == [3, 4, 5, 5, 5]
 
 
@@ -200,21 +211,21 @@ class TestEdgeModel:
     def test_edge_outputs_keyed_canonically(self):
         alg = EdgeViewAlgorithm(1, lambda view: view.node_count, name="size")
         g = path(4)
-        result = run_edge_view_algorithm(g, alg)
+        result = simulate(SimRequest(kind="edge", graph=g, algorithm=alg))
         assert result.rounds == 1
-        assert result.at(0, 1) == 2  # radius 0 balls at both ends
-        assert result.at(1, 0) == result.at(0, 1)
+        assert result.outputs[edge_key(0, 1)] == 2  # radius 0 balls at both ends
+        assert result.outputs[edge_key(1, 0)] == result.outputs[edge_key(0, 1)]
 
     def test_edge_view_radius_convention(self):
         # rounds = t means endpoint balls of radius t - 1.
         alg = EdgeViewAlgorithm(2, lambda view: view.node_count)
         g = path(5)
-        result = run_edge_view_algorithm(g, alg)
-        assert result.at(2, 3) == 4  # B_1(2) ∪ B_1(3) in a path
+        result = simulate(SimRequest(kind="edge", graph=g, algorithm=alg))
+        assert result.outputs[edge_key(2, 3)] == 4  # B_1(2) ∪ B_1(3) in a path
 
     def test_rounds_zero_allowed(self):
         alg = EdgeViewAlgorithm(0, lambda view: "x")
-        result = run_edge_view_algorithm(path(3), alg)
+        result = simulate(SimRequest(kind="edge", graph=path(3), algorithm=alg))
         assert result.rounds == 0
 
     def test_negative_rounds_rejected(self):

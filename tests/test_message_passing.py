@@ -11,6 +11,7 @@ from repro.algorithms import (
     LubyMIS,
     reduce_to_three_colors,
 )
+from repro.core import SimRequest, simulate
 from repro.graphs import (
     Graph,
     balanced_regular_tree,
@@ -24,7 +25,6 @@ from repro.graphs import (
     star,
 )
 from repro.lcl import MaximalIndependentSet, ProperColoring
-from repro.local_model import run_local
 
 
 def pseudoforest_graph(successor):
@@ -44,15 +44,15 @@ class TestColeVishkinMP:
             (g.port_to(v, successor[v]), colors[v]) for v in range(len(successor))
         ]
         alg = ColeVishkinMP(bits)
-        result = run_local(g, alg, inputs=inputs, deterministic=True)
+        result = simulate(SimRequest(
+            kind="local", graph=g, algorithm=alg, inputs=inputs, deterministic=True,
+        ))
         return g, result
 
     def test_improper_coloring_raises_through_engine(self):
         # Every node colored 5: the input coloring is improper along
         # every successor pointer, and the engine surfaces the named
         # error rather than a half-reduced coloring.
-        from repro.core import SimRequest, simulate
-
         request = SimRequest(
             kind="local",
             graph=cycle(4),
@@ -107,7 +107,9 @@ class TestLubyMIS:
         [cycle(15), path(10), star(6), balanced_regular_tree(3, 3)],
     )
     def test_output_is_mis(self, graph):
-        result = run_local(graph, LubyMIS(), rng=random.Random(3))
+        result = simulate(SimRequest(
+            kind="local", graph=graph, algorithm=LubyMIS(), rng=random.Random(3),
+        ))
         assert result.all_halted()
         assert MaximalIndependentSet().is_feasible(graph, result.outputs)
 
@@ -115,33 +117,39 @@ class TestLubyMIS:
         rng = random.Random(4)
         for trial in range(5):
             g = random_regular_graph(24, 4, rng=random.Random(rng.getrandbits(64)))
-            result = run_local(g, LubyMIS(), rng=random.Random(trial))
+            result = simulate(SimRequest(
+                kind="local", graph=g, algorithm=LubyMIS(), rng=random.Random(trial),
+            ))
             assert MaximalIndependentSet().is_feasible(g, result.outputs)
 
     def test_on_random_trees(self):
         rng = random.Random(5)
         for trial in range(5):
             g = random_tree(rng.randrange(2, 40), random.Random(trial))
-            result = run_local(g, LubyMIS(), rng=random.Random(trial ^ 7))
+            result = simulate(SimRequest(
+                kind="local", graph=g, algorithm=LubyMIS(), rng=random.Random(trial ^ 7),
+            ))
             assert MaximalIndependentSet().is_feasible(g, result.outputs)
 
     def test_isolated_nodes_join(self):
         g = Graph(3, [(0, 1)])
-        result = run_local(g, LubyMIS(), rng=random.Random(0))
+        result = simulate(SimRequest(
+            kind="local", graph=g, algorithm=LubyMIS(), rng=random.Random(0),
+        ))
         assert result.outputs[2] is True
         assert MaximalIndependentSet().is_feasible(g, result.outputs)
 
     def test_rounds_are_modest(self):
         g = random_regular_graph(60, 4, rng=random.Random(9))
-        result = run_local(g, LubyMIS(), rng=random.Random(10))
+        result = simulate(SimRequest(
+            kind="local", graph=g, algorithm=LubyMIS(), rng=random.Random(10),
+        ))
         # O(log n) w.h.p.; allow a generous constant.
         assert result.rounds <= 40
 
     def test_halts_with_mis_on_irregular_frozen_graphs(self):
         # Degree-irregular instances: ragged rows, halted neighbors,
         # and leaves that win vacuously.
-        from repro.core import SimRequest, simulate
-
         irregular = [
             caterpillar(5, 2).freeze(),
             star(7).freeze(),
@@ -169,7 +177,9 @@ class TestGreedySequentialColoring:
     )
     def test_proper_coloring(self, graph):
         ids = random_permutation_ids(graph, random.Random(1))
-        result = run_local(graph, GreedySequentialColoring(), ids=ids)
+        result = simulate(SimRequest(
+            kind="local", graph=graph, algorithm=GreedySequentialColoring(), ids=ids,
+        ))
         assert ProperColoring(graph.max_degree() + 1).is_feasible(
             graph, result.outputs
         )
@@ -177,7 +187,9 @@ class TestGreedySequentialColoring:
     def test_worst_case_is_linear(self):
         # Increasing identifiers along a path force sequential commits.
         g = path(20)
-        result = run_local(g, GreedySequentialColoring(), ids=sequential_ids(g))
+        result = simulate(SimRequest(
+            kind="local", graph=g, algorithm=GreedySequentialColoring(), ids=sequential_ids(g),
+        ))
         assert result.rounds >= g.n // 2
 
     def test_best_case_is_fast(self):
@@ -185,19 +197,26 @@ class TestGreedySequentialColoring:
         # immediately.
         g = path(20)
         ids = [(v % 2) * 100 + v + 1 for v in g.nodes()]
-        result = run_local(g, GreedySequentialColoring(), ids=ids)
+        result = simulate(SimRequest(
+            kind="local", graph=g, algorithm=GreedySequentialColoring(), ids=ids,
+        ))
         assert result.rounds <= 6
 
 
 class TestFloodLeaderParity:
     def test_two_colors_trees(self):
         g = balanced_regular_tree(3, 3)
-        result = run_local(g, FloodLeaderParity(), ids=sequential_ids(g))
+        result = simulate(SimRequest(
+            kind="local", graph=g, algorithm=FloodLeaderParity(), ids=sequential_ids(g),
+        ))
         assert ProperColoring(2).is_feasible(g, result.outputs)
 
     def test_even_cycle(self):
         g = cycle(12)
-        result = run_local(g, FloodLeaderParity(), ids=random_permutation_ids(g, random.Random(2)))
+        result = simulate(SimRequest(
+            kind="local", graph=g, algorithm=FloodLeaderParity(),
+            ids=random_permutation_ids(g, random.Random(2)),
+        ))
         assert ProperColoring(2).is_feasible(g, result.outputs)
 
     def test_agrees_with_functional_solver(self):
@@ -205,7 +224,7 @@ class TestFloodLeaderParity:
 
         g = path(9)
         ids = random_permutation_ids(g, random.Random(3))
-        mp = run_local(g, FloodLeaderParity(), ids=ids)
+        mp = simulate(SimRequest(kind="local", graph=g, algorithm=FloodLeaderParity(), ids=ids))
         fn = proper_two_coloring(g, ids)
         assert mp.outputs == fn.colors
 
@@ -221,7 +240,9 @@ class TestRandomizedWeakColoring:
 
         g = symmetric_cycle(12)
         for seed in range(10):
-            result = run_local(g, RandomizedWeakColoring(), rng=random.Random(seed))
+            result = simulate(SimRequest(
+                kind="local", graph=g, algorithm=RandomizedWeakColoring(), rng=random.Random(seed),
+            ))
             assert WeakColoring(2).is_feasible(g, result.outputs)
 
     def test_on_trees_and_regular_graphs(self):
@@ -234,16 +255,19 @@ class TestRandomizedWeakColoring:
             random_regular_graph(24, 4, rng=rng),
             star(5),
         ):
-            result = run_local(
-                g, RandomizedWeakColoring(), rng=random.Random(rng.getrandbits(64))
-            )
+            result = simulate(SimRequest(
+                kind="local", graph=g, algorithm=RandomizedWeakColoring(),
+                rng=random.Random(rng.getrandbits(64)),
+            ))
             assert WeakColoring(2).is_feasible(g, result.outputs)
 
     def test_isolated_node(self):
         from repro.algorithms import RandomizedWeakColoring
 
         g = Graph(1)
-        result = run_local(g, RandomizedWeakColoring(), rng=random.Random(0))
+        result = simulate(SimRequest(
+            kind="local", graph=g, algorithm=RandomizedWeakColoring(), rng=random.Random(0),
+        ))
         assert result.rounds == 0
 
     def test_rounds_logarithmicish(self):
@@ -251,7 +275,9 @@ class TestRandomizedWeakColoring:
 
         g = balanced_regular_tree(3, 6)  # n = 190
         worst = max(
-            run_local(g, RandomizedWeakColoring(), rng=random.Random(s)).rounds
+            simulate(SimRequest(
+                kind="local", graph=g, algorithm=RandomizedWeakColoring(), rng=random.Random(s),
+            )).rounds
             for s in range(10)
         )
         assert worst <= 30  # O(log n) w.h.p., generous constant
@@ -262,7 +288,9 @@ class TestRandomizedWeakColoring:
         from repro.algorithms import RandomizedWeakColoring
 
         g = balanced_regular_tree(4, 3)
-        result = run_local(g, RandomizedWeakColoring(), rng=random.Random(9))
+        result = simulate(SimRequest(
+            kind="local", graph=g, algorithm=RandomizedWeakColoring(), rng=random.Random(9),
+        ))
         for v in g.nodes():
             assert any(
                 result.outputs[u] != result.outputs[v] for u in g.neighbors(v)

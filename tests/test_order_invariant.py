@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.core import SimRequest, simulate
 from repro.graphs import (
     cycle,
     path,
@@ -23,7 +24,7 @@ from repro.local_model import (
 )
 from repro.speedup import (
     local_maximum_coloring,
-    run_node_algorithm_on_oriented_graph,
+    resolve_ball_tables,
     estimate_global_success,
     smaller_count_coloring,
     node_local_failure,
@@ -110,7 +111,8 @@ class TestFiniteRunner:
         values = [random.Random(0).randrange(4) for _ in g.nodes()]
         rng = random.Random(0)
         values = [rng.randrange(alg.values) for _ in g.nodes()]
-        run = run_node_algorithm_on_oriented_graph(alg, g, o, values)
+        run = simulate(SimRequest(kind="finite", graph=g, algorithm=alg, values=values,
+                                  tables=resolve_ball_tables(alg, g, o)))
         assert len(run.outputs) == g.n
         assert set(run.outputs) <= {0, 1}
 
@@ -119,18 +121,19 @@ class TestFiniteRunner:
         g = toroidal_grid(4, 4)
         o = orient_torus(g, 4, 4)
         alg = local_maximum_coloring(2, bits=1)
-        run = run_node_algorithm_on_oriented_graph(alg, g, o, [0] * g.n)
-        assert len(run.failing_nodes) == g.n
-        assert not run.succeeded
+        run = simulate(SimRequest(kind="finite", graph=g, algorithm=alg, values=[0] * g.n,
+                                  tables=resolve_ball_tables(alg, g, o)))
+        assert run.failing_nodes == list(g.nodes())
 
     def test_value_validation(self):
         g = toroidal_grid(4, 4)
         o = orient_torus(g, 4, 4)
         alg = local_maximum_coloring(2, bits=1)
-        with pytest.raises(ValueError):
-            run_node_algorithm_on_oriented_graph(alg, g, o, [5] * g.n)
-        with pytest.raises(ValueError):
-            run_node_algorithm_on_oriented_graph(alg, g, o, [0] * (g.n - 1))
+        tables = resolve_ball_tables(alg, g, o)
+        for values in ([5] * g.n, [0] * (g.n - 1)):
+            with pytest.raises(ValueError):
+                simulate(SimRequest(kind="finite", graph=g, algorithm=alg, values=values,
+                                    tables=tables))
 
     def test_tree_region_rejected_at_boundary(self):
         # A finite tree's leaves cannot resolve all directions.
@@ -138,7 +141,7 @@ class TestFiniteRunner:
         o = orient_tree(tree, 2)
         alg = local_maximum_coloring(2, bits=1)
         with pytest.raises(ValueError, match="leaves the oriented region"):
-            run_node_algorithm_on_oriented_graph(alg, tree, o, [0] * tree.n)
+            resolve_ball_tables(alg, tree, o)
 
     def test_global_success_estimate_in_unit_interval(self):
         g = toroidal_grid(4, 4)

@@ -24,7 +24,7 @@ from fractions import Fraction
 import pytest
 
 from repro.core.direct import DirectEngine
-from repro.core.engine import SimRequest
+from repro.core.engine import SimRequest, simulate
 from repro.experiments.speedup_figures import default_seeds
 from repro.graphs import Graph, orient_torus, toroidal_grid
 from repro.instrumentation import Tracer
@@ -47,11 +47,7 @@ from repro.speedup.failure import (
     edge_local_failure,
     node_local_failure,
 )
-from repro.speedup.finite_runner import (
-    estimate_global_success,
-    resolve_ball_tables,
-    run_node_algorithm_on_oriented_graph,
-)
+from repro.speedup.finite_runner import estimate_global_success, resolve_ball_tables
 from repro.speedup.transform import _frequent_colors
 
 
@@ -70,6 +66,13 @@ def old_finite_run(alg, graph, tables, values):
         and all(outputs[u] == outputs[v] for u in graph.neighbors(v))
     ]
     return outputs, failing
+
+
+def finite_run(alg, graph, values, tables):
+    """One trial as a ``finite`` request: its outputs and failing nodes."""
+    return simulate(SimRequest(
+        kind="finite", graph=graph, algorithm=alg, values=values, tables=tables
+    ))
 
 
 FINITE_ALGORITHMS = {
@@ -93,13 +96,13 @@ def test_finite_run_matches_the_per_node_loop(name, side):
     rng = random.Random(side)
     for _ in range(4):
         values = [rng.randrange(alg.values) for _ in graph.nodes()]
-        run = run_node_algorithm_on_oriented_graph(alg, graph, orientation, values)
+        run = finite_run(alg, graph, values, tables)
         assert (run.outputs, run.failing_nodes) == old_finite_run(
             oracle, graph, tables, values
         )
     # A constant assignment makes every node fail.
     values = [0] * graph.n
-    run = run_node_algorithm_on_oriented_graph(alg, graph, orientation, values)
+    run = finite_run(alg, graph, values, tables)
     assert (run.outputs, run.failing_nodes) == old_finite_run(oracle, graph, tables, values)
     # Out-of-range values raise the same error wherever they sit.
     for bad in (-1, alg.values):
@@ -107,7 +110,7 @@ def test_finite_run_matches_the_per_node_loop(name, side):
             values = [0] * graph.n
             values[position] = bad
             with pytest.raises(ValueError) as new:
-                run_node_algorithm_on_oriented_graph(alg, graph, orientation, values)
+                finite_run(alg, graph, values, tables)
             with pytest.raises(ValueError) as old:
                 old_finite_run(oracle, graph, tables, values)
             assert str(new.value) == str(old.value)
@@ -120,7 +123,7 @@ def test_isolated_nodes_never_fail():
     alg = zero_round_uniform(2, 2)
     tables = [[0], [1], [2]]
     values = [1, 1, 1]
-    run = run_node_algorithm_on_oriented_graph(alg, graph, None, values, tables=tables)
+    run = finite_run(alg, graph, values, tables)
     assert (run.outputs, run.failing_nodes) == old_finite_run(alg, graph, tables, values)
     assert run.failing_nodes == [0, 1]
 
@@ -137,11 +140,24 @@ def test_malformed_tables_are_refused():
         with pytest.raises(
             ValueError, match="^tables must hold one row per node, all of one length$"
         ):
-            run_node_algorithm_on_oriented_graph(alg, graph, None, values, tables=bad)
+            finite_run(alg, graph, values, bad)
     with pytest.raises(ValueError, match="^assignment has 4 values, ball has 5$"):
-        run_node_algorithm_on_oriented_graph(
-            alg, graph, None, values, tables=[row[:4] for row in tables]
-        )
+        finite_run(alg, graph, values, [row[:4] for row in tables])
+
+
+@pytest.mark.parametrize("entry", ["-1", "n"])
+def test_tables_that_name_no_node_are_refused(entry):
+    # A negative entry would read a value from the end of the list and
+    # an entry of n or more would raise IndexError mid-run: both are
+    # refused up front, naming the node and the entry.
+    graph = toroidal_grid(3, 3)
+    alg = local_maximum_coloring(2)
+    tables = resolve_ball_tables(alg, graph, orient_torus(graph, 3, 3))
+    tables[0][1] = -1 if entry == "-1" else graph.n
+    with pytest.raises(
+        ValueError, match=f"^tables: node 0's entry {tables[0][1]} is not a node in 0..8$"
+    ):
+        finite_run(alg, graph, [0] * graph.n, tables)
 
 
 class _DrawsBelow(NodeAlgorithm):
@@ -304,12 +320,11 @@ def test_a_batch_reports_each_trial_as_its_own_run(first_failure_only):
     rng = random.Random(3)
     batch = [[rng.randrange(alg.values) for _ in graph.nodes()] for _ in range(30)]
     batch.append([0] * graph.n)  # every node fails
-    report = DirectEngine().run(
-        _batch_request(
-            alg, graph, batch, orientation=orientation, first_failure_only=first_failure_only
-        )
+    tables = resolve_ball_tables(alg, graph, orientation)
+    report = simulate(
+        _batch_request(alg, graph, batch, tables=tables, first_failure_only=first_failure_only)
     )
-    runs = [run_node_algorithm_on_oriented_graph(alg, graph, orientation, v) for v in batch]
+    runs = [finite_run(alg, graph, values, tables) for values in batch]
     assert report.outputs == [run.outputs for run in runs]
     if first_failure_only:
         assert report.failing_nodes == [run.failing_nodes[:1] for run in runs]
@@ -332,18 +347,18 @@ def test_a_batch_refuses_what_one_run_refuses():
                 batch = [list(values) for values in good]
                 batch[trial][position] = bad
                 with pytest.raises(ValueError, match=r"^values must lie in \[0, 4\)$"):
-                    DirectEngine().run(_batch_request(alg, graph, batch, tables=tables))
+                    simulate(_batch_request(alg, graph, batch, tables=tables))
         batch = [list(values) for values in good]
         batch[trial] = batch[trial][:-1]
         with pytest.raises(ValueError, match="^need one random value per node$"):
-            DirectEngine().run(_batch_request(alg, graph, batch, tables=tables))
+            simulate(_batch_request(alg, graph, batch, tables=tables))
     for bad in (tables[:-1], tables + [tables[0]], [tables[0] + [0]] + tables[1:]):
         with pytest.raises(
             ValueError, match="^tables must hold one row per node, all of one length$"
         ):
-            DirectEngine().run(_batch_request(alg, graph, good, tables=bad))
+            simulate(_batch_request(alg, graph, good, tables=bad))
     with pytest.raises(ValueError, match="^finite requests take values or a batch, not both$"):
-        DirectEngine().run(_batch_request(alg, graph, good, tables=tables, values=good[0]))
+        simulate(_batch_request(alg, graph, good, tables=tables, values=good[0]))
 
 
 # ----------------------------------------------------------------------

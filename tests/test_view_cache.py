@@ -5,8 +5,8 @@ its counters against a dict model under any interleaving, the tracer's
 ``cache`` event end to end on finite runs (MetricsTracer aggregation,
 TraceRecorder events, artifact round-trips), memo reuse across runs,
 and the speedup engine's shared keying function — including the
-regression guard for the finite runner's injectivity refusal on tori
-at radius >= 2.
+regression guard for the ball tables' injectivity refusal on tori at
+radius >= 2.
 """
 
 from __future__ import annotations
@@ -18,19 +18,16 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.algorithms.view_rules import DegreeProfileRule
+from repro.core import SimRequest, simulate
 from repro.graphs import cycle, orient_torus, toroidal_grid
 from repro.instrumentation import MetricsTracer, RunMetrics, TraceRecorder
 from repro.local_model import CacheStats, KeyedCache, ball_assignment_key
-from repro.local_model.network import run_view_algorithm
 from repro.speedup import (
     EdgeAlgorithm,
     local_maximum_coloring,
     two_round_local_maximum,
 )
-from repro.speedup.finite_runner import (
-    resolve_ball_tables,
-    run_node_algorithm_on_oriented_graph,
-)
+from repro.speedup.finite_runner import estimate_global_success, resolve_ball_tables
 
 
 # ----------------------------------------------------------------------
@@ -277,9 +274,11 @@ def _finite_run(tracer, alg=None, seed=3):
     alg = alg if alg is not None else local_maximum_coloring(2)
     rng = random.Random(seed)
     values = [rng.randrange(alg.values) for _ in graph.nodes()]
-    run_node_algorithm_on_oriented_graph(
-        alg, graph, orientation, values, tracer=tracer
+    request = SimRequest(
+        kind="finite", graph=graph, algorithm=alg, values=values,
+        tables=resolve_ball_tables(alg, graph, orientation),
     )
+    simulate(request, tracer=tracer)
     return graph, alg
 
 
@@ -316,7 +315,8 @@ def test_run_metrics_loads_pre_cache_artifacts():
     # Artifacts written before the cache counters existed must still load.
     graph = cycle(8)
     tracer = MetricsTracer()
-    run_view_algorithm(graph, DegreeProfileRule(radius=1), tracer=tracer)
+    request = SimRequest(kind="view", graph=graph, algorithm=DegreeProfileRule(radius=1))
+    simulate(request, tracer=tracer)
     legacy = tracer.metrics.to_dict()
     for key in list(legacy):
         if key.startswith("cache_"):
@@ -342,11 +342,15 @@ def test_finite_runner_reports_cache_delta_per_run():
     alg = local_maximum_coloring(2)
     rng = random.Random(3)
     values = [rng.randrange(alg.values) for _ in graph.nodes()]
+    request = SimRequest(
+        kind="finite", graph=graph, algorithm=alg, values=values,
+        tables=resolve_ball_tables(alg, graph, orientation),
+    )
 
     first = MetricsTracer()
-    run_node_algorithm_on_oriented_graph(alg, graph, orientation, values, tracer=first)
+    simulate(request, tracer=first)
     second = MetricsTracer()
-    run_node_algorithm_on_oriented_graph(alg, graph, orientation, values, tracer=second)
+    simulate(request, tracer=second)
 
     # The algorithm's memo outlives runs, but each tracer sees only its
     # own run's lookups; the warm second run is all hits.
@@ -387,14 +391,11 @@ def test_torus_is_tree_like_at_radius_one():
 
 def test_torus_refused_at_radius_two():
     # Torus moves commute (RU = UR), so radius-2 ball words collide; the
-    # runner must refuse rather than silently aliasing ball positions.
+    # tables must refuse rather than silently alias ball positions.
     graph = toroidal_grid(5, 5)
     orientation = orient_torus(graph, 5, 5)
     with pytest.raises(ValueError, match="ball words collide"):
         resolve_ball_tables(two_round_local_maximum(2), graph, orientation)
-    # ... and the refusal propagates through the runner entry point.
-    values = [0] * graph.n
+    # ... and the refusal propagates through the global-success estimate.
     with pytest.raises(ValueError, match="ball words collide"):
-        run_node_algorithm_on_oriented_graph(
-            two_round_local_maximum(2), graph, orientation, values
-        )
+        estimate_global_success(two_round_local_maximum(2), graph, orientation, trials=1)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import SimRequest, simulate
 from repro.graphs import (
     balanced_regular_tree,
     edge_key,
@@ -12,7 +13,7 @@ from repro.graphs import (
     toroidal_grid_nd,
 )
 from repro.lcl import ProperEdgeColoring, WeakEdgeColoring
-from repro.local_model import LocalAlgorithm, run_local
+from repro.local_model import LocalAlgorithm
 
 
 def greedy_proper_edge_coloring(graph):
@@ -123,7 +124,9 @@ class TestEngineOrientation:
     def test_contexts_receive_port_directions(self):
         g = toroidal_grid(3, 4)
         o = orient_torus(g, 3, 4)
-        result = run_local(g, DirectionEcho(), orientation=o)
+        result = simulate(SimRequest(
+            kind="local", graph=g, algorithm=DirectionEcho(), orientation=o,
+        ))
         for v in g.nodes():
             directions = dict(result.outputs[v])
             assert set(directions.values()) == {(0, 1), (0, -1), (1, 1), (1, -1)}
@@ -144,13 +147,15 @@ class TestEngineOrientation:
             def receive(self, ctx, messages):
                 ctx.halt(ctx.port_directions)
 
-        result = run_local(g, NullCheck())
+        result = simulate(SimRequest(kind="local", graph=g, algorithm=NullCheck()))
         assert all(out is None for out in result.outputs)
 
     def test_partial_orientation_on_tree(self):
         g = balanced_regular_tree(4, 2)
         o = orient_tree(g, 2)
-        result = run_local(g, DirectionEcho(), orientation=o)
+        result = simulate(SimRequest(
+            kind="local", graph=g, algorithm=DirectionEcho(), orientation=o,
+        ))
         # Leaves see exactly one labeled port.
         for v in g.sphere(0, 2):
             assert len(result.outputs[v]) == 1

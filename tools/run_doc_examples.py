@@ -7,11 +7,11 @@ Usage::
 
 With no arguments, runs ``README.md``, ``docs/ENGINE.md`` and
 ``docs/OBSERVABILITY.md`` — the pages whose examples the docs CI job
-promises are executable.
+and ``tests/test_doc_examples.py`` promise are executable.
 Each file's ```` ```python ```` blocks run top to bottom in one shared
 namespace (later blocks may use names bound by earlier ones, exactly
 as a reader following along would), so an example that drifts from the
-API fails CI instead of rotting.  Other fence languages (``bash``,
+API fails the tests instead of rotting.  Other fence languages (``bash``,
 ``text``, output-only fences) are skipped.  Exit code 0 when every
 block runs, 1 otherwise, naming the file and line of the first failing
 statement.
