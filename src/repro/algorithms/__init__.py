@@ -1,7 +1,6 @@
 """Constructive algorithms from the paper and the classical baselines."""
 
 from .cole_vishkin import (
-    log_star,
     cv_step,
     cv_iterations_needed,
     is_proper_on_pseudoforest,
@@ -51,12 +50,9 @@ from .view_rules import (
     RandomPriorityRule,
     BallSignatureColoring,
     DegreeProfileRule,
-    VIEW_RULE_NAMES,
-    make_view_rule,
 )
 
 __all__ = [
-    "log_star",
     "cv_step",
     "cv_iterations_needed",
     "is_proper_on_pseudoforest",
@@ -99,6 +95,4 @@ __all__ = [
     "RandomPriorityRule",
     "BallSignatureColoring",
     "DegreeProfileRule",
-    "VIEW_RULE_NAMES",
-    "make_view_rule",
 ]

@@ -10,8 +10,9 @@ neighbor.  This module implements that machinery:
   per node — taking any proper coloring down to 3 colors
   (:func:`reduce_to_three_colors`), via iterated CV steps to 6 colors
   followed by three shift-down + recolor-class rounds,
-* the round-accounting helpers (:func:`cv_iterations_needed`,
-  :func:`log_star`) that make the O(log* c) running time inspectable.
+* the round-accounting helper :func:`cv_iterations_needed`, which
+  makes the O(log* c) running time inspectable (the iterated logarithm
+  itself is :func:`~repro.analysis.towers.log_star_float`).
 
 A *pseudoforest* here is ``successor[v]`` = some neighbor of ``v``; the
 edge set of the pseudoforest is ``{v, successor[v]}``.  A coloring is
@@ -29,25 +30,11 @@ from typing import List, Sequence, Tuple
 
 
 __all__ = [
-    "log_star",
     "cv_step",
     "cv_iterations_needed",
     "is_proper_on_pseudoforest",
     "reduce_to_three_colors",
 ]
-
-
-def log_star(x: float, base: float = 2.0) -> int:
-    """The iterated logarithm: least ``k`` with ``log^(k)(x) <= 1``."""
-    if x <= 1:
-        return 0
-    import math
-
-    count = 0
-    while x > 1:
-        x = math.log(x, base)
-        count += 1
-    return count
 
 
 def cv_step(color: int, successor_color: int) -> int:

@@ -15,14 +15,12 @@ from __future__ import annotations
 
 from typing import Any, Tuple
 
-from ..core.registry import ALGORITHMS, register_algorithm
+from ..core.registry import register_algorithm
 from ..local_model.edge_model import EdgeViewAlgorithm
 
 __all__ = [
     "edge_profile_output",
     "edge_parity_output",
-    "make_edge_rule",
-    "EDGE_RULE_NAMES",
 ]
 
 
@@ -74,13 +72,3 @@ def edge_parity(rounds: int = 1) -> EdgeViewAlgorithm:
         rounds, edge_parity_output, name=f"edge-parity-t{rounds}"
     )
 
-
-#: Registry names accepted by :func:`make_edge_rule`.
-EDGE_RULE_NAMES = ("edge-profile", "edge-parity")
-
-
-def make_edge_rule(name: str, rounds: int = 1) -> EdgeViewAlgorithm:
-    """Build a registered edge rule with the given round budget."""
-    if name not in EDGE_RULE_NAMES:
-        raise ValueError(f"unknown edge rule {name!r} (have {EDGE_RULE_NAMES})")
-    return ALGORITHMS.create(name, rounds=rounds)

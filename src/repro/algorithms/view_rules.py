@@ -24,8 +24,7 @@ bit-identical to the per-node run — the invariant
 
 Each rule is registered in :data:`repro.core.registry.ALGORITHMS` with
 ``kind="view"`` and a ``needs`` metadata slot ("ids" / "randomness" /
-"none"); :func:`make_view_rule` is a thin compatibility wrapper over
-that registry.
+"none"); ``ALGORITHMS.create(name, radius=...)`` builds one by name.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from __future__ import annotations
 import hashlib
 from typing import Tuple
 
-from ..core.registry import ALGORITHMS, register_algorithm
+from ..core.registry import register_algorithm
 from ..local_model.algorithm import ViewAlgorithm
 from ..local_model.views import View
 
@@ -42,8 +41,6 @@ __all__ = [
     "RandomPriorityRule",
     "BallSignatureColoring",
     "DegreeProfileRule",
-    "VIEW_RULE_NAMES",
-    "make_view_rule",
 ]
 
 
@@ -203,23 +200,3 @@ class DegreeProfileRule(ViewAlgorithm):
             for d in range(self.radius + 1)
         )
 
-
-#: Registry names accepted by :func:`make_view_rule`.
-VIEW_RULE_NAMES = (
-    "local-max",
-    "random-priority",
-    "ball-signature",
-    "degree-profile",
-)
-
-
-def make_view_rule(name: str, radius: int = 2) -> ViewAlgorithm:
-    """Build a registered view rule at the given radius.
-
-    Compatibility wrapper over :data:`repro.core.registry.ALGORITHMS`
-    (entries with ``kind="view"``); whether a rule needs ``ids`` or
-    ``randomness`` is the entry's ``needs`` metadata.
-    """
-    if name not in VIEW_RULE_NAMES:
-        raise ValueError(f"unknown view rule {name!r} (have {VIEW_RULE_NAMES})")
-    return ALGORITHMS.create(name, radius=radius)

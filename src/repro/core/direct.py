@@ -244,7 +244,9 @@ class DirectEngine:
 
         A request with ``values`` is the batch of one, and its report
         unwraps that trial's outputs and failing nodes.  The values and
-        the tables are checked once per batch, not once per trial.
+        the tables are checked once per batch, not once per trial.  A
+        traced run reports its memo lookups as one ``cache`` event,
+        read off how much the algorithm's ``memo`` grew.
         """
         graph, alg = request.graph, request.algorithm
         batch, tables = request.batch, request.tables
@@ -268,6 +270,9 @@ class DirectEngine:
         # The keys below zip the rows, which would cut them to the shortest.
         if len(tables) != n or len(set(map(len, tables))) > 1:
             raise ValueError("tables must hold one row per node, all of one length")
+        # Empty rows would zip to no keys at all, not to one per node.
+        if n and not tables[0]:
+            raise ValueError("tables: the rows are empty, but every ball holds its centre")
         # A negative entry would read from the end of the values, and one
         # of n or more would raise IndexError halfway through the keys.
         for v, row in enumerate(tables):
@@ -285,7 +290,7 @@ class DirectEngine:
                     "view", center=v, radius=alg.t, nodes=ball_size,
                     edges=max(0, ball_size - 1),
                 )
-        before = alg.cache.stats.copy() if tracer is not None else None
+        classes_before = len(alg.memo)
         # Column i of the tables: the node each node's i-th ball word
         # reaches.
         columns = list(zip(*tables))
@@ -316,10 +321,16 @@ class DirectEngine:
             trial_outputs.append(outputs)
             trial_failing.append(failing)
         if tracer is not None:
-            # The algorithm's assignment cache outlives the run; report
-            # only the lookups this run contributed.
+            # One lookup per node per trial, and each miss stores one new
+            # key, so the memo's growth during this run is its misses
+            # (the memo outlives the run).
+            lookups = n * len(batch)
+            misses = len(alg.memo) - classes_before
+            hits = lookups - misses
             tracer.on_event(
-                "cache", engine="finite", **alg.cache.stats.delta(before).to_dict()
+                "cache", engine="finite", lookups=lookups, hits=hits,
+                misses=misses, distinct_classes=misses,
+                hit_rate=hits / lookups if lookups else 0.0,
             )
             tracer.on_event("run_end", rounds=alg.t)
         if request.batch is None:  # the batch of one, unwrapped

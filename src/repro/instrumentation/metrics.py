@@ -12,7 +12,7 @@ downstream consumers can treat it as stable.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
 from .tracer import Tracer
@@ -31,9 +31,6 @@ class RoundMetrics:
     bits_sent: int = 0
     halts: int = 0
     wall_seconds: float = 0.0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
 
 
 @dataclass
@@ -78,65 +75,21 @@ class RunMetrics:
         return self.cache_hits / self.cache_lookups if self.cache_lookups else 0.0
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready dict (the artifact ``metrics`` schema)."""
-        return {
-            "engine": self.engine,
-            "algorithm": self.algorithm,
-            "n": self.n,
-            "rounds": self.rounds,
-            "messages_sent": self.messages_sent,
-            "messages_delivered": self.messages_delivered,
-            "bits_sent": self.bits_sent,
-            "views_gathered": self.views_gathered,
-            "view_nodes": self.view_nodes,
-            "view_edges": self.view_edges,
-            "trials": self.trials,
-            "trial_successes": self.trial_successes,
-            "cache_lookups": self.cache_lookups,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_distinct_classes": self.cache_distinct_classes,
-            "cache_hit_rate": self.cache_hit_rate,
-            "wall_seconds": self.wall_seconds,
-            # JSON objects have string keys; keep them sorted for diffs.
-            "halt_histogram": {
-                str(k): self.halt_histogram[k] for k in sorted(self.halt_histogram)
-            },
-            "per_round": [r.to_dict() for r in self.per_round],
-        }
+        """JSON-ready dict (the artifact ``metrics`` schema).
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "RunMetrics":
-        """Inverse of :meth:`to_dict` (artifact consumers' entry point).
-
-        Forward- and backward-compatible by construction: counters the
-        artifact lacks fall back to the dataclass defaults (pre-cache
-        artifacts load with zero ``cache_*`` counters), and keys this
-        version does not know — an artifact written by a *newer* version,
-        or by an older one carrying a retired counter (``service_*``,
-        ``delta_*``, ``subruns``, ``shards``, ``degradations``,
-        ``degraded_reasons``, ``layout_kernel_runs``,
-        ``layout_fallbacks``, ``layout_classes``, ``layout_dict_runs``,
-        ``layout_csr_runs``, ``layout_entities``, ``kernel_runs``,
-        ``kernel_vectorized``, ``kernel_fallbacks``, ``kernel_entities``,
-        ``kernel_classes``, ``cache_bytes``) — are ignored rather than
-        rejected.
-        Derived values such as ``cache_hit_rate`` are recomputed, never
-        read back.
+        The fields in order, with ``cache_hit_rate`` after
+        ``cache_distinct_classes`` and the ``halt_histogram`` keys as
+        sorted strings (JSON objects have string keys).
         """
-        known = {f.name for f in fields(cls)}
-        kwargs: Dict[str, Any] = {
-            k: v for k, v in data.items() if k in known
+        data: Dict[str, Any] = {}
+        for name, value in asdict(self).items():
+            data[name] = value
+            if name == "cache_distinct_classes":
+                data["cache_hit_rate"] = self.cache_hit_rate
+        data["halt_histogram"] = {
+            str(k): self.halt_histogram[k] for k in sorted(self.halt_histogram)
         }
-        kwargs["halt_histogram"] = {
-            int(k): v for k, v in data.get("halt_histogram", {}).items()
-        }
-        round_known = {f.name for f in fields(RoundMetrics)}
-        kwargs["per_round"] = [
-            RoundMetrics(**{k: v for k, v in r.items() if k in round_known})
-            for r in data.get("per_round", [])
-        ]
-        return cls(**kwargs)
+        return data
 
 
 class MetricsTracer(Tracer):

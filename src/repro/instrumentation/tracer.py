@@ -47,9 +47,10 @@ views), ``"edge"`` (edge views), ``"finite"`` (oriented finite runner),
 ``"pipeline"`` (speedup ladder).  A message's ``port`` is the sender's
 and its ``bits`` are :func:`~repro.instrumentation.sizes.estimate_size`
 of the payload; ``delivered`` is False when the receiver has already
-halted.  A ``cache`` event carries the
-:class:`~repro.local_model.cache.CacheStats` of this run only, even
-though the algorithm's memo outlives it.
+halted.  A ``cache`` event counts this run's memo lookups only,
+although the algorithm's memo outlives the run: one lookup per node
+per trial, ``misses`` (= ``distinct_classes``) the keys the run added
+to the memo, and ``hits`` the rest.
 """
 
 from __future__ import annotations

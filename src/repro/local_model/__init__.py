@@ -10,11 +10,6 @@ from .views import (
     edge_view_signature,
 )
 from .edge_model import EdgeViewAlgorithm
-from .cache import (
-    CacheStats,
-    KeyedCache,
-    ball_assignment_key,
-)
 from .order_invariant import (
     order_projected_view,
     OrderInvariantProjection,
@@ -32,9 +27,6 @@ __all__ = [
     "gather_edge_view",
     "view_signature",
     "edge_view_signature",
-    "CacheStats",
-    "KeyedCache",
-    "ball_assignment_key",
     "EdgeViewAlgorithm",
     "order_projected_view",
     "OrderInvariantProjection",

@@ -7,6 +7,7 @@ from .ball import (
     all_directions,
     reduce_word,
     OrientedBall,
+    ball_assignment_key,
     EdgeBall,
 )
 from .algorithms import (
@@ -37,6 +38,7 @@ __all__ = [
     "all_directions",
     "reduce_word",
     "OrientedBall",
+    "ball_assignment_key",
     "EdgeBall",
     "NodeAlgorithm",
     "EdgeAlgorithm",

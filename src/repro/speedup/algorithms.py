@@ -23,11 +23,11 @@ The module also ships the starter algorithms used by the experiments.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from operator import is_
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.towers import TowerNumber
 from ..core.registry import ALGORITHMS
-from ..local_model.cache import KeyedCache
 from .ball import EdgeBall, OrientedBall
 
 __all__ = [
@@ -43,8 +43,76 @@ __all__ = [
 #: A random-value assignment to a ball: one value per ball node index.
 Assignment = Tuple[int, ...]
 
+#: What ``memo.get`` returns for an absent key (never a stored color).
+_MISS = object()
 
-class NodeAlgorithm:
+
+class _MemoizedAlgorithm:
+    """What node and edge algorithms share: the palette and the memo.
+
+    ``memo`` maps everything the computing entity sees (its ball's
+    random values) to its output, so each distinct key is computed once
+    no matter how many nodes, trials or runs present it.  Subclasses
+    supply ``_compute``, which checks a key and runs ``fn`` on it.
+    """
+
+    def __init__(
+        self,
+        k: int,
+        bits: int,
+        palette: Union[int, float, TowerNumber],
+        fn: Callable[..., Any],
+        name: str,
+    ):
+        if bits < 1:
+            raise ValueError("need at least one random bit per node")
+        if not isinstance(palette, TowerNumber):
+            if palette < 1:
+                raise ValueError("palette must be positive")
+            palette = TowerNumber.from_float(float(palette))
+        self.k = k
+        self.bits = bits
+        self.palette = palette
+        self.fn = fn
+        self.name = name
+        self.memo: Dict[Any, Any] = {}
+
+    @property
+    def delta(self) -> int:
+        """The tree degree 2k."""
+        return 2 * self.k
+
+    @property
+    def values(self) -> int:
+        """Number of random values per node, ``2**bits``."""
+        return 1 << self.bits
+
+    def _lookup(self, key: Any) -> Any:
+        """The memoized output for ``key``, computed and stored on a miss."""
+        color = self.memo.get(key, _MISS)
+        if color is _MISS:
+            color = self.memo[key] = self._compute(key)
+        return color
+
+    def _lookup_many(self, keys: Sequence[Any]) -> List[Any]:
+        """:meth:`_lookup` of each key, in order.
+
+        One ``dict.get`` pass in C finds the stored outputs; the misses
+        are then computed in key order.  A key that misses twice is
+        computed at its first occurrence and read back at its second,
+        so ``_compute`` sees the keys, and the memo ends up holding
+        them, exactly as with one :meth:`_lookup` per key.
+        """
+        memo = self.memo
+        colors = list(map(memo.get, keys, itertools.repeat(_MISS)))
+        for i in itertools.compress(
+            itertools.count(), map(is_, colors, itertools.repeat(_MISS))
+        ):
+            colors[i] = self._lookup(keys[i])  # an earlier miss may have stored it
+        return colors
+
+
+class NodeAlgorithm(_MemoizedAlgorithm):
     """A t-round anonymous randomized node algorithm on the oriented tree.
 
     Parameters
@@ -73,43 +141,17 @@ class NodeAlgorithm:
         fn: Callable[[Assignment], Any],
         name: str = "node-algorithm",
     ):
-        if bits < 1:
-            raise ValueError("need at least one random bit per node")
-        if not isinstance(palette, TowerNumber):
-            if palette < 1:
-                raise ValueError("palette must be positive")
-            palette = TowerNumber.from_float(float(palette))
-        self.k = k
+        super().__init__(k, bits, palette, fn, name)
         self.t = t
-        self.bits = bits
-        self.palette = palette
-        self.fn = fn
-        self.name = name
         self.ball = OrientedBall(k, t)
-        # The key is everything the node sees (here, the ball's random
-        # values), so each distinct assignment is evaluated once.
-        self.cache = KeyedCache()
-
-    @property
-    def delta(self) -> int:
-        """The tree degree 2k."""
-        return 2 * self.k
-
-    @property
-    def values(self) -> int:
-        """Number of random values per node, ``2**bits``."""
-        return 1 << self.bits
 
     def evaluate(self, assignment: Assignment) -> Any:
         """The output color for a full ball assignment (memoized)."""
-        color = self.cache.get(assignment)
-        if color is KeyedCache.MISS:
-            color = self.cache.store(assignment, self._compute(assignment))
-        return color
+        return self._lookup(assignment)
 
     def evaluate_many(self, assignments: Sequence[Assignment]) -> List[Any]:
         """:meth:`evaluate` of each assignment, in order, in one memo pass."""
-        return self.cache.get_or_compute_many(assignments, self._compute)
+        return self._lookup_many(assignments)
 
     def _compute(self, assignment: Assignment) -> Any:
         """A memo miss: check the assignment's length, then run ``fn``."""
@@ -123,12 +165,13 @@ class NodeAlgorithm:
         return f"NodeAlgorithm({self.name}, k={self.k}, t={self.t}, c={self.palette})"
 
 
-class EdgeAlgorithm:
+class EdgeAlgorithm(_MemoizedAlgorithm):
     """A weak-edge-coloring algorithm with endpoint-ball radius ``r``.
 
     In the paper's indexing this is a ``(r + 1)``-round edge algorithm:
     its view is ``B_r(u) ∪ B_r(v)``.  The callable receives the edge's
     dimension and the assignment over ``EdgeBall(k, r, (dim, +1))``.
+    Its memo is keyed by ``(dim, assignment)``.
     """
 
     def __init__(
@@ -140,43 +183,17 @@ class EdgeAlgorithm:
         fn: Callable[[int, Assignment], Any],
         name: str = "edge-algorithm",
     ):
-        if bits < 1:
-            raise ValueError("need at least one random bit per node")
-        if not isinstance(palette, TowerNumber):
-            if palette < 1:
-                raise ValueError("palette must be positive")
-            palette = TowerNumber.from_float(float(palette))
-        self.k = k
+        super().__init__(k, bits, palette, fn, name)
         self.r = r
-        self.bits = bits
-        self.palette = palette
-        self.fn = fn
-        self.name = name
         self.balls = {dim: EdgeBall(k, r, (dim, 1)) for dim in range(k)}
-        self.cache = KeyedCache()
-
-    @property
-    def delta(self) -> int:
-        """The tree degree 2k."""
-        return 2 * self.k
-
-    @property
-    def values(self) -> int:
-        """Number of random values per node, ``2**bits``."""
-        return 1 << self.bits
 
     def evaluate(self, dim: int, assignment: Assignment) -> Any:
         """The output color of a dimension-``dim`` edge (memoized)."""
-        key = (dim, assignment)
-        color = self.cache.get(key)
-        if color is KeyedCache.MISS:
-            color = self.cache.store(key, self._compute(key))
-        return color
+        return self._lookup((dim, assignment))
 
     def evaluate_many(self, dim: int, assignments: Iterable[Assignment]) -> List[Any]:
         """:meth:`evaluate` of each dimension-``dim`` edge, in order, in one memo pass."""
-        keys = list(zip(itertools.repeat(dim), assignments))
-        return self.cache.get_or_compute_many(keys, self._compute)
+        return self._lookup_many(list(zip(itertools.repeat(dim), assignments)))
 
     def _compute(self, key: Tuple[int, Assignment]) -> Any:
         """A memo miss: check the assignment's length, then run ``fn``."""

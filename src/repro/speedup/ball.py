@@ -11,6 +11,8 @@ sequence of directions leading to it.  This module provides:
   neighbor lookup and the *shift maps* that re-index a neighbor's ball
   inside the center's larger ball (the workhorse of the simulation:
   "edge e knows part of the radius-t neighborhood of u and v");
+* :func:`ball_assignment_key` — a ball's random values read off
+  per-node values through a table of ball positions;
 * :class:`EdgeBall` — the union ``B_r(a) ∪ B_r(b)`` for an oriented
   edge, canonically indexed from the low endpoint.
 
@@ -19,7 +21,7 @@ Words are tuples of ``(dim, sign)`` pairs; the empty word is the center.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Direction",
@@ -28,6 +30,7 @@ __all__ = [
     "all_directions",
     "reduce_word",
     "OrientedBall",
+    "ball_assignment_key",
     "EdgeBall",
 ]
 
@@ -136,6 +139,24 @@ class OrientedBall:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"OrientedBall(k={self.k}, t={self.t}, size={self.size})"
+
+
+def ball_assignment_key(
+    values: Sequence[Any], table: Sequence[int]
+) -> Tuple[Any, ...]:
+    """Project per-node values through a resolved ball table.
+
+    The key the tree algorithms memoize on: entry ``i`` is the value the
+    ball's ``i``-th word reads.  The engine's ``finite`` kind
+    (:meth:`~repro.core.direct.DirectEngine.run`) builds it inline,
+    every node's key of a trial at once, the Monte Carlo failure
+    estimators call it per sample, and the exact enumerations spell
+    whole keys with ``itertools.product``.  Equal keys
+    mean the computing entity sees identical random data in identical
+    positions — the oriented-tree analogue of
+    :func:`~repro.local_model.views.view_signature`.
+    """
+    return tuple(values[i] for i in table)
 
 
 class EdgeBall:

@@ -35,9 +35,8 @@ from functools import partial
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..core.engine import derive_seed
-from ..local_model.cache import ball_assignment_key
 from .algorithms import Assignment, EdgeAlgorithm, NodeAlgorithm
-from .ball import Direction, OrientedBall
+from .ball import Direction, OrientedBall, ball_assignment_key
 
 __all__ = ["FailureEstimate", "node_local_failure", "edge_local_failure"]
 

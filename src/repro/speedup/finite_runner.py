@@ -53,9 +53,8 @@ def resolve_ball_tables(
 
     A ``finite`` :class:`~repro.core.SimRequest` reads its balls from
     these tables, so many trials on one graph resolve them once.  A
-    node's cache key is its table projected through the trial's random
-    values — :func:`~repro.local_model.cache.ball_assignment_key`, the
-    same keying function the canonical-view cache builds on.
+    node's memo key is its table projected through the trial's random
+    values — :func:`~repro.speedup.ball.ball_assignment_key`.
 
     Raises
     ------

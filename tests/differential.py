@@ -13,8 +13,8 @@ turns both claims into executable oracles:
   rules over cycles, paths, trees, tori, stars, caterpillars, cliques,
   and random regular graphs, at radii 0 through 3;
 * :func:`run_case` executes one case twice: through the engine, and as
-  a memo table built here (:func:`run_memoized` — one
-  :class:`~repro.local_model.KeyedCache` lookup per node, keyed by
+  a memo table built here (:func:`run_memoized` — a dict with one
+  lookup per node, keyed by
   :func:`~repro.local_model.views.view_signature`, one gather per key);
 * :func:`assert_identical` demands the two reports agree **bit for
   bit** — outputs, halt rounds, and round count;
@@ -43,8 +43,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.algorithms.view_rules import make_view_rule
-from repro.core import SimReport, SimRequest, simulate
+from repro.core import ALGORITHMS, SimReport, SimRequest, ensure_builtins, simulate
 from repro.graphs import (
     Graph,
     balanced_regular_tree,
@@ -58,7 +57,7 @@ from repro.graphs import (
 )
 from repro.graphs.graph import edge_key
 from repro.graphs.identifiers import random_permutation_ids
-from repro.local_model import EdgeViewAlgorithm, KeyedCache
+from repro.local_model import EdgeViewAlgorithm
 from repro.local_model.views import (
     edge_view_signature,
     gather_edge_view,
@@ -82,6 +81,8 @@ __all__ = [
     "assert_identical",
     "run_grid",
 ]
+
+ensure_builtins()  # the view rules, created by registry name
 
 #: name -> zero-argument graph builder.  Sizes are chosen so the whole
 #: grid stays in CI-friendly territory while still covering high-girth,
@@ -154,57 +155,55 @@ def _labelings(
 
 def run_memoized(
     graph, rule, ids=None, randomness=None
-) -> Tuple[SimReport, KeyedCache]:
+) -> Tuple[SimReport, Dict[Any, Any]]:
     """A view run as a memo table: one evaluation per view class.
 
     Each node is looked up by its canonical signature; a miss gathers
     that node's ball and evaluates the rule, a hit reuses the stored
-    output.  Returns the result and the cache (its stats count one
-    lookup per node).
+    output.  Returns the result and the memo (one entry per class).
     """
-    cache = KeyedCache()
+    memo: Dict[Any, Any] = {}
     radius, labels = rule.radius, {"ids": ids, "randomness": randomness}
-    outputs = [
-        cache.get_or_compute(
-            view_signature(graph, v, radius, **labels),
-            lambda v=v: rule.output(gather_view(graph, v, radius, **labels)),
-        )
-        for v in graph.nodes()
-    ]
+    outputs = []
+    for v in graph.nodes():
+        key = view_signature(graph, v, radius, **labels)
+        if key not in memo:
+            memo[key] = rule.output(gather_view(graph, v, radius, **labels))
+        outputs.append(memo[key])
     report = SimReport("view", outputs, radius, halt_rounds=[radius] * len(outputs))
-    return report, cache
+    return report, memo
 
 
 def run_edge_memoized(
     graph, algorithm, randomness=None
-) -> Tuple[SimReport, KeyedCache]:
+) -> Tuple[SimReport, Dict[Any, Any]]:
     """:func:`run_memoized` for an edge algorithm, keyed per edge ball."""
-    cache = KeyedCache()
+    memo: Dict[Any, Any] = {}
     radius = algorithm.view_radius()
-    outputs = {
-        edge_key(u, v): cache.get_or_compute(
-            edge_view_signature(graph, (u, v), radius, randomness=randomness),
-            lambda e=(u, v): algorithm.output_fn(
-                gather_edge_view(graph, e, radius, randomness=randomness)
-            ),
-        )
-        for u, v in graph.edges()
-    }
-    return SimReport("edge", outputs, algorithm.rounds), cache
+    outputs = {}
+    for u, v in graph.edges():
+        key = edge_view_signature(graph, (u, v), radius, randomness=randomness)
+        if key not in memo:
+            memo[key] = algorithm.output_fn(
+                gather_edge_view(graph, (u, v), radius, randomness=randomness)
+            )
+        outputs[edge_key(u, v)] = memo[key]
+    return SimReport("edge", outputs, algorithm.rounds), memo
 
 
-def run_case(case: Case) -> Tuple[Any, Any, Dict[str, Any]]:
+def run_case(case: Case) -> Tuple[Any, Any, Dict[str, int]]:
     """Run one case through the engine and as a memo table.
 
-    Returns ``(direct, memoized, cache_stats_dict)``.
+    Returns ``(direct, memoized, stats)``: ``stats`` holds the memo's
+    ``lookups`` (one per node) and ``distinct_classes`` (its size).
     """
     request = build_request(case)
     direct = simulate(request)
-    memoized, cache = run_memoized(
+    memoized, memo = run_memoized(
         request.graph, request.algorithm,
         ids=request.ids, randomness=request.randomness,
     )
-    return direct, memoized, cache.stats.to_dict()
+    return direct, memoized, {"lookups": request.graph.n, "distinct_classes": len(memo)}
 
 
 def assert_identical(direct: Any, memoized: Any, case: Case) -> None:
@@ -229,7 +228,7 @@ def assert_identical(direct: Any, memoized: Any, case: Case) -> None:
 def build_request(case: Case) -> SimRequest:
     """The :class:`~repro.core.SimRequest` for one grid case."""
     graph = GRAPH_FAMILIES[case.graph]()
-    rule = make_view_rule(case.rule, radius=case.radius)
+    rule = ALGORITHMS.create(case.rule, radius=case.radius)
     ids, randomness = _labelings(case, graph)
     return SimRequest(
         kind="view",
@@ -375,8 +374,8 @@ def run_grid(verbose: bool = True) -> int:
             status = f"FAIL ({exc})"
         if verbose:
             print(
-                f"  {case.case_id:<48s} classes={stats['distinct_classes']:>4d} "
-                f"hit={stats['hit_rate']:.2f}  {status}"
+                f"  {case.case_id:<48s} classes={stats['distinct_classes']:>4d}"
+                f"/{stats['lookups']:<4d} {status}"
             )
     for graph_name, rounds in edge_cases():
         direct, memoized = run_edge_case(graph_name, rounds)

@@ -193,7 +193,7 @@ class TestEngineSeam:
         # implicit and entity-adapter modules are gone.
         import importlib.util
 
-        from repro.algorithms.view_rules import make_view_rule
+        from repro.algorithms.view_rules import BallSignatureColoring
         from repro.instrumentation import Tracer
         from repro.local_model import EdgeViewAlgorithm
         from repro.speedup import (
@@ -204,7 +204,7 @@ class TestEngineSeam:
         )
 
         for kind, algorithm in (
-            ("view", make_view_rule("ball-signature", radius=1)),
+            ("view", BallSignatureColoring(radius=1)),
             ("edge", EdgeViewAlgorithm(1, len, name="edge-len")),
         ):
             with pytest.raises(TypeError, match="layout"):
@@ -215,7 +215,7 @@ class TestEngineSeam:
             assert "layout" not in inspect.signature(fn).parameters, fn
         report = simulate(SimRequest(
             kind="view", graph=cycle(6),
-            algorithm=make_view_rule("ball-signature", radius=1),
+            algorithm=BallSignatureColoring(radius=1),
         ))
         assert not hasattr(report, "info")
         hooks = [name for name in vars(Tracer) if name.startswith("on_")]
@@ -312,3 +312,31 @@ class TestEngineSeam:
             "kind", "outputs", "rounds", "halt_rounds", "failing_nodes",
         ]
         assert not hasattr(DirectEngine, "name")
+
+    def test_retired_memo_surface_is_gone(self):
+        # The speedup memo is a plain dict on each algorithm: the
+        # counting cache module is gone, the reference key lives beside
+        # OrientedBall, RunMetrics has no loader, and the second
+        # iterated logarithm and the rule-factory wrappers are gone.
+        import importlib
+        import importlib.util
+
+        from repro.instrumentation import RunMetrics
+        from repro.speedup import local_maximum_coloring
+
+        assert importlib.util.find_spec("repro.local_model.cache") is None
+        retired = {
+            "repro.local_model": ("KeyedCache", "CacheStats", "ball_assignment_key"),
+            "repro.algorithms": ("log_star", "make_view_rule", "VIEW_RULE_NAMES"),
+            "repro.algorithms.cole_vishkin": ("log_star",),
+            "repro.algorithms.view_rules": ("make_view_rule", "VIEW_RULE_NAMES"),
+            "repro.algorithms.edge_rules": ("make_edge_rule", "EDGE_RULE_NAMES"),
+        }
+        for module, names in retired.items():
+            exported = importlib.import_module(module)
+            for name in names:
+                assert not hasattr(exported, name), (module, name)
+                assert name not in getattr(exported, "__all__", ()), (module, name)
+        assert not hasattr(RunMetrics, "from_dict")
+        alg = local_maximum_coloring(2)
+        assert type(alg.memo) is dict and not hasattr(alg, "cache")

@@ -26,8 +26,7 @@ from repro.algorithms.message_passing import (
     LubyMIS,
     RandomizedWeakColoring,
 )
-from repro.algorithms.view_rules import make_view_rule
-from repro.core import SimRequest, simulate
+from repro.core import ALGORITHMS, SimRequest, simulate
 from repro.graphs import balanced_regular_tree, cycle
 from repro.graphs.identifiers import random_permutation_ids
 from repro.instrumentation import MetricsTracer
@@ -50,10 +49,10 @@ from .differential import (
 def test_cached_run_is_bit_identical(case):
     direct, memoized, stats = run_case(case)
     assert_identical(direct, memoized, case)
-    # The memo table did real work: one lookup per node, none lost.
+    # The memo table did real work: one lookup per node, and at most one
+    # class per node.
     assert stats["lookups"] == len(direct.outputs)
-    assert stats["hits"] + stats["misses"] == stats["lookups"]
-    assert stats["distinct_classes"] == stats["misses"]
+    assert 1 <= stats["distinct_classes"] <= stats["lookups"]
 
 
 @pytest.mark.parametrize(
@@ -131,7 +130,7 @@ def test_view_rules_agree_traced_untraced_cached(
         if labeling == "random"
         else None
     )
-    rule = make_view_rule(rule_name, radius=radius)
+    rule = ALGORITHMS.create(rule_name, radius=radius)
 
     request = SimRequest(
         kind="view", graph=graph, algorithm=rule, ids=ids, randomness=randomness
@@ -139,7 +138,7 @@ def test_view_rules_agree_traced_untraced_cached(
     untraced = simulate(request)
     tracer = MetricsTracer()
     traced = simulate(request, tracer=tracer)
-    memoized, cache = run_memoized(graph, rule, ids=ids, randomness=randomness)
+    memoized, memo = run_memoized(graph, rule, ids=ids, randomness=randomness)
 
     for other in (traced, memoized):
         assert other.outputs == untraced.outputs
@@ -147,13 +146,11 @@ def test_view_rules_agree_traced_untraced_cached(
         assert other.rounds == untraced.rounds
     # The traced run gathered every ball; the memo table one per class.
     assert tracer.metrics.views_gathered == graph.n
-    assert cache.stats.lookups == graph.n
-    assert cache.stats.misses == len(cache) <= graph.n
-    # Unique labels can make every view class distinct (hit rate 0);
-    # anonymous symmetric graphs must actually share classes.
-    assert 0.0 <= cache.stats.hit_rate <= 1.0
+    assert 1 <= len(memo) <= graph.n
+    # Unique labels can make every view class distinct; anonymous
+    # symmetric graphs must actually share classes.
     if labeling == "anonymous":
-        assert cache.stats.hit_rate > 0.0
+        assert len(memo) < graph.n
 
 
 def test_standalone_harness_reports_zero_failures():

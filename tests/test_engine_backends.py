@@ -28,7 +28,7 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms.message_passing import ColeVishkinMP, FloodLeaderParity
-from repro.algorithms.view_rules import make_view_rule
+from repro.algorithms.view_rules import LocalMaximumRule
 from repro.core import SimRequest, simulate
 from repro.graphs import cycle
 from repro.local_model.edge_model import EdgeViewAlgorithm
@@ -93,7 +93,7 @@ def test_local_label_length_errors(field):
 def test_view_label_length_errors(kind, field):
     graph = cycle(10)
     algorithm = (
-        make_view_rule("local-max", radius=1) if kind == "view"
+        LocalMaximumRule(radius=1) if kind == "view"
         else EdgeViewAlgorithm(1, _edge_ball_size, name="edge-ball-size")
     )
     for labels in ([5, 6, 7], list(range(11))):

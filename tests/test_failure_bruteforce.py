@@ -15,11 +15,11 @@ from fractions import Fraction
 
 import pytest
 
-from repro.local_model.cache import ball_assignment_key
 from repro.speedup import (
     EdgeAlgorithm,
     NodeAlgorithm,
     OrientedBall,
+    ball_assignment_key,
     edge_local_failure,
     first_speedup,
     local_maximum_coloring,

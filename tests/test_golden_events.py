@@ -6,8 +6,10 @@ outputs but reports a different story: views materialized around other
 centres or in another order, or event payloads that moved.  Every recorded trace artifact depends on
 that story.
 
-This table is the tripwire: one run per case,
-recorded with a :class:`~repro.instrumentation.TraceRecorder`
+This table is the tripwire: one run per case (the ``finite`` case runs
+one trial and then a batch of three on the warm memo, so its ``cache``
+events count hits as well as misses), recorded with a
+:class:`~repro.instrumentation.TraceRecorder`
 (which reads no clock, so its events are deterministic), hashed as the
 sha256 of the canonical JSON of the whole stream.  If a digest moves,
 the event stream of that cell changed; either restore it or record the
@@ -26,19 +28,21 @@ import json
 import random
 import re
 from pathlib import Path
-from typing import Any, Tuple
+from typing import Any, List, Tuple
 
 import pytest
 
 from repro.algorithms.message_passing import RandomizedWeakColoring
-from repro.algorithms.view_rules import make_view_rule
+from repro.algorithms.view_rules import BallSignatureColoring, LocalMaximumRule
 from repro.core import SimRequest, simulate
-from repro.graphs import cycle, toroidal_grid
+from repro.graphs import cycle, orient_torus, toroidal_grid
 from repro.graphs.identifiers import random_permutation_ids
 from repro.instrumentation import TraceRecorder
 from repro.local_model import EdgeViewAlgorithm
+from repro.speedup import local_maximum_coloring
+from repro.speedup.finite_runner import resolve_ball_tables
 
-CASES = ("view-ids", "edge-ids", "view-anon", "edge-anon")
+CASES = ("view-ids", "edge-ids", "view-anon", "finite")
 
 
 def _edge_output(view: Any) -> Tuple[int, int, int]:
@@ -46,7 +50,28 @@ def _edge_output(view: Any) -> Tuple[int, int, int]:
     return (view.node_count, len(view.edges), min(view.randomness))
 
 
-def _request(case: str) -> SimRequest:
+def _finite_requests() -> List[SimRequest]:
+    """One trial, then a batch of three, on one fresh algorithm's memo."""
+    graph = toroidal_grid(5, 6)
+    rng = random.Random("golden-events:finite")
+    algorithm = local_maximum_coloring(2)
+    tables = resolve_ball_tables(algorithm, graph, orient_torus(graph, 5, 6))
+
+    def draw() -> List[int]:
+        return [rng.randrange(algorithm.values) for _ in graph.nodes()]
+
+    values = draw()
+    batch = [draw() for _ in range(3)]
+    return [
+        SimRequest(kind="finite", graph=graph, algorithm=algorithm,
+                   tables=tables, label="golden:finite", **trials)
+        for trials in ({"values": values}, {"batch": batch})
+    ]
+
+
+def _requests(case: str) -> List[SimRequest]:
+    if case == "finite":
+        return _finite_requests()
     graph = toroidal_grid(5, 6)
     rng = random.Random(f"golden-events:{case}")
     kind, labeling = case.split("-")
@@ -58,24 +83,25 @@ def _request(case: str) -> SimRequest:
         ids = None
         randomness = [int(rng.random() < 0.1) for _ in graph.nodes()]
     if kind == "view":
-        rule = "local-max" if labeling == "ids" else "ball-signature"
-        algorithm = make_view_rule(rule, radius=1)
+        rule = LocalMaximumRule if labeling == "ids" else BallSignatureColoring
+        algorithm = rule(radius=1)
     else:
         algorithm = EdgeViewAlgorithm(2, _edge_output, name="edge-golden")
-    return SimRequest(
+    return [SimRequest(
         kind=kind,
         graph=graph,
         algorithm=algorithm,
         ids=ids,
         randomness=randomness,
         label=f"golden:{case}",
-    )
+    )]
 
 
 def record_stream(case: str) -> str:
     """The canonical JSON of one cell's event stream."""
     recorder = TraceRecorder()
-    simulate(_request(case), tracer=recorder)
+    for request in _requests(case):
+        simulate(request, tracer=recorder)
     return json.dumps(
         [e.to_dict() for e in recorder.events],
         sort_keys=True,
@@ -96,8 +122,8 @@ GOLDEN_EVENTS = {
         'aa466a5de1ebbc6ccc769e9b35ae748c8eb0d8e932bdf00b5ce014b43250cfbd',
     'view-anon':
         '6ea3f2305afeba2d02c862d2beef4af8fc7753c7de64788b942f93a43ce09d0b',
-    'edge-anon':
-        'aa466a5de1ebbc6ccc769e9b35ae748c8eb0d8e932bdf00b5ce014b43250cfbd',
+    'finite':
+        '72a1a04a96baf1212bf243595edcd970fe21800720f8ea6d04f120ff2d514f7c',
 }
 
 

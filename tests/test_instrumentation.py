@@ -23,6 +23,7 @@ from repro.instrumentation import (
     MetricsTracer,
     MultiTracer,
     NullTracer,
+    RoundMetrics,
     RunMetrics,
     Tracer,
     TraceRecorder,
@@ -275,53 +276,30 @@ class TestSizeEstimation:
 
 
 class TestJsonRoundTrips:
-    def test_from_dict_ignores_unknown_keys(self):
-        # An artifact written by a newer version (extra counters), or by
-        # an older one that still carried the retired service_*, delta_*,
-        # process-pool, kernel-layout, layout or cache_bytes counters,
-        # must load on this one rather than raise TypeError.
-        graph = cycle(12)
-        tracer = MetricsTracer()
-        simulate(SimRequest(kind="local", graph=graph, algorithm=Broadcast(2)), tracer=tracer)
-        newer = tracer.metrics.to_dict()
-        newer["counter_from_the_future"] = 42
-        newer["per_round"] = [
-            {**r, "novel_round_field": 1} for r in newer["per_round"]
+    def test_metrics_dict_keeps_its_key_order(self):
+        # The artifact schema: the fields in declaration order, the
+        # derived hit rate right after the cache counters, and the halt
+        # histogram keyed by sorted round strings.
+        metrics = RunMetrics(halt_histogram={10: 1, 2: 3, 0: 1},
+                             per_round=[RoundMetrics(round=1, active=4)])
+        report = metrics.to_dict()
+        assert list(report) == [
+            "engine", "algorithm", "n", "rounds", "messages_sent",
+            "messages_delivered", "bits_sent", "views_gathered", "view_nodes",
+            "view_edges", "trials", "trial_successes", "cache_lookups",
+            "cache_hits", "cache_misses", "cache_distinct_classes",
+            "cache_hit_rate", "wall_seconds", "halt_histogram", "per_round",
         ]
-        older = {
-            **tracer.metrics.to_dict(),
-            "service_requests": 3,
-            "service_table_hits": 2,
-            "service_table_misses": 1,
-            "service_graph_hits": 2,
-            "service_graph_misses": 1,
-            "service_evictions": 0,
-            "service_bytes": 4096,
-            "delta_applies": 2,
-            "delta_footprint": 17,
-            "delta_classes_invalidated": 3,
-            "delta_cache_survivors": 5,
-            "delta_changed_nodes": 4,
-            "subruns": 3,
-            "shards": 2,
-            "degradations": 1,
-            "degraded_reasons": ["unpicklable"],
-            "layout_kernel_runs": 1,
-            "layout_fallbacks": 0,
-            "layout_classes": 4,
-            "layout_dict_runs": 1,
-            "layout_csr_runs": 1,
-            "layout_entities": 12,
-            "kernel_runs": 1,
-            "kernel_vectorized": 1,
-            "kernel_fallbacks": 0,
-            "kernel_entities": 12,
-            "kernel_classes": 4,
-            "cache_bytes": 4096,
-        }
-        for data in (newer, older):
-            restored = RunMetrics.from_dict(data)
-            assert restored == tracer.metrics
+        assert list(report["halt_histogram"].items()) == [("0", 1), ("2", 3), ("10", 1)]
+        assert report["per_round"] == [{
+            "round": 1, "active": 4, "messages_sent": 0, "messages_delivered": 0,
+            "bits_sent": 0, "halts": 0, "wall_seconds": 0.0,
+        }]
+        assert list(report["per_round"][0]) == [
+            "round", "active", "messages_sent", "messages_delivered",
+            "bits_sent", "halts", "wall_seconds",
+        ]
+        assert json.loads(json.dumps(report)) == report
 
     def test_cache_counters_round_trip(self):
         # Finite runs report their algorithm's memo lookups (a cache event).
@@ -334,24 +312,25 @@ class TestJsonRoundTrips:
         request = SimRequest(kind="finite", graph=graph, algorithm=alg,
                              tables=tables, values=values)
         simulate(request, tracer=tracer)
-        data = json.loads(json.dumps(tracer.metrics.to_dict()))
-        restored = RunMetrics.from_dict(data)
-        assert restored.cache_lookups == tracer.metrics.cache_lookups == graph.n
-        assert restored.cache_hits == tracer.metrics.cache_hits
-        assert restored.cache_misses == tracer.metrics.cache_misses
-        assert restored.cache_distinct_classes == (
+        report = tracer.metrics.to_dict()
+        data = json.loads(json.dumps(report))
+        assert data == report
+        assert data["cache_lookups"] == tracer.metrics.cache_lookups == graph.n
+        assert data["cache_hits"] == tracer.metrics.cache_hits
+        assert data["cache_misses"] == tracer.metrics.cache_misses
+        assert data["cache_distinct_classes"] == (
             tracer.metrics.cache_distinct_classes
         )
-        assert restored.cache_hit_rate == tracer.metrics.cache_hit_rate
+        assert data["cache_hit_rate"] == tracer.metrics.cache_hit_rate
 
     def test_metrics_round_trip(self):
         graph = balanced_regular_tree(3, 3)
         tracer = MetricsTracer()
         simulate(SimRequest(kind="local", graph=graph, algorithm=Broadcast(2)), tracer=tracer)
         report = tracer.report()
-        restored = RunMetrics.from_dict(json.loads(json.dumps(report)))
-        assert restored == tracer.metrics
-        assert restored.to_dict() == report
+        assert report == tracer.metrics.to_dict()
+        assert len(report["per_round"]) == tracer.metrics.rounds == 2
+        assert json.loads(json.dumps(report)) == report
 
     def test_recorder_jsonl_round_trip(self):
         graph = cycle(5)

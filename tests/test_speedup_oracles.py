@@ -28,11 +28,11 @@ from repro.core.engine import SimRequest, simulate
 from repro.experiments.speedup_figures import default_seeds
 from repro.graphs import Graph, orient_torus, toroidal_grid
 from repro.instrumentation import Tracer
-from repro.local_model.cache import ball_assignment_key
 from repro.speedup import (
     EdgeAlgorithm,
     NodeAlgorithm,
     OrientedBall,
+    ball_assignment_key,
     first_speedup,
     local_maximum_coloring,
     parity_coloring,
@@ -143,6 +143,19 @@ def test_malformed_tables_are_refused():
             finite_run(alg, graph, values, bad)
     with pytest.raises(ValueError, match="^assignment has 4 values, ball has 5$"):
         finite_run(alg, graph, values, [row[:4] for row in tables])
+
+
+@pytest.mark.parametrize("graph", ["torus", "edgeless"])
+def test_empty_table_rows_are_refused(graph):
+    # Rows of length 0 zip to no keys: the torus would raise IndexError
+    # in the failure scan, and an edgeless graph would report no outputs
+    # for its nodes and a cache event of lookups that never happened.
+    graph = (toroidal_grid(3, 3) if graph == "torus"
+             else Graph.from_adjacency([[], []]).freeze())
+    with pytest.raises(
+        ValueError, match="^tables: the rows are empty, but every ball holds its centre$"
+    ):
+        finite_run(local_maximum_coloring(2), graph, [0] * graph.n, [[]] * graph.n)
 
 
 @pytest.mark.parametrize("entry", ["-1", "n"])

@@ -1,16 +1,20 @@
-"""Unit and regression tests for the memoization layer.
+"""Unit and regression tests for the speedup algorithms' memo.
 
-Covers the cache substrate (:class:`KeyedCache` / :class:`CacheStats`),
-its counters against a dict model under any interleaving, the tracer's
-``cache`` event end to end on finite runs (MetricsTracer aggregation,
-TraceRecorder events, artifact round-trips), memo reuse across runs,
-and the speedup engine's shared keying function — including the
+Covers the memo of :class:`~repro.speedup.NodeAlgorithm` and
+:class:`~repro.speedup.EdgeAlgorithm` (a plain dict from what the
+computing entity sees to its output): the batched lookup against the
+per-key loop it replaces, ``None`` colours, the ball-size refusal; the
+tracer's ``cache`` event end to end on finite runs (read off the memo's
+growth, checked against a per-lookup recount; MetricsTracer
+aggregation, TraceRecorder events, JSON reports), memo reuse across
+runs, and the speedup engine's keying function — including the
 regression guard for the ball tables' injectivity refusal on tori at
 radius >= 2.
 """
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -20,126 +24,15 @@ from hypothesis import strategies as st
 from repro.algorithms.view_rules import DegreeProfileRule
 from repro.core import SimRequest, simulate
 from repro.graphs import cycle, orient_torus, toroidal_grid
-from repro.instrumentation import MetricsTracer, RunMetrics, TraceRecorder
-from repro.local_model import CacheStats, KeyedCache, ball_assignment_key
+from repro.instrumentation import MetricsTracer, TraceRecorder
 from repro.speedup import (
     EdgeAlgorithm,
+    NodeAlgorithm,
+    ball_assignment_key,
     local_maximum_coloring,
     two_round_local_maximum,
 )
 from repro.speedup.finite_runner import estimate_global_success, resolve_ball_tables
-
-
-# ----------------------------------------------------------------------
-# CacheStats
-# ----------------------------------------------------------------------
-
-def test_stats_hit_rate_and_dict():
-    stats = CacheStats(lookups=10, hits=7, misses=3, distinct_classes=3)
-    assert stats.hit_rate == 0.7
-    d = stats.to_dict()
-    assert d["hits"] == 7 and d["hit_rate"] == 0.7
-    assert CacheStats().hit_rate == 0.0  # no division by zero when idle
-
-
-def test_stats_copy_is_independent_and_delta_subtracts():
-    stats = CacheStats(lookups=5, hits=2, misses=3, distinct_classes=3)
-    snap = stats.copy()
-    stats.lookups += 4
-    stats.hits += 4
-    assert snap.lookups == 5 and snap.hits == 2
-    delta = stats.delta(snap)
-    assert delta.lookups == 4 and delta.hits == 4 and delta.misses == 0
-
-
-# ----------------------------------------------------------------------
-# KeyedCache
-# ----------------------------------------------------------------------
-
-def test_keyed_cache_counts_hits_and_misses():
-    cache = KeyedCache()
-    assert cache.get("a") is KeyedCache.MISS
-    cache.store("a", 1)
-    assert cache.get("a") == 1
-    assert cache.stats.lookups == 2
-    assert cache.stats.hits == 1
-    assert cache.stats.misses == 1
-    assert cache.stats.distinct_classes == len(cache) == 1
-
-
-def test_keyed_cache_caches_none_values():
-    # Regression: the pre-cache NodeAlgorithm memo used ``dict.get`` with
-    # a None default, so a legitimately-None output was recomputed every
-    # time.  The MISS sentinel must distinguish "absent" from "None".
-    cache = KeyedCache()
-    cache.store("k", None)
-    assert cache.get("k") is None
-    assert cache.stats.hits == 1
-
-
-def test_get_or_compute_runs_once():
-    cache = KeyedCache()
-    calls = []
-    for _ in range(3):
-        value = cache.get_or_compute("key", lambda: calls.append(1) or 42)
-    assert value == 42
-    assert len(calls) == 1
-
-
-def test_clear_drops_entries_but_keeps_cumulative_lookups():
-    cache = KeyedCache()
-    cache.store("a", 1)
-    cache.get("a")
-    cache.clear()
-    assert len(cache) == 0
-    assert cache.stats.distinct_classes == 0
-    assert cache.stats.lookups == 1  # history survives
-
-
-# ----------------------------------------------------------------------
-# The counters follow a dict model under any interleaving
-# ----------------------------------------------------------------------
-
-# 1, 1.0 and True are one dict key.
-KEYS = st.one_of(st.integers(-3, 3), st.sampled_from([1.0, True, (1, 2), "ab"]))
-VALUES = st.one_of(
-    st.none(), st.integers(), st.tuples(st.integers(), st.integers()), st.text(max_size=3)
-)
-OPS = st.lists(
-    st.one_of(
-        st.tuples(st.just("get"), KEYS),
-        st.tuples(st.just("store"), KEYS, VALUES),
-        st.tuples(st.just("stats")),
-        st.tuples(st.just("clear")),
-    ),
-    max_size=40,
-)
-
-
-@given(OPS)
-@example([("store", 1, 0), ("store", 1.0, "abc"), ("stats",), ("store", True, (5, 6)),
-          ("get", 1), ("clear",), ("store", 2, None), ("stats",)])
-def test_counters_follow_a_dict_model_under_any_interleaving(ops):
-    keyed = KeyedCache()
-    model, expected = {}, {"lookups": 0, "hits": 0, "misses": 0}
-    for op, *args in ops:
-        if op == "get":
-            (key,) = args
-            expected["lookups"] += 1
-            expected["hits" if key in model else "misses"] += 1
-            assert keyed.get(key) == model.get(key, KeyedCache.MISS)
-        elif op == "store":
-            key, value = args
-            model[key] = value
-            assert keyed.store(key, value) is value
-        elif op == "clear":
-            model.clear()
-            keyed.clear()
-        else:
-            stats = keyed.stats.to_dict()
-            assert {name: stats[name] for name in expected} == expected
-            assert stats["distinct_classes"] == len(model) == len(keyed)
-    assert keyed.stats.distinct_classes == len(model)
 
 
 # ----------------------------------------------------------------------
@@ -150,67 +43,93 @@ class _Poisoned(Exception):
     pass
 
 
-def _per_key_loop(cache, keys, compute):
-    """``get``, and ``store(key, compute(key))`` on a miss, key by key."""
-    values = []
-    for key in keys:
-        value = cache.get(key)
-        if value is KeyedCache.MISS:
-            value = cache.store(key, compute(key))
-        values.append(value)
-    return values
+#: Ball size of the recording algorithms: a radius-0 node ball, and the
+#: radius-0 edge ball of its two endpoints.
+_SIZE = {"node": 1, "edge": 2}
 
 
+def _recording_algorithm(kind, calls, poison=None):
+    """A fresh algorithm whose ``fn`` logs every assignment it computes.
+
+    Returns the algorithm, its per-key ``evaluate`` loop and its
+    ``evaluate_many``, both as functions of a list of assignments.
+    """
+
+    def colour(assignment):
+        calls.append(assignment)
+        if assignment == poison:
+            raise _Poisoned
+        # None is a colour like any other; an assignment computed twice
+        # would get a second, different colour.
+        return None if assignment[0] == 0 else (assignment, len(calls))
+
+    if kind == "node":
+        alg = NodeAlgorithm(1, 0, 1, 2, colour, name="recording")
+        return alg, lambda keys: [alg.evaluate(a) for a in keys], alg.evaluate_many
+    alg = EdgeAlgorithm(1, 0, 1, 2, lambda dim, a: colour(a), name="recording")
+    return (
+        alg,
+        lambda keys: [alg.evaluate(0, a) for a in keys],
+        lambda keys: alg.evaluate_many(0, keys),
+    )
+
+
+# 1, 1.0 and True are one value, so assignments built from them are one key.
+BALL_VALUES = st.one_of(st.integers(0, 3), st.sampled_from([1.0, True]))
+PAIRS = st.tuples(BALL_VALUES, BALL_VALUES)
+
+
+@pytest.mark.parametrize("kind", ["node", "edge"])
 @given(
-    prefill=st.lists(st.tuples(KEYS, VALUES), max_size=6),
-    batches=st.lists(st.tuples(st.lists(KEYS, max_size=30), st.booleans()), max_size=4),
-    poison=st.one_of(st.none(), KEYS),
+    batches=st.lists(st.lists(PAIRS, max_size=30), max_size=4),
+    poison=st.one_of(st.none(), PAIRS),
 )
-@example(prefill=[(2, "x")], batches=[([1, True, 2, 1.0, 3, 3], False)], poison=None)
-@example(prefill=[], batches=[([0, 1, 0, 2, 1], False), ([2, 0], True)], poison=2)
-def test_batched_lookup_equals_the_per_key_loop(prefill, batches, poison):
-    # Random key sequences with repeats (1, 1.0 and True are one key),
-    # on a pre-filled cache and across clear(): the same values, the same
-    # compute calls in the same order and the same counters.  A compute
-    # that raises at the poisoned key stops both after the same lookups.
-    looped, batched = KeyedCache(), KeyedCache()
-    for key, value in prefill:
-        looped.store(key, value)
-        batched.store(key, value)
-    for keys, clear_first in batches:
-        if clear_first:
-            looped.clear()
-            batched.clear()
-        calls = {looped: [], batched: []}
-
-        def compute_for(cache):
-            def compute(key):
-                calls[cache].append(key)
-                if poison is not None and key == poison:
-                    raise _Poisoned
-                # A key computed twice would get a second, different value.
-                return (key, len(calls[cache]))
-
-            return compute
-
+@example(batches=[[(1, 1), (True, True), (2, 0), (1.0, 1), (3, 3), (3, 3)]], poison=None)
+@example(batches=[[(0, 0), (1, 1), (0, 0), (2, 2), (1, 1)], [(2, 2), (0, 0)]], poison=(2, 2))
+def test_evaluate_many_equals_the_per_key_loop(kind, batches, poison):
+    # Random assignment sequences with repeats, on a memo warmed by the
+    # earlier batches: the same colours, the same fn calls in the same
+    # order and the same memo, down to which of 1, 1.0 and True is
+    # stored.  An fn that raises at the poisoned assignment stops both
+    # at the same key.
+    size = _SIZE[kind]
+    poison = None if poison is None else poison[:size]
+    looped_calls, batched_calls = [], []
+    looped, per_key, _ = _recording_algorithm(kind, looped_calls, poison)
+    batched, _, many = _recording_algorithm(kind, batched_calls, poison)
+    for pairs in batches:
+        keys = [pair[:size] for pair in pairs]
         outcomes = []
-        for lookup in (
-            lambda: _per_key_loop(looped, keys, compute_for(looped)),
-            lambda: batched.get_or_compute_many(keys, compute_for(batched)),
-        ):
+        for lookup in (per_key, many):
             try:
-                outcomes.append(lookup())
+                outcomes.append(lookup(keys))
             except _Poisoned:
                 outcomes.append(_Poisoned)
         assert outcomes[0] == outcomes[1]
-        assert calls[looped] == calls[batched]
-        assert batched.stats == looped.stats
-        assert list(batched._store.items()) == list(looped._store.items())
+        assert looped_calls == batched_calls
+        assert repr(list(looped.memo.items())) == repr(list(batched.memo.items()))
+    # Every assignment but the poisoned one was computed once, None
+    # colours included.
+    computed = [a for a in batched_calls if a != poison]
+    assert len(set(computed)) == len(computed) == len(batched.memo)
+
+
+@pytest.mark.parametrize("kind", ["node", "edge"])
+def test_a_none_colour_is_memoized(kind):
+    # A memo that used ``dict.get`` with a None default would recompute a
+    # legitimately-None output on every lookup.
+    calls = []
+    alg, per_key, many = _recording_algorithm(kind, calls)
+    key = (0,) * _SIZE[kind]
+    assert per_key([key, key]) == [None, None]
+    assert many([key, key]) == [None, None]
+    assert calls == [key]
+    assert list(alg.memo.values()) == [None]
 
 
 def test_batched_lookup_checks_the_ball_size_on_every_miss():
     # The per-key evaluate and evaluate_many raise the same message at the
-    # same key and leave the same counters, for node and edge algorithms.
+    # same key and leave the same memo, for node and edge algorithms.
     def node_keys(alg):
         return [(0,) * 5, (1,) * 5, (0,) * 4, (0,) * 6]
 
@@ -232,68 +151,137 @@ def test_batched_lookup_checks_the_ball_size_on_every_miss():
             lambda alg, keys: alg.evaluate_many(1, keys),
         ),
     ):
-        errors, stats = [], []
+        errors, memos = [], []
         for run in (per_key, batched):
             alg = make()
             with pytest.raises(ValueError) as raised:
                 run(alg, keys_of(alg))
             errors.append(str(raised.value))
-            stats.append(alg.cache.stats)
+            memos.append(list(alg.memo.items()))
         assert errors[0] == errors[1]
         assert errors[0].startswith("assignment has ")
-        assert stats[0] == stats[1]
-
-
-def test_traced_finite_run_reports_its_stores(monkeypatch):
-    alg = local_maximum_coloring(2)
-    stored = []
-    store = alg.cache.store
-
-    def recording_store(key, value):
-        stored.append((key, value))
-        return store(key, value)
-
-    monkeypatch.setattr(alg.cache, "store", recording_store)
-    _finite_run(None, alg, seed=1)  # the event counts only the traced run's stores
-    stored.clear()
-    recorder = TraceRecorder()
-    _finite_run(recorder, alg, seed=3)
-    (event,) = recorder.of_kind("cache")
-    assert stored and event.data["misses"] == len(stored)
-    assert event.data["distinct_classes"] == len(stored)
-    assert "bytes" not in event.data
+        assert memos[0] == memos[1] and memos[0]
 
 
 # ----------------------------------------------------------------------
 # The cache event end to end: finite runs report their memo lookups
 # ----------------------------------------------------------------------
 
-def _finite_run(tracer, alg=None, seed=3):
+def _finite_request(alg=None, seed=3, trials=None):
+    """A finite request on the 6x6 torus: one trial, or a batch."""
     graph = toroidal_grid(6, 6)
     orientation = orient_torus(graph, 6, 6)
     alg = alg if alg is not None else local_maximum_coloring(2)
     rng = random.Random(seed)
-    values = [rng.randrange(alg.values) for _ in graph.nodes()]
-    request = SimRequest(
-        kind="finite", graph=graph, algorithm=alg, values=values,
-        tables=resolve_ball_tables(alg, graph, orientation),
+
+    def draw():
+        return [rng.randrange(alg.values) for _ in graph.nodes()]
+
+    given_values = (
+        {"values": draw()} if trials is None
+        else {"batch": [draw() for _ in range(trials)]}
     )
+    return SimRequest(
+        kind="finite", graph=graph, algorithm=alg,
+        tables=resolve_ball_tables(alg, graph, orientation), **given_values,
+    )
+
+
+def _finite_run(tracer, alg=None, seed=3):
+    request = _finite_request(alg, seed)
     simulate(request, tracer=tracer)
-    return graph, alg
+    return request.graph, request.algorithm
+
+
+def _recount(request):
+    """``(lookups, misses)`` of the request, one lookup per node per trial.
+
+    A per-lookup model of the memo the request meets: a key is a miss
+    the first time it is looked up and not already stored.
+    """
+    seen = set(request.algorithm.memo)
+    batch = [request.values] if request.batch is None else request.batch
+    lookups = misses = 0
+    for values in batch:
+        for table in request.tables:
+            key = ball_assignment_key(values, table)
+            lookups += 1
+            if key not in seen:
+                seen.add(key)
+                misses += 1
+    return lookups, misses
+
+
+def test_traced_finite_run_reports_its_stores():
+    alg = local_maximum_coloring(2)
+    computed = []
+    fn = alg.fn
+    alg.fn = lambda assignment: computed.append(assignment) or fn(assignment)
+    _finite_run(None, alg, seed=1)  # the event counts only the traced run's stores
+    computed.clear()
+    stored_before = len(alg.memo)
+    recorder = TraceRecorder()
+    _finite_run(recorder, alg, seed=3)
+    (event,) = recorder.of_kind("cache")
+    assert computed and event.data["misses"] == len(computed)
+    assert event.data["distinct_classes"] == len(computed)
+    assert len(alg.memo) == stored_before + len(computed)
+    assert "bytes" not in event.data
+
+
+@pytest.mark.parametrize("bits", [1, 2])
+@given(seeds=st.lists(st.integers(0, 2**32), min_size=1, max_size=3),
+       trials=st.lists(st.one_of(st.none(), st.integers(0, 3)), min_size=1, max_size=3))
+def test_cache_event_matches_a_per_lookup_recount(bits, seeds, trials):
+    # Single runs and batches, one after another on one warm memo: every
+    # event's counters are what a per-lookup count of the run's keys
+    # gives.
+    alg = local_maximum_coloring(2, bits=bits)
+    for seed, batch in zip(seeds, trials):
+        request = _finite_request(alg, seed, trials=batch)
+        lookups, misses = _recount(request)
+        recorder = TraceRecorder()
+        simulate(request, tracer=recorder)
+        (event,) = recorder.of_kind("cache")
+        assert event.data == {
+            "engine": "finite", "lookups": lookups, "hits": lookups - misses,
+            "misses": misses, "distinct_classes": misses,
+            "hit_rate": (lookups - misses) / lookups if lookups else 0.0,
+        }
+
+
+def test_an_empty_batch_reports_no_lookups():
+    # No lookups, so no division by zero: the hit rate reads 0.0.
+    recorder = TraceRecorder()
+    report = simulate(_finite_request(trials=0), tracer=recorder)
+    assert report.outputs == [] and report.failing_nodes == []
+    (event,) = recorder.of_kind("cache")
+    assert (event.data["lookups"], event.data["hits"], event.data["hit_rate"]) == (0, 0, 0.0)
+
+
+def test_memo_holds_each_assignment_the_run_presented():
+    # After a run the memo maps exactly the run's ball assignments to fn
+    # of each; a second run on other values only adds keys.
+    request = _finite_request()
+    alg = request.algorithm
+    simulate(request)
+    keys = {ball_assignment_key(request.values, table) for table in request.tables}
+    assert set(alg.memo) == keys
+    assert all(colour == alg.fn(key) for key, colour in alg.memo.items())
+    simulate(_finite_request(alg, seed=4))
+    assert keys < set(alg.memo)
 
 
 def test_metrics_tracer_reports_hit_rate():
     alg = local_maximum_coloring(2)
-    alg.cache.clear()
-    before = alg.cache.stats.copy()
+    lookups, misses = _recount(_finite_request(alg))
     tracer = MetricsTracer()
     graph, _ = _finite_run(tracer, alg)
-    run = alg.cache.stats.delta(before)
     m = tracer.metrics
-    assert m.cache_lookups == graph.n == run.lookups
-    assert m.cache_misses == m.cache_distinct_classes == run.misses
+    assert m.cache_lookups == graph.n == lookups
+    assert m.cache_misses == m.cache_distinct_classes == misses == len(alg.memo)
     assert 0 < m.cache_misses < graph.n  # the torus shares assignments
-    assert m.cache_hit_rate == pytest.approx(run.hits / graph.n)
+    assert m.cache_hit_rate == pytest.approx((lookups - misses) / graph.n)
     # Event order: cache stats land once, before run_end.
     recorder = TraceRecorder()
     _finite_run(recorder, alg)
@@ -305,29 +293,27 @@ def test_metrics_tracer_reports_hit_rate():
 def test_run_metrics_round_trip_preserves_cache_counters():
     tracer = MetricsTracer()
     _finite_run(tracer)
-    loaded = RunMetrics.from_dict(tracer.metrics.to_dict())
-    assert loaded.cache_lookups == tracer.metrics.cache_lookups > 0
-    assert loaded.cache_hits == tracer.metrics.cache_hits
-    assert loaded.cache_hit_rate == tracer.metrics.cache_hit_rate
+    report = tracer.metrics.to_dict()
+    assert json.loads(json.dumps(report)) == report
+    assert report["cache_lookups"] == tracer.metrics.cache_lookups > 0
+    assert report["cache_hits"] == tracer.metrics.cache_hits
+    assert report["cache_hit_rate"] == tracer.metrics.cache_hit_rate
 
 
-def test_run_metrics_loads_pre_cache_artifacts():
-    # Artifacts written before the cache counters existed must still load.
-    graph = cycle(8)
+def test_run_metrics_without_a_cache_event_report_zero_counters():
+    # A view run has no memo: its cache counters stay 0, and so does the
+    # derived hit rate.
     tracer = MetricsTracer()
-    request = SimRequest(kind="view", graph=graph, algorithm=DegreeProfileRule(radius=1))
+    request = SimRequest(kind="view", graph=cycle(8), algorithm=DegreeProfileRule(radius=1))
     simulate(request, tracer=tracer)
-    legacy = tracer.metrics.to_dict()
-    for key in list(legacy):
-        if key.startswith("cache_"):
-            del legacy[key]
-    loaded = RunMetrics.from_dict(legacy)
-    assert loaded.cache_lookups == 0
-    assert loaded.cache_hit_rate == 0.0
+    report = tracer.metrics.to_dict()
+    assert json.loads(json.dumps(report)) == report
+    assert report["cache_lookups"] == 0
+    assert report["cache_hit_rate"] == 0.0
 
 
 # ----------------------------------------------------------------------
-# Shared keying with the speedup engine (satellite: one key function)
+# Shared keying with the speedup engine (one key function)
 # ----------------------------------------------------------------------
 
 def test_ball_assignment_key_is_projection():
@@ -337,15 +323,8 @@ def test_ball_assignment_key_is_projection():
 
 
 def test_finite_runner_reports_cache_delta_per_run():
-    graph = toroidal_grid(6, 6)
-    orientation = orient_torus(graph, 6, 6)
-    alg = local_maximum_coloring(2)
-    rng = random.Random(3)
-    values = [rng.randrange(alg.values) for _ in graph.nodes()]
-    request = SimRequest(
-        kind="finite", graph=graph, algorithm=alg, values=values,
-        tables=resolve_ball_tables(alg, graph, orientation),
-    )
+    request = _finite_request()
+    graph, alg = request.graph, request.algorithm
 
     first = MetricsTracer()
     simulate(request, tracer=first)
@@ -358,10 +337,10 @@ def test_finite_runner_reports_cache_delta_per_run():
     assert second.metrics.cache_lookups == graph.n
     assert second.metrics.cache_hits == graph.n
     assert second.metrics.cache_hit_rate == 1.0
-    assert alg.cache.stats.lookups == 2 * graph.n
+    assert len(alg.memo) == first.metrics.cache_misses
 
 
-def test_node_algorithm_memoizes_through_keyed_cache():
+def test_node_algorithm_memoizes_each_assignment():
     calls = []
 
     def fn(assignment):
@@ -370,11 +349,10 @@ def test_node_algorithm_memoizes_through_keyed_cache():
 
     alg = local_maximum_coloring(1)
     alg.fn = fn  # count underlying evaluations directly
-    alg.cache.clear()
     key = ball_assignment_key([1, 0, 1], [0, 1, 2])
     assert alg.evaluate(key) == alg.evaluate(key)
     assert len(calls) == 1
-    assert alg.cache.stats.hits == 1
+    assert alg.memo == {key: 1}
 
 
 # ----------------------------------------------------------------------
