@@ -247,7 +247,11 @@ class Graph:
             Start node.
         cutoff:
             If given, only nodes at distance at most ``cutoff`` are returned.
+
+        Raises ``ValueError`` if ``source`` is not a node of the graph.
         """
+        if not 0 <= source < self._n:
+            raise ValueError(f"{source} is not a node of the {self._n}-node graph")
         adj = self._adj
         dist = {source: 0}
         # Layer-synchronous BFS: the frontier IS the distance bookkeeping.

@@ -12,14 +12,17 @@ the coordinate system an anonymous node can construct for itself.  Two
 nodes whose neighborhoods are indistinguishable in the model produce
 views with identical :meth:`View.key`, so a 0-round-equivalent mapping
 ``key -> output`` faithfully represents a view algorithm.
+
+One exploration, :func:`_explore`, numbers the nodes of every view
+and every signature (:func:`view_signature`, the view's cheap key), of
+nodes and of edges alike.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..graphs.graph import Graph, edge_key
+from ..graphs.graph import Graph
 from ..graphs.orientation import Orientation
 
 __all__ = [
@@ -72,7 +75,6 @@ class View:
         "randomness",
         "edges",
         "originals",
-        "_local_adj",
     )
 
     def __init__(
@@ -96,35 +98,12 @@ class View:
         self.randomness = tuple(randomness) if randomness is not None else None
         self.edges = tuple(sorted(edges))
         self.originals = tuple(originals)
-        adj: List[List[Tuple[int, int, int, Optional[Tuple[int, int]]]]] = [
-            [] for _ in self.distances
-        ]
-        for i, j, pi, pj, direction in self.edges:
-            rev = None if direction is None else (direction[0], -direction[1])
-            adj[i].append((j, pi, pj, direction))
-            adj[j].append((i, pj, pi, rev))
-        self._local_adj = tuple(tuple(sorted(a, key=lambda t: t[1])) for a in adj)
 
     # ------------------------------------------------------------------
     @property
     def node_count(self) -> int:
         """Number of nodes in the ball."""
         return len(self.distances)
-
-    def local_neighbors(self, i: int) -> Tuple[Tuple[int, int, int, Optional[Tuple[int, int]]], ...]:
-        """Neighbors of local node ``i`` inside the view.
-
-        Each entry is ``(j, port_at_i, port_at_j, direction_seen_from_i)``,
-        sorted by ``port_at_i``.
-        """
-        return self._local_adj[i]
-
-    def neighbor_in_direction(self, i: int, dim: int, sign: int) -> Optional[int]:
-        """Local neighbor of ``i`` in orientation direction ``(dim, sign)``."""
-        for j, _, _, direction in self._local_adj[i]:
-            if direction == (dim, sign):
-                return j
-        return None
 
     def nodes_at_distance(self, d: int) -> List[int]:
         """Local indices at distance exactly ``d`` from the center."""
@@ -157,68 +136,92 @@ class View:
 
 def _explore(
     graph: Graph, seeds: Sequence[int], radius: int
-) -> Tuple[List[int], Dict[int, int], Dict[int, int]]:
-    """Port-order BFS from ``seeds``; returns (order, local index, distance)."""
+) -> Tuple[List[int], Dict[int, int], List[int]]:
+    """Layered port-order BFS from ``seeds`` out to ``radius``.
+
+    Returns the ball's nodes in exploration order, each node's local
+    index (its position in that order), and the distances in that
+    order.  From one seed the order is :meth:`Graph.bfs_distances`'s.
+    """
+    if radius < 0:
+        raise ValueError("radius must be non-negative")
+    n = graph.n
+    adj = graph.adjacency_rows()
     order: List[int] = []
     local: Dict[int, int] = {}
-    dist: Dict[int, int] = {}
-    frontier = deque()
     for s in seeds:
+        if not 0 <= s < n:
+            raise ValueError(f"{s} is not a node of the {n}-node graph")
         if s not in local:
             local[s] = len(order)
             order.append(s)
-            dist[s] = 0
-            frontier.append(s)
-    while frontier:
-        v = frontier.popleft()
-        if dist[v] >= radius:
-            continue
-        for u in graph.neighbors(v):  # port order
-            if u not in local:
-                local[u] = len(order)
-                order.append(u)
-                dist[u] = dist[v] + 1
-                frontier.append(u)
+    dist = [0] * len(order)
+    # Layer-synchronous BFS: the frontier IS the distance bookkeeping.
+    layer = order[:]
+    for d in range(1, radius + 1):
+        next_layer: List[int] = []
+        for v in layer:
+            for u in adj[v]:
+                if u not in local:
+                    local[u] = len(order)
+                    order.append(u)
+                    next_layer.append(u)
+        if not next_layer:
+            break
+        dist += [d] * len(next_layer)
+        layer = next_layer
     return order, local, dist
 
 
-def _collect(
+def _edge_seeds(
+    graph: Graph, edge: Tuple[int, int], orientation: Optional[Orientation]
+) -> Tuple[int, int]:
+    """The edge's endpoints in seed order.
+
+    If the edge is oriented, the endpoint that sees it in a *negative*
+    direction comes first (both endpoints then get the same canonical
+    picture); otherwise the order of ``edge`` stands.
+    """
+    u, v = edge
+    if not graph.has_edge(u, v):
+        raise ValueError(f"({u}, {v}) is not an edge")
+    if orientation is not None and orientation.is_labeled(u, v):
+        if orientation.sign_at(u, v) > 0:
+            return v, u
+    return u, v
+
+
+def _view(
     graph: Graph,
-    order: List[int],
-    local: Dict[int, int],
-    dist: Dict[int, int],
+    seeds: Sequence[int],
     radius: int,
-    center: int,
     ids: Optional[Sequence[int]],
     inputs: Optional[Sequence[Any]],
     randomness: Optional[Sequence[Any]],
     orientation: Optional[Orientation],
 ) -> View:
+    """The :class:`View` of the ball :func:`_explore` finds around ``seeds``.
+
+    Each ball node's row is walked with its port numbers, and an induced
+    edge is recorded once, from the endpoint with the smaller local index.
+    """
+    order, local, dist = _explore(graph, seeds, radius)
+    adj = graph.adjacency_rows()
+    get = local.get
     edges = []
-    seen = set()
-    for v in order:
-        for u in graph.neighbors(v):
-            if u not in local:
-                continue
-            key = edge_key(u, v)
-            if key in seen:
-                continue
-            seen.add(key)
-            i, j = local[v], local[u]
-            if i > j:
-                i, j = j, i
-                v_, u_ = u, v
-            else:
-                v_, u_ = v, u
-            direction = None
-            if orientation is not None and orientation.is_labeled(v_, u_):
-                direction = orientation.direction_at(v_, u_)
-            edges.append((i, j, graph.port_to(v_, u_), graph.port_to(u_, v_), direction))
+    for i, v in enumerate(order):
+        for port, u in enumerate(adj[v]):
+            j = get(u, -1)
+            if j > i:
+                direction = None
+                if orientation is not None and orientation.is_labeled(v, u):
+                    direction = orientation.direction_at(v, u)
+                edges.append((i, j, port, adj[u].index(v), direction))
     return View(
         radius=radius,
-        center=center,
-        distances=[dist[v] for v in order],
-        degrees=[graph.degree(v) for v in order],
+        center=0,
+        distances=dist,
+        degrees=[len(adj[v]) for v in order],
         identifiers=None if ids is None else [ids[v] for v in order],
         inputs=None if inputs is None else [inputs[v] for v in order],
         randomness=None if randomness is None else [randomness[v] for v in order],
@@ -249,28 +252,10 @@ def _signature(
     (``tests/test_view_signature_properties.py``).
 
     It avoids the per-neighbor tuple allocations, edge sorting, and
-    adjacency construction that :func:`gather_view` pays for.
+    far-end port lookups that :func:`gather_view` pays for.
     """
+    order, local, _ = _explore(graph, seeds, radius)
     adj = graph.adjacency_rows()
-    order: List[int] = []
-    local: Dict[int, int] = {}
-    for s in seeds:
-        if s not in local:
-            local[s] = len(order)
-            order.append(s)
-    # Layer-synchronous BFS: the frontier IS the distance bookkeeping.
-    layer = order[:]
-    for _ in range(radius):
-        next_layer: List[int] = []
-        for v in layer:
-            for u in adj[v]:
-                if u not in local:
-                    local[u] = len(order)
-                    order.append(u)
-                    next_layer.append(u)
-        if not next_layer:
-            break
-        layer = next_layer
     get = local.get
     if orientation is None:
         rows = tuple([tuple([get(u, -1) for u in adj[v]]) for v in order])
@@ -312,11 +297,7 @@ def view_signature(
     have equal :meth:`View.key` — i.e. iff they are indistinguishable
     in the model.  Cheaper to compute than the view itself.
     """
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
-    return _signature(
-        graph, (v,), radius, ids, inputs, randomness, orientation, "node"
-    )
+    return _signature(graph, (v,), radius, ids, inputs, randomness, orientation, "node")
 
 
 def edge_view_signature(
@@ -333,17 +314,8 @@ def edge_view_signature(
     Mirrors :func:`gather_edge_view` exactly, including the canonical
     endpoint swap on oriented edges.
     """
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
-    u, v = edge
-    if not graph.has_edge(u, v):
-        raise ValueError(f"({u}, {v}) is not an edge")
-    if orientation is not None and orientation.is_labeled(u, v):
-        if orientation.sign_at(u, v) > 0:
-            u, v = v, u  # make local 0 the endpoint with the negative view
-    return _signature(
-        graph, (u, v), radius, ids, inputs, randomness, orientation, "edge"
-    )
+    seeds = _edge_seeds(graph, edge, orientation)
+    return _signature(graph, seeds, radius, ids, inputs, randomness, orientation, "edge")
 
 
 def gather_view(
@@ -356,12 +328,7 @@ def gather_view(
     orientation: Optional[Orientation] = None,
 ) -> View:
     """Materialize ``B_radius(v)`` as a :class:`View` with center ``v``."""
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
-    order, local, dist = _explore(graph, [v], radius)
-    return _collect(
-        graph, order, local, dist, radius, 0, ids, inputs, randomness, orientation
-    )
+    return _view(graph, (v,), radius, ids, inputs, randomness, orientation)
 
 
 def gather_edge_view(
@@ -381,15 +348,5 @@ def gather_edge_view(
     canonical picture); otherwise endpoint order follows the ``edge``
     argument as given.
     """
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
-    u, v = edge
-    if not graph.has_edge(u, v):
-        raise ValueError(f"({u}, {v}) is not an edge")
-    if orientation is not None and orientation.is_labeled(u, v):
-        if orientation.sign_at(u, v) > 0:
-            u, v = v, u  # make local 0 the endpoint with the negative view
-    order, local, dist = _explore(graph, [u, v], radius)
-    return _collect(
-        graph, order, local, dist, radius, 0, ids, inputs, randomness, orientation
-    )
+    seeds = _edge_seeds(graph, edge, orientation)
+    return _view(graph, seeds, radius, ids, inputs, randomness, orientation)

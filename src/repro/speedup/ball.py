@@ -8,13 +8,16 @@ addressed by its *non-backtracking direction word* — the unique reduced
 sequence of directions leading to it.  This module provides:
 
 * :class:`OrientedBall` — the indexed node set of ``B_t``, with
-  neighbor lookup and the *shift maps* that re-index a neighbor's ball
-  inside the center's larger ball (the workhorse of the simulation:
-  "edge e knows part of the radius-t neighborhood of u and v");
-* :func:`ball_assignment_key` — a ball's random values read off
-  per-node values through a table of ball positions;
+  neighbor lookup;
 * :class:`EdgeBall` — the union ``B_r(a) ∪ B_r(b)`` for an oriented
-  edge, canonically indexed from the low endpoint.
+  edge, canonically indexed from the low endpoint;
+* one placement both share, :meth:`~OrientedBall.overlap`: which words
+  of a ball read from another node land in this ball, and where (the
+  workhorse of the simulation: "edge e knows part of the radius-t
+  neighborhood of u and v"); :meth:`~OrientedBall.shift_map` is the
+  same placement when every word must land;
+* :func:`ball_assignment_key` — a ball's random values read off
+  per-node values through a table of ball positions.
 
 Words are tuples of ``(dim, sign)`` pairs; the empty word is the center.
 """
@@ -63,24 +66,75 @@ def reduce_word(word: Sequence[Direction]) -> Word:
     return tuple(out)
 
 
-class OrientedBall:
-    """The radius-t ball of the infinite oriented 2k-regular tree.
+def low_endpoint(direction: Direction) -> Word:
+    """The low endpoint of the center's edge in ``direction``.
 
-    Nodes are indexed ``0 .. size-1`` in breadth-first word order (the
-    center is index 0).  The indexing is shared by every
-    :class:`~repro.speedup.algorithms.NodeAlgorithm` of the same
-    ``(k, t)``, so bit assignments are plain tuples.
+    The center (``()``) if the edge leaves it in a positive direction,
+    else the neighbor there (``(direction,)``): the node an
+    :class:`EdgeBall` of that edge is read from.
+    """
+    return () if direction[1] == 1 else (direction,)
+
+
+class _Ball:
+    """An indexed word set, built once per class and constructor arguments.
+
+    A subclass's ``_build`` sets ``words``; ``index`` inverts it.
     """
 
-    _cache: Dict[Tuple[int, int], "OrientedBall"] = {}
+    _cache: Dict[Tuple[Any, ...], "_Ball"] = {}
 
-    def __new__(cls, k: int, t: int) -> "OrientedBall":
-        key = (k, t)
-        if key not in cls._cache:
+    def __new__(cls, *args: Any) -> "_Ball":
+        key = (cls,) + args
+        if key not in _Ball._cache:
             ball = super().__new__(cls)
-            ball._build(k, t)
-            cls._cache[key] = ball
-        return cls._cache[key]
+            ball._build(*args)
+            ball.index = {w: i for i, w in enumerate(ball.words)}
+            _Ball._cache[key] = ball
+        return _Ball._cache[key]
+
+    @property
+    def size(self) -> int:
+        """Number of nodes in the ball."""
+        return len(self.words)
+
+    def overlap(self, anchor: Word, inner: "_Ball") -> List[Tuple[int, int]]:
+        """Where ``inner``'s words, read from the node ``anchor``, land in this ball.
+
+        Returns ``(position in inner, index in this ball)`` for each word
+        that lands inside, in ``inner``'s order; the others are left out.
+        """
+        index = self.index
+        pairs = []
+        for pos, w in enumerate(inner.words):
+            i = index.get(reduce_word(anchor + w))
+            if i is not None:
+                pairs.append((pos, i))
+        return pairs
+
+    def shift_map(self, anchor: Word, inner: "_Ball") -> List[int]:
+        """Re-index ``inner``'s ball, read from the node ``anchor``, inside this ball.
+
+        Entry ``i`` is the index *in this ball* of the node addressed by
+        ``inner.words[i]`` relative to ``anchor``.  Raises if some node
+        falls outside this ball (caller picked incompatible radii).
+        """
+        pairs = self.overlap(anchor, inner)
+        if len(pairs) < inner.size:
+            raise ValueError(
+                f"{inner.size - len(pairs)} words read from {anchor} fall outside {self!r}"
+            )
+        return [i for _, i in pairs]
+
+
+class OrientedBall(_Ball):
+    """The radius-t ball of the infinite oriented 2k-regular tree.
+
+    Built as ``OrientedBall(k, t)``.  Nodes are indexed ``0 .. size-1``
+    in breadth-first word order (the center is index 0).  The indexing
+    is shared by every :class:`~repro.speedup.algorithms.NodeAlgorithm`
+    of the same ``(k, t)``, so bit assignments are plain tuples.
+    """
 
     def _build(self, k: int, t: int) -> None:
         if k < 1:
@@ -102,14 +156,8 @@ class OrientedBall:
             words.extend(nxt)
             frontier = nxt
         self.words: Tuple[Word, ...] = tuple(words)
-        self.index: Dict[Word, int] = {w: i for i, w in enumerate(words)}
 
     # ------------------------------------------------------------------
-    @property
-    def size(self) -> int:
-        """Number of nodes in the ball."""
-        return len(self.words)
-
     def neighbor(self, word: Word, direction: Direction) -> Optional[Word]:
         """The adjacent word in ``direction``, or ``None`` if outside."""
         moved = reduce_word(word + (direction,))
@@ -118,24 +166,6 @@ class OrientedBall:
     def contains(self, word: Word) -> bool:
         """Whether the (reduced) word lies in this ball."""
         return word in self.index
-
-    def shift_map(self, prefix: Word, inner: "OrientedBall") -> List[int]:
-        """Re-index ``inner``'s ball, centered at ``prefix``, inside this ball.
-
-        Entry ``i`` is the index *in this ball* of the node addressed by
-        ``inner.words[i]`` relative to the node ``prefix``.  Raises if
-        some shifted node falls outside this ball (caller picked
-        incompatible radii).
-        """
-        out = []
-        for w in inner.words:
-            absolute = reduce_word(prefix + w)
-            if absolute not in self.index:
-                raise ValueError(
-                    f"shifted word {absolute} outside radius-{self.t} ball"
-                )
-            out.append(self.index[absolute])
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"OrientedBall(k={self.k}, t={self.t}, size={self.size})"
@@ -159,25 +189,16 @@ def ball_assignment_key(
     return tuple(values[i] for i in table)
 
 
-class EdgeBall:
+class EdgeBall(_Ball):
     """The union ``B_r(a) ∪ B_r(b)`` for the edge from ``a`` in direction δ.
 
-    The edge is canonically anchored at its *low* endpoint ``a`` (the
-    endpoint seeing the edge in a positive direction); ``b = a·δ``.
-    Nodes are indexed in a fixed order: all words of ``B_r(a)`` first
-    (in :class:`OrientedBall` order), then the words of ``B_r(b)`` not
-    already present (``δ``-prefixed words of length ``r + 1``).
+    Built as ``EdgeBall(k, r, δ)``.  The edge is canonically anchored at
+    its *low* endpoint ``a`` (the endpoint seeing the edge in a positive
+    direction); ``b = a·δ``.  Nodes are indexed in a fixed order: all
+    words of ``B_r(a)`` first (in :class:`OrientedBall` order), then the
+    words of ``B_r(b)`` not already present (``δ``-prefixed words of
+    length ``r + 1``).
     """
-
-    _cache: Dict[Tuple[int, int, Direction], "EdgeBall"] = {}
-
-    def __new__(cls, k: int, r: int, direction: Direction) -> "EdgeBall":
-        key = (k, r, direction)
-        if key not in cls._cache:
-            ball = super().__new__(cls)
-            ball._build(k, r, direction)
-            cls._cache[key] = ball
-        return cls._cache[key]
 
     def _build(self, k: int, r: int, direction: Direction) -> None:
         dim, sign = direction
@@ -188,40 +209,17 @@ class EdgeBall:
         self.k = k
         self.r = r
         self.direction: Direction = direction
-        low_ball = OrientedBall(k, r)
-        words: List[Word] = list(low_ball.words)
-        seen = set(words)
-        # b-relative ball, shifted by delta; new nodes are exactly the
-        # delta-prefixed words at distance r + 1 from a.
-        for w in OrientedBall(k, r).words:
-            absolute = reduce_word((direction,) + w)
-            if absolute not in seen:
-                seen.add(absolute)
-                words.append(absolute)
-        self.words: Tuple[Word, ...] = tuple(words)
-        self.index: Dict[Word, int] = {w: i for i, w in enumerate(words)}
-
-    @property
-    def size(self) -> int:
-        """Number of nodes in the union ball."""
-        return len(self.words)
+        low = OrientedBall(k, r)
+        # The words of B_r(b) that miss B_r(a) have length r and do not
+        # start with δ's inverse, so prefixing δ leaves them reduced.
+        inside = {pos for pos, _ in low.overlap((direction,), low)}
+        self.words: Tuple[Word, ...] = low.words + tuple(
+            (direction,) + w for pos, w in enumerate(low.words) if pos not in inside
+        )
 
     def endpoint_words(self) -> Tuple[Word, Word]:
         """The two endpoints: low ``()`` and high ``(δ,)``."""
         return (), (self.direction,)
-
-    def shift_map_from(self, outer: OrientedBall, anchor: Word) -> List[int]:
-        """Indices in ``outer`` of this edge ball anchored at ``anchor``.
-
-        ``anchor`` is the low endpoint's word inside ``outer``.
-        """
-        out = []
-        for w in self.words:
-            absolute = reduce_word(anchor + w)
-            if absolute not in outer.index:
-                raise ValueError(f"edge-ball word {absolute} outside outer ball")
-            out.append(outer.index[absolute])
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"EdgeBall(k={self.k}, r={self.r}, dir={self.direction}, size={self.size})"

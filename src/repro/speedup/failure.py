@@ -17,7 +17,10 @@ The probability is therefore
 
     p = E_sigma [ prod_over_branches Pr[branch agrees | sigma] ]
 
-computed with exact rational arithmetic.  When the conditioning space
+computed with exact rational arithmetic.  What a branch shares with
+``sigma`` is its ball placed in the conditioning ball (``B_t(v)``, resp.
+``B_r(v)``) by :meth:`~repro.speedup.ball.OrientedBall.overlap`; the
+rest of its ball is hidden and enumerated.  When the conditioning space
 is too large, a seeded Monte Carlo estimator takes over; its default
 seed comes from :func:`repro.core.derive_seed` labeled by the
 algorithm's name, the one sha256 seed scheme of the repo, so every
@@ -36,7 +39,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..core.engine import derive_seed
 from .algorithms import Assignment, EdgeAlgorithm, NodeAlgorithm
-from .ball import Direction, OrientedBall, ball_assignment_key
+from .ball import Direction, OrientedBall, ball_assignment_key, low_endpoint
 
 __all__ = ["FailureEstimate", "node_local_failure", "edge_local_failure"]
 
@@ -106,21 +109,6 @@ def color_counts(
     return counts
 
 
-def _split_positions(
-    maps: Dict[Direction, List[int]], known_size: int
-) -> Tuple[Dict[Direction, List[Tuple[int, int]]], Dict[Direction, List[int]]]:
-    """Split each direction's position map at the conditioning region.
-
-    ``maps[d][pos]`` is the outer-ball index of position ``pos``.
-    Returns ``shared[d]``, the ``(pos, outer index)`` pairs inside the
-    first ``known_size`` outer positions, and ``beyond[d]``, the
-    positions outside them.
-    """
-    shared = {d: [(p, o) for p, o in enumerate(m) if o < known_size] for d, m in maps.items()}
-    beyond = {d: [p for p, o in enumerate(m) if o >= known_size] for d, m in maps.items()}
-    return shared, beyond
-
-
 # ----------------------------------------------------------------------
 # Node algorithms
 # ----------------------------------------------------------------------
@@ -137,29 +125,22 @@ def node_local_failure(
     when the conditioning enumeration stays below ``exact_cost_limit``
     evaluator calls).
     """
-    inner = alg.ball  # B_t(v)
-    outer = OrientedBall(alg.k, alg.t + 1)
-    values = alg.values
-    directions = outer.directions
-
-    center_map = outer.shift_map((), inner)
-    # Positions of B_t(v) inside the outer ball are 0..inner.size-1 by
-    # construction (BFS word order agrees on the common prefix), so a
-    # sigma over the inner ball doubles as the outer-ball prefix.
-    if center_map != list(range(inner.size)):
-        raise AssertionError("outer ball does not extend inner ball order (bug)")
-    neighbor_maps = {d: outer.shift_map((d,), inner) for d in directions}
-    shared, beyond = _split_positions(neighbor_maps, inner.size)
-    cost = (values ** inner.size) * sum(values ** len(b) for b in beyond.values())
-    use_exact = method == "exact" or (method == "auto" and cost <= exact_cost_limit)
     if method not in ("exact", "monte_carlo", "auto"):
         raise ValueError(f"unknown method {method!r}")
+    inner = alg.ball  # B_t(v): the conditioning region
+    values = alg.values
+    directions = inner.directions
+    # Each neighbor's B_t placed in B_t(v); the rest of it is hidden.
+    shared = {d: inner.overlap((d,), inner) for d in directions}
+    hidden = [inner.size - len(pairs) for pairs in shared.values()]
+    cost = (values ** inner.size) * sum(values**h for h in hidden)
+    use_exact = method == "exact" or (method == "auto" and cost <= exact_cost_limit)
 
     if use_exact:
         # A neighbor's color counts depend only on its direction and the
         # values it shares with B_t(v): count each such pair once.  Each
-        # direction's counts run over values**len(beyond[d]) completions,
-        # so the integer products share one denominator.
+        # direction's counts run over values**hidden completions, so the
+        # integer products share one denominator.
         memo: Dict[Tuple[Direction, Assignment], Counter] = {}
         hits = 0
         for sigma in _enumerate_assignments(values, inner.size):
@@ -179,9 +160,12 @@ def node_local_failure(
                 if all_agree == 0:
                     break
             hits += all_agree
-        free = inner.size + sum(len(b) for b in beyond.values())
+        free = inner.size + sum(hidden)
         return FailureEstimate(probability=Fraction(hits, values**free), exact=True)
 
+    outer = OrientedBall(alg.k, alg.t + 1)
+    center_map = outer.shift_map((), inner)
+    neighbor_maps = {d: outer.shift_map((d,), inner) for d in directions}
     rng = rng or _default_rng(f"node-failure:{alg.name}")
     hits = 0
     for _ in range(samples):
@@ -199,22 +183,6 @@ def node_local_failure(
 # ----------------------------------------------------------------------
 # Edge algorithms
 # ----------------------------------------------------------------------
-def _edge_layouts(alg: EdgeAlgorithm) -> Dict[Tuple[int, int], Tuple[int, List[int]]]:
-    """For each incident direction of the center: (dim, outer-index map).
-
-    The map sends each edge-ball position to its index in
-    ``OrientedBall(k, r + 1)`` centered at the node under study.
-    """
-    outer = OrientedBall(alg.k, alg.r + 1)
-    layouts: Dict[Tuple[int, int], Tuple[int, List[int]]] = {}
-    for direction in outer.directions:
-        dim, sign = direction
-        ball = alg.balls[dim]
-        anchor = () if sign == 1 else (direction,)
-        layouts[direction] = (dim, ball.shift_map_from(outer, anchor))
-    return layouts
-
-
 def edge_local_failure(
     alg: EdgeAlgorithm,
     method: str = "auto",
@@ -229,15 +197,14 @@ def edge_local_failure(
     """
     if method not in ("exact", "monte_carlo", "auto"):
         raise ValueError(f"unknown method {method!r}")
-    outer = OrientedBall(alg.k, alg.r + 1)
     known = OrientedBall(alg.k, alg.r)  # B_r(v): the conditioning region
     values = alg.values
-    layouts = _edge_layouts(alg)
-
-    shared, beyond = _split_positions(
-        {d: emap for d, (_, emap) in layouts.items()}, known.size
-    )
-    cost = (values**known.size) * sum(values ** len(b) for b in beyond.values())
+    directions = known.directions
+    # Each incident edge's ball, read from its low endpoint, placed in
+    # B_r(v); the rest of it is hidden.
+    shared = {d: known.overlap(low_endpoint(d), alg.balls[d[0]]) for d in directions}
+    hidden = [alg.balls[d[0]].size - len(shared[d]) for d in directions]
+    cost = (values**known.size) * sum(values**h for h in hidden)
     use_exact = method == "exact" or (method == "auto" and cost <= exact_cost_limit)
 
     if use_exact:
@@ -266,21 +233,21 @@ def edge_local_failure(
                 if all_fail == 0:
                     break
             hits += all_fail
-        free = known.size + sum(len(b) for b in beyond.values())
+        free = known.size + sum(hidden)
         return FailureEstimate(probability=Fraction(hits, values**free), exact=True)
 
+    outer = OrientedBall(alg.k, alg.r + 1)
+    edge_maps = {d: outer.shift_map(low_endpoint(d), alg.balls[d[0]]) for d in directions}
     rng = rng or _default_rng(f"edge-failure:{alg.name}")
     hits = 0
     for _ in range(samples):
         assignment = tuple(rng.randrange(values) for _ in range(outer.size))
         failed = True
         for dim in range(alg.k):
-            colors = []
-            for sign in (1, -1):
-                dim_, emap = layouts[(dim, sign)]
-                colors.append(
-                    alg.evaluate(dim_, ball_assignment_key(assignment, emap))
-                )
+            colors = [
+                alg.evaluate(dim, ball_assignment_key(assignment, edge_maps[dim, sign]))
+                for sign in (1, -1)
+            ]
             if colors[0] != colors[1]:
                 failed = False
                 break

@@ -77,7 +77,6 @@ def run_speedup_pipeline(
     start: NodeAlgorithm,
     method: str = "auto",
     samples: int = 100_000,
-    threshold_override: Optional[Fraction] = None,
     tracer: Optional[Tracer] = None,
     base_seed: int = 0,
 ) -> SpeedupPipelineResult:
@@ -91,10 +90,6 @@ def run_speedup_pipeline(
         Failure evaluation method (``auto`` / ``exact`` / ``monte_carlo``).
     samples:
         Monte Carlo budget when sampling is needed.
-    threshold_override:
-        Fix the frequency threshold ``f`` for every transformation
-        instead of the paper's per-stage optimizing choice — the knob
-        the ablation bench sweeps.
     tracer:
         Optional :class:`~repro.instrumentation.Tracer`; sees a
         ``run_start`` with the seed's ``radius``, one ``stage`` event per
@@ -147,11 +142,7 @@ def run_speedup_pipeline(
         delta = node.delta
         c = node.palette
         p_val = p.as_float()
-        f1 = (
-            threshold_override
-            if threshold_override is not None
-            else paper_threshold_first(p_val, c, delta)
-        )
+        f1 = paper_threshold_first(p_val, c, delta)
         edge = first_speedup(node, f1)
         p_edge = edge_local_failure(edge, method=method, samples=samples,
                                     rng=stage_rng(len(result.stages), edge.name))
@@ -170,11 +161,7 @@ def run_speedup_pipeline(
 
         c_edge = edge.palette
         p_edge_val = p_edge.as_float()
-        f2 = (
-            threshold_override
-            if threshold_override is not None
-            else paper_threshold_second(p_edge_val, c_edge, delta)
-        )
+        f2 = paper_threshold_second(p_edge_val, c_edge, delta)
         node = second_speedup(edge, f2)
         p = node_local_failure(node, method=method, samples=samples,
                                rng=stage_rng(len(result.stages), node.name))

@@ -17,10 +17,13 @@ a tower — exactly the engine of the Omega(log* n) bound.  The threshold
 ``f`` is exposed; :func:`paper_threshold_first` /
 :func:`paper_threshold_second` give the paper's optimizing choices.
 
-All frequency computations enumerate the hidden regions exhaustively,
-so the resulting algorithms are *exact* objects: their measured failure
-probabilities can be compared against the lemma bounds with no sampling
-error (see :mod:`repro.speedup.failure`).
+The positions of an endpoint's (resp. an edge's) ball that the view
+fixes are one :meth:`~repro.speedup.ball.OrientedBall.overlap` placement
+per ball, made once per transform.  All frequency computations
+enumerate the hidden regions exhaustively, so the resulting algorithms
+are *exact* objects: their measured failure probabilities can be
+compared against the lemma bounds with no sampling error (see
+:mod:`repro.speedup.failure`).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import Any, Callable, Dict, FrozenSet, List, Tuple, Union
 
 from ..analysis.towers import TowerNumber, exp2_scaled
 from .algorithms import Assignment, EdgeAlgorithm, NodeAlgorithm
-from .ball import EdgeBall, OrientedBall, reduce_word
+from .ball import EdgeBall, OrientedBall, low_endpoint
 from .failure import color_counts
 
 __all__ = [
@@ -157,21 +160,13 @@ def first_speedup(alg: NodeAlgorithm, threshold: Fraction) -> EdgeAlgorithm:
     r = t - 1
     node_ball = alg.ball
 
-    # Precompute, per dimension, the layout of each endpoint's radius-t
-    # ball inside the edge ball: known positions come from the edge view,
-    # unknown positions are enumerated.
+    # Per dimension, each endpoint's radius-t ball placed in the edge
+    # ball: known positions come from the edge view, unknown positions
+    # are enumerated.
     layouts: Dict[int, List[List[Tuple[int, int]]]] = {}
     for dim in range(k):
         eb = EdgeBall(k, r, (dim, 1))
-        per_endpoint = []
-        for anchor in eb.endpoint_words():
-            known_map: List[Tuple[int, int]] = []
-            for pos, w in enumerate(node_ball.words):
-                absolute = reduce_word(anchor + w)
-                if absolute in eb.index:
-                    known_map.append((pos, eb.index[absolute]))
-            per_endpoint.append(known_map)
-        layouts[dim] = per_endpoint
+        layouts[dim] = [eb.overlap(anchor, node_ball) for anchor in eb.endpoint_words()]
 
     values = alg.values
     # Exact, so the frequency test compares integers; a float keeps its value.
@@ -210,19 +205,15 @@ def second_speedup(alg: EdgeAlgorithm, threshold: Fraction) -> NodeAlgorithm:
     node_ball = OrientedBall(k, r)
     directions = node_ball.directions
 
-    # Per incident direction: the edge ball's layout relative to the node.
+    # Per incident direction: the edge ball, read from the edge's low
+    # endpoint, placed in the node's ball.
     layouts: List[
         Tuple[Callable[[List[Assignment]], List[Any]], int, List[Tuple[int, int]]]
     ] = []
     for direction in directions:
-        dim, sign = direction
+        dim = direction[0]
         eb = alg.balls[dim]
-        anchor = () if sign == 1 else (direction,)
-        known_map: List[Tuple[int, int]] = []
-        for pos, w in enumerate(eb.words):
-            absolute = reduce_word(anchor + w)
-            if absolute in node_ball.index:
-                known_map.append((pos, node_ball.index[absolute]))
+        known_map = node_ball.overlap(low_endpoint(direction), eb)
         layouts.append((partial(alg.evaluate_many, dim), eb.size, known_map))
 
     values = alg.values

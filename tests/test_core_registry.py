@@ -340,3 +340,21 @@ class TestEngineSeam:
         assert not hasattr(RunMetrics, "from_dict")
         alg = local_maximum_coloring(2)
         assert type(alg.memo) is dict and not hasattr(alg, "cache")
+
+    def test_retired_ball_surface_is_gone(self):
+        # Each kind of ball is built one way: views through one
+        # exploration, the speedup's placements through one overlap.
+        # The copies, the per-view adjacency and the pipeline's fixed
+        # threshold are gone.
+        import inspect
+
+        from repro.local_model.views import View
+        from repro.speedup import EdgeBall, run_speedup_pipeline
+        from repro.speedup import failure
+
+        assert not hasattr(EdgeBall, "shift_map_from")
+        for name in ("local_neighbors", "neighbor_in_direction", "_local_adj"):
+            assert not hasattr(View, name), name
+        for name in ("_split_positions", "_edge_layouts"):
+            assert not hasattr(failure, name), name
+        assert "threshold_override" not in inspect.signature(run_speedup_pipeline).parameters

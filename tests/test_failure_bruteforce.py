@@ -6,8 +6,10 @@ distribution per neighbor (resp. incident edge), memoized per shared
 values.  The counts here do none of that: they enumerate every
 assignment of the outer ball ``B_{t+1}(v)``, project it onto the center's
 and each neighbor's (resp. each incident edge's) ball, and count the
-failure event.  Only the algorithm's own evaluator is shared with the
-code under test.
+failure event.  Besides the algorithm's own evaluator, only the ball
+placement (``OrientedBall.shift_map``) is shared with the code under
+test; ``tests/test_speedup_ball.py`` checks every placement against
+walks through a real oriented tree.
 """
 
 import itertools
@@ -58,8 +60,8 @@ def brute_edge_failure(alg):
     incident = [
         (
             dim,
-            alg.balls[dim].shift_map_from(outer, ()),
-            alg.balls[dim].shift_map_from(outer, ((dim, -1),)),
+            outer.shift_map((), alg.balls[dim]),
+            outer.shift_map(((dim, -1),), alg.balls[dim]),
         )
         for dim in range(alg.k)
     ]

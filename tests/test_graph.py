@@ -7,6 +7,8 @@ from collections import deque
 import pytest
 
 from repro.graphs import Graph, edge_key
+from repro.local_model import gather_view
+from repro.local_model.views import _explore
 from repro.graphs.generators import (
     balanced_regular_tree,
     cycle,
@@ -202,6 +204,8 @@ class TestBfsDistances:
             random_regular_graph(30, 4, rng=random.Random(6)), random.Random(7)
         ),
         "disconnected": Graph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (5, 6)]),
+        "torus-5x6": toroidal_grid(5, 6),
+        "torus-4x5-shuffled": port_shuffled(toroidal_grid(4, 5), random.Random(8)),
     }
 
     @pytest.mark.parametrize("name", sorted(GRAPHS))
@@ -216,6 +220,24 @@ class TestBfsDistances:
 
     def test_cutoff_zero_is_the_source_alone(self):
         assert cycle(5).bfs_distances(3, cutoff=0) == {3: 0}
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_lists_a_ball_in_the_order_views_number_it(self, name):
+        # The one exploration behind every view, signature and key.
+        graph = self.GRAPHS[name]
+        for radius in range(4):
+            for v in graph.nodes():
+                order, local, dist = _explore(graph, (v,), radius)
+                want = graph.bfs_distances(v, cutoff=radius)
+                assert order == list(want)
+                assert dist == list(want.values())
+                assert local == {u: i for i, u in enumerate(order)}
+                assert gather_view(graph, v, radius).originals == tuple(order)
+
+    @pytest.mark.parametrize("source", [-1, 4])
+    def test_a_source_outside_the_graph_is_refused(self, source):
+        with pytest.raises(ValueError, match=f"^{source} is not a node of the 4-node graph$"):
+            path(4).bfs_distances(source, cutoff=1)
 
 
 class TestDiameterDefinition:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.graphs import balanced_regular_tree, orient_tree
 from repro.speedup import (
     EdgeBall,
     OrientedBall,
@@ -9,6 +10,7 @@ from repro.speedup import (
     inverse,
     reduce_word,
 )
+from repro.speedup.ball import low_endpoint
 
 
 class TestWords:
@@ -121,7 +123,7 @@ class TestEdgeBall:
     def test_shift_map_positive_anchor(self):
         eb = EdgeBall(2, 0, (0, 1))
         outer = OrientedBall(2, 1)
-        shift = eb.shift_map_from(outer, ())
+        shift = outer.shift_map((), eb)
         assert shift[0] == 0  # low endpoint = center
         assert outer.words[shift[1]] == ((0, 1),)
 
@@ -130,7 +132,7 @@ class TestEdgeBall:
         # the neighbor, so anchoring there maps 'high' back to the center.
         eb = EdgeBall(2, 0, (0, 1))
         outer = OrientedBall(2, 1)
-        shift = eb.shift_map_from(outer, ((0, -1),))
+        shift = outer.shift_map(((0, -1),), eb)
         assert outer.words[shift[0]] == ((0, -1),)
         assert shift[1] == 0
 
@@ -138,8 +140,8 @@ class TestEdgeBall:
         eb = EdgeBall(2, 1, (0, 1))
         outer = OrientedBall(2, 2)
         # Both anchorings must fit inside B_{r+1}.
-        eb.shift_map_from(outer, ())
-        eb.shift_map_from(outer, ((0, -1),))
+        outer.shift_map((), eb)
+        outer.shift_map(((0, -1),), eb)
 
     def test_instances_cached(self):
         assert EdgeBall(2, 1, (0, 1)) is EdgeBall(2, 1, (0, 1))
@@ -147,3 +149,85 @@ class TestEdgeBall:
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
             EdgeBall(2, 1, (5, 1))
+
+
+# ----------------------------------------------------------------------
+# Placement against walks through a real oriented tree
+# ----------------------------------------------------------------------
+class OrientedTreeWalk:
+    """Follow direction words from the root of an oriented 2k-regular tree.
+
+    Every step goes through ``Orientation.neighbor``; no word is ever
+    reduced, since a step back simply returns to the node it left.
+    """
+
+    def __init__(self, k, depth=4):
+        self.tree = balanced_regular_tree(2 * k, depth)
+        self.orientation = orient_tree(self.tree, k)
+
+    def __call__(self, *words):
+        node = 0
+        for word in words:
+            for dim, sign in word:
+                node = self.orientation.neighbor(node, dim, sign)
+                assert node is not None, "walked off the tree"
+        return node
+
+    def overlap(self, ball, anchor, inner):
+        """``ball.overlap(anchor, inner)`` read off the tree's nodes."""
+        where = {self(w): i for i, w in enumerate(ball.words)}
+        assert len(where) == ball.size  # distinct words, distinct nodes
+        landed = [(pos, self(anchor, w)) for pos, w in enumerate(inner.words)]
+        return [(pos, where[node]) for pos, node in landed if node in where]
+
+
+@pytest.mark.parametrize("radius", (0, 1, 2))
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_node_ball_placement_follows_the_tree(k, radius):
+    # A node's ball read from the center and from each neighbor, placed
+    # in the center's ball of the same radius (what the exact failure
+    # conditions on) and of one more (the Monte Carlo shift maps).
+    walk = OrientedTreeWalk(k)
+    inner = OrientedBall(k, radius)
+    for anchor in [()] + [(d,) for d in all_directions(k)]:
+        for container in (inner, OrientedBall(k, radius + 1)):
+            assert container.overlap(anchor, inner) == walk.overlap(container, anchor, inner)
+        placed = walk.overlap(OrientedBall(k, radius + 1), anchor, inner)
+        assert len(placed) == inner.size
+        assert OrientedBall(k, radius + 1).shift_map(anchor, inner) == [i for _, i in placed]
+
+
+@pytest.mark.parametrize("radius", (0, 1, 2))
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_edge_ball_placement_follows_the_tree(k, radius):
+    walk = OrientedTreeWalk(k)
+    for dim in range(k):
+        eb = EdgeBall(k, radius, (dim, 1))
+        # Its words reach exactly B_r(a) ∪ B_r(b), once each.
+        a, b = walk(()), walk(((dim, 1),))
+        union = set(walk.tree.bfs_distances(a, cutoff=radius))
+        union |= set(walk.tree.bfs_distances(b, cutoff=radius))
+        assert sorted(walk(w) for w in eb.words) == sorted(union)
+        # Both anchors: the edge leaving the center and the one entering it.
+        for anchor in ((), ((dim, -1),)):
+            for container in (OrientedBall(k, radius), OrientedBall(k, radius + 1)):
+                assert container.overlap(anchor, eb) == walk.overlap(container, anchor, eb)
+            outer = OrientedBall(k, radius + 1)
+            placed = walk.overlap(outer, anchor, eb)
+            assert len(placed) == eb.size
+            assert outer.shift_map(anchor, eb) == [i for _, i in placed]
+        # The reverse placement: each endpoint's radius-(r+1) ball in the
+        # edge ball (what the first speedup's edge view fixes).
+        node_ball = OrientedBall(k, radius + 1)
+        for anchor in eb.endpoint_words():
+            assert eb.overlap(anchor, node_ball) == walk.overlap(eb, anchor, node_ball)
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_low_endpoint_sees_the_edge_positively(k):
+    walk = OrientedTreeWalk(k)
+    for d in all_directions(k):
+        low = walk(low_endpoint(d))
+        high = walk(low_endpoint(d), ((d[0], 1),))
+        assert {low, high} == {0, walk((d,))}
+        assert walk.orientation.direction_at(low, high) == (d[0], 1)

@@ -268,30 +268,3 @@ class TestPipeline:
         outputs = {final_alg.evaluate((v,)) for v in range(final_alg.values)}
         floor = len(outputs) ** (-4.0)
         assert final.measured_failure.as_float() >= floor - 1e-12
-
-    def test_threshold_override(self):
-        result = run_speedup_pipeline(
-            local_maximum_coloring(2, bits=1),
-            method="exact",
-            threshold_override=Fraction(1, 2),
-        )
-        assert all(
-            s.threshold == Fraction(1, 2) for s in result.stages if s.threshold
-        )
-
-    @pytest.mark.parametrize("bits", (1, 2))
-    def test_zero_threshold_override_is_used(self, bits):
-        # f = 0 is a threshold, not "unset": every achievable color is
-        # frequent.  The paper's thresholds at bits=1 are
-        # 773444160/916733179 and 1/2, so a falsy-override check shows.
-        seed = local_maximum_coloring(2, bits=bits)
-        result = run_speedup_pipeline(
-            seed, method="exact", threshold_override=Fraction(0)
-        )
-        assert [s.threshold for s in result.stages] == [None] + [Fraction(0)] * (
-            len(result.stages) - 1
-        )
-        edge = first_speedup(local_maximum_coloring(2, bits=bits), Fraction(0))
-        assert result.stages[1].measured_failure.probability == (
-            edge_local_failure(edge, method="exact").probability
-        )

@@ -41,12 +41,7 @@ from repro.speedup import (
     smaller_count_coloring,
     zero_round_uniform,
 )
-from repro.speedup.failure import (
-    _edge_layouts,
-    _split_positions,
-    edge_local_failure,
-    node_local_failure,
-)
+from repro.speedup.failure import edge_local_failure, node_local_failure
 from repro.speedup.finite_runner import estimate_global_success, resolve_ball_tables
 from repro.speedup.transform import _frequent_colors
 
@@ -392,10 +387,22 @@ def fraction_distribution(evaluate, base, unknown, total_size, values):
     return {color: Fraction(n, total) for color, n in counts.items()}
 
 
+def split_positions(maps, known_size):
+    """Split each direction's outer-ball map at the conditioning region.
+
+    ``maps[d][pos]`` is the outer-ball index of position ``pos``.  Returns
+    the ``(pos, outer index)`` pairs inside the first ``known_size`` outer
+    positions, and the positions beyond them.
+    """
+    shared = {d: [(p, o) for p, o in enumerate(m) if o < known_size] for d, m in maps.items()}
+    beyond = {d: [p for p, o in enumerate(m) if o >= known_size] for d, m in maps.items()}
+    return shared, beyond
+
+
 def old_node_failure(alg):
     inner, outer, values = alg.ball, OrientedBall(alg.k, alg.t + 1), alg.values
     maps = {d: outer.shift_map((d,), inner) for d in outer.directions}
-    shared, beyond = _split_positions(maps, inner.size)
+    shared, beyond = split_positions(maps, inner.size)
     fail = Fraction(0)
     for sigma in itertools.product(range(values), repeat=inner.size):
         center_color = alg.evaluate(sigma)
@@ -409,9 +416,15 @@ def old_node_failure(alg):
 
 
 def old_edge_failure(alg):
-    known, values = OrientedBall(alg.k, alg.r), alg.values
-    layouts = _edge_layouts(alg)
-    shared, beyond = _split_positions({d: m for d, (_, m) in layouts.items()}, known.size)
+    known, outer, values = OrientedBall(alg.k, alg.r), OrientedBall(alg.k, alg.r + 1), alg.values
+    # Each incident edge's ball, read from its low endpoint: the center
+    # for the edge leaving it, the neighbor for the edge entering it.
+    maps = {
+        (dim, sign): outer.shift_map(() if sign == 1 else ((dim, sign),), alg.balls[dim])
+        for dim in range(alg.k)
+        for sign in (1, -1)
+    }
+    shared, beyond = split_positions(maps, known.size)
     fail = Fraction(0)
     for sigma in itertools.product(range(values), repeat=known.size):
         prob_fail = Fraction(1)

@@ -37,6 +37,21 @@ DEFAULT_SETTINGS = settings(
 # An independent oracle: forced port-walk isomorphism
 # ----------------------------------------------------------------------
 
+def _neighbors_by_port(view: View, i: int) -> dict:
+    """Local node ``i``'s neighbors in ``view``, keyed by the port at ``i``.
+
+    Each value is ``(j, port at j, direction seen from i)``, read off
+    ``view.edges``, which lists each edge once from its lower local index.
+    """
+    out = {}
+    for lo, hi, port_lo, port_hi, d in view.edges:
+        if lo == i:
+            out[port_lo] = (hi, port_hi, d)
+        elif hi == i:
+            out[port_hi] = (lo, port_lo, None if d is None else (d[0], -d[1]))
+    return out
+
+
 def views_indistinguishable(va: View, vb: View) -> bool:
     """Decide indistinguishability without consulting either encoding.
 
@@ -71,8 +86,8 @@ def views_indistinguishable(va: View, vb: View) -> bool:
         ):
             if la is not None and la[a] != lb[b]:
                 return False
-        nbrs_a = {pa: (j, pj, d) for j, pa, pj, d in va.local_neighbors(a)}
-        nbrs_b = {pb: (j, pj, d) for j, pb, pj, d in vb.local_neighbors(b)}
+        nbrs_a = _neighbors_by_port(va, a)
+        nbrs_b = _neighbors_by_port(vb, b)
         if set(nbrs_a) != set(nbrs_b):
             return False  # different ports lead inside the ball
         for port, (ja, pja, da) in nbrs_a.items():

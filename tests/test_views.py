@@ -10,7 +10,7 @@ from repro.graphs import (
     toroidal_grid,
     orient_torus,
 )
-from repro.local_model import gather_edge_view, gather_view
+from repro.local_model import gather_edge_view, gather_view, view_signature
 
 
 class TestNodeViews:
@@ -82,15 +82,21 @@ class TestNodeViews:
         view = gather_view(g, 0, 1, orientation=o)
         dirs = {d for *_rest, d in view.edges}
         assert dirs <= {(0, 1), (0, -1), (1, 1), (1, -1)}
-        # Center has one neighbor in each direction.
-        assert view.neighbor_in_direction(0, 0, 1) is not None
-        assert view.neighbor_in_direction(0, 1, -1) is not None
+        # Center has one neighbor in each direction: local 0 is the low
+        # end of its edges, so each direction is read from the center.
+        at_center = [d for i, *_rest, d in view.edges if i == 0]
+        assert sorted(at_center) == sorted(dirs) == [(0, -1), (0, 1), (1, -1), (1, 1)]
 
     def test_local_neighbors_sorted_by_port(self):
+        # The center's neighbors take locals 1, 2, ... in port order, and
+        # each of its edges carries the graph's ports at both ends.
         g = balanced_regular_tree(4, 2)
         view = gather_view(g, 0, 1)
-        ports = [p for _, p, _, _ in view.local_neighbors(0)]
-        assert ports == sorted(ports)
+        at_center = sorted((p, j, pj) for i, j, p, pj, _ in view.edges if i == 0)
+        assert [(p, j) for p, j, _ in at_center] == [(0, 1), (1, 2), (2, 3), (3, 4)]
+        for p, j, pj in at_center:
+            u = view.originals[j]
+            assert u == g.endpoint(0, p) and g.port_to(u, 0) == pj
 
     def test_nodes_at_distance(self):
         g = balanced_regular_tree(4, 2)
@@ -151,3 +157,16 @@ class TestEdgeViews:
         a = gather_edge_view(g, (3, 4), 1)
         b = gather_edge_view(g, (5, 6), 1)
         assert a.key() == b.key()
+
+
+class TestCenterOutsideTheGraph:
+    @pytest.mark.parametrize("v", [-1, 4])
+    def test_gather_view_refuses_it(self, v):
+        with pytest.raises(ValueError, match=f"^{v} is not a node of the 4-node graph$"):
+            gather_view(path(4), v, 0)
+
+    @pytest.mark.parametrize("v", [-1, 4])
+    def test_view_signature_refuses_it(self, v):
+        with pytest.raises(ValueError, match=f"^{v} is not a node of the 4-node graph$"):
+            view_signature(path(4), v, 1)
+
